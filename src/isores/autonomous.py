@@ -8,7 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -201,8 +201,9 @@ class VariationalSolution:
         return p[2] * p[5] - p[3] * p[4]
 
     def orbit_x(self, t):
-        p = self._parts(t)
-        return p[0]
+        if self.r == 0:     # the orbit of amplitude 0 is the center itself
+            return np.zeros_like(np.asarray(t, dtype=float))
+        return self._parts(t)[0]
 
 
 def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
@@ -210,11 +211,16 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
     """Numerically integrated variational pair along the orbit of amplitude r.
 
     r = 0 uses the explicit linearization at the center (frequency
-    sqrt(V''(0))) instead of integrating a degenerate orbit.
+    sqrt(V''(0))) instead of integrating a degenerate orbit.  The asymmetric
+    potential is positively homogeneous of degree 2, so psi does not depend
+    on r > 0 and r = 0 takes the r -> 0+ limit psi(., 1) instead: V'' jumps
+    at the center, so the linearization there is not that limit.
     """
     if r < 0:
         raise DomainError("psi_solution: r must be nonnegative")
     if r == 0:
+        if pot.kind == "asymmetric":
+            return replace(psi_solution(pot, 1.0, cfg, t1), r=0.0)
         w0 = math.sqrt(float(pot.d2v(0.0)))
         return VariationalSolution(pot, 0.0, t1, lin_freq=w0)
     pot.v(r)
@@ -243,11 +249,7 @@ def psi_evaluator(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
     """Vectorized t -> psi(t, r), closed form when available else numeric."""
     if closed_psi(pot, r, np.zeros(1)) is not None and r > 0:
         return lambda t: closed_psi(pot, r, t)
-    if r == 0:
-        vs = psi_solution(pot, 0.0, cfg, t1)
-        return vs.psi
-    vs = psi_solution(pot, r, cfg, t1)
-    return vs.psi
+    return psi_solution(pot, r, cfg, t1).psi
 
 
 # ---------------------------------------------------------------------------

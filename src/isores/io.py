@@ -9,6 +9,8 @@ from pathlib import Path
 
 
 def fmt(value) -> str:
+    if isinstance(value, float):     # float and numpy.float64: skip the ABC checks
+        return f"{float(value):.17g}"
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
@@ -23,7 +25,7 @@ def write_csv(path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(map(fmt, row)))
     path.write_text("\n".join(lines) + "\n")
     return path
 

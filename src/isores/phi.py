@@ -1,6 +1,13 @@
 """The resonance functional over the cylinder: pointwise evaluation, closed
 harmonic forms, the Pinney large-amplitude slice and Fourier constants,
-full-grid scans with a certification verdict, and boundary winding numbers."""
+full-grid scans with a certification verdict, and boundary winding numbers.
+
+Cost model: Phi(., r) correlates p with the one profile psi(., r), so each
+adaptive_complex_quad call batches every integral against the same psi: all
+Fourier modes c_m(r) in one call (cached per r; a trigonometric p then costs a
+finite sum per node), and for any other p one call per r-column of a scan
+(and one for the Pinney infinity slice) over every theta of the column.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from .forcing import (ForcingTerm, TrigPoly, TWO_PI,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
 from .autonomous import pinney_psi_infinity, psi_evaluator
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, pinney
 
 _GL_NODES = {}
 
@@ -29,66 +36,69 @@ def _gauss(n):
 
 def adaptive_complex_quad(g, segments, rtol=1e-11, atol=1e-13,
                           min_width=1e-13, order=16):
-    """Adaptive Gauss-Legendre quadrature of a vectorized complex integrand
-    over a list of (a, b) segments, with h-refinement error control."""
-    nodes, weights = _gauss(order)
+    """Adaptive Gauss-Legendre quadrature of many complex integrals at once.
 
-    def gl(a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
+    ``segments`` = (a, b, owner) arrays: [a[j], b[j]] is a piece of integral
+    owner[j].  The vectorized ``g(x, k)`` evaluates integral k[j] at x[j].
+    Each integral keeps its own h-refinement error control; returns integrals
+    0..max(owner), raising NumericsError if any one of them stalls."""
+    nodes, weights = _gauss(order)
+    a, b, k = map(np.asarray, segments)
+    n = int(k.max()) + 1
+
+    def gl(a, b, k):
         mid = 0.5 * (a + b)[:, None]
         half = 0.5 * (b - a)[:, None]
         x = mid + half * nodes[None, :]
-        vals = g(x.ravel()).reshape(x.shape)
+        vals = g(x.ravel(), np.repeat(k, order)).reshape(x.shape)
         return (vals * weights[None, :]).sum(axis=1) * half[:, 0]
 
-    a0 = np.array([s[0] for s in segments], dtype=float)
-    b0 = np.array([s[1] for s in segments], dtype=float)
-    total_len = float(np.sum(b0 - a0))
-    est = gl(a0, b0)
-    i_scale = max(float(np.sum(np.abs(est))), atol)
+    def per_owner(w, k):
+        # bincount adds each owner's terms in segment order
+        return np.bincount(k, weights=w, minlength=n)
 
-    total = 0.0 + 0.0j
-    forced_err = 0.0
-    work = list(zip(a0, b0, est))
-    while work:
-        a = np.array([w[0] for w in work])
-        b = np.array([w[1] for w in work])
-        parent = np.array([w[2] for w in work])
+    total_len = per_owner(b - a, k)
+    est = gl(a, b, k)
+    tol = atol + rtol * np.maximum(per_owner(np.abs(est), k), atol)
+
+    parts = []           # (values, owners) of the finished segments
+    forced_err = np.zeros(n)
+    while a.size:
         m = 0.5 * (a + b)
-        left = gl(a, m)
-        right = gl(m, b)
+        left = gl(a, m, k)
+        right = gl(m, b, k)
         child = left + right
-        err = np.abs(child - parent)
-        budget = (atol + rtol * i_scale) * (b - a) / total_len
-        done = err <= budget
-        narrow = (b - a) < min_width * total_len
-        for i in range(len(work)):
-            if done[i] or narrow[i]:
-                total += child[i]
-                if narrow[i] and not done[i]:
-                    forced_err += err[i]
-        next_work = []
-        for i in range(len(work)):
-            if not (done[i] or narrow[i]):
-                next_work.append((a[i], m[i], left[i]))
-                next_work.append((m[i], b[i], right[i]))
-        work = next_work
-    if forced_err > 10.0 * (atol + rtol * i_scale):
-        raise NumericsError(
-            f"adaptive quadrature stalled with residual error {forced_err:.2e}")
-    return total
+        err = np.abs(child - est)
+        done = err <= tol[k] * (b - a) / total_len[k]
+        narrow = (b - a) < min_width * total_len[k]
+        stop = done | narrow
+        parts.append((child[stop], k[stop]))
+        forced_err += per_owner(err * (narrow & ~done), k)
+        go = ~stop
+        a = np.stack([a[go], m[go]], axis=1).ravel()
+        b = np.stack([m[go], b[go]], axis=1).ravel()
+        est = np.stack([left[go], right[go]], axis=1).ravel()
+        k = np.repeat(k[go], 2)
+    if np.any(forced_err > 10.0 * tol):
+        raise NumericsError("adaptive quadrature stalled with residual error "
+                            f"{forced_err.max():.2e}")
+    vals, owner = map(np.concatenate, zip(*parts))
+    return per_owner(vals.real, owner) + 1j * per_owner(vals.imag, owner)
 
 
-def _segments_for(f: ForcingTerm, theta: float, extra_points=()):
-    """Partition [0, 2*pi] at the breakpoints of p(t - theta) and at the
-    supplied extra points."""
-    pts = list(np.mod(f.split_points() + theta, TWO_PI)) + \
-        [float(p) for p in extra_points]
-    inner = sorted(p for p in pts if 1e-12 < p < TWO_PI - 1e-12)
-    knots = [0.0] + inner + [TWO_PI]
-    return [(knots[i], knots[i + 1]) for i in range(len(knots) - 1)
-            if knots[i + 1] - knots[i] > 1e-12]
+def _segments(split_points, shifts, extra_points):
+    """One partition of [0, 2*pi] per shift theta (a float array), at the
+    breakpoints of p(t - theta) and at the extra points, as (a, b, owner)
+    arrays with owner the index of theta."""
+    pts = np.concatenate([np.mod(split_points[None, :] + shifts[:, None], TWO_PI),
+                          np.broadcast_to(extra_points, (shifts.size, len(extra_points)))],
+                         axis=1)
+    # points at the ends would only add empty segments: move them onto 0
+    pts = np.where((pts > 1e-12) & (pts < TWO_PI - 1e-12), pts, 0.0)
+    knots = np.sort(np.pad(pts, ((0, 0), (1, 1)), constant_values=(0.0, TWO_PI)), axis=1)
+    a, b = knots[:, :-1], knots[:, 1:]
+    keep = b - a > 1e-12
+    return a[keep], b[keep], np.nonzero(keep)[0]
 
 
 def _pinney_layer_points(r):
@@ -110,30 +120,27 @@ def _pinney_layer_points(r):
 _PSI_INFINITY = math.inf
 
 
+def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
+    """(psi(., r), extra split points for its quadratures); r = inf is the
+    Pinney large-amplitude limit profile."""
+    if r == _PSI_INFINITY:
+        if pot.kind != "pinney":
+            raise NumericsError(f"{pot.kind}: no large-amplitude limit profile")
+        return pinney_psi_infinity, (math.pi,)
+    extra = _pinney_layer_points(r) if pot.kind == "pinney" else ()
+    return psi_evaluator(pot, r, cfg), extra
+
+
 @functools.lru_cache(maxsize=4096)
 def _psi_fourier(pot: PotentialSpec, r: float, kmax: int,
                  cfg: IntegratorConfig):
     """Fourier coefficients c_m(r) = (1/2pi) int psi(t, r) e^{-imt} dt for
-    m = -kmax..kmax; r = inf uses the Pinney limit profile."""
-    if r == _PSI_INFINITY:
-        if pot.kind != "pinney":
-            raise NumericsError(f"{pot.kind}: no large-amplitude limit profile")
-        psi = pinney_psi_infinity
-        extra = (math.pi,)
-    else:
-        psi = psi_evaluator(pot, r, cfg)
-        extra = _pinney_layer_points(r) if pot.kind == "pinney" else ()
-    segs = _segments_for(TrigPoly(), 0.0, extra)
-    out = np.empty(2 * kmax + 1, dtype=complex)
-    for m in range(-kmax, kmax + 1):
-        g = (lambda t, m=m: psi(t) * np.exp(-1j * m * t))
-        out[m + kmax] = adaptive_complex_quad(g, segs) / TWO_PI
-    return out
-
-
-def _phi_direct(psi, f: ForcingTerm, theta: float, extra_points=()):
-    segs = _segments_for(f, theta, extra_points)
-    g = lambda t: np.asarray(f.eval(t - theta)) * psi(t)
+    m = -kmax..kmax, all modes in one batched quadrature; r = inf uses the
+    Pinney limit profile."""
+    psi, extra = _profile(pot, r, cfg)
+    m = np.arange(-kmax, kmax + 1)
+    g = lambda t, k: psi(t) * np.exp(-1j * m[k] * t)
+    segs = _segments(np.empty(0), np.zeros(m.size), extra)
     return adaptive_complex_quad(g, segs) / TWO_PI
 
 
@@ -142,13 +149,27 @@ def _phi_trig(f: TrigPoly, cm, theta):
     the defining quadrature for trigonometric forcings)."""
     kmax = (len(cm) - 1) // 2
     p_hat = complex_fourier_coefficients(f, kmax)
-    theta = np.asarray(theta, dtype=float)
     out = np.zeros(theta.shape, dtype=complex)
     for k in range(-kmax, kmax + 1):
         coef = p_hat[k + kmax] * cm[kmax - k]
         if coef != 0:
             out = out + coef * np.exp(-1j * k * theta)
-    return out if out.ndim else complex(out)
+    return out
+
+
+def _phi_column(pot: PotentialSpec, f: ForcingTerm, theta, r: float,
+                cfg: IntegratorConfig):
+    """Phi(theta, r) for an array of theta at one amplitude r (r = inf is the
+    Pinney limit).  Trigonometric p reuse the cached c_m(r); any other p
+    takes one batched quadrature over every theta, split at the breakpoints
+    of each p(t - theta)."""
+    theta = np.asarray(theta, dtype=float)
+    if isinstance(f, TrigPoly):
+        return _phi_trig(f, _psi_fourier(pot, r, max(f.degree, 1), cfg), theta)
+    psi, extra = _profile(pot, r, cfg)
+    g = lambda t, k: np.asarray(f.eval(t - theta[k])) * psi(t)
+    segs = _segments(f.split_points(), theta, extra)
+    return adaptive_complex_quad(g, segs) / TWO_PI
 
 
 def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
@@ -159,13 +180,7 @@ def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
     the closed form for the harmonic and Pinney potentials, the numerically
     integrated variational solution otherwise.
     """
-    if isinstance(f, TrigPoly):
-        kmax = max(f.degree, 1)
-        cm = _psi_fourier(pot, float(r), kmax, cfg)
-        return complex(_phi_trig(f, cm, float(theta)))
-    extra = _pinney_layer_points(r) if pot.kind == "pinney" else ()
-    psi = psi_evaluator(pot, r, cfg)
-    return complex(_phi_direct(psi, f, float(theta), extra))
+    return complex(_phi_column(pot, f, [float(theta)], float(r), cfg)[0])
 
 
 def harmonic_phi_closed(n: int, f: ForcingTerm, theta: float) -> complex:
@@ -184,13 +199,8 @@ def phi_at_infinity_pinney(f: ForcingTerm, theta: float,
     """Limit of Phi_p(theta, r) as r -> inf for the Pinney potential:
     quadrature of p(t - theta) against |cos(t/2)| + 2i sin(t/2) sgn cos(t/2),
     split at the kink t = pi."""
-    if isinstance(f, TrigPoly):
-        from .potentials import pinney
-        cm = _psi_fourier(pinney(), _PSI_INFINITY, max(f.degree, 1),
-                          cfg or IntegratorConfig())
-        return complex(_phi_trig(f, cm, float(theta)))
-    return complex(_phi_direct(pinney_psi_infinity, f, float(theta),
-                               (math.pi,)))
+    return complex(_phi_column(pinney(), f, [float(theta)], _PSI_INFINITY,
+                               cfg or IntegratorConfig())[0])
 
 
 @dataclass(frozen=True)
@@ -207,7 +217,6 @@ def pinney_fourier_constants(r: float, cfg: IntegratorConfig | None = None
                              ) -> PinneyConstants:
     """The constants (c0, d+, d-) at amplitude r; r = inf returns the
     large-amplitude limits (2/pi, 2/(3 pi), 8/(3 pi))."""
-    from .potentials import pinney
     cfg = cfg or IntegratorConfig()
     key_r = _PSI_INFINITY if math.isinf(r) else float(r)
     cm = _psi_fourier(pinney(), key_r, 1, cfg)
@@ -269,26 +278,11 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     theta = np.linspace(0.0, TWO_PI, theta_count, endpoint=False)
     r_grid = np.asarray(r_grid, dtype=float)
     values = np.empty((theta_count, r_grid.size), dtype=complex)
-    is_trig = isinstance(f, TrigPoly)
-    kmax = max(f.degree, 1) if is_trig else 0
     for j, r in enumerate(r_grid):
-        if is_trig:
-            cm = _psi_fourier(pot, float(r), kmax, cfg)
-            values[:, j] = _phi_trig(f, cm, theta)
-        else:
-            extra = _pinney_layer_points(r) if pot.kind == "pinney" else ()
-            psi = psi_evaluator(pot, float(r), cfg)
-            for i, th in enumerate(theta):
-                values[i, j] = _phi_direct(psi, f, float(th), extra)
-
+        values[:, j] = _phi_column(pot, f, theta, float(r), cfg)
     infinity = None
     if pot.kind == "pinney":
-        if is_trig:
-            cm = _psi_fourier(pot, _PSI_INFINITY, kmax, cfg)
-            infinity = np.asarray(_phi_trig(f, cm, theta))
-        else:
-            infinity = np.array([_phi_direct(pinney_psi_infinity, f, th,
-                                             (math.pi,)) for th in theta])
+        infinity = _phi_column(pot, f, theta, _PSI_INFINITY, cfg)
 
     mods = np.abs(values)
     i, j = np.unravel_index(np.argmin(mods), mods.shape)

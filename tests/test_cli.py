@@ -50,6 +50,10 @@ def test_phi_scan_exit_codes(tmp_path):
     assert rc == 2
     rc = main(["phi-scan", "--potential", "pinney", "--forcing", "{oops"])
     assert rc == 1
+    # the asymmetric center certifies: at r = 0, psi is the r -> 0+ limit
+    rc = main(["phi-scan", "--potential", "asymmetric:4:0.4444444444444444",
+               "--forcing", "sin", "--theta-points", "16", "--r-points", "3"])
+    assert rc == 0
 
 
 def test_resonance_run_exit_codes(tmp_path):

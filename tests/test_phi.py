@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import isores as iso
 from isores.errors import NumericsError
 from isores.forcing import PiecewiseConst, Sampled, TrigPoly, TWO_PI
 from isores.autonomous import pinney_psi_closed, pinney_psi_infinity
-from isores.phi import (corollary_bound, default_r_grid, eval_phi,
-                        harmonic_phi_closed, phi_at_infinity_pinney, phi_scan,
+from isores.phi import (adaptive_complex_quad, corollary_bound,
+                        default_r_grid, eval_phi, harmonic_phi_closed, phi_at_infinity_pinney, phi_scan,
                         pinney_fourier_constants, resonance_verdict,
                         winding_number, write_phi_csv)
 
@@ -84,14 +85,90 @@ def test_linearity_in_forcing(pin, cfg):
 
 def test_asymmetric_homogeneity(cfg, har, sin_f):
     # psi does not depend on the amplitude for homogeneous potentials
+    # and r = 0 takes the r -> 0+ limit, psi(., 1)
     for pot in (iso.asymmetric(1.0, 1.0), iso.asymmetric(4.0, 4.0 / 9.0)):
-        vals = [eval_phi(pot, sin_f, 0.7, r, cfg) for r in (1.0, 2.0, 5.0)]
+        vals = [eval_phi(pot, sin_f, 0.7, r, cfg) for r in (1.0, 2.0, 5.0, 0.0)]
         assert abs(vals[0] - vals[1]) < 1e-6
         assert abs(vals[0] - vals[2]) < 1e-6
+        assert vals[3] == vals[0]
     # alpha = beta = 1 degenerates to the harmonic oscillator
     v_asym = eval_phi(iso.asymmetric(1.0, 1.0), sin_f, 0.7, 2.0, cfg)
     v_harm = eval_phi(har, sin_f, 0.7, 2.0, cfg)
     assert abs(v_asym - v_harm) < 1e-8
+
+
+# -- batched quadrature ----------------------------------------------------------
+
+EPS_PEAK = 1e-4
+
+
+def _mixed_integrand(x, k):
+    """Integral 0: e^{ix} (easy); 1: a Lorentzian peak of width 1e-4 at an
+    off-grid point (deep refinement); 2: sqrt(x) + ix (endpoint refinement)."""
+    peak = EPS_PEAK / ((x - 0.3) ** 2 + EPS_PEAK ** 2)
+    return np.select([k == 0, k == 1],
+                     [np.exp(1j * x), peak + 0j], np.sqrt(x) + 1j * x)
+
+
+MIXED_SEGMENTS = ([0.0, 0.5, 0.0, 0.0], [0.5, 1.0, 1.0, 1.0], [0, 0, 1, 2])
+MIXED_EXACT = [(np.exp(1j) - 1.0) / 1j,
+               math.atan(0.7 / EPS_PEAK) + math.atan(0.3 / EPS_PEAK),
+               2.0 / 3.0 + 0.5j]
+
+
+def test_batched_quad_matches_exact_and_single_calls():
+    got = adaptive_complex_quad(_mixed_integrand, MIXED_SEGMENTS)
+    assert got.shape == (3,)
+    for k, exact in enumerate(MIXED_EXACT):
+        assert abs(got[k] - exact) <= 1e-10 * max(1.0, abs(exact))
+    # per-integral error control: each batch member is exactly what a
+    # one-integral call returns
+    a, b, owner = (np.asarray(s) for s in MIXED_SEGMENTS)
+    for k in range(3):
+        sel = owner == k
+        single = adaptive_complex_quad(
+            lambda x, j: _mixed_integrand(x, np.full_like(j, k)),
+            (a[sel], b[sel], np.zeros(int(sel.sum()), dtype=int)))
+        assert single.shape == (1,)
+        assert single[0] == got[k]
+
+
+def test_batched_quad_one_stalled_member_raises():
+    # 1/sqrt(x) keeps an error of order sqrt(width) at x = 0 down to the
+    # narrowest allowed segment; the smooth member alone would converge
+    g = lambda x, k: np.where(k == 0, np.exp(1j * x), 1.0 / np.sqrt(x))
+    with pytest.raises(NumericsError, match="stalled"):
+        adaptive_complex_quad(g, ([0.0, 0.0], [1.0, 1.0], [0, 1]))
+
+
+def _quad_complex(fun, lo, hi):
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+    re = quad(lambda t: fun(t).real, lo, hi, **opts)[0]
+    im = quad(lambda t: fun(t).imag, lo, hi, **opts)[0]
+    return re + 1j * im
+
+
+def test_phi_scan_step_forcing_matches_scipy_quad(pin, cfg):
+    f = PiecewiseConst(breakpoints=(0.0, 1.1, 2.5, 4.0),
+                       values=(1.0, -0.3, 2.0, 0.5))
+    r_grid = default_r_grid(1e3, 6)
+    field = phi_scan(pin, f, 16, r_grid, cfg)
+    profiles = [(lambda t, r=r: pinney_psi_closed(r, t)) for r in r_grid]
+    profiles.append(pinney_psi_infinity)
+    columns = np.column_stack([field.values, field.infinity_slice])
+    # psi(., r) has a layer of width (1 + r)^-2 around t = pi and the limit
+    # profile a kink there: split at pi and at pi +- 4^k (1 + r_max)^-2
+    widths = (1.0 + r_grid[-1]) ** -2 * 4.0 ** np.arange(10)
+    layer = math.pi + np.concatenate([[0.0], widths, -widths])
+    for i, th in enumerate(field.theta_grid):
+        # and at the jumps of p(t - theta)
+        cuts = np.unique(np.concatenate([[0.0, TWO_PI], layer,
+                                         np.mod(f.jump_points() + th, TWO_PI)]))
+        for j, psi in enumerate(profiles):
+            fun = lambda t: f.eval(t - th) * psi(t)
+            ref = sum(_quad_complex(fun, lo, hi)
+                      for lo, hi in zip(cuts[:-1], cuts[1:])) / TWO_PI
+            assert abs(columns[i, j] - ref) < 1e-10, (th, j)
 
 
 # -- harmonic closed form --------------------------------------------------------
