@@ -7,8 +7,8 @@ from .forcing import (ForcingTerm, PiecewiseConst, Sampled, TrigPoly,
                       eval_forcing, forcing_from_descriptor,
                       fourier_coefficient, l1_norm)
 from .potentials import (PotentialSpec, appendix_audit, asymmetric, custom,
-                         eval_V, eval_dV, eval_d2V, harmonic, pinney,
-                         potential_from_descriptor, sigma_map)
+                         harmonic, pinney, potential_from_descriptor,
+                         sigma_map)
 from .integrate import (IntegratorConfig, State, Trajectory, energy,
                         integrate_autonomous, integrate_forced)
 from .autonomous import (ActionAngle, AutonomousOrbit, VariationalSolution,

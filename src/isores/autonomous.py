@@ -15,8 +15,8 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, NumericsError
 from .forcing import TWO_PI
-from .integrate import (IntegratorConfig, RawSolution, State, Trajectory,
-                        integrate_autonomous, integrate_ode)
+from .integrate import (IntegratorConfig, RawSolution, State, StepTable,
+                        Trajectory, integrate_autonomous, integrate_ode)
 from .potentials import (PotentialSpec, inverse_V_negative, inverse_V_positive)
 
 
@@ -57,17 +57,6 @@ def pinney_psi_infinity(t):
     return np.abs(c) + 2j * np.sin(0.5 * t) * np.sign(c)
 
 
-def closed_orbit(pot: PotentialSpec, r, t):
-    """(x, v) of the orbit through (r, 0) when a closed form exists, else None."""
-    if pot.kind == "harmonic":
-        n = pot.params[0]
-        t = np.asarray(t, dtype=float)
-        return r * np.cos(n * t), -r * n * np.sin(n * t)
-    if pot.kind == "pinney":
-        return pinney_phi_closed(r, t)
-    return None
-
-
 def closed_psi(pot: PotentialSpec, r, t):
     """psi(t, r) when a closed form exists, else None."""
     if pot.kind == "harmonic":
@@ -82,20 +71,12 @@ def closed_psi(pot: PotentialSpec, r, t):
 # ---------------------------------------------------------------------------
 # orbits and periods
 
-class _ConstantInterp:
-    def __init__(self, y):
-        self._y = np.asarray(y, dtype=float)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self._y.copy()
-        return np.repeat(self._y[:, None], t.size, axis=1)
-
-
 def _constant_trajectory(y, t0, t1):
-    raw = RawSolution(np.array([t0, t1]), np.array([y, y]),
-                      [(t0, t1, _ConstantInterp(y))], [],
+    """A rest point over [t0, t1]: one step whose interpolant is constant."""
+    y = np.asarray(y, dtype=float)
+    steps = StepTable(np.array([t0]), np.array([t1 - t0]), y[None, :],
+                      np.zeros((1, 4, y.size)), False)
+    raw = RawSolution(np.array([t0, t1]), np.array([y, y]), steps, [],
                       {"n_steps": 0, "nfev": 0, "n_segments": 1})
     return Trajectory(raw)
 
@@ -228,7 +209,7 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
     clamp = pot.domain_left + 1e-13 if pot.singular_left else None
 
     def rhs(t, y):
-        x = y[0]
+        x = float(y[0])
         if clamp is not None and x < clamp:
             x = clamp
         a = float(d2v(x))
@@ -368,7 +349,7 @@ def _rofe_raw(pot: PotentialSpec, r: float, t_max: float, cfg: IntegratorConfig)
     clamp = pot.domain_left + 1e-13 if pot.singular_left else None
 
     def rhs(t, y):
-        x = y[0]
+        x = float(y[0])
         if clamp is not None and x < clamp:
             x = clamp
         acc = -float(dv(x))
@@ -523,10 +504,3 @@ def write_variational_csv(vs: VariationalSolution, path, n_samples: int = 1001):
     p = vs._parts(t)
     return write_csv(path, ["t", "u", "du", "v", "dv"],
                      np.column_stack([t, p[2], p[3], p[4], p[5]]))
-
-
-def write_bouncing_csv(records, path):
-    from .io import write_csv
-    rows = [(r.action, r.sup_x_defect, r.sup_dxdI_defect, r.dxdI_at_0)
-            for r in records]
-    return write_csv(path, ["I", "sup_x_defect", "sup_dxdI_defect", "dxdI_at_0"], rows)

@@ -28,6 +28,8 @@ class ResonanceDiagnostics:
     alone, whose growth rate for the linear oscillator equals eps/2 per unit
     time.  energy_sqrt[k] = sqrt(E) at the window end and envelope_bound[k]
     the a-priori budget sqrt(E0) + |eps|/sqrt(2) * int_0^{2 pi k} |p|.
+    A run cut short (partial) keeps in stop_reason the message of the
+    IntegrationError that stopped it; stop_reason is None for a full run.
     """
 
     window_sup: np.ndarray
@@ -40,6 +42,7 @@ class ResonanceDiagnostics:
     config: IntegratorConfig
     final_state: State
     partial: bool = False
+    stop_reason: str | None = None
 
 
 def envelope_bound(e0: float, eps: float, f: ForcingTerm, t: float) -> float:
@@ -74,8 +77,13 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     when the run-wide maximum stays within 1.5x the first-quarter maximum;
     "inconclusive" otherwise.  The energy envelope inequality is asserted at
     every window end (slack 1e-6); violation is an integrator failure.
-    A singularity abort returns partial diagnostics with verdict
-    "inconclusive" and partial=True.
+    An integration failure (singularity guard, step budget) returns partial
+    diagnostics with verdict "inconclusive", partial=True and its message in
+    stop_reason.
+
+    Each window is one integrate_forced call without the crossing-event log,
+    which nothing here reads; its supremum is taken over the step knots and
+    samples_per_window uniform times, evaluated in one dense-output call.
     """
     if n_periods < 10:
         raise ValueError("resonance_run: need n_periods >= 10")
@@ -89,21 +97,20 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     sqrt_e = [sqrt_e0]
     envelope = [sqrt_e0]
     state = s0
-    partial = False
+    stop_reason = None
     for k in range(n_periods):
         t0, t1 = k * TWO_PI, (k + 1) * TWO_PI
         try:
             traj = integrate_forced(pot, f, eps, state, t0, t1, cfg,
-                                    check_envelope=False)
-        except IntegrationError:
-            partial = True
+                                    check_envelope=False, record_events=False)
+        except IntegrationError as exc:
+            stop_reason = str(exc)
             break
-        ts = np.unique(np.concatenate([
-            np.linspace(t0, t1, samples_per_window),
-            traj.knot_times]))
-        x, v = traj.eval(ts)
-        sup_xv.append(float(np.max(np.abs(x) + np.abs(v))))
-        sup_x.append(float(np.max(np.abs(x))))
+        x, v = traj.eval(np.linspace(t0, t1, samples_per_window))
+        x = np.abs(np.concatenate([x, traj.knot_states[:, 0]]))
+        v = np.abs(np.concatenate([v, traj.knot_states[:, 1]]))
+        sup_xv.append(float(np.max(x + v)))
+        sup_x.append(float(np.max(x)))
         state = traj.end_state()
         sqrt_e.append(math.sqrt(energy(pot, state)))
         envelope.append(sqrt_e0 + budget_rate * (k + 1))
@@ -113,19 +120,20 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
                 f"(excess {abs(sqrt_e[-1] - sqrt_e0) - budget_rate * (k + 1):.3e})")
 
     window_sup = np.asarray(sup_xv)
+    partial = stop_reason is not None
     verdict = "inconclusive" if partial else _window_verdict(window_sup)
     return ResonanceDiagnostics(
         window_sup=window_sup, window_sup_x=np.asarray(sup_x),
         energy_sqrt=np.asarray(sqrt_e), envelope_bound=np.asarray(envelope),
         verdict=verdict, eps=eps, n_periods=n_periods, config=cfg,
-        final_state=state, partial=partial)
+        final_state=state, partial=partial, stop_reason=stop_reason)
 
 
 def stroboscopic_map(pot: PotentialSpec, f: ForcingTerm, eps: float,
                      s: State, cfg: IntegratorConfig) -> State:
     """State at t = 2*pi of the forced flow started from s at t = 0."""
     traj = integrate_forced(pot, f, eps, s, 0.0, TWO_PI, cfg,
-                            check_envelope=False)
+                            check_envelope=False, record_events=False)
     return traj.end_state()
 
 

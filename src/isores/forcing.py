@@ -51,6 +51,7 @@ class TrigPoly(ForcingTerm):
     sin_coeffs: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         for name in ("a0", "cos_coeffs", "sin_coeffs"):
@@ -58,6 +59,9 @@ class TrigPoly(ForcingTerm):
             vals = vals if isinstance(vals, tuple) else (vals,)
             if not all(math.isfinite(v) for v in vals):
                 raise ConfigError(f"forcing.{name}: coefficients must be finite")
+        # (k, a_k, b_k) for every harmonic with a nonzero coefficient
+        terms = tuple((k,) + self.harmonic(k) for k in range(1, self.degree + 1))
+        object.__setattr__(self, "_terms", tuple(h for h in terms if h[1] or h[2]))
 
     @property
     def degree(self):
@@ -70,10 +74,19 @@ class TrigPoly(ForcingTerm):
         return a, b
 
     def eval(self, t):
+        if isinstance(t, float):
+            # scalar fast path (the integrator's right-hand side); the same
+            # operations in the same order as the array path below
+            out = self.a0
+            for k, a, b in self._terms:
+                if a:
+                    out = out + a * math.cos(k * t)
+                if b:
+                    out = out + b * math.sin(k * t)
+            return out
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, self.a0, dtype=float)
-        for k in range(1, self.degree + 1):
-            a, b = self.harmonic(k)
+        for k, a, b in self._terms:
             if a:
                 out = out + a * np.cos(k * t)
             if b:
@@ -231,9 +244,7 @@ def fourier_coefficient(f: ForcingTerm, n: int) -> complex:
             c = float(f.eval(0.5 * (lo + hi)))
             total += c * (np.exp(1j * n * hi) - np.exp(1j * n * lo)) / (1j * n)
         return complex(total)
-    re = _quad_segments(lambda t: float(f.eval(t)) * math.cos(n * t), f, 0.0, TWO_PI)
-    im = _quad_segments(lambda t: float(f.eval(t)) * math.sin(n * t), f, 0.0, TWO_PI)
-    return complex(re, im)
+    return fourier_coefficient_quadrature(f, n)
 
 
 def fourier_coefficient_quadrature(f: ForcingTerm, n: int) -> complex:

@@ -1,12 +1,26 @@
 """Adaptive ODE integration with dense output, event logging, splitting at
 forcing discontinuities and potential kinks, and a hard guard near singular
 endpoints.  Built on scipy's embedded Runge-Kutta pairs (RK45 by default:
-order 5 steps with a quartic dense interpolant)."""
+order 5 steps with a quartic dense interpolant).
+
+Cost model.  An accepted step costs 6 right-hand-side calls with RK45 (12
+with DOP853, plus 3 for its dense output) and scipy's per-step bookkeeping.
+The built-in right-hand sides hand the forcing and the potential
+derivatives a Python float, which they evaluate with float arithmetic and
+the math module instead of numpy.  Every event function is called once per step and every
+sign change is root-found on the step's interpolant, so the v=0 and x=0
+crossings are recorded only for callers that read them (``record_events``);
+the kink restart and the singularity guard always run.  Dense output is a
+table with one row per step (StepTable), and RawSolution.eval evaluates any
+number of times in one array operation, so a window of a resonance run
+costs one call.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -53,13 +67,42 @@ class Event:
     t: float
 
 
-class RawSolution:
-    """Chained dense solution of an n-dimensional first-order system."""
+class StepTable(NamedTuple):
+    """Dense output of a chained solution as arrays, one row per step.
 
-    def __init__(self, ts, ys, segments, events, stats):
+    Row k interpolates over [t_old[k], t_old[k] + h[k]] from y_old[k] with
+    the scaled time s = (t - t_old[k]) / h[k].  coef[k] is RK45's Q
+    transposed, shape (4, n): y = y_old + h * sum_j coef[k, j] * s**(j+1);
+    or DOP853's F, shape (7, n), in its nested form (``nested`` set).
+    """
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    coef: np.ndarray
+    nested: bool
+
+    @classmethod
+    def from_interpolants(cls, interps, nested):
+        """Table of scipy's per-step RkDenseOutput (nested=False) or
+        Dop853DenseOutput (nested=True) objects."""
+        return cls(np.array([d.t_old for d in interps]),
+                   np.array([d.h for d in interps]),
+                   np.array([d.y_old for d in interps]),
+                   np.array([d.F if nested else d.Q.T for d in interps]),
+                   nested)
+
+
+class RawSolution:
+    """Chained dense solution of an n-dimensional first-order system.
+
+    Knot interval (ts[k], ts[k + 1]] is covered by row k of ``steps``: the
+    row is picked as scipy's OdeSolution picks its interpolant.
+    """
+
+    def __init__(self, ts, ys, steps: StepTable, events, stats):
         self.ts = np.asarray(ts)
         self.ys = np.asarray(ys)
-        self.segments = segments          # list of (t_lo, t_hi, OdeSolution)
+        self.steps = steps
         self.events = events              # list of Event, time-ordered
         self.stats = stats
 
@@ -72,22 +115,33 @@ class RawSolution:
         return float(self.ts[-1])
 
     def eval(self, t):
-        """Dense evaluation at scalar or array times inside [t0, t1]."""
+        """Dense evaluation at scalar or array times inside [t0, t1], every
+        step's interpolant in one array operation."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.size and (t_arr.min() < self.t0 - 1e-9 or t_arr.max() > self.t1 + 1e-9):
             raise ValueError("evaluation time outside the integrated span")
         t_arr = np.clip(t_arr, self.t0, self.t1)
-        bounds = np.array([seg[1] for seg in self.segments])
-        idx = np.searchsorted(bounds[:-1], t_arr, side="left") if len(bounds) > 1 \
-            else np.zeros(t_arr.shape, dtype=int)
-        dim = self.ys.shape[1]
-        out = np.empty((dim, t_arr.size))
-        for i in np.unique(idx):
-            mask = idx == i
-            out[:, mask] = self.segments[i][2](t_arr[mask])
+        tab = self.steps
+        k = np.searchsorted(self.ts[1:-1], t_arr, side="left")
+        s = ((t_arr - tab.t_old[k]) / tab.h[k])[:, None]
+        coef = tab.coef[k]
+        n_coef = coef.shape[1]
+        if tab.nested:      # F[6], ..., F[0], alternately times s and 1 - s
+            y = np.zeros((t_arr.size, self.ys.shape[1]))
+            for i in range(n_coef):
+                y += coef[:, n_coef - 1 - i]
+                y *= s if i % 2 == 0 else 1.0 - s
+            y += tab.y_old[k]
+        else:
+            p = s
+            y = coef[:, 0] * p
+            for j in range(1, n_coef):
+                p = p * s
+                y += coef[:, j] * p
+            y = tab.h[k][:, None] * y + tab.y_old[k]
         if np.ndim(t) == 0:
-            return out[:, 0]
-        return out
+            return y[0]
+        return y.T
 
 
 def _event_fn(g, direction, terminal):
@@ -118,14 +172,16 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
 
     ts = [t0]
     ys = [y0]
-    segments = []
+    interps = []                          # scipy's per-step interpolants
     events = []
     stats = {"n_steps": 0, "nfev": 0, "n_segments": 0}
 
+    def solution():
+        steps = StepTable.from_interpolants(interps, cfg.method == "DOP853")
+        return RawSolution(np.array(ts), np.array(ys), steps, events, stats)
+
     def fail(msg):
-        partial = RawSolution(np.array(ts), np.array(ys), segments or
-                              [(t0, t0, None)], events, stats)
-        raise IntegrationError(msg, trajectory=partial)
+        raise IntegrationError(msg, trajectory=solution())
 
     y = y0
     for i_stop in range(len(stops) - 1):
@@ -157,14 +213,14 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                             events=ev_fns or None)
             if sol.status == -1:
                 fail(f"integration failed: {sol.message}")
+            first_call = stats["n_segments"] == 0
             stats["n_steps"] += len(sol.t) - 1
             stats["nfev"] += sol.nfev
             stats["n_segments"] += 1
-            first_call = len(segments) == 0
             ts.extend(sol.t[1:].tolist())
             for k in range(1, len(sol.t)):
                 ys.append(sol.y[:, k])
-            segments.append((float(sol.t[0]), float(sol.t[-1]), sol.sol))
+            interps.extend(sol.sol.interpolants)
             guard_fired = (guard is not None and sol.status == 1
                            and sol.t_events[-1].size > 0)
             if sol.t_events is not None:
@@ -211,7 +267,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                 break
             y = sol.y[:, -1].copy()
             break
-    return RawSolution(np.array(ts), np.array(ys), segments, events, stats)
+    return solution()
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +329,7 @@ def _forced_rhs(pot: PotentialSpec, f, eps):
 
     if eps == 0.0 or f is None:
         def rhs(t, y):
-            x = y[0]
+            x = float(y[0])
             if clamp is not None and x < clamp:
                 x = clamp
             return (y[1], -float(dv(x)))
@@ -282,7 +338,7 @@ def _forced_rhs(pot: PotentialSpec, f, eps):
     pe = f.eval
 
     def rhs(t, y):
-        x = y[0]
+        x = float(y[0])
         if clamp is not None and x < clamp:
             x = clamp
         return (y[1], -float(dv(x)) + eps * float(pe(t)))
@@ -313,30 +369,27 @@ def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,
     IntegrationError (carrying the partial trajectory) if the step budget is
     exhausted or the orbit reaches domain_left + singularity_margin.
     """
-    pot.v(s0.x)  # domain check
-    record, kink, guard = _standard_events(pot, cfg)
-    raw = integrate_ode(_forced_rhs(pot, None, 0.0), [s0.x, s0.v], t0, t1, cfg,
-                        record=record, kink=kink, guard=guard)
-    return Trajectory(raw)
+    return integrate_forced(pot, None, 0.0, s0, t0, t1, cfg)
 
 
 def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
                      t0: float, t1: float, cfg: IntegratorConfig,
-                     check_envelope: bool = True) -> Trajectory:
+                     check_envelope: bool = True, *,
+                     record_events: bool = True) -> Trajectory:
     """Solve x'' = -V'(x) + eps*p(t).
 
     Steps never straddle a discontinuity of p: the grid is split there and a
     ``forcing_break`` event is logged at every breakpoint.  With eps = 0 the
-    forcing is inert and the result is knot-for-knot identical to
-    integrate_autonomous.  When check_envelope is set, the a-priori bound
-    |sqrt(E(t1)) - sqrt(E(t0))| <= |eps|/sqrt(2) * int |p| is verified at the
-    endpoint (slack 1e-6).
+    forcing is inert and this is integrate_autonomous.  When check_envelope
+    is set, the a-priori bound |sqrt(E(t1)) - sqrt(E(t0))| <= |eps|/sqrt(2)
+    * int |p| is verified at the endpoint (slack 1e-6).  record_events=False
+    skips the v=0 and x=0 crossing log, which costs root-finding work on
+    every step; the kink restarts, the singularity guard and therefore every
+    step are unchanged.
     """
-    pot.v(s0.x)
-    if eps == 0.0:
-        return integrate_autonomous(pot, s0, t0, t1, cfg)
-    pts = f.split_points()
+    pot.v(s0.x)  # domain check
     breaks = []
+    pts = f.split_points() if eps != 0.0 else np.empty(0)
     if pts.size:
         k0 = math.floor(t0 / TWO_PI) - 1
         k1 = math.ceil(t1 / TWO_PI) + 1
@@ -344,9 +397,10 @@ def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
         breaks = breaks[(breaks > t0) & (breaks < t1)]
     record, kink, guard = _standard_events(pot, cfg)
     raw = integrate_ode(_forced_rhs(pot, f, eps), [s0.x, s0.v], t0, t1, cfg,
-                        breakpoints=breaks, record=record, kink=kink, guard=guard)
+                        breakpoints=breaks, record=record if record_events else (),
+                        kink=kink, guard=guard)
     traj = Trajectory(raw)
-    if check_envelope and t0 >= 0:
+    if check_envelope and eps != 0.0 and t0 >= 0:
         e0 = energy(pot, s0)
         e1 = energy(pot, traj.end_state())
         budget = abs(eps) / math.sqrt(2.0) * (abs_integral(f, t1) - abs_integral(f, t0))

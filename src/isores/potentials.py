@@ -23,7 +23,8 @@ class PotentialSpec:
     ``n_iso`` is the isochrony integer N (minimal period 2*pi/N) when known;
     None means the potential has not been certified isochronous and callers
     must audit the period themselves.  Evaluator callbacks must be pure and
-    accept numpy arrays.
+    accept numpy arrays and Python floats: the integrator's right-hand sides
+    call _dv and _d2v with a float and use the result as a scalar.
     """
 
     kind: str
@@ -70,18 +71,6 @@ class PotentialSpec:
         return self.n_iso
 
 
-def eval_V(pot: PotentialSpec, x):
-    return pot.v(x)
-
-
-def eval_dV(pot: PotentialSpec, x):
-    return pot.dv(x)
-
-
-def eval_d2V(pot: PotentialSpec, x):
-    return pot.d2v(x)
-
-
 @functools.lru_cache(maxsize=64)
 def harmonic(n: int) -> PotentialSpec:
     """V(x) = n^2 x^2 / 2; every orbit has minimal period 2*pi/n."""
@@ -89,11 +78,17 @@ def harmonic(n: int) -> PotentialSpec:
         raise ConfigError("potential.n: must be a positive integer")
     n = int(n)
     n2 = float(n * n)
+
+    def _d2v(x):
+        if isinstance(x, float):
+            return n2
+        return np.full_like(np.asarray(x, dtype=float), n2)
+
     return PotentialSpec(
         kind="harmonic", params=(n,), domain_left=-math.inf, n_iso=n,
         _v=lambda x: 0.5 * n2 * x * x,
         _dv=lambda x: n2 * x,
-        _d2v=lambda x: np.full_like(np.asarray(x, dtype=float), n2))
+        _d2v=_d2v)
 
 
 @functools.lru_cache(maxsize=1)
@@ -105,12 +100,14 @@ def pinney() -> PotentialSpec:
         u = np.asarray(x, dtype=float) + 1.0
         return 0.125 * (u * u + u ** -2) - 0.25
 
+    # a float argument skips np.asarray: float ** int is the same libm pow
+    # that numpy applies to a 0-d argument
     def _dv(x):
-        u = np.asarray(x, dtype=float) + 1.0
+        u = (x if isinstance(x, float) else np.asarray(x, dtype=float)) + 1.0
         return 0.25 * (u - u ** -3)
 
     def _d2v(x):
-        u = np.asarray(x, dtype=float) + 1.0
+        u = (x if isinstance(x, float) else np.asarray(x, dtype=float)) + 1.0
         return 0.25 + 0.75 * u ** -4
 
     return PotentialSpec(kind="pinney", params=(), domain_left=-1.0, n_iso=1,
@@ -135,10 +132,14 @@ def asymmetric(alpha: float, beta: float) -> PotentialSpec:
         return 0.5 * (alpha * np.maximum(x, 0.0) ** 2 + beta * np.minimum(x, 0.0) ** 2)
 
     def _dv(x):
+        if isinstance(x, float):
+            return alpha * x if x > 0 else beta * x
         x = np.asarray(x, dtype=float)
         return np.where(x > 0, alpha * x, beta * x)
 
     def _d2v(x):
+        if isinstance(x, float):
+            return alpha if x >= 0 else beta
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, alpha, beta)
 

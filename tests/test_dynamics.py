@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import isores as iso
+from isores import dynamics
 from isores.forcing import TrigPoly, TWO_PI
-from isores.integrate import State, integrate_forced
+from isores.integrate import IntegratorConfig, State, integrate_forced
 from isores.dynamics import (envelope_bound, find_periodic_solution,
                              resonance_run, seed_from_phi_zero,
-                             stroboscopic_map, write_diagnostics_csv)
+                             stroboscopic_map, verdict_dict,
+                             write_diagnostics_csv)
 
 
 # -- resonance runs -------------------------------------------------------------
@@ -27,6 +29,50 @@ def test_harmonic_sin_growing(diag_harm_sin):
 def test_pinney_sin_growing(diag_pin_sin):
     assert diag_pin_sin.verdict == "growing"
     assert np.all(np.diff(diag_pin_sin.window_sup[-100:]) > 0)
+    assert not diag_pin_sin.partial and diag_pin_sin.stop_reason is None
+
+
+@pytest.mark.parametrize("start, cfg, reason", [
+    (State(0.5, -2.0), IntegratorConfig(singularity_margin=0.3), "singularity"),
+    (State(1.0, 0.0), IntegratorConfig(max_steps=10), "step budget"),
+])
+def test_partial_run_says_why_it_stopped(pin, sin_f, start, cfg, reason):
+    diag = resonance_run(pin, sin_f, 0.05, start, 10, cfg)
+    assert diag.partial and diag.verdict == "inconclusive"
+    assert reason in diag.stop_reason
+    assert len(diag.window_sup) < 10
+    assert "stop_reason" not in verdict_dict(diag)
+
+
+@pytest.mark.parametrize("pot, start", [
+    (iso.pinney(), State(1.0, 0.0)),                       # singularity guard
+    (iso.asymmetric(4.0, 4.0 / 9.0), State(1.0, 0.0)),     # kink restarts
+])
+def test_resonance_run_steps_match_recorded_chain(pot, start, sin_f, cfg,
+                                                  monkeypatch):
+    # the run integrates without the crossing-event log; every step, and so
+    # the end state, is the same as a chain of fully recorded windows
+    runs = []
+    real = dynamics.integrate_forced
+
+    def recording(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        runs.append(traj)
+        return traj
+    monkeypatch.setattr(dynamics, "integrate_forced", recording)
+    diag = resonance_run(pot, sin_f, 0.05, start, 10, cfg)
+    assert len(runs) == 10
+    assert not any(traj.events_of("v_zero") for traj in runs)
+    state = start
+    for k, traj in enumerate(runs):
+        chain = integrate_forced(pot, sin_f, 0.05, state, k * TWO_PI,
+                                 (k + 1) * TWO_PI, cfg, check_envelope=False)
+        assert chain.events_of("v_zero")
+        assert chain.stats["n_steps"] == traj.stats["n_steps"]
+        assert np.array_equal(chain.knot_times, traj.knot_times)
+        assert np.array_equal(chain.knot_states, traj.knot_states)
+        state = chain.end_state()
+    assert diag.final_state == state
 
 
 def test_harmonic_cos2_bounded(diag_harm_cos2):

@@ -27,6 +27,19 @@ def test_eval_trig_examples():
     assert eval_forcing(f, t) == pytest.approx(0.5 + 2 * math.cos(t) + math.sin(2 * t))
 
 
+def test_trig_float_path_matches_array_path():
+    # harmonic 2 is all zero, the others have one zero coefficient each
+    f = TrigPoly(a0=0.3, cos_coeffs=(1.0, 0.0, -0.5, 0.0),
+                 sin_coeffs=(0.0, 0.0, 0.25, 2.0))
+    ts = np.linspace(-40.0, 40.0, 4001)
+    arr = f.eval(ts)
+    for t, want in zip(ts, arr):
+        got = f.eval(float(t))
+        assert type(got) is float and got == want
+        assert f.eval(np.float64(t)) == want
+    assert type(TrigPoly(a0=2).eval(1.0)) is float
+
+
 def test_eval_piecewise_thm_c_profile():
     # the pi-periodic two-level profile: 1 on [0, pi/2), c=4 on [pi/2, pi)
     f = PiecewiseConst(breakpoints=(0.0, math.pi / 2), values=(1.0, 4.0),

@@ -173,3 +173,82 @@ def test_trajectory_csv_export(pin, cfg, tmp_path):
     assert len(lines) == 12
     p2 = write_events_csv(traj, tmp_path / "events.csv")
     assert p2.read_text().splitlines()[0] == "kind,t"
+
+
+# -- dense evaluation against scipy's per-segment OdeSolution --------------------
+
+def _recorded_segments(monkeypatch):
+    """Record the (end time, OdeSolution) of every solve_ivp call that
+    integrate_ode makes."""
+    import isores.integrate as integrate_mod
+    segments = []
+    real = integrate_mod.solve_ivp
+
+    def recording(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        segments.append((float(sol.t[-1]), sol.sol))
+        return sol
+    monkeypatch.setattr(integrate_mod, "solve_ivp", recording)
+    return segments
+
+
+def _segment_loop_eval(segments, t):
+    """Reference: pick the segment by its end time, then let its OdeSolution
+    pick the step."""
+    bounds = np.array([end for end, _ in segments])
+    idx = np.searchsorted(bounds[:-1], t, side="left")
+    out = np.empty((segments[0][1](t[:1]).shape[0], t.size))
+    for i in np.unique(idx):
+        out[:, idx == i] = segments[i][1](t[idx == i])
+    return out
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("case", ["pinney-forced", "asymmetric-kinks",
+                                  "pinney-breaks", "variational"])
+def test_dense_table_matches_segment_loop(case, method, monkeypatch):
+    from isores.autonomous import psi_solution
+    cfg = IntegratorConfig(method=method)
+    segments = _recorded_segments(monkeypatch)
+    t1 = 3 * TWO_PI
+    if case == "pinney-forced":
+        raw = integrate_forced(iso.pinney(), TrigPoly(sin_coeffs=(1.0,)), 0.05,
+                               State(1.0, 0.0), 0.0, t1, cfg).raw
+    elif case == "asymmetric-kinks":
+        raw = integrate_forced(iso.asymmetric(4.0, 4.0 / 9.0),
+                               TrigPoly(a0=0.2, cos_coeffs=(1.0,)), 0.1,
+                               State(1.0, 0.0), 0.0, t1, cfg).raw
+    elif case == "pinney-breaks":
+        f = PiecewiseConst(breakpoints=(0.0, math.pi / 2), values=(1.0, 4.0),
+                           period=math.pi)
+        raw = integrate_forced(iso.pinney(), f, 0.05, State(1.0, 0.0),
+                               0.0, t1, cfg).raw
+    else:
+        t1 = TWO_PI
+        raw = psi_solution(iso.asymmetric(4.0, 4.0 / 9.0), 1.0, cfg).raw
+    assert len(segments) == raw.stats["n_segments"]
+    if case != "pinney-forced":
+        assert len(segments) > 1          # kink restarts or forcing breaks
+    ts = raw.ts
+    t = np.concatenate([np.linspace(0.0, t1, 2001), ts,
+                        0.5 * (ts[:-1] + ts[1:]), [0.0, t1]])
+    ref = _segment_loop_eval(segments, t)
+    got = raw.eval(t)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    for tk in (0.0, ts[len(ts) // 2], 1.2345, t1):
+        one = raw.eval(tk)
+        assert one.shape == (raw.ys.shape[1],)
+        assert np.array_equal(one, raw.eval(np.array([tk]))[:, 0])
+    # the first knot is the initial value exactly
+    assert np.array_equal(raw.eval(0.0), raw.ys[0])
+
+
+def test_dense_table_constant_trajectory():
+    from isores.autonomous import _constant_trajectory
+    raw = _constant_trajectory([0.5, -2.0], 1.0, 4.0).raw
+    t = np.linspace(1.0, 4.0, 7)
+    assert np.array_equal(raw.eval(t), np.repeat([[0.5], [-2.0]], 7, axis=1))
+    assert np.array_equal(raw.eval(4.0), [0.5, -2.0])
+    with pytest.raises(ValueError):
+        raw.eval(5.0)

@@ -42,6 +42,26 @@ def test_asymmetric_values_and_convention():
     assert asymmetric(2.0, 3.0).n_iso is None
 
 
+@pytest.mark.parametrize("pot", [harmonic(1), harmonic(3), pinney(),
+                                 asymmetric(4.0, 4.0 / 9.0)],
+                         ids=lambda p: p.kind + str(p.params))
+def test_derivative_float_path_matches_array_path(pot):
+    xs = np.concatenate([np.linspace(-0.999, 5.0, 3001), [0.0, -0.0, 40.0]])
+    for fn in (pot._dv, pot._d2v):
+        arr = np.asarray(fn(xs), dtype=float)
+        got = np.array([fn(float(x)) for x in xs])
+        assert all(type(fn(float(x))) is float for x in xs[::100])
+        # a 0-d argument takes the array path with the scalar arithmetic
+        assert np.array_equal(got, [float(fn(np.asarray(x))) for x in xs])
+        if pot.kind == "pinney":
+            # numpy's vectorised power may round u**-3 and u**-4 differently
+            # from libm's pow by an ulp: bound the error by the power term
+            u = xs + 1.0
+            assert np.all(np.abs(got - arr) <= 4.5e-16 * (u + u ** -4))
+        else:
+            assert np.array_equal(got, arr)
+
+
 def test_domain_guard(pin):
     assert pin.v(-1.0 + 1e-6) > 1e6 * 0.1
     with pytest.raises(DomainError):
