@@ -187,21 +187,32 @@ class VariationalSolution:
         return self._parts(t)[0]
 
 
+def profile_amplitude(pot: PotentialSpec, r: float) -> float:
+    """The amplitude whose psi serves r.  The harmonic and asymmetric centers
+    are positively homogeneous of degree 2 (x(t; r) = r x(t; 1), V''(r x) =
+    V''(x)), so every finite r >= 0 shares psi(., 1), r = 0 as its r -> 0+
+    limit; any other potential keeps its r (Pinney's r = inf too)."""
+    if pot.kind in ("harmonic", "asymmetric") and math.isfinite(r):
+        return 1.0
+    return r
+
+
 def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
                  t1: float = TWO_PI) -> VariationalSolution:
     """Numerically integrated variational pair along the orbit of amplitude r.
 
     r = 0 uses the explicit linearization at the center (frequency
-    sqrt(V''(0))) instead of integrating a degenerate orbit.  The asymmetric
-    potential is positively homogeneous of degree 2, so psi does not depend
-    on r > 0 and r = 0 takes the r -> 0+ limit psi(., 1) instead: V'' jumps
-    at the center, so the linearization there is not that limit.
+    sqrt(V''(0))) instead of integrating a degenerate orbit, unless the
+    center shares one profile over its amplitudes (profile_amplitude) and V''
+    jumps at the center (asymmetric): the linearization there is not the
+    r -> 0+ limit, so r = 0 takes the shared psi instead.
     """
     if r < 0:
         raise DomainError("psi_solution: r must be nonnegative")
     if r == 0:
-        if pot.kind == "asymmetric":
-            return replace(psi_solution(pot, 1.0, cfg, t1), r=0.0)
+        shared = profile_amplitude(pot, 0.0)
+        if shared != 0.0 and pot.kink_at_zero:
+            return replace(psi_solution(pot, shared, cfg, t1), r=0.0)
         w0 = math.sqrt(float(pot.d2v(0.0)))
         return VariationalSolution(pot, 0.0, t1, lin_freq=w0)
     pot.v(r)
@@ -228,7 +239,7 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
 def psi_evaluator(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
                   t1: float = TWO_PI):
     """Vectorized t -> psi(t, r), closed form when available else numeric."""
-    if closed_psi(pot, r, np.zeros(1)) is not None and r > 0:
+    if pot.kind in ("harmonic", "pinney") and r > 0:
         return lambda t: closed_psi(pot, r, t)
     return psi_solution(pot, r, cfg, t1).psi
 
@@ -378,7 +389,6 @@ def dx_dI_rofe_beketov(pot: PotentialSpec, r: float, t_grid,
         raise DomainError("dx_dI_rofe_beketov: r must be positive")
     t = np.abs(np.asarray(t_grid, dtype=float))
     raw = _rofe_raw(pot, float(r), float(np.max(t)) if np.max(t) > 0 else 1e-9, cfg)
-    out = np.empty(t.shape)
     flat = t.ravel()
     vals = raw.eval(flat) if flat.size else np.empty((3, 0))
     x, v, w = vals

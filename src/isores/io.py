@@ -7,6 +7,8 @@ import json
 import numbers
 from pathlib import Path
 
+import numpy as np
+
 
 def fmt(value) -> str:
     if isinstance(value, float):     # float and numpy.float64: skip the ABC checks
@@ -24,8 +26,14 @@ def write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(fmt, row)))
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        # one format per row ("%.17g" prints a float as fmt does), in blocks:
+        # a whole-table list of Python floats would raise the peak memory
+        row_fmt = ",".join(["%.17g"] * rows.shape[1])
+        for k in range(0, len(rows), 1024):
+            lines.extend(map(row_fmt.__mod__, zip(*rows[k:k + 1024].T.tolist())))
+    else:
+        lines.extend(",".join(map(fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 

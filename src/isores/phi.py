@@ -4,9 +4,11 @@ full-grid scans with a certification verdict, and boundary winding numbers.
 
 Cost model: Phi(., r) correlates p with the one profile psi(., r), so each
 adaptive_complex_quad call batches every integral against the same psi: all
-Fourier modes c_m(r) in one call (cached per r; a trigonometric p then costs a
-finite sum per node), and for any other p one call per r-column of a scan
-(and one for the Pinney infinity slice) over every theta of the column.
+Fourier modes c_m(r) in one call (cached per profile; a trigonometric p then
+costs a finite sum per node), and for any other p one call per r-column of a
+scan (and one for the Pinney infinity slice) over every theta of the column.
+r-columns that share a profile (autonomous.profile_amplitude) share one
+column: a harmonic or asymmetric scan costs one psi and one quadrature.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import NumericsError
 from .forcing import (ForcingTerm, TrigPoly, TWO_PI,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
-from .autonomous import pinney_psi_infinity, psi_evaluator
+from .autonomous import pinney_psi_infinity, profile_amplitude, psi_evaluator
 from .potentials import PotentialSpec, pinney
 
 _GL_NODES = {}
@@ -160,10 +162,12 @@ def _phi_trig(f: TrigPoly, cm, theta):
 def _phi_column(pot: PotentialSpec, f: ForcingTerm, theta, r: float,
                 cfg: IntegratorConfig):
     """Phi(theta, r) for an array of theta at one amplitude r (r = inf is the
-    Pinney limit).  Trigonometric p reuse the cached c_m(r); any other p
+    Pinney limit), on the profile of r.  Trigonometric p reuse its cached
+    c_m; any other p
     takes one batched quadrature over every theta, split at the breakpoints
     of each p(t - theta)."""
     theta = np.asarray(theta, dtype=float)
+    r = profile_amplitude(pot, r)
     if isinstance(f, TrigPoly):
         return _phi_trig(f, _psi_fourier(pot, r, max(f.degree, 1), cfg), theta)
     psi, extra = _profile(pot, r, cfg)
@@ -247,7 +251,8 @@ def corollary_bound(a0: float, a1: float, b1: float) -> CorollaryBound:
 class PhiField:
     """Sampled |Phi| data over the cylinder grid plus, for the Pinney
     potential, the analytic r -> inf slice.  argmin reports (theta, r) with
-    r = inf pointing into the infinity slice."""
+    r = inf pointing into the infinity slice; ties report the first r-column,
+    so the r-independent asymmetric and harmonic fields report r = 0."""
 
     theta_grid: np.ndarray
     r_grid: np.ndarray
@@ -270,16 +275,17 @@ def default_r_grid(r_max: float = 1e3, n: int = 60):
 
 def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
              r_grid, cfg: IntegratorConfig) -> PhiField:
-    """Evaluate Phi_p on the product grid (uniform theta x given r ladder);
-    Pinney fields also carry the infinity slice.  Never returns a partial
-    field: any evaluation error propagates."""
+    """Evaluate Phi_p on the product grid (uniform theta x given r ladder),
+    one column per profile, copied into every r that shares it; Pinney
+    fields also carry the infinity slice.  Never returns a partial field:
+    any evaluation error propagates."""
     if theta_count < 1 or len(r_grid) < 1:
         raise NumericsError("phi_scan: grids must be nonempty")
     theta = np.linspace(0.0, TWO_PI, theta_count, endpoint=False)
     r_grid = np.asarray(r_grid, dtype=float)
-    values = np.empty((theta_count, r_grid.size), dtype=complex)
-    for j, r in enumerate(r_grid):
-        values[:, j] = _phi_column(pot, f, theta, float(r), cfg)
+    keys = [profile_amplitude(pot, float(r)) for r in r_grid]
+    columns = {k: _phi_column(pot, f, theta, k, cfg) for k in dict.fromkeys(keys)}
+    values = np.column_stack([columns[k] for k in keys])
     infinity = None
     if pot.kind == "pinney":
         infinity = _phi_column(pot, f, theta, _PSI_INFINITY, cfg)
@@ -373,13 +379,14 @@ def winding_number(field: PhiField, rectangle, zero_tol: float = 1e-9,
 def write_phi_csv(field: PhiField, path):
     """CSV rows (theta, r, re, im, abs); the infinity slice uses r = -1."""
     from .io import write_csv
-    rows = []
-    for j, r in enumerate(field.r_grid):
-        for i, th in enumerate(field.theta_grid):
-            z = field.values[i, j]
-            rows.append((th, r, z.real, z.imag, abs(z)))
+    th, n = field.theta_grid, field.theta_grid.size
+    theta, r = np.tile(th, field.r_grid.size), np.repeat(field.r_grid, n)
+    z = field.values.T.ravel()
     if field.infinity_slice is not None:
-        for i, th in enumerate(field.theta_grid):
-            z = field.infinity_slice[i]
-            rows.append((th, -1.0, z.real, z.imag, abs(z)))
-    return write_csv(path, ["theta", "r", "re", "im", "abs"], rows)
+        theta = np.concatenate([theta, th])
+        r = np.concatenate([r, np.full(n, -1.0)])
+        z = np.concatenate([z, field.infinity_slice])
+    # Python's abs(complex): np.abs can differ in the last bit
+    modulus = np.array([abs(v) for v in z.tolist()])
+    return write_csv(path, ["theta", "r", "re", "im", "abs"],
+                     np.column_stack([theta, r, z.real, z.imag, modulus]))

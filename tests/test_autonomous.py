@@ -85,6 +85,16 @@ def test_wronskian_and_product_bound(pin, cfg):
         assert np.min(np.abs(vs.psi(ts))) * sup_dpsi >= 1.0 - 1e-6
 
 
+def test_asymmetric_psi_does_not_depend_on_amplitude(cfg):
+    # the premise of the one-profile scan: V is positively homogeneous of
+    # degree 2, so the integrated psi(., r) is psi(., 1), isochronous or not
+    ts = np.linspace(0.0, TWO_PI, 2001)
+    for pot in (iso.asymmetric(4.0, 4.0 / 9.0), iso.asymmetric(2.0, 3.0)):
+        ref = psi_solution(pot, 1.0, cfg).psi(ts)
+        for r in (1e-2, 37.0, 1e3):
+            assert np.max(np.abs(psi_solution(pot, r, cfg).psi(ts) - ref)) <= 1e-8
+
+
 def test_psi_periodicity(pin, cfg):
     vs = psi_solution(pin, 2.0, cfg)
     assert abs(vs.psi(TWO_PI) - vs.psi(0.0)) < 1e-8

@@ -97,6 +97,67 @@ def test_asymmetric_homogeneity(cfg, har, sin_f):
     assert abs(v_asym - v_harm) < 1e-8
 
 
+def _asymmetric_psi_pieces(alpha, beta):
+    """psi(., 1) of asymmetric(alpha, beta) without an ODE solver: a C^1
+    piecewise sinusoid of frequency sqrt(alpha) while the orbit is at x > 0
+    ([0, t1] and [t2, 2pi]) and sqrt(beta) on [t1, t2].  Returns the smooth
+    pieces as (t_lo, t_hi, psi)."""
+    w, mu = math.sqrt(alpha), math.sqrt(beta)
+    t1 = math.pi / (2.0 * w)
+    t2 = t1 + math.pi / mu
+    pieces = []
+    y, dy = 1.0 + 0j, 1j
+    for lo, hi, k in ((0.0, t1, w), (t1, t2, mu), (t2, TWO_PI, w)):
+        pieces.append((lo, hi, lambda t, lo=lo, y=y, dy=dy, k=k:
+                       y * np.cos(k * (t - lo)) + dy / k * np.sin(k * (t - lo))))
+        c, s = math.cos(k * (hi - lo)), math.sin(k * (hi - lo))
+        y, dy = y * c + dy / k * s, -y * k * s + dy * c
+    return pieces
+
+
+def test_phi_scan_asymmetric_matches_piecewise_sinusoid_reference(cfg):
+    a = 1.3
+    alpha, beta = 1.0 / a ** 2, 1.0 / (2.0 - a) ** 2   # period 2*pi
+    f = TrigPoly(a0=0.2, cos_coeffs=(0.5,), sin_coeffs=(-0.8,))
+    field = phi_scan(iso.asymmetric(alpha, beta), f, 16, default_r_grid(1e3, 6), cfg)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    ref = np.zeros(16, dtype=complex)
+    for lo, hi, psi in _asymmetric_psi_pieces(alpha, beta):
+        t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+        vals = np.asarray(f.eval(t[None, :] - field.theta_grid[:, None])) * psi(t)
+        ref += 0.5 * (hi - lo) * (vals * weights).sum(axis=1)
+    ref /= TWO_PI
+    assert field.r_grid[0] == 0.0
+    assert np.max(np.abs(field.values - ref[:, None])) <= 1e-8
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_homogeneous_scans_share_one_profile(monkeypatch, cfg, har):
+    import isores.autonomous
+    import isores.phi
+    solves = _count_calls(monkeypatch, isores.autonomous, "integrate_ode")
+    quads = _count_calls(monkeypatch, isores.phi, "adaptive_complex_quad")
+    isores.phi._psi_fourier.cache_clear()    # no c_m left by other tests
+    field = phi_scan(iso.asymmetric(4.0, 4.0 / 9.0), TrigPoly(sin_coeffs=(1.0,)),
+                     16, default_r_grid(1e3, 8), cfg)
+    assert (len(solves), len(quads)) == (1, 1)
+    assert all(np.array_equal(field.values[:, 0], field.values[:, j]) for j in range(8))
+    assert field.argmin[1] == 0.0        # ties report the first r-column
+    step = PiecewiseConst(breakpoints=(0.0, 1.0, 3.0), values=(1.0, -0.5, 0.25))
+    phi_scan(har, step, 16, np.linspace(0.0, 5.0, 8), cfg)
+    assert (len(solves), len(quads)) == (1, 2)
+
+
 # -- batched quadrature ----------------------------------------------------------
 
 EPS_PEAK = 1e-4
@@ -375,3 +436,25 @@ def test_phi_csv_export(pin, sin_f, cfg, tmp_path):
     # grid rows plus the infinity slice (r = -1 sentinel)
     assert len(lines) == 1 + 8 * 2 + 8
     assert any(line.split(",")[1] == "-1" for line in lines[1:])
+
+
+def test_phi_csv_bytes_match_row_writer(pin, sin_f, cfg, tmp_path):
+    from isores.io import write_csv
+    from isores.phi import PhiField
+    base = phi_scan(pin, sin_f, 8, [0.0, 1.0, 50.0], cfg)
+    values = base.values.copy()
+    values[1, 0] = complex(-0.0, 0.25)
+    values[2, 1] = 0.0
+    field = PhiField(base.theta_grid, base.r_grid, values, base.infinity_slice,
+                     base.min_modulus, base.argmin)
+    # the row-by-row construction the array writer replaces
+    rows = [(th, r, values[i, j].real, values[i, j].imag, abs(values[i, j]))
+            for j, r in enumerate(field.r_grid)
+            for i, th in enumerate(field.theta_grid)]
+    rows += [(th, -1.0, z.real, z.imag, abs(z))
+             for th, z in zip(field.theta_grid, field.infinity_slice)]
+    header = ["theta", "r", "re", "im", "abs"]
+    expected = write_csv(tmp_path / "rows.csv", header, rows).read_bytes()
+    got = write_phi_csv(field, tmp_path / "field.csv").read_bytes()
+    assert got == expected
+    assert b",-0,0.25,0.25\n" in got and b",0,0,0\n" in got
