@@ -75,9 +75,9 @@ def _constant_trajectory(y, t0, t1):
     """A rest point over [t0, t1]: one step whose interpolant is constant."""
     y = np.asarray(y, dtype=float)
     steps = StepTable(np.array([t0]), np.array([t1 - t0]), y[None, :],
-                      np.zeros((1, 4, y.size)), False)
+                      np.zeros((1, 4, y.size)))
     raw = RawSolution(np.array([t0, t1]), np.array([y, y]), steps, [],
-                      {"n_steps": 0, "nfev": 0, "n_segments": 1})
+                      {"n_steps": 0, "nfev": 0, "n_segments": 1, "n_rejected": 0})
     return Trajectory(raw)
 
 
@@ -220,7 +220,7 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
     clamp = pot.domain_left + 1e-13 if pot.singular_left else None
 
     def rhs(t, y):
-        x = float(y[0])
+        x = y[0]
         if clamp is not None and x < clamp:
             x = clamp
         a = float(d2v(x))
@@ -360,7 +360,7 @@ def _rofe_raw(pot: PotentialSpec, r: float, t_max: float, cfg: IntegratorConfig)
     clamp = pot.domain_left + 1e-13 if pot.singular_left else None
 
     def rhs(t, y):
-        x = float(y[0])
+        x = y[0]
         if clamp is not None and x < clamp:
             x = clamp
         acc = -float(dv(x))

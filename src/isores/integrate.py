@@ -1,29 +1,33 @@
 """Adaptive ODE integration with dense output, event logging, splitting at
 forcing discontinuities and potential kinks, and a hard guard near singular
-endpoints.  Built on scipy's embedded Runge-Kutta pairs (RK45 by default:
-order 5 steps with a quartic dense interpolant).
+endpoints.  One step loop over Python floats runs the Dormand-Prince 5(4)
+pair (J. Comput. Appl. Math. 6, 1980) with the controller and starting-step
+rule of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4: scipy's RK45,
+with its order 5 steps and quartic dense interpolant.
 
-Cost model.  An accepted step costs 6 right-hand-side calls with RK45 (12
-with DOP853, plus 3 for its dense output) and scipy's per-step bookkeeping.
-The built-in right-hand sides hand the forcing and the potential
-derivatives a Python float, which they evaluate with float arithmetic and
-the math module instead of numpy.  Every event function is called once per step and every
-sign change is root-found on the step's interpolant, so the v=0 and x=0
-crossings are recorded only for callers that read them (``record_events``);
-the kink restart and the singularity guard always run.  Dense output is a
-table with one row per step (StepTable), and RawSolution.eval evaluates any
-number of times in one array operation, so a window of a resonance run
-costs one call.
+Cost model.  An attempted step costs 6 right-hand-side calls and every
+restart (start, forcing breakpoint, kink) 2 more; a forced Pinney step costs
+about 25 us in all, 15 us of it the loop's own float arithmetic and
+bookkeeping (2-core VM, Python 3.11).  After each accepted step the step
+budget, the singularity guard, the kink and the recorded events are float
+comparisons at the step's ends; only a sign change is root-found on the
+step's interpolant, so the v=0 and x=0 crossings are logged only for
+callers that read them (``record_events``).  Each step keeps its 7 stage
+rows; the dense output (StepTable) is built from them in one array product
+at the end, and RawSolution.eval evaluates any number of times in one array
+operation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
+from scipy.optimize import brentq
 
 from .errors import ConfigError, IntegrationError
 from .forcing import ForcingTerm, TWO_PI, abs_integral
@@ -48,7 +52,6 @@ class IntegratorConfig:
     max_step: float = math.inf
     singularity_margin: float = 1e-9
     max_steps: int = 2_000_000
-    method: str = "RK45"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -57,8 +60,6 @@ class IntegratorConfig:
             raise ConfigError("integrator.singularity_margin: must be positive")
         if self.max_steps < 1:
             raise ConfigError("integrator.max_steps: must be >= 1")
-        if self.method not in ("RK45", "DOP853"):
-            raise ConfigError("integrator.method: must be RK45 or DOP853")
 
 
 @dataclass(frozen=True)
@@ -72,24 +73,12 @@ class StepTable(NamedTuple):
 
     Row k interpolates over [t_old[k], t_old[k] + h[k]] from y_old[k] with
     the scaled time s = (t - t_old[k]) / h[k].  coef[k] is RK45's Q
-    transposed, shape (4, n): y = y_old + h * sum_j coef[k, j] * s**(j+1);
-    or DOP853's F, shape (7, n), in its nested form (``nested`` set).
+    transposed, shape (4, n): y = y_old + h * sum_j coef[k, j] * s**(j+1).
     """
     t_old: np.ndarray
     h: np.ndarray
     y_old: np.ndarray
     coef: np.ndarray
-    nested: bool
-
-    @classmethod
-    def from_interpolants(cls, interps, nested):
-        """Table of scipy's per-step RkDenseOutput (nested=False) or
-        Dop853DenseOutput (nested=True) objects."""
-        return cls(np.array([d.t_old for d in interps]),
-                   np.array([d.h for d in interps]),
-                   np.array([d.y_old for d in interps]),
-                   np.array([d.F if nested else d.Q.T for d in interps]),
-                   nested)
 
 
 class RawSolution:
@@ -125,35 +114,78 @@ class RawSolution:
         k = np.searchsorted(self.ts[1:-1], t_arr, side="left")
         s = ((t_arr - tab.t_old[k]) / tab.h[k])[:, None]
         coef = tab.coef[k]
-        n_coef = coef.shape[1]
-        if tab.nested:      # F[6], ..., F[0], alternately times s and 1 - s
-            y = np.zeros((t_arr.size, self.ys.shape[1]))
-            for i in range(n_coef):
-                y += coef[:, n_coef - 1 - i]
-                y *= s if i % 2 == 0 else 1.0 - s
-            y += tab.y_old[k]
-        else:
-            p = s
-            y = coef[:, 0] * p
-            for j in range(1, n_coef):
-                p = p * s
-                y += coef[:, j] * p
-            y = tab.h[k][:, None] * y + tab.y_old[k]
+        p = s
+        y = coef[:, 0] * p
+        for j in range(1, coef.shape[1]):
+            p = p * s
+            y += coef[:, j] * p
+        y = tab.h[k][:, None] * y + tab.y_old[k]
         if np.ndim(t) == 0:
             return y[0]
         return y.T
 
 
-def _event_fn(g, direction, terminal):
-    fn = lambda t, y: g(t, y)
-    fn.direction = direction
-    fn.terminal = terminal
-    return fn
+# The Dormand-Prince 5(4) tableau, read once from scipy's RK45 as floats.
+(_, (_A21, *_), (_A31, _A32, *_), (_A41, _A42, _A43, *_),
+ (_A51, _A52, _A53, _A54, _), (_A61, _A62, _A63, _A64, _A65)) = RK45.A.tolist()
+_B1, _, _B3, _B4, _B5, _B6 = RK45.B.tolist()
+_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
+_, _C2, _C3, _C4, _C5, _ = RK45.C.tolist()
+_PT = RK45.P.T.copy()          # (4, 7): coef = P^T K for a step's stage rows K
+_ROOT_TOL = 4 * np.finfo(float).eps      # scipy's event-root tolerance
+
+
+def _dp_step(fun, t, y, f, h, cfg):
+    """One Dormand-Prince step of size h from (t, y), f = fun(t, y), over
+    lists of floats: (y_new, f_new, the 7 stage rows, RMS error norm)."""
+    k2 = fun(t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, f)])
+    k3 = fun(t + _C3 * h, [a + h * (_A31 * p + _A32 * q)
+                           for a, p, q in zip(y, f, k2)])
+    k4 = fun(t + _C4 * h, [a + h * (_A41 * p + _A42 * q + _A43 * r)
+                           for a, p, q, r in zip(y, f, k2, k3)])
+    k5 = fun(t + _C5 * h, [a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
+                           for a, p, q, r, s in zip(y, f, k2, k3, k4)])
+    k6 = fun(t + h, [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
+                     for a, p, q, r, s, u in zip(y, f, k2, k3, k4, k5)])
+    y_new = [a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * w)
+             for a, p, r, s, u, w in zip(y, f, k3, k4, k5, k6)]
+    f_new = fun(t + h, y_new)
+    sq = 0.0
+    for a, b, p, r, s, u, w, z in zip(y, y_new, f, k3, k4, k5, k6, f_new):
+        e = ((_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * w + _E7 * z) * h
+             / (cfg.abs_tol + max(abs(a), abs(b)) * cfg.rel_tol))
+        sq += e * e
+    return y_new, f_new, (f, k2, k3, k4, k5, k6, f_new), math.sqrt(sq / len(y))
+
+
+def _initial_step(fun, t, y, f, span, cfg):
+    """scipy's starting-step rule for an error estimator of order 4."""
+    scale = [cfg.abs_tol + abs(a) * cfg.rel_tol for a in y]
+    rms = lambda v: math.sqrt(sum((x / s) ** 2 for x, s in zip(v, scale)) / len(v))
+    d0, d1 = rms(y), rms(f)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = fun(t + h0, [a + h0 * p for a, p in zip(y, f)])
+    d2 = rms([q - p for p, q in zip(f, f1)]) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.2)
+    return min(100 * h0, h1, span, cfg.max_step)
+
+
+def _interpolant(t_old, h, y_old, stages):
+    """The step's quartic dense output t -> y(t) over floats."""
+    coef = (_PT @ np.array(stages)).T.tolist()
+
+    def y_at(t):
+        s = (t - t_old) / h
+        return [a + h * s * (c1 + s * (c2 + s * (c3 + s * c4)))
+                for a, (c1, c2, c3, c4) in zip(y_old, coef)]
+    return y_at
 
 
 def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                   record=(), kink=None, guard=None) -> RawSolution:
-    """Integrate y' = fun(t, y) over [t0, t1] with dense output.
+    """Integrate y' = fun(t, y) over [t0, t1] with dense output; fun maps a
+    list of floats to a sequence of floats.
 
     breakpoints -- interior times where the step grid must restart (logged
                    as ``forcing_break`` events);
@@ -163,111 +195,117 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                    step straddles them (logged as ``x_zero``);
     guard       -- (kind, g(t, y)): downward crossing aborts with the partial
                    trajectory attached to the raised IntegrationError.
+
+    Each restart re-runs the starting-step rule, as a new solve_ivp call
+    would, so nfev = 2 n_segments + 6 (n_steps + n_rejected).
     """
     if t1 <= t0:
         raise ValueError("integrate_ode: need t1 > t0")
-    y0 = np.asarray(y0, dtype=float)
     stops = [t0] + [float(b) for b in sorted(breakpoints)
                     if t0 + 1e-12 < b < t1 - 1e-12] + [t1]
-
-    ts = [t0]
-    ys = [y0]
-    interps = []                          # scipy's per-step interpolants
-    events = []
-    stats = {"n_steps": 0, "nfev": 0, "n_segments": 0}
+    y = np.asarray(y0, dtype=float).tolist()
+    ts, ys, rows, events = [t0], [y], [], []    # rows: (t_old, h, stages)
+    stats = {"n_steps": 0, "nfev": 0, "n_segments": 0, "n_rejected": 0}
 
     def solution():
-        steps = StepTable.from_interpolants(interps, cfg.method == "DOP853")
+        t_old, h, stages = zip(*rows) if rows else ((), (), ())
+        k = np.fromiter(chain.from_iterable(chain.from_iterable(stages)), float)
+        coef = _PT @ k.reshape(-1, 7, len(y))
+        steps = StepTable(np.array(t_old), np.array(h),
+                          np.array(ys[:-1]).reshape(-1, len(y)), coef)
         return RawSolution(np.array(ts), np.array(ys), steps, events, stats)
 
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
 
-    y = y0
-    for i_stop in range(len(stops) - 1):
-        ta, tb = stops[i_stop], stops[i_stop + 1]
-        if i_stop > 0:
-            events.append(Event("forcing_break", ta))
-        kink_active = kink is not None
-        while True:
-            ev_fns = []
-            ev_kinds = []
-            for kind, g in record:
-                ev_fns.append(_event_fn(g, 0, False))
-                ev_kinds.append(kind)
-            if kink_active:
-                gx = kink(ta, y)
-                trend = y[1] if gx == 0 else 0.0
-                if gx == 0 and trend == 0:
-                    trend = fun(ta, y)[1]
-                direction = -1.0 if (gx > 0 or (gx == 0 and trend > 0)) else 1.0
-                ev_fns.append(_event_fn(kink, direction, True))
-                ev_kinds.append("x_zero")
-            if guard is not None:
-                ev_fns.append(_event_fn(guard[1], -1, True))
-                ev_kinds.append(guard[0])
+    i_stop, ta, tb = 0, t0, stops[1]
+    armed, kdir = kink is not None, None
+    resume = None          # end of the span interrupted by a tangency step-off
+    while True:            # one restart of the integrator at (ta, y) per pass
+        stats["n_segments"] += 1
+        stats["nfev"] += 2
+        f = fun(ta, y)
+        h_abs = _initial_step(fun, ta, y, f, tb - ta, cfg)
+        watch = [(kind, g, 0.0) for kind, g in record]       # (kind, g, direction)
+        if armed:
+            if kdir is None:   # leave x's side, or at x = 0 the side it moves to
+                kdir = -1.0 if (kink(ta, y) or y[1] or fun(ta, y)[1]) > 0 else 1.0
+            watch.append(("x_zero", kink, kdir))
+        if guard is not None:
+            watch.append((*guard, -1.0))
+        i_guard = len(watch) - 1 if guard is not None else -1
+        g_old = [g(ta, y) for _, g, _ in watch]
+        t, advance = ta, False
+        while True:        # one accepted step per pass
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = min(max(h_abs, min_step), cfg.max_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    fail("integration failed: Required step size is less "
+                         "than spacing between numbers.")
+                t_new = min(t + h_abs, tb)
+                h = t_new - t
+                y_new, f_new, stages, err = _dp_step(fun, t, y, f, h, cfg)
+                stats["nfev"] += 6
+                if err < 1:
+                    factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                    h_abs = h * (min(1.0, factor) if rejected else factor)
+                    break
+                h_abs = h * max(0.2, 0.9 * err ** -0.2)
+                rejected = True
+                stats["n_rejected"] += 1
 
-            sol = solve_ivp(fun, (ta, tb), y, method=cfg.method,
-                            rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                            max_step=cfg.max_step, dense_output=True,
-                            events=ev_fns or None)
-            if sol.status == -1:
-                fail(f"integration failed: {sol.message}")
-            first_call = stats["n_segments"] == 0
-            stats["n_steps"] += len(sol.t) - 1
-            stats["nfev"] += sol.nfev
-            stats["n_segments"] += 1
-            ts.extend(sol.t[1:].tolist())
-            for k in range(1, len(sol.t)):
-                ys.append(sol.y[:, k])
-            interps.extend(sol.sol.interpolants)
-            guard_fired = (guard is not None and sol.status == 1
-                           and sol.t_events[-1].size > 0)
-            if sol.t_events is not None:
-                seg_events = []
-                for kind, t_ev in zip(ev_kinds, sol.t_events):
-                    if guard is not None and kind == guard[0]:
-                        continue
-                    for te in np.atleast_1d(t_ev):
-                        if te > ta + 1e-12 or (first_call and te <= ta + 1e-12):
-                            seg_events.append(Event(kind, float(te)))
-                seg_events.sort(key=lambda e: e.t)
-                events.extend(seg_events)
+            stop, t_end, y_end, g_new, hits = None, t_new, y_new, g_old, ()
+            if watch:      # scipy's test: a sign change in the event's direction
+                g_new = [g(t_new, y_new) for _, g, _ in watch]
+                hits = [i for i, (a, b, (_, _, d)) in enumerate(zip(g_old, g_new, watch))
+                        if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
+            if hits:       # root-find the crossings on the step's interpolant
+                dense = _interpolant(t, h, y, stages)
+                roots = sorted((brentq(lambda s, g=watch[i][1]: g(s, dense(s)),
+                                       t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
+                               for i in hits)
+                for te, i in roots:
+                    if i != i_guard and (te > ta + 1e-12 or stats["n_segments"] == 1):
+                        events.append(Event(watch[i][0], te))
+                    if i >= len(record):    # the kink or the guard ends the step
+                        stop, t_end, y_end = i, te, dense(te)
+                        break
+            ts.append(t_end)
+            ys.append(y_end)
+            rows.append((t, h, stages))
+            stats["n_steps"] += 1
             if stats["n_steps"] > cfg.max_steps:
                 fail(f"step budget exceeded ({stats['n_steps']} > {cfg.max_steps})")
-            if sol.status == 1:
-                t_end = float(sol.t[-1])
-                y = sol.y[:, -1].copy()
-                if guard_fired:
-                    events.append(Event(guard[0], t_end))
-                    fail(f"{guard[0]} reached at t = {t_end}")
-                # kink crossing: restart so no step straddles it
+            if stop == i_guard:
+                events.append(Event(guard[0], t_end))
+                fail(f"{guard[0]} reached at t = {t_end}")
+            if stop is not None:        # kink crossing: restart so no step straddles it
+                y = y_end
                 if t_end - ta <= 1e-12:
-                    # no progress (degenerate tangency); integrate a short
-                    # span without the kink event before re-arming it
-                    kink_active = False
-                    tb_save = tb
-                    tb = min(tb, ta + 1e-9)
-                    continue
-                if not kink_active:
-                    kink_active = True
-                    tb = tb_save
-                ta = t_end
-                if tb - ta <= 1e-12:
-                    break
-                continue
-            if not kink_active and kink is not None:
-                # micro-span finished; resume with the kink event re-armed
-                kink_active = True
-                ta = float(sol.t[-1])
-                tb = tb_save
-                y = sol.y[:, -1].copy()
-                if tb - ta > 1e-12:
-                    continue
+                    # no progress (degenerate tangency): integrate a short span
+                    # without the kink, then restart with it re-armed
+                    resume, tb, armed, kdir = tb, min(tb, ta + 1e-9), False, None
+                else:
+                    # the next crossing runs the other way, whichever side of
+                    # zero the root's rounding left x on
+                    ta, kdir = t_end, -kdir
+                    advance = tb - ta <= 1e-12
                 break
-            y = sol.y[:, -1].copy()
-            break
-    return solution()
+            t, y, f, g_old = t_new, y_new, f_new, g_new
+            if t == tb:
+                advance = resume is None or resume - tb <= 1e-12
+                if resume is not None:      # the short span is done: re-arm
+                    ta, tb, armed, resume = tb, resume, True, None
+                break
+        if advance:
+            i_stop += 1
+            if i_stop == len(stops) - 1:
+                return solution()
+            ta, tb = stops[i_stop], stops[i_stop + 1]
+            events.append(Event("forcing_break", ta))
+            armed, kdir = kink is not None, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +367,7 @@ def _forced_rhs(pot: PotentialSpec, f, eps):
 
     if eps == 0.0 or f is None:
         def rhs(t, y):
-            x = float(y[0])
+            x = y[0]
             if clamp is not None and x < clamp:
                 x = clamp
             return (y[1], -float(dv(x)))
@@ -338,7 +376,7 @@ def _forced_rhs(pot: PotentialSpec, f, eps):
     pe = f.eval
 
     def rhs(t, y):
-        x = float(y[0])
+        x = y[0]
         if clamp is not None and x < clamp:
             x = clamp
         return (y[1], -float(dv(x)) + eps * float(pe(t)))

@@ -122,9 +122,11 @@ def _pinney_layer_points(r):
 _PSI_INFINITY = math.inf
 
 
+@functools.lru_cache(maxsize=64)
 def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
     """(psi(., r), extra split points for its quadratures); r = inf is the
-    Pinney large-amplitude limit profile."""
+    Pinney large-amplitude limit profile.  Cached, so eval_phi and
+    winding_number reuse the psi that a scan integrated."""
     if r == _PSI_INFINITY:
         if pot.kind != "pinney":
             raise NumericsError(f"{pot.kind}: no large-amplitude limit profile")
@@ -139,7 +141,7 @@ def _psi_fourier(pot: PotentialSpec, r: float, kmax: int,
     """Fourier coefficients c_m(r) = (1/2pi) int psi(t, r) e^{-imt} dt for
     m = -kmax..kmax, all modes in one batched quadrature; r = inf uses the
     Pinney limit profile."""
-    psi, extra = _profile(pot, r, cfg)
+    psi, extra = _profile.__wrapped__(pot, r, cfg)    # cache the c_m, not psi too
     m = np.arange(-kmax, kmax + 1)
     g = lambda t, k: psi(t) * np.exp(-1j * m[k] * t)
     segs = _segments(np.empty(0), np.zeros(m.size), extra)

@@ -44,6 +44,12 @@ def test_partial_run_says_why_it_stopped(pin, sin_f, start, cfg, reason):
     assert "stop_reason" not in verdict_dict(diag)
 
 
+def test_resonance_run_budget_holds_at_the_crossing_step(pin, sin_f):
+    diag = resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 10,
+                         IntegratorConfig(max_steps=10))
+    assert diag.stop_reason == "step budget exceeded (11 > 10)"
+
+
 @pytest.mark.parametrize("pot, start", [
     (iso.pinney(), State(1.0, 0.0)),                       # singularity guard
     (iso.asymmetric(4.0, 4.0 / 9.0), State(1.0, 0.0)),     # kink restarts

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import isores as iso
 from isores.errors import IntegrationError
@@ -147,6 +148,10 @@ def test_max_steps_exceeded(pin):
     with pytest.raises(IntegrationError) as exc:
         integrate_autonomous(pin, State(1.0, 0.0), 0.0, 100 * TWO_PI, cfg)
     assert exc.value.trajectory is not None
+    # the budget holds at the step that crosses it
+    assert "step budget exceeded (11 > 10)" in str(exc.value)
+    assert exc.value.trajectory.stats["n_steps"] == 11
+    assert len(exc.value.trajectory.ts) == 12
 
 
 def test_asymmetric_kink_handling(cfg):
@@ -165,6 +170,19 @@ def test_asymmetric_kink_handling(cfg):
         assert np.min(np.abs(traj.knot_times - c)) < 1e-9
 
 
+def test_kink_crossed_at_the_start_is_stepped_off(cfg):
+    # x starts a hair above the kink and moving down: the armed crossing
+    # comes without progress, so the loop steps off it for 1e-9 without the
+    # kink and restarts with it re-armed
+    pot = iso.asymmetric(4.0, 4.0 / 9.0)
+    off = integrate_autonomous(pot, State(1e-20, -1.0), 0.0, TWO_PI, cfg)
+    at = integrate_autonomous(pot, State(0.0, -1.0), 0.0, TWO_PI, cfg)
+    assert off.stats["n_segments"] == at.stats["n_segments"] + 2
+    assert 1e-9 in off.knot_times
+    end, ref = off.end_state(), at.end_state()
+    assert abs(end.x - ref.x) + abs(end.v - ref.v) < 1e-9
+
+
 def test_trajectory_csv_export(pin, cfg, tmp_path):
     traj = integrate_autonomous(pin, State(1.0, 0.0), 0.0, TWO_PI, cfg)
     p1 = write_trajectory_csv(traj, pin, tmp_path / "traj.csv", n_samples=11)
@@ -175,73 +193,135 @@ def test_trajectory_csv_export(pin, cfg, tmp_path):
     assert p2.read_text().splitlines()[0] == "kind,t"
 
 
-# -- dense evaluation against scipy's per-segment OdeSolution --------------------
+# -- the step loop against scipy's RK45 -------------------------------------------
 
-def _recorded_segments(monkeypatch):
-    """Record the (end time, OdeSolution) of every solve_ivp call that
-    integrate_ode makes."""
-    import isores.integrate as integrate_mod
-    segments = []
-    real = integrate_mod.solve_ivp
+def _recorded_calls(monkeypatch, module):
+    """Record the arguments and the result of every integrate_ode call made
+    through ``module``."""
+    calls = []
+    real = module.integrate_ode
 
-    def recording(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        segments.append((float(sol.t[-1]), sol.sol))
-        return sol
-    monkeypatch.setattr(integrate_mod, "solve_ivp", recording)
-    return segments
+    def recording(fun, y0, t0, t1, cfg, **kwargs):
+        raw = real(fun, y0, t0, t1, cfg, **kwargs)
+        calls.append((fun, y0, t0, kwargs, raw))
+        return raw
+    monkeypatch.setattr(module, "integrate_ode", recording)
+    return calls
 
 
-def _segment_loop_eval(segments, t):
-    """Reference: pick the segment by its end time, then let its OdeSolution
-    pick the step."""
-    bounds = np.array([end for end, _ in segments])
+def _scipy_chain(fun, y0, t0, t1, cfg, breaks, kink, method):
+    """Reference: one solve_ivp run per span between forcing breaks,
+    restarted at every kink crossing with the kink armed the other way."""
+    sols, y = [], np.asarray(y0, dtype=float)
+    stops = [t0, *breaks, t1]
+    for ta, tb in zip(stops[:-1], stops[1:]):
+        direction = None if kink is None else (-1.0 if kink(ta, y) > 0 else 1.0)
+        while True:
+            events = None
+            if kink is not None:
+                events = lambda t, y: kink(t, y)
+                events.terminal, events.direction = True, direction
+            sol = solve_ivp(fun, (ta, tb), y, method=method, rtol=cfg.rel_tol,
+                            atol=cfg.abs_tol, dense_output=True, events=events)
+            sols.append(sol)
+            y = sol.y[:, -1]
+            if sol.status != 1:
+                break
+            ta, direction = float(sol.t[-1]), -direction
+    return sols
+
+
+def _chain_eval(sols, t):
+    """Pick the run by its end time, then let its OdeSolution pick the step."""
+    bounds = np.array([sol.t[-1] for sol in sols])
     idx = np.searchsorted(bounds[:-1], t, side="left")
-    out = np.empty((segments[0][1](t[:1]).shape[0], t.size))
+    out = np.empty((sols[0].y.shape[0], t.size))
     for i in np.unique(idx):
-        out[:, idx == i] = segments[i][1](t[idx == i])
+        out[:, idx == i] = sols[i].sol(t[idx == i])
     return out
 
 
-@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("method", ["RK45"])
 @pytest.mark.parametrize("case", ["pinney-forced", "asymmetric-kinks",
                                   "pinney-breaks", "variational"])
 def test_dense_table_matches_segment_loop(case, method, monkeypatch):
+    """The steps of scipy's RK45 over the same restarts.  Two summation
+    orders round the error estimate differently, and at rel_tol 1e-10 its
+    last digits set h, so knots agree to a few 1e-7 (1 + |t|), not to
+    rounding.  Near x = 0 the tolerance is mostly abs_tol and the 6-dim
+    variational run is rounding-bound there: scipy's own step count for it
+    ranges over 240..256 when its right-hand side is scaled by 1 + k 1e-16,
+    |k| <= 6, so it is compared within 10 %; both runs are within 3e-10 of
+    the exact piecewise-sinusoid psi, so dense values within 1e-9."""
+    import isores.autonomous
+    import isores.integrate
     from isores.autonomous import psi_solution
-    cfg = IntegratorConfig(method=method)
-    segments = _recorded_segments(monkeypatch)
+    cfg = IntegratorConfig()
+    calls = _recorded_calls(monkeypatch, isores.autonomous if case == "variational"
+                            else isores.integrate)
     t1 = 3 * TWO_PI
     if case == "pinney-forced":
-        raw = integrate_forced(iso.pinney(), TrigPoly(sin_coeffs=(1.0,)), 0.05,
-                               State(1.0, 0.0), 0.0, t1, cfg).raw
+        integrate_forced(iso.pinney(), TrigPoly(sin_coeffs=(1.0,)), 0.05,
+                         State(1.0, 0.0), 0.0, t1, cfg)
     elif case == "asymmetric-kinks":
-        raw = integrate_forced(iso.asymmetric(4.0, 4.0 / 9.0),
-                               TrigPoly(a0=0.2, cos_coeffs=(1.0,)), 0.1,
-                               State(1.0, 0.0), 0.0, t1, cfg).raw
+        integrate_forced(iso.asymmetric(4.0, 4.0 / 9.0),
+                         TrigPoly(a0=0.2, cos_coeffs=(1.0,)), 0.1,
+                         State(1.0, 0.0), 0.0, t1, cfg)
     elif case == "pinney-breaks":
         f = PiecewiseConst(breakpoints=(0.0, math.pi / 2), values=(1.0, 4.0),
                            period=math.pi)
-        raw = integrate_forced(iso.pinney(), f, 0.05, State(1.0, 0.0),
-                               0.0, t1, cfg).raw
+        integrate_forced(iso.pinney(), f, 0.05, State(1.0, 0.0), 0.0, t1, cfg)
     else:
         t1 = TWO_PI
-        raw = psi_solution(iso.asymmetric(4.0, 4.0 / 9.0), 1.0, cfg).raw
-    assert len(segments) == raw.stats["n_segments"]
+        psi_solution(iso.asymmetric(4.0, 4.0 / 9.0), 1.0, cfg)
+    (fun, y0, t0, kwargs, raw), = calls
+    breaks = [e.t for e in raw.events if e.kind == "forcing_break"]
+    sols = _scipy_chain(fun, y0, t0, t1, cfg, breaks, kwargs.get("kink"), method)
+    ts, n_ref = raw.ts, sum(len(sol.t) - 1 for sol in sols)
+    assert raw.stats["n_segments"] == len(sols)
     if case != "pinney-forced":
-        assert len(segments) > 1          # kink restarts or forcing breaks
-    ts = raw.ts
+        assert len(sols) > 1          # kink restarts or forcing breaks
+    if case == "variational":
+        assert abs(raw.stats["n_steps"] - n_ref) <= 0.1 * n_ref
+    else:
+        assert raw.stats["n_steps"] == n_ref
+        ref_ts = np.concatenate([[t0]] + [sol.t[1:] for sol in sols])
+        assert np.all(np.abs(ts - ref_ts) <= 1e-6 * (1.0 + np.abs(ref_ts)))
+    kinks = [e.t for e in raw.events
+             if e.kind == "x_zero" and kwargs.get("kink") is not None]
+    ref_kinks = [sol.t[-1] for sol in sols if sol.status == 1]
+    assert np.all(np.abs(np.subtract(kinks, ref_kinks)) <= 1e-12)
     t = np.concatenate([np.linspace(0.0, t1, 2001), ts,
                         0.5 * (ts[:-1] + ts[1:]), [0.0, t1]])
-    ref = _segment_loop_eval(segments, t)
+    ref = _chain_eval(sols, t)
     got = raw.eval(t)
     assert got.shape == ref.shape
-    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    bound = 1e-9 if case == "variational" else 1e-10
+    assert np.all(np.abs(got - ref) <= bound * np.maximum(1.0, np.abs(ref)))
     for tk in (0.0, ts[len(ts) // 2], 1.2345, t1):
         one = raw.eval(tk)
         assert one.shape == (raw.ys.shape[1],)
         assert np.array_equal(one, raw.eval(np.array([tk]))[:, 0])
     # the first knot is the initial value exactly
     assert np.array_equal(raw.eval(0.0), raw.ys[0])
+    # 2 calls per restart (f0 and the starting-step probe), 6 per attempted step
+    stats = raw.stats
+    assert stats["nfev"] == 2 * stats["n_segments"] + 6 * (stats["n_steps"]
+                                                           + stats["n_rejected"])
+
+
+def test_guard_time_matches_scipy_terminal_event(pin):
+    from isores.integrate import _forced_rhs
+    cfg = IntegratorConfig(singularity_margin=0.3)
+    with pytest.raises(IntegrationError) as exc:
+        integrate_autonomous(pin, State(0.5, -2.0), 0.0, TWO_PI, cfg)
+    guard_t = [e.t for e in exc.value.trajectory.events if e.kind == "singularity"]
+    event = lambda t, y: y[0] - (-1.0 + 0.3)
+    event.terminal, event.direction = True, -1.0
+    sol = solve_ivp(_forced_rhs(pin, None, 0.0), (0.0, TWO_PI), [0.5, -2.0],
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, events=event)
+    assert sol.status == 1
+    assert len(guard_t) == 1 and abs(guard_t[0] - sol.t_events[0][0]) <= 1e-10
 
 
 def test_dense_table_constant_trajectory():

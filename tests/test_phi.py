@@ -158,6 +158,17 @@ def test_homogeneous_scans_share_one_profile(monkeypatch, cfg, har):
     assert (len(solves), len(quads)) == (1, 2)
 
 
+def test_eval_phi_reuses_the_scan_profile(monkeypatch, cfg):
+    import isores.autonomous
+    import isores.phi
+    isores.phi._profile.cache_clear()
+    field = phi_scan(iso.asymmetric(4.0, 4.0 / 9.0), PiecewiseConst((0.5, 2.0), (1.0, 4.0)),
+                     32, default_r_grid(1e3, 8), cfg)
+    solves = _count_calls(monkeypatch, isores.autonomous, "integrate_ode")
+    winding_number(field, (0.1, 3.0, 0.5, 50.0))
+    assert solves == []
+
+
 # -- batched quadrature ----------------------------------------------------------
 
 EPS_PEAK = 1e-4
