@@ -24,7 +24,9 @@ from .integrate import IntegratorConfig, State
 from .io import write_csv, write_json
 from .potentials import potential_from_descriptor
 
-_TERM_RE = re.compile(r"([+-]?)(?:(\d*\.?\d*)\*)?(sin|cos)(\d*)t?$")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TERM_RE = re.compile(rf"([+-]?)(?:({_NUMBER})?\*)?(sin|cos)(\d*)t?$")
+_TOKEN_RE = re.compile(r"[+-]?(?:[^+-]|(?<=[\d.][eE])[+-])+")    # not at an exponent's sign
 
 
 def parse_forcing(text: str) -> "TrigPoly":
@@ -40,7 +42,7 @@ def parse_forcing(text: str) -> "TrigPoly":
     s = text.replace(" ", "")
     if not s:
         raise ConfigError("forcing: empty shorthand")
-    tokens = re.findall(r"[+-]?[^+-]+", s)
+    tokens = _TOKEN_RE.findall(s)
     a0 = 0.0
     a: dict[int, float] = {}
     b: dict[int, float] = {}

@@ -257,23 +257,14 @@ def fourier_coefficient_quadrature(f: ForcingTerm, n: int) -> complex:
     return complex(re, im)
 
 
-def complex_fourier_coefficients(f: ForcingTerm, kmax: int):
+def complex_fourier_coefficients(f: TrigPoly, kmax: int):
     """Coefficients p_hat_k, k = -kmax..kmax, of p(t) = sum p_hat_k e^{ikt}."""
     out = np.zeros(2 * kmax + 1, dtype=complex)
-    if isinstance(f, TrigPoly):
-        out[kmax] = f.a0
-        for k in range(1, kmax + 1):
-            a, b = f.harmonic(k)
-            out[kmax + k] = 0.5 * (a - 1j * b)
-            out[kmax - k] = 0.5 * (a + 1j * b)
-        return out
-    mean = _quad_segments(lambda t: float(f.eval(t)), f, 0.0, TWO_PI) / TWO_PI
-    out[kmax] = mean
+    out[kmax] = f.a0
     for k in range(1, kmax + 1):
-        ik = fourier_coefficient(f, k)
-        # I_k = int p e^{ikt} = 2*pi * conj-side coefficient
-        out[kmax - k] = ik / TWO_PI
-        out[kmax + k] = np.conj(ik) / TWO_PI
+        a, b = f.harmonic(k)
+        out[kmax + k] = 0.5 * (a - 1j * b)
+        out[kmax - k] = 0.5 * (a + 1j * b)
     return out
 
 

@@ -2,13 +2,12 @@
 harmonic forms, the Pinney large-amplitude slice and Fourier constants,
 full-grid scans with a certification verdict, and boundary winding numbers.
 
-Cost model: Phi(., r) correlates p with the one profile psi(., r), so each
-adaptive_complex_quad call batches every integral against the same psi: all
-Fourier modes c_m(r) in one call (cached per profile; a trigonometric p then
-costs a finite sum per node), and for any other p one call per r-column of a
-scan (and one for the Pinney infinity slice) over every theta of the column.
-r-columns that share a profile (autonomous.profile_amplitude) share one
-column: a harmonic or asymmetric scan costs one psi and one quadrature.
+Cost model: Phi(., r) correlates p with the one profile psi(., r), so a scan
+makes one adaptive_complex_quad call per r-column (and one for the Pinney
+infinity slice): the Fourier modes of psi for a trigonometric p (cached per
+profile), else its integrals between the shifted breakpoints of p; each node
+is then a finite sum.  Columns that share a profile (profile_amplitude) are
+computed once: a harmonic or asymmetric scan costs one psi and one quadrature.
 """
 
 from __future__ import annotations
@@ -27,13 +26,9 @@ from .integrate import IntegratorConfig
 from .autonomous import pinney_psi_infinity, profile_amplitude, psi_evaluator
 from .potentials import PotentialSpec, pinney
 
-_GL_NODES = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gauss(n):
-    if n not in _GL_NODES:
-        _GL_NODES[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_NODES[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def adaptive_complex_quad(g, segments, rtol=1e-11, atol=1e-13,
@@ -88,19 +83,9 @@ def adaptive_complex_quad(g, segments, rtol=1e-11, atol=1e-13,
     return per_owner(vals.real, owner) + 1j * per_owner(vals.imag, owner)
 
 
-def _segments(split_points, shifts, extra_points):
-    """One partition of [0, 2*pi] per shift theta (a float array), at the
-    breakpoints of p(t - theta) and at the extra points, as (a, b, owner)
-    arrays with owner the index of theta."""
-    pts = np.concatenate([np.mod(split_points[None, :] + shifts[:, None], TWO_PI),
-                          np.broadcast_to(extra_points, (shifts.size, len(extra_points)))],
-                         axis=1)
-    # points at the ends would only add empty segments: move them onto 0
-    pts = np.where((pts > 1e-12) & (pts < TWO_PI - 1e-12), pts, 0.0)
-    knots = np.sort(np.pad(pts, ((0, 0), (1, 1)), constant_values=(0.0, TWO_PI)), axis=1)
-    a, b = knots[:, :-1], knots[:, 1:]
-    keep = b - a > 1e-12
-    return a[keep], b[keep], np.nonzero(keep)[0]
+def _knots(points):
+    """Knots of a partition of [0, 2*pi]: 0, 2*pi and the points mod 2*pi."""
+    return np.unique(np.concatenate([[0.0, TWO_PI], np.mod(points, TWO_PI)]))
 
 
 def _pinney_layer_points(r):
@@ -144,8 +129,9 @@ def _psi_fourier(pot: PotentialSpec, r: float, kmax: int,
     psi, extra = _profile.__wrapped__(pot, r, cfg)    # cache the c_m, not psi too
     m = np.arange(-kmax, kmax + 1)
     g = lambda t, k: psi(t) * np.exp(-1j * m[k] * t)
-    segs = _segments(np.empty(0), np.zeros(m.size), extra)
-    return adaptive_complex_quad(g, segs) / TWO_PI
+    knots = _knots(extra)
+    owner, j = np.divmod(np.arange(m.size * (knots.size - 1)), knots.size - 1)
+    return adaptive_complex_quad(g, (knots[j], knots[j + 1], owner)) / TWO_PI
 
 
 def _phi_trig(f: TrigPoly, cm, theta):
@@ -164,27 +150,48 @@ def _phi_trig(f: TrigPoly, cm, theta):
 def _phi_column(pot: PotentialSpec, f: ForcingTerm, theta, r: float,
                 cfg: IntegratorConfig):
     """Phi(theta, r) for an array of theta at one amplitude r (r = inf is the
-    Pinney limit), on the profile of r.  Trigonometric p reuse its cached
-    c_m; any other p
-    takes one batched quadrature over every theta, split at the breakpoints
-    of each p(t - theta)."""
+    Pinney limit), on the profile of r.  A trigonometric p reuses its cached
+    c_m.  Any other p (step, sampled) is v_j + m_j (u - s_j) on its pieces
+    [s_j, s_j+1): Phi sums int psi and int (t - a) psi between the shifted
+    starts s_j + theta, cumulative sums of one quadrature between them all."""
     theta = np.asarray(theta, dtype=float)
     r = profile_amplitude(pot, r)
     if isinstance(f, TrigPoly):
         return _phi_trig(f, _psi_fourier(pot, r, max(f.degree, 1), cfg), theta)
     psi, extra = _profile(pot, r, cfg)
-    g = lambda t, k: np.asarray(f.eval(t - theta[k])) * psi(t)
-    segs = _segments(f.split_points(), theta, extra)
-    return adaptive_complex_quad(g, segs) / TWO_PI
+    s = f.split_points()
+    h = np.diff(np.append(s, s[0] + TWO_PI))
+    # p at the quarter points of each piece: its start value and slope
+    lo, hi = np.split(f.eval(np.concatenate([s + 0.25 * h, s + 0.75 * h])), 2)
+    value, slope = lo + 0.5 * (lo - hi), 2.0 * (hi - lo) / h
+    x = np.mod(s[None, :] + theta[:, None], TWO_PI)    # piece starts of p(t - theta)
+    knots = _knots(np.concatenate([x.ravel(), extra]))
+    n, copies = knots.size - 1, 2 if np.any(slope) else 1
+    a, b = np.tile(knots[:-1], copies), np.tile(knots[1:], copies)
+    g = ((lambda t, k: psi(t) * np.where(k < n, 1.0, t - a[k])) if copies == 2
+         else (lambda t, k: psi(t)))           # owners n.. integrate (t - a) psi
+    # a scan's knots are dense and its segments short: 8 nodes meet the tolerance
+    quad = adaptive_complex_quad(g, (a, b, np.arange(copies * n)), order=8)
+    at = np.searchsorted(knots, x)
+    end = np.roll(at, -1, axis=1)               # piece j ends where j + 1 starts,
+    wrap = np.roll(x, -1, axis=1) <= x          # one period on if it crosses 2*pi
+    f_knot = np.concatenate([[0.0], np.cumsum(quad[:n])])
+    df = f_knot[end] - f_knot[at] + wrap * f_knot[-1]
+    phi = df @ value
+    if copies == 2:                             # int (t - x) psi via int t psi
+        t_knot = np.concatenate([[0.0], np.cumsum(quad[n:] + a[:n] * quad[:n])])
+        moment = (t_knot[end] - t_knot[at] - x * df
+                  + wrap * (t_knot[-1] + TWO_PI * f_knot[end]))
+        phi = phi + moment @ slope
+    return phi / TWO_PI
 
 
 def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
              cfg: IntegratorConfig) -> complex:
     """Phi_p(theta, r) = (1/2pi) int_0^{2pi} p(t - theta) psi(t, r) dt.
 
-    The quadrature splits at every breakpoint of p shifted by theta; psi is
-    the closed form for the harmonic and Pinney potentials, the numerically
-    integrated variational solution otherwise.
+    One column of a scan; psi is the closed form for the harmonic and Pinney
+    potentials, the numerically integrated variational solution otherwise.
     """
     return complex(_phi_column(pot, f, [float(theta)], float(r), cfg)[0])
 
@@ -202,9 +209,8 @@ def harmonic_phi_closed(n: int, f: ForcingTerm, theta: float) -> complex:
 
 def phi_at_infinity_pinney(f: ForcingTerm, theta: float,
                            cfg: IntegratorConfig | None = None) -> complex:
-    """Limit of Phi_p(theta, r) as r -> inf for the Pinney potential:
-    quadrature of p(t - theta) against |cos(t/2)| + 2i sin(t/2) sgn cos(t/2),
-    split at the kink t = pi."""
+    """Limit of Phi_p(theta, r) as r -> inf for the Pinney potential: Phi on
+    the limit profile |cos(t/2)| + 2i sin(t/2) sgn cos(t/2), split at t = pi."""
     return complex(_phi_column(pinney(), f, [float(theta)], _PSI_INFINITY,
                                cfg or IntegratorConfig())[0])
 

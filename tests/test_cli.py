@@ -27,6 +27,20 @@ def test_parse_forcing_shorthand():
         parse_forcing("{bad json")
 
 
+def test_parse_forcing_exponent_coefficients():
+    # a + or - inside an exponent belongs to the number, not to a new term
+    f = parse_forcing("1e-3*sin")
+    assert f.a0 == 0.0 and f.sin_coeffs == (1e-3,)
+    f = parse_forcing("2.5E+2*cos2t")
+    assert f.cos_coeffs == (0.0, 250.0)
+    assert parse_forcing("-1e-3").a0 == -1e-3
+    f = parse_forcing("1.5e1-2e-1*cos+.5*sin")
+    assert (f.a0, f.cos_coeffs, f.sin_coeffs) == (15.0, (-0.2,), (0.5,))
+    for bad in ("1e", "e5*sin", ".*sin", "1e-*sin"):
+        with pytest.raises(ConfigError):
+            parse_forcing(bad)
+
+
 def test_parse_potential():
     assert parse_potential("pinney").kind == "pinney"
     assert parse_potential("harmonic:3").params == (3,)

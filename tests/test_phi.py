@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipeinc, ellipkinc
 
 import isores as iso
 from isores.errors import NumericsError
 from isores.forcing import PiecewiseConst, Sampled, TrigPoly, TWO_PI
 from isores.autonomous import pinney_psi_closed, pinney_psi_infinity
+import isores.phi
 from isores.phi import (adaptive_complex_quad, corollary_bound,
                         default_r_grid, eval_phi, harmonic_phi_closed, phi_at_infinity_pinney, phi_scan,
                         pinney_fourier_constants, resonance_verdict,
@@ -241,6 +243,110 @@ def test_phi_scan_step_forcing_matches_scipy_quad(pin, cfg):
             ref = sum(_quad_complex(fun, lo, hi)
                       for lo, hi in zip(cuts[:-1], cuts[1:])) / TWO_PI
             assert abs(columns[i, j] - ref) < 1e-10, (th, j)
+
+
+# -- step and sampled forcings: antiderivative differences ------------------------
+
+def _pinney_psi_antiderivative(t, r):
+    """int_0^t psi(s, r) ds for the Pinney profile, exact for every real t:
+    psi = (c^2 - mu s^2 + i sin t) / sqrt(c^2 + mu s^2) with c, s = cos, sin
+    of t/2 and mu = (1 + r)^-4 integrates to incomplete elliptic integrals of
+    parameter m = 1 - mu; r = inf is mu = 0, r = 0 the linearisation e^{it}."""
+    mu = 0.0 if math.isinf(r) else (1.0 + r) ** -4
+    u = 0.5 * np.asarray(t, dtype=float)
+    if mu == 1.0:
+        return np.sin(2.0 * u) + 1j * (1.0 - np.cos(2.0 * u))
+    m = 1.0 - mu
+    re = 2.0 * (1.0 + mu) / m * ellipeinc(u, m)
+    if mu > 0.0:
+        re = re - 4.0 * mu / m * ellipkinc(u, m)
+    im = 4.0 * (1.0 - np.sqrt(np.cos(u) ** 2 + mu * np.sin(u) ** 2)) / m
+    return re + 1j * im
+
+
+def _pinney_step_phi(f, theta, r):
+    """Phi of the step forcing f: (1/2pi) sum_j v_j [Psi(b_j+1 + theta) -
+    Psi(b_j + theta)] over its pieces on [0, 2pi), b_n = b_0 + 2pi."""
+    reps = round(TWO_PI / f.period)
+    b = np.concatenate([np.asarray(f.breakpoints) + k * f.period for k in range(reps)])
+    v = np.tile(f.values, reps)
+    ends = np.append(b, b[0] + TWO_PI)[None, :] + np.asarray(theta)[:, None]
+    return np.diff(_pinney_psi_antiderivative(ends, r), axis=1) @ v / TWO_PI
+
+
+STEP_CASES = {
+    "random 4 pieces": PiecewiseConst(tuple(np.sort(RNG.uniform(0.0, TWO_PI, 4))),
+                                      tuple(RNG.uniform(-1.0, 1.0, 4))),
+    "period pi": PiecewiseConst((0.4, 1.9), (1.0, -2.0), period=math.pi),
+    "last piece wraps": PiecewiseConst((0.9, 2.2, 4.1, 5.6), (0.3, -1.0, 2.0, 0.7)),
+    # theta = k pi/32 puts the shifted break 0 exactly on 0 and on the layer point pi
+    "break at 0": PiecewiseConst((0.0, 1.0, 2.5, 4.0), (1.0, -0.3, 2.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_step_forcing_scan_matches_elliptic_oracle(pin, cfg, name):
+    f = STEP_CASES[name]
+    r_grid = default_r_grid(1e3, 8)
+    field = phi_scan(pin, f, 64, r_grid, cfg)
+    th = field.theta_grid
+    for j, r in enumerate(r_grid):
+        assert np.max(np.abs(field.values[:, j] - _pinney_step_phi(f, th, r))) <= 1e-12, r
+    assert np.max(np.abs(field.infinity_slice - _pinney_step_phi(f, th, math.inf))) <= 1e-12
+
+
+def test_step_forcing_knots_on_zero_and_layer_points(pin, cfg):
+    # breaks 0 and 1: theta = 0 and 2pi - 1 put a shifted break on (or one
+    # rounding off) 0 = 2pi, theta = a layer point puts break 0 on it
+    f = PiecewiseConst((0.0, 1.0, 3.5), (2.0, -1.0, 0.5))
+    for r in (50.0, 1e3, math.inf):
+        extra = isores.phi._profile(pin, r, cfg)[1]
+        assert extra
+        theta = np.concatenate([[0.0, TWO_PI - 1.0, 0.5], extra])
+        got = isores.phi._phi_column(pin, f, theta, r, cfg)
+        assert np.max(np.abs(got - _pinney_step_phi(f, theta, r))) <= 1e-12, r
+        for k, t in enumerate(theta):
+            assert abs(eval_phi(pin, f, t, r, cfg) - got[k]) <= 1e-12
+
+
+def test_sampled_scan_matches_scipy_quad(pin, cfg):
+    # piecewise linear: the (t - a) psi moments of the antiderivative path
+    f = Sampled(values=(0.0, 1.0, 0.5, -1.0, 0.3))
+    r_grid = np.array([0.0, 0.5, 20.0])
+    field = phi_scan(pin, f, 8, r_grid, cfg)
+    profiles = [(lambda t, r=r: pinney_psi_closed(r, t)) for r in r_grid]   # r = 0: e^{it}
+    columns = np.column_stack([field.values, field.infinity_slice])
+    layer = math.pi + np.array([0.0, -1e-2, 1e-2, -0.1, 0.1])
+    for i, th in enumerate(field.theta_grid):
+        cuts = np.unique(np.concatenate([[0.0, TWO_PI], layer,
+                                         np.mod(f.kink_points() + th, TWO_PI)]))
+        for j, psi in enumerate(profiles + [pinney_psi_infinity]):
+            fun = lambda t: f.eval(t - th) * psi(t)
+            ref = sum(_quad_complex(fun, lo, hi)
+                      for lo, hi in zip(cuts[:-1], cuts[1:])) / TWO_PI
+            assert abs(columns[i, j] - ref) < 1e-11, (th, j)
+
+
+@pytest.mark.parametrize("f, pieces", [
+    (PiecewiseConst((0.0, 1.0, 3.0), (1.0, -0.5, 0.25)), 3),
+    (PiecewiseConst((0.4, 1.9), (1.0, -2.0), period=math.pi), 4),
+    (Sampled(values=(0.0, 1.0, 0.5, -1.0, 0.3)), 5)])
+def test_step_and_sampled_scans_cost(monkeypatch, pin, cfg, f, pieces):
+    # one quadrature per distinct profile plus the infinity slice, and p read
+    # twice per piece and column, never at a quadrature node
+    quads = _count_calls(monkeypatch, isores.phi, "adaptive_complex_quad")
+    points = []
+    cls_eval = type(f).eval
+
+    def counted(self, t):
+        points.append(np.size(t))
+        return cls_eval(self, t)
+    monkeypatch.setattr(type(f), "eval", counted)
+    r_grid = default_r_grid(1e3, 8)
+    phi_scan(pin, f, 64, r_grid, cfg)
+    columns = r_grid.size + 1
+    assert len(quads) == columns
+    assert points == [2 * pieces] * columns
 
 
 # -- harmonic closed form --------------------------------------------------------
