@@ -16,7 +16,8 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import DomainError, NumericsError
 from .forcing import TWO_PI
 from .integrate import (IntegratorConfig, RawSolution, State, StepTable,
-                        Trajectory, integrate_autonomous, integrate_ode)
+                        Trajectory, _clamp, _standard_events, forced_system,
+                        integrate_autonomous, integrate_ode)
 from .potentials import (PotentialSpec, inverse_V_negative, inverse_V_positive)
 
 
@@ -97,6 +98,18 @@ class AutonomousOrbit:
         return self.trajectory.eval(tau)
 
 
+def _section_return(pot: PotentialSpec, s: State, horizon: float,
+                    cfg: IntegratorConfig):
+    """First time in (1e-9, horizon] at which the unforced orbit from s
+    crosses the section {v = 0, x > 0}, refined on the dense output; None if
+    it does not get there within the horizon."""
+    traj = integrate_autonomous(pot, s, 0.0, horizon, cfg)
+    for ev in traj.events_of("v_zero"):
+        if ev.t > 1e-9 and traj.eval(ev.t)[0] > 0:
+            return float(ev.t)
+    return None
+
+
 def minimal_period(pot: PotentialSpec, r: float, cfg: IntegratorConfig) -> float:
     """First return time of the orbit through (r, 0) to the section
     {v = 0, x > 0}, refined on the dense output.
@@ -109,13 +122,9 @@ def minimal_period(pot: PotentialSpec, r: float, cfg: IntegratorConfig) -> float
     pot.v(r)
     guess = TWO_PI / pot.n_iso if pot.n_iso else TWO_PI
     for horizon in (1.25 * guess, 10.0 * TWO_PI):
-        traj = integrate_autonomous(pot, State(r, 0.0), 0.0, horizon, cfg)
-        for ev in traj.events_of("v_zero"):
-            if ev.t <= 1e-9:
-                continue
-            x_ev, _ = traj.eval(ev.t)
-            if x_ev > 0:
-                return float(ev.t)
+        tau = _section_return(pot, State(r, 0.0), horizon, cfg)
+        if tau is not None:
+            return tau
     raise NumericsError(
         f"minimal_period: no return to the section within {10 * TWO_PI:.3f} "
         "time units; the motion does not look periodic")
@@ -215,24 +224,9 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
             return replace(psi_solution(pot, shared, cfg, t1), r=0.0)
         w0 = math.sqrt(float(pot.d2v(0.0)))
         return VariationalSolution(pot, 0.0, t1, lin_freq=w0)
-    pot.v(r)
-    dv, d2v = pot._dv, pot._d2v
-    clamp = pot.domain_left + 1e-13 if pot.singular_left else None
-
-    def rhs(t, y):
-        x = y[0]
-        if clamp is not None and x < clamp:
-            x = clamp
-        a = float(d2v(x))
-        return (y[1], -float(dv(x)), y[3], -a * y[2], y[5], -a * y[4])
-
-    kink = (lambda t, y: y[0]) if pot.kink_at_zero else None
-    guard = None
-    if pot.singular_left:
-        thresh = pot.domain_left + cfg.singularity_margin
-        guard = ("singularity", lambda t, y: y[0] - thresh)
-    raw = integrate_ode(rhs, [r, 0.0, 1.0, 0.0, 0.0, 1.0], 0.0, t1, cfg,
-                        kink=kink, guard=guard)
+    y0 = [r, 0.0, 1.0, 0.0, 0.0, 1.0]
+    fun, options = forced_system(pot, None, 0.0, y0, 0.0, t1, cfg, record_events=False)
+    raw = integrate_ode(fun, y0, 0.0, t1, cfg, **options)
     return VariationalSolution(pot, float(r), t1, raw=raw)
 
 
@@ -320,15 +314,7 @@ def to_action_angle(pot: PotentialSpec, s: State, cfg: IntegratorConfig) -> Acti
         return ActionAngle(0.0, action)
     # reversibility: the forward orbit from (x, -v) reaches (r, 0) at the
     # same travel time at which the original point was reached from (r, 0)
-    traj = integrate_autonomous(pot, State(s.x, -s.v), 0.0, 1.25 * period, cfg)
-    tau = None
-    for ev in traj.events_of("v_zero"):
-        if ev.t <= 1e-9:
-            continue
-        x_ev, _ = traj.eval(ev.t)
-        if x_ev > 0:
-            tau = float(ev.t)
-            break
+    tau = _section_return(pot, State(s.x, -s.v), 1.25 * period, cfg)
     if tau is None:
         raise NumericsError("to_action_angle: section return not found")
     return ActionAngle(math.fmod(TWO_PI * tau / period, TWO_PI), action)
@@ -356,8 +342,7 @@ def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
 # Rofe-Beketov derivative with respect to the action
 
 def _rofe_raw(pot: PotentialSpec, r: float, t_max: float, cfg: IntegratorConfig):
-    dv, d2v = pot._dv, pot._d2v
-    clamp = pot.domain_left + 1e-13 if pot.singular_left else None
+    dv, d2v, clamp = pot._dv, pot._d2v, _clamp(pot)
 
     def rhs(t, y):
         x = y[0]
@@ -368,11 +353,7 @@ def _rofe_raw(pot: PotentialSpec, r: float, t_max: float, cfg: IntegratorConfig)
         w = (1.0 - float(d2v(x))) * (v2 - a2) / (v2 + a2) ** 2
         return (y[1], acc, w)
 
-    kink = (lambda t, y: y[0]) if pot.kink_at_zero else None
-    guard = None
-    if pot.singular_left:
-        thresh = pot.domain_left + cfg.singularity_margin
-        guard = ("singularity", lambda t, y: y[0] - thresh)
+    _, kink, guard = _standard_events(pot, cfg)
     return integrate_ode(rhs, [r, 0.0, 0.0], 0.0, t_max, cfg, kink=kink, guard=guard)
 
 

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autonomous import ActionAngle, from_action_angle
-from .errors import IntegrationError, NumericsError
+from .errors import DomainError, IntegrationError, NumericsError
 from .forcing import ForcingTerm, TWO_PI, abs_integral, l1_norm
-from .integrate import (IntegratorConfig, State, energy, integrate_forced)
+from .integrate import (IntegratorConfig, State, energy, forced_system,
+                        integrate_forced, integrate_ode)
 from .potentials import PotentialSpec
 
 ENVELOPE_SLACK = 1e-6
@@ -146,42 +147,40 @@ class PeriodicSolution:
     message: str
 
 
+def _newton_system(pot: PotentialSpec, f: ForcingTerm, eps: float, s: State,
+                   cfg: IntegratorConfig):
+    """G(s) = P(s) - s for the period map P, and G's Jacobian M - I: one
+    forced variational solve, the monodromy matrix M = [[u, w], [u', w']]."""
+    y0 = [s.x, s.v, 1.0, 0.0, 0.0, 1.0]
+    fun, options = forced_system(pot, f, eps, y0, 0.0, TWO_PI, cfg, record_events=False)
+    x, v, u, du, w, dw = integrate_ode(fun, y0, 0.0, TWO_PI, cfg, **options).ys[-1]
+    return np.array([x - s.x, v - s.v]), np.array([[u - 1.0, w], [du, dw - 1.0]])
+
+
 def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
                            seed: State, cfg: IntegratorConfig,
                            tol: float = 1e-10, max_iter: int = 50
                            ) -> PeriodicSolution:
     """Damped Newton iteration on G(s) = stroboscopic_map(s) - s.
 
-    The Jacobian is formed by central differences with step 1e-6 scaled by
-    |component| + 1.  A Jacobian condition number above 1e12 aborts with a
-    diagnostic: at eps = 0 (and for any forcing that leaves the isochronous
-    period map a translation) the whole plane is fixed or shifted and Newton
-    has nothing to solve.
+    One forced variational solve gives G and its exact Jacobian.  Steps are
+    halved (8 times at most) until the residual falls; a candidate that fails
+    or leaves the domain is halved too.  A Jacobian with condition number
+    above 1e12 or norm below 1e-6 aborts with a diagnostic: at eps = 0 (and
+    for any forcing that leaves the isochronous period map a translation)
+    the whole plane is fixed or shifted and Newton has nothing to solve.
     """
-    def g_of(s: State):
-        m = stroboscopic_map(pot, f, eps, s, cfg)
-        return np.array([m.x - s.x, m.v - s.v])
-
     s = seed
-    g = g_of(s)
+    g, jac = _newton_system(pot, f, eps, s, cfg)
     res = float(np.linalg.norm(g))
     if res <= tol:
         return PeriodicSolution(state=s, residual=res, converged=True,
                                 iterations=0, message="seed is a fixed point")
     for it in range(1, max_iter + 1):
-        jac = np.empty((2, 2))
-        for col, comp in enumerate(("x", "v")):
-            h = 1e-6 * (abs(getattr(s, comp)) + 1.0)
-            sp = State(s.x + (h if col == 0 else 0.0),
-                       s.v + (h if col == 1 else 0.0))
-            sm = State(s.x - (h if col == 0 else 0.0),
-                       s.v - (h if col == 1 else 0.0))
-            jac[:, col] = (g_of(sp) - g_of(sm)) / (2.0 * h)
         cond = np.linalg.cond(jac)
         # the isochronous period map degenerates to a translation when the
-        # forcing cannot tilt it (eps = 0, or a linear oscillator): the true
-        # Jacobian of G is 0 and the finite differences return pure
-        # integration noise (norm ~ 1e-10 at default tolerances)
+        # forcing cannot tilt it (eps = 0, a linear oscillator): M = I, and
+        # the computed M - I is integration noise (norm ~ 1e-10)
         if not np.isfinite(cond) or cond > 1e12 or np.linalg.norm(jac) < 1e-6:
             return PeriodicSolution(
                 state=s, residual=res, converged=False, iterations=it,
@@ -193,8 +192,8 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
         for _ in range(8):
             cand = State(s.x + lam * step[0], s.v + lam * step[1])
             try:
-                g_new = g_of(cand)
-            except (IntegrationError, NumericsError):
+                g_new, jac_new = _newton_system(pot, f, eps, cand, cfg)
+            except (DomainError, IntegrationError, NumericsError):
                 lam *= 0.5
                 continue
             if np.linalg.norm(g_new) < res:
@@ -204,7 +203,7 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
             return PeriodicSolution(state=s, residual=res, converged=False,
                                     iterations=it,
                                     message="damping failed to reduce the residual")
-        s, g = cand, g_new
+        s, g, jac = cand, g_new, jac_new
         res = float(np.linalg.norm(g))
         if res <= tol:
             return PeriodicSolution(state=s, residual=res, converged=True,

@@ -355,32 +355,9 @@ class Trajectory:
         return [e for e in self.events if e.kind == kind]
 
 
-def _forced_rhs(pot: PotentialSpec, f, eps):
-    """Right-hand side of x'' = -V'(x) + eps*p(t) as a first-order system.
-
-    Near a singular endpoint the stage evaluations may overshoot the guard
-    position; the force is then evaluated at the clamp a + 1e-13, which the
-    terminal guard event prevents from ever being part of an accepted step.
-    """
-    dv = pot._dv
-    clamp = pot.domain_left + 1e-13 if pot.singular_left else None
-
-    if eps == 0.0 or f is None:
-        def rhs(t, y):
-            x = y[0]
-            if clamp is not None and x < clamp:
-                x = clamp
-            return (y[1], -float(dv(x)))
-        return rhs
-
-    pe = f.eval
-
-    def rhs(t, y):
-        x = y[0]
-        if clamp is not None and x < clamp:
-            x = clamp
-        return (y[1], -float(dv(x)) + eps * float(pe(t)))
-    return rhs
+def _clamp(pot: PotentialSpec):
+    """Lowest x at which a right-hand side evaluates V's derivatives, or None."""
+    return pot.domain_left + 1e-13 if pot.singular_left else None
 
 
 def _standard_events(pot: PotentialSpec, cfg: IntegratorConfig):
@@ -395,6 +372,51 @@ def _standard_events(pot: PotentialSpec, cfg: IntegratorConfig):
         thresh = pot.domain_left + cfg.singularity_margin
         guard = ("singularity", lambda t, y: y[0] - thresh)
     return record, kink, guard
+
+
+def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
+                  t1: float, cfg: IntegratorConfig, record_events: bool = True):
+    """(fun, options) for integrate_ode(fun, y0, t0, t1, cfg, **options):
+    x'' = -V'(x) + eps*p(t) from y0 = (x, v), or from (x, v, u, u', w, w')
+    with the variational equation u'' = -V''(x) u.  The options split the
+    steps at p's breaks and at a kink, guard a singular endpoint (stages past
+    it see V at the clamp a + 1e-13, which no accepted step reaches) and,
+    with record_events, log the v=0 and x=0 crossings."""
+    pot.v(y0[0])  # domain check
+    breaks = []
+    pts = f.split_points() if eps != 0.0 else np.empty(0)
+    if pts.size:
+        k0 = math.floor(t0 / TWO_PI) - 1
+        k1 = math.ceil(t1 / TWO_PI) + 1
+        breaks = np.concatenate([pts + k * TWO_PI for k in range(k0, k1 + 1)])
+        breaks = breaks[(breaks > t0) & (breaks < t1)]
+    dv, d2v, clamp = pot._dv, pot._d2v, _clamp(pot)
+
+    if eps == 0.0 or f is None:
+        def rhs(t, y):
+            x = y[0]
+            if clamp is not None and x < clamp:
+                x = clamp
+            return (y[1], -float(dv(x)))
+    else:
+        pe = f.eval
+
+        def rhs(t, y):
+            x = y[0]
+            if clamp is not None and x < clamp:
+                x = clamp
+            return (y[1], -float(dv(x)) + eps * float(pe(t)))
+
+    if len(y0) == 6:
+        phase = rhs
+
+        def rhs(t, y):
+            a = float(d2v(y[0] if clamp is None else max(y[0], clamp)))
+            return (*phase(t, y), y[3], -a * y[2], y[5], -a * y[4])
+
+    record, kink, guard = _standard_events(pot, cfg)
+    return rhs, {"breakpoints": breaks, "record": record if record_events else (),
+                 "kink": kink, "guard": guard}
 
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,
@@ -425,18 +447,9 @@ def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     every step; the kink restarts, the singularity guard and therefore every
     step are unchanged.
     """
-    pot.v(s0.x)  # domain check
-    breaks = []
-    pts = f.split_points() if eps != 0.0 else np.empty(0)
-    if pts.size:
-        k0 = math.floor(t0 / TWO_PI) - 1
-        k1 = math.ceil(t1 / TWO_PI) + 1
-        breaks = np.concatenate([pts + k * TWO_PI for k in range(k0, k1 + 1)])
-        breaks = breaks[(breaks > t0) & (breaks < t1)]
-    record, kink, guard = _standard_events(pot, cfg)
-    raw = integrate_ode(_forced_rhs(pot, f, eps), [s0.x, s0.v], t0, t1, cfg,
-                        breakpoints=breaks, record=record if record_events else (),
-                        kink=kink, guard=guard)
+    y0 = [s0.x, s0.v]
+    fun, options = forced_system(pot, f, eps, y0, t0, t1, cfg, record_events)
+    raw = integrate_ode(fun, y0, t0, t1, cfg, **options)
     traj = Trajectory(raw)
     if check_envelope and eps != 0.0 and t0 >= 0:
         e0 = energy(pot, s0)

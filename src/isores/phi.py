@@ -90,13 +90,13 @@ def _knots(points):
 
 def _pinney_layer_points(r):
     """Extra split points around t = pi resolving the sharp layer of the
-    Pinney variational solution at large amplitude."""
+    Pinney variational solution at large amplitude; no point lies nearer to
+    pi than a float can, so the ladder ends when (1 + r)**-2 underflows."""
     lam = 1.0 + r
     if lam < 10.0:
         return ()
-    w = lam ** -2
     pts = []
-    scale = w
+    scale = max(lam ** -2, math.ulp(math.pi))
     while scale < 0.5:
         pts.extend([math.pi - scale, math.pi + scale])
         scale *= 16.0

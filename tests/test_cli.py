@@ -110,6 +110,19 @@ def test_periodic_find_command(capsys):
     assert rc == 2
 
 
+def test_periodic_find_backs_off_out_of_domain_steps(capsys):
+    # the first full Newton step from this seed lands beyond Pinney's
+    # endpoint x = -1: the line search halves it instead of exiting
+    forcing = json.dumps({"kind": "trig", "a0": 1.0, "a": [0.14147440345512107],
+                          "b": [1.994989973208109]})
+    rc = main(["periodic-find", "--potential", "pinney", "--forcing", forcing,
+               "--eps", "0.01", "--zero-theta", "1.6415926535897931",
+               "--zero-action", "0.337"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True and payload["residual"] <= 1e-10
+
+
 def test_limits_audit_command(tmp_path, capsys):
     rc = main(["limits-audit", "--potential", "pinney", "--I", "100",
                "--out", str(tmp_path)])

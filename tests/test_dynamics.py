@@ -166,6 +166,24 @@ def test_finder_detects_degenerate_jacobian(har, sin_f, cfg):
     assert "singular Jacobian" in res.message
 
 
+def test_finder_jacobian_matches_central_differences(pin, cfg):
+    # J = M - I from the forced variational solve against central
+    # differences of the period map at non-degenerate points (cond J < 50)
+    f = TrigPoly(a0=1.0, cos_coeffs=(2.0,))
+    for s in (State(1.0, 0.0), State(0.5, 0.3)):
+        g, jac = dynamics._newton_system(pin, f, 0.01, s, cfg)
+        m = stroboscopic_map(pin, f, 0.01, s, cfg)
+        assert np.max(np.abs(g - [m.x - s.x, m.v - s.v])) <= 1e-9
+        assert np.linalg.cond(jac) < 50
+        for col in range(2):
+            h = 1e-6 * (abs((s.x, s.v)[col]) + 1.0)
+            dx, dv = (h, 0.0) if col == 0 else (0.0, h)
+            mp = stroboscopic_map(pin, f, 0.01, State(s.x + dx, s.v + dv), cfg)
+            mm = stroboscopic_map(pin, f, 0.01, State(s.x - dx, s.v - dv), cfg)
+            fd = np.array([mp.x - mm.x - 2.0 * dx, mp.v - mm.v - 2.0 * dv]) / (2.0 * h)
+            assert np.max(np.abs(jac[:, col] - fd)) <= 1e-8
+
+
 def test_finder_crafted_zero(pin, crafted_zero, cfg):
     forcing, r_star, action_star = crafted_zero
     seed = seed_from_phi_zero(pin, math.pi, action_star, cfg)

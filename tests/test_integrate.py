@@ -311,14 +311,15 @@ def test_dense_table_matches_segment_loop(case, method, monkeypatch):
 
 
 def test_guard_time_matches_scipy_terminal_event(pin):
-    from isores.integrate import _forced_rhs
+    from isores.integrate import forced_system
     cfg = IntegratorConfig(singularity_margin=0.3)
     with pytest.raises(IntegrationError) as exc:
         integrate_autonomous(pin, State(0.5, -2.0), 0.0, TWO_PI, cfg)
     guard_t = [e.t for e in exc.value.trajectory.events if e.kind == "singularity"]
     event = lambda t, y: y[0] - (-1.0 + 0.3)
     event.terminal, event.direction = True, -1.0
-    sol = solve_ivp(_forced_rhs(pin, None, 0.0), (0.0, TWO_PI), [0.5, -2.0],
+    fun, _ = forced_system(pin, None, 0.0, [0.5, -2.0], 0.0, TWO_PI, cfg)
+    sol = solve_ivp(fun, (0.0, TWO_PI), [0.5, -2.0],
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, events=event)
     assert sol.status == 1
     assert len(guard_t) == 1 and abs(guard_t[0] - sol.t_events[0][0]) <= 1e-10

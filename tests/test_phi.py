@@ -309,6 +309,20 @@ def test_step_forcing_knots_on_zero_and_layer_points(pin, cfg):
             assert abs(eval_phi(pin, f, t, r, cfg) - got[k]) <= 1e-12
 
 
+def test_pinney_layer_points_terminate_at_huge_r():
+    # (1 + r)**-2 underflows to 0 at r = 1e200: the ladder starts at the
+    # float spacing near pi instead of looping forever
+    for r in (1e200, math.inf):
+        pts = isores.phi._pinney_layer_points(r)
+        assert 0 < len(pts) < 64 and pts[-1] == math.pi
+        assert min(abs(p - math.pi) for p in pts[:-1]) == math.ulp(math.pi)
+        assert max(abs(p - math.pi) for p in pts) < 0.5
+    # default scans keep their ladder: it starts at the layer width
+    pts = isores.phi._pinney_layer_points(1e3)
+    assert pts[:2] == (math.pi - 1001.0 ** -2, math.pi + 1001.0 ** -2)
+    assert isores.phi._pinney_layer_points(8.0) == ()
+
+
 def test_sampled_scan_matches_scipy_quad(pin, cfg):
     # piecewise linear: the (t - a) psi moments of the antiderivative path
     f = Sampled(values=(0.0, 1.0, 0.5, -1.0, 0.3))
