@@ -22,7 +22,7 @@ from .potentials import (PotentialSpec, inverse_V_negative, inverse_V_positive)
 
 
 # ---------------------------------------------------------------------------
-# closed forms (harmonic oscillator and the shifted Pinney potential)
+# closed forms (the shifted Pinney potential, harmonic and asymmetric centers)
 
 def pinney_phi_closed(r, t):
     """Closed-form orbit of the Pinney center: position and velocity of the
@@ -58,15 +58,20 @@ def pinney_psi_infinity(t):
     return np.abs(c) + 2j * np.sin(0.5 * t) * np.sign(c)
 
 
-def closed_psi(pot: PotentialSpec, r, t):
-    """psi(t, r) when a closed form exists, else None."""
-    if pot.kind == "harmonic":
-        n = pot.params[0]
-        t = np.asarray(t, dtype=float)
-        return np.cos(n * t) + 1j * np.sin(n * t) / n
-    if pot.kind == "pinney":
-        return pinney_psi_closed(r, t)
-    return None
+def asymmetric_psi_closed(w, mu, t):
+    """psi(t, r) of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2 at every r >= 0: x(t; r) =
+    r X(t), so psi = X - i X'/w^2, with X = cos(w s) on the x > 0 arcs (s the
+    time from the nearest maximum) and -(w/mu) sin(mu (t - t1)) on the x < 0
+    arc from t1 = pi/(2w).  X has period pi/w + pi/mu, not always 2*pi."""
+    t = np.asarray(t, dtype=float)
+    if w == mu:                     # harmonic: one sinusoid, no kink
+        return np.cos(w * t) + 1j * np.sin(w * t) / w
+    t1, period = 0.5 * math.pi / w, math.pi / w + math.pi / mu
+    s = np.mod(t, period)
+    s = np.where(s > t1 + math.pi / mu, s - period, s)   # the last x > 0 arc
+    arc = mu * (s - t1)
+    return np.where(s > t1, -(w / mu) * np.sin(arc) + 1j * np.cos(arc) / w,
+                    np.cos(w * s) + 1j * np.sin(w * s) / w)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +195,6 @@ class VariationalSolution:
         p = self._parts(t)
         return p[2] * p[5] - p[3] * p[4]
 
-    def orbit_x(self, t):
-        if self.r == 0:     # the orbit of amplitude 0 is the center itself
-            return np.zeros_like(np.asarray(t, dtype=float))
-        return self._parts(t)[0]
-
 
 def profile_amplitude(pot: PotentialSpec, r: float) -> float:
     """The amplitude whose psi serves r.  The harmonic and asymmetric centers
@@ -228,14 +228,6 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
     fun, options = forced_system(pot, None, 0.0, y0, 0.0, t1, cfg, record_events=False)
     raw = integrate_ode(fun, y0, 0.0, t1, cfg, **options)
     return VariationalSolution(pot, float(r), t1, raw=raw)
-
-
-def psi_evaluator(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
-                  t1: float = TWO_PI):
-    """Vectorized t -> psi(t, r), closed form when available else numeric."""
-    if pot.kind in ("harmonic", "pinney") and r > 0:
-        return lambda t: closed_psi(pot, r, t)
-    return psi_solution(pot, r, cfg, t1).psi
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +319,8 @@ def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
     if aa.action <= 0:
         raise DomainError("from_action_angle: action must be positive")
     r = amplitude_of_action(pot, aa.action)
-    period = minimal_period(pot, r, cfg)
     theta = math.fmod(aa.theta, TWO_PI)
-    if theta < 0:
-        theta += TWO_PI
-    tau = theta / TWO_PI * period
+    tau = (theta + TWO_PI if theta < 0 else theta) / pot.require_isochronous()
     if tau == 0.0:
         return State(float(r), 0.0)
     traj = integrate_autonomous(pot, State(float(r), 0.0), 0.0, tau, cfg)

@@ -49,15 +49,13 @@ class State:
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     singularity_margin: float = 1e-9
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ConfigError("integrator.tolerances: must be positive")
-        if self.singularity_margin <= 0:
-            raise ConfigError("integrator.singularity_margin: must be positive")
+        for name in ("rel_tol", "abs_tol", "singularity_margin"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"integrator.{name}: must be finite and positive")
         if self.max_steps < 1:
             raise ConfigError("integrator.max_steps: must be >= 1")
 
@@ -168,7 +166,7 @@ def _initial_step(fun, t, y, f, span, cfg):
     d2 = rms([q - p for p, q in zip(f, f1)]) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** 0.2)
-    return min(100 * h0, h1, span, cfg.max_step)
+    return min(100 * h0, h1, span)
 
 
 def _interpolant(t_old, h, y_old, stages):
@@ -238,7 +236,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
         t, advance = ta, False
         while True:        # one accepted step per pass
             min_step = 10 * (math.nextafter(t, math.inf) - t)
-            h_abs = min(max(h_abs, min_step), cfg.max_step)
+            h_abs = max(h_abs, min_step)
             rejected = False
             while True:
                 if h_abs < min_step:
@@ -382,6 +380,8 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
     steps at p's breaks and at a kink, guard a singular endpoint (stages past
     it see V at the clamp a + 1e-13, which no accepted step reaches) and,
     with record_events, log the v=0 and x=0 crossings."""
+    if not math.isfinite(eps):
+        raise ConfigError("eps: must be finite")
     pot.v(y0[0])  # domain check
     breaks = []
     pts = f.split_points() if eps != 0.0 else np.empty(0)

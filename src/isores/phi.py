@@ -7,7 +7,7 @@ makes one adaptive_complex_quad call per r-column (and one for the Pinney
 infinity slice): the Fourier modes of psi for a trigonometric p (cached per
 profile), else its integrals between the shifted breakpoints of p; each node
 is then a finite sum.  Columns that share a profile (profile_amplitude) are
-computed once: a harmonic or asymmetric scan costs one psi and one quadrature.
+computed once, and psi is a closed form for every built-in center (_profile).
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .errors import NumericsError
 from .forcing import (ForcingTerm, TrigPoly, TWO_PI,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
-from .autonomous import pinney_psi_infinity, profile_amplitude, psi_evaluator
+from .autonomous import (asymmetric_psi_closed, pinney_psi_closed,
+                         pinney_psi_infinity, profile_amplitude, psi_solution)
 from .potentials import PotentialSpec, pinney
 
 @functools.lru_cache(maxsize=None)
@@ -109,15 +110,23 @@ _PSI_INFINITY = math.inf
 
 @functools.lru_cache(maxsize=64)
 def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
-    """(psi(., r), extra split points for its quadratures); r = inf is the
-    Pinney large-amplitude limit profile.  Cached, so eval_phi and
-    winding_number reuse the psi that a scan integrated."""
+    """(psi(., r), extra split points for its quadratures), the one place
+    that picks psi: the Pinney limit at r = inf, the closed forms of the
+    built-in centers (split at the kink x = 0 or the Pinney layer), else the
+    integrated variational solution.  Cached: winding_number reuses a scan's."""
     if r == _PSI_INFINITY:
         if pot.kind != "pinney":
             raise NumericsError(f"{pot.kind}: no large-amplitude limit profile")
         return pinney_psi_infinity, (math.pi,)
-    extra = _pinney_layer_points(r) if pot.kind == "pinney" else ()
-    return psi_evaluator(pot, r, cfg), extra
+    if pot.kind in ("harmonic", "asymmetric"):
+        w, mu = math.sqrt(pot.d2v(1.0)), math.sqrt(pot.d2v(-1.0))
+        down = np.arange(0.5 * math.pi / w, TWO_PI, math.pi / w + math.pi / mu)
+        crossings = np.concatenate([down, down + math.pi / mu])
+        kinks = () if w == mu else tuple(crossings[crossings <= TWO_PI].tolist())
+        return (lambda t: asymmetric_psi_closed(w, mu, t)), kinks
+    if pot.kind == "pinney" and r > 0:
+        return (lambda t: pinney_psi_closed(r, t)), _pinney_layer_points(r)
+    return psi_solution(pot, r, cfg).psi, ()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -190,8 +199,8 @@ def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
              cfg: IntegratorConfig) -> complex:
     """Phi_p(theta, r) = (1/2pi) int_0^{2pi} p(t - theta) psi(t, r) dt.
 
-    One column of a scan; psi is the closed form for the harmonic and Pinney
-    potentials, the numerically integrated variational solution otherwise.
+    One column of a scan; psi is the closed form for the built-in centers,
+    the numerically integrated variational solution otherwise.
     """
     return complex(_phi_column(pot, f, [float(theta)], float(r), cfg)[0])
 

@@ -123,8 +123,8 @@ def asymmetric(alpha: float, beta: float) -> PotentialSpec:
     the potential is registered as isochronous, otherwise n_iso is None and
     only the measured period is meaningful.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ConfigError("potential.alpha/beta: must be positive")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ConfigError("potential.alpha/beta: must be finite and positive")
     alpha, beta = float(alpha), float(beta)
 
     def _v(x):

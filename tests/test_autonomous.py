@@ -9,7 +9,8 @@ from isores.errors import ConfigError, DomainError, NumericsError
 from isores.forcing import TWO_PI
 from isores.integrate import State, integrate_autonomous
 from isores.autonomous import (ActionAngle, action_of_amplitude,
-                               amplitude_of_action, bouncing_limit_audit,
+                               amplitude_of_action, asymmetric_psi_closed,
+                               bouncing_limit_audit,
                                dx_dI_rofe_beketov, from_action_angle,
                                minimal_period, negative_semiperiod, phi_orbit,
                                pinney_phi_closed, pinney_psi_closed,
@@ -93,6 +94,17 @@ def test_asymmetric_psi_does_not_depend_on_amplitude(cfg):
         ref = psi_solution(pot, 1.0, cfg).psi(ts)
         for r in (1e-2, 37.0, 1e3):
             assert np.max(np.abs(psi_solution(pot, r, cfg).psi(ts) - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha, beta", [(4.0, 4.0 / 9.0), (2.0, 3.0),
+                                         (1.0 / 1.3 ** 2, 1.0 / 0.7 ** 2)])
+def test_asymmetric_psi_closed_matches_integrated_psi(cfg, alpha, beta):
+    # isochronous, not isochronous (period != 2*pi), and a second isochronous
+    # pair with its x < 0 arc longer than pi
+    ts = np.linspace(0.0, TWO_PI, 4001)
+    ref = psi_solution(iso.asymmetric(alpha, beta), 1.0, cfg).psi(ts)
+    closed = asymmetric_psi_closed(math.sqrt(alpha), math.sqrt(beta), ts)
+    assert np.max(np.abs(closed - ref)) <= 1e-9
 
 
 def test_psi_periodicity(pin, cfg):
@@ -185,6 +197,17 @@ def test_action_angle_round_trip(pin, cfg):
     aa3 = to_action_angle(pin, s2, cfg)
     assert aa3.theta == pytest.approx(aa2.theta, abs=1e-8)
     assert aa3.action == pytest.approx(aa2.action, rel=1e-8)
+
+
+def test_from_action_angle_integrates_once(monkeypatch, pin, cfg):
+    # the period of a certified isochronous center is 2*pi/N, not measured
+    import isores.integrate
+    calls = []
+    solve = isores.integrate.integrate_ode
+    monkeypatch.setattr(isores.integrate, "integrate_ode",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    from_action_angle(pin, ActionAngle(theta=2.2, action=0.7), cfg)
+    assert len(calls) == 1
 
 
 # -- Rofe-Beketov --------------------------------------------------------------

@@ -186,6 +186,19 @@ def test_format_json_tables(tmp_path):
     assert rows[0]["period"] == pytest.approx(math.pi, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["period-audit", "--potential", "pinney", "--r", "1", "--rel-tol", "inf"],
+    ["period-audit", "--potential", "pinney", "--r", "1", "--abs-tol", "nan"],
+    ["phi-scan", "--potential", "asymmetric:inf:1", "--forcing", "sin"],
+    ["resonance-run", "--potential", "pinney", "--forcing", "sin",
+     "--eps", "nan", "--periods", "10"]],
+    ids=["rel-tol-inf", "abs-tol-nan", "alpha-inf", "eps-nan"])
+def test_non_finite_inputs_are_config_errors(argv, capsys):
+    # each one ran on (or hung) instead of naming the bad field
+    assert main(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_missing_required_parameter():
     assert main(["resonance-run", "--potential", "harmonic:1",
                  "--forcing", "sin"]) == 1

@@ -5,11 +5,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import isores as iso
-from isores.errors import IntegrationError
+from isores.errors import ConfigError, IntegrationError
 from isores.forcing import PiecewiseConst, TrigPoly, TWO_PI, abs_integral
 from isores.integrate import (IntegratorConfig, State, energy,
-                              integrate_autonomous, integrate_forced,
-                              write_events_csv, write_trajectory_csv)
+                              forced_system, integrate_autonomous,
+                              integrate_forced, write_events_csv,
+                              write_trajectory_csv)
 from isores.autonomous import pinney_phi_closed
 
 
@@ -152,6 +153,23 @@ def test_max_steps_exceeded(pin):
     assert "step budget exceeded (11 > 10)" in str(exc.value)
     assert exc.value.trajectory.stats["n_steps"] == 11
     assert len(exc.value.trajectory.ts) == 12
+
+
+@pytest.mark.parametrize("name, value", [
+    ("rel_tol", math.inf), ("rel_tol", 0.0), ("abs_tol", math.nan),
+    ("abs_tol", -1.0), ("singularity_margin", math.inf),
+    ("singularity_margin", math.nan)])
+def test_config_requires_finite_positive_tolerances(name, value):
+    # an infinite or nan tolerance accepts every step (or none): it must not
+    # reach the step loop
+    with pytest.raises(ConfigError, match=f"integrator.{name}"):
+        IntegratorConfig(**{name: value})
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_forced_system_rejects_non_finite_eps(pin, sin_f, cfg, eps):
+    with pytest.raises(ConfigError, match="eps"):
+        forced_system(pin, sin_f, eps, [1.0, 0.0], 0.0, TWO_PI, cfg)
 
 
 def test_asymmetric_kink_handling(cfg):

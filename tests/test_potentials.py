@@ -42,6 +42,13 @@ def test_asymmetric_values_and_convention():
     assert asymmetric(2.0, 3.0).n_iso is None
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, math.inf),
+                                         (math.nan, 1.0), (1.0, 0.0)])
+def test_asymmetric_requires_finite_positive_coefficients(alpha, beta):
+    with pytest.raises(ConfigError, match="potential.alpha/beta"):
+        asymmetric(alpha, beta)
+
+
 @pytest.mark.parametrize("pot", [harmonic(1), harmonic(3), pinney(),
                                  asymmetric(4.0, 4.0 / 9.0)],
                          ids=lambda p: p.kind + str(p.params))
