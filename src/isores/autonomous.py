@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import DomainError, NumericsError
+from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI
 from .integrate import (IntegratorConfig, RawSolution, State, StepTable,
                         Trajectory, _clamp, _standard_events, forced_system,
@@ -316,6 +316,8 @@ def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
                       cfg: IntegratorConfig) -> State:
     """Phase point with the given action and angle (inverse of
     to_action_angle up to integration tolerance)."""
+    if not (math.isfinite(aa.theta) and math.isfinite(aa.action)):
+        raise ConfigError("from_action_angle: angle and action must be finite")
     if aa.action <= 0:
         raise DomainError("from_action_angle: action must be positive")
     r = amplitude_of_action(pot, aa.action)

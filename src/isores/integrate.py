@@ -7,8 +7,12 @@ with its order 5 steps and quartic dense interpolant.
 
 Cost model.  An attempted step costs 6 right-hand-side calls and every
 restart (start, forcing breakpoint, kink) 2 more; a forced Pinney step costs
-about 25 us in all, 15 us of it the loop's own float arithmetic and
-bookkeeping (2-core VM, Python 3.11).  After each accepted step the step
+about 19 us in all, 11 us of it the loop's own float arithmetic and
+bookkeeping, 8 us the right-hand side (2-core VM, Python 3.11).  The step
+itself is generated once per state size n (_stepper): the stage sums are
+written out over scalar locals, with no list built per stage, and keep the
+terms and the order of a loop over components (the tests' reference step),
+so the results are the same to the bit.  After each accepted step the step
 budget, the singularity guard, the kink and the recorded events are float
 comparisons at the step's ends; only a sign change is root-found on the
 step's interpolant, so the v=0 and x=0 crossings are logged only for
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -124,36 +128,54 @@ class RawSolution:
 
 
 # The Dormand-Prince 5(4) tableau, read once from scipy's RK45 as floats.
-(_, (_A21, *_), (_A31, _A32, *_), (_A41, _A42, _A43, *_),
- (_A51, _A52, _A53, _A54, _), (_A61, _A62, _A63, _A64, _A65)) = RK45.A.tolist()
-_B1, _, _B3, _B4, _B5, _B6 = RK45.B.tolist()
-_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
-_, _C2, _C3, _C4, _C5, _ = RK45.C.tolist()
+_A, _B, _C, _E = RK45.A.tolist(), RK45.B.tolist(), RK45.C.tolist(), RK45.E.tolist()
 _PT = RK45.P.T.copy()          # (4, 7): coef = P^T K for a step's stage rows K
 _ROOT_TOL = 4 * np.finfo(float).eps      # scipy's event-root tolerance
 
 
-def _dp_step(fun, t, y, f, h, cfg):
-    """One Dormand-Prince step of size h from (t, y), f = fun(t, y), over
-    lists of floats: (y_new, f_new, the 7 stage rows, RMS error norm)."""
-    k2 = fun(t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, f)])
-    k3 = fun(t + _C3 * h, [a + h * (_A31 * p + _A32 * q)
-                           for a, p, q in zip(y, f, k2)])
-    k4 = fun(t + _C4 * h, [a + h * (_A41 * p + _A42 * q + _A43 * r)
-                           for a, p, q, r in zip(y, f, k2, k3)])
-    k5 = fun(t + _C5 * h, [a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
-                           for a, p, q, r, s in zip(y, f, k2, k3, k4)])
-    k6 = fun(t + h, [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
-                     for a, p, q, r, s, u in zip(y, f, k2, k3, k4, k5)])
-    y_new = [a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * w)
-             for a, p, r, s, u, w in zip(y, f, k3, k4, k5, k6)]
-    f_new = fun(t + h, y_new)
-    sq = 0.0
-    for a, b, p, r, s, u, w, z in zip(y, y_new, f, k3, k4, k5, k6, f_new):
-        e = ((_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * w + _E7 * z) * h
-             / (cfg.abs_tol + max(abs(a), abs(b)) * cfg.rel_tol))
-        sq += e * e
-    return y_new, f_new, (f, k2, k3, k4, k5, k6, f_new), math.sqrt(sq / len(y))
+def _stepper_source(n):
+    """Source of the n-component step over scalar locals.  Each sum keeps
+    the terms and the order of the loop over components that the tests
+    compare it with bit for bit (the tableau's zeros, B2 and E2, skipped)."""
+    def each(fmt):                 # fmt(i) for every component, comma-joined
+        return ", ".join(fmt(i) for i in range(n))
+
+    def combo(coefs, i):           # (c1) * k1_i + (c2) * k2_i + ..., zeros skipped
+        return " + ".join(f"({c!r}) * k{j}_{i}" for j, c in enumerate(coefs, 1) if c)
+
+    def row(j):                    # stage row j: k1 = f, ..., k7 = f_new
+        return each(lambda i: f"k{j}_{i}")
+
+    lines = ["def step(fun, t, y, f, h, cfg):",
+             f"    {each(lambda i: f'y_{i}')}, = y",
+             f"    {row(1)}, = f"]
+    for j in range(2, 7):
+        t_j = "t + h" if _C[j - 1] == 1.0 else f"t + ({_C[j - 1]!r}) * h"
+        y_j = each(lambda i: f"y_{i} + h * ({combo(_A[j - 1], i)})")
+        lines.append(f"    {row(j)}, = fun({t_j}, [{y_j},])")
+    lines += [f"    z_{i} = y_{i} + h * ({combo(_B, i)})" for i in range(n)]
+    lines += [f"    y_new = [{each(lambda i: f'z_{i}')},]",
+              "    f_new = fun(t + h, y_new)",
+              f"    {row(7)}, = f_new",
+              "    atol, rtol = cfg.abs_tol, cfg.rel_tol"]
+    for i in range(n):             # max(a, b) is b if b > a else a
+        lines += [f"    a, b = abs(y_{i}), abs(z_{i})",
+                  f"    e_{i} = ({combo(_E, i)}) * h / (atol + (b if b > a else a) * rtol)"]
+    stages = ", ".join(row(j) for j in range(1, 8))
+    # the loop's sum starts at 0.0, and 0.0 + e * e is e * e for every float e
+    squares = " + ".join(f"e_{i} * e_{i}" for i in range(n))
+    lines.append(f"    return y_new, f_new, ({stages},), sqrt(({squares}) / {n})")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _stepper(n):
+    """One Dormand-Prince step of size h from (t, y), f = fun(t, y), for an
+    n-component state: (y_new, f_new, the 7 stage rows flat, RMS error norm).
+    Compiled from _stepper_source on first use per n."""
+    namespace = {"sqrt": math.sqrt}
+    exec(_stepper_source(n), namespace)
+    return namespace["step"]
 
 
 def _initial_step(fun, t, y, f, span, cfg):
@@ -171,7 +193,7 @@ def _initial_step(fun, t, y, f, span, cfg):
 
 def _interpolant(t_old, h, y_old, stages):
     """The step's quartic dense output t -> y(t) over floats."""
-    coef = (_PT @ np.array(stages)).T.tolist()
+    coef = (_PT @ np.array(stages).reshape(7, -1)).T.tolist()
 
     def y_at(t):
         s = (t - t_old) / h
@@ -197,18 +219,20 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     Each restart re-runs the starting-step rule, as a new solve_ivp call
     would, so nfev = 2 n_segments + 6 (n_steps + n_rejected).
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("integrate_ode: t0 and t1 must be finite")
     if t1 <= t0:
         raise ValueError("integrate_ode: need t1 > t0")
     stops = [t0] + [float(b) for b in sorted(breakpoints)
                     if t0 + 1e-12 < b < t1 - 1e-12] + [t1]
     y = np.asarray(y0, dtype=float).tolist()
+    step = _stepper(len(y))
     ts, ys, rows, events = [t0], [y], [], []    # rows: (t_old, h, stages)
     stats = {"n_steps": 0, "nfev": 0, "n_segments": 0, "n_rejected": 0}
 
     def solution():
         t_old, h, stages = zip(*rows) if rows else ((), (), ())
-        k = np.fromiter(chain.from_iterable(chain.from_iterable(stages)), float)
-        coef = _PT @ k.reshape(-1, 7, len(y))
+        coef = _PT @ np.array(stages, dtype=float).reshape(-1, 7, len(y))
         steps = StepTable(np.array(t_old), np.array(h),
                           np.array(ys[:-1]).reshape(-1, len(y)), coef)
         return RawSolution(np.array(ts), np.array(ys), steps, events, stats)
@@ -244,7 +268,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                          "than spacing between numbers.")
                 t_new = min(t + h_abs, tb)
                 h = t_new - t
-                y_new, f_new, stages, err = _dp_step(fun, t, y, f, h, cfg)
+                y_new, f_new, stages, err = step(fun, t, y, f, h, cfg)
                 stats["nfev"] += 6
                 if err < 1:
                     factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 from .forcing import (ForcingTerm, TrigPoly, TWO_PI,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
@@ -345,7 +345,10 @@ def resonance_verdict(field: PhiField, threshold: float = 1e-4) -> Verdict:
     """Grid-level resonance certificate: certified when the sampled modulus
     never drops below the threshold separating quadrature noise from genuine
     near-zeros.  Evidence over the scanned grid (plus the infinity slice
-    when present), not a proof."""
+    when present), not a proof.  The threshold must be finite and positive:
+    at 0 or below every field certifies, at nan none does."""
+    if not 0 < threshold < math.inf:
+        raise ConfigError("threshold: must be finite and positive")
     coverage = "grid+infinity" if field.infinity_slice is not None else "grid-only"
     return Verdict(certified_resonant=field.min_modulus >= threshold,
                    min_modulus=field.min_modulus, argmin=field.argmin,

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 import isores as iso
 from isores.errors import ConfigError, DomainError, NumericsError
 from isores.forcing import TWO_PI
-from isores.integrate import State, integrate_autonomous
+from isores.integrate import IntegratorConfig, State, integrate_autonomous
 from isores.autonomous import (ActionAngle, action_of_amplitude,
                                amplitude_of_action, asymmetric_psi_closed,
                                bouncing_limit_audit,
@@ -208,6 +208,15 @@ def test_from_action_angle_integrates_once(monkeypatch, pin, cfg):
                         lambda *a, **k: calls.append(1) or solve(*a, **k))
     from_action_angle(pin, ActionAngle(theta=2.2, action=0.7), cfg)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("theta, action", [(math.nan, 0.337), (math.inf, 0.337),
+                                           (1.0, math.nan), (1.0, math.inf)])
+def test_from_action_angle_rejects_non_finite_input(pin, theta, action):
+    # a nan angle made the flight time nan, and the solve spun to its budget
+    with pytest.raises(ConfigError, match="must be finite"):
+        from_action_angle(pin, ActionAngle(theta=theta, action=action),
+                          IntegratorConfig(max_steps=50))
 
 
 # -- Rofe-Beketov --------------------------------------------------------------

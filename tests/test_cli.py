@@ -199,6 +199,31 @@ def test_non_finite_inputs_are_config_errors(argv, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_periodic_find_non_finite_zero_angle_exits_at_once(capsys):
+    # the nan angle reached the seed's solve, which never finished
+    assert main(["periodic-find", "--potential", "pinney", "--forcing", "1+2*cos",
+                 "--eps", "0.01", "--zero-theta", "nan", "--zero-action", "0.337"]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi-scan", "--potential", "harmonic:1", "--forcing", "cos2t", "--threshold", "0"],
+    ["phi-scan", "--potential", "pinney", "--forcing", "1+2*cos", "--threshold", "-1"],
+    ["phi-scan", "--potential", "pinney", "--forcing", "sin", "--threshold", "nan"]],
+    ids=["zero-certified-phi-identically-0", "negative-certified-a-zero", "nan-never-certified"])
+def test_phi_scan_threshold_must_be_finite_and_positive(argv, capsys):
+    assert main(argv) == 1
+    assert "threshold: must be finite and positive" in capsys.readouterr().err
+
+
+def test_phi_scan_threshold_from_config_file_is_checked(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"potential": "harmonic:1", "forcing": "cos2t",
+                                  "threshold": 0.0}))
+    assert main(["phi-scan", "--config", str(config)]) == 1
+    assert "threshold: must be finite and positive" in capsys.readouterr().err
+
+
 def test_missing_required_parameter():
     assert main(["resonance-run", "--potential", "harmonic:1",
                  "--forcing", "sin"]) == 1

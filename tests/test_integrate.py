@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import RK45, solve_ivp
 
 import isores as iso
 from isores.errors import ConfigError, IntegrationError
@@ -351,3 +352,142 @@ def test_dense_table_constant_trajectory():
     assert np.array_equal(raw.eval(4.0), [0.5, -2.0])
     with pytest.raises(ValueError):
         raw.eval(5.0)
+
+
+# -- the unrolled step kernel -----------------------------------------------------
+
+(_, (_A21, *_), (_A31, _A32, *_), (_A41, _A42, _A43, *_),
+ (_A51, _A52, _A53, _A54, _), (_A61, _A62, _A63, _A64, _A65)) = RK45.A.tolist()
+_B1, _, _B3, _B4, _B5, _B6 = RK45.B.tolist()
+_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
+_, _C2, _C3, _C4, _C5, _ = RK45.C.tolist()
+
+
+def _dp_step_reference(fun, t, y, f, h, cfg):
+    """The list-based Dormand-Prince step the generated kernel replaces: the
+    reference for its arithmetic, term by term."""
+    k2 = fun(t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, f)])
+    k3 = fun(t + _C3 * h, [a + h * (_A31 * p + _A32 * q)
+                           for a, p, q in zip(y, f, k2)])
+    k4 = fun(t + _C4 * h, [a + h * (_A41 * p + _A42 * q + _A43 * r)
+                           for a, p, q, r in zip(y, f, k2, k3)])
+    k5 = fun(t + _C5 * h, [a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
+                           for a, p, q, r, s in zip(y, f, k2, k3, k4)])
+    k6 = fun(t + h, [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
+                     for a, p, q, r, s, u in zip(y, f, k2, k3, k4, k5)])
+    y_new = [a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * w)
+             for a, p, r, s, u, w in zip(y, f, k3, k4, k5, k6)]
+    f_new = fun(t + h, y_new)
+    sq = 0.0
+    for a, b, p, r, s, u, w, z in zip(y, y_new, f, k3, k4, k5, k6, f_new):
+        e = ((_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * w + _E7 * z) * h
+             / (cfg.abs_tol + max(abs(a), abs(b)) * cfg.rel_tol))
+        sq += e * e
+    return y_new, f_new, (f, k2, k3, k4, k5, k6, f_new), math.sqrt(sq / len(y))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+_coef = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _step_case(draw, n):
+    """A polynomial right-hand side y_i' = a_i t + sum_j b_ij y_j
+    + c_i y_i y_{i+1} and a step (t, y, f = fun(t, y), h) for it."""
+    a = draw(st.lists(_coef, min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(_coef, min_size=n, max_size=n), min_size=n, max_size=n))
+    c = draw(st.lists(_coef, min_size=n, max_size=n))
+
+    def fun(t, y):
+        return tuple(a[i] * t + sum(b[i][j] * y[j] for j in range(n))
+                     + c[i] * y[i] * y[(i + 1) % n] for i in range(n))
+    t = draw(st.floats(-10.0, 10.0))
+    y = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    h = draw(st.floats(1e-6, 0.5))
+    cfg = IntegratorConfig(rel_tol=draw(st.sampled_from([1e-10, 1e-6, 1e-3])),
+                           abs_tol=draw(st.sampled_from([1e-12, 1e-8, 1e-2])))
+    return fun, t, y, fun(t, y), h, cfg
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_list_step_bit_for_bit(n, data):
+    from isores.integrate import _stepper
+    fun, t, y, f, h, cfg = data.draw(_step_case(n))
+    y_new, f_new, stages, err = _stepper(n)(fun, t, y, f, h, cfg)
+    ref_y, ref_f, ref_stages, ref_err = _dp_step_reference(fun, t, y, f, h, cfg)
+    assert _bits(y_new) == _bits(ref_y)
+    assert _bits(f_new) == _bits(ref_f)
+    assert _bits(stages) == _bits(np.ravel(ref_stages))
+    assert _bits([err]) == _bits([ref_err])
+
+
+def test_forced_run_end_state_is_pinned(pin, sin_f, cfg):
+    # exact floats of the list-based step: any reordering of the step's
+    # arithmetic moves their last digits
+    d = iso.resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 20, cfg)
+    assert (d.final_state.x, d.final_state.v) == (-0.7549530348777969, 1.0999127446588444)
+    assert float(d.window_sup[-1]) == 4.048133755147269
+
+
+def test_periodic_find_state_is_pinned(pin, cfg):
+    # the README periodic-find example: 2-component seeding, 6-component Newton
+    from isores.dynamics import find_periodic_solution, seed_from_phi_zero
+    seed = seed_from_phi_zero(pin, 3.141592653589793, 0.337, cfg)
+    assert (seed.x, seed.v) == (-0.5271435109081402, -2.1794994303249438e-11)
+    sol = find_periodic_solution(pin, TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01, seed, cfg)
+    assert (float(sol.state.x), float(sol.state.v)) == (-0.5114233983715495,
+                                                        9.050767249243119e-10)
+    assert (sol.residual, sol.iterations) == (9.420128276716946e-13, 3)
+
+
+def test_rofe_beketov_three_component_solve_is_pinned(pin, cfg):
+    from isores.autonomous import dx_dI_rofe_beketov
+    assert dx_dI_rofe_beketov(pin, 2.0, [0.5, 2.0], cfg).tolist() == [
+        1.3064531952239145, 0.6972044397745695]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
+    # Pinney forced by a step (restarts at its breaks) with and without its
+    # variational pairs, and the Rofe-Beketov system (restarts at the kink)
+    from isores.autonomous import _rofe_raw
+    from isores.integrate import integrate_ode
+    calls = []
+    counted = lambda fun: lambda t, y: calls.append(1) or fun(t, y)
+    if n == 3:
+        monkeypatch.setattr(iso.autonomous, "integrate_ode",
+                            lambda fun, *a, **k: integrate_ode(counted(fun), *a, **k))
+        raw = _rofe_raw(iso.asymmetric(4.0, 4.0 / 9.0), 2.0, TWO_PI, cfg)
+    else:
+        y0 = [0.5, 0.2, 1.0, 0.0, 0.0, 1.0][:n]
+        step = PiecewiseConst(breakpoints=(0.0, 2.0), values=(1.0, -1.0))
+        fun, options = forced_system(pin, step, 0.1, y0, 0.0, 2 * TWO_PI, cfg)
+        raw = integrate_ode(counted(fun), y0, 0.0, 2 * TWO_PI, cfg, **options)
+    s = raw.stats
+    assert s["n_segments"] > 1 and s["n_steps"] > 0
+    assert s["nfev"] == len(calls)
+    assert s["nfev"] == 2 * s["n_segments"] + 6 * (s["n_steps"] + s["n_rejected"])
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0),
+                                    (0.0, math.inf), (-math.inf, 0.0)])
+def test_non_finite_time_span_is_rejected(t0, t1):
+    # a nan end compares False with every time, so the step loop ran to the
+    # step budget; a non-finite start made every step nan and rejected, with
+    # no budget at all.  The right-hand side gives up after 1000 calls, so a
+    # loop that does not stop fails here instead of hanging.
+    from isores.integrate import integrate_ode
+    calls = []
+
+    def fun(t, y):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise RuntimeError("the step loop did not stop")
+        return (y[1], -y[0])
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_ode(fun, [1.0, 0.0], t0, t1, IntegratorConfig(max_steps=50))

@@ -161,15 +161,18 @@ def test_homogeneous_scans_share_one_profile(monkeypatch, cfg, har):
     assert (len(solves), len(quads)) == (0, 2)
 
 
-def test_eval_phi_reuses_the_scan_profile(monkeypatch, cfg):
-    import isores.autonomous
+def test_eval_phi_reuses_the_scan_profile(cfg):
+    # the asymmetric psi is a closed form, so the cache shows in its
+    # statistics, not in a count of ODE solves
     import isores.phi
     isores.phi._profile.cache_clear()
     field = phi_scan(iso.asymmetric(4.0, 4.0 / 9.0), PiecewiseConst((0.5, 2.0), (1.0, 4.0)),
                      32, default_r_grid(1e3, 8), cfg)
-    solves = _count_calls(monkeypatch, isores.autonomous, "integrate_ode")
+    scanned = isores.phi._profile.cache_info()
+    assert scanned.misses == 1
     winding_number(field, (0.1, 3.0, 0.5, 50.0))
-    assert solves == []
+    wound = isores.phi._profile.cache_info()
+    assert wound.misses == scanned.misses and wound.hits > scanned.hits
 
 
 # -- batched quadrature ----------------------------------------------------------
