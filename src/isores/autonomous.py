@@ -7,14 +7,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConfigError, DomainError, NumericsError
-from .forcing import TWO_PI
+from .forcing import TWO_PI, _quad_checked
 from .integrate import (IntegratorConfig, RawSolution, State, StepTable,
                         Trajectory, _clamp, _standard_events, forced_system,
                         integrate_autonomous, integrate_ode)
@@ -225,7 +223,7 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
         w0 = math.sqrt(float(pot.d2v(0.0)))
         return VariationalSolution(pot, 0.0, t1, lin_freq=w0)
     y0 = [r, 0.0, 1.0, 0.0, 0.0, 1.0]
-    fun, options = forced_system(pot, None, 0.0, y0, 0.0, t1, cfg, record_events=False)
+    fun, options = forced_system(pot, None, 0.0, y0, 0.0, t1, cfg)
     raw = integrate_ode(fun, y0, 0.0, t1, cfg, **options)
     return VariationalSolution(pot, float(r), t1, raw=raw)
 
@@ -237,21 +235,6 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
 class ActionAngle:
     theta: float
     action: float
-
-
-def _quad_checked(integrand, a, b, points=None, hard_tol=1e-5):
-    """Adaptive quadrature whose convergence is judged by the achieved error
-    estimate rather than QUADPACK's roundoff heuristics (near-center orbits
-    hit the noise floor of E - V(x) long before 1e-12; the estimate is still
-    orders of magnitude inside every stated tolerance)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, abserr = quad(integrand, a, b, points=points,
-                           epsabs=1e-12, epsrel=1e-11, limit=800)
-    if abserr > hard_tol * max(1.0, abs(val)):
-        raise NumericsError(
-            f"quadrature failed: estimated error {abserr:.2e} on [{a}, {b}]")
-    return val
 
 
 def _area_integral(pot: PotentialSpec, energy: float, x_lo: float, x_hi: float) -> float:
@@ -344,7 +327,7 @@ def _rofe_raw(pot: PotentialSpec, r: float, t_max: float, cfg: IntegratorConfig)
         w = (1.0 - float(d2v(x))) * (v2 - a2) / (v2 + a2) ** 2
         return (y[1], acc, w)
 
-    _, kink, guard = _standard_events(pot, cfg)
+    kink, guard = _standard_events(pot, cfg)
     return integrate_ode(rhs, [r, 0.0, 0.0], 0.0, t_max, cfg, kink=kink, guard=guard)
 
 

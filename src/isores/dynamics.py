@@ -82,9 +82,9 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     diagnostics with verdict "inconclusive", partial=True and its message in
     stop_reason.
 
-    Each window is one integrate_forced call without the crossing-event log,
-    which nothing here reads; its supremum is taken over the step knots and
-    samples_per_window uniform times, evaluated in one dense-output call.
+    Each window is one integrate_forced call; its supremum is taken over the
+    step knots and samples_per_window uniform times, evaluated in one
+    dense-output call.
     """
     if n_periods < 10:
         raise ValueError("resonance_run: need n_periods >= 10")
@@ -103,7 +103,7 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
         t0, t1 = k * TWO_PI, (k + 1) * TWO_PI
         try:
             traj = integrate_forced(pot, f, eps, state, t0, t1, cfg,
-                                    check_envelope=False, record_events=False)
+                                    check_envelope=False)
         except IntegrationError as exc:
             stop_reason = str(exc)
             break
@@ -134,7 +134,7 @@ def stroboscopic_map(pot: PotentialSpec, f: ForcingTerm, eps: float,
                      s: State, cfg: IntegratorConfig) -> State:
     """State at t = 2*pi of the forced flow started from s at t = 0."""
     traj = integrate_forced(pot, f, eps, s, 0.0, TWO_PI, cfg,
-                            check_envelope=False, record_events=False)
+                            check_envelope=False)
     return traj.end_state()
 
 
@@ -152,7 +152,7 @@ def _newton_system(pot: PotentialSpec, f: ForcingTerm, eps: float, s: State,
     """G(s) = P(s) - s for the period map P, and G's Jacobian M - I: one
     forced variational solve, the monodromy matrix M = [[u, w], [u', w']]."""
     y0 = [s.x, s.v, 1.0, 0.0, 0.0, 1.0]
-    fun, options = forced_system(pot, f, eps, y0, 0.0, TWO_PI, cfg, record_events=False)
+    fun, options = forced_system(pot, f, eps, y0, 0.0, TWO_PI, cfg)
     x, v, u, du, w, dw = integrate_ode(fun, y0, 0.0, TWO_PI, cfg, **options).ys[-1]
     return np.array([x - s.x, v - s.v]), np.array([[u - 1.0, w], [du, dw - 1.0]])
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,25 +187,40 @@ def eval_forcing(f: ForcingTerm, t):
     return f.eval(t)
 
 
-def _segments(f, a, b):
-    """Partition [a, b] at every smoothness breakpoint of f."""
+def tiled_split_points(f: ForcingTerm, a: float, b: float):
+    """f's smoothness breakpoints pts + k*2*pi over every period that meets
+    [a, b], and one more on each side, unsorted."""
     pts = f.split_points()
-    if pts.size == 0:
-        return [(a, b)]
     k0 = math.floor(a / TWO_PI) - 1
     k1 = math.ceil(b / TWO_PI) + 1
-    all_pts = np.concatenate([pts + k * TWO_PI for k in range(k0, k1 + 1)])
-    inner = np.sort(all_pts[(all_pts > a + 1e-13) & (all_pts < b - 1e-13)])
+    return np.concatenate([pts + k * TWO_PI for k in range(k0, k1 + 1)])
+
+
+def _segments(f, a, b):
+    """Partition [a, b] at every smoothness breakpoint of f."""
+    pts = tiled_split_points(f, a, b)
+    inner = np.sort(pts[(pts > a + 1e-13) & (pts < b - 1e-13)])
     knots = np.concatenate([[a], inner, [b]])
     return list(zip(knots[:-1], knots[1:]))
 
 
+def _quad_checked(integrand, a, b, points=None, hard_tol=1e-5):
+    """Adaptive quadrature whose convergence is judged by the achieved error
+    estimate, not by QUADPACK's roundoff heuristics (near-center orbits hit
+    the noise floor of E - V(x) long before 1e-12, the estimate still orders
+    of magnitude inside every stated tolerance): NumericsError above hard_tol."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, abserr = quad(integrand, a, b, points=points,
+                           epsabs=1e-12, epsrel=1e-11, limit=800)
+    if abserr > hard_tol * max(1.0, abs(val)):
+        raise NumericsError(
+            f"quadrature failed: estimated error {abserr:.2e} on [{a}, {b}]")
+    return val
+
+
 def _quad_segments(g, f, a, b):
-    total = 0.0
-    for lo, hi in _segments(f, a, b):
-        val, _ = quad(g, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=400)
-        total += val
-    return total
+    return sum(_quad_checked(g, lo, hi) for lo, hi in _segments(f, a, b))
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,4 +1,4 @@
-"""Adaptive ODE integration with dense output, event logging, splitting at
+"""Adaptive ODE integration with dense output, crossing events, splitting at
 forcing discontinuities and potential kinks, and a hard guard near singular
 endpoints.  One step loop over Python floats runs the Dormand-Prince 5(4)
 pair (J. Comput. Appl. Math. 6, 1980) with the controller and starting-step
@@ -13,10 +13,10 @@ itself is generated once per state size n (_stepper): the stage sums are
 written out over scalar locals, with no list built per stage, and keep the
 terms and the order of a loop over components (the tests' reference step),
 so the results are the same to the bit.  After each accepted step the step
-budget, the singularity guard, the kink and the recorded events are float
-comparisons at the step's ends; only a sign change is root-found on the
-step's interpolant, so the v=0 and x=0 crossings are logged only for
-callers that read them (``record_events``).  Each step keeps its 7 stage
+budget, the singularity guard and the kink are float comparisons at the
+step's ends; only a sign change of the guard or the kink, which end a step,
+is root-found on the step's interpolant.  The v=0 and x=0 crossings are
+found when RawSolution.events is first read.  Each step keeps its 7 stage
 rows; the dense output (StepTable) is built from them in one array product
 at the end, and RawSolution.eval evaluates any number of times in one array
 operation.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,7 @@ from scipy.integrate import RK45
 from scipy.optimize import brentq
 
 from .errors import ConfigError, IntegrationError
-from .forcing import ForcingTerm, TWO_PI, abs_integral
+from .forcing import ForcingTerm, abs_integral, tiled_split_points
 from .potentials import PotentialSpec
 
 
@@ -90,12 +90,30 @@ class RawSolution:
     row is picked as scipy's OdeSolution picks its interpolant.
     """
 
-    def __init__(self, ts, ys, steps: StepTable, events, stats):
+    def __init__(self, ts, ys, steps: StepTable, log, stats):
         self.ts = np.asarray(ts)
         self.ys = np.asarray(ys)
         self.steps = steps
-        self.events = events              # list of Event, time-ordered
+        self._log = log                   # Events logged while stepping
         self.stats = stats
+
+    @cached_property
+    def events(self):
+        """The logged breaks and guard stop and every v=0 and x=0 crossing in
+        time order (ties: v_zero, x_zero, log).  A sign change between knots
+        is root-found on its step's interpolant, as the loop finds the kink."""
+        found, tab = [(e.t, 2, e.kind) for e in self._log], self.steps
+        for rank, c, kind in ((0, 1, "v_zero"), (1, 0, "x_zero")):
+            sign = np.sign(self.ys[:, c])
+            # a zero on a knot counts once, and never for a component that is 0
+            arrive = (sign == 0) & np.append(sign.any(), sign[:-1] != 0)
+            found += [(t, rank, kind) for t in self.ts[arrive].tolist()]
+            for k in np.flatnonzero(sign[:-1] * sign[1:] < 0).tolist():
+                t_old, h = float(tab.t_old[k]), float(tab.h[k])
+                y_at = _interpolant(t_old, h, tab.y_old[k].tolist(), tab.coef[k])
+                found.append((brentq(lambda t: y_at(t)[c], t_old, t_old + h,
+                                     xtol=_ROOT_TOL, rtol=_ROOT_TOL), rank, kind))
+        return [Event(kind, t) for t, _, kind in sorted(found)]
 
     @property
     def t0(self):
@@ -191,33 +209,33 @@ def _initial_step(fun, t, y, f, span, cfg):
     return min(100 * h0, h1, span)
 
 
-def _interpolant(t_old, h, y_old, stages):
-    """The step's quartic dense output t -> y(t) over floats."""
-    coef = (_PT @ np.array(stages).reshape(7, -1)).T.tolist()
+def _interpolant(t_old, h, y_old, coef):
+    """The step's quartic dense output t -> y(t) over floats; coef: (4, n)."""
+    columns = coef.T.tolist()
 
     def y_at(t):
         s = (t - t_old) / h
         return [a + h * s * (c1 + s * (c2 + s * (c3 + s * c4)))
-                for a, (c1, c2, c3, c4) in zip(y_old, coef)]
+                for a, (c1, c2, c3, c4) in zip(y_old, columns)]
     return y_at
 
 
 def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
-                  record=(), kink=None, guard=None) -> RawSolution:
+                  kink=None, guard=None) -> RawSolution:
     """Integrate y' = fun(t, y) over [t0, t1] with dense output; fun maps a
     list of floats to a sequence of floats.
 
     breakpoints -- interior times where the step grid must restart (logged
                    as ``forcing_break`` events);
-    record      -- (kind, g(t, y)) pairs logged, non-terminating, with event
-                   times refined on the dense interpolant to root precision;
     kink        -- g(t, y) whose zero crossings force a restart so that no
-                   step straddles them (logged as ``x_zero``);
+                   step straddles them;
     guard       -- (kind, g(t, y)): downward crossing aborts with the partial
                    trajectory attached to the raised IntegrationError.
 
-    Each restart re-runs the starting-step rule, as a new solve_ivp call
-    would, so nfev = 2 n_segments + 6 (n_steps + n_rejected).
+    The earliest kink or guard root on the step's interpolant ends the step;
+    v=0 and x=0 crossings are found when RawSolution.events is read.  Each
+    restart re-runs the starting-step rule, as a new solve_ivp call would, so
+    nfev = 2 n_segments + 6 (n_steps + n_rejected).
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("integrate_ode: t0 and t1 must be finite")
@@ -227,7 +245,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                     if t0 + 1e-12 < b < t1 - 1e-12] + [t1]
     y = np.asarray(y0, dtype=float).tolist()
     step = _stepper(len(y))
-    ts, ys, rows, events = [t0], [y], [], []    # rows: (t_old, h, stages)
+    ts, ys, rows, log = [t0], [y], [], []       # rows: (t_old, h, stages)
     stats = {"n_steps": 0, "nfev": 0, "n_segments": 0, "n_rejected": 0}
 
     def solution():
@@ -235,7 +253,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
         coef = _PT @ np.array(stages, dtype=float).reshape(-1, 7, len(y))
         steps = StepTable(np.array(t_old), np.array(h),
                           np.array(ys[:-1]).reshape(-1, len(y)), coef)
-        return RawSolution(np.array(ts), np.array(ys), steps, events, stats)
+        return RawSolution(np.array(ts), np.array(ys), steps, log, stats)
 
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
@@ -248,15 +266,15 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
         stats["nfev"] += 2
         f = fun(ta, y)
         h_abs = _initial_step(fun, ta, y, f, tb - ta, cfg)
-        watch = [(kind, g, 0.0) for kind, g in record]       # (kind, g, direction)
+        watch = []         # (g, direction) of the crossings that end a step
         if armed:
             if kdir is None:   # leave x's side, or at x = 0 the side it moves to
                 kdir = -1.0 if (kink(ta, y) or y[1] or fun(ta, y)[1]) > 0 else 1.0
-            watch.append(("x_zero", kink, kdir))
+            watch.append((kink, kdir))
         if guard is not None:
-            watch.append((*guard, -1.0))
+            watch.append((guard[1], -1.0))
         i_guard = len(watch) - 1 if guard is not None else -1
-        g_old = [g(ta, y) for _, g, _ in watch]
+        g_old = [g(ta, y) for g, _ in watch]
         t, advance = ta, False
         while True:        # one accepted step per pass
             min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -279,21 +297,16 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                 stats["n_rejected"] += 1
 
             stop, t_end, y_end, g_new, hits = None, t_new, y_new, g_old, ()
-            if watch:      # scipy's test: a sign change in the event's direction
-                g_new = [g(t_new, y_new) for _, g, _ in watch]
-                hits = [i for i, (a, b, (_, _, d)) in enumerate(zip(g_old, g_new, watch))
-                        if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
-            if hits:       # root-find the crossings on the step's interpolant
-                dense = _interpolant(t, h, y, stages)
-                roots = sorted((brentq(lambda s, g=watch[i][1]: g(s, dense(s)),
-                                       t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
-                               for i in hits)
-                for te, i in roots:
-                    if i != i_guard and (te > ta + 1e-12 or stats["n_segments"] == 1):
-                        events.append(Event(watch[i][0], te))
-                    if i >= len(record):    # the kink or the guard ends the step
-                        stop, t_end, y_end = i, te, dense(te)
-                        break
+            if watch:      # scipy's test: a sign change in the direction d = +-1
+                g_new = [g(t_new, y_new) for g, _ in watch]
+                hits = [i for i, (a, b, (_, d)) in enumerate(zip(g_old, g_new, watch))
+                        if d * a <= 0 <= d * b]
+            if hits:       # the earliest root on the step's interpolant ends it
+                y_at = _interpolant(t, h, y, _PT @ np.array(stages).reshape(7, -1))
+                t_end, stop = min((brentq(lambda s, g=watch[i][0]: g(s, y_at(s)),
+                                          t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
+                                  for i in hits)
+                y_end = y_at(t_end)
             ts.append(t_end)
             ys.append(y_end)
             rows.append((t, h, stages))
@@ -301,7 +314,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
             if stats["n_steps"] > cfg.max_steps:
                 fail(f"step budget exceeded ({stats['n_steps']} > {cfg.max_steps})")
             if stop == i_guard:
-                events.append(Event(guard[0], t_end))
+                log.append(Event(guard[0], t_end))
                 fail(f"{guard[0]} reached at t = {t_end}")
             if stop is not None:        # kink crossing: restart so no step straddles it
                 y = y_end
@@ -326,7 +339,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
             if i_stop == len(stops) - 1:
                 return solution()
             ta, tb = stops[i_stop], stops[i_stop + 1]
-            events.append(Event("forcing_break", ta))
+            log.append(Event("forcing_break", ta))
             armed, kdir = kink is not None, None
 
 
@@ -383,37 +396,23 @@ def _clamp(pot: PotentialSpec):
 
 
 def _standard_events(pot: PotentialSpec, cfg: IntegratorConfig):
-    record = [("v_zero", lambda t, y: y[1])]
-    kink = None
-    if pot.kink_at_zero:
-        kink = lambda t, y: y[0]
-    else:
-        record.append(("x_zero", lambda t, y: y[0]))
-    guard = None
-    if pot.singular_left:
-        thresh = pot.domain_left + cfg.singularity_margin
-        guard = ("singularity", lambda t, y: y[0] - thresh)
-    return record, kink, guard
+    kink = (lambda t, y: y[0]) if pot.kink_at_zero else None
+    thresh = pot.domain_left + cfg.singularity_margin
+    guard = ("singularity", lambda t, y: y[0] - thresh) if pot.singular_left else None
+    return kink, guard
 
 
 def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
-                  t1: float, cfg: IntegratorConfig, record_events: bool = True):
+                  t1: float, cfg: IntegratorConfig):
     """(fun, options) for integrate_ode(fun, y0, t0, t1, cfg, **options):
     x'' = -V'(x) + eps*p(t) from y0 = (x, v), or from (x, v, u, u', w, w')
     with the variational equation u'' = -V''(x) u.  The options split the
-    steps at p's breaks and at a kink, guard a singular endpoint (stages past
-    it see V at the clamp a + 1e-13, which no accepted step reaches) and,
-    with record_events, log the v=0 and x=0 crossings."""
+    steps at p's breaks and at a kink, and guard a singular endpoint (stages
+    past it see V at the clamp a + 1e-13, which no accepted step reaches)."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     pot.v(y0[0])  # domain check
-    breaks = []
-    pts = f.split_points() if eps != 0.0 else np.empty(0)
-    if pts.size:
-        k0 = math.floor(t0 / TWO_PI) - 1
-        k1 = math.ceil(t1 / TWO_PI) + 1
-        breaks = np.concatenate([pts + k * TWO_PI for k in range(k0, k1 + 1)])
-        breaks = breaks[(breaks > t0) & (breaks < t1)]
+    breaks = tiled_split_points(f, t0, t1) if eps != 0.0 else ()
     dv, d2v, clamp = pot._dv, pot._d2v, _clamp(pot)
 
     if eps == 0.0 or f is None:
@@ -438,41 +437,36 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
             a = float(d2v(y[0] if clamp is None else max(y[0], clamp)))
             return (*phase(t, y), y[3], -a * y[2], y[5], -a * y[4])
 
-    record, kink, guard = _standard_events(pot, cfg)
-    return rhs, {"breakpoints": breaks, "record": record if record_events else (),
-                 "kink": kink, "guard": guard}
+    kink, guard = _standard_events(pot, cfg)
+    return rhs, {"breakpoints": breaks, "kink": kink, "guard": guard}
 
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,
                          cfg: IntegratorConfig) -> Trajectory:
     """Solve x'' = -V'(x) from s0 over [t0, t1].
 
-    Logs x=0 and v=0 crossing events (times refined on the dense output to
-    well below 1e-12); potentials with a kink at x=0 restart the step there
-    so the discontinuous V'' never degrades the order.  Raises
-    IntegrationError (carrying the partial trajectory) if the step budget is
-    exhausted or the orbit reaches domain_left + singularity_margin.
+    Its x=0 and v=0 crossings are found when its events are read, refined
+    on the dense output to well below 1e-12; potentials with a kink at x=0
+    restart the step there so the discontinuous V'' never degrades the order.
+    Raises IntegrationError (carrying the partial trajectory) if the step
+    budget is exhausted or the orbit reaches domain_left + singularity_margin.
     """
     return integrate_forced(pot, None, 0.0, s0, t0, t1, cfg)
 
 
 def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
                      t0: float, t1: float, cfg: IntegratorConfig,
-                     check_envelope: bool = True, *,
-                     record_events: bool = True) -> Trajectory:
+                     check_envelope: bool = True) -> Trajectory:
     """Solve x'' = -V'(x) + eps*p(t).
 
     Steps never straddle a discontinuity of p: the grid is split there and a
     ``forcing_break`` event is logged at every breakpoint.  With eps = 0 the
     forcing is inert and this is integrate_autonomous.  When check_envelope
     is set, the a-priori bound |sqrt(E(t1)) - sqrt(E(t0))| <= |eps|/sqrt(2)
-    * int |p| is verified at the endpoint (slack 1e-6).  record_events=False
-    skips the v=0 and x=0 crossing log, which costs root-finding work on
-    every step; the kink restarts, the singularity guard and therefore every
-    step are unchanged.
+    * int |p| is verified at the endpoint (slack 1e-6).
     """
     y0 = [s0.x, s0.v]
-    fun, options = forced_system(pot, f, eps, y0, t0, t1, cfg, record_events)
+    fun, options = forced_system(pot, f, eps, y0, t0, t1, cfg)
     raw = integrate_ode(fun, y0, t0, t1, cfg, **options)
     traj = Trajectory(raw)
     if check_envelope and eps != 0.0 and t0 >= 0:

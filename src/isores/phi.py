@@ -286,7 +286,11 @@ class PhiField:
 
 
 def default_r_grid(r_max: float = 1e3, n: int = 60):
-    """r = 0 plus a log-spaced ladder up to r_max."""
+    """r = 0 plus a log-spaced ladder of n - 1 amplitudes up to r_max."""
+    if not 0 < r_max < math.inf:
+        raise ConfigError("r_max: must be finite and positive")
+    if n < 1:
+        raise ConfigError("r_points: must be >= 1")
     return np.concatenate([[0.0], np.logspace(-2, math.log10(r_max), n - 1)])
 
 

@@ -224,6 +224,26 @@ def test_phi_scan_threshold_from_config_file_is_checked(tmp_path, capsys):
     assert "threshold: must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r_max", ["nan", "inf", "0", "-5"])
+def test_phi_scan_r_max_must_be_finite_and_positive(r_max, capsys):
+    # nan put nan amplitudes in the grid and certified; 0 and -5 failed with
+    # a bare "math domain error"
+    assert main(["phi-scan", "--potential", "harmonic:1", "--forcing", "sin",
+                 "--r-max", r_max]) == 1
+    assert "r_max: must be finite and positive" in capsys.readouterr().err
+
+
+def test_phi_scan_grid_from_config_file_is_checked(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"potential": "asymmetric:4:0.4444444444444444",
+                                  "forcing": "sin", "r_max": float("nan")}))
+    assert main(["phi-scan", "--config", str(config)]) == 1
+    assert "r_max: must be finite and positive" in capsys.readouterr().err
+    assert main(["phi-scan", "--potential", "pinney", "--forcing", "sin",
+                 "--r-points", "0"]) == 1
+    assert "r_points: must be >= 1" in capsys.readouterr().err
+
+
 def test_missing_required_parameter():
     assert main(["resonance-run", "--potential", "harmonic:1",
                  "--forcing", "sin"]) == 1

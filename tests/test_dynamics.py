@@ -56,8 +56,8 @@ def test_resonance_run_budget_holds_at_the_crossing_step(pin, sin_f):
 ])
 def test_resonance_run_steps_match_recorded_chain(pot, start, sin_f, cfg,
                                                   monkeypatch):
-    # the run integrates without the crossing-event log; every step, and so
-    # the end state, is the same as a chain of fully recorded windows
+    # every step, every event and so the end state of the run's windows are
+    # those of a chain of integrate_forced calls made directly
     runs = []
     real = dynamics.integrate_forced
 
@@ -68,12 +68,12 @@ def test_resonance_run_steps_match_recorded_chain(pot, start, sin_f, cfg,
     monkeypatch.setattr(dynamics, "integrate_forced", recording)
     diag = resonance_run(pot, sin_f, 0.05, start, 10, cfg)
     assert len(runs) == 10
-    assert not any(traj.events_of("v_zero") for traj in runs)
     state = start
     for k, traj in enumerate(runs):
         chain = integrate_forced(pot, sin_f, 0.05, state, k * TWO_PI,
                                  (k + 1) * TWO_PI, cfg, check_envelope=False)
         assert chain.events_of("v_zero")
+        assert chain.events == traj.events
         assert chain.stats["n_steps"] == traj.stats["n_steps"]
         assert np.array_equal(chain.knot_times, traj.knot_times)
         assert np.array_equal(chain.knot_states, traj.knot_states)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -491,3 +493,75 @@ def test_non_finite_time_span_is_rejected(t0, t1):
         return (y[1], -y[0])
     with pytest.raises(ValueError, match="must be finite"):
         integrate_ode(fun, [1.0, 0.0], t0, t1, IntegratorConfig(max_steps=50))
+
+
+# -- crossing events, found when read ---------------------------------------------
+
+_TOLERANCES = {"default": IntegratorConfig(),
+               "loose": IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)}
+
+
+def _pinned_run(name, cfg):
+    pin, asym = iso.pinney(), iso.asymmetric(4.0, 4.0 / 9.0)
+    step = PiecewiseConst(breakpoints=(0.0, math.pi / 2), values=(1.0, 4.0),
+                          period=math.pi)
+    if name == "pinney-autonomous":
+        return integrate_autonomous(pin, State(2.0, 0.0), 0.0, 3 * TWO_PI, cfg)
+    if name == "pinney-sin":
+        return integrate_forced(pin, TrigPoly(sin_coeffs=(1.0,)), 0.05,
+                                State(1.0, 0.0), 0.0, 3 * TWO_PI, cfg)
+    if name == "asymmetric-autonomous":
+        return integrate_autonomous(asym, State(1.0, 0.0), 0.0, 2 * TWO_PI, cfg)
+    if name == "asymmetric-forced":
+        return integrate_forced(asym, TrigPoly(a0=0.2, cos_coeffs=(1.0,)), 0.1,
+                                State(1.0, 0.0), 0.0, 3 * TWO_PI, cfg)
+    if name == "tangency-start":
+        return integrate_autonomous(asym, State(1e-20, -1.0), 0.0, TWO_PI, cfg)
+    if name == "pinney-step":
+        return integrate_forced(pin, step, 0.05, State(1.0, 0.0), 0.0, 2 * TWO_PI, cfg)
+    assert name == "singularity-guard"
+    guard_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                                 singularity_margin=0.3)
+    with pytest.raises(IntegrationError) as exc:
+        integrate_autonomous(pin, State(0.5, -2.0), 0.0, TWO_PI, guard_cfg)
+    return exc.value.trajectory
+
+
+_PINNED_EVENTS = json.loads(Path(__file__).with_name("pinned_events.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_EVENTS))
+def test_events_are_pinned(key):
+    # kind and exact time of every event as the step loop found them when it
+    # root-found each crossing while stepping: the crossings found on read,
+    # each on its own step's interpolant, are the same floats
+    name, tol = key.split("/")
+    events = _pinned_run(name, _TOLERANCES[tol]).events
+    assert [[e.kind, float(e.t).hex()] for e in events] == _PINNED_EVENTS[key]
+
+
+def test_crossings_are_root_found_only_when_read(monkeypatch):
+    import isores.integrate
+    calls = []
+    real = isores.integrate.brentq
+    monkeypatch.setattr(isores.integrate, "brentq",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    traj = integrate_autonomous(iso.pinney(), State(2.0, 0.0), 0.0, 3 * TWO_PI,
+                                IntegratorConfig())
+    assert calls == []
+    crossings = traj.events_of("v_zero") + traj.events_of("x_zero")
+    # one root search per crossing inside a step; the one at t = 0 is a knot
+    assert len(calls) == len(crossings) - 1 == 12
+    traj.events_of("v_zero")
+    assert len(calls) == 12                      # found once, then cached
+
+
+def test_knot_zeros_count_once_and_rest_points_cross_nothing():
+    from isores.autonomous import _constant_trajectory
+    from isores.integrate import Event, RawSolution, StepTable
+    assert _constant_trajectory([0.0, 0.0], 0.0, TWO_PI).events == []
+    # x lands on 0 exactly at the middle knot, then leaves it; v never crosses
+    ts, ys = np.array([0.0, 1.0, 2.0]), np.array([[1.0, -1.0], [0.0, -1.0], [-1.0, -1.0]])
+    steps = StepTable(ts[:2], np.ones(2), ys[:2], np.zeros((2, 4, 2)))
+    raw = RawSolution(ts, ys, steps, [], {})
+    assert raw.events == [Event("x_zero", 1.0)]
