@@ -4,8 +4,7 @@ forced isochronous oscillators."""
 from .errors import (ConfigError, DomainError, IntegrationError, IsoresError,
                      NumericsError)
 from .forcing import (ForcingTerm, PiecewiseConst, Sampled, TrigPoly,
-                      eval_forcing, forcing_from_descriptor,
-                      fourier_coefficient, l1_norm)
+                      forcing_from_descriptor, fourier_coefficient, l1_norm)
 from .potentials import (PotentialSpec, appendix_audit, asymmetric, custom,
                          harmonic, pinney, potential_from_descriptor,
                          sigma_map)

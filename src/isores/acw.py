@@ -8,9 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 from .integrate import IntegratorConfig, integrate_ode
 
 
@@ -60,6 +58,8 @@ def acw_first_integral(s: AcwState) -> float:
 def acw_orbit(c: float, s0: AcwState, n_steps: int):
     """Iterates (x_n, y_n) of the Poincare map; geometric in n because the
     growth factor Pi is itself a first integral."""
+    if not 0 < c < math.inf:
+        raise ConfigError("c: must be finite and positive")
     if n_steps < 1:
         raise ValueError("acw_orbit: n_steps must be >= 1")
     out = [s0]
@@ -68,22 +68,6 @@ def acw_orbit(c: float, s0: AcwState, n_steps: int):
         s = acw_poincare(c, s)
         out.append(s)
     return out
-
-
-def acw_exact_orbit(c: float, s0: AcwState, n_steps: int):
-    """Closed geometric form of the orbit: (x0 Pi^n, y0 Pi^-n)."""
-    q = s0.x * s0.x * s0.y * s0.y
-    pi_factor = math.sqrt((q + c) / (q + 1.0))
-    return [AcwState(s0.x * pi_factor ** n, s0.y * pi_factor ** -n)
-            for n in range(n_steps + 1)]
-
-
-def pinney_unit_solution(lam: float, s0: AcwState, t):
-    """Explicit solution of x'' + x = lam/x^3 through (x0, y0):
-    x(t) = sqrt((x0 cos t + y0 sin t)^2 + lam sin^2 t / x0^2)."""
-    t = np.asarray(t, dtype=float)
-    base = s0.x * np.cos(t) + s0.y * np.sin(t)
-    return np.sqrt(base ** 2 + lam * np.sin(t) ** 2 / s0.x ** 2)
 
 
 @dataclass(frozen=True)

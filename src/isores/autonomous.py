@@ -244,14 +244,12 @@ def _area_integral(pot: PotentialSpec, energy: float, x_lo: float, x_hi: float) 
     h = 0.5 * (x_hi - x_lo)
 
     def integrand(u):
-        val = 2.0 * (energy - float(pot.v(c + h * math.sin(u))))
-        return math.sqrt(max(val, 0.0)) * h * math.cos(u)
+        val = 2.0 * (energy - pot.v(c + h * np.sin(u)))
+        return np.sqrt(np.maximum(val, 0.0)) * h * np.cos(u)
 
-    points = None
-    if pot.kink_at_zero and x_lo < 0.0 < x_hi:
-        points = [math.asin(max(-1.0, min(1.0, -c / h)))]
-    return _quad_checked(integrand, -0.5 * math.pi, 0.5 * math.pi,
-                         points=points)
+    kink = pot.kink_at_zero and x_lo < 0.0 < x_hi
+    points = [math.asin(max(-1.0, min(1.0, -c / h)))] if kink else ()
+    return _quad_checked(integrand, -0.5 * math.pi, 0.5 * math.pi, points)
 
 
 def action_of_amplitude(pot: PotentialSpec, r: float) -> float:
@@ -366,9 +364,8 @@ def negative_semiperiod(pot: PotentialSpec, action: float) -> float:
     r_neg = inverse_V_negative(pot, energy)
 
     def integrand(u):
-        x = r_neg * (1.0 - u * u)
-        val = energy - float(pot.v(x))
-        return 2.0 * abs(r_neg) * u / math.sqrt(max(val, 1e-300))
+        val = energy - pot.v(r_neg * (1.0 - u * u))
+        return 2.0 * abs(r_neg) * u / np.sqrt(np.maximum(val, 1e-300))
 
     return math.sqrt(2.0) * _quad_checked(integrand, 0.0, 1.0)
 
@@ -452,20 +449,3 @@ def bouncing_limit_audit(pot: PotentialSpec, I_list, cfg: IntegratorConfig,
                                      dxdI_at_0=float(sqrt_i * dxdi[0])))
     return records
 
-
-# ---------------------------------------------------------------------------
-# CSV emitters
-
-def write_orbit_csv(orbit: AutonomousOrbit, path, n_samples: int = 1001):
-    from .io import write_csv
-    t = np.linspace(0.0, orbit.period, n_samples)
-    x, v = orbit.trajectory.eval(t)
-    return write_csv(path, ["t", "x", "v"], np.column_stack([t, x, v]))
-
-
-def write_variational_csv(vs: VariationalSolution, path, n_samples: int = 1001):
-    from .io import write_csv
-    t = np.linspace(0.0, vs.t1, n_samples)
-    p = vs._parts(t)
-    return write_csv(path, ["t", "u", "du", "v", "dv"],
-                     np.column_stack([t, p[2], p[3], p[4], p[5]]))

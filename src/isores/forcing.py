@@ -1,15 +1,14 @@
 """2*pi-periodic forcing terms: trigonometric polynomials, piecewise-constant
-profiles and sampled signals, plus their L1 norms and Fourier data."""
+profiles and sampled signals, their L1 norms and Fourier data, and the one
+adaptive quadrature of the package (adaptive_complex_quad)."""
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConfigError, NumericsError
 
@@ -182,11 +181,6 @@ class Sampled(ForcingTerm):
         return {"kind": "sampled", "values": list(self.values)}
 
 
-def eval_forcing(f: ForcingTerm, t):
-    """Value of the forcing at time t (scalar or array), 2*pi-periodically."""
-    return f.eval(t)
-
-
 def tiled_split_points(f: ForcingTerm, a: float, b: float):
     """f's smoothness breakpoints pts + k*2*pi over every period that meets
     [a, b], and one more on each side, unsorted."""
@@ -196,38 +190,95 @@ def tiled_split_points(f: ForcingTerm, a: float, b: float):
     return np.concatenate([pts + k * TWO_PI for k in range(k0, k1 + 1)])
 
 
-def _segments(f, a, b):
-    """Partition [a, b] at every smoothness breakpoint of f."""
-    pts = tiled_split_points(f, a, b)
-    inner = np.sort(pts[(pts > a + 1e-13) & (pts < b - 1e-13)])
-    knots = np.concatenate([[a], inner, [b]])
-    return list(zip(knots[:-1], knots[1:]))
+def _partition(a, b, points=()):
+    """a, the points strictly inside (a, b) in order, and b."""
+    pts = np.asarray(points, dtype=float)
+    return np.concatenate([[a], np.unique(pts[(pts > a + 1e-13) & (pts < b - 1e-13)]), [b]])
 
 
-def _quad_checked(integrand, a, b, points=None, hard_tol=1e-5):
-    """Adaptive quadrature whose convergence is judged by the achieved error
-    estimate, not by QUADPACK's roundoff heuristics (near-center orbits hit
-    the noise floor of E - V(x) long before 1e-12, the estimate still orders
-    of magnitude inside every stated tolerance): NumericsError above hard_tol."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, abserr = quad(integrand, a, b, points=points,
-                           epsabs=1e-12, epsrel=1e-11, limit=800)
-    if abserr > hard_tol * max(1.0, abs(val)):
-        raise NumericsError(
-            f"quadrature failed: estimated error {abserr:.2e} on [{a}, {b}]")
-    return val
+@functools.lru_cache(maxsize=None)
+def _gauss(n):
+    return np.polynomial.legendre.leggauss(n)
 
 
-def _quad_segments(g, f, a, b):
-    return sum(_quad_checked(g, lo, hi) for lo, hi in _segments(f, a, b))
+# Live segments one integral may hold before it stops refining (QUADPACK's
+# limit): at its noise floor an integrand would double them on every pass.
+_MAX_LIVE = 800
+
+
+def adaptive_complex_quad(g, segments, rtol=1e-11, atol=1e-13,
+                          min_width=1e-13, order=16, hard_rtol=None):
+    """Adaptive Gauss-Legendre quadrature of many complex integrals at once.
+
+    ``segments`` = (a, b, owner) arrays: [a[j], b[j]] is a piece of integral
+    owner[j].  The vectorized ``g(x, k)`` evaluates integral k[j] at x[j].
+    Each integral keeps its own h-refinement error control; returns integrals
+    0..max(owner).  An integral stops refining a segment narrower than min_width
+    of its length, and all its segments once it holds more than _MAX_LIVE; their
+    error is its forced error: NumericsError above 10 times its tolerance, or
+    above hard_rtol*max(1, |I|) if given."""
+    nodes, weights = _gauss(order)
+    a, b, k = map(np.asarray, segments)
+    n = int(k.max()) + 1
+
+    def gl(a, b, k):
+        mid = 0.5 * (a + b)[:, None]
+        half = 0.5 * (b - a)[:, None]
+        x = mid + half * nodes[None, :]
+        vals = g(x.ravel(), np.repeat(k, order)).reshape(x.shape)
+        return (vals * weights[None, :]).sum(axis=1) * half[:, 0]
+
+    def per_owner(w, k):
+        # bincount adds each owner's terms in segment order
+        return np.bincount(k, weights=w, minlength=n)
+
+    total_len = per_owner(b - a, k)
+    est = gl(a, b, k)
+    tol = atol + rtol * np.maximum(per_owner(np.abs(est), k), atol)
+
+    parts = []           # (values, owners) of the finished segments
+    forced_err = np.zeros(n)
+    while a.size:
+        m = 0.5 * (a + b)
+        left = gl(a, m, k)
+        right = gl(m, b, k)
+        child = left + right
+        err = np.abs(child - est)
+        done = err <= tol[k] * (b - a) / total_len[k]
+        go = ~done & ((b - a) >= min_width * total_len[k])
+        go &= (per_owner(go, k) <= _MAX_LIVE)[k]
+        parts.append((child[~go], k[~go]))
+        forced_err += per_owner(err * ~(done | go), k)
+        a = np.stack([a[go], m[go]], axis=1).ravel()
+        b = np.stack([m[go], b[go]], axis=1).ravel()
+        est = np.stack([left[go], right[go]], axis=1).ravel()
+        k = np.repeat(k[go], 2)
+    vals, owner = map(np.concatenate, zip(*parts))
+    out = per_owner(vals.real, owner) + 1j * per_owner(vals.imag, owner)
+    bound = 10.0 * tol if hard_rtol is None else hard_rtol * np.maximum(1.0, np.abs(out))
+    if np.any(forced_err > bound):
+        raise NumericsError("adaptive quadrature stalled with residual error "
+                            f"{forced_err.max():.2e}")
+    return out
+
+
+def _quad_checked(integrand, a, b, points=()):
+    """Integral of the vectorized real or complex integrand over [a, b], split
+    at the points, as a Python float or complex: one adaptive_complex_quad
+    integral held to its achieved error, not its tolerance (near-center orbits
+    reach the noise floor of E - V(x) first): NumericsError above 1e-5*max(1, |I|)."""
+    knots = _partition(a, b, points)
+    segments = (knots[:-1], knots[1:], np.zeros(knots.size - 1, int))
+    val = adaptive_complex_quad(lambda t, k: integrand(t), segments, hard_rtol=1e-5)[0]
+    return float(val.real) if val.imag == 0 else complex(val)
 
 
 @functools.lru_cache(maxsize=256)
 def l1_norm(f: ForcingTerm) -> float:
     """Integral of |p| over one period, by adaptive quadrature split at the
     breakpoints of p (relative tolerance well below 1e-10)."""
-    return _quad_segments(lambda t: abs(float(f.eval(t))), f, 0.0, TWO_PI)
+    return _quad_checked(lambda t: np.abs(f.eval(t)), 0.0, TWO_PI,
+                         tiled_split_points(f, 0.0, TWO_PI))
 
 
 def abs_integral(f: ForcingTerm, t: float) -> float:
@@ -238,7 +289,8 @@ def abs_integral(f: ForcingTerm, t: float) -> float:
     rem = t - k * TWO_PI
     total = k * l1_norm(f)
     if rem > 0:
-        total += _quad_segments(lambda s: abs(float(f.eval(s))), f, 0.0, rem)
+        total += _quad_checked(lambda s: np.abs(f.eval(s)), 0.0, rem,
+                               tiled_split_points(f, 0.0, rem))
     return total
 
 
@@ -256,7 +308,8 @@ def fourier_coefficient(f: ForcingTerm, n: int) -> complex:
         return complex(math.pi * a, math.pi * b)
     if isinstance(f, PiecewiseConst):
         total = 0.0 + 0.0j
-        for (lo, hi) in _segments(f, 0.0, TWO_PI):
+        knots = _partition(0.0, TWO_PI, tiled_split_points(f, 0.0, TWO_PI))
+        for lo, hi in zip(knots[:-1], knots[1:]):
             c = float(f.eval(0.5 * (lo + hi)))
             total += c * (np.exp(1j * n * hi) - np.exp(1j * n * lo)) / (1j * n)
         return complex(total)
@@ -268,9 +321,8 @@ def fourier_coefficient_quadrature(f: ForcingTerm, n: int) -> complex:
     cross-check the closed forms)."""
     if n < 1:
         raise ValueError("fourier_coefficient: n must be >= 1")
-    re = _quad_segments(lambda t: float(f.eval(t)) * math.cos(n * t), f, 0.0, TWO_PI)
-    im = _quad_segments(lambda t: float(f.eval(t)) * math.sin(n * t), f, 0.0, TWO_PI)
-    return complex(re, im)
+    return complex(_quad_checked(lambda t: f.eval(t) * np.exp(1j * n * t), 0.0, TWO_PI,
+                                 tiled_split_points(f, 0.0, TWO_PI)))
 
 
 def complex_fourier_coefficients(f: TrigPoly, kmax: int):

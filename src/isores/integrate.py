@@ -485,19 +485,3 @@ def energy(pot: PotentialSpec, s: State) -> float:
     """E = v^2/2 + V(x)."""
     return 0.5 * s.v * s.v + float(pot.v(s.x))
 
-
-def write_trajectory_csv(traj: Trajectory, pot: PotentialSpec, path,
-                         n_samples: int = 1001):
-    """CSV export with columns t,x,v,E on a uniform sample of [t0, t1]."""
-    from .io import write_csv
-    t = np.linspace(traj.t0, traj.t1, n_samples)
-    x, v = traj.eval(t)
-    e = 0.5 * v * v + pot.v(x)
-    return write_csv(path, ["t", "x", "v", "E"], np.column_stack([t, x, v, e]))
-
-
-def write_events_csv(traj: Trajectory, path):
-    """CSV export of the event log with columns kind,t."""
-    from .io import write_csv
-    rows = [(e.kind, e.t) for e in traj.events]
-    return write_csv(path, ["kind", "t"], rows)

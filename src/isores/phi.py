@@ -3,11 +3,12 @@ harmonic forms, the Pinney large-amplitude slice and Fourier constants,
 full-grid scans with a certification verdict, and boundary winding numbers.
 
 Cost model: Phi(., r) correlates p with the one profile psi(., r), so a scan
-makes one adaptive_complex_quad call per r-column (and one for the Pinney
-infinity slice): the Fourier modes of psi for a trigonometric p (cached per
-profile), else its integrals between the shifted breakpoints of p; each node
-is then a finite sum.  Columns that share a profile (profile_amplitude) are
-computed once, and psi is a closed form for every built-in center (_profile).
+makes one call of the package's adaptive quadrature (forcing.adaptive_complex_quad,
+imported here by name) per r-column (and one for the Pinney infinity slice):
+the Fourier modes of psi for a trigonometric p (cached per profile), else its
+integrals between the shifted breakpoints of p; each node is then a finite
+sum.  Columns that share a profile (profile_amplitude) are computed once, and
+psi is a closed form for every built-in center (_profile).
 """
 
 from __future__ import annotations
@@ -20,69 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .forcing import (ForcingTerm, TrigPoly, TWO_PI,
+from .forcing import (ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
 from .autonomous import (asymmetric_psi_closed, pinney_psi_closed,
                          pinney_psi_infinity, profile_amplitude, psi_solution)
 from .potentials import PotentialSpec, pinney
-
-@functools.lru_cache(maxsize=None)
-def _gauss(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def adaptive_complex_quad(g, segments, rtol=1e-11, atol=1e-13,
-                          min_width=1e-13, order=16):
-    """Adaptive Gauss-Legendre quadrature of many complex integrals at once.
-
-    ``segments`` = (a, b, owner) arrays: [a[j], b[j]] is a piece of integral
-    owner[j].  The vectorized ``g(x, k)`` evaluates integral k[j] at x[j].
-    Each integral keeps its own h-refinement error control; returns integrals
-    0..max(owner), raising NumericsError if any one of them stalls."""
-    nodes, weights = _gauss(order)
-    a, b, k = map(np.asarray, segments)
-    n = int(k.max()) + 1
-
-    def gl(a, b, k):
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        x = mid + half * nodes[None, :]
-        vals = g(x.ravel(), np.repeat(k, order)).reshape(x.shape)
-        return (vals * weights[None, :]).sum(axis=1) * half[:, 0]
-
-    def per_owner(w, k):
-        # bincount adds each owner's terms in segment order
-        return np.bincount(k, weights=w, minlength=n)
-
-    total_len = per_owner(b - a, k)
-    est = gl(a, b, k)
-    tol = atol + rtol * np.maximum(per_owner(np.abs(est), k), atol)
-
-    parts = []           # (values, owners) of the finished segments
-    forced_err = np.zeros(n)
-    while a.size:
-        m = 0.5 * (a + b)
-        left = gl(a, m, k)
-        right = gl(m, b, k)
-        child = left + right
-        err = np.abs(child - est)
-        done = err <= tol[k] * (b - a) / total_len[k]
-        narrow = (b - a) < min_width * total_len[k]
-        stop = done | narrow
-        parts.append((child[stop], k[stop]))
-        forced_err += per_owner(err * (narrow & ~done), k)
-        go = ~stop
-        a = np.stack([a[go], m[go]], axis=1).ravel()
-        b = np.stack([m[go], b[go]], axis=1).ravel()
-        est = np.stack([left[go], right[go]], axis=1).ravel()
-        k = np.repeat(k[go], 2)
-    if np.any(forced_err > 10.0 * tol):
-        raise NumericsError("adaptive quadrature stalled with residual error "
-                            f"{forced_err.max():.2e}")
-    vals, owner = map(np.concatenate, zip(*parts))
-    return per_owner(vals.real, owner) + 1j * per_owner(vals.imag, owner)
-
 
 def _knots(points):
     """Knots of a partition of [0, 2*pi]: 0, 2*pi and the points mod 2*pi."""
@@ -286,11 +230,16 @@ class PhiField:
 
 
 def default_r_grid(r_max: float = 1e3, n: int = 60):
-    """r = 0 plus a log-spaced ladder of n - 1 amplitudes up to r_max."""
+    """r = 0 plus an increasing log-spaced ladder of n - 1 amplitudes from
+    0.01 up to r_max (r_max alone when n = 2)."""
     if not 0 < r_max < math.inf:
         raise ConfigError("r_max: must be finite and positive")
     if n < 1:
         raise ConfigError("r_points: must be >= 1")
+    if n == 2:
+        return np.array([0.0, r_max])
+    if n > 2 and r_max <= 0.01:
+        raise ConfigError("r_max: must exceed 0.01 for 3 or more r_points")
     return np.concatenate([[0.0], np.logspace(-2, math.log10(r_max), n - 1)])
 
 

@@ -291,12 +291,3 @@ def potential_from_descriptor(d) -> PotentialSpec:
         raise ConfigError(f"potential: malformed descriptor ({exc})") from exc
     raise ConfigError(f"potential.kind: unknown kind {kind!r}")
 
-
-def potential_to_descriptor(pot: PotentialSpec):
-    if pot.kind == "harmonic":
-        return {"kind": "harmonic", "n": pot.params[0]}
-    if pot.kind == "pinney":
-        return {"kind": "pinney"}
-    if pot.kind == "asymmetric":
-        return {"kind": "asymmetric", "alpha": pot.params[0], "beta": pot.params[1]}
-    raise ConfigError(f"potential.kind: {pot.kind!r} has no JSON descriptor")

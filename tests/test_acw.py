@@ -6,8 +6,24 @@ from hypothesis import given, settings, strategies as st
 
 from isores.errors import NumericsError
 from isores.acw import (AcwState, acw_first_integral, acw_numeric_check,
-                        acw_orbit, acw_exact_orbit, acw_poincare, phi_lambda,
-                        pinney_unit_solution, two_piece_map, write_acw_csv)
+                        acw_orbit, acw_poincare, phi_lambda, two_piece_map,
+                        write_acw_csv)
+
+
+def acw_exact_orbit(c, s0, n_steps):
+    """Closed geometric form of the orbit: (x0 Pi^n, y0 Pi^-n)."""
+    q = s0.x * s0.x * s0.y * s0.y
+    pi_factor = math.sqrt((q + c) / (q + 1.0))
+    return [AcwState(s0.x * pi_factor ** n, s0.y * pi_factor ** -n)
+            for n in range(n_steps + 1)]
+
+
+def pinney_unit_solution(lam, s0, t):
+    """Explicit solution of x'' + x = lam/x^3 through (x0, y0):
+    x(t) = sqrt((x0 cos t + y0 sin t)^2 + lam sin^2 t / x0^2)."""
+    base = s0.x * np.cos(t) + s0.y * np.sin(t)
+    return np.sqrt(base ** 2 + lam * np.sin(t) ** 2 / s0.x ** 2)
+
 
 states = st.builds(AcwState,
                    x=st.floats(0.1, 10.0, allow_nan=False),

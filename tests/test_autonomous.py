@@ -14,8 +14,7 @@ from isores.autonomous import (ActionAngle, action_of_amplitude,
                                dx_dI_rofe_beketov, from_action_angle,
                                minimal_period, negative_semiperiod, phi_orbit,
                                pinney_phi_closed, pinney_psi_closed,
-                               psi_solution, sturm_argument, to_action_angle,
-                               write_orbit_csv, write_variational_csv)
+                               psi_solution, sturm_argument, to_action_angle)
 from isores.potentials import custom, inverse_V_positive
 
 
@@ -353,14 +352,3 @@ def test_bouncing_limit_audit(pin, cfg):
         assert vals[0] > vals[1] > vals[2]
     d0 = [abs(r.dxdI_at_0 - math.sqrt(2.0)) for r in recs]
     assert d0[0] > d0[1] > d0[2]
-
-
-# -- exports -----------------------------------------------------------------------
-
-def test_csv_emitters(pin, cfg, tmp_path):
-    orb = phi_orbit(pin, 1.0, cfg)
-    p = write_orbit_csv(orb, tmp_path / "orbit.csv", n_samples=5)
-    assert p.read_text().splitlines()[0] == "t,x,v"
-    vs = psi_solution(pin, 1.0, cfg)
-    p = write_variational_csv(vs, tmp_path / "var.csv", n_samples=5)
-    assert p.read_text().splitlines()[0] == "t,u,du,v,dv"

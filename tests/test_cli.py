@@ -91,6 +91,14 @@ def test_acw_command(tmp_path):
     assert lines[-1].split(",")[1] == "1024"
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-1"])
+def test_acw_c_must_be_finite_and_positive(c, capsys):
+    # nan and inf failed with "AcwState: x must be positive", -1 with a
+    # message naming acw_poincare instead of the option
+    assert main(["acw", "--c", c, "--x0", "1", "--y0", "0", "--steps", "3"]) == 1
+    assert "c: must be finite and positive" in capsys.readouterr().err
+
+
 def test_period_audit_command(tmp_path, capsys):
     rc = main(["period-audit", "--potential", "pinney", "--r", "100",
                "--out", str(tmp_path)])
@@ -242,6 +250,15 @@ def test_phi_scan_grid_from_config_file_is_checked(tmp_path, capsys):
     assert main(["phi-scan", "--potential", "pinney", "--forcing", "sin",
                  "--r-points", "0"]) == 1
     assert "r_points: must be >= 1" in capsys.readouterr().err
+
+
+def test_phi_scan_two_r_points_end_at_r_max(tmp_path):
+    # the ladder was logspace(-2, log10(r_max), 1) = [0.01] whatever r_max
+    assert main(["phi-scan", "--potential", "pinney", "--forcing", "sin",
+                 "--theta-points", "4", "--r-max", "50", "--r-points", "2",
+                 "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "phi_field.csv").read_text().splitlines()[1:]
+    assert sorted({float(row.split(",")[1]) for row in rows}) == [-1.0, 0.0, 50.0]
 
 
 def test_missing_required_parameter():

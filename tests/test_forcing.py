@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isores as iso
-from isores.errors import ConfigError
-from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI,
-                            abs_integral, complex_fourier_coefficients,
-                            eval_forcing, forcing_from_descriptor,
+from isores.errors import ConfigError, NumericsError
+from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI, _MAX_LIVE,
+                            abs_integral, adaptive_complex_quad,
+                            complex_fourier_coefficients,
+                            forcing_from_descriptor,
                             fourier_coefficient, fourier_coefficient_quadrature,
                             l1_norm)
 
@@ -21,10 +22,10 @@ trig_polys = st.builds(
 
 
 def test_eval_trig_examples():
-    assert eval_forcing(TrigPoly(sin_coeffs=(1.0,)), math.pi / 2) == pytest.approx(1.0, abs=1e-15)
+    assert TrigPoly(sin_coeffs=(1.0,)).eval(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
     f = TrigPoly(a0=0.5, cos_coeffs=(2.0,), sin_coeffs=(0.0, 1.0))
     t = 0.37
-    assert eval_forcing(f, t) == pytest.approx(0.5 + 2 * math.cos(t) + math.sin(2 * t))
+    assert f.eval(t) == pytest.approx(0.5 + 2 * math.cos(t) + math.sin(2 * t))
 
 
 def test_trig_float_path_matches_array_path():
@@ -44,26 +45,26 @@ def test_eval_piecewise_thm_c_profile():
     # the pi-periodic two-level profile: 1 on [0, pi/2), c=4 on [pi/2, pi)
     f = PiecewiseConst(breakpoints=(0.0, math.pi / 2), values=(1.0, 4.0),
                        period=math.pi)
-    assert eval_forcing(f, 0.1) == 1.0
-    assert eval_forcing(f, 2.0) == 4.0
+    assert f.eval(0.1) == 1.0
+    assert f.eval(2.0) == 4.0
     # right continuity: the breakpoint belongs to the right piece
-    assert eval_forcing(f, math.pi / 2) == 4.0
-    assert eval_forcing(f, 0.0) == 1.0
+    assert f.eval(math.pi / 2) == 4.0
+    assert f.eval(0.0) == 1.0
     # pi-periodicity
-    assert eval_forcing(f, 0.1 + math.pi) == 1.0
+    assert f.eval(0.1 + math.pi) == 1.0
 
 
 def test_eval_sampled_interpolation():
     f = Sampled(values=(0.0, 1.0, 0.0, -1.0))
-    assert eval_forcing(f, math.pi / 4) == pytest.approx(0.5)
+    assert f.eval(math.pi / 4) == pytest.approx(0.5)
     # wraps linearly from the last sample back to the first
-    assert eval_forcing(f, 2 * math.pi - math.pi / 4) == pytest.approx(-0.5)
+    assert f.eval(2 * math.pi - math.pi / 4) == pytest.approx(-0.5)
 
 
 @given(trig_polys, st.floats(-50.0, 50.0))
 @settings(max_examples=60, deadline=None)
 def test_periodicity(f, t):
-    assert eval_forcing(f, t + TWO_PI) == pytest.approx(eval_forcing(f, t), abs=1e-9)
+    assert f.eval(t + TWO_PI) == pytest.approx(f.eval(t), abs=1e-9)
 
 
 @pytest.mark.parametrize("fac", [
@@ -72,7 +73,7 @@ def test_periodicity(f, t):
 ])
 def test_periodicity_nonsmooth(fac):
     for t in np.linspace(-7.0, 7.0, 41):
-        assert eval_forcing(fac, t + TWO_PI) == pytest.approx(eval_forcing(fac, t), abs=1e-12)
+        assert fac.eval(t + TWO_PI) == pytest.approx(fac.eval(t), abs=1e-12)
 
 
 def test_l1_norm_examples():
@@ -81,6 +82,33 @@ def test_l1_norm_examples():
     f = PiecewiseConst(breakpoints=(0.0, math.pi / 2), values=(1.0, 4.0), period=math.pi)
     # independent oracle: piecewise sum 2*(1*pi/2 + 4*pi/2) = 5*pi
     assert l1_norm(f) == pytest.approx(5 * math.pi, rel=1e-12)
+
+
+def test_l1_norm_is_exact_to_rounding():
+    # the kinks of |p| are not split points: the adaptive quadrature finds
+    # them; reference from mpmath at 30 digits, split at the zeros of p
+    f = TrigPoly(a0=0.3, cos_coeffs=(1.0,), sin_coeffs=(0.0, 0.0, -0.7))
+    assert abs(l1_norm(f) - 4.7372561473572980) <= 1e-13
+    assert l1_norm(TrigPoly(cos_coeffs=(0.0, 1.0))) == 4.0
+
+
+def test_noise_floor_integrand_stops_at_the_refinement_budget():
+    # 1e-8 sin(1e12 t) is rounding noise to every Gauss-Legendre rule, so no
+    # segment meets the tolerance; without a budget each pass doubled them
+    for hard_rtol in (None, 1e-5):
+        points = []
+
+        def g(x, k):
+            points.append(x.size)
+            return 1.0 + 1e-8 * np.sin(1e12 * x) + 0j
+        try:
+            val = adaptive_complex_quad(g, ([0.0], [1.0], [0]), hard_rtol=hard_rtol)
+            assert abs(val[0] - 1.0) <= (hard_rtol or 1e-10)
+        except NumericsError as exc:
+            assert hard_rtol is None and "stalled" in str(exc)
+        # every pass halves at most 2 * _MAX_LIVE segments at 2 * 16 nodes,
+        # and the live counts double up to that: a geometric sum
+        assert sum(points) <= 8 * 16 * _MAX_LIVE
 
 
 def test_abs_integral_partial_periods():
@@ -136,7 +164,7 @@ def test_descriptor_round_trip():
               Sampled(values=(0.0, 1.0, 0.0, -1.0))):
         g = forcing_from_descriptor(f.to_descriptor())
         for t in np.linspace(0, TWO_PI, 23):
-            assert eval_forcing(g, t) == pytest.approx(eval_forcing(f, t), abs=1e-15)
+            assert g.eval(t) == pytest.approx(f.eval(t), abs=1e-15)
 
 
 def test_descriptor_validation():

@@ -12,8 +12,7 @@ from isores.errors import ConfigError, IntegrationError
 from isores.forcing import PiecewiseConst, TrigPoly, TWO_PI, abs_integral
 from isores.integrate import (IntegratorConfig, State, energy,
                               forced_system, integrate_autonomous,
-                              integrate_forced, write_events_csv,
-                              write_trajectory_csv)
+                              integrate_forced)
 from isores.autonomous import pinney_phi_closed
 
 
@@ -202,16 +201,6 @@ def test_kink_crossed_at_the_start_is_stepped_off(cfg):
     assert 1e-9 in off.knot_times
     end, ref = off.end_state(), at.end_state()
     assert abs(end.x - ref.x) + abs(end.v - ref.v) < 1e-9
-
-
-def test_trajectory_csv_export(pin, cfg, tmp_path):
-    traj = integrate_autonomous(pin, State(1.0, 0.0), 0.0, TWO_PI, cfg)
-    p1 = write_trajectory_csv(traj, pin, tmp_path / "traj.csv", n_samples=11)
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "t,x,v,E"
-    assert len(lines) == 12
-    p2 = write_events_csv(traj, tmp_path / "events.csv")
-    assert p2.read_text().splitlines()[0] == "kind,t"
 
 
 # -- the step loop against scipy's RK45 -------------------------------------------

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import ellipeinc, ellipkinc
 
 import isores as iso
-from isores.errors import NumericsError
+from isores.errors import ConfigError, NumericsError
 from isores.forcing import PiecewiseConst, Sampled, TrigPoly, TWO_PI
 from isores.autonomous import pinney_psi_closed, pinney_psi_infinity
 import isores.phi
@@ -508,6 +508,21 @@ def test_phi_scan_crafted_zero(pin, crafted_zero, cfg):
     assert th_min == pytest.approx(math.pi, abs=1e-12)
     assert r_min == pytest.approx(r_star, rel=1e-12)
     assert not resonance_verdict(field).certified_resonant
+
+
+def test_default_r_grid_ends_at_r_max():
+    # n = 2 gave [0, 0.01] whatever r_max
+    assert default_r_grid(50.0, 2).tolist() == [0.0, 50.0]
+    assert default_r_grid(1e-3, 2).tolist() == [0.0, 1e-3]
+    grid = default_r_grid(1e3, 60)
+    assert grid[-1] == pytest.approx(1e3, rel=1e-14) and np.all(np.diff(grid) > 0)
+
+
+@pytest.mark.parametrize("r_max", [0.01, 1e-3])
+def test_default_r_grid_rejects_a_ladder_that_cannot_rise(r_max):
+    # 0.01 repeated 0.01 three times; 1e-3 ran downwards from 0.01
+    with pytest.raises(ConfigError, match="r_max"):
+        default_r_grid(r_max, 4)
 
 
 def test_phi_scan_zero_forcing(pin, cfg):
