@@ -120,8 +120,8 @@ def minimal_period(pot: PotentialSpec, r: float, cfg: IntegratorConfig) -> float
     Raises NumericsError if the orbit does not return within 10 periods of
     2*pi (non-oscillatory input).
     """
-    if r <= 0:
-        raise DomainError("minimal_period: r must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError("minimal_period: r must be finite and positive")
     pot.v(r)
     guess = TWO_PI / pot.n_iso if pot.n_iso else TWO_PI
     for horizon in (1.25 * guess, 10.0 * TWO_PI):
@@ -427,11 +427,13 @@ def bouncing_limit_audit(pot: PotentialSpec, I_list, cfg: IntegratorConfig,
     2*sqrt(2)|cos(t/2)| (for x/sqrt(I), over the whole period) and
     sqrt(2)|cos(t/2)| (for sqrt(I)*dx/dI, away from a delta-neighbourhood of
     the contact time pi).  Returns one record per action."""
+    I_list = [float(action) for action in I_list]
+    if not all(0 < action < math.inf for action in I_list):
+        raise DomainError("bouncing_limit_audit: every action I must be finite and positive")
     if pot.require_isochronous() != 1:
         raise NumericsError("bouncing_limit_audit: needs minimal period 2*pi")
     records = []
     for action in I_list:
-        action = float(action)
         r = amplitude_of_action(pot, action)
         sqrt_i = math.sqrt(action)
         traj = integrate_autonomous(pot, State(r, 0.0), 0.0, TWO_PI, cfg)

@@ -2,8 +2,8 @@
 forcing discontinuities and potential kinks, and a hard guard near singular
 endpoints.  One step loop over Python floats runs the Dormand-Prince 5(4)
 pair (J. Comput. Appl. Math. 6, 1980) with the controller and starting-step
-rule of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4: scipy's RK45,
-with its order 5 steps and quartic dense interpolant.
+rule of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4, as scipy's RK45
+runs them, with its order 5 steps and quartic dense interpolant.
 
 Cost model.  An attempted step costs 6 right-hand-side calls and every
 restart (start, forcing breakpoint, kink) 2 more; a forced Pinney step costs
@@ -30,12 +30,10 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import brentq
 
 from .errors import ConfigError, IntegrationError
 from .forcing import ForcingTerm, abs_integral, tiled_split_points
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, brentq
 
 
 @dataclass(frozen=True)
@@ -145,9 +143,29 @@ class RawSolution:
         return y.T
 
 
-# The Dormand-Prince 5(4) tableau, read once from scipy's RK45 as floats.
-_A, _B, _C, _E = RK45.A.tolist(), RK45.B.tolist(), RK45.C.tolist(), RK45.E.tolist()
-_PT = RK45.P.T.copy()          # (4, 7): coef = P^T K for a step's stage rows K
+# The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math.
+# 6, 1980) as rationals: _A the stage weights, _B the order 5 weights, _C the
+# nodes, _E the difference of the order 5 and order 4 weights (last entry for
+# f_new), and P the quartic dense output of Shampine, Math. Comp. 46, 1986.
+# tests/test_integrate.py::test_tableau_is_scipys pins every float to scipy's
+# RK45 arrays.
+_A = [[0.0, 0.0, 0.0, 0.0, 0.0],
+      [1/5, 0.0, 0.0, 0.0, 0.0],
+      [3/40, 9/40, 0.0, 0.0, 0.0],
+      [44/45, -56/15, 32/9, 0.0, 0.0],
+      [19372/6561, -25360/2187, 64448/6561, -212/729, 0.0],
+      [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]
+_B = [35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84]
+_C = [0.0, 1/5, 3/10, 4/5, 8/9, 1.0]
+_E = [-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
+_PT = np.array([           # (4, 7): coef = P^T K for a step's stage rows K
+    [1.0, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0.0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0.0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0.0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423]]).T.copy()
 _ROOT_TOL = 4 * np.finfo(float).eps      # scipy's event-root tolerance
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DomainError, NumericsError
 from .forcing import (ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
@@ -182,6 +182,8 @@ def pinney_fourier_constants(r: float, cfg: IntegratorConfig | None = None
                              ) -> PinneyConstants:
     """The constants (c0, d+, d-) at amplitude r; r = inf returns the
     large-amplitude limits (2/pi, 2/(3 pi), 8/(3 pi))."""
+    if not r >= 0:
+        raise DomainError("pinney_fourier_constants: r must be nonnegative or inf")
     cfg = cfg or IntegratorConfig()
     key_r = _PSI_INFINITY if math.isinf(r) else float(r)
     cm = _psi_fourier(pinney(), key_r, 1, cfg)

@@ -9,11 +9,74 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, DomainError, NumericsError
 
 DOMAIN_GUARD = 1e-14
+_BRENT_RTOL = 4 * np.finfo(float).eps
+
+
+def brentq(f, a, b, *, xtol, rtol, maxiter=100):
+    """A zero of f in the bracket [a, b], where f(a) and f(b) differ in sign:
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), transcribed from the C loop of scipy's optimize.brentq iterate
+    for iterate, so it returns the same float.  It stops when f is 0 or the
+    bracket is narrower than xtol + rtol*|x|.  A nan value of f or a bracket
+    without a sign change raises ValueError; running out of maxiter
+    iterations raises NumericsError."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    # xcur is the best iterate and xblk the other end of the bracket; xpre
+    # is the previous iterate, and spre, scur the previous two steps
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf                 # bisect unless interpolation steps short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:   # C gets inf or nan here, and bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericsError(f"brentq: no convergence after {maxiter} iterations "
+                        f"(last iterate {xcur!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +223,9 @@ def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None, kink_at_zero=False,
 
 
 def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
-    """The unique s in (a, 0) with V(s) = level (level > 0)."""
-    if level <= 0:
-        raise NumericsError("inverse_V_negative: level must be positive")
+    """The unique s in (a, 0) with V(s) = level (0 < level < inf)."""
+    if not 0 < level < math.inf:
+        raise DomainError("inverse_V_negative: level must be finite and positive")
     a = pot.domain_left
 
     def g(s):
@@ -198,14 +261,13 @@ def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
     if hi is None or lo is None:
         raise NumericsError(
             f"inverse_V_negative: could not bracket V = {level} on ({a}, 0)")
-    root = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return float(root)
+    return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
 def inverse_V_positive(pot: PotentialSpec, level: float) -> float:
-    """The unique r in (0, inf) with V(r) = level (level > 0)."""
-    if level <= 0:
-        raise NumericsError("inverse_V_positive: level must be positive")
+    """The unique r in (0, inf) with V(r) = level (0 < level < inf)."""
+    if not 0 < level < math.inf:
+        raise DomainError("inverse_V_positive: level must be finite and positive")
 
     def g(s):
         return pot.v(s) - level
@@ -227,8 +289,7 @@ def inverse_V_positive(pot: PotentialSpec, level: float) -> float:
     if hi is None or lo is None:
         raise NumericsError(
             f"inverse_V_positive: could not bracket V = {level} on (0, inf)")
-    root = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return float(root)
+    return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
 def sigma_map(pot: PotentialSpec, x: float) -> float:

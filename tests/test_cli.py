@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isores
 from isores.cli import main, parse_forcing, parse_potential
 from isores.errors import ConfigError
 
@@ -129,6 +135,53 @@ def test_periodic_find_backs_off_out_of_domain_steps(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True and payload["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["period-audit", "--potential", "pinney", "--r", "nan"], "r must be finite and positive"),
+    (["period-audit", "--potential", "pinney", "--r", "inf"], "r must be finite and positive"),
+    (["fourier-constants", "--r", "nan"], "r must be nonnegative or inf"),
+    (["limits-audit", "--I", "nan"], "action I must be finite and positive"),
+    (["limits-audit", "--I", "inf"], "action I must be finite and positive"),
+    (["limits-audit", "--I", "0"], "action I must be finite and positive"),
+])
+def test_audit_inputs_are_checked_by_name(argv, message, capsys):
+    # r = nan or inf failed with "pinney: non-finite evaluation point", a nan
+    # or inf action with "could not bracket V = nan", and I = 0 warned
+    # "invalid value encountered in divide" before failing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+_COMMANDS_WITHOUT_SCIPY = """
+import sys
+from isores.cli import main
+codes = [
+    main(["phi-scan", "--potential", "pinney", "--forcing", "sin"]),
+    main(["period-audit", "--potential", "pinney", "--r", "100"]),
+    main(["periodic-find", "--potential", "pinney", "--forcing", "1+2*cos",
+          "--eps", "0.01", "--zero-theta", "3.141592653589793", "--zero-action", "0.337"]),
+    main(["resonance-run", "--potential", "pinney", "--forcing", "sin",
+          "--eps", "0.05", "--periods", "10"]),
+]
+print(codes, sorted(m for m in sys.modules if m.startswith("scipy")), file=sys.stderr)
+"""
+
+
+def test_the_runtime_never_loads_scipy():
+    # a scan, a period read from crossings (brentq in integrate), a Newton
+    # solve seeded through inverse_V_positive (brentq in potentials) and a
+    # forced run, all in a fresh interpreter
+    src = str(Path(isores.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _COMMANDS_WITHOUT_SCIPY],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_limits_audit_command(tmp_path, capsys):

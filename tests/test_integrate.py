@@ -417,6 +417,15 @@ def test_kernel_matches_list_step_bit_for_bit(n, data):
     assert _bits([err]) == _bits([ref_err])
 
 
+def test_tableau_is_scipys():
+    # the rationals written out in integrate.py are scipy's RK45 floats
+    from isores.integrate import _A, _B, _C, _E, _PT
+    for ours, theirs in ((_A, RK45.A), (_B, RK45.B), (_C, RK45.C), (_E, RK45.E),
+                         (_PT, RK45.P.T)):
+        ours = np.array(ours)
+        assert ours.shape == theirs.shape and (ours == theirs).all()
+
+
 def test_forced_run_end_state_is_pinned(pin, sin_f, cfg):
     # exact floats of the list-based step: any reordering of the step's
     # arithmetic moves their last digits

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 import isores as iso
-from isores.errors import ConfigError, DomainError
-from isores.potentials import (appendix_audit, asymmetric, custom, harmonic,
-                               inverse_V_negative, inverse_V_positive, pinney,
-                               potential_from_descriptor, sigma_map)
+from isores.errors import ConfigError, DomainError, NumericsError
+from isores.potentials import (appendix_audit, asymmetric, brentq, custom,
+                               harmonic, inverse_V_negative, inverse_V_positive,
+                               pinney, potential_from_descriptor, sigma_map)
 
 
 def test_pinney_values(pin):
@@ -176,6 +178,68 @@ def test_inverse_level_helpers(pin):
     assert pin.v(s) == pytest.approx(e, rel=1e-12)
     h = harmonic(2)
     assert inverse_V_negative(h, 2.0) == pytest.approx(-1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("inverse", [inverse_V_positive, inverse_V_negative])
+def test_inverse_level_must_be_finite_and_positive(pin, inverse, level):
+    # a nan level passed the old level <= 0 test and failed in the bracketing
+    # with "could not bracket V = nan"
+    with pytest.raises(DomainError, match="level must be finite and positive"):
+        inverse(pin, level)
+
+
+# -- brentq: the port of scipy.optimize.brentq -------------------------------------
+
+_EPS4 = 4 * np.finfo(float).eps
+
+
+def _outcome(solver, f, a, b, xtol, rtol):
+    """The root's bits, or the error type (NumericsError is a RuntimeError)."""
+    try:
+        return solver(f, a, b, xtol=xtol, rtol=rtol, maxiter=100).hex()
+    except NumericsError:
+        return RuntimeError
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _root_case(draw):
+    """A random cubic or tanh(k (x - c)) on a random bracket, in either order."""
+    coef = st.floats(-3.0, 3.0)
+    if draw(st.booleans()):
+        c3, c2, c1, c0 = (draw(coef) for _ in range(4))
+        f = lambda x: ((c3 * x + c2) * x + c1) * x + c0
+    else:
+        k, c = draw(st.floats(0.1, 1e4)), draw(coef)
+        f = lambda x: math.tanh(k * (x - c))
+    a, b = draw(coef), draw(coef)
+    xtol, rtol = draw(st.sampled_from([(1e-15, 8.9e-16), (_EPS4, _EPS4)]))
+    return f, a, b, xtol, rtol
+
+
+@given(case=_root_case())
+@settings(max_examples=400, deadline=None)
+def test_brentq_is_scipys_float_for_float(case):
+    f, a, b, xtol, rtol = case
+    assert _outcome(brentq, f, a, b, xtol, rtol) == \
+        _outcome(scipy.optimize.brentq, f, a, b, xtol, rtol)
+
+
+def test_brentq_error_paths():
+    with pytest.raises(ValueError, match="The function value at x=1.0 is NaN"):
+        brentq(lambda x: math.nan if x > 0.9 else x - 0.2, 0.0, 1.0,
+               xtol=1e-15, rtol=_EPS4)
+    with pytest.raises(ValueError, match="f\\(a\\) and f\\(b\\) must have different signs"):
+        brentq(lambda x: x + 2.0, 0.0, 1.0, xtol=1e-15, rtol=_EPS4)
+    with pytest.raises(NumericsError, match="no convergence after 3 iterations"):
+        brentq(lambda x: math.tanh(50 * (x - 1 / 3)), 0.0, 1.0, xtol=1e-15, rtol=_EPS4,
+               maxiter=3)
+    with pytest.raises(ValueError, match="rtol too small"):
+        brentq(lambda x: x - 0.2, 0.0, 1.0, xtol=1e-15, rtol=_EPS4 / 2)
+    with pytest.raises(ValueError, match="xtol too small"):
+        brentq(lambda x: x - 0.2, 0.0, 1.0, xtol=0.0, rtol=_EPS4)
 
 
 def test_custom_potential_requires_isochrony_flag():
