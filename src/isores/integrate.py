@@ -145,7 +145,7 @@ class RawSolution:
 
 # The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math.
 # 6, 1980) as rationals: _A the stage weights, _B the order 5 weights, _C the
-# nodes, _E the difference of the order 5 and order 4 weights (last entry for
+# nodes, _E the order 4 weights minus the order 5 weights (last entry for
 # f_new), and P the quartic dense output of Shampine, Math. Comp. 46, 1986.
 # tests/test_integrate.py::test_tableau_is_scipys pins every float to scipy's
 # RK45 arrays.
