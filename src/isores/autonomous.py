@@ -430,6 +430,8 @@ def bouncing_limit_audit(pot: PotentialSpec, I_list, cfg: IntegratorConfig,
     I_list = [float(action) for action in I_list]
     if not all(0 < action < math.inf for action in I_list):
         raise DomainError("bouncing_limit_audit: every action I must be finite and positive")
+    if not 0 < delta < math.pi:
+        raise ConfigError("delta: must satisfy 0 < delta < pi")
     if pot.require_isochronous() != 1:
         raise NumericsError("bouncing_limit_audit: needs minimal period 2*pi")
     records = []

@@ -283,7 +283,10 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
         stats["n_segments"] += 1
         stats["nfev"] += 2
         f = fun(ta, y)
-        h_abs = _initial_step(fun, ta, y, f, tb - ta, cfg)
+        try:
+            h_abs = _initial_step(fun, ta, y, f, tb - ta, cfg)
+        except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
+            fail(f"integration failed: no starting step at t = {ta} ({exc})")
         watch = []         # (g, direction) of the crossings that end a step
         if armed:
             if kdir is None:   # leave x's side, or at x = 0 the side it moves to

@@ -160,12 +160,11 @@ def harmonic_phi_closed(n: int, f: ForcingTerm, theta: float) -> complex:
     return complex((a * c - b * s) + 1j * (b * c + a * s) / n) / TWO_PI
 
 
-def phi_at_infinity_pinney(f: ForcingTerm, theta: float,
-                           cfg: IntegratorConfig | None = None) -> complex:
+def phi_at_infinity_pinney(f: ForcingTerm, theta: float) -> complex:
     """Limit of Phi_p(theta, r) as r -> inf for the Pinney potential: Phi on
     the limit profile |cos(t/2)| + 2i sin(t/2) sgn cos(t/2), split at t = pi."""
     return complex(_phi_column(pinney(), f, [float(theta)], _PSI_INFINITY,
-                               cfg or IntegratorConfig())[0])
+                               IntegratorConfig())[0])
 
 
 @dataclass(frozen=True)
@@ -178,15 +177,13 @@ class PinneyConstants:
     d_minus: float
 
 
-def pinney_fourier_constants(r: float, cfg: IntegratorConfig | None = None
-                             ) -> PinneyConstants:
+def pinney_fourier_constants(r: float) -> PinneyConstants:
     """The constants (c0, d+, d-) at amplitude r; r = inf returns the
     large-amplitude limits (2/pi, 2/(3 pi), 8/(3 pi))."""
     if not r >= 0:
         raise DomainError("pinney_fourier_constants: r must be nonnegative or inf")
-    cfg = cfg or IntegratorConfig()
     key_r = _PSI_INFINITY if math.isinf(r) else float(r)
-    cm = _psi_fourier(pinney(), key_r, 1, cfg)
+    cm = _psi_fourier(pinney(), key_r, 1, IntegratorConfig())
     c_m1, c0, c1 = cm
     return PinneyConstants(c0=float(c0.real),
                            d_plus=float(0.5 * (c1 + c_m1).real),

@@ -99,8 +99,6 @@ class PotentialSpec:
     _d2v: callable
     kink_at_zero: bool = False
 
-    domain_right = math.inf
-
     @property
     def singular_left(self):
         return math.isfinite(self.domain_left)
@@ -326,6 +324,8 @@ def appendix_audit(pot: PotentialSpec, x_grid) -> AppendixAudit:
     if not pot.singular_left:
         raise DomainError(f"{pot.kind}: appendix audit needs a finite left endpoint")
     x = np.asarray(x_grid, dtype=float)
+    if not np.all((0 < x) & (x < math.inf)):
+        raise ConfigError("x: every appendix audit point must be finite and positive")
     sig = np.array([sigma_map(pot, xi) for xi in x])
     iso = pot.v(x) - (x - sig) ** 2 / 8.0
     slope = pot.dv(x) - x / 4.0

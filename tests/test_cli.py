@@ -219,7 +219,7 @@ def test_config_file_defaults(tmp_path):
 
 def test_byte_identical_reruns(tmp_path):
     args = ["phi-scan", "--potential", "pinney", "--forcing", "sin",
-            "--theta-points", "16", "--r-points", "6", "--seedless"]
+            "--theta-points", "16", "--r-points", "6"]
     assert main(args + ["--out", str(tmp_path / "one")]) == 0
     assert main(args + ["--out", str(tmp_path / "two")]) == 0
     for name in ("phi_field.csv", "verdict.json"):
@@ -317,3 +317,94 @@ def test_phi_scan_two_r_points_end_at_r_max(tmp_path):
 def test_missing_required_parameter():
     assert main(["resonance-run", "--potential", "harmonic:1",
                  "--forcing", "sin"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["phi-scan", "--potential", "pinney", "--forcing", "sin", "--bogus", "1"],
+     "unrecognized arguments: --bogus"),
+    (["phi-scan", "--potential", "pinney", "--forcing", "sin", "--r-points", "abc"],
+     "r_points: invalid literal"),
+    (["period-audit", "--potential", "pinney", "--r", "one"], "r: could not convert"),
+    ([], "required"),
+], ids=["unknown-flag", "malformed-int", "malformed-repeated", "no-command"])
+def test_usage_errors_exit_1(argv, message, capsys):
+    # argparse exited 2, the code of a negative result
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["phi-scan", "--help"]) == 0
+    assert "--r-points" in capsys.readouterr().out
+
+
+_VALID = {
+    "phi-scan": ["--potential", "pinney", "--forcing", "sin", "--theta-points", "4",
+                 "--r-points", "2"],
+    "resonance-run": ["--potential", "harmonic:1", "--forcing", "sin", "--eps", "0.05",
+                      "--periods", "10"],
+    "acw": ["--c", "4"],
+    "period-audit": ["--potential", "harmonic:1", "--r", "1"],
+    "periodic-find": ["--potential", "harmonic:1", "--forcing", "cos2t", "--eps", "0.09",
+                      "--x0", "0", "--v0", "0"],
+    "limits-audit": ["--potential", "harmonic:1", "--I", "10"],
+    "fourier-constants": ["--r", "1"],
+}
+_REMOVED_FLAGS = ([(command, ["--seedless"]) for command in _VALID]
+                  + [(command, ["--format", "json"]) for command in
+                     ("phi-scan", "resonance-run", "acw", "periodic-find")]
+                  + [("fourier-constants", ["--rel-tol", "1e-8"])])
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED_FLAGS,
+                         ids=[f"{c} {f[0]}" for c, f in _REMOVED_FLAGS])
+def test_commands_reject_flags_they_do_not_read(command, flag, capsys):
+    # each of these exited 0 and the flag did nothing
+    assert main([command, *_VALID[command]]) == 0
+    capsys.readouterr()
+    assert main([command, *_VALID[command], *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag[0]}" in err
+
+
+def test_config_values_pass_through_the_flag_type(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"r": ["inf"]}))
+    assert main(["fourier-constants", "--config", str(config)]) == 0
+    row, = json.loads(capsys.readouterr().out)["constants"]
+    assert row["r"] == "inf" and row["c0"] == pytest.approx(2 / math.pi, abs=1e-9)
+    config.write_text(json.dumps({"potential": "pinney", "forcing": "sin",
+                                  "r_points": "abc"}))
+    assert main(["phi-scan", "--config", str(config)]) == 1
+    assert "r_points: invalid literal" in capsys.readouterr().err
+    config.write_text(json.dumps({"potential": "pinney", "r": 100}))
+    assert main(["period-audit", "--config", str(config)]) == 1
+    assert "r: must be a list" in capsys.readouterr().err
+    config.write_text(json.dumps({"potential": {"kind": "pinney"}, "r": [100]}))
+    assert main(["period-audit", "--config", str(config)]) == 1
+    assert "error: potential: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["1e150", "1e300"])
+def test_period_audit_huge_amplitude_is_an_integration_error(r, capsys):
+    # the starting-step rule raised OverflowError (1e150) or
+    # ZeroDivisionError (1e300) through the CLI as a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["period-audit", "--potential", "pinney", "--r", r]) == 1
+    assert "error: integration failed: no starting step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--delta", "5"], "delta: must satisfy 0 < delta < pi"),
+    (["--delta", "nan"], "delta: must satisfy 0 < delta < pi"),
+    (["--delta", "0"], "delta: must satisfy 0 < delta < pi"),
+    (["--x", "nan"], "x: every appendix audit point must be finite and positive"),
+    (["--x", "inf"], "x: every appendix audit point must be finite and positive"),
+    (["--x", "-1"], "x: every appendix audit point must be finite and positive"),
+])
+def test_limits_audit_delta_and_x_are_checked_by_name(argv, message, capsys):
+    # delta = 5 audited over negative times and exited 0; nan delta or x
+    # failed with "pinney: non-finite evaluation point"
+    assert main(["limits-audit", "--potential", "pinney", "--I", "100", *argv]) == 1
+    assert message in capsys.readouterr().err
