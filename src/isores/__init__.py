@@ -8,7 +8,7 @@ from .forcing import (ForcingTerm, PiecewiseConst, Sampled, TrigPoly,
 from .potentials import (PotentialSpec, appendix_audit, asymmetric, custom,
                          harmonic, pinney, potential_from_descriptor,
                          sigma_map)
-from .integrate import (IntegratorConfig, State, Trajectory, energy,
+from .integrate import (IntegratorConfig, RawSolution, State, energy,
                         integrate_autonomous, integrate_forced)
 from .autonomous import (ActionAngle, AutonomousOrbit, VariationalSolution,
                          action_of_amplitude, amplitude_of_action,
@@ -19,7 +19,7 @@ from .autonomous import (ActionAngle, AutonomousOrbit, VariationalSolution,
 from .phi import (PhiField, corollary_bound, eval_phi, harmonic_phi_closed,
                   phi_at_infinity_pinney, phi_scan, pinney_fourier_constants,
                   resonance_verdict, winding_number)
-from .dynamics import (PeriodicSolution, ResonanceDiagnostics, envelope_bound,
+from .dynamics import (PeriodicSolution, ResonanceDiagnostics,
                        find_periodic_solution, resonance_run,
                        seed_from_phi_zero, stroboscopic_map)
 from .acw import (AcwState, acw_first_integral, acw_numeric_check, acw_orbit,

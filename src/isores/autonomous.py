@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, _quad_checked
 from .integrate import (IntegratorConfig, RawSolution, State, StepTable,
-                        Trajectory, _clamp, _standard_events, forced_system,
+                        _clamp, _standard_events, forced_system,
                         integrate_autonomous, integrate_ode)
 from .potentials import (PotentialSpec, inverse_V_negative, inverse_V_positive)
 
@@ -80,9 +80,8 @@ def _constant_trajectory(y, t0, t1):
     y = np.asarray(y, dtype=float)
     steps = StepTable(np.array([t0]), np.array([t1 - t0]), y[None, :],
                       np.zeros((1, 4, y.size)))
-    raw = RawSolution(np.array([t0, t1]), np.array([y, y]), steps, [],
-                      {"n_steps": 0, "nfev": 0, "n_segments": 1, "n_rejected": 0})
-    return Trajectory(raw)
+    return RawSolution(np.array([t0, t1]), np.array([y, y]), steps, [],
+                       {"n_steps": 0, "nfev": 0, "n_segments": 1, "n_rejected": 0})
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +91,7 @@ class AutonomousOrbit:
     pot: PotentialSpec
     r: float
     period: float
-    trajectory: Trajectory
+    trajectory: RawSolution
     energy: float
 
     def eval(self, t):
@@ -122,7 +121,7 @@ def minimal_period(pot: PotentialSpec, r: float, cfg: IntegratorConfig) -> float
     """
     if not 0 < r < math.inf:
         raise DomainError("minimal_period: r must be finite and positive")
-    pot.v(r)
+    pot._check_domain(r)
     guess = TWO_PI / pot.n_iso if pot.n_iso else TWO_PI
     for horizon in (1.25 * guess, 10.0 * TWO_PI):
         tau = _section_return(pot, State(r, 0.0), horizon, cfg)
@@ -373,12 +372,25 @@ def negative_semiperiod(pot: PotentialSpec, action: float) -> float:
 # ---------------------------------------------------------------------------
 # rotation argument (Sturm diagnostics)
 
+def argument_increment(z_of, t0, t1, z0, z1, name, depth=0):
+    """Change of arg z_of(t) from t0 to t1, given z0 = z_of(t0) and z1 =
+    z_of(t1): [t0, t1] is halved until every increment is at most pi/2, so
+    branch jumps cannot alias; NumericsError after 48 halvings."""
+    d = cmath.phase(z1 / z0)
+    if abs(d) <= 0.5 * math.pi:
+        return d
+    if depth >= 48:
+        raise NumericsError(f"{name}: argument varies too fast")
+    tm = 0.5 * (t0 + t1)
+    zm = z_of(tm)
+    return (argument_increment(z_of, t0, tm, z0, zm, name, depth + 1)
+            + argument_increment(z_of, tm, t1, zm, z1, name, depth + 1))
+
+
 def sturm_argument(vs: VariationalSolution, t_grid, component: str = "u"):
     """Continuous (unwrapped) argument of y + i*y' along t_grid, where y is
-    the real (component="u") or imaginary (component="v") part of psi.
-
-    Increments larger than pi/2 between grid nodes are resolved by step
-    halving, so branch jumps cannot alias.
+    the real (component="u") or imaginary (component="v") part of psi; each
+    increment between grid nodes is an argument_increment.
     """
     if component == "u":
         z_of = lambda t: complex(vs.u(t) + 1j * vs.du(t))
@@ -387,25 +399,13 @@ def sturm_argument(vs: VariationalSolution, t_grid, component: str = "u"):
     else:
         raise ValueError("component must be 'u' or 'v'")
     t = np.asarray(t_grid, dtype=float)
-
-    def increment(t0, t1, z0, z1, depth):
-        d = cmath.phase(z1 / z0)
-        if abs(d) <= 0.5 * math.pi:
-            return d
-        if depth >= 48:
-            raise NumericsError("sturm_argument: argument varies too fast")
-        tm = 0.5 * (t0 + t1)
-        zm = z_of(tm)
-        return (increment(t0, tm, z0, zm, depth + 1)
-                + increment(tm, t1, zm, z1, depth + 1))
-
     out = np.empty(t.shape)
     z_prev = z_of(t.flat[0])
     out.flat[0] = math.atan2(z_prev.imag, z_prev.real)
     for i in range(1, t.size):
         z_next = z_of(t.flat[i])
-        out.flat[i] = out.flat[i - 1] + increment(t.flat[i - 1], t.flat[i],
-                                                  z_prev, z_next, 0)
+        out.flat[i] = out.flat[i - 1] + argument_increment(
+            z_of, t.flat[i - 1], t.flat[i], z_prev, z_next, "sturm_argument")
         z_prev = z_next
     return out
 

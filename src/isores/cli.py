@@ -123,6 +123,7 @@ def cmd_resonance_run(p):
 
 
 def cmd_acw(p):
+    cfg = IntegratorConfig(p.rel_tol, p.abs_tol)
     s0 = acw_mod.AcwState(p.x0, p.y0)
     orbit = acw_mod.acw_orbit(p.c, s0, p.steps)
     if p.out is not None:
@@ -131,7 +132,7 @@ def cmd_acw(p):
                "y_final": orbit[-1].y,
                "first_integral": acw_mod.acw_first_integral(orbit[-1])}
     if p.check:
-        chk = acw_mod.acw_numeric_check(p.c, s0, IntegratorConfig(p.rel_tol, p.abs_tol))
+        chk = acw_mod.acw_numeric_check(p.c, s0, cfg)
         summary["numeric_check_max_err"] = chk.max_err
     return summary, 0
 
@@ -248,7 +249,7 @@ def build_parser():
                 p.add_argument(flag, action="store_true", default=None)
             else:
                 p.add_argument(flag, action="append" if isinstance(default, list) else "store")
-        p.set_defaults(run=run, params=params)
+        p.set_defaults(run=run, params=params, parser=p)
     return ap
 
 
@@ -289,7 +290,9 @@ def _resolve(args):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:                   # the command's usage, not the top level's
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:       # argparse: 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:

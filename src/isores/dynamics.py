@@ -12,7 +12,7 @@ import numpy as np
 
 from .autonomous import ActionAngle, from_action_angle
 from .errors import DomainError, IntegrationError, NumericsError
-from .forcing import ForcingTerm, TWO_PI, abs_integral, l1_norm
+from .forcing import ForcingTerm, TWO_PI, l1_norm
 from .integrate import (IntegratorConfig, State, energy, forced_system,
                         integrate_forced, integrate_ode)
 from .potentials import PotentialSpec
@@ -44,13 +44,6 @@ class ResonanceDiagnostics:
     final_state: State
     partial: bool = False
     stop_reason: str | None = None
-
-
-def envelope_bound(e0: float, eps: float, f: ForcingTerm, t: float) -> float:
-    """sqrt(E0) + |eps|/sqrt(2) * integral of |p| over [0, t]."""
-    if t < 0:
-        raise ValueError("envelope_bound: t must be nonnegative")
-    return math.sqrt(e0) + abs(eps) / math.sqrt(2.0) * abs_integral(f, t)
 
 
 def _window_verdict(window_sup: np.ndarray) -> str:
@@ -108,8 +101,8 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
             stop_reason = str(exc)
             break
         x, v = traj.eval(np.linspace(t0, t1, samples_per_window))
-        x = np.abs(np.concatenate([x, traj.knot_states[:, 0]]))
-        v = np.abs(np.concatenate([v, traj.knot_states[:, 1]]))
+        x = np.abs(np.concatenate([x, traj.ys[:, 0]]))
+        v = np.abs(np.concatenate([v, traj.ys[:, 1]]))
         sup_xv.append(float(np.max(x + v)))
         sup_x.append(float(np.max(x)))
         state = traj.end_state()

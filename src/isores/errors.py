@@ -15,8 +15,8 @@ class NumericsError(IsoresError, RuntimeError):
 
 
 class IntegrationError(IsoresError, RuntimeError):
-    """ODE integration aborted.  Carries the partial trajectory computed so
-    far in ``trajectory`` (may be None if nothing was accepted)."""
+    """ODE integration aborted.  Carries the solution computed so far in
+    ``trajectory``: an integrate.RawSolution, as a finished solve returns."""
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)

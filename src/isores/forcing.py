@@ -38,9 +38,6 @@ class ForcingTerm:
         pts = np.concatenate([self.jump_points(), self.kink_points()])
         return np.unique(pts)
 
-    def to_descriptor(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=False)
 class TrigPoly(ForcingTerm):
@@ -93,10 +90,6 @@ class TrigPoly(ForcingTerm):
                 out = out + b * np.sin(k * t)
         return out if out.ndim else float(out)
 
-    def to_descriptor(self):
-        return {"kind": "trig", "a0": self.a0, "a": list(self.cos_coeffs),
-                "b": list(self.sin_coeffs)}
-
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseConst(ForcingTerm):
@@ -143,10 +136,6 @@ class PiecewiseConst(ForcingTerm):
         pts = np.concatenate([base + k * self.period for k in range(self.repetitions)])
         return np.unique(np.mod(pts, TWO_PI))
 
-    def to_descriptor(self):
-        return {"kind": "piecewise", "period": self.period,
-                "breaks": list(self.breakpoints), "values": list(self.values)}
-
 
 @dataclass(frozen=True, eq=False)
 class Sampled(ForcingTerm):
@@ -176,9 +165,6 @@ class Sampled(ForcingTerm):
 
     def kink_points(self):
         return self.times.copy()
-
-    def to_descriptor(self):
-        return {"kind": "sampled", "values": list(self.values)}
 
 
 def tiled_split_points(f: ForcingTerm, a: float, b: float):

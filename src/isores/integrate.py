@@ -42,10 +42,6 @@ class State:
     x: float
     v: float
 
-    def __iter__(self):
-        yield self.x
-        yield self.v
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -82,10 +78,15 @@ class StepTable(NamedTuple):
 
 
 class RawSolution:
-    """Chained dense solution of an n-dimensional first-order system.
+    """Chained dense solution of an n-dimensional first-order system: what
+    every solve returns, and what a failed one attaches to its
+    IntegrationError as ``trajectory``.
 
-    Knot interval (ts[k], ts[k + 1]] is covered by row k of ``steps``: the
-    row is picked as scipy's OdeSolution picks its interpolant.
+    ts and ys are the knots, one row of ys per knot; for the (x, v) systems
+    of integrate_forced and integrate_autonomous, ys[:, 0] is x and ys[:, 1]
+    is v.  Knot interval (ts[k], ts[k + 1]] is covered by row k of
+    ``steps``: the row is picked as scipy's OdeSolution picks its
+    interpolant.  Nothing changes it once built, so it is safe to share.
     """
 
     def __init__(self, ts, ys, steps: StepTable, log, stats):
@@ -113,21 +114,25 @@ class RawSolution:
                                      xtol=_ROOT_TOL, rtol=_ROOT_TOL), rank, kind))
         return [Event(kind, t) for t, _, kind in sorted(found)]
 
-    @property
-    def t0(self):
-        return float(self.ts[0])
+    def events_of(self, kind):
+        return [e for e in self.events if e.kind == kind]
 
-    @property
-    def t1(self):
-        return float(self.ts[-1])
+    def state(self, t) -> State:
+        x, v = self.eval(float(t))[:2]
+        return State(float(x), float(v))
+
+    def end_state(self) -> State:
+        return State(float(self.ys[-1, 0]), float(self.ys[-1, 1]))
 
     def eval(self, t):
-        """Dense evaluation at scalar or array times inside [t0, t1], every
-        step's interpolant in one array operation."""
+        """Dense evaluation at scalar or array times inside [ts[0], ts[-1]],
+        every step's interpolant in one array operation: one value per
+        component, each an array over the times for array input."""
+        t0, t1 = float(self.ts[0]), float(self.ts[-1])
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if t_arr.size and (t_arr.min() < self.t0 - 1e-9 or t_arr.max() > self.t1 + 1e-9):
+        if t_arr.size and (t_arr.min() < t0 - 1e-9 or t_arr.max() > t1 + 1e-9):
             raise ValueError("evaluation time outside the integrated span")
-        t_arr = np.clip(t_arr, self.t0, self.t1)
+        t_arr = np.clip(t_arr, t0, t1)
         tab = self.steps
         k = np.searchsorted(self.ts[1:-1], t_arr, side="left")
         s = ((t_arr - tab.t_old[k]) / tab.h[k])[:, None]
@@ -248,7 +253,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     kink        -- g(t, y) whose zero crossings force a restart so that no
                    step straddles them;
     guard       -- (kind, g(t, y)): downward crossing aborts with the partial
-                   trajectory attached to the raised IntegrationError.
+                   RawSolution attached to the raised IntegrationError.
 
     The earliest kink or guard root on the step's interpolant ends the step;
     v=0 and x=0 crossings are found when RawSolution.events is read.  Each
@@ -364,53 +369,6 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
             armed, kdir = kink is not None, None
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Dense (x, v) solution over [t0, t1] with knots, event log and step
-    statistics.  Immutable and safe to share."""
-
-    raw: RawSolution
-
-    @property
-    def t0(self):
-        return self.raw.t0
-
-    @property
-    def t1(self):
-        return self.raw.t1
-
-    @property
-    def knot_times(self):
-        return self.raw.ts
-
-    @property
-    def knot_states(self):
-        return self.raw.ys[:, :2]
-
-    @property
-    def events(self):
-        return self.raw.events
-
-    @property
-    def stats(self):
-        return self.raw.stats
-
-    def eval(self, t):
-        """(x, v) at scalar or array times."""
-        out = self.raw.eval(t)
-        return out[0], out[1]
-
-    def state(self, t) -> State:
-        x, v = self.raw.eval(float(t))[:2]
-        return State(float(x), float(v))
-
-    def end_state(self) -> State:
-        return State(float(self.raw.ys[-1, 0]), float(self.raw.ys[-1, 1]))
-
-    def events_of(self, kind):
-        return [e for e in self.events if e.kind == kind]
-
-
 def _clamp(pot: PotentialSpec):
     """Lowest x at which a right-hand side evaluates V's derivatives, or None."""
     return pot.domain_left + 1e-13 if pot.singular_left else None
@@ -432,7 +390,7 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
     past it see V at the clamp a + 1e-13, which no accepted step reaches)."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
-    pot.v(y0[0])  # domain check
+    pot._check_domain(y0[0])
     breaks = tiled_split_points(f, t0, t1) if eps != 0.0 else ()
     dv, d2v, clamp = pot._dv, pot._d2v, _clamp(pot)
 
@@ -463,43 +421,44 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
 
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,
-                         cfg: IntegratorConfig) -> Trajectory:
-    """Solve x'' = -V'(x) from s0 over [t0, t1].
+                         cfg: IntegratorConfig) -> RawSolution:
+    """Solve x'' = -V'(x) from s0 over [t0, t1]; the dense (x, v) solution.
 
     Its x=0 and v=0 crossings are found when its events are read, refined
     on the dense output to well below 1e-12; potentials with a kink at x=0
     restart the step there so the discontinuous V'' never degrades the order.
-    Raises IntegrationError (carrying the partial trajectory) if the step
-    budget is exhausted or the orbit reaches domain_left + singularity_margin.
+    Raises IntegrationError, whose ``trajectory`` is the RawSolution up to
+    the failure, if the step budget is exhausted or the orbit reaches
+    domain_left + singularity_margin.
     """
     return integrate_forced(pot, None, 0.0, s0, t0, t1, cfg)
 
 
 def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
                      t0: float, t1: float, cfg: IntegratorConfig,
-                     check_envelope: bool = True) -> Trajectory:
-    """Solve x'' = -V'(x) + eps*p(t).
+                     check_envelope: bool = True) -> RawSolution:
+    """Solve x'' = -V'(x) + eps*p(t); the dense (x, v) solution.
 
     Steps never straddle a discontinuity of p: the grid is split there and a
     ``forcing_break`` event is logged at every breakpoint.  With eps = 0 the
     forcing is inert and this is integrate_autonomous.  When check_envelope
     is set, the a-priori bound |sqrt(E(t1)) - sqrt(E(t0))| <= |eps|/sqrt(2)
-    * int |p| is verified at the endpoint (slack 1e-6).
+    * int |p| is verified at the endpoint (slack 1e-6).  A failure raises
+    IntegrationError, whose ``trajectory`` is a RawSolution too.
     """
     y0 = [s0.x, s0.v]
     fun, options = forced_system(pot, f, eps, y0, t0, t1, cfg)
     raw = integrate_ode(fun, y0, t0, t1, cfg, **options)
-    traj = Trajectory(raw)
     if check_envelope and eps != 0.0 and t0 >= 0:
         e0 = energy(pot, s0)
-        e1 = energy(pot, traj.end_state())
+        e1 = energy(pot, raw.end_state())
         budget = abs(eps) / math.sqrt(2.0) * (abs_integral(f, t1) - abs_integral(f, t0))
         slack = abs(math.sqrt(e1) - math.sqrt(e0)) - budget
         if slack > 1e-6:
             raise IntegrationError(
                 f"energy envelope violated by {slack:.3e}: integrator failure",
-                trajectory=traj.raw)
-    return traj
+                trajectory=raw)
+    return raw
 
 
 def energy(pot: PotentialSpec, s: State) -> float:

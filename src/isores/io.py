@@ -41,15 +41,5 @@ def write_csv(path, header, rows):
 def write_json(path, obj):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-
-    def default(o):
-        if isinstance(o, numbers.Integral):
-            return int(o)
-        if isinstance(o, numbers.Real):
-            return float(o)
-        if hasattr(o, "tolist"):
-            return o.tolist()
-        raise TypeError(f"not JSON serializable: {type(o)}")
-
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=default) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return path

@@ -13,7 +13,6 @@ psi is a closed form for every built-in center (_profile).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -24,8 +23,9 @@ from .errors import ConfigError, DomainError, NumericsError
 from .forcing import (ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
-from .autonomous import (asymmetric_psi_closed, pinney_psi_closed,
-                         pinney_psi_infinity, profile_amplitude, psi_solution)
+from .autonomous import (argument_increment, asymmetric_psi_closed,
+                         pinney_psi_closed, pinney_psi_infinity,
+                         profile_amplitude, psi_solution)
 from .potentials import PotentialSpec, pinney
 
 def _knots(points):
@@ -307,41 +307,27 @@ def resonance_verdict(field: PhiField, threshold: float = 1e-4) -> Verdict:
                    threshold=threshold, coverage=coverage)
 
 
-def winding_number(field: PhiField, rectangle, zero_tol: float = 1e-9,
-                   max_depth: int = 40) -> int:
+def winding_number(field: PhiField, rectangle, zero_tol: float = 1e-9) -> int:
     """Winding number of Phi along the boundary of
     rectangle = (theta_lo, theta_hi, r_lo, r_hi), counterclockwise.
 
-    Boundary samples are refined until consecutive argument increments stay
-    below pi/2.  A boundary modulus below zero_tol aborts (boundary too
-    close to a zero of the field)."""
+    Each side's argument change is an argument_increment.  A boundary
+    modulus below zero_tol aborts (boundary too close to a zero of the
+    field)."""
     th0, th1, r0, r1 = rectangle
-    corners = [(th0, r0), (th1, r0), (th1, r1), (th0, r1), (th0, r0)]
 
-    def val(p):
-        z = field.eval(p[0], p[1])
+    def val(theta, r):
+        z = field.eval(theta, r)
         if abs(z) < zero_tol:
             raise NumericsError(
-                f"winding_number: |Phi| = {abs(z):.2e} on the boundary at {p}")
+                f"winding_number: |Phi| = {abs(z):.2e} on the boundary at {(theta, r)}")
         return z
 
-    total = 0.0
-    for (p0, p1) in zip(corners[:-1], corners[1:]):
-        z0 = val(p0)
-        z1 = val(p1)
-        stack = [(p0, p1, z0, z1, 0)]
-        while stack:
-            a, b, za, zb, depth = stack.pop()
-            d = cmath.phase(zb / za)
-            if abs(d) <= 0.5 * math.pi:
-                total += d
-                continue
-            if depth >= max_depth:
-                raise NumericsError("winding_number: refinement stalled")
-            mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
-            zm = val(mid)
-            stack.append((mid, b, zm, zb, depth + 1))
-            stack.append((a, mid, za, zm, depth + 1))
+    # each side varies one coordinate: (z_of, start, end)
+    sides = [(lambda th: val(th, r0), th0, th1), (lambda r: val(th1, r), r0, r1),
+             (lambda th: val(th, r1), th1, th0), (lambda r: val(th0, r), r1, r0)]
+    total = sum(argument_increment(z_of, a, b, z_of(a), z_of(b), "winding_number")
+                for z_of, a, b in sides)
     w = total / TWO_PI
     if abs(w - round(w)) > 0.05:
         raise NumericsError(f"winding_number: non-integer winding {w:.4f}")

@@ -312,6 +312,17 @@ def test_sturm_argument_quantized_winding(pin, har2, cfg):
     assert total2 == pytest.approx(-2 * TWO_PI, abs=1e-6)
 
 
+
+def test_sturm_argument_halves_coarse_steps(har2, cfg):
+    # at t-steps of pi/2 the argument of cos 2t - 2i sin 2t turns by -pi per
+    # step, beyond pi/2: only the halving finds it, as a fine grid does
+    vs = psi_solution(har2, 1.0, cfg)
+    coarse = sturm_argument(vs, 0.5 * math.pi * np.arange(5))
+    fine = sturm_argument(vs, np.linspace(0.0, TWO_PI, 401))
+    assert np.all(np.abs(np.diff(coarse)) > 0.5 * math.pi)
+    assert np.max(np.abs(coarse - fine[::100])) < 1e-9
+    assert coarse[-1] - coarse[0] == pytest.approx(-2 * TWO_PI, abs=1e-9)
+
 def _critical_points(fn, dfn, t_lo, t_hi, n=4000):
     ts = np.linspace(t_lo, t_hi, n)
     dv = dfn(ts)

@@ -252,10 +252,12 @@ def test_format_json_tables(tmp_path):
     ["period-audit", "--potential", "pinney", "--r", "1", "--abs-tol", "nan"],
     ["phi-scan", "--potential", "asymmetric:inf:1", "--forcing", "sin"],
     ["resonance-run", "--potential", "pinney", "--forcing", "sin",
-     "--eps", "nan", "--periods", "10"]],
-    ids=["rel-tol-inf", "abs-tol-nan", "alpha-inf", "eps-nan"])
+     "--eps", "nan", "--periods", "10"],
+    ["acw", "--c", "4", "--rel-tol", "nan"]],
+    ids=["rel-tol-inf", "abs-tol-nan", "alpha-inf", "eps-nan", "acw-rel-tol-nan"])
 def test_non_finite_inputs_are_config_errors(argv, capsys):
-    # each one ran on (or hung) instead of naming the bad field
+    # each one ran on (or hung) instead of naming the bad field; acw checked
+    # its tolerances only under --check, and exited 0 without it
     assert main(argv) == 1
     assert "must be finite" in capsys.readouterr().err
 
@@ -333,6 +335,16 @@ def test_usage_errors_exit_1(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_unknown_flag_prints_the_command_usage(capsys):
+    # argparse handed the flag back to the top-level parser, whose usage
+    # lists the commands instead of the flags of the one given
+    assert main(["phi-scan", "--potential", "pinney", "--forcing", "sin",
+                 "--bogus", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: isores phi-scan [-h]")
+    assert "isores phi-scan: error: unrecognized arguments: --bogus 1" in err
+
+
 def test_help_exits_0(capsys):
     assert main(["phi-scan", "--help"]) == 0
     assert "--r-points" in capsys.readouterr().out
@@ -385,14 +397,15 @@ def test_config_values_pass_through_the_flag_type(tmp_path, capsys):
     assert "error: potential: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("r", ["1e150", "1e300"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r", ["1e150", "1e200", "1e300"])
 def test_period_audit_huge_amplitude_is_an_integration_error(r, capsys):
-    # the starting-step rule raised OverflowError (1e150) or
-    # ZeroDivisionError (1e300) through the CLI as a traceback
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["period-audit", "--potential", "pinney", "--r", r]) == 1
-    assert "error: integration failed: no starting step" in capsys.readouterr().err
+    # the starting-step rule raised OverflowError (1e150, 1e200) or
+    # ZeroDivisionError (1e300) through the CLI as a traceback, and the
+    # domain probes evaluated V, which overflowed with a RuntimeWarning
+    assert main(["period-audit", "--potential", "pinney", "--r", r]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: integration failed: no starting step")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -159,10 +159,16 @@ def test_complex_fourier_coefficients_reconstruct():
 
 
 def test_descriptor_round_trip():
-    for f in (TrigPoly(a0=1.0, cos_coeffs=(2.0,), sin_coeffs=(0.0, 3.0)),
-              PiecewiseConst(breakpoints=(0.0, 1.0), values=(1.0, -1.0), period=math.pi),
-              Sampled(values=(0.0, 1.0, 0.0, -1.0))):
-        g = forcing_from_descriptor(f.to_descriptor())
+    # each descriptor builds the forcing its fields name
+    for desc, f in (
+            ({"kind": "trig", "a0": 1.0, "a": [2.0], "b": [0.0, 3.0]},
+             TrigPoly(a0=1.0, cos_coeffs=(2.0,), sin_coeffs=(0.0, 3.0))),
+            ({"kind": "piecewise", "period": math.pi, "breaks": [0.0, 1.0],
+              "values": [1.0, -1.0]},
+             PiecewiseConst(breakpoints=(0.0, 1.0), values=(1.0, -1.0), period=math.pi)),
+            ({"kind": "sampled", "values": [0.0, 1.0, 0.0, -1.0]},
+             Sampled(values=(0.0, 1.0, 0.0, -1.0)))):
+        g = forcing_from_descriptor(desc)
         for t in np.linspace(0, TWO_PI, 23):
             assert g.eval(t) == pytest.approx(f.eval(t), abs=1e-15)
 

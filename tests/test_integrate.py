@@ -31,11 +31,11 @@ def test_pinney_half_and_full_period(pin, cfg):
 
 def test_knots_match_interpolation(pin, cfg):
     traj = integrate_autonomous(pin, State(1.0, 0.0), 0.0, TWO_PI, cfg)
-    ts = traj.knot_times
+    ts = traj.ts
     assert np.all(np.diff(ts) > 0)
     x, v = traj.eval(ts)
-    assert np.allclose(x, traj.knot_states[:, 0], atol=1e-12)
-    assert np.allclose(v, traj.knot_states[:, 1], atol=1e-12)
+    assert np.allclose(x, traj.ys[:, 0], atol=1e-12)
+    assert np.allclose(v, traj.ys[:, 1], atol=1e-12)
 
 
 def test_eps_zero_reduces_to_autonomous(pin, cfg):
@@ -43,8 +43,8 @@ def test_eps_zero_reduces_to_autonomous(pin, cfg):
                        period=math.pi)
     auto = integrate_autonomous(pin, State(1.0, 0.0), 0.0, TWO_PI, cfg)
     forced = integrate_forced(pin, f, 0.0, State(1.0, 0.0), 0.0, TWO_PI, cfg)
-    assert np.array_equal(auto.knot_times, forced.knot_times)
-    assert np.array_equal(auto.knot_states, forced.knot_states)
+    assert np.array_equal(auto.ts, forced.ts)
+    assert np.array_equal(auto.ys, forced.ys)
 
 
 def test_forced_harmonic_variation_of_constants(har, cfg):
@@ -69,7 +69,7 @@ def test_forcing_breakpoints_are_split_events(pin, cfg):
     assert np.allclose(breaks, expected, atol=1e-12)
     # splits are exact knots
     for b in expected:
-        assert np.min(np.abs(traj.knot_times - b)) < 1e-12
+        assert np.min(np.abs(traj.ts - b)) < 1e-12
 
 
 def test_sampled_forcing_splits_at_kinks(pin, cfg):
@@ -126,7 +126,7 @@ def test_x_zero_events_recorded(pin, cfg):
 def test_dense_output_midpoint_accuracy(pin, cfg):
     # midpoints of accepted steps vs the exact closed-form orbit
     traj = integrate_autonomous(pin, State(1.0, 0.0), 0.0, TWO_PI, cfg)
-    ts = traj.knot_times
+    ts = traj.ts
     mids = 0.5 * (ts[:-1] + ts[1:])
     x, v = traj.eval(mids)
     xc, vc = pinney_phi_closed(1.0, mids)
@@ -187,7 +187,7 @@ def test_asymmetric_kink_handling(cfg):
                        atol=1e-9)
     # crossings are exact knots (steps never straddle the kink)
     for c in crossings:
-        assert np.min(np.abs(traj.knot_times - c)) < 1e-9
+        assert np.min(np.abs(traj.ts - c)) < 1e-9
 
 
 def test_kink_crossed_at_the_start_is_stepped_off(cfg):
@@ -198,7 +198,7 @@ def test_kink_crossed_at_the_start_is_stepped_off(cfg):
     off = integrate_autonomous(pot, State(1e-20, -1.0), 0.0, TWO_PI, cfg)
     at = integrate_autonomous(pot, State(0.0, -1.0), 0.0, TWO_PI, cfg)
     assert off.stats["n_segments"] == at.stats["n_segments"] + 2
-    assert 1e-9 in off.knot_times
+    assert 1e-9 in off.ts
     end, ref = off.end_state(), at.end_state()
     assert abs(end.x - ref.x) + abs(end.v - ref.v) < 1e-9
 
@@ -337,7 +337,7 @@ def test_guard_time_matches_scipy_terminal_event(pin):
 
 def test_dense_table_constant_trajectory():
     from isores.autonomous import _constant_trajectory
-    raw = _constant_trajectory([0.5, -2.0], 1.0, 4.0).raw
+    raw = _constant_trajectory([0.5, -2.0], 1.0, 4.0)
     t = np.linspace(1.0, 4.0, 7)
     assert np.array_equal(raw.eval(t), np.repeat([[0.5], [-2.0]], 7, axis=1))
     assert np.array_equal(raw.eval(4.0), [0.5, -2.0])
