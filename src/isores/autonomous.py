@@ -14,8 +14,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, _quad_checked
 from .integrate import (IntegratorConfig, RawSolution, State, StepTable,
-                        _clamp, _standard_events, forced_system,
-                        integrate_autonomous, integrate_ode)
+                        _compile_system, _potential_lines, _standard_events,
+                        forced_system, integrate_autonomous, integrate_ode)
 from .potentials import (PotentialSpec, inverse_V_negative, inverse_V_positive)
 
 
@@ -313,17 +313,10 @@ def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
 # Rofe-Beketov derivative with respect to the action
 
 def _rofe_raw(pot: PotentialSpec, r: float, t_max: float, cfg: IntegratorConfig):
-    dv, d2v, clamp = pot._dv, pot._d2v, _clamp(pot)
-
-    def rhs(t, y):
-        x = y[0]
-        if clamp is not None and x < clamp:
-            x = clamp
-        acc = -float(dv(x))
-        v2, a2 = y[1] * y[1], acc * acc
-        w = (1.0 - float(d2v(x))) * (v2 - a2) / (v2 + a2) ** 2
-        return (y[1], acc, w)
-
+    body, constants = _potential_lines(pot, ("dv", "d2v"))
+    rhs = _compile_system(3, body + [
+        "acc = -dv", "v2 = s_1 * s_1", "a2 = acc * acc", "r_0 = s_1", "r_1 = acc",
+        "r_2 = (1.0 - d2v) * (v2 - a2) / (v2 + a2) ** 2"], constants)
     kink, guard = _standard_events(pot, cfg)
     return integrate_ode(rhs, [r, 0.0, 0.0], 0.0, t_max, cfg, kink=kink, guard=guard)
 

@@ -233,12 +233,24 @@ COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it rejects the arguments it does not know itself,
+    so their usage message is the command's; the top level's own unknown
+    arguments get the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="isores",
         description="Resonance tools for periodically forced isochronous "
                     "oscillators")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, (run, text, params) in COMMANDS.items():
         p = sub.add_parser(command, help=text, description=text)
         p.add_argument("--config", help="JSON file of parameter values; "
@@ -249,7 +261,7 @@ def build_parser():
                 p.add_argument(flag, action="store_true", default=None)
             else:
                 p.add_argument(flag, action="append" if isinstance(default, list) else "store")
-        p.set_defaults(run=run, params=params, parser=p)
+        p.set_defaults(run=run, params=params)
     return ap
 
 
@@ -290,9 +302,7 @@ def _resolve(args):
 
 def main(argv=None) -> int:
     try:
-        args, extra = build_parser().parse_known_args(argv)
-        if extra:                   # the command's usage, not the top level's
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:       # argparse: 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:

@@ -25,6 +25,11 @@ class ForcingTerm:
     def eval(self, t):
         raise NotImplementedError
 
+    def scalar_source(self):
+        """Statements that set p to p(tt) for a float tt in the integrator's
+        compiled right-hand sides, and the values of the names they read."""
+        return ["p = float(p_eval(tt))"], {"p_eval": self.eval}
+
     def jump_points(self):
         """Discontinuity times of p within [0, 2*pi), as a sorted array."""
         return np.empty(0)
@@ -70,17 +75,17 @@ class TrigPoly(ForcingTerm):
         b = self.sin_coeffs[k - 1] if k <= len(self.sin_coeffs) else 0.0
         return a, b
 
+    def scalar_source(self):
+        # the operations of eval in its order, each coefficient a name
+        lines, constants = ["p = p_a0"], {"p_a0": self.a0}
+        for k, a, b in self._terms:
+            for name, c, fn in ((f"p_a{k}", a, "cos"), (f"p_b{k}", b, "sin")):
+                if c:
+                    lines.append(f"p = p + {name} * {fn}({k} * tt)")
+                    constants[name] = c
+        return lines, constants
+
     def eval(self, t):
-        if isinstance(t, float):
-            # scalar fast path (the integrator's right-hand side); the same
-            # operations in the same order as the array path below
-            out = self.a0
-            for k, a, b in self._terms:
-                if a:
-                    out = out + a * math.cos(k * t)
-                if b:
-                    out = out + b * math.sin(k * t)
-            return out
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, self.a0, dtype=float)
         for k, a, b in self._terms:

@@ -5,12 +5,20 @@ pair (J. Comput. Appl. Math. 6, 1980) with the controller and starting-step
 rule of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4, as scipy's RK45
 runs them, with its order 5 steps and quartic dense interpolant.
 
-Cost model.  An attempted step costs 6 right-hand-side calls and every
-restart (start, forcing breakpoint, kink) 2 more; a forced Pinney step costs
-about 19 us in all, 11 us of it the loop's own float arithmetic and
-bookkeeping, 8 us the right-hand side (2-core VM, Python 3.11).  The step
-itself is generated once per state size n (_stepper): the stage sums are
-written out over scalar locals, with no list built per stage, and keep the
+Cost model.  An attempted step costs 6 right-hand-side evaluations and
+every restart (start, forcing breakpoint, kink) 2 more calls.  The step is
+generated as source over scalar locals (_system_source) and compiled once
+per structure: the state size n and the system's body, the lines that
+compute the right-hand side.  forced_system writes that body from the
+expression text a built-in potential declares for V' and V'' and from the
+statements TrigPoly writes for p (math.cos/math.sin, no numpy call), and the
+step runs the body inline at each stage, so no stage makes a Python call
+(custom potentials and other forcings call their callbacks from the body).
+The constants (eps, the coefficients, the clamp) are globals bound per
+system, so systems that differ only in values share one code object.  A
+forced Pinney step costs about 10-11 us in all: 5 us for the step, about
+2 us of it the 6 inlined right-hand sides, and 5-6 us of the loop's own
+bookkeeping (2-core VM, Python 3.11).  The stage sums keep the
 terms and the order of a loop over components (the tests' reference step),
 so the results are the same to the bit.  After each accepted step the step
 budget, the singularity guard and the kink are float comparisons at the
@@ -174,10 +182,15 @@ _PT = np.array([           # (4, 7): coef = P^T K for a step's stage rows K
 _ROOT_TOL = 4 * np.finfo(float).eps      # scipy's event-root tolerance
 
 
-def _stepper_source(n):
-    """Source of the n-component step over scalar locals.  Each sum keeps
-    the terms and the order of the loop over components that the tests
-    compare it with bit for bit (the tableau's zeros, B2 and E2, skipped)."""
+def _system_source(n, body):
+    """Source of rhs(tt, y) and of the n-component step(fun, t, y, f, h, cfg)
+    for a system body: lines that read tt and s_0..s_{n-1} and set
+    r_0..r_{n-1}.  The step runs the body at each of its 6 stages over
+    scalar locals.  Each sum keeps the terms and the order of the loop over
+    components that the tests compare it with bit for bit (the tableau's
+    zeros, B2 and E2, skipped)."""
+    body = ["    " + line for line in body]
+
     def each(fmt):                 # fmt(i) for every component, comma-joined
         return ", ".join(fmt(i) for i in range(n))
 
@@ -187,17 +200,24 @@ def _stepper_source(n):
     def row(j):                    # stage row j: k1 = f, ..., k7 = f_new
         return each(lambda i: f"k{j}_{i}")
 
-    lines = ["def step(fun, t, y, f, h, cfg):",
+    def stage(j, t_j, s_j):        # the body at (t_j, s_j) into stage row j
+        return ([f"    tt = {t_j}"] + [f"    s_{i} = {s_j(i)}" for i in range(n)]
+                + body + ["    " + "; ".join(f"k{j}_{i} = r_{i}" for i in range(n))])
+
+    lines = ["def rhs(tt, y):",
+             f"    {each(lambda i: f's_{i}')}, = y",
+             *body,
+             f"    return ({each(lambda i: f'r_{i}')},)",
+             "def step(fun, t, y, f, h, cfg):",
              f"    {each(lambda i: f'y_{i}')}, = y",
              f"    {row(1)}, = f"]
     for j in range(2, 7):
         t_j = "t + h" if _C[j - 1] == 1.0 else f"t + ({_C[j - 1]!r}) * h"
-        y_j = each(lambda i: f"y_{i} + h * ({combo(_A[j - 1], i)})")
-        lines.append(f"    {row(j)}, = fun({t_j}, [{y_j},])")
+        lines += stage(j, t_j, lambda i: f"y_{i} + h * ({combo(_A[j - 1], i)})")
     lines += [f"    z_{i} = y_{i} + h * ({combo(_B, i)})" for i in range(n)]
     lines += [f"    y_new = [{each(lambda i: f'z_{i}')},]",
-              "    f_new = fun(t + h, y_new)",
-              f"    {row(7)}, = f_new",
+              *stage(7, "t + h", lambda i: f"z_{i}"),
+              f"    f_new = ({row(7)},)",
               "    atol, rtol = cfg.abs_tol, cfg.rel_tol"]
     for i in range(n):             # max(a, b) is b if b > a else a
         lines += [f"    a, b = abs(y_{i}), abs(z_{i})",
@@ -209,14 +229,30 @@ def _stepper_source(n):
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
+def _compiled(n, body):
+    """The compiled _system_source(n, body), cached by structure: systems that
+    differ only in the values of their constants share one code object."""
+    return compile(_system_source(n, body), f"<isores system, n={n}>", "exec")
+
+
+def _compile_system(n, body, constants):
+    """rhs(t, y) of an n-component system from its body (lines, see
+    _system_source), with its Dormand-Prince step as rhs.step; constants are
+    the values of the globals the body reads, bound per system."""
+    namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, **constants}
+    exec(_compiled(n, tuple(body)), namespace)
+    rhs = namespace["rhs"]
+    rhs.step = namespace["step"]
+    return rhs
+
+
 def _stepper(n):
     """One Dormand-Prince step of size h from (t, y), f = fun(t, y), for an
     n-component state: (y_new, f_new, the 7 stage rows flat, RMS error norm).
-    Compiled from _stepper_source on first use per n."""
-    namespace = {"sqrt": math.sqrt}
-    exec(_stepper_source(n), namespace)
-    return namespace["step"]
+    Each stage calls fun with a list."""
+    s, r = (", ".join(f"{c}_{i}" for i in range(n)) for c in "sr")
+    return _compile_system(n, [f"{r}, = fun(tt, [{s},])"], {}).step
 
 
 def _initial_step(fun, t, y, f, span, cfg):
@@ -246,7 +282,8 @@ def _interpolant(t_old, h, y_old, coef):
 def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                   kink=None, guard=None) -> RawSolution:
     """Integrate y' = fun(t, y) over [t0, t1] with dense output; fun maps a
-    list of floats to a sequence of floats.
+    list of floats to a sequence of floats.  A fun made by _compile_system
+    steps with its own fun.step, which runs fun's body inline at each stage.
 
     breakpoints -- interior times where the step grid must restart (logged
                    as ``forcing_break`` events);
@@ -267,7 +304,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     stops = [t0] + [float(b) for b in sorted(breakpoints)
                     if t0 + 1e-12 < b < t1 - 1e-12] + [t1]
     y = np.asarray(y0, dtype=float).tolist()
-    step = _stepper(len(y))
+    step = getattr(fun, "step", None) or _stepper(len(y))
     ts, ys, rows, log = [t0], [y], [], []       # rows: (t_old, h, stages)
     stats = {"n_steps": 0, "nfev": 0, "n_segments": 0, "n_rejected": 0}
 
@@ -369,9 +406,20 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
             armed, kdir = kink is not None, None
 
 
-def _clamp(pot: PotentialSpec):
-    """Lowest x at which a right-hand side evaluates V's derivatives, or None."""
-    return pot.domain_left + 1e-13 if pot.singular_left else None
+def _potential_lines(pot: PotentialSpec, names):
+    """Body lines (see _system_source) that set x to s_0, raised to the clamp
+    a + 1e-13 of a singular endpoint a, and then each of names ("dv", "d2v")
+    to that derivative of V at x, with the constants they read.  A built-in
+    potential's declared expressions are pasted in; a custom potential's
+    callbacks are called with the float x."""
+    dv, d2v, constants = pot.scalar or ("float(_dv(x))", "float(_d2v(x))",
+                                        {"_dv": pot._dv, "_d2v": pot._d2v})
+    lines, constants = ["x = s_0"], dict(constants)
+    if pot.singular_left:
+        lines.append("if x < clamp: x = clamp")
+        constants["clamp"] = pot.domain_left + 1e-13
+    expr = {"dv": dv, "d2v": d2v}
+    return lines + [f"{name} = {expr[name]}" for name in names], constants
 
 
 def _standard_events(pot: PotentialSpec, cfg: IntegratorConfig):
@@ -387,37 +435,28 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
     x'' = -V'(x) + eps*p(t) from y0 = (x, v), or from (x, v, u, u', w, w')
     with the variational equation u'' = -V''(x) u.  The options split the
     steps at p's breaks and at a kink, and guard a singular endpoint (stages
-    past it see V at the clamp a + 1e-13, which no accepted step reaches)."""
+    past it see V at the clamp a + 1e-13, which no accepted step reaches).
+    fun is compiled from V's and p's declared scalar source, with its fused
+    step as fun.step."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     pot._check_domain(y0[0])
     breaks = tiled_split_points(f, t0, t1) if eps != 0.0 else ()
-    dv, d2v, clamp = pot._dv, pot._d2v, _clamp(pot)
-
+    n = len(y0)
+    body, constants = _potential_lines(pot, ("d2v", "dv") if n == 6 else ("dv",))
     if eps == 0.0 or f is None:
-        def rhs(t, y):
-            x = y[0]
-            if clamp is not None and x < clamp:
-                x = clamp
-            return (y[1], -float(dv(x)))
+        acc = "-dv"
     else:
-        pe = f.eval
-
-        def rhs(t, y):
-            x = y[0]
-            if clamp is not None and x < clamp:
-                x = clamp
-            return (y[1], -float(dv(x)) + eps * float(pe(t)))
-
-    if len(y0) == 6:
-        phase = rhs
-
-        def rhs(t, y):
-            a = float(d2v(y[0] if clamp is None else max(y[0], clamp)))
-            return (*phase(t, y), y[3], -a * y[2], y[5], -a * y[4])
-
+        p_lines, p_constants = f.scalar_source()
+        body += p_lines
+        constants.update(p_constants, eps=eps)
+        acc = "-dv + eps * p"
+    body += ["r_0 = s_1", f"r_1 = {acc}"]
+    if n == 6:
+        body += ["r_2 = s_3", "r_3 = -d2v * s_2", "r_4 = s_5", "r_5 = -d2v * s_4"]
     kink, guard = _standard_events(pot, cfg)
-    return rhs, {"breakpoints": breaks, "kink": kink, "guard": guard}
+    return (_compile_system(n, body, constants),
+            {"breakpoints": breaks, "kink": kink, "guard": guard})
 
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,

@@ -86,8 +86,12 @@ class PotentialSpec:
     ``n_iso`` is the isochrony integer N (minimal period 2*pi/N) when known;
     None means the potential has not been certified isochronous and callers
     must audit the period themselves.  Evaluator callbacks must be pure and
-    accept numpy arrays and Python floats: the integrator's right-hand sides
-    call _dv and _d2v with a float and use the result as a scalar.
+    accept numpy arrays.  ``scalar`` declares V' and V'' of a built-in family
+    as expression text in a float x, with the values of the constants they
+    read: (dv, d2v, constants).  The integrator compiles these into its
+    right-hand sides.  Only a custom potential (scalar None) has its _dv and
+    _d2v called with Python floats by the integrator, which uses each result
+    as a scalar.
     """
 
     kind: str
@@ -98,6 +102,7 @@ class PotentialSpec:
     _dv: callable
     _d2v: callable
     kink_at_zero: bool = False
+    scalar: tuple | None = None
 
     @property
     def singular_left(self):
@@ -139,17 +144,12 @@ def harmonic(n: int) -> PotentialSpec:
         raise ConfigError("potential.n: must be a positive integer")
     n = int(n)
     n2 = float(n * n)
-
-    def _d2v(x):
-        if isinstance(x, float):
-            return n2
-        return np.full_like(np.asarray(x, dtype=float), n2)
-
     return PotentialSpec(
         kind="harmonic", params=(n,), domain_left=-math.inf, n_iso=n,
         _v=lambda x: 0.5 * n2 * x * x,
         _dv=lambda x: n2 * x,
-        _d2v=_d2v)
+        _d2v=lambda x: np.full_like(np.asarray(x, dtype=float), n2),
+        scalar=("n2 * x", "n2", {"n2": n2}))
 
 
 @functools.lru_cache(maxsize=1)
@@ -161,18 +161,20 @@ def pinney() -> PotentialSpec:
         u = np.asarray(x, dtype=float) + 1.0
         return 0.125 * (u * u + u ** -2) - 0.25
 
-    # a float argument skips np.asarray: float ** int is the same libm pow
-    # that numpy applies to a 0-d argument
     def _dv(x):
-        u = (x if isinstance(x, float) else np.asarray(x, dtype=float)) + 1.0
+        u = np.asarray(x, dtype=float) + 1.0
         return 0.25 * (u - u ** -3)
 
     def _d2v(x):
-        u = (x if isinstance(x, float) else np.asarray(x, dtype=float)) + 1.0
+        u = np.asarray(x, dtype=float) + 1.0
         return 0.25 + 0.75 * u ** -4
 
+    # the same operations over a float x: float ** int is the libm pow that
+    # numpy applies to a 0-d argument
     return PotentialSpec(kind="pinney", params=(), domain_left=-1.0, n_iso=1,
-                         _v=_v, _dv=_dv, _d2v=_d2v)
+                         _v=_v, _dv=_dv, _d2v=_d2v,
+                         scalar=("0.25 * ((x + 1.0) - (x + 1.0) ** -3)",
+                                 "0.25 + 0.75 * (x + 1.0) ** -4", {}))
 
 
 @functools.lru_cache(maxsize=64)
@@ -193,14 +195,10 @@ def asymmetric(alpha: float, beta: float) -> PotentialSpec:
         return 0.5 * (alpha * np.maximum(x, 0.0) ** 2 + beta * np.minimum(x, 0.0) ** 2)
 
     def _dv(x):
-        if isinstance(x, float):
-            return alpha * x if x > 0 else beta * x
         x = np.asarray(x, dtype=float)
         return np.where(x > 0, alpha * x, beta * x)
 
     def _d2v(x):
-        if isinstance(x, float):
-            return alpha if x >= 0 else beta
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, alpha, beta)
 
@@ -208,7 +206,10 @@ def asymmetric(alpha: float, beta: float) -> PotentialSpec:
     n_iso = int(round(nu)) if abs(nu - round(nu)) < 1e-9 and round(nu) >= 1 else None
     return PotentialSpec(kind="asymmetric", params=(alpha, beta),
                          domain_left=-math.inf, n_iso=n_iso,
-                         _v=_v, _dv=_dv, _d2v=_d2v, kink_at_zero=True)
+                         _v=_v, _dv=_dv, _d2v=_d2v, kink_at_zero=True,
+                         scalar=("alpha * x if x > 0 else beta * x",
+                                 "alpha if x >= 0 else beta",
+                                 {"alpha": alpha, "beta": beta}))
 
 
 def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None, kink_at_zero=False,

@@ -345,6 +345,14 @@ def test_unknown_flag_prints_the_command_usage(capsys):
     assert "isores phi-scan: error: unrecognized arguments: --bogus 1" in err
 
 
+def test_unknown_flag_before_the_command_prints_the_top_level_usage(capsys):
+    # the top level's leftovers went to the command's parser with its own
+    assert main(["--bogus", "phi-scan", "--potential", "pinney", "--forcing", "sin"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: isores [-h]")
+    assert "isores: error: unrecognized arguments: --bogus" in err
+
+
 def test_help_exits_0(capsys):
     assert main(["phi-scan", "--help"]) == 0
     assert "--r-points" in capsys.readouterr().out

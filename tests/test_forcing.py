@@ -29,15 +29,19 @@ def test_eval_trig_examples():
 
 
 def test_trig_float_path_matches_array_path():
-    # harmonic 2 is all zero, the others have one zero coefficient each
+    # the float path is the scalar source the integrator compiles; harmonic
+    # 2 is all zero, the others have one zero coefficient each
     f = TrigPoly(a0=0.3, cos_coeffs=(1.0, 0.0, -0.5, 0.0),
                  sin_coeffs=(0.0, 0.0, 0.25, 2.0))
+    lines, constants = f.scalar_source()
+    assert len(lines) == 5 and set(constants) == {"p_a0", "p_a1", "p_a3", "p_b3", "p_b4"}
+    code = compile("\n".join(lines), "<scalar>", "exec")
     ts = np.linspace(-40.0, 40.0, 4001)
     arr = f.eval(ts)
     for t, want in zip(ts, arr):
-        got = f.eval(float(t))
-        assert type(got) is float and got == want
-        assert f.eval(np.float64(t)) == want
+        scope = {"tt": float(t)}
+        exec(code, {"cos": math.cos, "sin": math.sin, **constants}, scope)
+        assert type(scope["p"]) is float and scope["p"] == want
     assert type(TrigPoly(a0=2).eval(1.0)) is float
 
 

@@ -417,6 +417,89 @@ def test_kernel_matches_list_step_bit_for_bit(n, data):
     assert _bits([err]) == _bits([ref_err])
 
 
+# -- compiled right-hand sides ------------------------------------------------------
+
+_POTENTIALS = {
+    "pinney": iso.pinney(), "harmonic:2": iso.harmonic(2),
+    "asymmetric:4:4/9": iso.asymmetric(4.0, 4.0 / 9.0),
+    "custom": iso.custom(v=lambda x: 0.5 * np.asarray(x) ** 2 + 0.025 * np.asarray(x) ** 4,
+                         dv=lambda x: x + 0.1 * x ** 3, d2v=lambda x: 1.0 + 0.3 * x ** 2)}
+_FORCINGS = {"sin": TrigPoly(sin_coeffs=(1.0,)),
+             "trig3": TrigPoly(a0=0.3, cos_coeffs=(1.0,), sin_coeffs=(0.0, 0.0, -0.7)),
+             "step": PiecewiseConst(breakpoints=(0.0, 2.0), values=(1.0, -1.0))}
+
+
+def _closure_rhs(pot, f, eps, n):
+    """The right-hand side as a closure over V's callbacks and p's terms, in
+    the operations and order of the compiled one."""
+    clamp = pot.domain_left + 1e-13 if pot.singular_left else None
+
+    def p(t):
+        if not isinstance(f, TrigPoly):
+            return float(f.eval(t))
+        out = f.a0
+        for k, a, b in f._terms:
+            if a:
+                out = out + a * math.cos(k * t)
+            if b:
+                out = out + b * math.sin(k * t)
+        return out
+
+    def rhs(t, y):
+        x = y[0] if clamp is None else max(y[0], clamp)
+        acc = -float(pot._dv(x))
+        if eps != 0.0:
+            acc = acc + eps * p(t)
+        if n == 2:
+            return (y[1], acc)
+        a = float(pot._d2v(x))
+        return (y[1], acc, y[3], -a * y[2], y[5], -a * y[4])
+    return rhs
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("forcing", list(_FORCINGS))
+@pytest.mark.parametrize("potential", list(_POTENTIALS))
+def test_compiled_system_matches_closure_and_reference_step(potential, forcing, n, eps):
+    pot, f = _POTENTIALS[potential], _FORCINGS[forcing]
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    fun, _ = forced_system(pot, f, eps, [0.5] * n, 0.0, TWO_PI, cfg)
+    closure = _closure_rhs(pot, f, eps, n)
+    rng = np.random.default_rng(7)     # Python floats, as integrate_ode passes
+    cases = [(float(rng.uniform(-20.0, 20.0)),
+              [*rng.uniform(-0.9, 2.0, 2).tolist(), *rng.uniform(-1, 1, n - 2).tolist()],
+              float(rng.uniform(1e-4, 0.3))) for _ in range(6)]
+    if potential == "pinney":
+        # x below -1 + 1e-13: the right-hand side sees V at the clamp, at the
+        # start and at the second stage of the step from (-0.99, -5)
+        cases += [(1.0, [-1.0 + 1e-14, 0.3, 1.0, 0.0, 0.0, 1.0][:n], 0.01),
+                  (1.0, [-0.99, -5.0, 1.0, 0.0, 0.0, 1.0][:n], 0.01)]
+    for t, y, h in cases:
+        f0 = fun(t, y)
+        assert _bits(f0) == _bits(closure(t, y))
+        got = fun.step(None, t, y, f0, h, cfg)
+        y_new, f_new, stages, err = _dp_step_reference(fun, t, y, f0, h, cfg)
+        assert _bits(got[0]) == _bits(y_new) and _bits(got[1]) == _bits(f_new)
+        assert _bits(got[2]) == _bits(np.ravel(stages))
+        assert _bits([got[3]]) == _bits([err])
+        assert _bits(f_new) == _bits(closure(t + h, y_new))
+
+
+def test_systems_differing_in_constants_share_code():
+    from isores.integrate import _compiled
+    pin, cfg = iso.pinney(), IntegratorConfig()
+    one, _ = forced_system(pin, TrigPoly(sin_coeffs=(1.0,)), 0.05, [1.0, 0.0], 0.0, 1.0, cfg)
+    before = _compiled.cache_info()
+    two, _ = forced_system(pin, TrigPoly(sin_coeffs=(0.7,)), 0.02, [1.0, 0.0], 0.0, 1.0, cfg)
+    after = _compiled.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert after.maxsize is not None and after.currsize <= after.maxsize
+    assert two.__code__ is one.__code__ and two.step.__code__ is one.step.__code__
+    # each binds its own constants
+    assert one(1.0, [0.5, 0.0])[1] != two(1.0, [0.5, 0.0])[1]
+
+
 def test_tableau_is_scipys():
     # the rationals written out in integrate.py are scipy's RK45 floats
     from isores.integrate import _A, _B, _C, _E, _PT
