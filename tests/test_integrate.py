@@ -509,12 +509,16 @@ def test_tableau_is_scipys():
         assert ours.shape == theirs.shape and (ours == theirs).all()
 
 
-def test_forced_run_end_state_is_pinned(pin, sin_f, cfg):
+def test_forced_run_end_state_is_pinned(monkeypatch, pin, sin_f, cfg):
     # exact floats of the list-based step: any reordering of the step's
     # arithmetic moves their last digits
+    import isores.integrate
+    calls = _recorded_calls(monkeypatch, isores.integrate)
     d = iso.resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 20, cfg)
     assert (d.final_state.x, d.final_state.v) == (-0.7549530348777969, 1.0999127446588444)
     assert float(d.window_sup[-1]) == 4.048133755147269
+    assert len(calls) == 20
+    assert [sum(c[-1].stats[k] for c in calls) for k in _STATS] == [4327, 98, 26590, 20]
 
 
 def test_periodic_find_state_is_pinned(pin, cfg):
@@ -619,6 +623,61 @@ def test_events_are_pinned(key):
     name, tol = key.split("/")
     events = _pinned_run(name, _TOLERANCES[tol]).events
     assert [[e.kind, float(e.t).hex()] for e in events] == _PINNED_EVENTS[key]
+
+
+_STATS = ("n_steps", "n_rejected", "nfev", "n_segments")
+
+# raw.stats (in _STATS order) and the last knot of every _pinned_run case: a
+# change to the step loop that moves a step, a rejection or a restart shows
+_PINNED_STATS = {
+    "pinney-autonomous/default": ([707, 21, 4370, 1],
+                                  ["0x1.000000008f666p+1", "-0x1.31299e0000000p-35"]),
+    "pinney-autonomous/loose": ([117, 36, 920, 1],
+                                ["0x1.0000195899462p+1", "-0x1.9a0654eef0000p-20"]),
+    "pinney-sin/default": ([590, 3, 3560, 1],
+                           ["0x1.598fd650862fbp-2", "0x1.28ea3e8062247p-6"]),
+    "pinney-sin/loose": ([95, 24, 716, 1],
+                         ["0x1.598ff5ddccd8ap-2", "0x1.28e5d8d6ef688p-6"]),
+    "asymmetric-autonomous/default": ([421, 29, 2710, 5],
+                                      ["0x1.00000018bf5d6p+0", "-0x1.e846fa0000000p-35"]),
+    "asymmetric-autonomous/loose": ([78, 23, 616, 5],
+                                    ["0x1.0000903c7861fp+0", "-0x1.44c0fbb3a0000p-19"]),
+    "asymmetric-forced/default": ([626, 62, 4142, 7],
+                                  ["0x1.b8a4a624654bfp-1", "0x1.44f7d434add14p+0"]),
+    "asymmetric-forced/loose": ([114, 35, 908, 7],
+                                ["0x1.b8a9b4e55e225p-1", "0x1.44f8be07de7e0p+0"]),
+    "tangency-start/default": ([209, 7, 1306, 5],
+                               ["-0x1.40acc3fc70fb5p-38", "-0x1.fffffffa517efp-1"]),
+    "tangency-start/loose": ([40, 12, 322, 5],
+                             ["-0x1.47da31b2f5ad7p-22", "-0x1.ffff7ee0e37c3p-1"]),
+    "pinney-step/default": ([682, 159, 5062, 8],
+                            ["0x1.58db927e7623ap-2", "0x1.485350f2f598dp-1"]),
+    "pinney-step/loose": ([152, 58, 1276, 8],
+                          ["0x1.58da7dab61e77p-2", "0x1.4852c6db19f50p-1"]),
+    "singularity-guard/default": ([52, 4, 338, 1],
+                                  ["-0x1.6666666666666p-1", "-0x1.5e62f894d6b2ap+0"]),
+    "singularity-guard/loose": ([10, 8, 110, 1],
+                                ["-0x1.6666666666666p-1", "-0x1.5e6319ac05635p+0"]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_STATS))
+def test_stats_and_last_knot_are_pinned(key):
+    name, tol = key.split("/")
+    raw = _pinned_run(name, _TOLERANCES[tol])
+    assert ([raw.stats[k] for k in _STATS], _bits(raw.ys[-1])) == _PINNED_STATS[key]
+
+
+@pytest.mark.parametrize("s0, pinned", [
+    ((1.0, 0.0), ([229, 68, 1786, 2], ["0x1.ffffffffada73p+0", "-0x1.b9d0e8be9f921p-35"])),
+    ((1.0, 1.0), ([254, 47, 1810, 2], ["0x1.94c583aca3f19p+0", "0x1.43d1361cc8e95p-1"]))])
+def test_call_form_stats_and_last_knot_are_pinned(monkeypatch, cfg, s0, pinned):
+    # a plain-function right-hand side with a callable guard and a break
+    import isores.acw
+    calls = _recorded_calls(monkeypatch, isores.acw)
+    isores.acw.acw_numeric_check(4.0, isores.acw.AcwState(*s0), cfg)
+    (*_, raw), = calls
+    assert ([raw.stats[k] for k in _STATS], _bits(raw.ys[-1])) == pinned
 
 
 def test_crossings_are_root_found_only_when_read(monkeypatch):
