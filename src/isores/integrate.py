@@ -6,28 +6,33 @@ rule of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4, as scipy's RK45
 runs them, with its order 5 steps and quartic dense interpolant.
 
 Cost model.  An attempted step costs 6 right-hand-side evaluations and
-every restart (start, forcing breakpoint, kink) 2 more calls.  The step is
-generated as source over scalar locals (_system_source) and compiled once
-per structure: the state size n and the system's body, the lines that
-compute the right-hand side.  forced_system writes that body from the
-expression text a built-in potential declares for V' and V'' and from the
-statements TrigPoly writes for p (math.cos/math.sin, no numpy call), and the
-step runs the body inline at each stage, so no stage makes a Python call
-(custom potentials and other forcings call their callbacks from the body).
-The constants (eps, the coefficients, the clamp) are globals bound per
-system, so systems that differ only in values share one code object.  A
-forced Pinney step costs about 10-11 us in all: 5 us for the step, about
-2 us of it the 6 inlined right-hand sides, and 5-6 us of the loop's own
-bookkeeping (2-core VM, Python 3.11).  The stage sums keep the
-terms and the order of a loop over components (the tests' reference step),
-so the results are the same to the bit.  After each accepted step the step
-budget, the singularity guard and the kink are float comparisons at the
-step's ends; only a sign change of the guard or the kink, which end a step,
-is root-found on the step's interpolant.  The v=0 and x=0 crossings are
-found when RawSolution.events is first read.  Each step keeps its 7 stage
-rows; the dense output (StepTable) is built from them in one array product
-at the end, and RawSolution.eval evaluates any number of times in one array
-operation.
+every restart (start, forcing breakpoint, kink) 2 more calls.  The whole
+accept/reject loop over one span is generated as source over scalar locals
+(_system_source) and compiled once per structure: the state size n, the
+system's body (the lines that compute the right-hand side) and the
+expressions of the kink and the guard it watches.  forced_system writes
+that body from the expression text a built-in potential declares for V' and
+V'' and from the statements TrigPoly writes for p (math.cos/math.sin, no
+numpy call), and the loop runs the body inline at each stage, so no stage
+makes a Python call (custom potentials and other forcings call their
+callbacks from the body, and a plain function is called from a body of one
+line).  The constants (eps, the coefficients, the clamp, the guard's
+threshold) are globals bound per system, so systems that differ only in
+values share one code object.  The loop returns to integrate_ode only at the
+span's end, after the step that crosses max_steps, when the step size falls
+below the spacing of floats, or on a sign change of the kink or the guard,
+which ends a step and is root-found on the step's interpolant there;
+restarts, breakpoints and the tangency step-off stay in integrate_ode.  A
+forced Pinney step costs about 6.5-7 us in all, nearly all of it the
+step's arithmetic with its 6 inlined right-hand sides; a Python loop around
+a generated step took 11-12 us (2-core VM, Python 3.11).  The stage sums
+keep the terms and the order of a loop over components, and the
+controller's comparisons give min's and max's floats (the tests' reference
+loop), so the results are the same to the bit.  The v=0 and x=0 crossings
+are found when RawSolution.events is first read.  Each step appends its 7
+stage rows to a flat list; the dense output (StepTable) is built from them
+in one array product at the end, and RawSolution.eval evaluates any number
+of times in one array operation.
 """
 
 from __future__ import annotations
@@ -182,77 +187,130 @@ _PT = np.array([           # (4, 7): coef = P^T K for a step's stage rows K
 _ROOT_TOL = 4 * np.finfo(float).eps      # scipy's event-root tolerance
 
 
-def _system_source(n, body):
-    """Source of rhs(tt, y) and of the n-component step(fun, t, y, f, h, cfg)
-    for a system body: lines that read tt and s_0..s_{n-1} and set
-    r_0..r_{n-1}.  The step runs the body at each of its 6 stages over
-    scalar locals.  Each sum keeps the terms and the order of the loop over
+def _system_source(n, body, watch):
+    """Source of rhs(tt, y) and of run(...), the Dormand-Prince loop over one
+    span, for an n-component system body: lines that read tt and
+    s_0..s_{n-1} and set r_0..r_{n-1} (and no name of the loop's own).
+
+    run(t, y_0.., k1_0.., h_abs, tb, d_0.., g_0.., n_steps, n_rej, max_steps,
+    atol, rtol, ts, ys, th, ks) steps from (t, y) with k1 = rhs(t, y) towards
+    tb: accept/reject, the error controller and the step-size update of
+    integrate_ode, with the body inline at each of the 6 stages.  Each
+    accepted step appends (t, h) to th and its 7 stage rows to ks (7n floats);
+    its knot, t_new to ts and its n components to ys.  watch holds an
+    expression per watched function, over t_new and the step's end state
+    z_0..z_{n-1}; g_i is its value at the step's start and d_i the direction
+    of the crossing that ends a step (scipy's test d*g_old <= 0 <= d*g_new).
+    run returns (why, n_steps, n_rej, hit) at the span's end ("end"), after
+    the step that crosses max_steps ("budget"), when h_abs falls below the
+    spacing of floats at t ("min_step"), or on a watched sign change ("hit",
+    hit = (t_new, the g at its start, the g at its end)): the step's row is
+    appended but not its knot.  min(a, b) is written b if b < a else a, and
+    max(a, b) b if b > a else a, which give min's and max's floats, nan
+    included.  Each sum keeps the terms and the order of the loop over
     components that the tests compare it with bit for bit (the tableau's
     zeros, B2 and E2, skipped)."""
-    body = ["    " + line for line in body]
+    m = len(watch)
 
-    def each(fmt):                 # fmt(i) for every component, comma-joined
-        return ", ".join(fmt(i) for i in range(n))
+    def each(fmt, count=n):        # fmt(i) for every component, comma-joined
+        return ", ".join(fmt(i) for i in range(count))
 
     def combo(coefs, i):           # (c1) * k1_i + (c2) * k2_i + ..., zeros skipped
         return " + ".join(f"({c!r}) * k{j}_{i}" for j, c in enumerate(coefs, 1) if c)
 
-    def row(j):                    # stage row j: k1 = f, ..., k7 = f_new
-        return each(lambda i: f"k{j}_{i}")
-
     def stage(j, t_j, s_j):        # the body at (t_j, s_j) into stage row j
-        return ([f"    tt = {t_j}"] + [f"    s_{i} = {s_j(i)}" for i in range(n)]
-                + body + ["    " + "; ".join(f"k{j}_{i} = r_{i}" for i in range(n))])
+        return ([f"tt = {t_j}"] + [f"s_{i} = {s_j(i)}" for i in range(n)] + list(body)
+                + ["; ".join(f"k{j}_{i} = r_{i}" for i in range(n))])
 
-    lines = ["def rhs(tt, y):",
-             f"    {each(lambda i: f's_{i}')}, = y",
-             *body,
-             f"    return ({each(lambda i: f'r_{i}')},)",
-             "def step(fun, t, y, f, h, cfg):",
-             f"    {each(lambda i: f'y_{i}')}, = y",
-             f"    {row(1)}, = f"]
+    step = []
     for j in range(2, 7):
         t_j = "t + h" if _C[j - 1] == 1.0 else f"t + ({_C[j - 1]!r}) * h"
-        lines += stage(j, t_j, lambda i: f"y_{i} + h * ({combo(_A[j - 1], i)})")
-    lines += [f"    z_{i} = y_{i} + h * ({combo(_B, i)})" for i in range(n)]
-    lines += [f"    y_new = [{each(lambda i: f'z_{i}')},]",
-              *stage(7, "t + h", lambda i: f"z_{i}"),
-              f"    f_new = ({row(7)},)",
-              "    atol, rtol = cfg.abs_tol, cfg.rel_tol"]
-    for i in range(n):             # max(a, b) is b if b > a else a
-        lines += [f"    a, b = abs(y_{i}), abs(z_{i})",
-                  f"    e_{i} = ({combo(_E, i)}) * h / (atol + (b if b > a else a) * rtol)"]
-    stages = ", ".join(row(j) for j in range(1, 8))
+        step += stage(j, t_j, lambda i: f"y_{i} + h * ({combo(_A[j - 1], i)})")
+    step += [f"z_{i} = y_{i} + h * ({combo(_B, i)})" for i in range(n)]
+    step += stage(7, "t + h", lambda i: f"z_{i}")
+    for i in range(n):
+        step += [f"a, b = abs(y_{i}), abs(z_{i})",
+                 f"e_{i} = ({combo(_E, i)}) * h / (atol + (b if b > a else a) * rtol)"]
     # the loop's sum starts at 0.0, and 0.0 + e * e is e * e for every float e
     squares = " + ".join(f"e_{i} * e_{i}" for i in range(n))
-    lines.append(f"    return y_new, f_new, ({stages},), sqrt(({squares}) / {n})")
+    step += [f"err = sqrt(({squares}) / {n})",
+             "if err < 1:",
+             "    factor = 10.0",
+             "    if err != 0:",
+             "        q = 0.9 * err ** -0.2",
+             "        if q < factor: factor = q",
+             "    if rejected and not factor < 1.0: factor = 1.0",
+             "    h_abs = h * factor",
+             "    break",
+             "q = 0.9 * err ** -0.2",
+             "h_abs = h * (q if q > 0.2 else 0.2)",
+             "rejected = True",
+             "n_rej += 1"]
+
+    stages = each(lambda j: each(lambda i: f"k{j + 1}_{i}"), 7)
+    accepted = ["th += (t, h)", f"ks += ({stages},)"]
+    if m:
+        olds, news = each(lambda i: f"g_{i}", m), each(lambda i: f"w_{i}", m)
+        crossed = " or ".join(f"d_{i} * g_{i} <= 0 <= d_{i} * w_{i}" for i in range(m))
+        accepted += [f"w_{i} = {expr}" for i, expr in enumerate(watch)]
+        accepted += [f"if {crossed}:",
+                     f"    return 'hit', n_steps, n_rej, (t_new, ({olds},), ({news},))",
+                     f"{olds}, = {news},"]
+    accepted += ["ts.append(t_new)",
+                 f"ys += ({each(lambda i: f'z_{i}')},)",
+                 "n_steps += 1",
+                 "if n_steps > max_steps:",
+                 "    return 'budget', n_steps, n_rej, None",
+                 f"t, {each(lambda i: f'y_{i}')}, = t_new, {each(lambda i: f'z_{i}')},",
+                 f"{each(lambda i: f'k1_{i}')}, = {each(lambda i: f'k7_{i}')},",
+                 "if t == tb:",
+                 "    return 'end', n_steps, n_rej, None"]
+
+    def indent(lines, depth):
+        return ["    " * depth + line for line in lines]
+
+    args = ", ".join([each(lambda i: f"y_{i}"), each(lambda i: f"k1_{i}"), "h_abs, tb",
+                      *([each(lambda i: f"d_{i}", m), each(lambda i: f"g_{i}", m)] if m else []),
+                      "n_steps, n_rej, max_steps, atol, rtol, ts, ys, th, ks"])
+    lines = ["def rhs(tt, y):",
+             f"    {each(lambda i: f's_{i}')}, = y",
+             *indent(body, 1),
+             f"    return ({each(lambda i: f'r_{i}')},)",
+             f"def run(t, {args}):",
+             "    while True:",
+             "        min_step = 10 * (nextafter(t, inf) - t)",
+             "        if min_step > h_abs: h_abs = min_step",
+             "        rejected = False",
+             "        while True:",
+             "            if h_abs < min_step:",
+             "                return 'min_step', n_steps, n_rej, None",
+             "            t_new = t + h_abs",
+             "            if tb < t_new: t_new = tb",
+             "            h = t_new - t",
+             *indent(step, 3),
+             *indent(accepted, 2)]
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=64)
-def _compiled(n, body):
-    """The compiled _system_source(n, body), cached by structure: systems that
-    differ only in the values of their constants share one code object."""
-    return compile(_system_source(n, body), f"<isores system, n={n}>", "exec")
+def _compiled(n, body, watch):
+    """The compiled _system_source(n, body, watch), cached by structure:
+    systems that differ only in the values of their constants share one code
+    object."""
+    return compile(_system_source(n, body, watch), f"<isores system, n={n}>", "exec")
 
 
-def _compile_system(n, body, constants):
+def _compile_system(n, body, constants, watch):
     """rhs(t, y) of an n-component system from its body (lines, see
-    _system_source), with its Dormand-Prince step as rhs.step; constants are
-    the values of the globals the body reads, bound per system."""
-    namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, **constants}
-    exec(_compiled(n, tuple(body)), namespace)
+    _system_source), with its loop as rhs.run, which watches the expressions
+    in watch; constants are the values of the globals that the body and the
+    expressions read, bound per system."""
+    namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
+                 "nextafter": math.nextafter, "inf": math.inf, **constants}
+    exec(_compiled(n, tuple(body), tuple(watch)), namespace)
     rhs = namespace["rhs"]
-    rhs.step = namespace["step"]
+    rhs.run = namespace["run"]
     return rhs
-
-
-def _stepper(n):
-    """One Dormand-Prince step of size h from (t, y), f = fun(t, y), for an
-    n-component state: (y_new, f_new, the 7 stage rows flat, RMS error norm).
-    Each stage calls fun with a list."""
-    s, r = (", ".join(f"{c}_{i}" for i in range(n)) for c in "sr")
-    return _compile_system(n, [f"{r}, = fun(tt, [{s},])"], {}).step
 
 
 def _initial_step(fun, t, y, f, span, cfg):
@@ -283,7 +341,10 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                   kink=None, guard=None) -> RawSolution:
     """Integrate y' = fun(t, y) over [t0, t1] with dense output; fun maps a
     list of floats to a sequence of floats.  A fun made by _compile_system
-    steps with its own fun.step, which runs fun's body inline at each stage.
+    steps with its own fun.run, which runs fun's body and the expressions of
+    kink and guard inline (fun and these options come together, from
+    forced_system say); any other fun gets a run that calls fun, kink and
+    guard.
 
     breakpoints -- interior times where the step grid must restart (logged
                    as ``forcing_break`` events);
@@ -301,19 +362,32 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
         raise ValueError("integrate_ode: t0 and t1 must be finite")
     if t1 <= t0:
         raise ValueError("integrate_ode: need t1 > t0")
+    y = np.asarray(y0, dtype=float).tolist()
+    if not all(map(math.isfinite, y)):
+        raise ValueError("integrate_ode: y0 must be finite")
+    n = len(y)
     stops = [t0] + [float(b) for b in sorted(breakpoints)
                     if t0 + 1e-12 < b < t1 - 1e-12] + [t1]
-    y = np.asarray(y0, dtype=float).tolist()
-    step = getattr(fun, "step", None) or _stepper(len(y))
-    ts, ys, rows, log = [t0], [y], [], []       # rows: (t_old, h, stages)
-    stats = {"n_steps": 0, "nfev": 0, "n_segments": 0, "n_rejected": 0}
+    # the functions whose sign change ends a step, kink first
+    watched = {name: g for name, g in (("kink", kink), ("guard", guard and guard[1]))
+               if g is not None}
+    run = getattr(fun, "run", None)
+    if run is None:        # a loop that calls fun and the watched functions
+        s, r, z = (", ".join(f"{c}_{i}" for i in range(n)) for c in "srz")
+        run = _compile_system(n, [f"{r}, = fun(tt, [{s},])"], {"fun": fun, **watched},
+                              [f"{name}(t_new, [{z},])" for name in watched]).run
+    watched = list(watched.values())
+    i_guard = len(watched) - 1 if guard is not None else -1
+    ts, ys, th, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 7n floats a row
+    n_steps = n_rejected = n_segments = 0
 
     def solution():
-        t_old, h, stages = zip(*rows) if rows else ((), (), ())
-        coef = _PT @ np.array(stages, dtype=float).reshape(-1, 7, len(y))
-        steps = StepTable(np.array(t_old), np.array(h),
-                          np.array(ys[:-1]).reshape(-1, len(y)), coef)
-        return RawSolution(np.array(ts), np.array(ys), steps, log, stats)
+        knots, rows = np.array(ys).reshape(-1, n), np.array(th).reshape(-1, 2)
+        steps = StepTable(rows[:, 0], rows[:, 1], knots[:-1],
+                          _PT @ np.array(ks).reshape(-1, 7, n))
+        stats = {"n_steps": n_steps, "nfev": 2 * n_segments + 6 * (n_steps + n_rejected),
+                 "n_segments": n_segments, "n_rejected": n_rejected}
+        return RawSolution(np.array(ts), knots, steps, log, stats)
 
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
@@ -322,81 +396,61 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     armed, kdir = kink is not None, None
     resume = None          # end of the span interrupted by a tangency step-off
     while True:            # one restart of the integrator at (ta, y) per pass
-        stats["n_segments"] += 1
-        stats["nfev"] += 2
+        n_segments += 1
         f = fun(ta, y)
         try:
             h_abs = _initial_step(fun, ta, y, f, tb - ta, cfg)
         except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
             fail(f"integration failed: no starting step at t = {ta} ({exc})")
-        watch = []         # (g, direction) of the crossings that end a step
-        if armed:
-            if kdir is None:   # leave x's side, or at x = 0 the side it moves to
+        if not math.isfinite(h_abs):       # fun is not finite at (ta, y) or near it
+            fail(f"integration failed: no starting step at t = {ta} (h = {h_abs})")
+        dirs = []          # the direction of the crossing of each watched g that ends a step
+        if kink is not None:
+            if armed and kdir is None:   # leave x's side, or at x = 0 the side it moves to
                 kdir = -1.0 if (kink(ta, y) or y[1] or fun(ta, y)[1]) > 0 else 1.0
-            watch.append((kink, kdir))
+            # a nan direction watches neither way: nan * g <= 0 is never true
+            dirs.append(kdir if armed else math.nan)
         if guard is not None:
-            watch.append((guard[1], -1.0))
-        i_guard = len(watch) - 1 if guard is not None else -1
-        g_old = [g(ta, y) for g, _ in watch]
-        t, advance = ta, False
-        while True:        # one accepted step per pass
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    fail("integration failed: Required step size is less "
-                         "than spacing between numbers.")
-                t_new = min(t + h_abs, tb)
-                h = t_new - t
-                y_new, f_new, stages, err = step(fun, t, y, f, h, cfg)
-                stats["nfev"] += 6
-                if err < 1:
-                    factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
-                    h_abs = h * (min(1.0, factor) if rejected else factor)
-                    break
-                h_abs = h * max(0.2, 0.9 * err ** -0.2)
-                rejected = True
-                stats["n_rejected"] += 1
-
-            stop, t_end, y_end, g_new, hits = None, t_new, y_new, g_old, ()
-            if watch:      # scipy's test: a sign change in the direction d = +-1
-                g_new = [g(t_new, y_new) for g, _ in watch]
-                hits = [i for i, (a, b, (_, d)) in enumerate(zip(g_old, g_new, watch))
-                        if d * a <= 0 <= d * b]
-            if hits:       # the earliest root on the step's interpolant ends it
-                y_at = _interpolant(t, h, y, _PT @ np.array(stages).reshape(7, -1))
-                t_end, stop = min((brentq(lambda s, g=watch[i][0]: g(s, y_at(s)),
-                                          t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
-                                  for i in hits)
-                y_end = y_at(t_end)
+            dirs.append(-1.0)
+        why, n_steps, n_rejected, hit = run(
+            ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), n_steps,
+            n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, th, ks)
+        if why == "min_step":
+            fail("integration failed: Required step size is less than spacing "
+                 "between numbers.")
+        if why == "hit":   # the earliest root on the step's interpolant ends the step
+            t_new, g_old, g_new = hit
+            t, h = th[-2:]
+            y_at = _interpolant(t, h, ys[-n:], _PT @ np.array(ks[-7 * n:]).reshape(7, n))
+            t_end, stop = min((brentq(lambda s, g=watched[i]: g(s, y_at(s)),
+                                      t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
+                              for i, (a, b, d) in enumerate(zip(g_old, g_new, dirs))
+                              if d * a <= 0 <= d * b)
             ts.append(t_end)
-            ys.append(y_end)
-            rows.append((t, h, stages))
-            stats["n_steps"] += 1
-            if stats["n_steps"] > cfg.max_steps:
-                fail(f"step budget exceeded ({stats['n_steps']} > {cfg.max_steps})")
+            ys += y_at(t_end)
+            n_steps += 1
+        if n_steps > cfg.max_steps:
+            fail(f"step budget exceeded ({n_steps} > {cfg.max_steps})")
+        y = ys[-n:]
+        if why == "hit":
             if stop == i_guard:
                 log.append(Event(guard[0], t_end))
                 fail(f"{guard[0]} reached at t = {t_end}")
-            if stop is not None:        # kink crossing: restart so no step straddles it
-                y = y_end
-                if t_end - ta <= 1e-12:
-                    # no progress (degenerate tangency): integrate a short span
-                    # without the kink, then restart with it re-armed
-                    resume, tb, armed, kdir = tb, min(tb, ta + 1e-9), False, None
-                else:
-                    # the next crossing runs the other way, whichever side of
-                    # zero the root's rounding left x on
-                    ta, kdir = t_end, -kdir
-                    advance = tb - ta <= 1e-12
-                break
-            t, y, f, g_old = t_new, y_new, f_new, g_new
-            if t == tb:
-                advance = resume is None or resume - tb <= 1e-12
-                if resume is not None:      # the short span is done: re-arm
-                    ta, tb, armed, resume = tb, resume, True, None
-                break
+            # kink crossing: restart so no step straddles it
+            if t_end - ta <= 1e-12:
+                # no progress (degenerate tangency): integrate a short span
+                # without the kink, then restart with it re-armed
+                resume, tb, armed, kdir = tb, min(tb, ta + 1e-9), False, None
+                advance = False
+            else:
+                # the next crossing runs the other way, whichever side of
+                # zero the root's rounding left x on
+                ta, kdir = t_end, -kdir
+                advance = tb - ta <= 1e-12
+        else:              # the span's end
+            advance = resume is None or resume - tb <= 1e-12
+            if resume is not None:      # the short span is done: re-arm
+                ta, tb, armed, resume = tb, resume, True, None
         if advance:
             i_stop += 1
             if i_stop == len(stops) - 1:
@@ -423,10 +477,14 @@ def _potential_lines(pot: PotentialSpec, names):
 
 
 def _standard_events(pot: PotentialSpec, cfg: IntegratorConfig):
-    kink = (lambda t, y: y[0]) if pot.kink_at_zero else None
+    """The kink and guard options of a built-in system, and the same functions
+    as expressions over the step's end state for its compiled loop (see
+    _system_source): (options, watch, constants)."""
     thresh = pot.domain_left + cfg.singularity_margin
+    kink = (lambda t, y: y[0]) if pot.kink_at_zero else None
     guard = ("singularity", lambda t, y: y[0] - thresh) if pot.singular_left else None
-    return kink, guard
+    watch = [expr for expr, g in (("z_0", kink), ("z_0 - thresh", guard)) if g is not None]
+    return {"kink": kink, "guard": guard}, watch, {"thresh": thresh}
 
 
 def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
@@ -454,9 +512,9 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
     body += ["r_0 = s_1", f"r_1 = {acc}"]
     if n == 6:
         body += ["r_2 = s_3", "r_3 = -d2v * s_2", "r_4 = s_5", "r_5 = -d2v * s_4"]
-    kink, guard = _standard_events(pot, cfg)
-    return (_compile_system(n, body, constants),
-            {"breakpoints": breaks, "kink": kink, "guard": guard})
+    events, watch, event_constants = _standard_events(pot, cfg)
+    constants.update(event_constants)
+    return _compile_system(n, body, constants, watch), {"breakpoints": breaks, **events}
 
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -263,26 +264,43 @@ def test_rofe_beketov_monotone_on_half_period(pin, cfg):
 
 # -- negative semi-period -------------------------------------------------------
 
+def _pinney_t_minus_mp(action):
+    """T- = 2 pi - 4 arccos((lambda^2 + 1)^-1/2) at 40 digits."""
+    with mpmath.workdps(40):
+        i = mpmath.mpf(action)
+        lam2 = 4 * i + 1 + mpmath.sqrt((4 * i + 1) ** 2 - 1)
+        return float(2 * mpmath.pi - 4 * mpmath.acos(1 / mpmath.sqrt(lam2 + 1)))
+
+
 def test_negative_semiperiod_closed_form(pin):
     action = pin.v(1.0)
     expected = TWO_PI - 4.0 * math.acos(1.0 / math.sqrt(5.0))
-    assert negative_semiperiod(pin, action) == pytest.approx(expected, abs=1e-7)
+    assert negative_semiperiod(pin, action) == pytest.approx(expected, abs=1e-14)
     assert pinney_t_minus_closed(action) == pytest.approx(expected, rel=1e-12)
 
 
-def test_negative_semiperiod_limits(pin, har):
-    assert negative_semiperiod(pin, 1e-8) == pytest.approx(math.pi, abs=1e-3)
-    for action in (0.5, 3.0, 42.0):
-        assert negative_semiperiod(har, action) == pytest.approx(math.pi, rel=1e-10)
+def test_negative_semiperiod_limits(pin):
+    # the quadrature was off by 6e-5 at action 1e-8, where E - V(x) cancels
+    # near the turning point
+    assert negative_semiperiod(pin, 1e-8) == pytest.approx(_pinney_t_minus_mp(1e-8), abs=1e-14)
     vals = [negative_semiperiod(pin, i) for i in np.logspace(-2, 4, 13)]
     assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
     assert negative_semiperiod(pin, 1e4) < 0.1
 
 
+def test_negative_semiperiod_quadrature_for_other_centres(har):
+    # the centres without a closed form keep the quadrature: harmonic spends
+    # pi at x < 0, and asymmetric(4, 4/9) half a period of frequency 2/3
+    asym = iso.asymmetric(4.0, 4.0 / 9.0)
+    for action in (1e-4, 0.5, 3.0, 42.0):
+        assert negative_semiperiod(har, action) == pytest.approx(math.pi, rel=1e-10)
+        assert negative_semiperiod(asym, action) == pytest.approx(1.5 * math.pi, rel=1e-10)
+
+
 def test_negative_semiperiod_matches_closed_form_on_grid(pin):
-    for action in np.logspace(-1, 3, 9):
-        assert negative_semiperiod(pin, action) == \
-            pytest.approx(pinney_t_minus_closed(action), rel=1e-9)
+    for action in np.logspace(-10, 8, 37).tolist():
+        ref = _pinney_t_minus_mp(action)
+        assert abs(negative_semiperiod(pin, action) - ref) <= 1e-14 * min(1.0, ref)
 
 
 # -- Sturm argument --------------------------------------------------------------

@@ -262,6 +262,21 @@ def test_non_finite_inputs_are_config_errors(argv, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("potential, v0", [("harmonic:1", "nan"), ("pinney", "inf")])
+def test_resonance_run_non_finite_start_exits_at_once(potential, v0):
+    # its starting step was nan, and every step was rejected without end; a
+    # fresh interpreter under a timeout, so that a hang fails the test
+    src = str(Path(isores.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "isores.cli", "resonance-run", "--potential", potential,
+         "--forcing", "sin", "--eps", "0.05", "--periods", "10", "--v0", v0],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 1
+    assert "y0 must be finite" in run.stderr
+
+
 def test_periodic_find_non_finite_zero_angle_exits_at_once(capsys):
     # the nan angle reached the seed's solve, which never finished
     assert main(["periodic-find", "--potential", "pinney", "--forcing", "1+2*cos",

@@ -345,7 +345,7 @@ def test_dense_table_constant_trajectory():
         raw.eval(5.0)
 
 
-# -- the unrolled step kernel -----------------------------------------------------
+# -- the generated step loop ------------------------------------------------------
 
 (_, (_A21, *_), (_A31, _A32, *_), (_A41, _A42, _A43, *_),
  (_A51, _A52, _A53, _A54, _), (_A61, _A62, _A63, _A64, _A65)) = RK45.A.tolist()
@@ -355,7 +355,7 @@ _, _C2, _C3, _C4, _C5, _ = RK45.C.tolist()
 
 
 def _dp_step_reference(fun, t, y, f, h, cfg):
-    """The list-based Dormand-Prince step the generated kernel replaces: the
+    """The list-based Dormand-Prince step the generated loop runs inline: the
     reference for its arithmetic, term by term."""
     k2 = fun(t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, f)])
     k3 = fun(t + _C3 * h, [a + h * (_A31 * p + _A32 * q)
@@ -377,6 +377,36 @@ def _dp_step_reference(fun, t, y, f, h, cfg):
     return y_new, f_new, (f, k2, k3, k4, k5, k6, f_new), math.sqrt(sq / len(y))
 
 
+def _reference_loop(fun, t, y, tb, cfg):
+    """The list-based accept/reject loop over one span [t, tb] that the
+    generated loop replaces, with min and max for its controller and
+    _dp_step_reference for its step: knots, rows (t, h, stages), rejections."""
+    from isores.integrate import _initial_step
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, tb - t, cfg)
+    ts, ys, rows, n_rejected = [t], [y], [], 0
+    while t < tb:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            assert h_abs >= min_step
+            t_new = min(t + h_abs, tb)
+            h = t_new - t
+            y_new, f_new, stages, err = _dp_step_reference(fun, t, y, f, h, cfg)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+            n_rejected += 1
+        ts.append(t_new)
+        ys.append(y_new)
+        rows.append((t, h, stages))
+        t, y, f = t_new, y_new, f_new
+    return ts, ys, rows, n_rejected
+
+
 def _bits(values):
     return [float(v).hex() for v in values]
 
@@ -385,9 +415,9 @@ _coef = st.floats(-3.0, 3.0)
 
 
 @st.composite
-def _step_case(draw, n):
+def _span_case(draw, n):
     """A polynomial right-hand side y_i' = a_i t + sum_j b_ij y_j
-    + c_i y_i y_{i+1} and a step (t, y, f = fun(t, y), h) for it."""
+    + c_i y_i y_{i+1} and a span [t, t + span] from y for it."""
     a = draw(st.lists(_coef, min_size=n, max_size=n))
     b = draw(st.lists(st.lists(_coef, min_size=n, max_size=n), min_size=n, max_size=n))
     c = draw(st.lists(_coef, min_size=n, max_size=n))
@@ -397,24 +427,30 @@ def _step_case(draw, n):
                      + c[i] * y[i] * y[(i + 1) % n] for i in range(n))
     t = draw(st.floats(-10.0, 10.0))
     y = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
-    h = draw(st.floats(1e-6, 0.5))
+    span = draw(st.floats(1e-6, 0.05))
     cfg = IntegratorConfig(rel_tol=draw(st.sampled_from([1e-10, 1e-6, 1e-3])),
                            abs_tol=draw(st.sampled_from([1e-12, 1e-8, 1e-2])))
-    return fun, t, y, fun(t, y), h, cfg
+    return fun, t, y, span, cfg
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_list_step_bit_for_bit(n, data):
-    from isores.integrate import _stepper
-    fun, t, y, f, h, cfg = data.draw(_step_case(n))
-    y_new, f_new, stages, err = _stepper(n)(fun, t, y, f, h, cfg)
-    ref_y, ref_f, ref_stages, ref_err = _dp_step_reference(fun, t, y, f, h, cfg)
-    assert _bits(y_new) == _bits(ref_y)
-    assert _bits(f_new) == _bits(ref_f)
-    assert _bits(stages) == _bits(np.ravel(ref_stages))
-    assert _bits([err]) == _bits([ref_err])
+    # the generated loop for a plain function, which it calls at each stage:
+    # its steps, rejections and stage rows are those of the list loop with
+    # the list step, float for float
+    from isores.integrate import _PT, integrate_ode
+    fun, t, y, span, cfg = data.draw(_span_case(n))
+    raw = integrate_ode(fun, y, t, t + span, cfg)
+    ts, ys, rows, n_rejected = _reference_loop(fun, t, y, t + span, cfg)
+    assert _bits(raw.ts) == _bits(ts)
+    assert _bits(raw.ys.ravel()) == _bits(np.ravel(ys))
+    assert _bits(raw.steps.t_old) == _bits([row[0] for row in rows])
+    assert _bits(raw.steps.h) == _bits([row[1] for row in rows])
+    coef = _PT @ np.array([row[2] for row in rows]).reshape(-1, 7, n)
+    assert _bits(raw.steps.coef.ravel()) == _bits(coef.ravel())
+    assert (raw.stats["n_steps"], raw.stats["n_rejected"]) == (len(rows), n_rejected)
 
 
 # -- compiled right-hand sides ------------------------------------------------------
@@ -457,33 +493,50 @@ def _closure_rhs(pot, f, eps, n):
     return rhs
 
 
+def _record(fun, y0, t0, t1, cfg, options):
+    """Everything a solve leaves, as bits: the message of the IntegrationError
+    it raised (None if none), its stats, events, knots and dense table."""
+    from isores.integrate import integrate_ode
+    try:
+        raw, message = integrate_ode(fun, y0, t0, t1, cfg, **options), None
+    except IntegrationError as exc:
+        raw, message = exc.trajectory, str(exc)
+    return (message, raw.stats, [(e.kind, float(e.t).hex()) for e in raw.events],
+            *(_bits(np.ravel(a)) for a in (raw.ts, raw.ys, *raw.steps)))
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 @pytest.mark.parametrize("n", [2, 6])
 @pytest.mark.parametrize("forcing", list(_FORCINGS))
 @pytest.mark.parametrize("potential", list(_POTENTIALS))
 def test_compiled_system_matches_closure_and_reference_step(potential, forcing, n, eps):
+    # the body, the kink and the guard inline in the loop against the same
+    # loop calling the closure and the kink and guard functions, over spans
+    # long enough to cross x = 0 and the step's breaks; a span without a
+    # restart against the list loop with the list step too
     pot, f = _POTENTIALS[potential], _FORCINGS[forcing]
     cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    fun, _ = forced_system(pot, f, eps, [0.5] * n, 0.0, TWO_PI, cfg)
     closure = _closure_rhs(pot, f, eps, n)
     rng = np.random.default_rng(7)     # Python floats, as integrate_ode passes
     cases = [(float(rng.uniform(-20.0, 20.0)),
               [*rng.uniform(-0.9, 2.0, 2).tolist(), *rng.uniform(-1, 1, n - 2).tolist()],
-              float(rng.uniform(1e-4, 0.3))) for _ in range(6)]
+              float(rng.uniform(1.0, 4.0))) for _ in range(6)]
     if potential == "pinney":
         # x below -1 + 1e-13: the right-hand side sees V at the clamp, at the
-        # start and at the second stage of the step from (-0.99, -5)
+        # start and at the second stage of the step from (-0.99, -5), whose
+        # solve ends at the singularity guard
         cases += [(1.0, [-1.0 + 1e-14, 0.3, 1.0, 0.0, 0.0, 1.0][:n], 0.01),
                   (1.0, [-0.99, -5.0, 1.0, 0.0, 0.0, 1.0][:n], 0.01)]
     for t, y, h in cases:
-        f0 = fun(t, y)
-        assert _bits(f0) == _bits(closure(t, y))
-        got = fun.step(None, t, y, f0, h, cfg)
-        y_new, f_new, stages, err = _dp_step_reference(fun, t, y, f0, h, cfg)
-        assert _bits(got[0]) == _bits(y_new) and _bits(got[1]) == _bits(f_new)
-        assert _bits(got[2]) == _bits(np.ravel(stages))
-        assert _bits([got[3]]) == _bits([err])
-        assert _bits(f_new) == _bits(closure(t + h, y_new))
+        fun, options = forced_system(pot, f, eps, [0.5] * n, t, t + h, cfg)
+        assert _bits(fun(t, y)) == _bits(closure(t, y))
+        got = _record(fun, y, t, t + h, cfg, options)
+        assert got == _record(closure, y, t, t + h, cfg, options)
+        message, stats, _, ts, ys, *_ = got
+        if message is None and stats["n_segments"] == 1:
+            ref_ts, ref_ys, rows, n_rejected = _reference_loop(closure, t, y, t + h, cfg)
+            assert (ts, ys) == (_bits(ref_ts), _bits(np.ravel(ref_ys)))
+            assert (stats["n_steps"], stats["n_rejected"]) == (len(rows), n_rejected)
 
 
 def test_systems_differing_in_constants_share_code():
@@ -495,7 +548,7 @@ def test_systems_differing_in_constants_share_code():
     after = _compiled.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert after.maxsize is not None and after.currsize <= after.maxsize
-    assert two.__code__ is one.__code__ and two.step.__code__ is one.step.__code__
+    assert two.__code__ is one.__code__ and two.run.__code__ is one.run.__code__
     # each binds its own constants
     assert one(1.0, [0.5, 0.0])[1] != two(1.0, [0.5, 0.0])[1]
 
@@ -561,23 +614,47 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
     assert s["nfev"] == 2 * s["n_segments"] + 6 * (s["n_steps"] + s["n_rejected"])
 
 
-@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0),
-                                    (0.0, math.inf), (-math.inf, 0.0)])
-def test_non_finite_time_span_is_rejected(t0, t1):
-    # a nan end compares False with every time, so the step loop ran to the
-    # step budget; a non-finite start made every step nan and rejected, with
-    # no budget at all.  The right-hand side gives up after 1000 calls, so a
-    # loop that does not stop fails here instead of hanging.
-    from isores.integrate import integrate_ode
+def _stopping(rhs):
+    """rhs, giving up after 1000 calls: a step loop that does not stop fails
+    a test instead of hanging it."""
     calls = []
 
     def fun(t, y):
         calls.append(1)
         if len(calls) > 1000:
             raise RuntimeError("the step loop did not stop")
-        return (y[1], -y[0])
+        return rhs(t, y)
+    return fun
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0),
+                                    (0.0, math.inf), (-math.inf, 0.0)])
+def test_non_finite_time_span_is_rejected(t0, t1):
+    # a nan end compares False with every time, so the step loop ran to the
+    # step budget; a non-finite start made every step nan and rejected, with
+    # no budget at all
+    from isores.integrate import integrate_ode
     with pytest.raises(ValueError, match="must be finite"):
-        integrate_ode(fun, [1.0, 0.0], t0, t1, IntegratorConfig(max_steps=50))
+        integrate_ode(_stopping(lambda t, y: (y[1], -y[0])), [1.0, 0.0], t0, t1,
+                      IntegratorConfig(max_steps=50))
+
+
+@pytest.mark.parametrize("y0", [[1.0, math.nan], [math.inf, 0.0]])
+def test_non_finite_start_is_rejected(y0):
+    # a nan starting step: h < min_step is never true, every step is
+    # rejected, and max_steps counts only accepted steps
+    from isores.integrate import integrate_ode
+    with pytest.raises(ValueError, match="y0 must be finite"):
+        integrate_ode(_stopping(lambda t, y: (y[1], -y[0])), y0, 0.0, 1.0,
+                      IntegratorConfig(max_steps=50))
+
+
+def test_non_finite_right_hand_side_at_the_start_fails():
+    from isores.integrate import integrate_ode
+    with pytest.raises(IntegrationError, match="no starting step at t = 0.0") as exc:
+        integrate_ode(_stopping(lambda t, y: (math.nan, -y[0])), [1.0, 0.0], 0.0, 1.0,
+                      IntegratorConfig(max_steps=50))
+    assert exc.value.trajectory.stats["n_steps"] == 0
 
 
 # -- crossing events, found when read ---------------------------------------------
