@@ -314,12 +314,12 @@ def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
 
 def _rofe_raw(pot: PotentialSpec, r: float, t_max: float, cfg: IntegratorConfig):
     body, constants = _potential_lines(pot, ("dv", "d2v"))
-    events, watch, event_constants = _standard_events(pot, cfg)
+    events, event_constants = _standard_events(pot, cfg)
     rhs = _compile_system(3, body + [
         "acc = -dv", "v2 = s_1 * s_1", "a2 = acc * acc", "r_0 = s_1", "r_1 = acc",
         "r_2 = (1.0 - d2v) * (v2 - a2) / (v2 + a2) ** 2"], {**constants, **event_constants},
-        watch)
-    return integrate_ode(rhs, [r, 0.0, 0.0], 0.0, t_max, cfg, **events)
+        **events)
+    return integrate_ode(rhs, [r, 0.0, 0.0], 0.0, t_max, cfg)
 
 
 def dx_dI_rofe_beketov(pot: PotentialSpec, r: float, t_grid,

@@ -209,7 +209,9 @@ def _system_source(n, body, watch):
     max(a, b) b if b > a else a, which give min's and max's floats, nan
     included.  Each sum keeps the terms and the order of the loop over
     components that the tests compare it with bit for bit (the tableau's
-    zeros, B2 and E2, skipped)."""
+    zeros, B2 and E2, skipped).  Each watched expression is also written as
+    watch_i(t_new, z), its value at a state z, for the root-find and the
+    kink's direction."""
     m = len(watch)
 
     def each(fmt, count=n):        # fmt(i) for every component, comma-joined
@@ -289,6 +291,10 @@ def _system_source(n, body, watch):
              "            h = t_new - t",
              *indent(step, 3),
              *indent(accepted, 2)]
+    for i, expr in enumerate(watch):
+        lines += [f"def watch_{i}(t_new, z):",
+                  f"    {each(lambda i: f'z_{i}')}, = z",
+                  f"    return {expr}"]
     return "\n".join(lines) + "\n"
 
 
@@ -300,16 +306,22 @@ def _compiled(n, body, watch):
     return compile(_system_source(n, body, watch), f"<isores system, n={n}>", "exec")
 
 
-def _compile_system(n, body, constants, watch):
+def _compile_system(n, body, constants, kink=None, guard=None):
     """rhs(t, y) of an n-component system from its body (lines, see
-    _system_source), with its loop as rhs.run, which watches the expressions
-    in watch; constants are the values of the globals that the body and the
+    _system_source), with its loop as rhs.run.  The loop watches the kink,
+    an expression over t_new and the step's end state z_0..z_{n-1}, and the
+    guard, (kind, expression); rhs.kink and rhs.guard are the same
+    expressions as integrate_ode's options, g(t, y) and (kind, g(t, y)), or
+    None.  constants are the values of the globals that the body and the
     expressions read, bound per system."""
     namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
                  "nextafter": math.nextafter, "inf": math.inf, **constants}
-    exec(_compiled(n, tuple(body), tuple(watch)), namespace)
+    watch = tuple(expr for expr in (kink, guard and guard[1]) if expr is not None)
+    exec(_compiled(n, tuple(body), watch), namespace)
     rhs = namespace["rhs"]
     rhs.run = namespace["run"]
+    rhs.kink = namespace["watch_0"] if kink is not None else None
+    rhs.guard = (guard[0], namespace[f"watch_{len(watch) - 1}"]) if guard is not None else None
     return rhs
 
 
@@ -341,10 +353,9 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                   kink=None, guard=None) -> RawSolution:
     """Integrate y' = fun(t, y) over [t0, t1] with dense output; fun maps a
     list of floats to a sequence of floats.  A fun made by _compile_system
-    steps with its own fun.run, which runs fun's body and the expressions of
-    kink and guard inline (fun and these options come together, from
-    forced_system say); any other fun gets a run that calls fun, kink and
-    guard.
+    (forced_system's, say) steps with its own fun.run, which runs fun's body
+    and the expressions of its own fun.kink and fun.guard inline, and takes
+    neither option; any other fun gets a run that calls fun, kink and guard.
 
     breakpoints -- interior times where the step grid must restart (logged
                    as ``forcing_break`` events);
@@ -368,15 +379,19 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     n = len(y)
     stops = [t0] + [float(b) for b in sorted(breakpoints)
                     if t0 + 1e-12 < b < t1 - 1e-12] + [t1]
-    # the functions whose sign change ends a step, kink first
-    watched = {name: g for name, g in (("kink", kink), ("guard", guard and guard[1]))
-               if g is not None}
-    run = getattr(fun, "run", None)
-    if run is None:        # a loop that calls fun and the watched functions
+    if getattr(fun, "run", None) is None:   # a loop that calls fun, kink and guard
         s, r, z = (", ".join(f"{c}_{i}" for i in range(n)) for c in "srz")
-        run = _compile_system(n, [f"{r}, = fun(tt, [{s},])"], {"fun": fun, **watched},
-                              [f"{name}(t_new, [{z},])" for name in watched]).run
-    watched = list(watched.values())
+        calls = {"fun": fun, "kink": kink, "guard": guard and guard[1]}
+        system = _compile_system(
+            n, [f"{r}, = fun(tt, [{s},])"], calls, kink and f"kink(t_new, [{z},])",
+            guard and (guard[0], f"guard(t_new, [{z},])"))
+    elif kink is not None or guard is not None:
+        raise ValueError("integrate_ode: a compiled system watches its own kink and guard")
+    else:
+        system = fun
+    run, kink, guard = system.run, system.kink, system.guard
+    # the functions whose sign change ends a step, kink first
+    watched = [g for g in (kink, guard and guard[1]) if g is not None]
     i_guard = len(watched) - 1 if guard is not None else -1
     ts, ys, th, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 7n floats a row
     n_steps = n_rejected = n_segments = 0
@@ -477,14 +492,12 @@ def _potential_lines(pot: PotentialSpec, names):
 
 
 def _standard_events(pot: PotentialSpec, cfg: IntegratorConfig):
-    """The kink and guard options of a built-in system, and the same functions
-    as expressions over the step's end state for its compiled loop (see
-    _system_source): (options, watch, constants)."""
-    thresh = pot.domain_left + cfg.singularity_margin
-    kink = (lambda t, y: y[0]) if pot.kink_at_zero else None
-    guard = ("singularity", lambda t, y: y[0] - thresh) if pot.singular_left else None
-    watch = [expr for expr, g in (("z_0", kink), ("z_0 - thresh", guard)) if g is not None]
-    return {"kink": kink, "guard": guard}, watch, {"thresh": thresh}
+    """The kink and guard of a built-in system as _compile_system takes them,
+    expressions over the step's end state: ({"kink": .., "guard": ..},
+    constants)."""
+    return ({"kink": "z_0" if pot.kink_at_zero else None,
+             "guard": ("singularity", "z_0 - thresh") if pot.singular_left else None},
+            {"thresh": pot.domain_left + cfg.singularity_margin})
 
 
 def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
@@ -492,10 +505,11 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
     """(fun, options) for integrate_ode(fun, y0, t0, t1, cfg, **options):
     x'' = -V'(x) + eps*p(t) from y0 = (x, v), or from (x, v, u, u', w, w')
     with the variational equation u'' = -V''(x) u.  The options split the
-    steps at p's breaks and at a kink, and guard a singular endpoint (stages
-    past it see V at the clamp a + 1e-13, which no accepted step reaches).
-    fun is compiled from V's and p's declared scalar source, with its fused
-    step as fun.step."""
+    steps at p's breaks.  fun is compiled from V's and p's declared scalar
+    source, with the generated Dormand-Prince loop over one span as fun.run,
+    which also splits the steps at a kink and guards a singular endpoint
+    (stages past it see V at the clamp a + 1e-13, which no accepted step
+    reaches); it carries them as fun.kink and fun.guard."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     pot._check_domain(y0[0])
@@ -512,9 +526,9 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
     body += ["r_0 = s_1", f"r_1 = {acc}"]
     if n == 6:
         body += ["r_2 = s_3", "r_3 = -d2v * s_2", "r_4 = s_5", "r_5 = -d2v * s_4"]
-    events, watch, event_constants = _standard_events(pot, cfg)
+    events, event_constants = _standard_events(pot, cfg)
     constants.update(event_constants)
-    return _compile_system(n, body, constants, watch), {"breakpoints": breaks, **events}
+    return _compile_system(n, body, constants, **events), {"breakpoints": breaks}
 
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -264,12 +263,24 @@ def test_rofe_beketov_monotone_on_half_period(pin, cfg):
 
 # -- negative semi-period -------------------------------------------------------
 
-def _pinney_t_minus_mp(action):
-    """T- = 2 pi - 4 arccos((lambda^2 + 1)^-1/2) at 40 digits."""
-    with mpmath.workdps(40):
-        i = mpmath.mpf(action)
-        lam2 = 4 * i + 1 + mpmath.sqrt((4 * i + 1) ** 2 - 1)
-        return float(2 * mpmath.pi - 4 * mpmath.acos(1 / mpmath.sqrt(lam2 + 1)))
+# T- = 2 pi - 4 arccos((lambda^2 + 1)^-1/2) on the grid np.logspace(-10, 8, 37)
+# of actions, worked out once with mpmath at 40 digits and rounded to double
+_PINNEY_T_MINUS_MP = [float.fromhex(x) for x in """
+0x1.921ec80040427p+1 0x1.921e0f578d485p+1 0x1.921cc6f77c042p+1
+0x1.921a7f0615a6ep+1 0x1.9216709c2a41ap+1 0x1.920f3a05313adp+1
+0x1.920266449f3f7p+1 0x1.91eb96d735a6ap+1 0x1.91c306b74f758p+1
+0x1.917ae4e41e02ep+1 0x1.90fa9fc6a402ep+1 0x1.901687ca9a6bdp+1
+0x1.8e80f36b1c114p+1 0x1.8bafe9898dfe8p+1 0x1.86aeccf54da7cp+1
+0x1.7dcec49797517p+1 0x1.6e289331ce0a6p+1 0x1.530d1e4bd1c39p+1
+0x1.267791e35f0c4p+1 0x1.cc429debe69ecp+0 0x1.3b2028082e8d4p+0
+0x1.838ca741eb32ep-1 0x1.c2890e8369da2p-2 0x1.002d86b6b63bfp-2
+0x1.2126504587c65p-3 0x1.45924568f82cfp-4 0x1.6e4bdcb02243fp-5
+0x1.9c039a3ac1fbdp-6 0x1.cf66dad9234e1p-7 0x1.0497cad90dbb9p-7
+0x1.2515dda84414ep-8 0x1.49a0e271aad3ap-9 0x1.72ba3ff3525eap-10
+0x1.a0f36cbb640a3p-11 0x1.d4effbc280c81p-12 0x1.07b3f15f5f5a6p-12
+0x1.2895032ade232p-13
+""".split()]
+_PINNEY_T_MINUS_MP_1E_8 = _PINNEY_T_MINUS_MP[4]
 
 
 def test_negative_semiperiod_closed_form(pin):
@@ -282,7 +293,7 @@ def test_negative_semiperiod_closed_form(pin):
 def test_negative_semiperiod_limits(pin):
     # the quadrature was off by 6e-5 at action 1e-8, where E - V(x) cancels
     # near the turning point
-    assert negative_semiperiod(pin, 1e-8) == pytest.approx(_pinney_t_minus_mp(1e-8), abs=1e-14)
+    assert negative_semiperiod(pin, 1e-8) == pytest.approx(_PINNEY_T_MINUS_MP_1E_8, abs=1e-14)
     vals = [negative_semiperiod(pin, i) for i in np.logspace(-2, 4, 13)]
     assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
     assert negative_semiperiod(pin, 1e4) < 0.1
@@ -298,8 +309,8 @@ def test_negative_semiperiod_quadrature_for_other_centres(har):
 
 
 def test_negative_semiperiod_matches_closed_form_on_grid(pin):
-    for action in np.logspace(-10, 8, 37).tolist():
-        ref = _pinney_t_minus_mp(action)
+    actions = np.logspace(-10, 8, 37).tolist()
+    for action, ref in zip(actions, _PINNEY_T_MINUS_MP, strict=True):
         assert abs(negative_semiperiod(pin, action) - ref) <= 1e-14 * min(1.0, ref)
 
 

@@ -253,28 +253,19 @@ def test_format_json_tables(tmp_path):
     ["phi-scan", "--potential", "asymmetric:inf:1", "--forcing", "sin"],
     ["resonance-run", "--potential", "pinney", "--forcing", "sin",
      "--eps", "nan", "--periods", "10"],
-    ["acw", "--c", "4", "--rel-tol", "nan"]],
-    ids=["rel-tol-inf", "abs-tol-nan", "alpha-inf", "eps-nan", "acw-rel-tol-nan"])
+    ["acw", "--c", "4", "--rel-tol", "nan"],
+    ["resonance-run", "--potential", "harmonic:1", "--forcing", "sin",
+     "--eps", "0.05", "--periods", "10", "--v0", "nan"],
+    ["resonance-run", "--potential", "pinney", "--forcing", "sin",
+     "--eps", "0.05", "--periods", "10", "--v0", "inf"]],
+    ids=["rel-tol-inf", "abs-tol-nan", "alpha-inf", "eps-nan", "acw-rel-tol-nan",
+         "v0-nan", "v0-inf"])
 def test_non_finite_inputs_are_config_errors(argv, capsys):
     # each one ran on (or hung) instead of naming the bad field; acw checked
-    # its tolerances only under --check, and exited 0 without it
+    # its tolerances only under --check, and exited 0 without it; a
+    # non-finite v0 made the starting step nan, and every step was rejected
     assert main(argv) == 1
     assert "must be finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("potential, v0", [("harmonic:1", "nan"), ("pinney", "inf")])
-def test_resonance_run_non_finite_start_exits_at_once(potential, v0):
-    # its starting step was nan, and every step was rejected without end; a
-    # fresh interpreter under a timeout, so that a hang fails the test
-    src = str(Path(isores.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, "-m", "isores.cli", "resonance-run", "--potential", potential,
-         "--forcing", "sin", "--eps", "0.05", "--periods", "10", "--v0", v0],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 1
-    assert "y0 must be finite" in run.stderr
 
 
 def test_periodic_find_non_finite_zero_angle_exits_at_once(capsys):

@@ -284,9 +284,9 @@ def test_dense_table_matches_segment_loop(case, method, monkeypatch):
     else:
         t1 = TWO_PI
         psi_solution(iso.asymmetric(4.0, 4.0 / 9.0), 1.0, cfg)
-    (fun, y0, t0, kwargs, raw), = calls
+    (fun, y0, t0, _, raw), = calls
     breaks = [e.t for e in raw.events if e.kind == "forcing_break"]
-    sols = _scipy_chain(fun, y0, t0, t1, cfg, breaks, kwargs.get("kink"), method)
+    sols = _scipy_chain(fun, y0, t0, t1, cfg, breaks, fun.kink, method)
     ts, n_ref = raw.ts, sum(len(sol.t) - 1 for sol in sols)
     assert raw.stats["n_segments"] == len(sols)
     if case != "pinney-forced":
@@ -298,7 +298,7 @@ def test_dense_table_matches_segment_loop(case, method, monkeypatch):
         ref_ts = np.concatenate([[t0]] + [sol.t[1:] for sol in sols])
         assert np.all(np.abs(ts - ref_ts) <= 1e-6 * (1.0 + np.abs(ref_ts)))
     kinks = [e.t for e in raw.events
-             if e.kind == "x_zero" and kwargs.get("kink") is not None]
+             if e.kind == "x_zero" and fun.kink is not None]
     ref_kinks = [sol.t[-1] for sol in sols if sol.status == 1]
     assert np.all(np.abs(np.subtract(kinks, ref_kinks)) <= 1e-12)
     t = np.concatenate([np.linspace(0.0, t1, 2001), ts,
@@ -531,7 +531,8 @@ def test_compiled_system_matches_closure_and_reference_step(potential, forcing, 
         fun, options = forced_system(pot, f, eps, [0.5] * n, t, t + h, cfg)
         assert _bits(fun(t, y)) == _bits(closure(t, y))
         got = _record(fun, y, t, t + h, cfg, options)
-        assert got == _record(closure, y, t, t + h, cfg, options)
+        assert got == _record(closure, y, t, t + h, cfg,
+                              {**options, "kink": fun.kink, "guard": fun.guard})
         message, stats, _, ts, ys, *_ = got
         if message is None and stats["n_segments"] == 1:
             ref_ts, ref_ys, rows, n_rejected = _reference_loop(closure, t, y, t + h, cfg)
@@ -551,6 +552,23 @@ def test_systems_differing_in_constants_share_code():
     assert two.__code__ is one.__code__ and two.run.__code__ is one.run.__code__
     # each binds its own constants
     assert one(1.0, [0.5, 0.0])[1] != two(1.0, [0.5, 0.0])[1]
+
+
+def test_compiled_system_watches_only_its_own_kink_and_guard(cfg):
+    # the loop of a compiled system has its kink and guard inline: they come
+    # with it as fun.kink and fun.guard, and integrate_ode takes no others
+    from isores.integrate import integrate_ode
+    asym = iso.asymmetric(4.0, 4.0 / 9.0)
+    fun, options = forced_system(asym, None, 0.0, [1.0, 0.0], 0.0, 1.0, cfg)
+    assert options == {"breakpoints": ()} and fun.guard is None
+    assert fun.kink(0.0, [0.25, -3.0]) == 0.25
+    with pytest.raises(ValueError, match="its own kink and guard"):
+        integrate_ode(fun, [1.0, 0.0], 0.0, 1.0, cfg,
+                      guard=("singularity", lambda t, y: y[0] + 1.0))
+    pin_fun, _ = forced_system(iso.pinney(), None, 0.0, [1.0, 0.0], 0.0, 1.0, cfg)
+    kind, g = pin_fun.guard
+    assert (kind, g(0.0, [0.25, 0.0])) == ("singularity", 0.25 - (-1.0 + cfg.singularity_margin))
+    assert pin_fun.kink is None
 
 
 def test_tableau_is_scipys():
@@ -601,13 +619,15 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
     counted = lambda fun: lambda t, y: calls.append(1) or fun(t, y)
     if n == 3:
         monkeypatch.setattr(iso.autonomous, "integrate_ode",
-                            lambda fun, *a, **k: integrate_ode(counted(fun), *a, **k))
+                            lambda fun, *a: integrate_ode(counted(fun), *a, kink=fun.kink,
+                                                          guard=fun.guard))
         raw = _rofe_raw(iso.asymmetric(4.0, 4.0 / 9.0), 2.0, TWO_PI, cfg)
     else:
         y0 = [0.5, 0.2, 1.0, 0.0, 0.0, 1.0][:n]
         step = PiecewiseConst(breakpoints=(0.0, 2.0), values=(1.0, -1.0))
         fun, options = forced_system(pin, step, 0.1, y0, 0.0, 2 * TWO_PI, cfg)
-        raw = integrate_ode(counted(fun), y0, 0.0, 2 * TWO_PI, cfg, **options)
+        raw = integrate_ode(counted(fun), y0, 0.0, 2 * TWO_PI, cfg, kink=fun.kink,
+                            guard=fun.guard, **options)
     s = raw.stats
     assert s["n_segments"] > 1 and s["n_steps"] > 0
     assert s["nfev"] == len(calls)
