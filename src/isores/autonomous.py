@@ -417,6 +417,9 @@ def sturm_argument(vs: VariationalSolution, t_grid, component: str = "u"):
 # ---------------------------------------------------------------------------
 # bouncing-problem limit audit
 
+_BOUNCING_GRID = 2001       # times over the period; half as many inside (0, pi - delta)
+
+
 @dataclass(frozen=True)
 class BouncingAudit:
     action: float
@@ -426,7 +429,7 @@ class BouncingAudit:
 
 
 def bouncing_limit_audit(pot: PotentialSpec, I_list, cfg: IntegratorConfig,
-                         delta: float = 0.1, n_grid: int = 2001):
+                         delta: float = 0.1):
     """Compare rescaled large-action orbits with the bouncing-problem limits
     2*sqrt(2)|cos(t/2)| (for x/sqrt(I), over the whole period) and
     sqrt(2)|cos(t/2)| (for sqrt(I)*dx/dI, away from a delta-neighbourhood of
@@ -443,12 +446,12 @@ def bouncing_limit_audit(pot: PotentialSpec, I_list, cfg: IntegratorConfig,
         r = amplitude_of_action(pot, action)
         sqrt_i = math.sqrt(action)
         traj = integrate_autonomous(pot, State(r, 0.0), 0.0, TWO_PI, cfg)
-        t_full = np.linspace(0.0, TWO_PI, n_grid)
+        t_full = np.linspace(0.0, TWO_PI, _BOUNCING_GRID)
         x, _ = traj.eval(t_full)
         limit_x = 2.0 * math.sqrt(2.0) * np.abs(np.cos(0.5 * t_full))
         sup_x = float(np.max(np.abs(x / sqrt_i - limit_x)))
 
-        t_in = np.linspace(0.0, math.pi - delta, n_grid // 2)
+        t_in = np.linspace(0.0, math.pi - delta, _BOUNCING_GRID // 2)
         dxdi = dx_dI_rofe_beketov(pot, r, t_in, cfg)
         limit_d = math.sqrt(2.0) * np.abs(np.cos(0.5 * t_in))
         sup_d = float(np.max(np.abs(sqrt_i * dxdi - limit_d)))

@@ -18,6 +18,9 @@ from .integrate import (IntegratorConfig, State, energy, forced_system,
 from .potentials import PotentialSpec
 
 ENVELOPE_SLACK = 1e-6
+_WINDOW_SAMPLES = 512         # uniform times per window beside the step knots
+_NEWTON_TOL = 1e-10           # the residual norm at which Newton has converged
+_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,7 @@ def _window_verdict(window_sup: np.ndarray) -> str:
 
 
 def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
-                  n_periods: int, cfg: IntegratorConfig,
-                  samples_per_window: int = 512) -> ResonanceDiagnostics:
+                  n_periods: int, cfg: IntegratorConfig) -> ResonanceDiagnostics:
     """Integrate the forced equation over n_periods * 2*pi and classify the
     growth of the windowed suprema of |x| + |v|.
 
@@ -76,7 +78,7 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     stop_reason.
 
     Each window is one integrate_forced call; its supremum is taken over the
-    step knots and samples_per_window uniform times, evaluated in one
+    step knots and _WINDOW_SAMPLES uniform times, evaluated in one
     dense-output call.
     """
     if n_periods < 10:
@@ -100,7 +102,7 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
         except IntegrationError as exc:
             stop_reason = str(exc)
             break
-        x, v = traj.eval(np.linspace(t0, t1, samples_per_window))
+        x, v = traj.eval(np.linspace(t0, t1, _WINDOW_SAMPLES))
         x = np.abs(np.concatenate([x, traj.ys[:, 0]]))
         v = np.abs(np.concatenate([v, traj.ys[:, 1]]))
         sup_xv.append(float(np.max(x + v)))
@@ -151,9 +153,7 @@ def _newton_system(pot: PotentialSpec, f: ForcingTerm, eps: float, s: State,
 
 
 def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
-                           seed: State, cfg: IntegratorConfig,
-                           tol: float = 1e-10, max_iter: int = 50
-                           ) -> PeriodicSolution:
+                           seed: State, cfg: IntegratorConfig) -> PeriodicSolution:
     """Damped Newton iteration on G(s) = stroboscopic_map(s) - s.
 
     One forced variational solve gives G and its exact Jacobian.  Steps are
@@ -162,14 +162,16 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
     above 1e12 or norm below 1e-6 aborts with a diagnostic: at eps = 0 (and
     for any forcing that leaves the isochronous period map a translation)
     the whole plane is fixed or shifted and Newton has nothing to solve.
+    It converges at a residual norm of _NEWTON_TOL or less, and gives up
+    after _NEWTON_MAX_ITER iterations.
     """
     s = seed
     g, jac = _newton_system(pot, f, eps, s, cfg)
     res = float(np.linalg.norm(g))
-    if res <= tol:
+    if res <= _NEWTON_TOL:
         return PeriodicSolution(state=s, residual=res, converged=True,
                                 iterations=0, message="seed is a fixed point")
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         cond = np.linalg.cond(jac)
         # the isochronous period map degenerates to a translation when the
         # forcing cannot tilt it (eps = 0, a linear oscillator): M = I, and
@@ -198,11 +200,11 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
                                     message="damping failed to reduce the residual")
         s, g, jac = cand, g_new, jac_new
         res = float(np.linalg.norm(g))
-        if res <= tol:
+        if res <= _NEWTON_TOL:
             return PeriodicSolution(state=s, residual=res, converged=True,
                                     iterations=it, message="converged")
     return PeriodicSolution(state=s, residual=res, converged=False,
-                            iterations=max_iter, message="iteration budget exhausted")
+                            iterations=_NEWTON_MAX_ITER, message="iteration budget exhausted")
 
 
 def seed_from_phi_zero(pot: PotentialSpec, theta_star: float,

@@ -195,19 +195,22 @@ def _gauss(n):
 # Live segments one integral may hold before it stops refining (QUADPACK's
 # limit): at its noise floor an integrand would double them on every pass.
 _MAX_LIVE = 800
+# Each integral's error control: atol + rtol*|I|, and the narrowest segment
+# it refines, as a fraction of its length.
+_QUAD_RTOL, _QUAD_ATOL, _MIN_WIDTH = 1e-11, 1e-13, 1e-13
 
 
-def adaptive_complex_quad(g, segments, rtol=1e-11, atol=1e-13,
-                          min_width=1e-13, order=16, hard_rtol=None):
+def adaptive_complex_quad(g, segments, order=16, hard_rtol=None):
     """Adaptive Gauss-Legendre quadrature of many complex integrals at once.
 
     ``segments`` = (a, b, owner) arrays: [a[j], b[j]] is a piece of integral
     owner[j].  The vectorized ``g(x, k)`` evaluates integral k[j] at x[j].
-    Each integral keeps its own h-refinement error control; returns integrals
-    0..max(owner).  An integral stops refining a segment narrower than min_width
-    of its length, and all its segments once it holds more than _MAX_LIVE; their
-    error is its forced error: NumericsError above 10 times its tolerance, or
-    above hard_rtol*max(1, |I|) if given."""
+    Each integral keeps its own h-refinement error control, _QUAD_ATOL +
+    _QUAD_RTOL*|I|; returns integrals 0..max(owner).  An integral stops
+    refining a segment narrower than _MIN_WIDTH of its length, and all its
+    segments once it holds more than _MAX_LIVE; their error is its forced
+    error: NumericsError above 10 times its tolerance, or above
+    hard_rtol*max(1, |I|) if given."""
     nodes, weights = _gauss(order)
     a, b, k = map(np.asarray, segments)
     n = int(k.max()) + 1
@@ -225,7 +228,7 @@ def adaptive_complex_quad(g, segments, rtol=1e-11, atol=1e-13,
 
     total_len = per_owner(b - a, k)
     est = gl(a, b, k)
-    tol = atol + rtol * np.maximum(per_owner(np.abs(est), k), atol)
+    tol = _QUAD_ATOL + _QUAD_RTOL * np.maximum(per_owner(np.abs(est), k), _QUAD_ATOL)
 
     parts = []           # (values, owners) of the finished segments
     forced_err = np.zeros(n)
@@ -236,7 +239,7 @@ def adaptive_complex_quad(g, segments, rtol=1e-11, atol=1e-13,
         child = left + right
         err = np.abs(child - est)
         done = err <= tol[k] * (b - a) / total_len[k]
-        go = ~done & ((b - a) >= min_width * total_len[k])
+        go = ~done & ((b - a) >= _MIN_WIDTH * total_len[k])
         go &= (per_owner(go, k) <= _MAX_LIVE)[k]
         parts.append((child[~go], k[~go]))
         forced_err += per_owner(err * ~(done | go), k)

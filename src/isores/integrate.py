@@ -22,7 +22,8 @@ values share one code object.  The loop returns to integrate_ode only at the
 span's end, after the step that crosses max_steps, when the step size falls
 below the spacing of floats, or on a sign change of the kink or the guard,
 which ends a step and is root-found on the step's interpolant there;
-restarts, breakpoints and the tangency step-off stay in integrate_ode.  A
+integrate_ode loops over the spans between breakpoints and restarts the
+step at each kink root, by one rule for the kink (see integrate_ode).  A
 forced Pinney step costs about 6.5-7 us in all, nearly all of it the
 step's arithmetic with its 6 inlined right-hand sides; a Python loop around
 a generated step took 11-12 us (2-core VM, Python 3.11).  The stage sums
@@ -187,7 +188,7 @@ _PT = np.array([           # (4, 7): coef = P^T K for a step's stage rows K
 _ROOT_TOL = 4 * np.finfo(float).eps      # scipy's event-root tolerance
 
 
-def _system_source(n, body, watch):
+def _system_source(n, body, kink, guard):
     """Source of rhs(tt, y) and of run(...), the Dormand-Prince loop over one
     span, for an n-component system body: lines that read tt and
     s_0..s_{n-1} and set r_0..r_{n-1} (and no name of the loop's own).
@@ -197,21 +198,25 @@ def _system_source(n, body, watch):
     tb: accept/reject, the error controller and the step-size update of
     integrate_ode, with the body inline at each of the 6 stages.  Each
     accepted step appends (t, h) to th and its 7 stage rows to ks (7n floats);
-    its knot, t_new to ts and its n components to ys.  watch holds an
-    expression per watched function, over t_new and the step's end state
-    z_0..z_{n-1}; g_i is its value at the step's start and d_i the direction
-    of the crossing that ends a step (scipy's test d*g_old <= 0 <= d*g_new).
-    run returns (why, n_steps, n_rej, hit) at the span's end ("end"), after
-    the step that crosses max_steps ("budget"), when h_abs falls below the
-    spacing of floats at t ("min_step"), or on a watched sign change ("hit",
-    hit = (t_new, the g at its start, the g at its end)): the step's row is
-    appended but not its knot.  min(a, b) is written b if b < a else a, and
-    max(a, b) b if b > a else a, which give min's and max's floats, nan
-    included.  Each sum keeps the terms and the order of the loop over
-    components that the tests compare it with bit for bit (the tableau's
-    zeros, B2 and E2, skipped).  Each watched expression is also written as
-    watch_i(t_new, z), its value at a state z, for the root-find and the
-    kink's direction."""
+    its knot, t_new to ts and its n components to ys.  The kink and the guard
+    (each an expression over t_new and the step's end state z_0..z_{n-1}, or
+    None) are the watched functions, kink first; g_i is one's value at the
+    step's start and d_i the direction of the crossing that ends a step
+    (scipy's test d*g_old <= 0 <= d*g_new).  A nan direction watches neither
+    way; the kink's is set to -sign(g) at the first step end where its g is
+    not 0, so a kink watched from g = 0 is watched for leaving the side g
+    first moves to.  run returns (why, n_steps, n_rej, hit) at the span's end
+    ("end"), after the step that crosses max_steps ("budget"), when h_abs
+    falls below the spacing of floats at t ("min_step"), or on a watched sign
+    change ("hit", hit = (t_new, the g at its start, the g at its end, the
+    directions)): the step's row is appended but not its knot.  min(a, b) is
+    written b if b < a else a, and max(a, b) b if b > a else a, which give
+    min's and max's floats, nan included.  Each sum keeps the terms and the
+    order of the loop over components that the tests compare it with bit for
+    bit (the tableau's zeros, B2 and E2, skipped).  Each watched expression is
+    also written as watch_kink(t_new, z) or watch_guard(t_new, z), its value
+    at a state z, for the root-find."""
+    watch = [expr for expr in (kink, guard) if expr is not None]
     m = len(watch)
 
     def each(fmt, count=n):        # fmt(i) for every component, comma-joined
@@ -256,8 +261,11 @@ def _system_source(n, body, watch):
         crossed = " or ".join(f"d_{i} * g_{i} <= 0 <= d_{i} * w_{i}" for i in range(m))
         accepted += [f"w_{i} = {expr}" for i, expr in enumerate(watch)]
         accepted += [f"if {crossed}:",
-                     f"    return 'hit', n_steps, n_rej, (t_new, ({olds},), ({news},))",
+                     f"    return 'hit', n_steps, n_rej, (t_new, ({olds},), ({news},), "
+                     f"({each(lambda i: f'd_{i}', m)},))",
                      f"{olds}, = {news},"]
+        if kink is not None:
+            accepted += ["if d_0 != d_0 and w_0: d_0 = -1.0 if w_0 > 0 else 1.0"]
     accepted += ["ts.append(t_new)",
                  f"ys += ({each(lambda i: f'z_{i}')},)",
                  "n_steps += 1",
@@ -291,19 +299,20 @@ def _system_source(n, body, watch):
              "            h = t_new - t",
              *indent(step, 3),
              *indent(accepted, 2)]
-    for i, expr in enumerate(watch):
-        lines += [f"def watch_{i}(t_new, z):",
-                  f"    {each(lambda i: f'z_{i}')}, = z",
-                  f"    return {expr}"]
+    for name, expr in (("kink", kink), ("guard", guard)):
+        if expr is not None:
+            lines += [f"def watch_{name}(t_new, z):",
+                      f"    {each(lambda i: f'z_{i}')}, = z",
+                      f"    return {expr}"]
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=64)
-def _compiled(n, body, watch):
-    """The compiled _system_source(n, body, watch), cached by structure:
+def _compiled(n, body, kink, guard):
+    """The compiled _system_source(n, body, kink, guard), cached by structure:
     systems that differ only in the values of their constants share one code
     object."""
-    return compile(_system_source(n, body, watch), f"<isores system, n={n}>", "exec")
+    return compile(_system_source(n, body, kink, guard), f"<isores system, n={n}>", "exec")
 
 
 def _compile_system(n, body, constants, kink=None, guard=None):
@@ -316,12 +325,11 @@ def _compile_system(n, body, constants, kink=None, guard=None):
     expressions read, bound per system."""
     namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
                  "nextafter": math.nextafter, "inf": math.inf, **constants}
-    watch = tuple(expr for expr in (kink, guard and guard[1]) if expr is not None)
-    exec(_compiled(n, tuple(body), watch), namespace)
+    exec(_compiled(n, tuple(body), kink, guard and guard[1]), namespace)
     rhs = namespace["rhs"]
     rhs.run = namespace["run"]
-    rhs.kink = namespace["watch_0"] if kink is not None else None
-    rhs.guard = (guard[0], namespace[f"watch_{len(watch) - 1}"]) if guard is not None else None
+    rhs.kink = namespace.get("watch_kink")
+    rhs.guard = guard and (guard[0], namespace["watch_guard"])
     return rhs
 
 
@@ -364,9 +372,13 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     guard       -- (kind, g(t, y)): downward crossing aborts with the partial
                    RawSolution attached to the raised IntegrationError.
 
-    The earliest kink or guard root on the step's interpolant ends the step;
-    v=0 and x=0 crossings are found when RawSolution.events is read.  Each
-    restart re-runs the starting-step rule, as a new solve_ivp call would, so
+    One pass per span between breakpoints, with one restart per kink root:
+    the earliest kink or guard root on the step's interpolant ends the step.
+    At a span's start the kink is watched for leaving g's side, and at g = 0
+    for leaving the side g first moves to, so a rest point on the kink stays
+    at rest; after a root, the other way.  v=0 and x=0 crossings are found
+    when RawSolution.events is read.  Each restart re-runs the starting-step
+    rule, as a new solve_ivp call would, so
     nfev = 2 n_segments + 6 (n_steps + n_rejected).
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -392,7 +404,6 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     run, kink, guard = system.run, system.kink, system.guard
     # the functions whose sign change ends a step, kink first
     watched = [g for g in (kink, guard and guard[1]) if g is not None]
-    i_guard = len(watched) - 1 if guard is not None else -1
     ts, ys, th, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 7n floats a row
     n_steps = n_rejected = n_segments = 0
 
@@ -407,72 +418,54 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
 
-    i_stop, ta, tb = 0, t0, stops[1]
-    armed, kdir = kink is not None, None
-    resume = None          # end of the span interrupted by a tangency step-off
-    while True:            # one restart of the integrator at (ta, y) per pass
-        n_segments += 1
-        f = fun(ta, y)
-        try:
-            h_abs = _initial_step(fun, ta, y, f, tb - ta, cfg)
-        except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
-            fail(f"integration failed: no starting step at t = {ta} ({exc})")
-        if not math.isfinite(h_abs):       # fun is not finite at (ta, y) or near it
-            fail(f"integration failed: no starting step at t = {ta} (h = {h_abs})")
+    for ta, tb in zip(stops, stops[1:]):
+        if ta != t0:
+            log.append(Event("forcing_break", ta))
         dirs = []          # the direction of the crossing of each watched g that ends a step
-        if kink is not None:
-            if armed and kdir is None:   # leave x's side, or at x = 0 the side it moves to
-                kdir = -1.0 if (kink(ta, y) or y[1] or fun(ta, y)[1]) > 0 else 1.0
-            # a nan direction watches neither way: nan * g <= 0 is never true
-            dirs.append(kdir if armed else math.nan)
+        if kink is not None:   # leave g's side; at g = 0 the loop sets it (nan until then)
+            side = kink(ta, y)
+            dirs.append(-math.copysign(1.0, side) if side else math.nan)
         if guard is not None:
             dirs.append(-1.0)
-        why, n_steps, n_rejected, hit = run(
-            ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), n_steps,
-            n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, th, ks)
-        if why == "min_step":
-            fail("integration failed: Required step size is less than spacing "
-                 "between numbers.")
-        if why == "hit":   # the earliest root on the step's interpolant ends the step
-            t_new, g_old, g_new = hit
-            t, h = th[-2:]
-            y_at = _interpolant(t, h, ys[-n:], _PT @ np.array(ks[-7 * n:]).reshape(7, n))
-            t_end, stop = min((brentq(lambda s, g=watched[i]: g(s, y_at(s)),
-                                      t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
-                              for i, (a, b, d) in enumerate(zip(g_old, g_new, dirs))
-                              if d * a <= 0 <= d * b)
-            ts.append(t_end)
-            ys += y_at(t_end)
-            n_steps += 1
-        if n_steps > cfg.max_steps:
-            fail(f"step budget exceeded ({n_steps} > {cfg.max_steps})")
-        y = ys[-n:]
-        if why == "hit":
-            if stop == i_guard:
+        while True:        # one restart of the integrator at (ta, y) per pass
+            n_segments += 1
+            f = fun(ta, y)
+            try:
+                h_abs = _initial_step(fun, ta, y, f, tb - ta, cfg)
+            except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
+                fail(f"integration failed: no starting step at t = {ta} ({exc})")
+            if not math.isfinite(h_abs):       # fun is not finite at (ta, y) or near it
+                fail(f"integration failed: no starting step at t = {ta} (h = {h_abs})")
+            why, n_steps, n_rejected, hit = run(
+                ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), n_steps,
+                n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, th, ks)
+            if why == "min_step":
+                fail("integration failed: Required step size is less than spacing "
+                     "between numbers.")
+            if why == "hit":   # the earliest root on the step's interpolant ends the step
+                t_new, g_old, g_new, dirs = hit
+                t, h = th[-2:]
+                y_at = _interpolant(t, h, ys[-n:], _PT @ np.array(ks[-7 * n:]).reshape(7, n))
+                t_end, stop = min((brentq(lambda s, g=watched[i]: g(s, y_at(s)),
+                                          t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
+                                  for i, (a, b, d) in enumerate(zip(g_old, g_new, dirs))
+                                  if d * a <= 0 <= d * b)
+                ts.append(t_end)
+                ys += y_at(t_end)
+                n_steps += 1
+            if n_steps > cfg.max_steps:
+                fail(f"step budget exceeded ({n_steps} > {cfg.max_steps})")
+            y = ys[-n:]
+            if why != "hit":   # the span's end
+                break
+            if guard is not None and stop == len(watched) - 1:
                 log.append(Event(guard[0], t_end))
                 fail(f"{guard[0]} reached at t = {t_end}")
-            # kink crossing: restart so no step straddles it
-            if t_end - ta <= 1e-12:
-                # no progress (degenerate tangency): integrate a short span
-                # without the kink, then restart with it re-armed
-                resume, tb, armed, kdir = tb, min(tb, ta + 1e-9), False, None
-                advance = False
-            else:
-                # the next crossing runs the other way, whichever side of
-                # zero the root's rounding left x on
-                ta, kdir = t_end, -kdir
-                advance = tb - ta <= 1e-12
-        else:              # the span's end
-            advance = resume is None or resume - tb <= 1e-12
-            if resume is not None:      # the short span is done: re-arm
-                ta, tb, armed, resume = tb, resume, True, None
-        if advance:
-            i_stop += 1
-            if i_stop == len(stops) - 1:
-                return solution()
-            ta, tb = stops[i_stop], stops[i_stop + 1]
-            log.append(Event("forcing_break", ta))
-            armed, kdir = kink is not None, None
+            # kink root: restart there, watching the crossing back
+            ta, dirs = t_end, [-dirs[0], *dirs[1:]]
+            if tb - ta <= 1e-12:
+                break
+    return solution()
 
 
 def _potential_lines(pot: PotentialSpec, names):

@@ -212,13 +212,27 @@ def asymmetric(alpha: float, beta: float) -> PotentialSpec:
                                  {"alpha": alpha, "beta": beta}))
 
 
-def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None, kink_at_zero=False,
-           kind="custom") -> PotentialSpec:
+def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None,
+           kink_at_zero=False) -> PotentialSpec:
     """Wrap user-supplied evaluators.  Isochrony is not assumed: pass n_iso
-    only after auditing the period."""
-    return PotentialSpec(kind=kind, params=(), domain_left=float(domain_left),
+    only after auditing the period.  Its kind is always "custom": the
+    closed forms that phi and autonomous pick by kind belong to the
+    built-in families only."""
+    return PotentialSpec(kind="custom", params=(), domain_left=float(domain_left),
                          n_iso=n_iso, _v=v, _dv=dv, _d2v=d2v,
                          kink_at_zero=kink_at_zero)
+
+
+def _ladder_point(g, sign, ladder, floor=None):
+    """The first point of the ladder (an iterable, read in order) where g has
+    the sign of sign, or None; with a floor, None from the first point at or
+    below it, which g is not evaluated at."""
+    for cand in ladder:
+        if floor is not None and cand <= floor:
+            return None
+        if sign * g(cand) > 0:
+            return cand
+    return None
 
 
 def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
@@ -230,33 +244,15 @@ def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
     def g(s):
         return pot.v(s) - level
 
-    hi = lo = None
+    # hi: below the level, stepping down from 0; lo: above it, from hi to a
     if math.isfinite(a):
-        for k in range(1, 200):
-            cand = a * 2.0 ** (-k)
-            if g(cand) < 0:
-                hi = cand
-                break
-        if hi is not None:
-            for k in range(0, 200):
-                cand = a + (hi - a) * 2.0 ** (-k)
-                if cand <= a + DOMAIN_GUARD * 4:
-                    break
-                if g(cand) > 0:
-                    lo = cand
-                    break
+        hi = _ladder_point(g, -1.0, (a * 2.0 ** (-k) for k in range(1, 200)))
+        lo = None if hi is None else _ladder_point(
+            g, 1.0, (a + (hi - a) * 2.0 ** (-k) for k in range(200)), a + DOMAIN_GUARD * 4)
     else:
-        for k in range(-200, 400):
-            cand = -(2.0 ** (-k / 2.0))
-            if g(cand) < 0:
-                hi = cand
-                break
-        if hi is not None:
-            for k in range(0, 2000):
-                cand = hi * 2.0 ** k
-                if g(cand) > 0:
-                    lo = cand
-                    break
+        hi = _ladder_point(g, -1.0, (-(2.0 ** (-k / 2.0)) for k in range(-200, 400)))
+        lo = None if hi is None else _ladder_point(
+            g, 1.0, (hi * 2.0 ** k for k in range(2000)))
     if hi is None or lo is None:
         raise NumericsError(
             f"inverse_V_negative: could not bracket V = {level} on ({a}, 0)")
@@ -271,20 +267,10 @@ def inverse_V_positive(pot: PotentialSpec, level: float) -> float:
     def g(s):
         return pot.v(s) - level
 
-    hi = lo = None
-    for k in range(-200, 400):
-        cand = 2.0 ** (k / 2.0)
-        if g(cand) > 0:
-            hi = cand
-            break
-    if hi is not None:
-        for k in range(0, 2000):
-            cand = hi * 2.0 ** (-k)
-            if cand <= 0:
-                break
-            if g(cand) < 0:
-                lo = cand
-                break
+    # hi: above the level, stepping up from 0; lo: below it, from hi to 0
+    hi = _ladder_point(g, 1.0, (2.0 ** (k / 2.0) for k in range(-200, 400)))
+    lo = None if hi is None else _ladder_point(
+        g, -1.0, (hi * 2.0 ** (-k) for k in range(2000)), 0.0)
     if hi is None or lo is None:
         raise NumericsError(
             f"inverse_V_positive: could not bracket V = {level} on (0, inf)")

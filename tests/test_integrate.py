@@ -190,17 +190,24 @@ def test_asymmetric_kink_handling(cfg):
         assert np.min(np.abs(traj.ts - c)) < 1e-9
 
 
-def test_kink_crossed_at_the_start_is_stepped_off(cfg):
-    # x starts a hair above the kink and moving down: the armed crossing
-    # comes without progress, so the loop steps off it for 1e-9 without the
-    # kink and restarts with it re-armed
+def test_kink_crossed_at_the_start_ends_where_a_start_on_it_does(cfg):
+    # x starts a hair above the kink and moving down: the crossing comes at
+    # once and restarts the step, watching the crossing back; from x = 0 the
+    # loop watches for leaving the side x first moves to
     pot = iso.asymmetric(4.0, 4.0 / 9.0)
     off = integrate_autonomous(pot, State(1e-20, -1.0), 0.0, TWO_PI, cfg)
     at = integrate_autonomous(pot, State(0.0, -1.0), 0.0, TWO_PI, cfg)
-    assert off.stats["n_segments"] == at.stats["n_segments"] + 2
-    assert 1e-9 in off.ts
     end, ref = off.end_state(), at.end_state()
     assert abs(end.x - ref.x) + abs(end.v - ref.v) < 1e-9
+
+
+def test_rest_point_on_the_kink_stays_at_rest():
+    # x = 0 never leaves the kink, so no side is ever chosen and no crossing
+    # restarts the step
+    raw = integrate_autonomous(iso.asymmetric(4.0, 4.0 / 9.0), State(0.0, 0.0), 0.0, 1.0,
+                               IntegratorConfig(max_steps=20000))
+    assert raw.end_state() == State(0.0, 0.0)
+    assert raw.stats["n_steps"] <= 10 and raw.stats["n_segments"] == 1
 
 
 # -- the step loop against scipy's RK45 -------------------------------------------
@@ -253,7 +260,7 @@ def _chain_eval(sols, t):
 
 @pytest.mark.parametrize("method", ["RK45"])
 @pytest.mark.parametrize("case", ["pinney-forced", "asymmetric-kinks",
-                                  "pinney-breaks", "variational"])
+                                  "pinney-breaks", "variational", "tangency-start"])
 def test_dense_table_matches_segment_loop(case, method, monkeypatch):
     """The steps of scipy's RK45 over the same restarts.  Two summation
     orders round the error estimate differently, and at rel_tol 1e-10 its
@@ -281,6 +288,11 @@ def test_dense_table_matches_segment_loop(case, method, monkeypatch):
         f = PiecewiseConst(breakpoints=(0.0, math.pi / 2), values=(1.0, 4.0),
                            period=math.pi)
         integrate_forced(iso.pinney(), f, 0.05, State(1.0, 0.0), 0.0, t1, cfg)
+    elif case == "tangency-start":
+        # a kink crossed at once, then twice more: 4 runs
+        t1 = TWO_PI
+        integrate_autonomous(iso.asymmetric(4.0, 4.0 / 9.0), State(1e-20, -1.0),
+                             0.0, t1, cfg)
     else:
         t1 = TWO_PI
         psi_solution(iso.asymmetric(4.0, 4.0 / 9.0), 1.0, cfg)
@@ -743,10 +755,10 @@ _PINNED_STATS = {
                                   ["0x1.b8a4a624654bfp-1", "0x1.44f7d434add14p+0"]),
     "asymmetric-forced/loose": ([114, 35, 908, 7],
                                 ["0x1.b8a9b4e55e225p-1", "0x1.44f8be07de7e0p+0"]),
-    "tangency-start/default": ([209, 7, 1306, 5],
-                               ["-0x1.40acc3fc70fb5p-38", "-0x1.fffffffa517efp-1"]),
-    "tangency-start/loose": ([40, 12, 322, 5],
-                             ["-0x1.47da31b2f5ad7p-22", "-0x1.ffff7ee0e37c3p-1"]),
+    "tangency-start/default": ([208, 7, 1298, 4],
+                               ["-0x1.40b31ffc69d67p-38", "-0x1.fffffffa46170p-1"]),
+    "tangency-start/loose": ([39, 12, 314, 4],
+                             ["-0x1.47da32327340fp-22", "-0x1.ffff7edeec296p-1"]),
     "pinney-step/default": ([682, 159, 5062, 8],
                             ["0x1.58db927e7623ap-2", "0x1.485350f2f598dp-1"]),
     "pinney-step/loose": ([152, 58, 1276, 8],

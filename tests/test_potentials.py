@@ -254,6 +254,16 @@ def test_custom_potential_requires_isochrony_flag():
         pot.require_isochronous()
 
 
+def test_custom_potential_kind_is_fixed():
+    # phi and autonomous pick closed forms (Pinney's psi, its r = inf slice)
+    # by kind, and only the built-in families have them
+    args = dict(v=lambda x: 0.5 * np.asarray(x) ** 2, dv=lambda x: np.asarray(x),
+                d2v=lambda x: np.ones_like(np.asarray(x, dtype=float)), n_iso=1)
+    assert custom(**args).kind == "custom"
+    with pytest.raises(TypeError):
+        custom(**args, kind="pinney")
+
+
 def test_descriptor_round_trip():
     for d in ({"kind": "harmonic", "n": 2}, {"kind": "pinney"},
               {"kind": "asymmetric", "alpha": 4.0, "beta": 4.0 / 9.0}):
