@@ -13,9 +13,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, _quad_checked
-from .integrate import (IntegratorConfig, RawSolution, State, StepTable,
-                        _compile_system, _potential_lines, _standard_events,
-                        forced_system, integrate_autonomous, integrate_ode)
+from .integrate import (VARIATIONAL, IntegratorConfig, RawSolution, State, StepTable,
+                        integrate_autonomous, solve_forced)
 from .potentials import (PotentialSpec, inverse_V_negative, inverse_V_positive)
 
 
@@ -221,9 +220,8 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
             return replace(psi_solution(pot, shared, cfg, t1), r=0.0)
         w0 = math.sqrt(float(pot.d2v(0.0)))
         return VariationalSolution(pot, 0.0, t1, lin_freq=w0)
-    y0 = [r, 0.0, 1.0, 0.0, 0.0, 1.0]
-    fun, options = forced_system(pot, None, 0.0, y0, 0.0, t1, cfg)
-    raw = integrate_ode(fun, y0, 0.0, t1, cfg, **options)
+    raw = solve_forced(pot, None, 0.0, [r, 0.0, 1.0, 0.0, 0.0, 1.0], 0.0, t1, cfg,
+                       VARIATIONAL)
     return VariationalSolution(pot, float(r), t1, raw=raw)
 
 
@@ -312,14 +310,13 @@ def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
 # ---------------------------------------------------------------------------
 # Rofe-Beketov derivative with respect to the action
 
+# The Rofe-Beketov integrand (1 - V''(x)) (xdot^2 - xddot^2) / (xdot^2 + xddot^2)^2
+# as forced_system's extra line: the system over (x, v, its integral)
+ROFE_BEKETOV = "(1.0 - d2v) * (s_1 * s_1 - r_1 * r_1) / (s_1 * s_1 + r_1 * r_1) ** 2"
+
+
 def _rofe_raw(pot: PotentialSpec, r: float, t_max: float, cfg: IntegratorConfig):
-    body, constants = _potential_lines(pot, ("dv", "d2v"))
-    events, event_constants = _standard_events(pot, cfg)
-    rhs = _compile_system(3, body + [
-        "acc = -dv", "v2 = s_1 * s_1", "a2 = acc * acc", "r_0 = s_1", "r_1 = acc",
-        "r_2 = (1.0 - d2v) * (v2 - a2) / (v2 + a2) ** 2"], {**constants, **event_constants},
-        **events)
-    return integrate_ode(rhs, [r, 0.0, 0.0], 0.0, t_max, cfg)
+    return solve_forced(pot, None, 0.0, [r, 0.0, 0.0], 0.0, t_max, cfg, (ROFE_BEKETOV,))
 
 
 def dx_dI_rofe_beketov(pot: PotentialSpec, r: float, t_grid,
@@ -334,13 +331,12 @@ def dx_dI_rofe_beketov(pot: PotentialSpec, r: float, t_grid,
     if r <= 0:
         raise DomainError("dx_dI_rofe_beketov: r must be positive")
     t = np.abs(np.asarray(t_grid, dtype=float))
-    raw = _rofe_raw(pot, float(r), float(np.max(t)) if np.max(t) > 0 else 1e-9, cfg)
-    flat = t.ravel()
-    vals = raw.eval(flat) if flat.size else np.empty((3, 0))
-    x, v, w = vals
+    if t.size == 0:
+        return np.empty(t.shape)
+    t_max = float(t.max())
+    x, v, w = _rofe_raw(pot, float(r), t_max if t_max > 0 else 1e-9, cfg).eval(t.ravel())
     acc = -np.asarray(pot.dv(x))
-    out = (n * (-acc / (v * v + acc * acc) + v * w)).reshape(t.shape)
-    return out
+    return (n * (-acc / (v * v + acc * acc) + v * w)).reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +354,8 @@ def negative_semiperiod(pot: PotentialSpec, action: float) -> float:
     I = 1e-10...1e8.  Its quadrature would lose digits at small I, where
     E - V(x) cancels near the turning point (6e-5 at I = 1e-8)."""
     n = pot.require_isochronous()
-    if action <= 0:
-        raise DomainError("negative_semiperiod: action must be positive")
+    if not 0 < action < math.inf:
+        raise DomainError("negative_semiperiod: action must be finite and positive")
     if pot.kind == "pinney":
         lam2 = 4.0 * action + 1.0 + math.sqrt(8.0 * action * (1.0 + 2.0 * action))
         return 4.0 * math.asin(1.0 / math.sqrt(lam2 + 1.0))

@@ -147,7 +147,9 @@ def cmd_period_audit(p):
 
 def cmd_periodic_find(p):
     cfg = IntegratorConfig(p.rel_tol, p.abs_tol)
-    if p.zero_theta is not None and p.zero_action is not None:
+    if (p.zero_theta is None) != (p.zero_action is None):
+        raise ConfigError("zero_theta, zero_action: give both or neither")
+    if p.zero_theta is not None:
         seed = dynamics.seed_from_phi_zero(p.potential, p.zero_theta, p.zero_action, cfg)
     else:
         seed = State(p.x0, p.v0)

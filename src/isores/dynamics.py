@@ -13,8 +13,8 @@ import numpy as np
 from .autonomous import ActionAngle, from_action_angle
 from .errors import DomainError, IntegrationError, NumericsError
 from .forcing import ForcingTerm, TWO_PI, l1_norm
-from .integrate import (IntegratorConfig, State, energy, forced_system,
-                        integrate_forced, integrate_ode)
+from .integrate import (VARIATIONAL, IntegratorConfig, State, energy, integrate_forced,
+                        solve_forced)
 from .potentials import PotentialSpec
 
 ENVELOPE_SLACK = 1e-6
@@ -146,9 +146,9 @@ def _newton_system(pot: PotentialSpec, f: ForcingTerm, eps: float, s: State,
                    cfg: IntegratorConfig):
     """G(s) = P(s) - s for the period map P, and G's Jacobian M - I: one
     forced variational solve, the monodromy matrix M = [[u, w], [u', w']]."""
-    y0 = [s.x, s.v, 1.0, 0.0, 0.0, 1.0]
-    fun, options = forced_system(pot, f, eps, y0, 0.0, TWO_PI, cfg)
-    x, v, u, du, w, dw = integrate_ode(fun, y0, 0.0, TWO_PI, cfg, **options).ys[-1]
+    raw = solve_forced(pot, f, eps, [s.x, s.v, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
+                       VARIATIONAL)
+    x, v, u, du, w, dw = raw.ys[-1]
     return np.array([x - s.x, v - s.v]), np.array([[u - 1.0, w], [du, dw - 1.0]])
 
 

@@ -10,10 +10,13 @@ every restart (start, forcing breakpoint, kink) 2 more calls.  The whole
 accept/reject loop over one span is generated as source over scalar locals
 (_system_source) and compiled once per structure: the state size n, the
 system's body (the lines that compute the right-hand side) and the
-expressions of the kink and the guard it watches.  forced_system writes
-that body from the expression text a built-in potential declares for V' and
-V'' and from the statements TrigPoly writes for p (math.cos/math.sin, no
-numpy call), and the loop runs the body inline at each stage, so no stage
+expressions of the kink and the guard it watches.  forced_system, the one
+builder of x'' = -V'(x) + eps*p(t) and its extra components (n = 2 for a
+forced run, 3 with the Rofe-Beketov integral, 6 with the variational pairs;
+solve_forced solves it), writes that body from the expression text a
+built-in potential declares for V' and V'' and from the statements TrigPoly
+writes for p (math.cos/math.sin, no numpy call), and the loop runs the body
+inline at each stage, so no stage
 makes a Python call (custom potentials and other forcings call their
 callbacks from the body, and a plain function is called from a body of one
 line).  The constants (eps, the coefficients, the clamp, the guard's
@@ -468,60 +471,58 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     return solution()
 
 
-def _potential_lines(pot: PotentialSpec, names):
-    """Body lines (see _system_source) that set x to s_0, raised to the clamp
-    a + 1e-13 of a singular endpoint a, and then each of names ("dv", "d2v")
-    to that derivative of V at x, with the constants they read.  A built-in
-    potential's declared expressions are pasted in; a custom potential's
-    callbacks are called with the float x."""
-    dv, d2v, constants = pot.scalar or ("float(_dv(x))", "float(_d2v(x))",
-                                        {"_dv": pot._dv, "_d2v": pot._d2v})
-    lines, constants = ["x = s_0"], dict(constants)
-    if pot.singular_left:
-        lines.append("if x < clamp: x = clamp")
-        constants["clamp"] = pot.domain_left + 1e-13
-    expr = {"dv": dv, "d2v": d2v}
-    return lines + [f"{name} = {expr[name]}" for name in names], constants
+# The variational pairs (u, u') and (w, w') of u'' = -V''(x) u as forced_system's
+# extra lines: the system over (x, v, u, u', w, w') behind psi and the monodromy.
+VARIATIONAL = ("s_3", "-d2v * s_2", "s_5", "-d2v * s_4")
 
 
-def _standard_events(pot: PotentialSpec, cfg: IntegratorConfig):
-    """The kink and guard of a built-in system as _compile_system takes them,
-    expressions over the step's end state: ({"kink": .., "guard": ..},
-    constants)."""
-    return ({"kink": "z_0" if pot.kink_at_zero else None,
-             "guard": ("singularity", "z_0 - thresh") if pot.singular_left else None},
-            {"thresh": pot.domain_left + cfg.singularity_margin})
-
-
-def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
-                  t1: float, cfg: IntegratorConfig):
-    """(fun, options) for integrate_ode(fun, y0, t0, t1, cfg, **options):
-    x'' = -V'(x) + eps*p(t) from y0 = (x, v), or from (x, v, u, u', w, w')
-    with the variational equation u'' = -V''(x) u.  The options split the
-    steps at p's breaks.  fun is compiled from V's and p's declared scalar
-    source, with the generated Dormand-Prince loop over one span as fun.run,
-    which also splits the steps at a kink and guards a singular endpoint
-    (stages past it see V at the clamp a + 1e-13, which no accepted step
-    reaches); it carries them as fun.kink and fun.guard."""
+def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: IntegratorConfig,
+                  extra=()):
+    """The compiled right-hand side of x'' = -V'(x) + eps*p(t) over (s_0, s_1)
+    = (x, v) and one more component per extra line: r_{2+i} = extra[i], an
+    expression over tt, s_0..s_{n-1}, r_1 = x'' and V's derivatives dv and
+    d2v at x (d2v is computed only when read).  V' and V'' are a built-in
+    potential's declared expressions (a custom one's callbacks on the float
+    x), p is its scalar source, and fun.run is the Dormand-Prince loop over
+    one span (_system_source), which restarts at a kink of V'' at x = 0 and
+    stops where x falls to a + cfg.singularity_margin above a singular
+    endpoint a (stages past a see V at a + 1e-13); fun.kink and fun.guard
+    carry them."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
-    pot._check_domain(y0[0])
-    breaks = tiled_split_points(f, t0, t1) if eps != 0.0 else ()
-    n = len(y0)
-    body, constants = _potential_lines(pot, ("d2v", "dv") if n == 6 else ("dv",))
-    if eps == 0.0 or f is None:
-        acc = "-dv"
-    else:
+    dv, d2v, constants = pot.scalar or ("float(_dv(x))", "float(_d2v(x))",
+                                        {"_dv": pot._dv, "_d2v": pot._d2v})
+    body, constants = ["x = s_0"], dict(constants)
+    if pot.singular_left:
+        body.append("if x < clamp: x = clamp")
+        constants.update(clamp=pot.domain_left + 1e-13,
+                         thresh=pot.domain_left + cfg.singularity_margin)
+    body.append(f"dv = {dv}")
+    if any("d2v" in expr for expr in extra):
+        body.append(f"d2v = {d2v}")
+    acc = "-dv"
+    if eps != 0.0 and f is not None:
         p_lines, p_constants = f.scalar_source()
         body += p_lines
         constants.update(p_constants, eps=eps)
         acc = "-dv + eps * p"
     body += ["r_0 = s_1", f"r_1 = {acc}"]
-    if n == 6:
-        body += ["r_2 = s_3", "r_3 = -d2v * s_2", "r_4 = s_5", "r_5 = -d2v * s_4"]
-    events, event_constants = _standard_events(pot, cfg)
-    constants.update(event_constants)
-    return _compile_system(n, body, constants, **events), {"breakpoints": breaks}
+    body += [f"r_{i} = {expr}" for i, expr in enumerate(extra, 2)]
+    return _compile_system(2 + len(extra), body, constants,
+                           kink="z_0" if pot.kink_at_zero else None,
+                           guard=("singularity", "z_0 - thresh") if pot.singular_left else None)
+
+
+def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
+                 t1: float, cfg: IntegratorConfig, extra=()) -> RawSolution:
+    """Solve forced_system(pot, f, eps, cfg, extra) from y0 = (x, v, ...)
+    over [t0, t1]: the dense solution, with its steps split at p's breaks
+    when eps != 0.  x must lie in V's domain; a failure raises
+    IntegrationError, whose ``trajectory`` is a RawSolution too."""
+    fun = forced_system(pot, f, eps, cfg, extra)
+    pot._check_domain(y0[0])
+    breaks = tiled_split_points(f, t0, t1) if eps != 0.0 else ()
+    return integrate_ode(fun, y0, t0, t1, cfg, breakpoints=breaks)
 
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,
@@ -550,9 +551,7 @@ def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     * int |p| is verified at the endpoint (slack 1e-6).  A failure raises
     IntegrationError, whose ``trajectory`` is a RawSolution too.
     """
-    y0 = [s0.x, s0.v]
-    fun, options = forced_system(pot, f, eps, y0, t0, t1, cfg)
-    raw = integrate_ode(fun, y0, t0, t1, cfg, **options)
+    raw = solve_forced(pot, f, eps, [s0.x, s0.v], t0, t1, cfg)
     if check_envelope and eps != 0.0 and t0 >= 0:
         e0 = energy(pot, s0)
         e1 = energy(pot, raw.end_state())

@@ -261,6 +261,11 @@ def test_rofe_beketov_monotone_on_half_period(pin, cfg):
     assert np.all(np.diff(vals) < 0)
 
 
+def test_rofe_beketov_empty_grid(pin, cfg):
+    # np.max of the empty grid raised before any solve
+    assert dx_dI_rofe_beketov(pin, 1.0, [], cfg).shape == (0,)
+
+
 # -- negative semi-period -------------------------------------------------------
 
 # T- = 2 pi - 4 arccos((lambda^2 + 1)^-1/2) on the grid np.logspace(-10, 8, 37)
@@ -306,6 +311,15 @@ def test_negative_semiperiod_quadrature_for_other_centres(har):
     for action in (1e-4, 0.5, 3.0, 42.0):
         assert negative_semiperiod(har, action) == pytest.approx(math.pi, rel=1e-10)
         assert negative_semiperiod(asym, action) == pytest.approx(1.5 * math.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("pot, action", [
+    (iso.pinney(), math.nan), (iso.pinney(), math.inf), (iso.harmonic(1), math.inf)])
+def test_negative_semiperiod_requires_finite_positive_action(pot, action):
+    # Pinney's closed form gave nan for nan and 0.0 for inf, and harmonic's
+    # quadrature failed in inverse_V_negative instead of naming the action
+    with pytest.raises(DomainError, match="negative_semiperiod: action must be finite"):
+        negative_semiperiod(pot, action)
 
 
 def test_negative_semiperiod_matches_closed_form_on_grid(pin):

@@ -334,11 +334,26 @@ def test_missing_required_parameter():
      "r_points: invalid literal"),
     (["period-audit", "--potential", "pinney", "--r", "one"], "r: could not convert"),
     ([], "required"),
-], ids=["unknown-flag", "malformed-int", "malformed-repeated", "no-command"])
+    (["periodic-find", "--potential", "pinney", "--forcing", "1+2*cos", "--eps", "0.01",
+      "--zero-theta", "3.141592653589793"], "zero_theta, zero_action: give both or neither"),
+    (["periodic-find", "--potential", "pinney", "--forcing", "1+2*cos", "--eps", "0.01",
+      "--zero-action", "0.337"], "zero_theta, zero_action: give both or neither"),
+], ids=["unknown-flag", "malformed-int", "malformed-repeated", "no-command",
+        "half-phi-zero-theta", "half-phi-zero-action"])
 def test_usage_errors_exit_1(argv, message, capsys):
-    # argparse exited 2, the code of a negative result
+    # argparse exited 2, the code of a negative result; half a Phi-zero seed
+    # fell back to (x0, v0), and Newton's failure there exited 2 too
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+def test_half_phi_zero_seed_from_config_file_is_a_usage_error(tmp_path, capsys):
+    # one of the pair fell back to the seed (x0, v0), and Newton exited 2
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"potential": "pinney", "forcing": "1+2*cos", "eps": 0.01,
+                                  "zero_theta": 3.141592653589793}))
+    assert main(["periodic-find", "--config", str(config)]) == 1
+    assert "zero_theta, zero_action: give both or neither" in capsys.readouterr().err
 
 
 def test_unknown_flag_prints_the_command_usage(capsys):

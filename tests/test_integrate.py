@@ -9,11 +9,11 @@ from scipy.integrate import RK45, solve_ivp
 
 import isores as iso
 from isores.errors import ConfigError, IntegrationError
-from isores.forcing import PiecewiseConst, TrigPoly, TWO_PI, abs_integral
-from isores.integrate import (IntegratorConfig, State, energy,
+from isores.forcing import PiecewiseConst, TrigPoly, TWO_PI, abs_integral, tiled_split_points
+from isores.integrate import (VARIATIONAL, IntegratorConfig, State, energy,
                               forced_system, integrate_autonomous,
                               integrate_forced)
-from isores.autonomous import pinney_phi_closed
+from isores.autonomous import ROFE_BEKETOV, pinney_phi_closed
 
 
 def test_harmonic_closed_orbit(har, cfg):
@@ -171,7 +171,7 @@ def test_config_requires_finite_positive_tolerances(name, value):
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
 def test_forced_system_rejects_non_finite_eps(pin, sin_f, cfg, eps):
     with pytest.raises(ConfigError, match="eps"):
-        forced_system(pin, sin_f, eps, [1.0, 0.0], 0.0, TWO_PI, cfg)
+        forced_system(pin, sin_f, eps, cfg)
 
 
 def test_asymmetric_kink_handling(cfg):
@@ -270,12 +270,10 @@ def test_dense_table_matches_segment_loop(case, method, monkeypatch):
     ranges over 240..256 when its right-hand side is scaled by 1 + k 1e-16,
     |k| <= 6, so it is compared within 10 %; both runs are within 3e-10 of
     the exact piecewise-sinusoid psi, so dense values within 1e-9."""
-    import isores.autonomous
     import isores.integrate
     from isores.autonomous import psi_solution
     cfg = IntegratorConfig()
-    calls = _recorded_calls(monkeypatch, isores.autonomous if case == "variational"
-                            else isores.integrate)
+    calls = _recorded_calls(monkeypatch, isores.integrate)
     t1 = 3 * TWO_PI
     if case == "pinney-forced":
         integrate_forced(iso.pinney(), TrigPoly(sin_coeffs=(1.0,)), 0.05,
@@ -340,7 +338,7 @@ def test_guard_time_matches_scipy_terminal_event(pin):
     guard_t = [e.t for e in exc.value.trajectory.events if e.kind == "singularity"]
     event = lambda t, y: y[0] - (-1.0 + 0.3)
     event.terminal, event.direction = True, -1.0
-    fun, _ = forced_system(pin, None, 0.0, [0.5, -2.0], 0.0, TWO_PI, cfg)
+    fun = forced_system(pin, None, 0.0, cfg)
     sol = solve_ivp(fun, (0.0, TWO_PI), [0.5, -2.0],
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, events=event)
     assert sol.status == 1
@@ -501,8 +499,16 @@ def _closure_rhs(pot, f, eps, n):
         if n == 2:
             return (y[1], acc)
         a = float(pot._d2v(x))
+        if n == 3:
+            return (y[1], acc, (1.0 - a) * (y[1] * y[1] - acc * acc)
+                    / (y[1] * y[1] + acc * acc) ** 2)
         return (y[1], acc, y[3], -a * y[2], y[5], -a * y[4])
     return rhs
+
+
+# forced_system's extra lines for each state size: the forced run, the
+# Rofe-Beketov integral and the variational pairs
+_EXTRA = {2: (), 3: (ROFE_BEKETOV,), 6: VARIATIONAL}
 
 
 def _record(fun, y0, t0, t1, cfg, options):
@@ -518,7 +524,7 @@ def _record(fun, y0, t0, t1, cfg, options):
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
-@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("n", [2, 3, 6])
 @pytest.mark.parametrize("forcing", list(_FORCINGS))
 @pytest.mark.parametrize("potential", list(_POTENTIALS))
 def test_compiled_system_matches_closure_and_reference_step(potential, forcing, n, eps):
@@ -540,7 +546,8 @@ def test_compiled_system_matches_closure_and_reference_step(potential, forcing, 
         cases += [(1.0, [-1.0 + 1e-14, 0.3, 1.0, 0.0, 0.0, 1.0][:n], 0.01),
                   (1.0, [-0.99, -5.0, 1.0, 0.0, 0.0, 1.0][:n], 0.01)]
     for t, y, h in cases:
-        fun, options = forced_system(pot, f, eps, [0.5] * n, t, t + h, cfg)
+        fun = forced_system(pot, f, eps, cfg, _EXTRA[n])
+        options = {"breakpoints": tiled_split_points(f, t, t + h) if eps != 0.0 else ()}
         assert _bits(fun(t, y)) == _bits(closure(t, y))
         got = _record(fun, y, t, t + h, cfg, options)
         assert got == _record(closure, y, t, t + h, cfg,
@@ -555,9 +562,9 @@ def test_compiled_system_matches_closure_and_reference_step(potential, forcing, 
 def test_systems_differing_in_constants_share_code():
     from isores.integrate import _compiled
     pin, cfg = iso.pinney(), IntegratorConfig()
-    one, _ = forced_system(pin, TrigPoly(sin_coeffs=(1.0,)), 0.05, [1.0, 0.0], 0.0, 1.0, cfg)
+    one = forced_system(pin, TrigPoly(sin_coeffs=(1.0,)), 0.05, cfg)
     before = _compiled.cache_info()
-    two, _ = forced_system(pin, TrigPoly(sin_coeffs=(0.7,)), 0.02, [1.0, 0.0], 0.0, 1.0, cfg)
+    two = forced_system(pin, TrigPoly(sin_coeffs=(0.7,)), 0.02, cfg)
     after = _compiled.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert after.maxsize is not None and after.currsize <= after.maxsize
@@ -571,13 +578,13 @@ def test_compiled_system_watches_only_its_own_kink_and_guard(cfg):
     # with it as fun.kink and fun.guard, and integrate_ode takes no others
     from isores.integrate import integrate_ode
     asym = iso.asymmetric(4.0, 4.0 / 9.0)
-    fun, options = forced_system(asym, None, 0.0, [1.0, 0.0], 0.0, 1.0, cfg)
-    assert options == {"breakpoints": ()} and fun.guard is None
+    fun = forced_system(asym, None, 0.0, cfg)
+    assert fun.guard is None
     assert fun.kink(0.0, [0.25, -3.0]) == 0.25
     with pytest.raises(ValueError, match="its own kink and guard"):
         integrate_ode(fun, [1.0, 0.0], 0.0, 1.0, cfg,
                       guard=("singularity", lambda t, y: y[0] + 1.0))
-    pin_fun, _ = forced_system(iso.pinney(), None, 0.0, [1.0, 0.0], 0.0, 1.0, cfg)
+    pin_fun = forced_system(iso.pinney(), None, 0.0, cfg)
     kind, g = pin_fun.guard
     assert (kind, g(0.0, [0.25, 0.0])) == ("singularity", 0.25 - (-1.0 + cfg.singularity_margin))
     assert pin_fun.kink is None
@@ -630,16 +637,17 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
     calls = []
     counted = lambda fun: lambda t, y: calls.append(1) or fun(t, y)
     if n == 3:
-        monkeypatch.setattr(iso.autonomous, "integrate_ode",
-                            lambda fun, *a: integrate_ode(counted(fun), *a, kink=fun.kink,
-                                                          guard=fun.guard))
+        monkeypatch.setattr(iso.integrate, "integrate_ode",
+                            lambda fun, *a, **k: integrate_ode(counted(fun), *a, kink=fun.kink,
+                                                               guard=fun.guard, **k))
         raw = _rofe_raw(iso.asymmetric(4.0, 4.0 / 9.0), 2.0, TWO_PI, cfg)
     else:
         y0 = [0.5, 0.2, 1.0, 0.0, 0.0, 1.0][:n]
         step = PiecewiseConst(breakpoints=(0.0, 2.0), values=(1.0, -1.0))
-        fun, options = forced_system(pin, step, 0.1, y0, 0.0, 2 * TWO_PI, cfg)
+        fun = forced_system(pin, step, 0.1, cfg, VARIATIONAL[:n - 2])
         raw = integrate_ode(counted(fun), y0, 0.0, 2 * TWO_PI, cfg, kink=fun.kink,
-                            guard=fun.guard, **options)
+                            guard=fun.guard,
+                            breakpoints=tiled_split_points(step, 0.0, 2 * TWO_PI))
     s = raw.stats
     assert s["n_segments"] > 1 and s["n_steps"] > 0
     assert s["nfev"] == len(calls)

@@ -146,9 +146,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_homogeneous_scans_share_one_profile(monkeypatch, cfg, har):
-    import isores.autonomous
+    import isores.integrate
     import isores.phi
-    solves = _count_calls(monkeypatch, isores.autonomous, "integrate_ode")
+    solves = _count_calls(monkeypatch, isores.integrate, "integrate_ode")
     quads = _count_calls(monkeypatch, isores.phi, "adaptive_complex_quad")
     isores.phi._psi_fourier.cache_clear()    # no c_m left by other tests
     field = phi_scan(iso.asymmetric(4.0, 4.0 / 9.0), TrigPoly(sin_coeffs=(1.0,)),
