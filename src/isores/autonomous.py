@@ -55,6 +55,71 @@ def pinney_psi_infinity(t):
     return np.abs(c) + 2j * np.sin(0.5 * t) * np.sign(c)
 
 
+def carlson_rf_rd(x, y, z):
+    """Carlson's symmetric integrals (R_F(x, y, z), R_D(x, y, z)) for x, y, z
+    >= 0 with at most one of x, y zero and z > 0.  One duplication loop
+    serves both, since they contract the same iterates x, y, z (Carlson,
+    Numer. Algorithms 10, 1995; DLMF 19.36.1-2); R_D also sums
+    4^-n / (sqrt(z_n) (z_n + lam_n)).  The loop stops when 4^-n Q < A_n for
+    every element and both means, which bounds each series remainder by
+    r = 2^-53: Q is (3r)^-1/6 max|A0 - x_i| for R_F and (r/4)^-1/6 for R_D."""
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    a0_f, a0_d = (x + y + z) / 3.0, (x + y + 3.0 * z) / 5.0
+    spread = np.maximum(np.abs(x - z), np.abs(y - z)) + np.abs(x - y)
+    q = (2.0 ** -55) ** (-1 / 6) * spread       # >= both Q: |A0 - x_i| <= spread
+    x0, y0 = x, y
+    a_f, a_d, tail, scale = a0_f, a0_d, np.zeros(x.shape), 1.0
+    while np.any(q * scale >= np.minimum(a_f, a_d)):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        tail = tail + scale / (sz * (z + lam))
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        a_f, a_d, scale = 0.25 * (a_f + lam), 0.25 * (a_d + lam), 0.25 * scale
+    fx, fy = scale * (a0_f - x0) / a_f, scale * (a0_f - y0) / a_f
+    fz = -(fx + fy)
+    e2, e3 = fx * fy - fz * fz, fx * fy * fz
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a_f)
+    dx, dy = scale * (a0_d - x0) / a_d, scale * (a0_d - y0) / a_d
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz
+    e4, e5 = 3.0 * (xy - zz) * zz, xy * zz * dz
+    rd = (scale / (a_d * np.sqrt(a_d))
+          * (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+             - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0) + 3.0 * tail)
+    return rf, rd
+
+
+def pinney_psi_antiderivative(r, t):
+    """Psi(t, r) = int_0^t psi(s, r) ds on the Pinney orbit of amplitude r
+    (r = inf the limit profile), exact for every real t.  With mu = (1 + r)^-4,
+    c, s = cos, sin of phi = t/2 in [0, pi/2] and y = c^2 + mu s^2, psi
+    integrates to the incomplete elliptic integrals E and F of parameter
+    1 - mu; DLMF 19.25.10 writes E with R_F and R_D so that no 1/(1 - mu) and
+    no cancellation is left at either end:
+        Re Psi = 2 (1 + mu) c s / sqrt(y) - 2 mu s R_F(c^2, 1, y)
+                 + (2/3) mu (1 + mu) s^3 R_D(c^2, 1, y),
+        Im Psi = 4 s^2 / (1 + sqrt(y)).
+    Re psi is even about 0 and pi, so t in (pi, 2pi) reads 2 Re Psi(pi) -
+    Re Psi(2pi - t), and each period adds 2 Re Psi(pi).  At mu = 0 the R_F,
+    R_D terms vanish: Re Psi = 2 s over the first half period."""
+    mu = 0.0 if math.isinf(r) else (1.0 + float(r)) ** -4
+    shape, t = np.shape(t), np.ravel(np.asarray(t, dtype=float))
+    turns = np.floor(t / TWO_PI)
+    u = t - TWO_PI * turns
+    back = u > math.pi
+    phi = 0.5 * np.append(np.where(back, TWO_PI - u, u), math.pi)   # and t = pi
+    s, c = np.sin(phi), np.cos(phi)
+    y = c * c + mu * s * s
+    re = 2.0 * (1.0 + mu) * c * s / np.sqrt(y)
+    if mu > 0.0:
+        rf, rd = carlson_rf_rd(c * c, 1.0, y)
+        re = re + mu * s * ((2.0 / 3.0) * (1.0 + mu) * s * s * rd - 2.0 * rf)
+    im = 4.0 * s * s / (1.0 + np.sqrt(y))
+    re = 2.0 * (turns + back) * re[-1] + np.where(back, -re[:-1], re[:-1])
+    return (re + 1j * im[:-1]).reshape(shape)
+
+
 def asymmetric_psi_closed(w, mu, t):
     """psi(t, r) of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2 at every r >= 0: x(t; r) =
     r X(t), so psi = X - i X'/w^2, with X = cos(w s) on the x > 0 arcs (s the
@@ -328,8 +393,8 @@ def dx_dI_rofe_beketov(pot: PotentialSpec, r: float, t_grid,
     The derivative is even in t; negative grid times are mapped to |t|.
     """
     n = pot.require_isochronous()
-    if r <= 0:
-        raise DomainError("dx_dI_rofe_beketov: r must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError("dx_dI_rofe_beketov: r must be finite and positive")
     t = np.abs(np.asarray(t_grid, dtype=float))
     if t.size == 0:
         return np.empty(t.shape)

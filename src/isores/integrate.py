@@ -517,11 +517,11 @@ def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
                  t1: float, cfg: IntegratorConfig, extra=()) -> RawSolution:
     """Solve forced_system(pot, f, eps, cfg, extra) from y0 = (x, v, ...)
     over [t0, t1]: the dense solution, with its steps split at p's breaks
-    when eps != 0.  x must lie in V's domain; a failure raises
+    when p is given and eps != 0.  x must lie in V's domain; a failure raises
     IntegrationError, whose ``trajectory`` is a RawSolution too."""
     fun = forced_system(pot, f, eps, cfg, extra)
     pot._check_domain(y0[0])
-    breaks = tiled_split_points(f, t0, t1) if eps != 0.0 else ()
+    breaks = tiled_split_points(f, t0, t1) if eps != 0.0 and f is not None else ()
     return integrate_ode(fun, y0, t0, t1, cfg, breakpoints=breaks)
 
 
@@ -545,14 +545,14 @@ def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     """Solve x'' = -V'(x) + eps*p(t); the dense (x, v) solution.
 
     Steps never straddle a discontinuity of p: the grid is split there and a
-    ``forcing_break`` event is logged at every breakpoint.  With eps = 0 the
-    forcing is inert and this is integrate_autonomous.  When check_envelope
-    is set, the a-priori bound |sqrt(E(t1)) - sqrt(E(t0))| <= |eps|/sqrt(2)
-    * int |p| is verified at the endpoint (slack 1e-6).  A failure raises
-    IntegrationError, whose ``trajectory`` is a RawSolution too.
+    ``forcing_break`` event is logged at every breakpoint.  With eps = 0 or
+    f = None the forcing is inert and this is integrate_autonomous.  When
+    check_envelope is set, the a-priori bound |sqrt(E(t1)) - sqrt(E(t0))| <=
+    |eps|/sqrt(2) * int |p| is verified at the endpoint (slack 1e-6).  A
+    failure raises IntegrationError, whose ``trajectory`` is a RawSolution too.
     """
     raw = solve_forced(pot, f, eps, [s0.x, s0.v], t0, t1, cfg)
-    if check_envelope and eps != 0.0 and t0 >= 0:
+    if check_envelope and eps != 0.0 and f is not None and t0 >= 0:
         e0 = energy(pot, s0)
         e1 = energy(pot, raw.end_state())
         budget = abs(eps) / math.sqrt(2.0) * (abs_integral(f, t1) - abs_integral(f, t0))

@@ -3,12 +3,15 @@ harmonic forms, the Pinney large-amplitude slice and Fourier constants,
 full-grid scans with a certification verdict, and boundary winding numbers.
 
 Cost model: Phi(., r) correlates p with the one profile psi(., r), so a scan
-makes one call of the package's adaptive quadrature (forcing.adaptive_complex_quad,
-imported here by name) per r-column (and one for the Pinney infinity slice):
-the Fourier modes of psi for a trigonometric p (cached per profile), else its
-integrals between the shifted breakpoints of p; each node is then a finite
-sum.  Columns that share a profile (profile_amplitude) are computed once, and
-psi is a closed form for every built-in center (_profile).
+works per r-column (and on the Pinney infinity slice), never per node.  A
+step p on the Pinney center needs no quadrature: its Phi is a finite sum of
+the closed-form antiderivative Psi of psi (Carlson's R_F and R_D) read at the
+shifted breakpoints.  Any other p makes one call of the package's adaptive
+quadrature (forcing.adaptive_complex_quad, imported here by name) per
+column: the Fourier modes of psi for a trigonometric p (cached per profile),
+else its integrals between the shifted breakpoints of p; each node is then a
+finite sum.  Columns that share a profile (profile_amplitude) are computed
+once, and psi is a closed form for every built-in center (_profile).
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .forcing import (ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
 from .autonomous import (argument_increment, asymmetric_psi_closed,
-                         pinney_psi_closed, pinney_psi_infinity,
-                         profile_amplitude, psi_solution)
+                         pinney_psi_antiderivative, pinney_psi_closed,
+                         pinney_psi_infinity, profile_amplitude, psi_solution)
 from .potentials import PotentialSpec, pinney
 
 def _knots(points):
@@ -54,23 +57,29 @@ _PSI_INFINITY = math.inf
 
 @functools.lru_cache(maxsize=64)
 def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
-    """(psi(., r), extra split points for its quadratures), the one place
-    that picks psi: the Pinney limit at r = inf, the closed forms of the
-    built-in centers (split at the kink x = 0 or the Pinney layer), else the
-    integrated variational solution.  Cached: winding_number reuses a scan's."""
+    """(psi(., r), extra split points for its quadratures, its antiderivative
+    Psi(., r) = int_0^. psi or None), the one place that picks psi: the
+    Pinney limit at r = inf, the closed forms of the built-in centers (split
+    at the kink x = 0 or the Pinney layer), else the integrated variational
+    solution.  Only Pinney has a closed-form Psi, at every r >= 0 and at inf.
+    Cached: winding_number reuses a scan's."""
+    if pot.kind == "pinney":
+        if r == _PSI_INFINITY:
+            psi, extra = pinney_psi_infinity, (math.pi,)
+        elif r > 0:
+            psi, extra = (lambda t: pinney_psi_closed(r, t)), _pinney_layer_points(r)
+        else:
+            psi, extra = psi_solution(pot, r, cfg).psi, ()
+        return psi, extra, (lambda t: pinney_psi_antiderivative(r, t))
     if r == _PSI_INFINITY:
-        if pot.kind != "pinney":
-            raise NumericsError(f"{pot.kind}: no large-amplitude limit profile")
-        return pinney_psi_infinity, (math.pi,)
+        raise NumericsError(f"{pot.kind}: no large-amplitude limit profile")
     if pot.kind in ("harmonic", "asymmetric"):
         w, mu = math.sqrt(pot.d2v(1.0)), math.sqrt(pot.d2v(-1.0))
         down = np.arange(0.5 * math.pi / w, TWO_PI, math.pi / w + math.pi / mu)
         crossings = np.concatenate([down, down + math.pi / mu])
         kinks = () if w == mu else tuple(crossings[crossings <= TWO_PI].tolist())
-        return (lambda t: asymmetric_psi_closed(w, mu, t)), kinks
-    if pot.kind == "pinney" and r > 0:
-        return (lambda t: pinney_psi_closed(r, t)), _pinney_layer_points(r)
-    return psi_solution(pot, r, cfg).psi, ()
+        return (lambda t: asymmetric_psi_closed(w, mu, t)), kinks, None
+    return psi_solution(pot, r, cfg).psi, (), None
 
 
 @functools.lru_cache(maxsize=4096)
@@ -79,7 +88,7 @@ def _psi_fourier(pot: PotentialSpec, r: float, kmax: int,
     """Fourier coefficients c_m(r) = (1/2pi) int psi(t, r) e^{-imt} dt for
     m = -kmax..kmax, all modes in one batched quadrature; r = inf uses the
     Pinney limit profile."""
-    psi, extra = _profile.__wrapped__(pot, r, cfg)    # cache the c_m, not psi too
+    psi, extra, _ = _profile.__wrapped__(pot, r, cfg)    # cache the c_m, not psi too
     m = np.arange(-kmax, kmax + 1)
     g = lambda t, k: psi(t) * np.exp(-1j * m[k] * t)
     knots = _knots(extra)
@@ -106,17 +115,23 @@ def _phi_column(pot: PotentialSpec, f: ForcingTerm, theta, r: float,
     Pinney limit), on the profile of r.  A trigonometric p reuses its cached
     c_m.  Any other p (step, sampled) is v_j + m_j (u - s_j) on its pieces
     [s_j, s_j+1): Phi sums int psi and int (t - a) psi between the shifted
-    starts s_j + theta, cumulative sums of one quadrature between them all."""
+    starts s_j + theta.  With every m_j = 0 and a closed-form Psi = int psi
+    that is sum_j v_j (Psi(s_j+1 + theta) - Psi(s_j + theta)), s_n = s_0 +
+    2pi, with no quadrature; else cumulative sums of one quadrature between
+    them all."""
     theta = np.asarray(theta, dtype=float)
     r = profile_amplitude(pot, r)
     if isinstance(f, TrigPoly):
         return _phi_trig(f, _psi_fourier(pot, r, max(f.degree, 1), cfg), theta)
-    psi, extra = _profile(pot, r, cfg)
+    psi, extra, antiderivative = _profile(pot, r, cfg)
     s = f.split_points()
-    h = np.diff(np.append(s, s[0] + TWO_PI))
+    ends = np.append(s, s[0] + TWO_PI)
+    h = np.diff(ends)
     # p at the quarter points of each piece: its start value and slope
     lo, hi = np.split(f.eval(np.concatenate([s + 0.25 * h, s + 0.75 * h])), 2)
     value, slope = lo + 0.5 * (lo - hi), 2.0 * (hi - lo) / h
+    if antiderivative is not None and not np.any(slope):
+        return np.diff(antiderivative(ends + theta[:, None]), axis=1) @ value / TWO_PI
     x = np.mod(s[None, :] + theta[:, None], TWO_PI)    # piece starts of p(t - theta)
     knots = _knots(np.concatenate([x.ravel(), extra]))
     n, copies = knots.size - 1, 2 if np.any(slope) else 1

@@ -10,11 +10,12 @@ from isores.forcing import TWO_PI
 from isores.integrate import IntegratorConfig, State, integrate_autonomous
 from isores.autonomous import (ActionAngle, action_of_amplitude,
                                amplitude_of_action, asymmetric_psi_closed,
-                               bouncing_limit_audit,
+                               bouncing_limit_audit, carlson_rf_rd,
                                dx_dI_rofe_beketov, from_action_angle,
                                minimal_period, negative_semiperiod, phi_orbit,
-                               pinney_phi_closed, pinney_psi_closed,
-                               psi_solution, sturm_argument, to_action_angle)
+                               pinney_phi_closed, pinney_psi_antiderivative,
+                               pinney_psi_closed, psi_solution, sturm_argument,
+                               to_action_angle)
 from isores.potentials import custom, inverse_V_positive
 
 
@@ -110,6 +111,80 @@ def test_psi_periodicity(pin, cfg):
     vs = psi_solution(pin, 2.0, cfg)
     assert abs(vs.psi(TWO_PI) - vs.psi(0.0)) < 1e-8
     assert abs(vs.dpsi(TWO_PI) - vs.dpsi(0.0)) < 1e-8
+
+
+# -- the antiderivative of the Pinney psi ----------------------------------------
+
+def test_carlson_rf_rd_match_scipy():
+    from scipy.special import elliprd, elliprf
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 100),
+                        10.0 ** rng.uniform(-40.0, 0.0, 100)])
+    for y in 10.0 ** np.array([-32.0, -20.0, -12.0, -4.0, -1.0, 0.0]):
+        # the layout Psi uses, R_F in its other order, and x = 0 with tiny y
+        for args in ((x, 1.0, x + y), (x, x + y, 1.0), (0.0, y, 1.0), (0.0, 1.0, y)):
+            rf, rd = carlson_rf_rd(*args)
+            assert np.max(np.abs(rf / elliprf(*args) - 1.0)) <= 2e-15, (y, args)
+            assert np.max(np.abs(rd / elliprd(*args) - 1.0)) <= 2e-15, (y, args)
+    xyz = 10.0 ** rng.uniform(-3.0, 3.0, (3, 200))
+    rf, rd = carlson_rf_rd(*xyz)
+    assert np.max(np.abs(rf / elliprf(*xyz) - 1.0)) <= 2e-15
+    assert np.max(np.abs(rd / elliprd(*xyz) - 1.0)) <= 2e-15
+
+
+# int_0^t psi(s, r) ds at 40 digits (mpmath 1.3: ellipe/ellipf of parameter
+# 1 - (1 + r)^-4; r = 0 is sin t + i (1 - cos t), r = inf mpmath.quad of the
+# limit profile), rounded to doubles: real, imaginary part for each r of
+# _PSI_R and t of _PSI_T, t running fastest
+_PSI_R = (0.0, 1e-8, 1e-4, 0.01, 1.0, 1e3, 1e8, math.inf)
+_PSI_T = (-5.0, 1e-3, math.pi, 4.0, TWO_PI, 9.0, 2 * TWO_PI)
+_PINNEY_PSI_MP = [float.fromhex(x) for x in """
+0x1.eaf81f5e09933p-1 0x1.6ec3d47ca5a93p-1 0x1.0624da5218a62p-10 0x1.0c6f7894120eep-21
+0x1.1a62633145c07p-53 0x1.0000000000000p+1 -0x1.837b9dddc1eaep-1 0x1.a7553036d9260p+0
+-0x1.1a62633145c07p-52 0x1.377ce85800000p-105 0x1.a6026360c2f91p-2 0x1.e93fd53530cb6p+0
+-0x1.1a62633145c07p-51 0x1.377ce85880000p-103 0x1.eaf81c7bbd140p-1 0x1.6ec3d492afb18p-1
+0x1.0624da5218a79p-10 0x1.0c6f7894120fap-21 0x1.94ca873dba306p-25 0x1.0000002af31dcp+1
+-0x1.837b9bae9950ep-1 0x1.a7553071926d0p+0 0x1.94ca871a6de40p-24 0x1.35f1b48200001p-105
+0x1.a6026c497f45cp-2 0x1.e93fd583a02dfp+0 0x1.94ca871a6de40p-23 0x1.35f1b48200001p-103
+0x1.ea877bbf37522p-1 0x1.6ec7313d3c1dcp-1 0x1.0624da5250ee1p-10 0x1.0c6f78942edfcp-21
+0x1.ee0e419aba301p-12 0x1.00068da341383p+1 -0x1.83264eefb10d9p-1 0x1.a75e25ea8ba0bp+0
+0x1.ee0e419ab915bp-11 0x1.377d00274de25p-105 0x1.a75e5939dedadp-2 0x1.e94bcce5fbf5ap+0
+0x1.ee0e419ab915bp-10 0x1.377cec9e0dde3p-103 0x1.bf97d0fc05642p-1 0x1.700e31208f5a8p-1
+0x1.0624da678c2d3p-10 0x1.0c6f789f0db86p-21 0x1.7c51e2f179717p-5 0x1.028c155739cccp+1
+-0x1.62a31b2516ff1p-1 0x1.aacdabe63d40fp+0 0x1.7c51e2f1796f4p-4 0x1.377ce87fbbcc8p-105
+0x1.15f792e3d5301p-1 0x1.ede59c79f7057p+0 0x1.7c51e2f1796f4p-3 0x1.377ce84c7a34fp-103
+-0x1.17f95ff89b259p+1 0x1.94265d1acf941p-1 0x1.0624dc557e091p-10 0x1.0c6f799bf40cap-21
+0x1.aefe160e49546p+0 0x1.999999999999ap+1 0x1.a7fb66a3451fdp+0 0x1.1f29cd75ca760p+1
+0x1.aefe160e49545p+1 0x1.377ce85dddddep-105 0x1.47fbb0b130f32p+2 0x1.71e08d1c2c1cap+1
+0x1.aefe160e49545p+2 0x1.377ce85777777p-103 -0x1.66ca879153b35p+1 0x1.9742041e9ce96p-1
+0x1.0624dc77da20ep-10 0x1.0c6f79ad8ba63p-21 0x1.ffffffffd1e20p+0 0x1.ffffde833a649p+1
+0x1.173848a945421p+1 0x1.2aeecd45638a3p+1 0x1.ffffffffd1e1fp+1 0x1.377ce85801552p-105
+0x1.7d1fb4f704e9dp+2 0x1.941292ae9bce0p+1 0x1.ffffffffd1e1fp+2 0x1.377ce85801552p-103
+-0x1.66ca879181aa8p+1 0x1.9742041e9d20bp-1 0x1.0624dc77da20ep-10 0x1.0c6f79ad8ba63p-21
+0x1.0000000000000p+1 0x1.fffffffffffffp+1 0x1.173848a9725ddp+1 0x1.2aeecd45646fep+1
+0x1.fffffffffffffp+1 0x1.377ce85800000p-105 0x1.7d1fb4f71d020p+2 0x1.941292ae9f0a5p+1
+0x1.fffffffffffffp+2 0x1.377ce85800000p-103 -0x1.66ca879181aa8p+1 0x1.9742041e9d20bp-1
+0x1.0624dc77da20ep-10 0x1.0c6f79ad8ba63p-21 0x1.0000000000000p+1 0x1.fffffffffffffp+1
+0x1.173848a9725ddp+1 0x1.2aeecd45646fep+1 0x1.fffffffffffffp+1 0x1.377ce8585c140p-105
+0x1.7d1fb4f71d020p+2 0x1.941292ae9f0a5p+1 0x1.fffffffffffffp+2 0x1.377ce85e3c0e2p-103
+""".split()]
+
+
+def test_pinney_psi_antiderivative_matches_mpmath():
+    ref = np.array(_PINNEY_PSI_MP).view(complex).reshape(len(_PSI_R), len(_PSI_T))
+    for k, r in enumerate(_PSI_R):
+        got = pinney_psi_antiderivative(r, np.array(_PSI_T))
+        assert np.max(np.abs(got - ref[k])) <= 1e-13, r
+        # any shape, one point at a time too
+        assert pinney_psi_antiderivative(r, _PSI_T[2]) == got[2]
+
+
+def test_pinney_psi_antiderivative_tends_to_the_limit():
+    # (1 + r)^-4 is subnormal at r = 1e80 and 0 at 1e100: both read as r = inf
+    ts = np.linspace(-5.0, 13.0, 101)
+    limit = pinney_psi_antiderivative(math.inf, ts)
+    for r in (1e20, 1e80, 1e100):
+        assert np.max(np.abs(pinney_psi_antiderivative(r, ts) - limit)) <= 1e-14, r
 
 
 # -- periods ------------------------------------------------------------------
@@ -264,6 +339,12 @@ def test_rofe_beketov_monotone_on_half_period(pin, cfg):
 def test_rofe_beketov_empty_grid(pin, cfg):
     # np.max of the empty grid raised before any solve
     assert dx_dI_rofe_beketov(pin, 1.0, [], cfg).shape == (0,)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_rofe_beketov_requires_finite_positive_r(pin, cfg, r):
+    with pytest.raises(DomainError, match="dx_dI_rofe_beketov: r must be finite and positive"):
+        dx_dI_rofe_beketov(pin, r, [0.0, 1.0], cfg)
 
 
 # -- negative semi-period -------------------------------------------------------

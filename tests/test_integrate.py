@@ -47,6 +47,15 @@ def test_eps_zero_reduces_to_autonomous(pin, cfg):
     assert np.array_equal(auto.ys, forced.ys)
 
 
+def test_no_forcing_with_nonzero_eps_is_autonomous(pin, cfg):
+    # f = None is unforced whatever eps is: no breaks to tile, no envelope
+    auto = integrate_autonomous(pin, State(1.0, 0.0), 0.0, 1.0, cfg)
+    forced = integrate_forced(pin, None, 0.1, State(1.0, 0.0), 0.0, 1.0, cfg)
+    assert np.array_equal(auto.ts, forced.ts)
+    assert np.array_equal(auto.ys, forced.ys)
+    assert auto.stats == forced.stats
+
+
 def test_forced_harmonic_variation_of_constants(har, cfg):
     # oracle: x(t) = -(eps/2) t cos t + (eps/2) sin t for x'' + x = eps sin t
     eps = 0.1
