@@ -37,22 +37,15 @@ def pinney_phi_closed(r, t):
 
 def pinney_psi_closed(r, t):
     """Closed-form complex variational solution along the Pinney orbit of
-    amplitude r (psi(0)=1, psi'(0)=i)."""
-    lam = 1.0 + float(r)
+    amplitude r (psi(0)=1, psi'(0)=i) for every 0 <= r <= inf.  With mu =
+    (1 + r)^-4, r = 0 (mu = 1) is the linearisation e^{it} and r = inf
+    (mu = 0) the large-amplitude limit |cos(t/2)| + 2i sin(t/2) sgn cos(t/2)."""
+    mu = 0.0 if math.isinf(r) else (1.0 + float(r)) ** -4
     t = np.asarray(t, dtype=float)
     c2 = np.cos(0.5 * t) ** 2
     s2 = np.sin(0.5 * t) ** 2
-    den = np.sqrt(c2 + lam ** -4 * s2)
-    re = (c2 - lam ** -4 * s2) / den
-    im = np.sin(t) / den
-    return re + 1j * im
-
-
-def pinney_psi_infinity(t):
-    """Pointwise large-amplitude limit of the Pinney variational solution."""
-    t = np.asarray(t, dtype=float)
-    c = np.cos(0.5 * t)
-    return np.abs(c) + 2j * np.sin(0.5 * t) * np.sign(c)
+    den = np.sqrt(c2 + mu * s2)
+    return (c2 - mu * s2) / den + 1j * (np.sin(t) / den)
 
 
 def carlson_rf_rd(x, y, z):
@@ -258,10 +251,13 @@ class VariationalSolution:
 
 
 def profile_amplitude(pot: PotentialSpec, r: float) -> float:
-    """The amplitude whose psi serves r.  The harmonic and asymmetric centers
-    are positively homogeneous of degree 2 (x(t; r) = r x(t; 1), V''(r x) =
+    """The amplitude whose psi serves r, and the one check of r: DomainError
+    unless 0 <= r <= inf.  The harmonic and asymmetric centers are
+    positively homogeneous of degree 2 (x(t; r) = r x(t; 1), V''(r x) =
     V''(x)), so every finite r >= 0 shares psi(., 1), r = 0 as its r -> 0+
     limit; any other potential keeps its r (Pinney's r = inf too)."""
+    if not r >= 0:
+        raise DomainError(f"r must be nonnegative or inf, got {r}")
     if pot.kind in ("harmonic", "asymmetric") and math.isfinite(r):
         return 1.0
     return r
@@ -277,10 +273,8 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
     jumps at the center (asymmetric): the linearization there is not the
     r -> 0+ limit, so r = 0 takes the shared psi instead.
     """
-    if r < 0:
-        raise DomainError("psi_solution: r must be nonnegative")
+    shared = profile_amplitude(pot, r)
     if r == 0:
-        shared = profile_amplitude(pot, 0.0)
         if shared != 0.0 and pot.kink_at_zero:
             return replace(psi_solution(pot, shared, cfg, t1), r=0.0)
         w0 = math.sqrt(float(pot.d2v(0.0)))
@@ -396,6 +390,8 @@ def dx_dI_rofe_beketov(pot: PotentialSpec, r: float, t_grid,
     if not 0 < r < math.inf:
         raise DomainError("dx_dI_rofe_beketov: r must be finite and positive")
     t = np.abs(np.asarray(t_grid, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise DomainError("dx_dI_rofe_beketov: t_grid must be finite")
     if t.size == 0:
         return np.empty(t.shape)
     t_max = float(t.max())
@@ -465,6 +461,8 @@ def sturm_argument(vs: VariationalSolution, t_grid, component: str = "u"):
         raise ValueError("component must be 'u' or 'v'")
     t = np.asarray(t_grid, dtype=float)
     out = np.empty(t.shape)
+    if t.size == 0:
+        return out
     z_prev = z_of(t.flat[0])
     out.flat[0] = math.atan2(z_prev.imag, z_prev.real)
     for i in range(1, t.size):

@@ -4,14 +4,16 @@ full-grid scans with a certification verdict, and boundary winding numbers.
 
 Cost model: Phi(., r) correlates p with the one profile psi(., r), so a scan
 works per r-column (and on the Pinney infinity slice), never per node.  A
-step p on the Pinney center needs no quadrature: its Phi is a finite sum of
-the closed-form antiderivative Psi of psi (Carlson's R_F and R_D) read at the
-shifted breakpoints.  Any other p makes one call of the package's adaptive
-quadrature (forcing.adaptive_complex_quad, imported here by name) per
-column: the Fourier modes of psi for a trigonometric p (cached per profile),
-else its integrals between the shifted breakpoints of p; each node is then a
-finite sum.  Columns that share a profile (profile_amplitude) are computed
-once, and psi is a closed form for every built-in center (_profile).
+trigonometric p takes the Fourier modes of psi from one call of the
+package's adaptive quadrature (forcing.adaptive_complex_quad, imported here
+by name), cached per profile.  Any other p differences the antiderivative
+Psi = int psi at the shifted piece starts of p, in one step whichever
+source Psi comes from: for a step p on the Pinney center the closed form
+(Carlson's R_F and R_D), with no quadrature; else one quadrature per column
+between all the starts.  Each node is then a finite sum.  Columns that share
+a profile (profile_amplitude) are computed once, and psi is a closed form
+for every built-in center (_profile); Pinney's one form serves every
+0 <= r <= inf.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericsError
+from .errors import ConfigError, NumericsError
 from .forcing import (ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
 from .autonomous import (argument_increment, asymmetric_psi_closed,
                          pinney_psi_antiderivative, pinney_psi_closed,
-                         pinney_psi_infinity, profile_amplitude, psi_solution)
+                         profile_amplitude, psi_solution)
 from .potentials import PotentialSpec, pinney
 
 def _knots(points):
@@ -52,26 +54,19 @@ def _pinney_layer_points(r):
     return tuple(pts)
 
 
-_PSI_INFINITY = math.inf
-
-
 @functools.lru_cache(maxsize=64)
 def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
     """(psi(., r), extra split points for its quadratures, its antiderivative
     Psi(., r) = int_0^. psi or None), the one place that picks psi: the
-    Pinney limit at r = inf, the closed forms of the built-in centers (split
-    at the kink x = 0 or the Pinney layer), else the integrated variational
-    solution.  Only Pinney has a closed-form Psi, at every r >= 0 and at inf.
-    Cached: winding_number reuses a scan's."""
+    closed forms of the built-in centers (split at the kink x = 0 or the
+    Pinney layer), else the integrated variational solution.  Only Pinney
+    has a profile at r = inf and a closed-form Psi: one form of each serves
+    every 0 <= r <= inf.  Cached: winding_number and the Fourier modes reuse
+    a scan's."""
     if pot.kind == "pinney":
-        if r == _PSI_INFINITY:
-            psi, extra = pinney_psi_infinity, (math.pi,)
-        elif r > 0:
-            psi, extra = (lambda t: pinney_psi_closed(r, t)), _pinney_layer_points(r)
-        else:
-            psi, extra = psi_solution(pot, r, cfg).psi, ()
-        return psi, extra, (lambda t: pinney_psi_antiderivative(r, t))
-    if r == _PSI_INFINITY:
+        return ((lambda t: pinney_psi_closed(r, t)), _pinney_layer_points(r),
+                (lambda t: pinney_psi_antiderivative(r, t)))
+    if r == math.inf:
         raise NumericsError(f"{pot.kind}: no large-amplitude limit profile")
     if pot.kind in ("harmonic", "asymmetric"):
         w, mu = math.sqrt(pot.d2v(1.0)), math.sqrt(pot.d2v(-1.0))
@@ -86,9 +81,8 @@ def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
 def _psi_fourier(pot: PotentialSpec, r: float, kmax: int,
                  cfg: IntegratorConfig):
     """Fourier coefficients c_m(r) = (1/2pi) int psi(t, r) e^{-imt} dt for
-    m = -kmax..kmax, all modes in one batched quadrature; r = inf uses the
-    Pinney limit profile."""
-    psi, extra, _ = _profile.__wrapped__(pot, r, cfg)    # cache the c_m, not psi too
+    m = -kmax..kmax, all modes in one batched quadrature."""
+    psi, extra, _ = _profile(pot, r, cfg)
     m = np.arange(-kmax, kmax + 1)
     g = lambda t, k: psi(t) * np.exp(-1j * m[k] * t)
     knots = _knots(extra)
@@ -114,42 +108,48 @@ def _phi_column(pot: PotentialSpec, f: ForcingTerm, theta, r: float,
     """Phi(theta, r) for an array of theta at one amplitude r (r = inf is the
     Pinney limit), on the profile of r.  A trigonometric p reuses its cached
     c_m.  Any other p (step, sampled) is v_j + m_j (u - s_j) on its pieces
-    [s_j, s_j+1): Phi sums int psi and int (t - a) psi between the shifted
-    starts s_j + theta.  With every m_j = 0 and a closed-form Psi = int psi
-    that is sum_j v_j (Psi(s_j+1 + theta) - Psi(s_j + theta)), s_n = s_0 +
-    2pi, with no quadrature; else cumulative sums of one quadrature between
-    them all."""
+    [s_j, s_j+1), s_n = s_0 + 2pi: Phi sums int psi and int (t - a) psi
+    between the shifted starts, reduced to x_j = s_j + theta mod 2pi.  One
+    differencing step serves both sources of Psi = int_0 psi: piece j takes
+    Psi(x_j+1) - Psi(x_j), plus Psi(2pi) if it crosses 2pi.  With every
+    m_j = 0 and a closed-form Psi, Psi is read at the starts and at 2pi;
+    else it is a table of cumulative sums of one quadrature between all the
+    starts, which also gives int t psi for the slopes."""
     theta = np.asarray(theta, dtype=float)
     r = profile_amplitude(pot, r)
     if isinstance(f, TrigPoly):
         return _phi_trig(f, _psi_fourier(pot, r, max(f.degree, 1), cfg), theta)
     psi, extra, antiderivative = _profile(pot, r, cfg)
     s = f.split_points()
-    ends = np.append(s, s[0] + TWO_PI)
-    h = np.diff(ends)
+    h = np.diff(np.append(s, s[0] + TWO_PI))
     # p at the quarter points of each piece: its start value and slope
     lo, hi = np.split(f.eval(np.concatenate([s + 0.25 * h, s + 0.75 * h])), 2)
     value, slope = lo + 0.5 * (lo - hi), 2.0 * (hi - lo) / h
-    if antiderivative is not None and not np.any(slope):
-        return np.diff(antiderivative(ends + theta[:, None]), axis=1) @ value / TWO_PI
+    sloped = bool(np.any(slope))
     x = np.mod(s[None, :] + theta[:, None], TWO_PI)    # piece starts of p(t - theta)
-    knots = _knots(np.concatenate([x.ravel(), extra]))
-    n, copies = knots.size - 1, 2 if np.any(slope) else 1
-    a, b = np.tile(knots[:-1], copies), np.tile(knots[1:], copies)
-    g = ((lambda t, k: psi(t) * np.where(k < n, 1.0, t - a[k])) if copies == 2
-         else (lambda t, k: psi(t)))           # owners n.. integrate (t - a) psi
-    # a scan's knots are dense and its segments short: 8 nodes meet the tolerance
-    quad = adaptive_complex_quad(g, (a, b, np.arange(copies * n)), order=8)
-    at = np.searchsorted(knots, x)
-    end = np.roll(at, -1, axis=1)               # piece j ends where j + 1 starts,
+    if antiderivative is not None and not sloped:
+        at_starts = antiderivative(np.append(x, TWO_PI))    # and at 2*pi
+        f_at, f_period = at_starts[:-1].reshape(x.shape), at_starts[-1]
+    else:
+        knots = _knots(np.concatenate([x.ravel(), extra]))
+        n, copies = knots.size - 1, 2 if sloped else 1
+        a, b = np.tile(knots[:-1], copies), np.tile(knots[1:], copies)
+        g = ((lambda t, k: psi(t) * np.where(k < n, 1.0, t - a[k])) if sloped
+             else (lambda t, k: psi(t)))       # owners n.. integrate (t - a) psi
+        # a scan's knots are dense and its segments short: 8 nodes meet the tolerance
+        quad = adaptive_complex_quad(g, (a, b, np.arange(copies * n)), order=8)
+        at = np.searchsorted(knots, x)
+        f_knot = np.concatenate([[0.0], np.cumsum(quad[:n])])
+        f_at, f_period = f_knot[at], f_knot[-1]
+    f_end = np.roll(f_at, -1, axis=1)           # piece j ends where j + 1 starts,
     wrap = np.roll(x, -1, axis=1) <= x          # one period on if it crosses 2*pi
-    f_knot = np.concatenate([[0.0], np.cumsum(quad[:n])])
-    df = f_knot[end] - f_knot[at] + wrap * f_knot[-1]
+    df = f_end - f_at + wrap * f_period
     phi = df @ value
-    if copies == 2:                             # int (t - x) psi via int t psi
+    if sloped:                                  # int (t - x) psi via int t psi
         t_knot = np.concatenate([[0.0], np.cumsum(quad[n:] + a[:n] * quad[:n])])
-        moment = (t_knot[end] - t_knot[at] - x * df
-                  + wrap * (t_knot[-1] + TWO_PI * f_knot[end]))
+        t_at = t_knot[at]
+        moment = (np.roll(t_at, -1, axis=1) - t_at - x * df
+                  + wrap * (t_knot[-1] + TWO_PI * f_end))
         phi = phi + moment @ slope
     return phi / TWO_PI
 
@@ -177,8 +177,9 @@ def harmonic_phi_closed(n: int, f: ForcingTerm, theta: float) -> complex:
 
 def phi_at_infinity_pinney(f: ForcingTerm, theta: float) -> complex:
     """Limit of Phi_p(theta, r) as r -> inf for the Pinney potential: Phi on
-    the limit profile |cos(t/2)| + 2i sin(t/2) sgn cos(t/2), split at t = pi."""
-    return complex(_phi_column(pinney(), f, [float(theta)], _PSI_INFINITY,
+    the limit profile |cos(t/2)| + 2i sin(t/2) sgn cos(t/2), the r = inf
+    member of the closed-form Pinney psi."""
+    return complex(_phi_column(pinney(), f, [float(theta)], math.inf,
                                IntegratorConfig())[0])
 
 
@@ -195,10 +196,8 @@ class PinneyConstants:
 def pinney_fourier_constants(r: float) -> PinneyConstants:
     """The constants (c0, d+, d-) at amplitude r; r = inf returns the
     large-amplitude limits (2/pi, 2/(3 pi), 8/(3 pi))."""
-    if not r >= 0:
-        raise DomainError("pinney_fourier_constants: r must be nonnegative or inf")
-    key_r = _PSI_INFINITY if math.isinf(r) else float(r)
-    cm = _psi_fourier(pinney(), key_r, 1, IntegratorConfig())
+    pot = pinney()
+    cm = _psi_fourier(pot, profile_amplitude(pot, float(r)), 1, IntegratorConfig())
     c_m1, c0, c1 = cm
     return PinneyConstants(c0=float(c0.real),
                            d_plus=float(0.5 * (c1 + c_m1).real),
@@ -272,7 +271,7 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     values = np.column_stack([columns[k] for k in keys])
     infinity = None
     if pot.kind == "pinney":
-        infinity = _phi_column(pot, f, theta, _PSI_INFINITY, cfg)
+        infinity = _phi_column(pot, f, theta, math.inf, cfg)
 
     mods = np.abs(values)
     i, j = np.unravel_index(np.argmin(mods), mods.shape)
@@ -359,7 +358,5 @@ def write_phi_csv(field: PhiField, path):
         theta = np.concatenate([theta, th])
         r = np.concatenate([r, np.full(n, -1.0)])
         z = np.concatenate([z, field.infinity_slice])
-    # Python's abs(complex): np.abs can differ in the last bit
-    modulus = np.array([abs(v) for v in z.tolist()])
     return write_csv(path, ["theta", "r", "re", "im", "abs"],
-                     np.column_stack([theta, r, z.real, z.imag, modulus]))
+                     np.column_stack([theta, r, z.real, z.imag, np.abs(z)]))

@@ -347,6 +347,13 @@ def test_rofe_beketov_requires_finite_positive_r(pin, cfg, r):
         dx_dI_rofe_beketov(pin, r, [0.0, 1.0], cfg)
 
 
+@pytest.mark.parametrize("t_grid", [[math.inf], [math.nan], [0.5, -math.inf]])
+def test_rofe_beketov_requires_finite_times(pin, cfg, t_grid):
+    # inf reached the solve as its end time, nan the Pinney derivative
+    with pytest.raises(DomainError, match="dx_dI_rofe_beketov: t_grid must be finite"):
+        dx_dI_rofe_beketov(pin, 1.0, t_grid, cfg)
+
+
 # -- negative semi-period -------------------------------------------------------
 
 # T- = 2 pi - 4 arccos((lambda^2 + 1)^-1/2) on the grid np.logspace(-10, 8, 37)
@@ -435,6 +442,11 @@ def test_sturm_argument_quantized_winding(pin, har2, cfg):
     total2 = sturm_argument(vs2, ts)[-1] - sturm_argument(vs2, ts)[0]
     assert total2 == pytest.approx(-2 * TWO_PI, abs=1e-6)
 
+
+
+def test_sturm_argument_empty_grid(har, cfg):
+    # reading the first node of the empty grid raised IndexError
+    assert sturm_argument(psi_solution(har, 1.0, cfg), []).shape == (0,)
 
 
 def test_sturm_argument_halves_coarse_steps(har2, cfg):

@@ -6,9 +6,9 @@ from scipy.integrate import quad
 from scipy.special import ellipeinc, ellipkinc
 
 import isores as iso
-from isores.errors import ConfigError, NumericsError
+from isores.errors import ConfigError, DomainError, NumericsError
 from isores.forcing import PiecewiseConst, Sampled, TrigPoly, TWO_PI
-from isores.autonomous import pinney_psi_closed, pinney_psi_infinity
+from isores.autonomous import pinney_psi_closed, psi_solution
 import isores.phi
 from isores.phi import (adaptive_complex_quad, corollary_bound,
                         default_r_grid, eval_phi, harmonic_phi_closed, phi_at_infinity_pinney, phi_scan,
@@ -16,6 +16,13 @@ from isores.phi import (adaptive_complex_quad, corollary_bound,
                         winding_number, write_phi_csv)
 
 RNG = np.random.default_rng(20260811)
+
+
+def pinney_limit_profile(t):
+    """The large-amplitude limit of the Pinney psi, |cos(t/2)| + 2i sin(t/2)
+    sgn cos(t/2), written apart from the closed form under test."""
+    c = np.cos(0.5 * t)
+    return np.abs(c) + 2j * np.sin(0.5 * t) * np.sign(c)
 
 
 def random_trig(degree=3, scale=1.0):
@@ -175,6 +182,42 @@ def test_eval_phi_reuses_the_scan_profile(cfg):
     assert wound.misses == scanned.misses and wound.hits > scanned.hits
 
 
+@pytest.mark.parametrize("r", [-1.0, math.nan])
+@pytest.mark.parametrize("center", ["harmonic", "pinney", "asymmetric"])
+def test_phi_rejects_negative_and_nan_amplitudes(cfg, sin_f, center, r):
+    # the harmonic and asymmetric profiles served any r: eval_phi returned
+    # 0.5j for harmonic(1) at r = -1 and 0.2401j for asymmetric(4, 4/9) at
+    # nan, and phi_scan scanned r = -1 beside r = 1
+    pot = {"harmonic": iso.harmonic(1), "pinney": iso.pinney(),
+           "asymmetric": iso.asymmetric(4.0, 4.0 / 9.0)}[center]
+    step = PiecewiseConst((0.0, 1.0, 3.0), (1.0, -0.5, 0.25))
+    for f in (sin_f, step):
+        with pytest.raises(DomainError, match="r must be nonnegative or inf"):
+            eval_phi(pot, f, 0.0, r, cfg)
+        with pytest.raises(DomainError, match="r must be nonnegative or inf"):
+            phi_scan(pot, f, 8, [r, 1.0], cfg)
+    with pytest.raises(DomainError, match="r must be nonnegative or inf"):
+        psi_solution(pot, r, cfg)
+
+
+def test_phi_at_infinity_needs_the_pinney_center(cfg, sin_f):
+    for pot in (iso.harmonic(1), iso.asymmetric(4.0, 4.0 / 9.0)):
+        with pytest.raises(NumericsError, match="no large-amplitude limit profile"):
+            eval_phi(pot, sin_f, 0.0, math.inf, cfg)
+
+
+def test_pinney_scan_at_r0_solves_no_variational_equation(monkeypatch, pin, cfg, sin_f):
+    # r = 0 took psi_solution's linearisation; the closed form covers it
+    solves = _count_calls(monkeypatch, isores.phi, "psi_solution")
+    isores.phi._profile.cache_clear()
+    isores.phi._psi_fourier.cache_clear()
+    step = PiecewiseConst((0.0, 1.0, 3.0), (1.0, -0.5, 0.25))
+    for f in (sin_f, step, Sampled(values=(0.0, 1.0, 0.5))):
+        field = phi_scan(pin, f, 16, default_r_grid(1e3, 6), cfg)
+        assert field.r_grid[0] == 0.0
+    assert solves == []
+
+
 # -- batched quadrature ----------------------------------------------------------
 
 EPS_PEAK = 1e-4
@@ -226,21 +269,41 @@ def _quad_complex(fun, lo, hi):
     return re + 1j * im
 
 
-def test_phi_scan_step_forcing_matches_scipy_quad(pin, cfg):
-    f = PiecewiseConst(breakpoints=(0.0, 1.1, 2.5, 4.0),
-                       values=(1.0, -0.3, 2.0, 0.5))
+def _piecewise_psi(pieces):
+    """psi(t) at a scalar t from the (t_lo, t_hi, psi) pieces."""
+    return lambda t: next(fn(t) for lo, hi, fn in pieces if t <= hi)
+
+
+@pytest.mark.parametrize("center, f", [
+    ("pinney", PiecewiseConst((0.0, 1.1, 2.5, 4.0), (1.0, -0.3, 2.0, 0.5))),
+    ((4.0, 4.0 / 9.0), PiecewiseConst((0.9, 2.2, 4.1, 5.6), (0.3, -1.0, 2.0, 0.7))),
+    ((4.0, 4.0), PiecewiseConst((0.4, 1.9), (1.0, -2.0), period=math.pi))],
+    ids=["pinney", "asymmetric", "harmonic2"])
+def test_phi_scan_step_forcing_matches_scipy_quad(cfg, center, f):
+    # both sources of Psi through the one differencing step: Pinney's closed
+    # form, and the knot table of asymmetric(4, 4/9) and harmonic:2 (the
+    # equal-frequency asymmetric center).  Early thetas carry the last piece
+    # across 2pi ([4 + theta, 2pi + theta), and [5.6, 0.9 + 2pi) at theta = 0)
     r_grid = default_r_grid(1e3, 6)
-    field = phi_scan(pin, f, 16, r_grid, cfg)
-    profiles = [(lambda t, r=r: pinney_psi_closed(r, t)) for r in r_grid]
-    profiles.append(pinney_psi_infinity)
-    columns = np.column_stack([field.values, field.infinity_slice])
-    # psi(., r) has a layer of width (1 + r)^-2 around t = pi and the limit
-    # profile a kink there: split at pi and at pi +- 4^k (1 + r_max)^-2
-    widths = (1.0 + r_grid[-1]) ** -2 * 4.0 ** np.arange(10)
-    layer = math.pi + np.concatenate([[0.0], widths, -widths])
+    if center == "pinney":
+        field = phi_scan(iso.pinney(), f, 16, r_grid, cfg)
+        profiles = [(lambda t, r=r: pinney_psi_closed(r, t)) for r in r_grid]
+        profiles.append(pinney_limit_profile)
+        columns = np.column_stack([field.values, field.infinity_slice])
+        # psi(., r) has a layer of width (1 + r)^-2 around t = pi and the
+        # limit profile a kink there: split at pi and at pi +- 4^k (1 + r_max)^-2
+        widths = (1.0 + r_grid[-1]) ** -2 * 4.0 ** np.arange(10)
+        splits = math.pi + np.concatenate([[0.0], widths, -widths])
+    else:
+        pot = iso.harmonic(2) if center[0] == center[1] else iso.asymmetric(*center)
+        field = phi_scan(pot, f, 16, r_grid, cfg)
+        pieces = _asymmetric_psi_pieces(*center)
+        profiles = [_piecewise_psi(pieces)]
+        columns = field.values[:, :1]      # every column is psi(., 1)'s
+        splits = [hi for _, hi, _ in pieces]
     for i, th in enumerate(field.theta_grid):
         # and at the jumps of p(t - theta)
-        cuts = np.unique(np.concatenate([[0.0, TWO_PI], layer,
+        cuts = np.unique(np.concatenate([[0.0, TWO_PI], splits,
                                          np.mod(f.jump_points() + th, TWO_PI)]))
         for j, psi in enumerate(profiles):
             fun = lambda t: f.eval(t - th) * psi(t)
@@ -338,7 +401,7 @@ def test_sampled_scan_matches_scipy_quad(pin, cfg):
     for i, th in enumerate(field.theta_grid):
         cuts = np.unique(np.concatenate([[0.0, TWO_PI], layer,
                                          np.mod(f.kink_points() + th, TWO_PI)]))
-        for j, psi in enumerate(profiles + [pinney_psi_infinity]):
+        for j, psi in enumerate(profiles + [pinney_limit_profile]):
             fun = lambda t: f.eval(t - th) * psi(t)
             ref = sum(_quad_complex(fun, lo, hi)
                       for lo, hi in zip(cuts[:-1], cuts[1:])) / TWO_PI
@@ -399,6 +462,14 @@ def test_harmonic_two_sided_bound_random(cfg):
 
 # -- infinity slice ----------------------------------------------------------------
 
+def test_pinney_psi_closed_spans_zero_to_infinity():
+    # one closed form: r = 0 is the linearisation e^{it}, r = inf the limit
+    # profile; pi and 3pi sit on the limit's kink
+    ts = np.concatenate([np.linspace(-10.0, 20.0, 3001), [math.pi, 3.0 * math.pi]])
+    assert np.max(np.abs(pinney_psi_closed(0.0, ts) - np.exp(1j * ts))) <= 1e-15
+    assert np.max(np.abs(pinney_psi_closed(math.inf, ts) - pinney_limit_profile(ts))) <= 1e-15
+
+
 def test_phi_infinity_constant_forcing():
     one = TrigPoly(a0=1.0)
     for th in (0.0, 1.0, 4.0):
@@ -414,7 +485,7 @@ def test_phi_infinity_sin_constants(sin_f, simpson):
     assert max(mods) == pytest.approx(8.0 / (3.0 * math.pi), abs=1e-10)
     # d-(inf) oracle by independent quadrature of the limit profile
     ts = np.linspace(0, TWO_PI, 80001)
-    d_minus = simpson(pinney_psi_infinity(ts).imag * np.sin(ts) + 0j, ts).real / TWO_PI
+    d_minus = simpson(pinney_limit_profile(ts).imag * np.sin(ts) + 0j, ts).real / TWO_PI
     assert d_minus == pytest.approx(8.0 / (3.0 * math.pi), abs=1e-9)
 
 
@@ -589,6 +660,20 @@ def test_phi_csv_export(pin, sin_f, cfg, tmp_path):
     assert any(line.split(",")[1] == "-1" for line in lines[1:])
 
 
+def test_phi_csv_abs_is_the_verdict_modulus(pin, cfg, tmp_path):
+    # abs(complex) row by row differed from the verdict's np.abs in the last
+    # digit: this field's smallest CSV abs was 0.02982550180973451, its
+    # min_modulus 0.029825501809734513
+    f = TrigPoly(a0=0.9125345096721971, cos_coeffs=(-0.4315976725024171,),
+                 sin_coeffs=(0.2970944141596501,))
+    field = phi_scan(pin, f, 64, default_r_grid(1e3, 20), cfg)
+    table = np.loadtxt(write_phi_csv(field, tmp_path / "field.csv"), delimiter=",",
+                       skiprows=1)
+    z = np.concatenate([field.values.T.ravel(), field.infinity_slice])
+    assert np.array_equal(table[:, 4], np.abs(z))
+    assert table[:, 4].min() == field.min_modulus == resonance_verdict(field).min_modulus
+
+
 def test_phi_csv_bytes_match_row_writer(pin, sin_f, cfg, tmp_path):
     from isores.io import write_csv
     from isores.phi import PhiField
@@ -598,12 +683,14 @@ def test_phi_csv_bytes_match_row_writer(pin, sin_f, cfg, tmp_path):
     values[2, 1] = 0.0
     field = PhiField(base.theta_grid, base.r_grid, values, base.infinity_slice,
                      base.min_modulus, base.argmin)
-    # the row-by-row construction the array writer replaces
-    rows = [(th, r, values[i, j].real, values[i, j].imag, abs(values[i, j]))
+    # the row-by-row construction the array writer replaces, with the
+    # modulus phi_scan's verdict takes (np.abs of the array)
+    mods, inf_mods = np.abs(values), np.abs(field.infinity_slice)
+    rows = [(th, r, values[i, j].real, values[i, j].imag, mods[i, j])
             for j, r in enumerate(field.r_grid)
             for i, th in enumerate(field.theta_grid)]
-    rows += [(th, -1.0, z.real, z.imag, abs(z))
-             for th, z in zip(field.theta_grid, field.infinity_slice)]
+    rows += [(th, -1.0, z.real, z.imag, m)
+             for th, z, m in zip(field.theta_grid, field.infinity_slice, inf_mods)]
     header = ["theta", "r", "re", "im", "abs"]
     expected = write_csv(tmp_path / "rows.csv", header, rows).read_bytes()
     got = write_phi_csv(field, tmp_path / "field.csv").read_bytes()
