@@ -10,15 +10,15 @@ from .potentials import (PotentialSpec, appendix_audit, asymmetric, custom,
                          sigma_map)
 from .integrate import (IntegratorConfig, RawSolution, State, energy,
                         integrate_autonomous, integrate_forced)
-from .autonomous import (ActionAngle, AutonomousOrbit, VariationalSolution,
+from .autonomous import (ActionAngle, VariationalSolution,
                          action_of_amplitude, amplitude_of_action,
                          bouncing_limit_audit, dx_dI_rofe_beketov,
                          from_action_angle, minimal_period,
-                         negative_semiperiod, phi_orbit, psi_solution,
+                         negative_semiperiod, psi_solution,
                          sturm_argument, to_action_angle)
 from .phi import (PhiField, corollary_bound, eval_phi, harmonic_phi_closed,
-                  phi_at_infinity_pinney, phi_scan, pinney_fourier_constants,
-                  resonance_verdict, winding_number)
+                  phi_scan, pinney_fourier_constants, resonance_verdict,
+                  winding_number)
 from .dynamics import (PeriodicSolution, ResonanceDiagnostics,
                        find_periodic_solution, resonance_run,
                        seed_from_phi_zero, stroboscopic_map)

@@ -1,7 +1,9 @@
 """Unforced dynamics of a potential center: orbits, the complex variational
 solution, measured minimal periods, action-angle coordinates, the
 Rofe-Beketov action derivative, the negative semi-period, rotation-argument
-diagnostics, and large-action (bouncing) limit audits."""
+diagnostics, and large-action (bouncing) limit audits.  Action-angle
+coordinates need a certified n_iso = N: every period is then 2*pi/N, so
+I = E/N = V(r)/N both ways, with no area quadrature and no measured period."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, _quad_checked
-from .integrate import (VARIATIONAL, IntegratorConfig, RawSolution, State, StepTable,
+from .integrate import (VARIATIONAL, IntegratorConfig, RawSolution, State,
                         integrate_autonomous, solve_forced)
 from .potentials import (PotentialSpec, inverse_V_negative, inverse_V_positive)
 
@@ -130,32 +132,7 @@ def asymmetric_psi_closed(w, mu, t):
 
 
 # ---------------------------------------------------------------------------
-# orbits and periods
-
-def _constant_trajectory(y, t0, t1):
-    """A rest point over [t0, t1]: one step whose interpolant is constant."""
-    y = np.asarray(y, dtype=float)
-    steps = StepTable(np.array([t0]), np.array([t1 - t0]), y[None, :],
-                      np.zeros((1, 4, y.size)))
-    return RawSolution(np.array([t0, t1]), np.array([y, y]), steps, [],
-                       {"n_steps": 0, "nfev": 0, "n_segments": 1, "n_rejected": 0})
-
-
-@dataclass(frozen=True, eq=False)
-class AutonomousOrbit:
-    """One measured period of the unforced orbit through (r, 0)."""
-
-    pot: PotentialSpec
-    r: float
-    period: float
-    trajectory: RawSolution
-    energy: float
-
-    def eval(self, t):
-        """(x, v) at any time, reduced modulo the measured period."""
-        tau = np.mod(np.asarray(t, dtype=float), self.period)
-        return self.trajectory.eval(tau)
-
+# periods
 
 def _section_return(pot: PotentialSpec, s: State, horizon: float,
                     cfg: IntegratorConfig):
@@ -187,19 +164,6 @@ def minimal_period(pot: PotentialSpec, r: float, cfg: IntegratorConfig) -> float
     raise NumericsError(
         f"minimal_period: no return to the section within {10 * TWO_PI:.3f} "
         "time units; the motion does not look periodic")
-
-
-def phi_orbit(pot: PotentialSpec, r: float, cfg: IntegratorConfig) -> AutonomousOrbit:
-    """Numeric orbit through (r, 0) over one measured period (r >= 0)."""
-    if r < 0:
-        raise DomainError("phi_orbit: r must be nonnegative")
-    if r == 0:
-        period = TWO_PI / pot.n_iso if pot.n_iso else TWO_PI
-        traj = _constant_trajectory([0.0, 0.0], 0.0, period)
-        return AutonomousOrbit(pot, 0.0, period, traj, 0.0)
-    period = minimal_period(pot, r, cfg)
-    traj = integrate_autonomous(pot, State(r, 0.0), 0.0, period, cfg)
-    return AutonomousOrbit(pot, float(r), period, traj, float(pot.v(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,30 +257,13 @@ class ActionAngle:
     action: float
 
 
-def _area_integral(pot: PotentialSpec, energy: float, x_lo: float, x_hi: float) -> float:
-    """integral over [x_lo, x_hi] of sqrt(2(E - V(x))) dx with the sine
-    substitution that removes the square-root turning points."""
-    c = 0.5 * (x_hi + x_lo)
-    h = 0.5 * (x_hi - x_lo)
-
-    def integrand(u):
-        val = 2.0 * (energy - pot.v(c + h * np.sin(u)))
-        return np.sqrt(np.maximum(val, 0.0)) * h * np.cos(u)
-
-    kink = pot.kink_at_zero and x_lo < 0.0 < x_hi
-    points = [math.asin(max(-1.0, min(1.0, -c / h)))] if kink else ()
-    return _quad_checked(integrand, -0.5 * math.pi, 0.5 * math.pi, points)
-
-
 def action_of_amplitude(pot: PotentialSpec, r: float) -> float:
-    """Action I(r) = (enclosed area)/(2*pi) of the orbit through (r, 0)."""
-    if r < 0:
-        raise DomainError("action_of_amplitude: r must be nonnegative")
-    if r == 0:
-        return 0.0
-    energy = float(pot.v(r))
-    x_lo = inverse_V_negative(pot, energy)
-    return _area_integral(pot, energy, x_lo, float(r)) / math.pi
+    """Action I(r) = (enclosed area)/(2*pi) of the orbit through (r, 0): on a
+    center with a certified n_iso = N every period 2*pi dI/dE is 2*pi/N, so
+    I = V(r)/N."""
+    if not 0 <= r < math.inf:
+        raise DomainError("action_of_amplitude: r must be finite and nonnegative")
+    return float(pot.v(r)) / pot.require_isochronous()
 
 
 def amplitude_of_action(pot: PotentialSpec, action: float) -> float:
@@ -331,22 +278,21 @@ def amplitude_of_action(pot: PotentialSpec, action: float) -> float:
 
 
 def to_action_angle(pot: PotentialSpec, s: State, cfg: IntegratorConfig) -> ActionAngle:
-    """Action-angle coordinates of a phase point; the angle is the travel
-    time from the section {v=0, x>0}, scaled by 2*pi/T."""
+    """Action-angle coordinates of a phase point for a certified n_iso = N:
+    the action is E/N, the angle the travel time from the section
+    {v=0, x>0} times 2*pi over the period 2*pi/N."""
     e = 0.5 * s.v * s.v + float(pot.v(s.x))
-    if e <= 0.0:
-        raise DomainError("to_action_angle: the center has no angle")
-    r = inverse_V_positive(pot, e)
-    action = action_of_amplitude(pot, r)
-    period = minimal_period(pot, r, cfg)
+    if not 0.0 < e < math.inf:
+        raise DomainError("to_action_angle: the energy must be finite and positive")
+    n = pot.require_isochronous()
     if s.v == 0.0 and s.x > 0.0:
-        return ActionAngle(0.0, action)
+        return ActionAngle(0.0, e / n)
     # reversibility: the forward orbit from (x, -v) reaches (r, 0) at the
     # same travel time at which the original point was reached from (r, 0)
-    tau = _section_return(pot, State(s.x, -s.v), 1.25 * period, cfg)
+    tau = _section_return(pot, State(s.x, -s.v), 1.25 * TWO_PI / n, cfg)
     if tau is None:
         raise NumericsError("to_action_angle: section return not found")
-    return ActionAngle(math.fmod(TWO_PI * tau / period, TWO_PI), action)
+    return ActionAngle(math.fmod(n * tau, TWO_PI), e / n)
 
 
 def from_action_angle(pot: PotentialSpec, aa: ActionAngle,

@@ -175,14 +175,6 @@ def harmonic_phi_closed(n: int, f: ForcingTerm, theta: float) -> complex:
     return complex((a * c - b * s) + 1j * (b * c + a * s) / n) / TWO_PI
 
 
-def phi_at_infinity_pinney(f: ForcingTerm, theta: float) -> complex:
-    """Limit of Phi_p(theta, r) as r -> inf for the Pinney potential: Phi on
-    the limit profile |cos(t/2)| + 2i sin(t/2) sgn cos(t/2), the r = inf
-    member of the closed-form Pinney psi."""
-    return complex(_phi_column(pinney(), f, [float(theta)], math.inf,
-                               IntegratorConfig())[0])
-
-
 @dataclass(frozen=True)
 class PinneyConstants:
     """First Fourier data of the Pinney variational solution:
@@ -322,12 +314,15 @@ def resonance_verdict(field: PhiField, threshold: float = 1e-4) -> Verdict:
 
 
 def winding_number(field: PhiField, rectangle, zero_tol: float = 1e-9) -> int:
-    """Winding number of Phi along the boundary of
+    """Winding number of Phi along the boundary of the finite
     rectangle = (theta_lo, theta_hi, r_lo, r_hi), counterclockwise.
 
-    Each side's argument change is an argument_increment.  A boundary
-    modulus below zero_tol aborts (boundary too close to a zero of the
-    field)."""
+    Each side is seeded with the scan's nodes on it (theta_grid or r_grid),
+    and each increment between seeds is an argument_increment, so a side on
+    which Phi turns by nearly 2*pi is not read as its small remainder.  A
+    boundary modulus below zero_tol aborts (too close to a zero)."""
+    if not all(math.isfinite(c) for c in rectangle):
+        raise NumericsError(f"winding_number: the rectangle {rectangle} must be finite")
     th0, th1, r0, r1 = rectangle
 
     def val(theta, r):
@@ -337,11 +332,18 @@ def winding_number(field: PhiField, rectangle, zero_tol: float = 1e-9) -> int:
                 f"winding_number: |Phi| = {abs(z):.2e} on the boundary at {(theta, r)}")
         return z
 
-    # each side varies one coordinate: (z_of, start, end)
-    sides = [(lambda th: val(th, r0), th0, th1), (lambda r: val(th1, r), r0, r1),
-             (lambda th: val(th, r1), th1, th0), (lambda r: val(th0, r), r1, r0)]
-    total = sum(argument_increment(z_of, a, b, z_of(a), z_of(b), "winding_number")
-                for z_of, a, b in sides)
+    # each side varies one coordinate: (z_of, start, end, the scan's nodes)
+    sides = [(lambda th: val(th, r0), th0, th1, field.theta_grid),
+             (lambda r: val(th1, r), r0, r1, field.r_grid),
+             (lambda th: val(th, r1), th1, th0, field.theta_grid),
+             (lambda r: val(th0, r), r1, r0, field.r_grid)]
+    total = 0.0
+    for z_of, a, b, grid in sides:
+        inner = np.sort(grid[(grid - a) * (grid - b) < 0])
+        t = np.concatenate([[a], inner if a < b else inner[::-1], [b]])
+        z = [z_of(s) for s in t]
+        total += sum(argument_increment(z_of, t[i], t[i + 1], z[i], z[i + 1], "winding_number")
+                     for i in range(t.size - 1))
     w = total / TWO_PI
     if abs(w - round(w)) > 0.05:
         raise NumericsError(f"winding_number: non-integer winding {w:.4f}")

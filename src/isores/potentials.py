@@ -235,6 +235,18 @@ def _ladder_point(g, sign, ladder, floor=None):
     return None
 
 
+def _ladder_walk(g, sign, point, k_lo, k_hi):
+    """point(k) for the first k in range(k_lo, k_hi) where g has the sign of
+    sign, or None, if g keeps that sign once it has it (V monotone on each
+    side): walk from point(0) = +-1 down while it holds or up until it does."""
+    if not sign * g(point(0)) > 0:
+        return _ladder_point(g, sign, map(point, range(1, k_hi)))
+    k = 0
+    while k > k_lo and sign * g(point(k - 1)) > 0:
+        k -= 1
+    return point(k)
+
+
 def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
     """The unique s in (a, 0) with V(s) = level (0 < level < inf)."""
     if not 0 < level < math.inf:
@@ -244,13 +256,13 @@ def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
     def g(s):
         return pot.v(s) - level
 
-    # hi: below the level, stepping down from 0; lo: above it, from hi to a
+    # hi: below the level, from 0 (walking from -1 if a = -inf); lo: above it, to a
     if math.isfinite(a):
         hi = _ladder_point(g, -1.0, (a * 2.0 ** (-k) for k in range(1, 200)))
         lo = None if hi is None else _ladder_point(
             g, 1.0, (a + (hi - a) * 2.0 ** (-k) for k in range(200)), a + DOMAIN_GUARD * 4)
     else:
-        hi = _ladder_point(g, -1.0, (-(2.0 ** (-k / 2.0)) for k in range(-200, 400)))
+        hi = _ladder_walk(g, -1.0, lambda k: -(2.0 ** (-k / 2.0)), -200, 400)
         lo = None if hi is None else _ladder_point(
             g, 1.0, (hi * 2.0 ** k for k in range(2000)))
     if hi is None or lo is None:
@@ -267,8 +279,8 @@ def inverse_V_positive(pot: PotentialSpec, level: float) -> float:
     def g(s):
         return pot.v(s) - level
 
-    # hi: above the level, stepping up from 0; lo: below it, from hi to 0
-    hi = _ladder_point(g, 1.0, (2.0 ** (k / 2.0) for k in range(-200, 400)))
+    # hi: above the level, walking from 1; lo: below it, from hi to 0
+    hi = _ladder_walk(g, 1.0, lambda k: 2.0 ** (k / 2.0), -200, 400)
     lo = None if hi is None else _ladder_point(
         g, -1.0, (hi * 2.0 ** (-k) for k in range(2000)), 0.0)
     if hi is None or lo is None:

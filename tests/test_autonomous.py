@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import isores as iso
@@ -12,7 +13,7 @@ from isores.autonomous import (ActionAngle, action_of_amplitude,
                                amplitude_of_action, asymmetric_psi_closed,
                                bouncing_limit_audit, carlson_rf_rd,
                                dx_dI_rofe_beketov, from_action_angle,
-                               minimal_period, negative_semiperiod, phi_orbit,
+                               minimal_period, negative_semiperiod,
                                pinney_phi_closed, pinney_psi_antiderivative,
                                pinney_psi_closed, psi_solution, sturm_argument,
                                to_action_angle)
@@ -27,24 +28,6 @@ def pinney_t_minus_closed(action):
 
 
 # -- orbits -----------------------------------------------------------------
-
-def test_phi_orbit_examples(pin, har2, cfg):
-    orb = phi_orbit(pin, 1.0, cfg)
-    x, _ = orb.eval(math.pi / 2)
-    assert x == pytest.approx(-1.0 + math.sqrt(2.0 + 1.0 / 8.0), abs=1e-9)
-    assert orb.energy == pytest.approx(9.0 / 32.0)
-    end = orb.trajectory.end_state()
-    assert abs(end.x - 1.0) + abs(end.v) < 1e-8
-
-    orb2 = phi_orbit(har2, 2.0, cfg)
-    ts = np.linspace(0, orb2.period, 50)
-    x, v = orb2.eval(ts)
-    assert np.max(np.abs(x - 2.0 * np.cos(2 * ts))) < 1e-9
-
-    orb0 = phi_orbit(pin, 0.0, cfg)
-    x, v = orb0.eval(1.234)
-    assert x == 0.0 and v == 0.0
-
 
 def test_closed_form_cross_validation(pin, cfg):
     ts = np.linspace(0.0, TWO_PI, 1001)
@@ -224,12 +207,20 @@ def test_action_examples(pin, har, har2):
 
 
 def test_action_landau_identity(pin):
-    # N * I(r) = V(r) for isochronous centers
-    for pot in (iso.harmonic(1), iso.harmonic(2), iso.harmonic(3), pin):
+    # N * I(r) = V(r) for isochronous centers; I(r) by an independent
+    # quadrature of the enclosed area / (2 pi), from the left turning point
+    # x_- to r, split at the center (the asymmetric kink)
+    for pot in (iso.harmonic(1), iso.harmonic(2), iso.harmonic(3), pin,
+                iso.asymmetric(4.0, 4.0 / 9.0)):
         for r in (0.5, 1.0, 3.0):
-            n = pot.n_iso
-            assert n * action_of_amplitude(pot, r) == \
-                pytest.approx(pot.v(r), rel=1e-8, abs=1e-12)
+            e = pot.v(r)
+            x_lo = brentq(lambda x: pot.v(x) - e, max(pot.domain_left + 1e-12, -1e3), 0.0,
+                          xtol=1e-15, rtol=8.9e-16)
+            height = lambda x: math.sqrt(max(2.0 * (e - pot.v(x)), 0.0))
+            area = sum(quad(height, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                       for a, b in ((x_lo, 0.0), (0.0, r)))
+            assert pot.n_iso * area / math.pi == pytest.approx(e, rel=1e-8, abs=1e-12)
+            assert action_of_amplitude(pot, r) == pot.v(r) / pot.n_iso
 
 
 def test_action_amplitude_mutual_inverse(pin, har2):
@@ -248,6 +239,10 @@ def test_action_requires_isochrony():
                  d2v=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     with pytest.raises(ConfigError):
         amplitude_of_action(pot, 1.0)
+    with pytest.raises(ConfigError):
+        action_of_amplitude(pot, 1.0)
+    with pytest.raises(ConfigError):
+        to_action_angle(pot, State(1.0, 0.3), IntegratorConfig())
 
 
 def test_to_action_angle_examples(pin, har, cfg):
@@ -282,6 +277,25 @@ def test_from_action_angle_integrates_once(monkeypatch, pin, cfg):
                         lambda *a, **k: calls.append(1) or solve(*a, **k))
     from_action_angle(pin, ActionAngle(theta=2.2, action=0.7), cfg)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pot", [iso.pinney(), iso.harmonic(1), iso.harmonic(2),
+                                 iso.asymmetric(4.0, 4.0 / 9.0)],
+                         ids=["pinney", "harmonic1", "harmonic2", "asymmetric"])
+def test_to_action_angle_integrates_once_and_integrates_no_area(monkeypatch, pot, cfg):
+    # I = E/N and T = 2*pi/N: the section return is the one solve, and
+    # neither the action nor the period takes a quadrature
+    import isores.forcing
+    import isores.integrate
+    solves, quads = [], []
+    solve, quad_ = isores.integrate.integrate_ode, isores.forcing.adaptive_complex_quad
+    monkeypatch.setattr(isores.integrate, "integrate_ode",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    monkeypatch.setattr(isores.forcing, "adaptive_complex_quad",
+                        lambda *a, **k: quads.append(1) or quad_(*a, **k))
+    aa = to_action_angle(pot, State(0.5, 0.3), cfg)
+    assert (len(solves), len(quads)) == (1, 0)
+    assert aa.action == (0.5 * 0.3 ** 2 + pot.v(0.5)) / pot.n_iso
 
 
 @pytest.mark.parametrize("theta, action", [(math.nan, 0.337), (math.inf, 0.337),

@@ -354,16 +354,6 @@ def test_guard_time_matches_scipy_terminal_event(pin):
     assert len(guard_t) == 1 and abs(guard_t[0] - sol.t_events[0][0]) <= 1e-10
 
 
-def test_dense_table_constant_trajectory():
-    from isores.autonomous import _constant_trajectory
-    raw = _constant_trajectory([0.5, -2.0], 1.0, 4.0)
-    t = np.linspace(1.0, 4.0, 7)
-    assert np.array_equal(raw.eval(t), np.repeat([[0.5], [-2.0]], 7, axis=1))
-    assert np.array_equal(raw.eval(4.0), [0.5, -2.0])
-    with pytest.raises(ValueError):
-        raw.eval(5.0)
-
-
 # -- the generated step loop ------------------------------------------------------
 
 (_, (_A21, *_), (_A31, _A32, *_), (_A41, _A42, _A43, *_),
@@ -823,9 +813,10 @@ def test_crossings_are_root_found_only_when_read(monkeypatch):
 
 
 def test_knot_zeros_count_once_and_rest_points_cross_nothing():
-    from isores.autonomous import _constant_trajectory
     from isores.integrate import Event, RawSolution, StepTable
-    assert _constant_trajectory([0.0, 0.0], 0.0, TWO_PI).events == []
+    rest = integrate_autonomous(iso.pinney(), State(0.0, 0.0), 0.0, TWO_PI,
+                                IntegratorConfig())
+    assert rest.events == []
     # x lands on 0 exactly at the middle knot, then leaves it; v never crosses
     ts, ys = np.array([0.0, 1.0, 2.0]), np.array([[1.0, -1.0], [0.0, -1.0], [-1.0, -1.0]])
     steps = StepTable(ts[:2], np.ones(2), ys[:2], np.zeros((2, 4, 2)))

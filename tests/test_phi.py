@@ -11,7 +11,7 @@ from isores.forcing import PiecewiseConst, Sampled, TrigPoly, TWO_PI
 from isores.autonomous import pinney_psi_closed, psi_solution
 import isores.phi
 from isores.phi import (adaptive_complex_quad, corollary_bound,
-                        default_r_grid, eval_phi, harmonic_phi_closed, phi_at_infinity_pinney, phi_scan,
+                        default_r_grid, eval_phi, harmonic_phi_closed, phi_scan,
                         pinney_fourier_constants, resonance_verdict,
                         winding_number, write_phi_csv)
 
@@ -470,16 +470,21 @@ def test_pinney_psi_closed_spans_zero_to_infinity():
     assert np.max(np.abs(pinney_psi_closed(math.inf, ts) - pinney_limit_profile(ts))) <= 1e-15
 
 
+def phi_inf(f, theta):
+    """Phi on the Pinney r = inf slice."""
+    return eval_phi(iso.pinney(), f, theta, math.inf, iso.IntegratorConfig())
+
+
 def test_phi_infinity_constant_forcing():
     one = TrigPoly(a0=1.0)
     for th in (0.0, 1.0, 4.0):
-        z = phi_at_infinity_pinney(one, th)
+        z = phi_inf(one, th)
         assert z.real == pytest.approx(2.0 / math.pi, abs=1e-11)
         assert z.imag == pytest.approx(0.0, abs=1e-11)
 
 
 def test_phi_infinity_sin_constants(sin_f, simpson):
-    mods = [abs(phi_at_infinity_pinney(sin_f, th))
+    mods = [abs(phi_inf(sin_f, th))
             for th in np.linspace(0, TWO_PI, 128, endpoint=False)]
     assert min(mods) == pytest.approx(2.0 / (3.0 * math.pi), abs=1e-10)
     assert max(mods) == pytest.approx(8.0 / (3.0 * math.pi), abs=1e-10)
@@ -493,14 +498,14 @@ def test_phi_infinity_linearity(sin_f):
     one = TrigPoly(a0=1.0)
     combo = TrigPoly(a0=2.0, sin_coeffs=(-0.5,))
     th = 0.8
-    lhs = phi_at_infinity_pinney(combo, th)
-    rhs = 2.0 * phi_at_infinity_pinney(one, th) - 0.5 * phi_at_infinity_pinney(sin_f, th)
+    lhs = phi_inf(combo, th)
+    rhs = 2.0 * phi_inf(one, th) - 0.5 * phi_inf(sin_f, th)
     assert abs(lhs - rhs) < 1e-11
 
 
 def test_phi_infinity_piecewise_path():
     f = PiecewiseConst(breakpoints=(0.0, math.pi), values=(1.0, 0.0))
-    z = phi_at_infinity_pinney(f, 0.0)
+    z = phi_inf(f, 0.0)
     # oracle: (1/2pi) int_0^pi (cos(t/2) + 2i sin(t/2)) dt = (1/pi) (1 + 2i)
     assert z == pytest.approx((1.0 + 2.0j) / math.pi, abs=1e-10)
 
@@ -637,6 +642,25 @@ def test_winding_number_crafted_zero(pin, crafted_zero, cfg):
 def test_winding_number_no_zero(har, sin_f, cfg):
     field = phi_scan(har, sin_f, 16, np.linspace(0.5, 5.0, 4), cfg)
     assert winding_number(field, (0.5, 2.0, 1.0, 4.0)) == 0
+
+
+def test_winding_number_seeds_each_side_with_the_scan_nodes(pin, crafted_zero, cfg):
+    # the r = 0 side turns by 2 pi - 0.08: read between its two corners
+    # alone, that aliases to -0.08 and the rectangle around the zero at
+    # (pi, r*) winds 0; its 8 theta-slices, each turning by less, sum to 1
+    forcing, r_star, _ = crafted_zero
+    field = phi_scan(pin, forcing, 32, default_r_grid(10.0, 8), cfg)
+    assert winding_number(field, (0.0, 6.2, 0.0, 1e4)) == 1
+    assert sum(winding_number(field, (6.2 * k / 8, 6.2 * (k + 1) / 8, 0.0, 1e4))
+               for k in range(8)) == 1
+
+
+@pytest.mark.parametrize("corner", [math.inf, math.nan])
+def test_winding_number_rejects_a_non_finite_rectangle(pin, crafted_zero, cfg, corner):
+    forcing, _, _ = crafted_zero
+    field = phi_scan(pin, forcing, 32, default_r_grid(10.0, 8), cfg)
+    with pytest.raises(NumericsError, match="must be finite"):
+        winding_number(field, (0.0, 6.2, 0.0, corner))
 
 
 def test_winding_number_boundary_guard(pin, crafted_zero, cfg):

@@ -184,6 +184,35 @@ def test_inverse_level_helpers(pin):
     assert inverse_V_negative(h, 2.0) == pytest.approx(-1.0, rel=1e-12)
 
 
+def test_inverse_level_walks_from_one(pin):
+    # the walk starts at 1, so a level near V(1) reads V a handful of times,
+    # not the ~200 of a scan up the ladder from 2^-100
+    calls = []
+    counted = custom(v=lambda x: calls.append(1) or pin.v(x), dv=pin.dv, d2v=pin.d2v,
+                     domain_left=-1.0)
+    assert inverse_V_positive(counted, 0.337) == inverse_V_positive(pin, 0.337)
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("pot", [pinney(), harmonic(3), asymmetric(2.0, 0.3)],
+                         ids=["pinney", "harmonic3", "asymmetric"])
+@pytest.mark.parametrize("level", [1e-40, 1e-3, 0.337, 1.0, 7.5, 1e40])
+def test_inverse_level_brackets_at_the_first_ladder_point(pot, level):
+    # the walk finds the same first ladder point as a scan from the ladder's
+    # far end, 2^(k/2) for k = -200, ..., 399 (negated and read outside in
+    # on an unbounded left side), so the root is the same to the bit
+    g = lambda x: pot.v(x) - level
+    hi = next(2.0 ** (k / 2.0) for k in range(-200, 400) if g(2.0 ** (k / 2.0)) > 0)
+    lo = next(hi * 2.0 ** (-k) for k in range(2000) if g(hi * 2.0 ** (-k)) < 0)
+    assert inverse_V_positive(pot, level) == brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16,
+                                                    maxiter=200)
+    if math.isinf(pot.domain_left):
+        hi = next(-(2.0 ** (-k / 2.0)) for k in range(-200, 400) if g(-(2.0 ** (-k / 2.0))) < 0)
+        lo = next(hi * 2.0 ** k for k in range(2000) if g(hi * 2.0 ** k) > 0)
+        assert inverse_V_negative(pot, level) == brentq(g, lo, hi, xtol=1e-15,
+                                                        rtol=8.9e-16, maxiter=200)
+
+
 @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("inverse", [inverse_V_positive, inverse_V_negative])
 def test_inverse_level_must_be_finite_and_positive(pin, inverse, level):
