@@ -202,7 +202,8 @@ def cmd_fourier_constants(p):
 _REQUIRED = object()
 _POTENTIAL = ("potential", parse_potential, _REQUIRED)
 _FORCING = ("forcing", parse_forcing, _REQUIRED)
-_TOLERANCES = (("rel_tol", float, 1e-10), ("abs_tol", float, 1e-12))
+_TOLERANCES = tuple((name, float, getattr(IntegratorConfig, name))
+                    for name in ("rel_tol", "abs_tol"))   # IntegratorConfig's defaults
 _OUT = ("out", Path, None)
 _FORMAT = ("format", _table_format, "csv")
 

@@ -1,12 +1,15 @@
 """Adaptive ODE integration with dense output, crossing events, splitting at
 forcing discontinuities and potential kinks, and a hard guard near singular
-endpoints.  One step loop over Python floats runs the Dormand-Prince 5(4)
-pair (J. Comput. Appl. Math. 6, 1980) with the controller and starting-step
-rule of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4, as scipy's RK45
-runs them, with its order 5 steps and quartic dense interpolant.
+endpoints.  One step loop over Python floats runs the Dormand-Prince 8(5,3)
+pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10) with the
+controller and starting-step rule of Sec. II.4, as scipy's DOP853 runs them:
+order 8 steps, its error norm from the order 5 and order 3 estimates, and
+its degree-7 dense output.
 
-Cost model.  An attempted step costs 6 right-hand-side evaluations and
-every restart (start, forcing breakpoint, kink) 2 more calls.  The whole
+Cost model.  An attempted step costs 12 right-hand-side evaluations (11
+stages and f_new), an accepted one 3 more for its dense output, and every
+restart (start, forcing breakpoint, kink) 2 more, so nfev = 2 n_segments +
+15 n_steps + 12 n_rejected.  The whole
 accept/reject loop over one span is generated as source over scalar locals
 (_system_source) and compiled once per structure: the state size n, the
 system's body (the lines that compute the right-hand side) and the
@@ -26,14 +29,16 @@ span's end, after the step that crosses max_steps, when the step size falls
 below the spacing of floats, or on a sign change of the kink or the guard,
 which ends a step and is root-found on the step's interpolant there;
 integrate_ode loops over the spans between breakpoints and restarts the
-step at each kink root, by one rule for the kink (see integrate_ode).  A
-forced Pinney step costs about 6.5-7 us in all, nearly all of it the
-step's arithmetic with its 6 inlined right-hand sides; a Python loop around
-a generated step took 11-12 us (2-core VM, Python 3.11).  The stage sums
+step at each kink root, by one rule for the kink (see integrate_ode).  An
+attempted step of a forced harmonic or Pinney run costs 16-18 us, 1.1-1.3
+us per right-hand side with its share of the stage sums, as in the
+Dormand-Prince 5(4) loop this one replaced (2-core VM, Python 3.11); at
+rel_tol 1e-11 a forced period takes 3-7 times fewer steps than that pair
+took at 1e-10, to a smaller error.  The stage sums
 keep the terms and the order of a loop over components, and the
 controller's comparisons give min's and max's floats (the tests' reference
 loop), so the results are the same to the bit.  The v=0 and x=0 crossings
-are found when RawSolution.events is first read.  Each step appends its 7
+are found when RawSolution.events is first read.  Each step appends its 16
 stage rows to a flat list; the dense output (StepTable) is built from them
 in one array product at the end, and RawSolution.eval evaluates any number
 of times in one array operation.
@@ -62,7 +67,7 @@ class State:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    rel_tol: float = 1e-10
+    rel_tol: float = 1e-11
     abs_tol: float = 1e-12
     singularity_margin: float = 1e-9
     max_steps: int = 2_000_000
@@ -85,8 +90,9 @@ class StepTable(NamedTuple):
     """Dense output of a chained solution as arrays, one row per step.
 
     Row k interpolates over [t_old[k], t_old[k] + h[k]] from y_old[k] with
-    the scaled time s = (t - t_old[k]) / h[k].  coef[k] is RK45's Q
-    transposed, shape (4, n): y = y_old + h * sum_j coef[k, j] * s**(j+1).
+    the scaled time s = (t - t_old[k]) / h[k].  coef[k], shape (7, n), is
+    DOP853's degree-7 dense output in powers of s: y = y_old + h * sum_j
+    coef[k, j] * s**(j+1).
     """
     t_old: np.ndarray
     h: np.ndarray
@@ -165,43 +171,118 @@ class RawSolution:
         return y.T
 
 
-# The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math.
-# 6, 1980) as rationals: _A the stage weights, _B the order 5 weights, _C the
-# nodes, _E the order 4 weights minus the order 5 weights (last entry for
-# f_new), and P the quartic dense output of Shampine, Math. Comp. 46, 1986.
+# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10),
+# each row a dict {j: coefficient of stage k_{j+1}} of its nonzero entries in
+# stage order.  _C[:12] and _A[:12] are the 12 stages (k1 = f at the step's
+# start), _C[12] and _B = _A[12] the order 8 solution and f_new = k13 at it,
+# _C[13:] and _A[13:] the 3 stages only the dense output needs, _E5 and _E3
+# the order 5 and order 3 error weights (k13's weight is 0 in both) and _D
+# the rows 4..7 of the degree-7 dense output.
 # tests/test_integrate.py::test_tableau_is_scipys pins every float to scipy's
-# RK45 arrays.
-_A = [[0.0, 0.0, 0.0, 0.0, 0.0],
-      [1/5, 0.0, 0.0, 0.0, 0.0],
-      [3/40, 9/40, 0.0, 0.0, 0.0],
-      [44/45, -56/15, 32/9, 0.0, 0.0],
-      [19372/6561, -25360/2187, 64448/6561, -212/729, 0.0],
-      [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]
-_B = [35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84]
-_C = [0.0, 1/5, 3/10, 4/5, 8/9, 1.0]
-_E = [-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
-_PT = np.array([           # (4, 7): coef = P^T K for a step's stage rows K
-    [1.0, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0.0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0.0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0.0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423]]).T.copy()
+# DOP853 arrays.
+_C = [0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+      0.7777777777777778]
+_A = [{},
+      {0: 0.05260015195876773},
+      {0: 0.0197250569845379, 1: 0.0591751709536137},
+      {0: 0.02958758547680685, 2: 0.08876275643042054},
+      {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+      {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+      {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+       5: -0.017578125},
+      {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+       5: -0.015319437748624402, 6: 0.008273789163814023},
+      {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+       5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+      {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+       5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+       8: -0.020331201708508627},
+      {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+       5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+       8: 2.4936055526796523, 9: -3.0467644718982196},
+      {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+       5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+       8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+      {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+       7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+       10: 0.20136540080403034, 11: 0.04471061572777259},
+      {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+       8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+       11: 0.007567897660545699, 12: -0.008298},
+      {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+       7: -0.05492374857139099, 10: -0.00010834732869724932,
+       11: 0.0003825710908356584, 12: -0.00034046500868740456, 13: 0.1413124436746325},
+      {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+       7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+       13: 2.9475147891527724, 14: -9.15095847217987}]
+_B = _A[12]
+_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+       7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+       10: 0.08192320648511571, 11: -0.022355307863886294}
+_E3 = {**_B, 0: _B[0] - 0.2440944881889764, 8: _B[8] - 0.7338466882816118,
+       11: _B[11] - 0.022058823529411766}
+_D = [{0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+       7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+       10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+       13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+      {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+       7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+       10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+       13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+      {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+       7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+       10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+       13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+      {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+       7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+       10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+       13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564}]
+
+
+def _dense_matrix():
+    """_DENSE, (7, 16): coef = _DENSE K for a step's 16 stage rows K is its
+    degree-7 dense output in powers of s (see StepTable).  scipy's DOP853
+    writes it as s (F0 + (1-s) (F1 + s (F2 + (1-s) (F3 + s (F4 + (1-s) (F5
+    + s F6)))))) with F0 = y_new - y_old = h B.K, F1 = h k1 - F0, F2 = 2 F0 -
+    h (k1 + k13) and F3..F6 = h D.K; w expands each F_i's factor in powers
+    of s."""
+    def row(coefs):
+        out = np.zeros(16)
+        out[list(coefs)] = list(coefs.values())
+        return out
+    b, k1, k13 = row(_B), row({0: 1.0}), row({12: 1.0})
+    f = np.array([b, k1 - b, 2 * b - k1 - k13, *map(row, _D)])
+    w = np.array([[1, 0, 0, 0, 0, 0, 0],        # s
+                  [1, -1, 0, 0, 0, 0, 0],       # s (1-s)
+                  [0, 1, -1, 0, 0, 0, 0],       # s^2 (1-s)
+                  [0, 1, -2, 1, 0, 0, 0],       # s^2 (1-s)^2
+                  [0, 0, 1, -2, 1, 0, 0],       # s^3 (1-s)^2
+                  [0, 0, 1, -3, 3, -1, 0],      # s^3 (1-s)^3
+                  [0, 0, 0, 1, -3, 3, -1]])     # s^4 (1-s)^3
+    return w.T @ f
+
+
+_DENSE = _dense_matrix()
 _ROOT_TOL = 4 * np.finfo(float).eps      # scipy's event-root tolerance
 
 
 def _system_source(n, body, kink, guard):
-    """Source of rhs(tt, y) and of run(...), the Dormand-Prince loop over one
-    span, for an n-component system body: lines that read tt and
-    s_0..s_{n-1} and set r_0..r_{n-1} (and no name of the loop's own).
+    """Source of rhs(tt, y) and of run(...), the DOP853 loop over one span,
+    for an n-component system body: lines that read tt and s_0..s_{n-1} and
+    set r_0..r_{n-1} (and no name of the loop's own).
 
     run(t, y_0.., k1_0.., h_abs, tb, d_0.., g_0.., n_steps, n_rej, max_steps,
     atol, rtol, ts, ys, th, ks) steps from (t, y) with k1 = rhs(t, y) towards
-    tb: accept/reject, the error controller and the step-size update of
-    integrate_ode, with the body inline at each of the 6 stages.  Each
-    accepted step appends (t, h) to th and its 7 stage rows to ks (7n floats);
-    its knot, t_new to ts and its n components to ys.  The kink and the guard
+    tb: accept/reject, scipy DOP853's error norm |h| |e5|^2 / sqrt((|e5|^2 +
+    0.01 |e3|^2) n), its controller (exponent -1/8) and its step-size
+    update, with the body inline at each of the 11 stages and at f_new =
+    k13.  The norm is 0 where the root's argument is 0, also where it
+    underflows to 0 (scipy's 0/0 there is nan, which rejects the step).  An
+    accepted step runs the 3 stages of its dense output inline too, appends
+    (t, h) to th and its 16 stage rows to ks (16n floats); its knot, t_new to
+    ts and its n components to ys.  The kink and the guard
     (each an expression over t_new and the step's end state z_0..z_{n-1}, or
     None) are the watched functions, kink first; g_i is one's value at the
     step's start and d_i the direction of the crossing that ends a step
@@ -216,7 +297,7 @@ def _system_source(n, body, kink, guard):
     written b if b < a else a, and max(a, b) b if b > a else a, which give
     min's and max's floats, nan included.  Each sum keeps the terms and the
     order of the loop over components that the tests compare it with bit for
-    bit (the tableau's zeros, B2 and E2, skipped).  Each watched expression is
+    bit (the tableau's zeros skipped).  Each watched expression is
     also written as watch_kink(t_new, z) or watch_guard(t_new, z), its value
     at a state z, for the root-find."""
     watch = [expr for expr in (kink, guard) if expr is not None]
@@ -226,39 +307,44 @@ def _system_source(n, body, kink, guard):
         return ", ".join(fmt(i) for i in range(count))
 
     def combo(coefs, i):           # (c1) * k1_i + (c2) * k2_i + ..., zeros skipped
-        return " + ".join(f"({c!r}) * k{j}_{i}" for j, c in enumerate(coefs, 1) if c)
+        return " + ".join(f"({c!r}) * k{j + 1}_{i}" for j, c in coefs.items())
 
-    def stage(j, t_j, s_j):        # the body at (t_j, s_j) into stage row j
-        return ([f"tt = {t_j}"] + [f"s_{i} = {s_j(i)}" for i in range(n)] + list(body)
+    def stage(j):                  # the body at stage j's time and state into k{j}_i
+        t_j = "t + h" if _C[j - 1] == 1.0 else f"t + ({_C[j - 1]!r}) * h"
+        return ([f"tt = {t_j}"] + [f"s_{i} = y_{i} + h * ({combo(_A[j - 1], i)})"
+                                    for i in range(n)] + list(body)
                 + ["; ".join(f"k{j}_{i} = r_{i}" for i in range(n))])
 
-    step = []
-    for j in range(2, 7):
-        t_j = "t + h" if _C[j - 1] == 1.0 else f"t + ({_C[j - 1]!r}) * h"
-        step += stage(j, t_j, lambda i: f"y_{i} + h * ({combo(_A[j - 1], i)})")
-    step += [f"z_{i} = y_{i} + h * ({combo(_B, i)})" for i in range(n)]
-    step += stage(7, "t + h", lambda i: f"z_{i}")
+    # stages 2..12, then f_new = k13 at the order 8 solution z = y + h B.K
+    step = [line for j in range(2, 14) for line in stage(j)]
+    step += ["; ".join(f"z_{i} = s_{i}" for i in range(n))]
     for i in range(n):
         step += [f"a, b = abs(y_{i}), abs(z_{i})",
-                 f"e_{i} = ({combo(_E, i)}) * h / (atol + (b if b > a else a) * rtol)"]
-    # the loop's sum starts at 0.0, and 0.0 + e * e is e * e for every float e
-    squares = " + ".join(f"e_{i} * e_{i}" for i in range(n))
-    step += [f"err = sqrt(({squares}) / {n})",
+                 "sc = atol + (b if b > a else a) * rtol",
+                 f"e5_{i} = ({combo(_E5, i)}) / sc",
+                 f"e3_{i} = ({combo(_E3, i)}) / sc"]
+    # the loop's sums start at 0.0, and 0.0 + e * e is e * e for every float e
+    sq5, sq3 = (" + ".join(f"e{o}_{i} * e{o}_{i}" for i in range(n)) for o in (5, 3))
+    step += [f"sq5 = {sq5}",
+             f"sq3 = {sq3}",
+             f"den = (sq5 + 0.01 * sq3) * {n}",
+             "err = h * sq5 / sqrt(den) if den else 0.0",
              "if err < 1:",
              "    factor = 10.0",
              "    if err != 0:",
-             "        q = 0.9 * err ** -0.2",
+             "        q = 0.9 * err ** -0.125",
              "        if q < factor: factor = q",
              "    if rejected and not factor < 1.0: factor = 1.0",
              "    h_abs = h * factor",
              "    break",
-             "q = 0.9 * err ** -0.2",
+             "q = 0.9 * err ** -0.125",
              "h_abs = h * (q if q > 0.2 else 0.2)",
              "rejected = True",
              "n_rej += 1"]
 
-    stages = each(lambda j: each(lambda i: f"k{j + 1}_{i}"), 7)
-    accepted = ["th += (t, h)", f"ks += ({stages},)"]
+    stages = each(lambda j: each(lambda i: f"k{j + 1}_{i}"), 16)
+    accepted = [line for j in range(14, 17) for line in stage(j)]
+    accepted += ["th += (t, h)", f"ks += ({stages},)"]
     if m:
         olds, news = each(lambda i: f"g_{i}", m), each(lambda i: f"w_{i}", m)
         crossed = " or ".join(f"d_{i} * g_{i} <= 0 <= d_{i} * w_{i}" for i in range(m))
@@ -275,7 +361,7 @@ def _system_source(n, body, kink, guard):
                  "if n_steps > max_steps:",
                  "    return 'budget', n_steps, n_rej, None",
                  f"t, {each(lambda i: f'y_{i}')}, = t_new, {each(lambda i: f'z_{i}')},",
-                 f"{each(lambda i: f'k1_{i}')}, = {each(lambda i: f'k7_{i}')},",
+                 f"{each(lambda i: f'k1_{i}')}, = {each(lambda i: f'k13_{i}')},",
                  "if t == tb:",
                  "    return 'end', n_steps, n_rej, None"]
 
@@ -337,7 +423,7 @@ def _compile_system(n, body, constants, kink=None, guard=None):
 
 
 def _initial_step(fun, t, y, f, span, cfg):
-    """scipy's starting-step rule for an error estimator of order 4."""
+    """scipy's starting-step rule for an error estimator of order 7."""
     scale = [cfg.abs_tol + abs(a) * cfg.rel_tol for a in y]
     rms = lambda v: math.sqrt(sum((x / s) ** 2 for x, s in zip(v, scale)) / len(v))
     d0, d1 = rms(y), rms(f)
@@ -345,18 +431,24 @@ def _initial_step(fun, t, y, f, span, cfg):
     f1 = fun(t + h0, [a + h0 * p for a, p in zip(y, f)])
     d2 = rms([q - p for p, q in zip(f, f1)]) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** 0.2)
+          else (0.01 / max(d1, d2)) ** 0.125)
     return min(100 * h0, h1, span)
 
 
 def _interpolant(t_old, h, y_old, coef):
-    """The step's quartic dense output t -> y(t) over floats; coef: (4, n)."""
-    columns = coef.T.tolist()
+    """The step's dense output t -> y(t) over floats, by Horner's rule;
+    coef: (7, n), see StepTable."""
+    columns = coef[::-1].T.tolist()        # per component, highest power first
 
     def y_at(t):
         s = (t - t_old) / h
-        return [a + h * s * (c1 + s * (c2 + s * (c3 + s * c4)))
-                for a, (c1, c2, c3, c4) in zip(y_old, columns)]
+        out = []
+        for a, column in zip(y_old, columns):
+            acc = 0.0
+            for c in column:
+                acc = acc * s + c
+            out.append(a + h * s * acc)
+        return out
     return y_at
 
 
@@ -381,8 +473,9 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     for leaving the side g first moves to, so a rest point on the kink stays
     at rest; after a root, the other way.  v=0 and x=0 crossings are found
     when RawSolution.events is read.  Each restart re-runs the starting-step
-    rule, as a new solve_ivp call would, so
-    nfev = 2 n_segments + 6 (n_steps + n_rejected).
+    rule, as a new solve_ivp call would, each attempted step makes 12 calls
+    and each accepted one 3 more for its dense output, so
+    nfev = 2 n_segments + 15 n_steps + 12 n_rejected.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("integrate_ode: t0 and t1 must be finite")
@@ -407,14 +500,14 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     run, kink, guard = system.run, system.kink, system.guard
     # the functions whose sign change ends a step, kink first
     watched = [g for g in (kink, guard and guard[1]) if g is not None]
-    ts, ys, th, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 7n floats a row
+    ts, ys, th, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 16n floats a row
     n_steps = n_rejected = n_segments = 0
 
     def solution():
         knots, rows = np.array(ys).reshape(-1, n), np.array(th).reshape(-1, 2)
         steps = StepTable(rows[:, 0], rows[:, 1], knots[:-1],
-                          _PT @ np.array(ks).reshape(-1, 7, n))
-        stats = {"n_steps": n_steps, "nfev": 2 * n_segments + 6 * (n_steps + n_rejected),
+                          _DENSE @ np.array(ks).reshape(-1, 16, n))
+        stats = {"n_steps": n_steps, "nfev": 2 * n_segments + 15 * n_steps + 12 * n_rejected,
                  "n_segments": n_segments, "n_rejected": n_rejected}
         return RawSolution(np.array(ts), knots, steps, log, stats)
 
@@ -448,7 +541,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
             if why == "hit":   # the earliest root on the step's interpolant ends the step
                 t_new, g_old, g_new, dirs = hit
                 t, h = th[-2:]
-                y_at = _interpolant(t, h, ys[-n:], _PT @ np.array(ks[-7 * n:]).reshape(7, n))
+                y_at = _interpolant(t, h, ys[-n:], _DENSE @ np.array(ks[-16 * n:]).reshape(16, n))
                 t_end, stop = min((brentq(lambda s, g=watched[i]: g(s, y_at(s)),
                                           t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
                                   for i, (a, b, d) in enumerate(zip(g_old, g_new, dirs))
@@ -483,7 +576,7 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     expression over tt, s_0..s_{n-1}, r_1 = x'' and V's derivatives dv and
     d2v at x (d2v is computed only when read).  V' and V'' are a built-in
     potential's declared expressions (a custom one's callbacks on the float
-    x), p is its scalar source, and fun.run is the Dormand-Prince loop over
+    x), p is its scalar source, and fun.run is the DOP853 loop over
     one span (_system_source), which restarts at a kink of V'' at x = 0 and
     stops where x falls to a + cfg.singularity_margin above a singular
     endpoint a (stages past a see V at a + 1e-13); fun.kink and fun.guard

@@ -247,6 +247,14 @@ def _ladder_walk(g, sign, point, k_lo, k_hi):
     return point(k)
 
 
+# The far ends of the walks up from 1 and from -1 towards 0: 2**(k/2) is the
+# largest finite ladder point at k = _TO_LARGEST - 1 and -2**(-k/2) the
+# smallest subnormal at k = _TO_TINIEST - 1, so both reach the whole float
+# range.  The walks the other way stop at k = -200; past that point the
+# 2000-step ladder from it finds the other end of the bracket.
+_TO_LARGEST, _TO_TINIEST = 2048, 2149
+
+
 def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
     """The unique s in (a, 0) with V(s) = level (0 < level < inf)."""
     if not 0 < level < math.inf:
@@ -262,7 +270,7 @@ def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
         lo = None if hi is None else _ladder_point(
             g, 1.0, (a + (hi - a) * 2.0 ** (-k) for k in range(200)), a + DOMAIN_GUARD * 4)
     else:
-        hi = _ladder_walk(g, -1.0, lambda k: -(2.0 ** (-k / 2.0)), -200, 400)
+        hi = _ladder_walk(g, -1.0, lambda k: -(2.0 ** (-k / 2.0)), -200, _TO_TINIEST)
         lo = None if hi is None else _ladder_point(
             g, 1.0, (hi * 2.0 ** k for k in range(2000)))
     if hi is None or lo is None:
@@ -280,7 +288,7 @@ def inverse_V_positive(pot: PotentialSpec, level: float) -> float:
         return pot.v(s) - level
 
     # hi: above the level, walking from 1; lo: below it, from hi to 0
-    hi = _ladder_walk(g, 1.0, lambda k: 2.0 ** (k / 2.0), -200, 400)
+    hi = _ladder_walk(g, 1.0, lambda k: 2.0 ** (k / 2.0), -200, _TO_LARGEST)
     lo = None if hi is None else _ladder_point(
         g, -1.0, (hi * 2.0 ** (-k) for k in range(2000)), 0.0)
     if hi is None or lo is None:

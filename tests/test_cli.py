@@ -89,6 +89,19 @@ def test_resonance_run_exit_codes(tmp_path):
     assert rc == 2
 
 
+def test_tolerance_defaults_are_the_integrators(tmp_path):
+    # the flags' defaults are IntegratorConfig's: no --rel-tol is its rel_tol
+    from isores.integrate import IntegratorConfig
+    args = ["resonance-run", "--potential", "harmonic:1", "--forcing", "sin",
+            "--eps", "0.05", "--periods", "20", "--x0", "1"]
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    assert main(args + ["--rel-tol", repr(IntegratorConfig().rel_tol),
+                        "--abs-tol", repr(IntegratorConfig().abs_tol),
+                        "--out", str(tmp_path / "explicit")]) == 0
+    assert ((tmp_path / "default" / "verdict.json").read_bytes()
+            == (tmp_path / "explicit" / "verdict.json").read_bytes())
+
+
 def test_acw_command(tmp_path):
     rc = main(["acw", "--c", "4", "--x0", "1", "--y0", "0", "--steps", "10",
                "--out", str(tmp_path)])

@@ -182,6 +182,10 @@ def test_inverse_level_helpers(pin):
     assert pin.v(s) == pytest.approx(e, rel=1e-12)
     h = harmonic(2)
     assert inverse_V_negative(h, 2.0) == pytest.approx(-1.0, rel=1e-12)
+    # roots past 2^199.5 and below 2^-100 in size; below 1e-15 the root is
+    # found to brentq's absolute xtol only
+    assert inverse_V_positive(harmonic(1), 1e120) == pytest.approx(math.sqrt(2e120), rel=1e-15)
+    assert abs(inverse_V_negative(harmonic(1), 1e-121) + math.sqrt(2e-121)) <= 1e-15
 
 
 def test_inverse_level_walks_from_one(pin):
@@ -196,18 +200,21 @@ def test_inverse_level_walks_from_one(pin):
 
 @pytest.mark.parametrize("pot", [pinney(), harmonic(3), asymmetric(2.0, 0.3)],
                          ids=["pinney", "harmonic3", "asymmetric"])
-@pytest.mark.parametrize("level", [1e-40, 1e-3, 0.337, 1.0, 7.5, 1e40])
+@pytest.mark.parametrize("level", [1e-300, 1e-121, 1e-40, 1e-3, 0.337, 1.0, 7.5, 1e40,
+                                   1e120, 1e300])
 def test_inverse_level_brackets_at_the_first_ladder_point(pot, level):
     # the walk finds the same first ladder point as a scan from the ladder's
-    # far end, 2^(k/2) for k = -200, ..., 399 (negated and read outside in
-    # on an unbounded left side), so the root is the same to the bit
+    # far end, 2^(k/2) for k = -200, ..., 2047 (negated and read outside in
+    # on an unbounded left side, to k = 2148), so the root is the same to the
+    # bit; below 2^-100 and above 2^199.5 (levels 1e-121 and 1e120 on the
+    # harmonic centres) the walks once stopped and could not bracket
     g = lambda x: pot.v(x) - level
-    hi = next(2.0 ** (k / 2.0) for k in range(-200, 400) if g(2.0 ** (k / 2.0)) > 0)
+    hi = next(2.0 ** (k / 2.0) for k in range(-200, 2048) if g(2.0 ** (k / 2.0)) > 0)
     lo = next(hi * 2.0 ** (-k) for k in range(2000) if g(hi * 2.0 ** (-k)) < 0)
     assert inverse_V_positive(pot, level) == brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16,
                                                     maxiter=200)
     if math.isinf(pot.domain_left):
-        hi = next(-(2.0 ** (-k / 2.0)) for k in range(-200, 400) if g(-(2.0 ** (-k / 2.0))) < 0)
+        hi = next(-(2.0 ** (-k / 2.0)) for k in range(-200, 2149) if g(-(2.0 ** (-k / 2.0))) < 0)
         lo = next(hi * 2.0 ** k for k in range(2000) if g(hi * 2.0 ** k) > 0)
         assert inverse_V_negative(pot, level) == brentq(g, lo, hi, xtol=1e-15,
                                                         rtol=8.9e-16, maxiter=200)
