@@ -27,7 +27,9 @@ class ForcingTerm:
 
     def scalar_source(self):
         """Statements that set p to p(tt) for a float tt in the integrator's
-        compiled right-hand sides, and the values of the names they read."""
+        compiled right-hand sides, and the values of the names they read.
+        They may read tm, a time inside the span between breaks that tt lies
+        in, for the piece of a forcing that jumps at those breaks."""
         return ["p = float(p_eval(tt))"], {"p_eval": self.eval}
 
     def jump_points(self):
@@ -135,6 +137,12 @@ class PiecewiseConst(ForcingTerm):
         idx = np.searchsorted(self.breakpoints, tau, side="right") - 1
         vals = np.asarray(self.values)[idx % len(self.values)]
         return vals if vals.ndim else float(vals)
+
+    def scalar_source(self):
+        # p is constant between the breaks the integrator splits at, so it is
+        # read at tm, a time inside the step's span: at the span's end tt
+        # would give the next piece, and its stages there would jump
+        return ["p = float(p_eval(tm))"], {"p_eval": self.eval}
 
     def jump_points(self):
         base = np.asarray(self.breakpoints)

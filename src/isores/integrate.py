@@ -269,13 +269,15 @@ _ROOT_TOL = 4 * np.finfo(float).eps      # scipy's event-root tolerance
 
 
 def _system_source(n, body, kink, guard):
-    """Source of rhs(tt, y) and of run(...), the DOP853 loop over one span,
-    for an n-component system body: lines that read tt and s_0..s_{n-1} and
-    set r_0..r_{n-1} (and no name of the loop's own).
+    """Source of rhs(tt, y, tm) and of run(...), the DOP853 loop over one
+    span, for an n-component system body: lines that read tt and
+    s_0..s_{n-1} and set r_0..r_{n-1} (and no name of the loop's own).  The
+    body may read tm, a time inside the span: run sets it to the midpoint of
+    the span it steps over, and rhs to tt unless it is given.
 
     run(t, y_0.., k1_0.., h_abs, tb, d_0.., g_0.., n_steps, n_rej, max_steps,
-    atol, rtol, ts, ys, th, ks) steps from (t, y) with k1 = rhs(t, y) towards
-    tb: accept/reject, scipy DOP853's error norm |h| |e5|^2 / sqrt((|e5|^2 +
+    atol, rtol, ts, ys, th, ks) steps from (t, y) with k1 = rhs(t, y, tm)
+    towards tb: accept/reject, scipy DOP853's error norm |h| |e5|^2 / sqrt((|e5|^2 +
     0.01 |e3|^2) n), its controller (exponent -1/8) and its step-size
     update, with the body inline at each of the 11 stages and at f_new =
     k13.  The norm is 0 where the root's argument is 0, also where it
@@ -371,11 +373,13 @@ def _system_source(n, body, kink, guard):
     args = ", ".join([each(lambda i: f"y_{i}"), each(lambda i: f"k1_{i}"), "h_abs, tb",
                       *([each(lambda i: f"d_{i}", m), each(lambda i: f"g_{i}", m)] if m else []),
                       "n_steps, n_rej, max_steps, atol, rtol, ts, ys, th, ks"])
-    lines = ["def rhs(tt, y):",
+    lines = ["def rhs(tt, y, tm=None):",
+             "    if tm is None: tm = tt",
              f"    {each(lambda i: f's_{i}')}, = y",
              *indent(body, 1),
              f"    return ({each(lambda i: f'r_{i}')},)",
              f"def run(t, {args}):",
+             "    tm = 0.5 * (t + tb)",
              "    while True:",
              "        min_step = 10 * (nextafter(t, inf) - t)",
              "        if min_step > h_abs: h_abs = min_step",
@@ -473,8 +477,9 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     for leaving the side g first moves to, so a rest point on the kink stays
     at rest; after a root, the other way.  v=0 and x=0 crossings are found
     when RawSolution.events is read.  Each restart re-runs the starting-step
-    rule, as a new solve_ivp call would, each attempted step makes 12 calls
-    and each accepted one 3 more for its dense output, so
+    rule, as a new solve_ivp call would, with tm the midpoint of what the
+    loop then steps over (see _system_source); each attempted step makes 12
+    calls and each accepted one 3 more for its dense output, so
     nfev = 2 n_segments + 15 n_steps + 12 n_rejected.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -525,9 +530,11 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
             dirs.append(-1.0)
         while True:        # one restart of the integrator at (ta, y) per pass
             n_segments += 1
-            f = fun(ta, y)
+            # at the span's midpoint, as run reads it (a forcing's piece)
+            at = lambda t, y, tm=0.5 * (ta + tb): system(t, y, tm)
+            f = at(ta, y)
             try:
-                h_abs = _initial_step(fun, ta, y, f, tb - ta, cfg)
+                h_abs = _initial_step(at, ta, y, f, tb - ta, cfg)
             except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
                 fail(f"integration failed: no starting step at t = {ta} ({exc})")
             if not math.isfinite(h_abs):       # fun is not finite at (ta, y) or near it
@@ -576,11 +583,12 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     expression over tt, s_0..s_{n-1}, r_1 = x'' and V's derivatives dv and
     d2v at x (d2v is computed only when read).  V' and V'' are a built-in
     potential's declared expressions (a custom one's callbacks on the float
-    x), p is its scalar source, and fun.run is the DOP853 loop over
-    one span (_system_source), which restarts at a kink of V'' at x = 0 and
-    stops where x falls to a + cfg.singularity_margin above a singular
-    endpoint a (stages past a see V at a + 1e-13); fun.kink and fun.guard
-    carry them."""
+    x), p is its scalar source (a step's piece read at the span's midpoint
+    tm, so the stages at a break see the span's own piece), and fun.run is
+    the DOP853 loop over one span (_system_source), which restarts at a
+    kink of V'' at x = 0 and stops where x falls to a +
+    cfg.singularity_margin above a singular endpoint a (stages past a see V
+    at a + 1e-13); fun.kink and fun.guard carry them."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     dv, d2v, constants = pot.scalar or ("float(_dv(x))", "float(_d2v(x))",

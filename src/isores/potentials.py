@@ -255,14 +255,33 @@ def _ladder_walk(g, sign, point, k_lo, k_hi):
 _TO_LARGEST, _TO_TINIEST = 2048, 2149
 
 
+def _level_gap(pot, level):
+    """g(s) = V(s) - level, +inf where V overflows (an OverflowError of a
+    float callback included): above every level."""
+    def g(s):
+        try:
+            return pot.v(s) - level
+        except OverflowError:
+            return math.inf
+    return g
+
+
+def _level_root(g, a, b, above, name, level):
+    """brentq's root of g on the bracket (a, b), whose end above is above
+    the level.  Where V overflows just past the root towards above, the
+    sign change is that overflow and not the level."""
+    r = brentq(g, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    if math.isinf(g(r + math.copysign(1e-15 + 8.9e-16 * abs(r), above - r))):
+        raise NumericsError(f"{name}: V overflows before it reaches {level}")
+    return r
+
+
 def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
     """The unique s in (a, 0) with V(s) = level (0 < level < inf)."""
     if not 0 < level < math.inf:
         raise DomainError("inverse_V_negative: level must be finite and positive")
     a = pot.domain_left
-
-    def g(s):
-        return pot.v(s) - level
+    g = _level_gap(pot, level)
 
     # hi: below the level, from 0 (walking from -1 if a = -inf); lo: above it, to a
     if math.isfinite(a):
@@ -276,16 +295,14 @@ def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
     if hi is None or lo is None:
         raise NumericsError(
             f"inverse_V_negative: could not bracket V = {level} on ({a}, 0)")
-    return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    return _level_root(g, lo, hi, lo, "inverse_V_negative", level)
 
 
 def inverse_V_positive(pot: PotentialSpec, level: float) -> float:
     """The unique r in (0, inf) with V(r) = level (0 < level < inf)."""
     if not 0 < level < math.inf:
         raise DomainError("inverse_V_positive: level must be finite and positive")
-
-    def g(s):
-        return pot.v(s) - level
+    g = _level_gap(pot, level)
 
     # hi: above the level, walking from 1; lo: below it, from hi to 0
     hi = _ladder_walk(g, 1.0, lambda k: 2.0 ** (k / 2.0), -200, _TO_LARGEST)
@@ -294,7 +311,7 @@ def inverse_V_positive(pot: PotentialSpec, level: float) -> float:
     if hi is None or lo is None:
         raise NumericsError(
             f"inverse_V_positive: could not bracket V = {level} on (0, inf)")
-    return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    return _level_root(g, lo, hi, hi, "inverse_V_positive", level)
 
 
 def sigma_map(pot: PotentialSpec, x: float) -> float:

@@ -198,8 +198,14 @@ def test_inverse_level_walks_from_one(pin):
     assert len(calls) <= 20
 
 
-@pytest.mark.parametrize("pot", [pinney(), harmonic(3), asymmetric(2.0, 0.3)],
-                         ids=["pinney", "harmonic3", "asymmetric"])
+# x^2/2 + x^4/4 with Python float powers, whose x**4 raises OverflowError
+# past 2^256, where V would be about 4.5e307
+_QUARTIC = custom(v=lambda x: float(x) ** 2 / 2 + float(x) ** 4 / 4,
+                  dv=lambda x: x + x ** 3, d2v=lambda x: 1 + 3 * x ** 2)
+
+
+@pytest.mark.parametrize("pot", [pinney(), harmonic(3), asymmetric(2.0, 0.3), _QUARTIC],
+                         ids=["pinney", "harmonic3", "asymmetric", "quartic"])
 @pytest.mark.parametrize("level", [1e-300, 1e-121, 1e-40, 1e-3, 0.337, 1.0, 7.5, 1e40,
                                    1e120, 1e300])
 def test_inverse_level_brackets_at_the_first_ladder_point(pot, level):
@@ -218,6 +224,22 @@ def test_inverse_level_brackets_at_the_first_ladder_point(pot, level):
         lo = next(hi * 2.0 ** k for k in range(2000) if g(hi * 2.0 ** k) > 0)
         assert inverse_V_negative(pot, level) == brentq(g, lo, hi, xtol=1e-15,
                                                         rtol=8.9e-16, maxiter=200)
+
+
+@pytest.mark.parametrize("inverse, sign", [(inverse_V_positive, 1.0),
+                                           (inverse_V_negative, -1.0)])
+def test_inverse_level_past_the_overflow_of_v_raises(inverse, sign):
+    # the walk reaches 2^256 at level 1.2e307, where x**4 overflows: an
+    # overflow counts as above the level, and the root below it is V's; at
+    # 1e308 the only sign change is the overflow itself
+    root = inverse(_QUARTIC, 1.2e307)
+    assert sign * root == pytest.approx((4.8e307) ** 0.25, rel=1e-15)
+    assert _QUARTIC.v(root) == pytest.approx(1.2e307, rel=1e-15)
+    for pot in (_QUARTIC, custom(v=lambda x: x ** 2 / 2 + x ** 4 / 4,   # inf, not an error
+                                 dv=_QUARTIC.dv, d2v=_QUARTIC.d2v)):
+        with pytest.raises(NumericsError, match="V overflows before it reaches 1e"):
+            with np.errstate(over="ignore"):
+                inverse(pot, 1e308)
 
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
