@@ -17,7 +17,7 @@ from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, _quad_checked
 from .integrate import (VARIATIONAL, IntegratorConfig, RawSolution, State,
                         integrate_autonomous, solve_forced)
-from .potentials import (PotentialSpec, inverse_V_negative, inverse_V_positive)
+from .potentials import PotentialSpec, inverse_V
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +267,15 @@ def action_of_amplitude(pot: PotentialSpec, r: float) -> float:
 
 
 def amplitude_of_action(pot: PotentialSpec, action: float) -> float:
-    """Inverse of action_of_amplitude for isochronous potentials, using
-    Omega(I) = N*I = V(r)."""
+    """Inverse of action_of_amplitude for isochronous potentials: the r > 0
+    with V(r) = N*I, by inverse_V on the positive side, exact to rounding
+    for every action whose r is a float."""
     if action < 0:
         raise DomainError("amplitude_of_action: action must be nonnegative")
     if action == 0:
         return 0.0
     n = pot.require_isochronous()
-    return inverse_V_positive(pot, n * action)
+    return inverse_V(pot, n * action, 1)
 
 
 def to_action_angle(pot: PotentialSpec, s: State, cfg: IntegratorConfig) -> ActionAngle:
@@ -367,7 +368,7 @@ def negative_semiperiod(pot: PotentialSpec, action: float) -> float:
         lam2 = 4.0 * action + 1.0 + math.sqrt(8.0 * action * (1.0 + 2.0 * action))
         return 4.0 * math.asin(1.0 / math.sqrt(lam2 + 1.0))
     energy = n * action
-    r_neg = inverse_V_negative(pot, energy)
+    r_neg = inverse_V(pot, energy, -1)
 
     def integrand(u):
         val = energy - pot.v(r_neg * (1.0 - u * u))

@@ -265,7 +265,7 @@ def _dense_matrix():
 
 
 _DENSE = _dense_matrix()
-_ROOT_TOL = 4 * np.finfo(float).eps      # scipy's event-root tolerance
+_ROOT_TOL = 4 * math.ulp(1.0)      # scipy's event-root tolerance, a Python float
 
 
 def _system_source(n, body, kink, guard):

@@ -4,36 +4,23 @@ identical configs produce byte-identical files."""
 from __future__ import annotations
 
 import json
-import numbers
 from pathlib import Path
 
 import numpy as np
 
 
-def fmt(value) -> str:
-    if isinstance(value, float):     # float and numpy.float64: skip the ABC checks
-        return f"{float(value):.17g}"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return f"{float(value):.17g}"
-    if isinstance(value, numbers.Complex):
-        return f"{value.real:.17g}{value.imag:+.17g}j"
-    return str(value)
-
-
 def write_csv(path, header, rows):
+    """A CSV table: rows (an array, or rows of ints and floats) as floats,
+    each printed "%.17g" (a whole number below 1e17 as its digits, -0.0 as
+    -0)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    row_fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        # one format per row ("%.17g" prints a float as fmt does), in blocks:
-        # a whole-table list of Python floats would raise the peak memory
-        row_fmt = ",".join(["%.17g"] * rows.shape[1])
-        for k in range(0, len(rows), 1024):
-            lines.extend(map(row_fmt.__mod__, zip(*rows[k:k + 1024].T.tolist())))
-    else:
-        lines.extend(",".join(map(fmt, row)) for row in rows)
+    # in blocks: a whole-table list of Python floats would raise the peak memory
+    for k in range(0, len(table), 1024):
+        lines.extend(map(row_fmt.__mod__, zip(*table[k:k + 1024].T.tolist())))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -1,6 +1,7 @@
 """Potential families for isochronous centers: harmonic, shifted Pinney,
-asymmetric (piecewise-quadratic), and user-supplied callbacks, together with
-the singular-endpoint sigma map and its structural audit."""
+asymmetric (piecewise-quadratic), and user-supplied callbacks; inverse_V,
+the inversion of V on either side of the centre, exact to rounding at every
+level; and the singular-endpoint sigma map with its structural audit."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 
 DOMAIN_GUARD = 1e-14
-_BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_RTOL = 4 * math.ulp(1.0)
 
 
 def brentq(f, a, b, *, xtol, rtol, maxiter=100):
@@ -154,12 +155,12 @@ def harmonic(n: int) -> PotentialSpec:
 
 @functools.lru_cache(maxsize=1)
 def pinney() -> PotentialSpec:
-    """Shifted Pinney potential on (-1, inf):
-    V(x) = ((x+1)^2 + (x+1)^-2)/8 - 1/4, with a vertical asymptote at x=-1.
-    All orbits are 2*pi-periodic."""
+    """Shifted Pinney potential on (-1, inf), with a vertical asymptote at
+    x=-1: V(x) = ((x+1)^2 + (x+1)^-2)/8 - 1/4, evaluated as (x(x+2)/(x+1))^2/8,
+    which does not cancel near 0.  All orbits are 2*pi-periodic."""
     def _v(x):
-        u = np.asarray(x, dtype=float) + 1.0
-        return 0.125 * (u * u + u ** -2) - 0.25
+        x = np.asarray(x, dtype=float)
+        return 0.125 * np.square(x * (x + 2.0) / (x + 1.0))
 
     def _dv(x):
         u = np.asarray(x, dtype=float) + 1.0
@@ -223,38 +224,6 @@ def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None,
                          kink_at_zero=kink_at_zero)
 
 
-def _ladder_point(g, sign, ladder, floor=None):
-    """The first point of the ladder (an iterable, read in order) where g has
-    the sign of sign, or None; with a floor, None from the first point at or
-    below it, which g is not evaluated at."""
-    for cand in ladder:
-        if floor is not None and cand <= floor:
-            return None
-        if sign * g(cand) > 0:
-            return cand
-    return None
-
-
-def _ladder_walk(g, sign, point, k_lo, k_hi):
-    """point(k) for the first k in range(k_lo, k_hi) where g has the sign of
-    sign, or None, if g keeps that sign once it has it (V monotone on each
-    side): walk from point(0) = +-1 down while it holds or up until it does."""
-    if not sign * g(point(0)) > 0:
-        return _ladder_point(g, sign, map(point, range(1, k_hi)))
-    k = 0
-    while k > k_lo and sign * g(point(k - 1)) > 0:
-        k -= 1
-    return point(k)
-
-
-# The far ends of the walks up from 1 and from -1 towards 0: 2**(k/2) is the
-# largest finite ladder point at k = _TO_LARGEST - 1 and -2**(-k/2) the
-# smallest subnormal at k = _TO_TINIEST - 1, so both reach the whole float
-# range.  The walks the other way stop at k = -200; past that point the
-# 2000-step ladder from it finds the other end of the bracket.
-_TO_LARGEST, _TO_TINIEST = 2048, 2149
-
-
 def _level_gap(pot, level):
     """g(s) = V(s) - level, +inf where V overflows (an OverflowError of a
     float callback included): above every level."""
@@ -266,65 +235,60 @@ def _level_gap(pot, level):
     return g
 
 
-def _level_root(g, a, b, above, name, level):
-    """brentq's root of g on the bracket (a, b), whose end above is above
-    the level.  Where V overflows just past the root towards above, the
-    sign change is that overflow and not the level."""
-    r = brentq(g, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    if math.isinf(g(r + math.copysign(1e-15 + 8.9e-16 * abs(r), above - r))):
-        raise NumericsError(f"{name}: V overflows before it reaches {level}")
-    return r
+# brentq stops on a width relative to the root x of V = level, 8.9e-16 |x|
+# plus the smallest subnormal, so a root of any size is exact to rounding
+_LEVEL_RTOL, _LEVEL_XTOL = 8.9e-16, math.ulp(0.0)
 
 
-def inverse_V_negative(pot: PotentialSpec, level: float) -> float:
-    """The unique s in (a, 0) with V(s) = level (0 < level < inf)."""
+def inverse_V(pot: PotentialSpec, level: float, side: int) -> float:
+    """The unique x with V(x) = level (0 < level < inf) on one side of the
+    centre: (0, inf) for side = 1, (a, 0) for side = -1.
+
+    One walk brackets it on either side, from x0 = side (a/2 where that side
+    ends at a finite a) along the ladder x0 2^(k/2): outward while V is below
+    the level, inward while V is above it; on a finite side an outward step
+    halves the gap to a, down to a + 4 DOMAIN_GUARD.  The first two points
+    that straddle the level bracket the root (a point on the level is it),
+    and brentq narrows the bracket to a width relative to the root."""
     if not 0 < level < math.inf:
-        raise DomainError("inverse_V_negative: level must be finite and positive")
-    a = pot.domain_left
+        raise DomainError("inverse_V: level must be finite and positive")
+    a = pot.domain_left if side < 0 else math.inf
+    x0 = a / 2.0 if math.isfinite(a) else float(side)
     g = _level_gap(pot, level)
 
-    # hi: below the level, from 0 (walking from -1 if a = -inf); lo: above it, to a
-    if math.isfinite(a):
-        hi = _ladder_point(g, -1.0, (a * 2.0 ** (-k) for k in range(1, 200)))
-        lo = None if hi is None else _ladder_point(
-            g, 1.0, (a + (hi - a) * 2.0 ** (-k) for k in range(200)), a + DOMAIN_GUARD * 4)
-    else:
-        hi = _ladder_walk(g, -1.0, lambda k: -(2.0 ** (-k / 2.0)), -200, _TO_TINIEST)
-        lo = None if hi is None else _ladder_point(
-            g, 1.0, (hi * 2.0 ** k for k in range(2000)))
-    if hi is None or lo is None:
-        raise NumericsError(
-            f"inverse_V_negative: could not bracket V = {level} on ({a}, 0)")
-    return _level_root(g, lo, hi, lo, "inverse_V_negative", level)
+    def point(k):
+        if k > 0 and math.isfinite(a):
+            return max(a + (x0 - a) * 2.0 ** -k, a + 4.0 * DOMAIN_GUARD)
+        return x0 * 2.0 ** (k / 2.0) if k < 2048 else math.inf
 
-
-def inverse_V_positive(pot: PotentialSpec, level: float) -> float:
-    """The unique r in (0, inf) with V(r) = level (0 < level < inf)."""
-    if not 0 < level < math.inf:
-        raise DomainError("inverse_V_positive: level must be finite and positive")
-    g = _level_gap(pot, level)
-
-    # hi: above the level, walking from 1; lo: below it, from hi to 0
-    hi = _ladder_walk(g, 1.0, lambda k: 2.0 ** (k / 2.0), -200, _TO_LARGEST)
-    lo = None if hi is None else _ladder_point(
-        g, -1.0, (hi * 2.0 ** (-k) for k in range(2000)), 0.0)
-    if hi is None or lo is None:
-        raise NumericsError(
-            f"inverse_V_positive: could not bracket V = {level} on (0, inf)")
-    return _level_root(g, lo, hi, hi, "inverse_V_positive", level)
+    k, x, gx = 0, x0, g(x0)
+    step = 1 if gx < 0 else -1
+    while gx != 0:
+        nxt = point(k + step)
+        if nxt in (x, 0.0) or math.isinf(nxt):
+            raise NumericsError(f"inverse_V: could not bracket V = {level} on side {side}")
+        gn = g(nxt)
+        if gn != 0 and (gn < 0) != (gx < 0):
+            r = brentq(g, min(x, nxt), max(x, nxt), xtol=_LEVEL_XTOL, rtol=_LEVEL_RTOL,
+                       maxiter=200)
+            # where V overflows just past r towards the end above the level,
+            # the sign change is that overflow and not the level
+            above = nxt if gn > 0 else x
+            if math.isinf(g(r + math.copysign(_LEVEL_XTOL + _LEVEL_RTOL * abs(r), above - r))):
+                raise NumericsError(f"inverse_V: V overflows before it reaches {level}")
+            return r
+        k, x, gx = k + step, nxt, gn
+    return x
 
 
 def sigma_map(pot: PotentialSpec, x: float) -> float:
-    """The negative preimage sigma(x) in (a, 0) with V(sigma(x)) = V(x).
-
-    Requires a potential with a finite singular left endpoint and x > 0.
-    Bracketed root finding, relative tolerance well below 1e-12.
-    """
+    """The negative preimage sigma(x) in (a, 0) with V(sigma(x)) = V(x), by
+    inverse_V; needs a finite singular left endpoint a and x > 0."""
     if not pot.singular_left:
         raise DomainError(f"{pot.kind}: sigma map needs a finite left endpoint")
     if x <= 0:
         raise DomainError("sigma_map: x must be positive")
-    return inverse_V_negative(pot, pot.v(x))
+    return inverse_V(pot, pot.v(x), -1)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from isores.autonomous import (bouncing_limit_audit, dx_dI_rofe_beketov,
                                psi_solution)
 from isores.phi import (corollary_bound, default_r_grid, eval_phi, phi_scan,
                         pinney_fourier_constants, winding_number)
-from isores.potentials import appendix_audit, inverse_V_positive
+from isores.potentials import appendix_audit, inverse_V
 from isores.dynamics import find_periodic_solution, seed_from_phi_zero
 from isores.acw import (AcwState, acw_first_integral, acw_numeric_check,
                         acw_orbit, acw_poincare, phi_lambda)
@@ -84,8 +84,8 @@ def test_criterion_05_rofe_beketov_vs_finite_differences(pin, cfg):
     for r in (0.5, 1.0, 5.0):
         action = pin.v(r)
         h = 1e-4 * action
-        xp, _ = pinney_phi_closed(inverse_V_positive(pin, action + h), ts)
-        xm, _ = pinney_phi_closed(inverse_V_positive(pin, action - h), ts)
+        xp, _ = pinney_phi_closed(inverse_V(pin, action + h, 1), ts)
+        xm, _ = pinney_phi_closed(inverse_V(pin, action - h, 1), ts)
         fd = (xp - xm) / (2.0 * h)
         rb = dx_dI_rofe_beketov(pin, r, ts, cfg)
         worst = max(worst, float(np.max(np.abs(rb - fd)

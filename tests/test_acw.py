@@ -129,6 +129,20 @@ def test_numeric_check_sample_grid(cfg):
                 assert chk.max_err <= 1e-6
 
 
+@pytest.mark.parametrize("c", [4.0, 0.25])
+def test_numeric_check_reads_r_on_its_span(monkeypatch, cfg, c):
+    # R read at the stage time gave the stages at pi/2 the next piece's
+    # level: 148 steps (76 shorter than 1e-4) and 3028 right-hand sides at
+    # c = 4; read on the span's own piece it takes 27
+    import isores.acw as acw_mod
+    solves, real = [], acw_mod.integrate_ode
+    monkeypatch.setattr(acw_mod, "integrate_ode",
+                        lambda *a, **k: solves.append(real(*a, **k)) or solves[-1])
+    chk = acw_numeric_check(c, AcwState(1.0, 0.0), cfg)
+    assert chk.max_err <= 1e-10
+    assert len(solves) == 1 and solves[0].stats["n_steps"] <= 40
+
+
 def test_two_piece_generalization(cfg):
     # r1 = r2 = lam: the period map of the autonomous equation with that lam
     s = AcwState(1.4, 0.7)

@@ -17,7 +17,7 @@ from isores.autonomous import (ActionAngle, action_of_amplitude,
                                pinney_phi_closed, pinney_psi_antiderivative,
                                pinney_psi_closed, psi_solution, sturm_argument,
                                to_action_angle)
-from isores.potentials import custom, inverse_V_positive
+from isores.potentials import custom, inverse_V
 
 
 def pinney_t_minus_closed(action):
@@ -333,8 +333,8 @@ def test_rofe_beketov_vs_finite_differences(pin, cfg):
     for r in (0.5, 1.0, 5.0):
         action = pin.v(r)
         h = 1e-4 * action
-        rp = inverse_V_positive(pin, action + h)
-        rm = inverse_V_positive(pin, action - h)
+        rp = inverse_V(pin, action + h, 1)
+        rm = inverse_V(pin, action - h, 1)
         xp, _ = pinney_phi_closed(rp, ts)
         xm, _ = pinney_phi_closed(rm, ts)
         fd = (xp - xm) / (2.0 * h)
@@ -419,7 +419,7 @@ def test_negative_semiperiod_quadrature_for_other_centres(har):
     (iso.pinney(), math.nan), (iso.pinney(), math.inf), (iso.harmonic(1), math.inf)])
 def test_negative_semiperiod_requires_finite_positive_action(pot, action):
     # Pinney's closed form gave nan for nan and 0.0 for inf, and harmonic's
-    # quadrature failed in inverse_V_negative instead of naming the action
+    # quadrature failed in the inversion of V instead of naming the action
     with pytest.raises(DomainError, match="negative_semiperiod: action must be finite"):
         negative_semiperiod(pot, action)
 

@@ -186,7 +186,7 @@ print(codes, sorted(m for m in sys.modules if m.startswith("scipy")), file=sys.s
 
 def test_the_runtime_never_loads_scipy():
     # a scan, a period read from crossings (brentq in integrate), a Newton
-    # solve seeded through inverse_V_positive (brentq in potentials) and a
+    # solve seeded through inverse_V (brentq in potentials) and a
     # forced run, all in a fresh interpreter
     src = str(Path(isores.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

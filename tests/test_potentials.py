@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import isores as iso
 from isores.errors import ConfigError, DomainError, NumericsError
-from isores.potentials import (appendix_audit, asymmetric, brentq, custom,
-                               harmonic, inverse_V_negative, inverse_V_positive,
-                               pinney, potential_from_descriptor, sigma_map)
+from isores.potentials import (DOMAIN_GUARD, appendix_audit, asymmetric, brentq,
+                               custom, harmonic, inverse_V, pinney,
+                               potential_from_descriptor, sigma_map)
 
 
 def test_pinney_values(pin):
@@ -18,6 +19,23 @@ def test_pinney_values(pin):
     assert pin.d2v(0.0) == pytest.approx(1.0, abs=1e-15)   # 1/4 + 3/4
     assert pin.dv(1.0) == pytest.approx(15.0 / 32.0, abs=1e-15)
     assert pin.v(1.0) == pytest.approx(9.0 / 32.0, abs=1e-15)
+
+
+# V(x) = ((x+1)^2 + (x+1)^-2)/8 - 1/4 at the float x, in 40-digit mpmath
+_PINNEY_V_MP = [(0.01, 4.950617586511126565256355e-5), (1e-4, 4.999500062492501354045501e-9),
+                (1e-6, 4.999995000006249539981806e-13), (1e-8, 4.999999950000000834225598e-17),
+                (-1e-8, 5.000000050000000834225619e-17), (-0.01, 5.050632588511376601506422e-5),
+                (-0.9, 12.25125000000000555056001), (2.5, 1.29145408163265306122449),
+                (1e8, 1250000024999999.875)]
+
+
+def test_pinney_v_has_no_cancellation_near_the_centre(pin):
+    # 0.125 (u^2 + u^-2) - 0.25 cancelled near 0: 6.9e-13 off at x = 0.01,
+    # the first nonzero r of default_r_grid, and 0.11 at 1e-8
+    for x, ref in _PINNEY_V_MP:
+        assert abs(pin.v(x) / ref - 1) <= 1e-15, x
+    xs = np.array([x for x, _ in _PINNEY_V_MP])
+    assert np.array_equal(pin.v(xs), [pin.v(x) for x in xs])
 
 
 def test_harmonic_values():
@@ -177,15 +195,14 @@ def test_appendix_audit_near_zero(pin):
 
 def test_inverse_level_helpers(pin):
     e = pin.v(2.5)
-    assert inverse_V_positive(pin, e) == pytest.approx(2.5, rel=1e-12)
-    s = inverse_V_negative(pin, e)
+    assert inverse_V(pin, e, 1) == pytest.approx(2.5, rel=1e-12)
+    s = inverse_V(pin, e, -1)
     assert pin.v(s) == pytest.approx(e, rel=1e-12)
     h = harmonic(2)
-    assert inverse_V_negative(h, 2.0) == pytest.approx(-1.0, rel=1e-12)
-    # roots past 2^199.5 and below 2^-100 in size; below 1e-15 the root is
-    # found to brentq's absolute xtol only
-    assert inverse_V_positive(harmonic(1), 1e120) == pytest.approx(math.sqrt(2e120), rel=1e-15)
-    assert abs(inverse_V_negative(harmonic(1), 1e-121) + math.sqrt(2e-121)) <= 1e-15
+    assert inverse_V(h, 2.0, -1) == pytest.approx(-1.0, rel=1e-12)
+    # roots past 2^199.5 and below 2^-100 in size, both to a relative width
+    assert inverse_V(harmonic(1), 1e120, 1) == pytest.approx(math.sqrt(2e120), rel=1e-15)
+    assert inverse_V(harmonic(1), 1e-121, -1) == pytest.approx(-math.sqrt(2e-121), rel=1e-15)
 
 
 def test_inverse_level_walks_from_one(pin):
@@ -194,7 +211,7 @@ def test_inverse_level_walks_from_one(pin):
     calls = []
     counted = custom(v=lambda x: calls.append(1) or pin.v(x), dv=pin.dv, d2v=pin.d2v,
                      domain_left=-1.0)
-    assert inverse_V_positive(counted, 0.337) == inverse_V_positive(pin, 0.337)
+    assert inverse_V(counted, 0.337, 1) == inverse_V(pin, 0.337, 1)
     assert len(calls) <= 20
 
 
@@ -204,51 +221,100 @@ _QUARTIC = custom(v=lambda x: float(x) ** 2 / 2 + float(x) ** 4 / 4,
                   dv=lambda x: x + x ** 3, d2v=lambda x: 1 + 3 * x ** 2)
 
 
+def _ladder_from_zero(pot, side):
+    """The walk's ladder on one side, read from its far end at 0 outwards:
+    x0 2^(k/2) with x0 = side (a/2 on a finite side a), then on a finite
+    side the points that halve the gap to a, down to a + 4 DOMAIN_GUARD."""
+    a = pot.domain_left if side < 0 else math.inf
+    if math.isinf(a):
+        return [side * 2.0 ** (k / 2.0) for k in range(-2150, 2048)]
+    floor = a + 4 * DOMAIN_GUARD
+    inner = [a / 2 * 2.0 ** (k / 2.0) for k in range(-2150, 1)]
+    outer = [a + (a / 2 - a) * 2.0 ** -k for k in range(1, 60)]
+    return inner + [x for x in outer if x > floor] + [floor]
+
+
 @pytest.mark.parametrize("pot", [pinney(), harmonic(3), asymmetric(2.0, 0.3), _QUARTIC],
                          ids=["pinney", "harmonic3", "asymmetric", "quartic"])
 @pytest.mark.parametrize("level", [1e-300, 1e-121, 1e-40, 1e-3, 0.337, 1.0, 7.5, 1e40,
                                    1e120, 1e300])
 def test_inverse_level_brackets_at_the_first_ladder_point(pot, level):
-    # the walk finds the same first ladder point as a scan from the ladder's
-    # far end, 2^(k/2) for k = -200, ..., 2047 (negated and read outside in
-    # on an unbounded left side, to k = 2148), so the root is the same to the
-    # bit; below 2^-100 and above 2^199.5 (levels 1e-121 and 1e120 on the
-    # harmonic centres) the walks once stopped and could not bracket
+    # the walk from 1 (or a/2) finds the same straddling pair as a scan of
+    # its ladder from 0, so the root is the same to the bit; on Pinney's
+    # finite side a level above V(a + 4 DOMAIN_GUARD) has no bracket
     g = lambda x: pot.v(x) - level
-    hi = next(2.0 ** (k / 2.0) for k in range(-200, 2048) if g(2.0 ** (k / 2.0)) > 0)
-    lo = next(hi * 2.0 ** (-k) for k in range(2000) if g(hi * 2.0 ** (-k)) < 0)
-    assert inverse_V_positive(pot, level) == brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16,
-                                                    maxiter=200)
-    if math.isinf(pot.domain_left):
-        hi = next(-(2.0 ** (-k / 2.0)) for k in range(-200, 2149) if g(-(2.0 ** (-k / 2.0))) < 0)
-        lo = next(hi * 2.0 ** k for k in range(2000) if g(hi * 2.0 ** k) > 0)
-        assert inverse_V_negative(pot, level) == brentq(g, lo, hi, xtol=1e-15,
-                                                        rtol=8.9e-16, maxiter=200)
+    for side in (1, -1):
+        ladder = _ladder_from_zero(pot, side)
+        k = next((k for k, x in enumerate(ladder) if g(x) >= 0), None)
+        if k is None:
+            with pytest.raises(NumericsError, match="could not bracket"):
+                inverse_V(pot, level, side)
+            continue
+        lo, hi = sorted((ladder[k - 1], ladder[k]))
+        root = ladder[k] if g(ladder[k]) == 0 else brentq(
+            g, lo, hi, xtol=math.ulp(0.0), rtol=8.9e-16, maxiter=200)
+        assert inverse_V(pot, level, side) == root
 
 
-@pytest.mark.parametrize("inverse, sign", [(inverse_V_positive, 1.0),
-                                           (inverse_V_negative, -1.0)])
-def test_inverse_level_past_the_overflow_of_v_raises(inverse, sign):
+def _closed_form_root(pot, level, side):
+    """The root x* of V(x) = level in 400-digit decimal arithmetic:
+    side sqrt(2 level/alpha), alpha the curvature on that side, or on
+    Pinney u - 1/u = side sqrt(8 level) with u = x + 1, so x* = s/2 (1 +
+    s/(sqrt(s^2 + 4) + 2)) with s = side sqrt(8 level)."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        level = Decimal(level)
+        if pot.kind == "pinney":
+            s = side * (8 * level).sqrt()
+            return s / 2 * (1 + s / ((s * s + 4).sqrt() + 2))
+        alpha = pot.params[0] ** 2 if pot.kind == "harmonic" else pot.params[side < 0]
+        return side * (2 * level / Decimal(alpha)).sqrt()
+
+
+@pytest.mark.parametrize("pot", [harmonic(1), harmonic(3), asymmetric(2.0, 0.3), pinney()],
+                         ids=["harmonic1", "harmonic3", "asymmetric", "pinney"])
+@pytest.mark.parametrize("side", [1, -1])
+def test_inverse_level_is_exact_to_rounding(pot, side):
+    # every factor 10^7 from 1e-300 to 1e295, each root whose walk can
+    # bracket it (on Pinney's finite side, above a + 4 DOMAIN_GUARD); the
+    # ladder walks once stopped at 2^-100 and 2^199.5 and refined below 1e-15
+    # to an absolute width (harmonic(1): 44 % off at 1e-119), and Pinney's V
+    # cancelled near 0 (32 % off at 1e-40)
+    floor = Decimal(pot.domain_left + 4 * DOMAIN_GUARD) if pot.singular_left else None
+    checked = 0
+    for k in range(-300, 301, 7):
+        level = float(f"1e{k}")
+        exact = _closed_form_root(pot, level, side)
+        if floor is not None and exact <= floor:
+            continue
+        x = inverse_V(pot, level, side)
+        assert abs(Decimal(x) / exact - 1) <= Decimal("1e-15"), (level, x)
+        checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_inverse_level_past_the_overflow_of_v_raises(side):
     # the walk reaches 2^256 at level 1.2e307, where x**4 overflows: an
     # overflow counts as above the level, and the root below it is V's; at
     # 1e308 the only sign change is the overflow itself
-    root = inverse(_QUARTIC, 1.2e307)
-    assert sign * root == pytest.approx((4.8e307) ** 0.25, rel=1e-15)
+    root = inverse_V(_QUARTIC, 1.2e307, side)
+    assert side * root == pytest.approx((4.8e307) ** 0.25, rel=1e-15)
     assert _QUARTIC.v(root) == pytest.approx(1.2e307, rel=1e-15)
     for pot in (_QUARTIC, custom(v=lambda x: x ** 2 / 2 + x ** 4 / 4,   # inf, not an error
                                  dv=_QUARTIC.dv, d2v=_QUARTIC.d2v)):
         with pytest.raises(NumericsError, match="V overflows before it reaches 1e"):
             with np.errstate(over="ignore"):
-                inverse(pot, 1e308)
+                inverse_V(pot, 1e308, side)
 
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("inverse", [inverse_V_positive, inverse_V_negative])
-def test_inverse_level_must_be_finite_and_positive(pin, inverse, level):
+@pytest.mark.parametrize("side", [1, -1])
+def test_inverse_level_must_be_finite_and_positive(pin, side, level):
     # a nan level passed the old level <= 0 test and failed in the bracketing
     # with "could not bracket V = nan"
     with pytest.raises(DomainError, match="level must be finite and positive"):
-        inverse(pin, level)
+        inverse_V(pin, level, side)
 
 
 # -- brentq: the port of scipy.optimize.brentq -------------------------------------
