@@ -84,15 +84,15 @@ def acw_numeric_check(c: float, s0: AcwState, cfg: IntegratorConfig) -> AcwCheck
     if c <= 0:
         raise NumericsError("acw_numeric_check: c must be positive")
 
-    # R is read at tm, a time inside the span, so the stages at pi/2 read
-    # the span's own piece
-    fun = _compile_system(2, ["lam = 1.0 if tm % pi < half_pi else c",
-                              "x = s_0",
+    # R is read once per span at tm, a time inside it, so the stages at
+    # pi/2 read the span's own piece
+    fun = _compile_system(2, ["x = s_0",
                               "if x < 1e-9: x = 1e-9",
                               "r_0 = s_1",
                               "r_1 = -s_0 + lam / x ** 3"],
                           {"pi": math.pi, "half_pi": 0.5 * math.pi, "c": c},
-                          guard=("x_zero_guard", "z_0 - 1e-9"))
+                          guard=("x_zero_guard", "z_0 - 1e-9"),
+                          span=["lam = 1.0 if tm % pi < half_pi else c"])
     raw = integrate_ode(fun, [s0.x, s0.y], 0.0, math.pi, cfg, breakpoints=[0.5 * math.pi])
     numeric = AcwState(float(raw.ys[-1, 0]), float(raw.ys[-1, 1]))
     analytic = acw_poincare(c, s0)

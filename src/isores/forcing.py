@@ -4,6 +4,7 @@ adaptive quadrature of the package (adaptive_complex_quad)."""
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -26,11 +27,15 @@ class ForcingTerm:
         raise NotImplementedError
 
     def scalar_source(self):
-        """Statements that set p to p(tt) for a float tt in the integrator's
-        compiled right-hand sides, and the values of the names they read.
-        They may read tm, a time inside the span between breaks that tt lies
-        in, for the piece of a forcing that jumps at those breaks."""
-        return ["p = float(p_eval(tt))"], {"p_eval": self.eval}
+        """(span, lines, constants): statements that set p to p(tt) for a
+        float tt in the integrator's compiled right-hand sides, and the
+        values of the names they read.  The span statements read only tm, a
+        time inside the span between the split points that tt lies in, and
+        run once per span (and once per right-hand-side call), not at every
+        stage: there a forcing reads the piece or segment it has on the
+        span, and the lines, which run at every stage, read what they set.
+        Names start with p, and none is one of the step loop's own."""
+        return [], ["p = float(p_eval(tt))"], {"p_eval": self.eval}
 
     def jump_points(self):
         """Discontinuity times of p within [0, 2*pi), as a sorted array."""
@@ -85,7 +90,7 @@ class TrigPoly(ForcingTerm):
                 if c:
                     lines.append(f"p = p + {name} * {fn}({k} * tt)")
                     constants[name] = c
-        return lines, constants
+        return [], lines, constants
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -139,10 +144,10 @@ class PiecewiseConst(ForcingTerm):
         return vals if vals.ndim else float(vals)
 
     def scalar_source(self):
-        # p is constant between the breaks the integrator splits at, so it is
-        # read at tm, a time inside the step's span: at the span's end tt
-        # would give the next piece, and its stages there would jump
-        return ["p = float(p_eval(tm))"], {"p_eval": self.eval}
+        # p is constant between the breaks the integrator splits at, so the
+        # span reads its piece once, at tm: at the span's end tt would give
+        # the next piece, and its stages there would jump
+        return ["p = float(p_eval(tm))"], [], {"p_eval": self.eval}
 
     def jump_points(self):
         base = np.asarray(self.breakpoints)
@@ -175,6 +180,23 @@ class Sampled(ForcingTerm):
         vgrid = np.append(self.values, self.values[0])
         out = np.interp(tau, tgrid, vgrid)
         return out if out.ndim else float(out)
+
+    def scalar_source(self):
+        # p is linear between the samples the integrator splits at, so the
+        # span reads its segment once, at tm: the start s (in absolute time,
+        # as the split points are tiled), the value there and np.interp's
+        # slope; each stage is then v + m (tt - s)
+        n, starts = len(self.values), self.times.tolist()
+        values = [*self.values, self.values[0]]
+        ends = [*starts[1:], TWO_PI]
+        slopes = [(values[j + 1] - values[j]) / (ends[j] - starts[j]) for j in range(n)]
+
+        def segment(tm):
+            k, tau = divmod(tm, TWO_PI)
+            j = min(bisect.bisect_right(starts, tau), n) - 1
+            return starts[j] + k * TWO_PI, values[j], slopes[j]
+        return (["p_s, p_v, p_m = p_segment(tm)"], ["p = p_v + p_m * (tt - p_s)"],
+                {"p_segment": segment})
 
     def kink_points(self):
         return self.times.copy()

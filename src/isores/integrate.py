@@ -12,22 +12,25 @@ restart (start, forcing breakpoint, kink) 2 more, so nfev = 2 n_segments +
 15 n_steps + 12 n_rejected.  The whole
 accept/reject loop over one span is generated as source over scalar locals
 (_system_source) and compiled once per structure: the state size n, the
-system's body (the lines that compute the right-hand side) and the
-expressions of the kink and the guard it watches.  forced_system, the one
-builder of x'' = -V'(x) + eps*p(t) and its extra components (n = 2 for a
-forced run, 3 with the Rofe-Beketov integral, 6 with the variational pairs;
-solve_forced solves it), writes that body from the expression text a
-built-in potential declares for V' and V'' and from the statements TrigPoly
-writes for p (math.cos/math.sin, no numpy call), and the loop runs the body
-inline at each stage, so no stage
-makes a Python call (custom potentials and other forcings call their
-callbacks from the body, and a plain function is called from a body of one
-line).  The constants (eps, the coefficients, the clamp, the guard's
-threshold) are globals bound per system, so systems that differ only in
-values share one code object.  The loop returns to integrate_ode only at the
-span's end, after the step that crosses max_steps, when the step size falls
-below the spacing of floats, or on a sign change of the kink or the guard,
-which ends a step and is root-found on the step's interpolant there;
+system's body (the lines that compute the right-hand side), its span
+statements (lines run once per span) and the expressions of the kink and
+the guard it watches.  forced_system, the one builder of x'' = -V'(x) +
+eps*p(t) and its extra components (n = 2 for a forced run, 3 with the
+Rofe-Beketov integral, 6 with the variational pairs; solve_forced solves
+it), writes that body from the expression text a built-in potential
+declares for V' and V'' and from the statements a forcing writes for p:
+TrigPoly's over math.cos/math.sin, a step's piece and a sampled forcing's
+segment read by span statements once per span, so that each stage reads a
+float or one line of arithmetic.  The loop runs the body inline at each
+stage, so no stage makes a Python call (custom potentials and custom
+forcings call their callbacks from the body, and a plain function is
+called from a body of one line).  The constants (eps, the coefficients,
+the clamp, the guard's threshold) are globals bound per system, so systems
+that differ only in values share one code object.  The loop returns to
+integrate_ode only at the span's end, after the step that crosses
+max_steps, when the step size falls below the spacing of floats, or on a
+sign change of the kink or the guard, which ends a step and is root-found
+on the step's interpolant there;
 integrate_ode loops over the spans between breakpoints and restarts the
 step at each kink root, by one rule for the kink (see integrate_ode).  An
 attempted step of a forced harmonic or Pinney run costs 16-18 us, 1.1-1.3
@@ -40,8 +43,8 @@ controller's comparisons give min's and max's floats (the tests' reference
 loop), so the results are the same to the bit.  The v=0 and x=0 crossings
 are found when RawSolution.events is first read.  Each step appends its 16
 stage rows to a flat list; the dense output (StepTable) is built from them
-in one array product at the end, and RawSolution.eval evaluates any number
-of times in one array operation.
+(np.fromiter, then one array product) at the end, and RawSolution.eval
+evaluates any number of times in one array operation.
 """
 
 from __future__ import annotations
@@ -157,18 +160,20 @@ class RawSolution:
             raise ValueError("evaluation time outside the integrated span")
         t_arr = np.clip(t_arr, t0, t1)
         tab = self.steps
+        rows, powers, n = tab.coef.shape
         k = np.searchsorted(self.ts[1:-1], t_arr, side="left")
-        s = ((t_arr - tab.t_old[k]) / tab.h[k])[:, None]
-        coef = tab.coef[k]
+        h = tab.h.take(k)
+        # one flat run per component, [c_0 at every time, c_1 ...], so that
+        # each operation below is on contiguous arrays of one shape
+        s = np.concatenate([(t_arr - tab.t_old.take(k)) / h] * n)
+        coef = tab.coef.reshape(rows, -1).T.take(k, axis=1).reshape(powers, -1)
         p = s
-        y = coef[:, 0] * p
-        for j in range(1, coef.shape[1]):
+        y = coef[0] * p
+        for c in coef[1:]:
             p = p * s
-            y += coef[:, j] * p
-        y = tab.h[k][:, None] * y + tab.y_old[k]
-        if np.ndim(t) == 0:
-            return y[0]
-        return y.T
+            y += c * p
+        y = np.concatenate([h] * n) * y + tab.y_old.T.take(k, axis=1).ravel()
+        return y.reshape(n, -1)[:, 0] if np.ndim(t) == 0 else y.reshape(n, -1)
 
 
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10),
@@ -268,12 +273,15 @@ _DENSE = _dense_matrix()
 _ROOT_TOL = 4 * math.ulp(1.0)      # scipy's event-root tolerance, a Python float
 
 
-def _system_source(n, body, kink, guard):
+def _system_source(n, span, body, kink, guard):
     """Source of rhs(tt, y, tm) and of run(...), the DOP853 loop over one
     span, for an n-component system body: lines that read tt and
     s_0..s_{n-1} and set r_0..r_{n-1} (and no name of the loop's own).  The
     body may read tm, a time inside the span: run sets it to the midpoint of
-    the span it steps over, and rhs to tt unless it is given.
+    the span it steps over, and rhs to tt unless it is given.  The span
+    statements (lines over tm and constants only, such as a forcing's
+    piece) run once where tm is set, at run's start and in each rhs call,
+    and the body reads the names they set at every stage.
 
     run(t, y_0.., k1_0.., h_abs, tb, d_0.., g_0.., n_steps, n_rej, max_steps,
     atol, rtol, ts, ys, th, ks) steps from (t, y) with k1 = rhs(t, y, tm)
@@ -375,11 +383,13 @@ def _system_source(n, body, kink, guard):
                       "n_steps, n_rej, max_steps, atol, rtol, ts, ys, th, ks"])
     lines = ["def rhs(tt, y, tm=None):",
              "    if tm is None: tm = tt",
+             *indent(span, 1),
              f"    {each(lambda i: f's_{i}')}, = y",
              *indent(body, 1),
              f"    return ({each(lambda i: f'r_{i}')},)",
              f"def run(t, {args}):",
              "    tm = 0.5 * (t + tb)",
+             *indent(span, 1),
              "    while True:",
              "        min_step = 10 * (nextafter(t, inf) - t)",
              "        if min_step > h_abs: h_abs = min_step",
@@ -401,24 +411,25 @@ def _system_source(n, body, kink, guard):
 
 
 @lru_cache(maxsize=64)
-def _compiled(n, body, kink, guard):
-    """The compiled _system_source(n, body, kink, guard), cached by structure:
-    systems that differ only in the values of their constants share one code
-    object."""
-    return compile(_system_source(n, body, kink, guard), f"<isores system, n={n}>", "exec")
+def _compiled(n, span, body, kink, guard):
+    """The compiled _system_source(n, span, body, kink, guard), cached by
+    structure, the span statements included: systems that differ only in
+    the values of their constants share one code object."""
+    return compile(_system_source(n, span, body, kink, guard), f"<isores system, n={n}>",
+                   "exec")
 
 
-def _compile_system(n, body, constants, kink=None, guard=None):
-    """rhs(t, y) of an n-component system from its body (lines, see
-    _system_source), with its loop as rhs.run.  The loop watches the kink,
-    an expression over t_new and the step's end state z_0..z_{n-1}, and the
-    guard, (kind, expression); rhs.kink and rhs.guard are the same
-    expressions as integrate_ode's options, g(t, y) and (kind, g(t, y)), or
-    None.  constants are the values of the globals that the body and the
-    expressions read, bound per system."""
+def _compile_system(n, body, constants, kink=None, guard=None, span=()):
+    """rhs(t, y) of an n-component system from its body and span statements
+    (lines, see _system_source), with its loop as rhs.run.  The loop watches
+    the kink, an expression over t_new and the step's end state
+    z_0..z_{n-1}, and the guard, (kind, expression); rhs.kink and rhs.guard
+    are the same expressions as integrate_ode's options, g(t, y) and (kind,
+    g(t, y)), or None.  constants are the values of the globals that the
+    body, the span statements and the expressions read, bound per system."""
     namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
                  "nextafter": math.nextafter, "inf": math.inf, **constants}
-    exec(_compiled(n, tuple(body), kink, guard and guard[1]), namespace)
+    exec(_compiled(n, tuple(span), tuple(body), kink, guard and guard[1]), namespace)
     rhs = namespace["rhs"]
     rhs.run = namespace["run"]
     rhs.kink = namespace.get("watch_kink")
@@ -454,6 +465,12 @@ def _interpolant(t_old, h, y_old, coef):
             out.append(a + h * s * acc)
         return out
     return y_at
+
+
+def _floats(values):
+    """A flat list of floats as a float64 array, the values of np.array's
+    (np.fromiter builds it about twice as fast)."""
+    return np.fromiter(values, float, len(values))
 
 
 def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
@@ -509,12 +526,12 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     n_steps = n_rejected = n_segments = 0
 
     def solution():
-        knots, rows = np.array(ys).reshape(-1, n), np.array(th).reshape(-1, 2)
+        knots, rows = _floats(ys).reshape(-1, n), _floats(th).reshape(-1, 2)
         steps = StepTable(rows[:, 0], rows[:, 1], knots[:-1],
-                          _DENSE @ np.array(ks).reshape(-1, 16, n))
+                          _DENSE @ _floats(ks).reshape(-1, 16, n))
         stats = {"n_steps": n_steps, "nfev": 2 * n_segments + 15 * n_steps + 12 * n_rejected,
                  "n_segments": n_segments, "n_rejected": n_rejected}
-        return RawSolution(np.array(ts), knots, steps, log, stats)
+        return RawSolution(_floats(ts), knots, steps, log, stats)
 
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
@@ -583,12 +600,13 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     expression over tt, s_0..s_{n-1}, r_1 = x'' and V's derivatives dv and
     d2v at x (d2v is computed only when read).  V' and V'' are a built-in
     potential's declared expressions (a custom one's callbacks on the float
-    x), p is its scalar source (a step's piece read at the span's midpoint
-    tm, so the stages at a break see the span's own piece), and fun.run is
-    the DOP853 loop over one span (_system_source), which restarts at a
-    kink of V'' at x = 0 and stops where x falls to a +
-    cfg.singularity_margin above a singular endpoint a (stages past a see V
-    at a + 1e-13); fun.kink and fun.guard carry them."""
+    x), p is its scalar source (a step's piece and a sampled segment are
+    span statements, read once per span at its midpoint tm, so the stages at
+    a break see the span's own piece), and fun.run is the DOP853 loop over
+    one span (_system_source), which restarts at a kink of V'' at x = 0 and
+    stops where x falls to a + cfg.singularity_margin above a singular
+    endpoint a (stages past a see V at a + 1e-13); fun.kink and fun.guard
+    carry them."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     dv, d2v, constants = pot.scalar or ("float(_dv(x))", "float(_d2v(x))",
@@ -601,9 +619,9 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     body.append(f"dv = {dv}")
     if any("d2v" in expr for expr in extra):
         body.append(f"d2v = {d2v}")
-    acc = "-dv"
+    acc, span = "-dv", []
     if eps != 0.0 and f is not None:
-        p_lines, p_constants = f.scalar_source()
+        span, p_lines, p_constants = f.scalar_source()
         body += p_lines
         constants.update(p_constants, eps=eps)
         acc = "-dv + eps * p"
@@ -611,7 +629,8 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     body += [f"r_{i} = {expr}" for i, expr in enumerate(extra, 2)]
     return _compile_system(2 + len(extra), body, constants,
                            kink="z_0" if pot.kink_at_zero else None,
-                           guard=("singularity", "z_0 - thresh") if pot.singular_left else None)
+                           guard=("singularity", "z_0 - thresh") if pot.singular_left else None,
+                           span=span)
 
 
 def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,

@@ -247,18 +247,21 @@ def inverse_V(pot: PotentialSpec, level: float, side: int) -> float:
     One walk brackets it on either side, from x0 = side (a/2 where that side
     ends at a finite a) along the ladder x0 2^(k/2): outward while V is below
     the level, inward while V is above it; on a finite side an outward step
-    halves the gap to a, down to a + 4 DOMAIN_GUARD.  The first two points
-    that straddle the level bracket the root (a point on the level is it),
-    and brentq narrows the bracket to a width relative to the root."""
+    halves the gap to a, down to the first float above a + DOMAIN_GUARD, the
+    point of V's domain nearest a (_check_domain rejects x <= a +
+    DOMAIN_GUARD).  The first two points that straddle the level bracket the
+    root (a point on the level is it), and brentq narrows the bracket to a
+    width relative to the root."""
     if not 0 < level < math.inf:
         raise DomainError("inverse_V: level must be finite and positive")
     a = pot.domain_left if side < 0 else math.inf
     x0 = a / 2.0 if math.isfinite(a) else float(side)
     g = _level_gap(pot, level)
+    floor = math.nextafter(a + DOMAIN_GUARD, math.inf)
 
     def point(k):
         if k > 0 and math.isfinite(a):
-            return max(a + (x0 - a) * 2.0 ** -k, a + 4.0 * DOMAIN_GUARD)
+            return max(a + (x0 - a) * 2.0 ** -k, floor)
         return x0 * 2.0 ** (k / 2.0) if k < 2048 else math.inf
 
     k, x, gx = 0, x0, g(x0)

@@ -58,13 +58,13 @@ def test_resonance_run_steps_match_recorded_chain(pot, start, sin_f, cfg,
     # every step, every event and so the end state of the run's windows are
     # those of a chain of integrate_forced calls made directly
     runs = []
-    real = dynamics.integrate_forced
+    real = dynamics.integrate_ode
 
     def recording(*args, **kwargs):
         traj = real(*args, **kwargs)
         runs.append(traj)
         return traj
-    monkeypatch.setattr(dynamics, "integrate_forced", recording)
+    monkeypatch.setattr(dynamics, "integrate_ode", recording)
     diag = resonance_run(pot, sin_f, 0.05, start, 10, cfg)
     assert len(runs) == 10
     state = start
@@ -78,6 +78,24 @@ def test_resonance_run_steps_match_recorded_chain(pot, start, sin_f, cfg,
         assert np.array_equal(chain.ys, traj.ys)
         state = chain.end_state()
     assert diag.final_state == state
+
+
+def test_resonance_run_builds_its_system_once(monkeypatch, pin, sin_f, cfg):
+    # one compiled system serves every window of the run
+    import isores.integrate
+    built, real = [], isores.integrate._compile_system
+    monkeypatch.setattr(isores.integrate, "_compile_system",
+                        lambda *a, **k: built.append(1) or real(*a, **k))
+    resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 10, cfg)
+    assert len(built) == 1
+
+
+def test_envelope_violation_stops_the_run_at_its_window(monkeypatch, pin, sin_f, cfg):
+    # with no budget the energy's first move breaks the envelope, and the run
+    # raises at the end of that window
+    monkeypatch.setattr(dynamics, "l1_norm", lambda f: 0.0)
+    with pytest.raises(iso.NumericsError, match="energy envelope violated at window 0 "):
+        resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 10, cfg)
 
 
 def test_harmonic_cos2_bounded(diag_harm_cos2):

@@ -9,10 +9,11 @@ from scipy.integrate import DOP853, solve_ivp
 
 import isores as iso
 from isores.errors import ConfigError, IntegrationError
-from isores.forcing import PiecewiseConst, TrigPoly, TWO_PI, abs_integral, tiled_split_points
+from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI, abs_integral,
+                            tiled_split_points)
 from isores.integrate import (VARIATIONAL, IntegratorConfig, State, energy,
                               forced_system, integrate_autonomous,
-                              integrate_forced)
+                              integrate_forced, integrate_ode, solve_forced)
 from isores.autonomous import ROFE_BEKETOV, pinney_phi_closed
 
 
@@ -758,8 +759,8 @@ def test_tableau_is_scipys():
 def test_forced_run_end_state_is_pinned(monkeypatch, pin, sin_f, cfg):
     # exact floats of the list-based step: any reordering of the step's
     # arithmetic moves their last digits
-    import isores.integrate
-    calls = _recorded_calls(monkeypatch, isores.integrate)
+    import isores.dynamics
+    calls = _recorded_calls(monkeypatch, isores.dynamics)
     d = iso.resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 20, cfg)
     assert (d.final_state.x, d.final_state.v) == (-0.7549530350356217, 1.099912740734585)
     assert float(d.window_sup[-1]) == 4.048133753943679
@@ -782,6 +783,30 @@ def test_rofe_beketov_three_component_solve_is_pinned(pin, cfg):
     from isores.autonomous import dx_dI_rofe_beketov
     assert dx_dI_rofe_beketov(pin, 2.0, [0.5, 2.0], cfg).tolist() == [
         1.3064531953413427, 0.6972044398109228]
+
+
+def test_step_piece_is_read_once_per_span(monkeypatch, pin, cfg):
+    # a span statement reads the piece where tm is set: twice in the
+    # starting-step rule and once in run, per restart, not at each of the 15
+    # stages of every step
+    lookups, real = [], PiecewiseConst.eval
+    monkeypatch.setattr(PiecewiseConst, "eval", lambda self, t: lookups.append(t) or real(self, t))
+    step = PiecewiseConst(breakpoints=(0.3, 1.9, 3.4, 5.0), values=(0.7, -0.4, 0.9, -0.8))
+    raw = solve_forced(pin, step, 0.05, [1.0, 0.0], 0.0, 2 * TWO_PI, cfg)
+    assert raw.stats["n_segments"] == 9 and raw.stats["n_steps"] > 9
+    assert len(lookups) == 3 * raw.stats["n_segments"]
+
+
+def test_sampled_segment_matches_interpolation_at_every_stage(pin, cfg):
+    # the span's own segment v + m (t - s) against a plain right-hand side
+    # that interpolates f at every stage
+    f = Sampled((0.2, 1.0, -0.5, 0.3, -0.9))
+    t1 = 4 * TWO_PI
+    raw = solve_forced(pin, f, 0.05, [1.0, 0.0], 0.0, t1, cfg)
+    ref = integrate_ode(lambda t, y: (y[1], -pin.dv(y[0]) + 0.05 * f.eval(t)), [1.0, 0.0],
+                        0.0, t1, cfg, breakpoints=tiled_split_points(f, 0.0, t1))
+    assert raw.stats["n_segments"] == ref.stats["n_segments"] == 20
+    assert np.allclose(raw.ys[-1], ref.ys[-1], rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

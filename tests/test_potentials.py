@@ -224,11 +224,12 @@ _QUARTIC = custom(v=lambda x: float(x) ** 2 / 2 + float(x) ** 4 / 4,
 def _ladder_from_zero(pot, side):
     """The walk's ladder on one side, read from its far end at 0 outwards:
     x0 2^(k/2) with x0 = side (a/2 on a finite side a), then on a finite
-    side the points that halve the gap to a, down to a + 4 DOMAIN_GUARD."""
+    side the points that halve the gap to a, down to the first float above
+    a + DOMAIN_GUARD."""
     a = pot.domain_left if side < 0 else math.inf
     if math.isinf(a):
         return [side * 2.0 ** (k / 2.0) for k in range(-2150, 2048)]
-    floor = a + 4 * DOMAIN_GUARD
+    floor = math.nextafter(a + DOMAIN_GUARD, math.inf)
     inner = [a / 2 * 2.0 ** (k / 2.0) for k in range(-2150, 1)]
     outer = [a + (a / 2 - a) * 2.0 ** -k for k in range(1, 60)]
     return inner + [x for x in outer if x > floor] + [floor]
@@ -241,7 +242,7 @@ def _ladder_from_zero(pot, side):
 def test_inverse_level_brackets_at_the_first_ladder_point(pot, level):
     # the walk from 1 (or a/2) finds the same straddling pair as a scan of
     # its ladder from 0, so the root is the same to the bit; on Pinney's
-    # finite side a level above V(a + 4 DOMAIN_GUARD) has no bracket
+    # finite side a level above V at the walk's floor has no bracket
     g = lambda x: pot.v(x) - level
     for side in (1, -1):
         ladder = _ladder_from_zero(pot, side)
@@ -275,12 +276,12 @@ def _closed_form_root(pot, level, side):
                          ids=["harmonic1", "harmonic3", "asymmetric", "pinney"])
 @pytest.mark.parametrize("side", [1, -1])
 def test_inverse_level_is_exact_to_rounding(pot, side):
-    # every factor 10^7 from 1e-300 to 1e295, each root whose walk can
-    # bracket it (on Pinney's finite side, above a + 4 DOMAIN_GUARD); the
+    # every factor 10^7 from 1e-300 to 1e295, each root in V's domain (on
+    # Pinney's finite side, above a + DOMAIN_GUARD); the
     # ladder walks once stopped at 2^-100 and 2^199.5 and refined below 1e-15
     # to an absolute width (harmonic(1): 44 % off at 1e-119), and Pinney's V
     # cancelled near 0 (32 % off at 1e-40)
-    floor = Decimal(pot.domain_left + 4 * DOMAIN_GUARD) if pot.singular_left else None
+    floor = Decimal(pot.domain_left + DOMAIN_GUARD) if pot.singular_left else None
     checked = 0
     for k in range(-300, 301, 7):
         level = float(f"1e{k}")
@@ -291,6 +292,21 @@ def test_inverse_level_is_exact_to_rounding(pot, side):
         assert abs(Decimal(x) / exact - 1) <= Decimal("1e-15"), (level, x)
         checked += 1
     assert checked >= 40
+
+
+def test_inverse_level_reaches_the_edge_of_the_domain(pin):
+    # Pinney's roots between a + DOMAIN_GUARD and a + 4 DOMAIN_GUARD are in
+    # V's domain: the walk once stopped at the latter and could not bracket
+    # them (level 1e26: root -1 + 3.5e-14); a root inside the guard still
+    # has no bracket
+    for level in (1e26, 1e27, 1.2e27):
+        exact = _closed_form_root(pin, level, -1)
+        assert exact < Decimal(pin.domain_left + 4 * DOMAIN_GUARD)
+        x = inverse_V(pin, level, -1)
+        assert abs(Decimal(x) / exact - 1) <= Decimal("1e-15"), (level, x)
+    for level in (1.3e27, 1e28):
+        with pytest.raises(NumericsError, match="could not bracket"):
+            inverse_V(pin, level, -1)
 
 
 @pytest.mark.parametrize("side", [1, -1])
