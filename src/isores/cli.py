@@ -31,8 +31,9 @@ _TOKEN_RE = re.compile(r"[+-]?(?:[^+-]|(?<=[\d.][eE])[+-])+")    # not at an exp
 
 def parse_forcing(text: str) -> "TrigPoly":
     """Compile the CLI shorthand ('sin', 'cos2t', '0.1+1*cos+0.5*sin2t') to a
-    trigonometric polynomial; a JSON object is passed through the full
-    descriptor parser."""
+    trigonometric polynomial; a constant is a number, and a cos or sin term
+    of harmonic 0 is a ConfigError.  A JSON object is passed through the
+    full descriptor parser."""
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -52,6 +53,9 @@ def parse_forcing(text: str) -> "TrigPoly":
             sign = -1.0 if m.group(1) == "-" else 1.0
             coef = float(m.group(2)) if m.group(2) else 1.0
             k = int(m.group(4)) if m.group(4) else 1
+            if k == 0:
+                raise ConfigError(f"forcing: term {tok!r} has harmonic 0; "
+                                  "write a constant as a number")
             target = a if m.group(3) == "cos" else b
             target[k] = target.get(k, 0.0) + sign * coef
         else:

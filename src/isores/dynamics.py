@@ -14,7 +14,7 @@ from .autonomous import ActionAngle, from_action_angle
 from .errors import DomainError, IntegrationError, NumericsError
 from .forcing import ForcingTerm, TWO_PI, l1_norm
 from .integrate import (VARIATIONAL, IntegratorConfig, State, energy, forced_system,
-                        integrate_forced, integrate_ode, solve_forced)
+                        integrate_ode, solve_forced)
 from .potentials import PotentialSpec
 
 ENVELOPE_SLACK = 1e-6
@@ -132,9 +132,7 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
 def stroboscopic_map(pot: PotentialSpec, f: ForcingTerm, eps: float,
                      s: State, cfg: IntegratorConfig) -> State:
     """State at t = 2*pi of the forced flow started from s at t = 0."""
-    traj = integrate_forced(pot, f, eps, s, 0.0, TWO_PI, cfg,
-                            check_envelope=False)
-    return traj.end_state()
+    return solve_forced(pot, f, eps, [s.x, s.v], 0.0, TWO_PI, cfg).end_state()
 
 
 @dataclass(frozen=True)

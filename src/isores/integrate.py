@@ -41,18 +41,18 @@ took at 1e-10, to a smaller error.  The stage sums
 keep the terms and the order of a loop over components, and the
 controller's comparisons give min's and max's floats (the tests' reference
 loop), so the results are the same to the bit.  The v=0 and x=0 crossings
-are found when RawSolution.events is first read.  Each step appends its 16
-stage rows to a flat list; the dense output (StepTable) is built from them
-(np.fromiter, then one array product) at the end, and RawSolution.eval
-evaluates any number of times in one array operation.
+are found when RawSolution.events is first read.  Each accepted step is
+recorded once, in flat lists: its knot, its size and its 16 stage rows, from
+which the dense output is built (np.fromiter, then one array product) at
+the end; RawSolution.eval evaluates any number of times in one array operation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,28 +79,15 @@ class IntegratorConfig:
         for name in ("rel_tol", "abs_tol", "singularity_margin"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"integrator.{name}: must be finite and positive")
-        if self.max_steps < 1:
-            raise ConfigError("integrator.max_steps: must be >= 1")
+        if (isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral)
+                or self.max_steps < 1):
+            raise ConfigError("integrator.max_steps: must be an integer >= 1")
 
 
 @dataclass(frozen=True)
 class Event:
     kind: str
     t: float
-
-
-class StepTable(NamedTuple):
-    """Dense output of a chained solution as arrays, one row per step.
-
-    Row k interpolates over [t_old[k], t_old[k] + h[k]] from y_old[k] with
-    the scaled time s = (t - t_old[k]) / h[k].  coef[k], shape (7, n), is
-    DOP853's degree-7 dense output in powers of s: y = y_old + h * sum_j
-    coef[k, j] * s**(j+1).
-    """
-    t_old: np.ndarray
-    h: np.ndarray
-    y_old: np.ndarray
-    coef: np.ndarray
 
 
 class RawSolution:
@@ -110,15 +97,15 @@ class RawSolution:
 
     ts and ys are the knots, one row of ys per knot; for the (x, v) systems
     of integrate_forced and integrate_autonomous, ys[:, 0] is x and ys[:, 1]
-    is v.  Knot interval (ts[k], ts[k + 1]] is covered by row k of
-    ``steps``: the row is picked as scipy's OdeSolution picks its
-    interpolant.  Nothing changes it once built, so it is safe to share.
+    is v.  Step k starts at knot k, has size h[k] and covers knot interval
+    (ts[k], ts[k + 1]], picked as scipy's OdeSolution picks its interpolant;
+    coef[k], shape (7, n), is its DOP853 dense output in powers of s =
+    (t - ts[k]) / h[k]: y = ys[k] + h[k] * sum_j coef[k, j] * s**(j+1).
+    Nothing changes it once built, so it is safe to share.
     """
 
-    def __init__(self, ts, ys, steps: StepTable, log, stats):
-        self.ts = np.asarray(ts)
-        self.ys = np.asarray(ys)
-        self.steps = steps
+    def __init__(self, ts, ys, h, coef, log, stats):
+        self.ts, self.ys, self.h, self.coef = map(np.asarray, (ts, ys, h, coef))
         self._log = log                   # Events logged while stepping
         self.stats = stats
 
@@ -127,15 +114,15 @@ class RawSolution:
         """The logged breaks and guard stop and every v=0 and x=0 crossing in
         time order (ties: v_zero, x_zero, log).  A sign change between knots
         is root-found on its step's interpolant, as the loop finds the kink."""
-        found, tab = [(e.t, 2, e.kind) for e in self._log], self.steps
+        found = [(e.t, 2, e.kind) for e in self._log]
         for rank, c, kind in ((0, 1, "v_zero"), (1, 0, "x_zero")):
             sign = np.sign(self.ys[:, c])
             # a zero on a knot counts once, and never for a component that is 0
             arrive = (sign == 0) & np.append(sign.any(), sign[:-1] != 0)
             found += [(t, rank, kind) for t in self.ts[arrive].tolist()]
             for k in np.flatnonzero(sign[:-1] * sign[1:] < 0).tolist():
-                t_old, h = float(tab.t_old[k]), float(tab.h[k])
-                y_at = _interpolant(t_old, h, tab.y_old[k].tolist(), tab.coef[k])
+                t_old, h = float(self.ts[k]), float(self.h[k])
+                y_at = _interpolant(t_old, h, self.ys[k].tolist(), self.coef[k])
                 found.append((brentq(lambda t: y_at(t)[c], t_old, t_old + h,
                                      xtol=_ROOT_TOL, rtol=_ROOT_TOL), rank, kind))
         return [Event(kind, t) for t, _, kind in sorted(found)]
@@ -159,20 +146,19 @@ class RawSolution:
         if t_arr.size and (t_arr.min() < t0 - 1e-9 or t_arr.max() > t1 + 1e-9):
             raise ValueError("evaluation time outside the integrated span")
         t_arr = np.clip(t_arr, t0, t1)
-        tab = self.steps
-        rows, powers, n = tab.coef.shape
+        rows, powers, n = self.coef.shape
         k = np.searchsorted(self.ts[1:-1], t_arr, side="left")
-        h = tab.h.take(k)
+        h = self.h.take(k)
         # one flat run per component, [c_0 at every time, c_1 ...], so that
         # each operation below is on contiguous arrays of one shape
-        s = np.concatenate([(t_arr - tab.t_old.take(k)) / h] * n)
-        coef = tab.coef.reshape(rows, -1).T.take(k, axis=1).reshape(powers, -1)
+        s = np.concatenate([(t_arr - self.ts.take(k)) / h] * n)
+        coef = self.coef.reshape(rows, -1).T.take(k, axis=1).reshape(powers, -1)
         p = s
         y = coef[0] * p
         for c in coef[1:]:
             p = p * s
             y += c * p
-        y = np.concatenate([h] * n) * y + tab.y_old.T.take(k, axis=1).ravel()
+        y = np.concatenate([h] * n) * y + self.ys.T.take(k, axis=1).ravel()
         return y.reshape(n, -1)[:, 0] if np.ndim(t) == 0 else y.reshape(n, -1)
 
 
@@ -248,7 +234,7 @@ _D = [{0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
 
 def _dense_matrix():
     """_DENSE, (7, 16): coef = _DENSE K for a step's 16 stage rows K is its
-    degree-7 dense output in powers of s (see StepTable).  scipy's DOP853
+    degree-7 dense output in powers of s (see RawSolution).  scipy's DOP853
     writes it as s (F0 + (1-s) (F1 + s (F2 + (1-s) (F3 + s (F4 + (1-s) (F5
     + s F6)))))) with F0 = y_new - y_old = h B.K, F1 = h k1 - F0, F2 = 2 F0 -
     h (k1 + k13) and F3..F6 = h D.K; w expands each F_i's factor in powers
@@ -284,20 +270,20 @@ def _system_source(n, span, body, kink, guard):
     and the body reads the names they set at every stage.
 
     run(t, y_0.., k1_0.., h_abs, tb, d_0.., g_0.., n_steps, n_rej, max_steps,
-    atol, rtol, ts, ys, th, ks) steps from (t, y) with k1 = rhs(t, y, tm)
+    atol, rtol, ts, ys, hs, ks) steps from (t, y) with k1 = rhs(t, y, tm)
     towards tb: accept/reject, scipy DOP853's error norm |h| |e5|^2 / sqrt((|e5|^2 +
     0.01 |e3|^2) n), its controller (exponent -1/8) and its step-size
     update, with the body inline at each of the 11 stages and at f_new =
     k13.  The norm is 0 where the root's argument is 0, also where it
     underflows to 0 (scipy's 0/0 there is nan, which rejects the step).  An
     accepted step runs the 3 stages of its dense output inline too, appends
-    (t, h) to th and its 16 stage rows to ks (16n floats); its knot, t_new to
-    ts and its n components to ys.  The kink and the guard
-    (each an expression over t_new and the step's end state z_0..z_{n-1}, or
-    None) are the watched functions, kink first; g_i is one's value at the
-    step's start and d_i the direction of the crossing that ends a step
-    (scipy's test d*g_old <= 0 <= d*g_new).  A nan direction watches neither
-    way; the kink's is set to -sign(g) at the first step end where its g is
+    h to hs and its 16 stage rows to ks (16n floats); its knot, t_new to ts
+    and its n components to ys (its start is the last knot).  The kink and
+    the guard (each an expression over t_new and the step's end state
+    z_0..z_{n-1}, or None) are the watched functions, kink first; g_i is
+    one's value at the step's start and d_i the direction of the crossing
+    that ends a step (scipy's test d*g_old <= 0 <= d*g_new).  A nan
+    direction watches neither way; the kink's is set to -sign(g) at the first step end where its g is
     not 0, so a kink watched from g = 0 is watched for leaving the side g
     first moves to.  run returns (why, n_steps, n_rej, hit) at the span's end
     ("end"), after the step that crosses max_steps ("budget"), when h_abs
@@ -354,7 +340,7 @@ def _system_source(n, span, body, kink, guard):
 
     stages = each(lambda j: each(lambda i: f"k{j + 1}_{i}"), 16)
     accepted = [line for j in range(14, 17) for line in stage(j)]
-    accepted += ["th += (t, h)", f"ks += ({stages},)"]
+    accepted += ["hs.append(h)", f"ks += ({stages},)"]
     if m:
         olds, news = each(lambda i: f"g_{i}", m), each(lambda i: f"w_{i}", m)
         crossed = " or ".join(f"d_{i} * g_{i} <= 0 <= d_{i} * w_{i}" for i in range(m))
@@ -380,7 +366,7 @@ def _system_source(n, span, body, kink, guard):
 
     args = ", ".join([each(lambda i: f"y_{i}"), each(lambda i: f"k1_{i}"), "h_abs, tb",
                       *([each(lambda i: f"d_{i}", m), each(lambda i: f"g_{i}", m)] if m else []),
-                      "n_steps, n_rej, max_steps, atol, rtol, ts, ys, th, ks"])
+                      "n_steps, n_rej, max_steps, atol, rtol, ts, ys, hs, ks"])
     lines = ["def rhs(tt, y, tm=None):",
              "    if tm is None: tm = tt",
              *indent(span, 1),
@@ -452,7 +438,7 @@ def _initial_step(fun, t, y, f, span, cfg):
 
 def _interpolant(t_old, h, y_old, coef):
     """The step's dense output t -> y(t) over floats, by Horner's rule;
-    coef: (7, n), see StepTable."""
+    coef: (7, n), see RawSolution."""
     columns = coef[::-1].T.tolist()        # per component, highest power first
 
     def y_at(t):
@@ -490,6 +476,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
 
     One pass per span between breakpoints, with one restart per kink root:
     the earliest kink or guard root on the step's interpolant ends the step.
+    Every pass starts at the last knot, so step k starts at knot k.
     At a span's start the kink is watched for leaving g's side, and at g = 0
     for leaving the side g first moves to, so a rest point on the kink stays
     at rest; after a root, the other way.  v=0 and x=0 crossings are found
@@ -522,16 +509,14 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     run, kink, guard = system.run, system.kink, system.guard
     # the functions whose sign change ends a step, kink first
     watched = [g for g in (kink, guard and guard[1]) if g is not None]
-    ts, ys, th, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 16n floats a row
+    ts, ys, hs, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 16n floats a row
     n_steps = n_rejected = n_segments = 0
 
     def solution():
-        knots, rows = _floats(ys).reshape(-1, n), _floats(th).reshape(-1, 2)
-        steps = StepTable(rows[:, 0], rows[:, 1], knots[:-1],
-                          _DENSE @ _floats(ks).reshape(-1, 16, n))
         stats = {"n_steps": n_steps, "nfev": 2 * n_segments + 15 * n_steps + 12 * n_rejected,
                  "n_segments": n_segments, "n_rejected": n_rejected}
-        return RawSolution(_floats(ts), knots, steps, log, stats)
+        return RawSolution(_floats(ts), _floats(ys).reshape(-1, n), _floats(hs),
+                           _DENSE @ _floats(ks).reshape(-1, 16, n), log, stats)
 
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
@@ -539,6 +524,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     for ta, tb in zip(stops, stops[1:]):
         if ta != t0:
             log.append(Event("forcing_break", ta))
+        ta = ts[-1]        # before ta if a kink root within 1e-12 of it ended the last span
         dirs = []          # the direction of the crossing of each watched g that ends a step
         if kink is not None:   # leave g's side; at g = 0 the loop sets it (nan until then)
             side = kink(ta, y)
@@ -558,13 +544,13 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                 fail(f"integration failed: no starting step at t = {ta} (h = {h_abs})")
             why, n_steps, n_rejected, hit = run(
                 ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), n_steps,
-                n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, th, ks)
+                n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, hs, ks)
             if why == "min_step":
                 fail("integration failed: Required step size is less than spacing "
                      "between numbers.")
             if why == "hit":   # the earliest root on the step's interpolant ends the step
                 t_new, g_old, g_new, dirs = hit
-                t, h = th[-2:]
+                t, h = ts[-1], hs[-1]     # the step's start: its knot is not appended
                 y_at = _interpolant(t, h, ys[-n:], _DENSE @ np.array(ks[-16 * n:]).reshape(16, n))
                 t_end, stop = min((brentq(lambda s, g=watched[i]: g(s, y_at(s)),
                                           t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
@@ -660,19 +646,18 @@ def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,
 
 
 def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
-                     t0: float, t1: float, cfg: IntegratorConfig,
-                     check_envelope: bool = True) -> RawSolution:
+                     t0: float, t1: float, cfg: IntegratorConfig) -> RawSolution:
     """Solve x'' = -V'(x) + eps*p(t); the dense (x, v) solution.
 
     Steps never straddle a discontinuity of p: the grid is split there and a
     ``forcing_break`` event is logged at every breakpoint.  With eps = 0 or
-    f = None the forcing is inert and this is integrate_autonomous.  When
-    check_envelope is set, the a-priori bound |sqrt(E(t1)) - sqrt(E(t0))| <=
-    |eps|/sqrt(2) * int |p| is verified at the endpoint (slack 1e-6).  A
+    f = None the forcing is inert and this is integrate_autonomous.  The
+    a-priori bound |sqrt(E(t1)) - sqrt(E(t0))| <= |eps|/sqrt(2) * int |p| is
+    verified at the endpoint (slack 1e-6); solve_forced solves without it.  A
     failure raises IntegrationError, whose ``trajectory`` is a RawSolution too.
     """
     raw = solve_forced(pot, f, eps, [s0.x, s0.v], t0, t1, cfg)
-    if check_envelope and eps != 0.0 and f is not None and t0 >= 0:
+    if eps != 0.0 and f is not None and t0 >= 0:
         e0 = energy(pot, s0)
         e1 = energy(pot, raw.end_state())
         budget = abs(eps) / math.sqrt(2.0) * (abs_integral(f, t1) - abs_integral(f, t0))

@@ -268,6 +268,18 @@ def test_action_angle_round_trip(pin, cfg):
     assert aa3.action == pytest.approx(aa2.action, rel=1e-8)
 
 
+@pytest.mark.parametrize("theta", [0.0, TWO_PI])
+def test_from_action_angle_at_whole_turns_solves_nothing(monkeypatch, pin, cfg, theta):
+    import isores.integrate
+    calls = []
+    solve = isores.integrate.integrate_ode
+    monkeypatch.setattr(isores.integrate, "integrate_ode",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    r = amplitude_of_action(pin, 0.7)
+    assert from_action_angle(pin, ActionAngle(theta=theta, action=0.7), cfg) == State(r, 0.0)
+    assert calls == []
+
+
 def test_from_action_angle_integrates_once(monkeypatch, pin, cfg):
     # the period of a certified isochronous center is 2*pi/N, not measured
     import isores.integrate

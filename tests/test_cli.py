@@ -47,6 +47,16 @@ def test_parse_forcing_exponent_coefficients():
             parse_forcing(bad)
 
 
+def test_parse_forcing_rejects_a_zero_harmonic():
+    # cos 0t = 1, but the term was dropped: '2*cos0t+sin' scanned plain sin t
+    for bad in ("cos0t", "sin0t", "2*cos0t+sin", "cos00t"):
+        with pytest.raises(ConfigError, match="harmonic 0"):
+            parse_forcing(bad)
+    f = parse_forcing("cos10t")
+    assert f.cos_coeffs == (0.0,) * 9 + (1.0,) and f.sin_coeffs == (0.0,) * 10
+    assert main(["phi-scan", "--potential", "pinney", "--forcing", "2*cos0t+sin"]) == 1
+
+
 def test_parse_potential():
     assert parse_potential("pinney").kind == "pinney"
     assert parse_potential("harmonic:3").params == (3,)

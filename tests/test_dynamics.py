@@ -5,8 +5,8 @@ import pytest
 
 import isores as iso
 from isores import dynamics
-from isores.forcing import TrigPoly, TWO_PI
-from isores.integrate import IntegratorConfig, State, integrate_forced
+from isores.forcing import ForcingTerm, TrigPoly, TWO_PI
+from isores.integrate import IntegratorConfig, State, integrate_forced, solve_forced
 from isores.dynamics import (find_periodic_solution, resonance_run,
                              seed_from_phi_zero, stroboscopic_map,
                              verdict_dict, write_diagnostics_csv)
@@ -56,7 +56,7 @@ def test_resonance_run_budget_holds_at_the_crossing_step(pin, sin_f):
 def test_resonance_run_steps_match_recorded_chain(pot, start, sin_f, cfg,
                                                   monkeypatch):
     # every step, every event and so the end state of the run's windows are
-    # those of a chain of integrate_forced calls made directly
+    # those of a chain of solve_forced calls made directly
     runs = []
     real = dynamics.integrate_ode
 
@@ -69,8 +69,8 @@ def test_resonance_run_steps_match_recorded_chain(pot, start, sin_f, cfg,
     assert len(runs) == 10
     state = start
     for k, traj in enumerate(runs):
-        chain = integrate_forced(pot, sin_f, 0.05, state, k * TWO_PI,
-                                 (k + 1) * TWO_PI, cfg, check_envelope=False)
+        chain = solve_forced(pot, sin_f, 0.05, [state.x, state.v], k * TWO_PI,
+                             (k + 1) * TWO_PI, cfg)
         assert chain.events_of("v_zero")
         assert chain.events == traj.events
         assert chain.stats["n_steps"] == traj.stats["n_steps"]
@@ -78,6 +78,16 @@ def test_resonance_run_steps_match_recorded_chain(pot, start, sin_f, cfg,
         assert np.array_equal(chain.ys, traj.ys)
         state = chain.end_state()
     assert diag.final_state == state
+
+
+def test_custom_forcing_subclass_runs_like_trigpoly(pin, sin_f, cfg):
+    # the base scalar_source calls p_eval at every stage
+    class Sine(ForcingTerm):
+        def eval(self, t):
+            return np.sin(t)
+    custom = resonance_run(pin, Sine(), 0.05, State(1.0, 0.0), 20, cfg).final_state
+    trig = resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 20, cfg).final_state
+    assert abs(custom.x - trig.x) + abs(custom.v - trig.v) <= 1e-12
 
 
 def test_resonance_run_builds_its_system_once(monkeypatch, pin, sin_f, cfg):

@@ -154,6 +154,20 @@ def test_fourier_piecewise_exact_vs_quadrature():
                    - fourier_coefficient_quadrature(f, n)) < 1e-10
 
 
+def test_fourier_of_sampled_is_the_exact_integral():
+    # the quadrature fallback against the integral of the piecewise-linear p:
+    # on [a, b] with p = p_a + m (t - a), (p_b e^{inb} - p_a e^{ina}) / (in)
+    # - m (e^{inb} - e^{ina}) / (in)^2
+    f = Sampled((0.2, 1.0, -0.5, 0.3, -0.9))
+    ts, ps = [*f.times.tolist(), TWO_PI], [*f.values, f.values[0]]
+    for n in (1, 2, 3):
+        exact = 0.0
+        for a, b, pa, pb in zip(ts, ts[1:], ps, ps[1:]):
+            ea, eb, m = np.exp(1j * n * a), np.exp(1j * n * b), (pb - pa) / (b - a)
+            exact += (pb * eb - pa * ea) / (1j * n) - m * (eb - ea) / (1j * n) ** 2
+        assert abs(fourier_coefficient(f, n) - exact) <= 1e-12
+
+
 def test_complex_fourier_coefficients_reconstruct():
     f = TrigPoly(a0=0.3, cos_coeffs=(1.0, -0.5), sin_coeffs=(0.25,))
     cm = complex_fourier_coefficients(f, 3)

@@ -178,6 +178,19 @@ def test_config_requires_finite_positive_tolerances(name, value):
         IntegratorConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True, 0])
+def test_config_requires_an_integer_step_budget(value):
+    # n_steps > nan is never true: a nan or inf budget never stopped a solve
+    with pytest.raises(ConfigError, match=r"integrator.max_steps: must be an integer >= 1"):
+        IntegratorConfig(max_steps=value)
+
+
+def test_config_accepts_a_numpy_integer_step_budget(pin):
+    cfg = IntegratorConfig(max_steps=np.int64(10))
+    with pytest.raises(IntegrationError, match=r"step budget exceeded \(11 > 10\)"):
+        integrate_autonomous(pin, State(1.0, 0.0), 0.0, 100 * TWO_PI, cfg)
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
 def test_forced_system_rejects_non_finite_eps(pin, sin_f, cfg, eps):
     with pytest.raises(ConfigError, match="eps"):
@@ -586,10 +599,10 @@ def test_kernel_matches_list_step_bit_for_bit(n, data):
     ts, ys, rows, n_rejected, _ = _reference_loop(fun, t, y, t + span, cfg)
     assert _bits(raw.ts) == _bits(ts)
     assert _bits(raw.ys.ravel()) == _bits(np.ravel(ys))
-    assert _bits(raw.steps.t_old) == _bits([row[0] for row in rows])
-    assert _bits(raw.steps.h) == _bits([row[1] for row in rows])
+    assert _bits(raw.ts[:-1]) == _bits([row[0] for row in rows])
+    assert _bits(raw.h) == _bits([row[1] for row in rows])
     coef = _DENSE @ np.array([row[2] for row in rows]).reshape(-1, 16, n)
-    assert _bits(raw.steps.coef.ravel()) == _bits(coef.ravel())
+    assert _bits(raw.coef.ravel()) == _bits(coef.ravel())
     assert (raw.stats["n_steps"], raw.stats["n_rejected"]) == (len(rows), n_rejected)
 
 
@@ -662,7 +675,7 @@ def _record(fun, y0, t0, t1, cfg, options):
     except IntegrationError as exc:
         raw, message = exc.trajectory, str(exc)
     return (message, raw.stats, [(e.kind, float(e.t).hex()) for e in raw.events],
-            *(_bits(np.ravel(a)) for a in (raw.ts, raw.ys, *raw.steps)))
+            *(_bits(np.ravel(a)) for a in (raw.ts, raw.ys, raw.h, raw.coef)))
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
@@ -1000,13 +1013,52 @@ def test_crossings_are_root_found_only_when_read(monkeypatch):
     assert len(calls) == 11                      # found once, then cached
 
 
+def test_record_holds_one_row_per_step(cfg):
+    # step k starts at knot k: one size and one dense row per step, on every
+    # solve and on a failed one's partial trajectory
+    pin, asym = iso.pinney(), iso.asymmetric(4.0, 4.0 / 9.0)
+    step = PiecewiseConst(breakpoints=(0.3, 1.9, 3.4, 5.0), values=(0.7, -0.4, 0.9, -0.8))
+    solves = [lambda: integrate_forced(pin, step, 0.05, State(1.0, 0.0), 0.0, 2 * TWO_PI, cfg),
+              lambda: integrate_forced(asym, step, 0.05, State(1.0, 0.0), 0.0, TWO_PI, cfg),
+              lambda: solve_forced(pin, None, 0.0, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 0.0,
+                                   TWO_PI, cfg, VARIATIONAL),
+              lambda: integrate_autonomous(pin, State(0.5, -2.0), 0.0, TWO_PI,
+                                           IntegratorConfig(singularity_margin=0.3)),
+              lambda: integrate_autonomous(asym, State(1.0, 0.0), 0.0, TWO_PI,
+                                           IntegratorConfig(max_steps=10))]
+    partial = 0
+    for solve in solves:
+        try:
+            raw = solve()
+        except IntegrationError as exc:
+            raw, partial = exc.trajectory, partial + 1
+        k, n = raw.h.size, raw.ys.shape[1]
+        assert k > 0
+        assert (raw.h.shape, raw.coef.shape, raw.ts.shape, raw.ys.shape) == \
+            ((k,), (k, 7, n), (k + 1,), (k + 1, n))
+        # each row starts at its knot and reaches the next one
+        assert np.max(np.abs(raw.eval(raw.ts[1:]).T - raw.ys[1:])) < 1e-12
+    assert partial == 2
+
+
+def test_kink_root_at_a_break_restarts_from_its_knot(cfg):
+    # a kink root within 1e-12 before a breakpoint ends that span; the next
+    # one starts from the root's knot, so y' = 1 gains t1 - root after it
+    # (a restart at the breakpoint lost the 5e-13 between them)
+    root = 1.0 - 5e-13
+    raw = integrate_ode(lambda t, y: (1.0,), [0.0], 0.0, 2.0, cfg, breakpoints=[1.0],
+                        kink=lambda t, y: t - root)
+    k = int(np.flatnonzero(raw.ts < 1.0)[-1])
+    assert raw.ts[k] == root and raw.ts[k + 1] > 1.0
+    assert abs((raw.ys[-1, 0] - raw.ys[k, 0]) - (2.0 - root)) < 1e-14
+
+
 def test_knot_zeros_count_once_and_rest_points_cross_nothing():
-    from isores.integrate import Event, RawSolution, StepTable
+    from isores.integrate import Event, RawSolution
     rest = integrate_autonomous(iso.pinney(), State(0.0, 0.0), 0.0, TWO_PI,
                                 IntegratorConfig())
     assert rest.events == []
     # x lands on 0 exactly at the middle knot, then leaves it; v never crosses
     ts, ys = np.array([0.0, 1.0, 2.0]), np.array([[1.0, -1.0], [0.0, -1.0], [-1.0, -1.0]])
-    steps = StepTable(ts[:2], np.ones(2), ys[:2], np.zeros((2, 4, 2)))
-    raw = RawSolution(ts, ys, steps, [], {})
+    raw = RawSolution(ts, ys, np.ones(2), np.zeros((2, 4, 2)), [], {})
     assert raw.events == [Event("x_zero", 1.0)]

@@ -206,6 +206,21 @@ def test_phi_at_infinity_needs_the_pinney_center(cfg, sin_f):
             eval_phi(pot, sin_f, 0.0, math.inf, cfg)
 
 
+def test_custom_centre_scan_matches_pinney_closed_forms(cfg):
+    # a custom centre with Pinney's callbacks takes phi._profile's psi_solution
+    # branch; its field is that of the closed forms, without the r = inf slice
+    pin = iso.pinney()
+    centre = iso.custom(pin._v, pin._dv, pin._d2v, domain_left=-1, n_iso=1)
+    r_grid = [0.0, 0.01, 0.5, 2.0, 30.0]
+    step = PiecewiseConst(breakpoints=(0.3, 1.9, 3.4, 5.0), values=(0.7, -0.4, 0.9, -0.8))
+    for f in (TrigPoly(sin_coeffs=(1.0,)), TrigPoly(a0=1.0, cos_coeffs=(2.0,)), step):
+        field = phi_scan(centre, f, 64, r_grid, cfg)
+        closed = phi_scan(pin, f, 64, r_grid, cfg)
+        assert np.max(np.abs(field.values - closed.values)) <= 2e-9
+        assert field.infinity_slice is None
+        assert resonance_verdict(field).coverage == "grid-only"
+
+
 def test_pinney_scan_at_r0_solves_no_variational_equation(monkeypatch, pin, cfg, sin_f):
     # r = 0 took psi_solution's linearisation; the closed form covers it
     solves = _count_calls(monkeypatch, isores.phi, "psi_solution")
