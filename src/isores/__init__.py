@@ -15,10 +15,9 @@ from .autonomous import (ActionAngle, VariationalSolution,
                          bouncing_limit_audit, dx_dI_rofe_beketov,
                          from_action_angle, minimal_period,
                          negative_semiperiod, psi_solution,
-                         sturm_argument, to_action_angle)
-from .phi import (PhiField, corollary_bound, eval_phi, harmonic_phi_closed,
-                  phi_scan, pinney_fourier_constants, resonance_verdict,
-                  winding_number)
+                         to_action_angle)
+from .phi import (PhiField, corollary_bound, eval_phi, phi_scan,
+                  pinney_fourier_constants, resonance_verdict, winding_number)
 from .dynamics import (PeriodicSolution, ResonanceDiagnostics,
                        find_periodic_solution, resonance_run,
                        seed_from_phi_zero, stroboscopic_map)

@@ -23,6 +23,11 @@ class AcwState:
             raise NumericsError("AcwState: x must be positive")
 
 
+def _check_c(c: float):     # the one check of the level c of R
+    if not 0 < c < math.inf:
+        raise ConfigError("c: must be finite and positive")
+
+
 def phi_lambda(lam: float, s: AcwState) -> AcwState:
     """Time-pi/2 solution map of x'' + x = lam/x^3 (lam > 0):
     (x0, y0) -> (x0*phi, -y0/phi) with phi = sqrt(y0^2/x0^2 + lam/x0^4)."""
@@ -37,8 +42,7 @@ def acw_poincare(c: float, s: AcwState) -> AcwState:
     [0, pi/2) and c on [pi/2, pi):
     (x0, y0) -> (x0*Pi, y0/Pi), Pi = sqrt((x0^2 y0^2 + c)/(x0^2 y0^2 + 1)).
     Algebraically identical to phi_lambda(c) o phi_lambda(1)."""
-    if c <= 0:
-        raise NumericsError("acw_poincare: c must be positive")
+    _check_c(c)
     q = s.x * s.x * s.y * s.y
     pi_factor = math.sqrt((q + c) / (q + 1.0))
     return AcwState(s.x * pi_factor, s.y / pi_factor)
@@ -58,8 +62,7 @@ def acw_first_integral(s: AcwState) -> float:
 def acw_orbit(c: float, s0: AcwState, n_steps: int):
     """Iterates (x_n, y_n) of the Poincare map; geometric in n because the
     growth factor Pi is itself a first integral."""
-    if not 0 < c < math.inf:
-        raise ConfigError("c: must be finite and positive")
+    _check_c(c)
     if n_steps < 1:
         raise ValueError("acw_orbit: n_steps must be >= 1")
     out = [s0]
@@ -81,9 +84,7 @@ def acw_numeric_check(c: float, s0: AcwState, cfg: IntegratorConfig) -> AcwCheck
     """Integrate x'' + x = R(t)/x^3 over [0, pi] (Caratheodory: the step
     grid splits exactly at the R jump at pi/2) and compare the endpoint with
     the closed-form Poincare map."""
-    if c <= 0:
-        raise NumericsError("acw_numeric_check: c must be positive")
-
+    analytic = acw_poincare(c, s0)      # checks c
     # R is read once per span at tm, a time inside it, so the stages at
     # pi/2 read the span's own piece
     fun = _compile_system(2, ["x = s_0",
@@ -95,7 +96,6 @@ def acw_numeric_check(c: float, s0: AcwState, cfg: IntegratorConfig) -> AcwCheck
                           span=["lam = 1.0 if tm % pi < half_pi else c"])
     raw = integrate_ode(fun, [s0.x, s0.y], 0.0, math.pi, cfg, breakpoints=[0.5 * math.pi])
     numeric = AcwState(float(raw.ys[-1, 0]), float(raw.ys[-1, 1]))
-    analytic = acw_poincare(c, s0)
     err = max(abs(numeric.x - analytic.x), abs(numeric.y - analytic.y))
     return AcwCheck(analytic=analytic, numeric=numeric, max_err=err)
 

@@ -1,13 +1,12 @@
 """Unforced dynamics of a potential center: orbits, the complex variational
 solution, measured minimal periods, action-angle coordinates, the
-Rofe-Beketov action derivative, the negative semi-period, rotation-argument
-diagnostics, and large-action (bouncing) limit audits.  Action-angle
+Rofe-Beketov action derivative, the negative semi-period, and large-action
+(bouncing) limit audits.  Action-angle
 coordinates need a certified n_iso = N: every period is then 2*pi/N, so
 I = E/N = V(r)/N both ways, with no area quadrature and no measured period."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -375,49 +374,6 @@ def negative_semiperiod(pot: PotentialSpec, action: float) -> float:
         return 2.0 * abs(r_neg) * u / np.sqrt(np.maximum(val, 1e-300))
 
     return math.sqrt(2.0) * _quad_checked(integrand, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# rotation argument (Sturm diagnostics)
-
-def argument_increment(z_of, t0, t1, z0, z1, name, depth=0):
-    """Change of arg z_of(t) from t0 to t1, given z0 = z_of(t0) and z1 =
-    z_of(t1): [t0, t1] is halved until every increment is at most pi/2, so
-    branch jumps cannot alias; NumericsError after 48 halvings."""
-    d = cmath.phase(z1 / z0)
-    if abs(d) <= 0.5 * math.pi:
-        return d
-    if depth >= 48:
-        raise NumericsError(f"{name}: argument varies too fast")
-    tm = 0.5 * (t0 + t1)
-    zm = z_of(tm)
-    return (argument_increment(z_of, t0, tm, z0, zm, name, depth + 1)
-            + argument_increment(z_of, tm, t1, zm, z1, name, depth + 1))
-
-
-def sturm_argument(vs: VariationalSolution, t_grid, component: str = "u"):
-    """Continuous (unwrapped) argument of y + i*y' along t_grid, where y is
-    the real (component="u") or imaginary (component="v") part of psi; each
-    increment between grid nodes is an argument_increment.
-    """
-    if component == "u":
-        z_of = lambda t: complex(vs.u(t) + 1j * vs.du(t))
-    elif component == "v":
-        z_of = lambda t: complex(vs.v(t) + 1j * vs.dv(t))
-    else:
-        raise ValueError("component must be 'u' or 'v'")
-    t = np.asarray(t_grid, dtype=float)
-    out = np.empty(t.shape)
-    if t.size == 0:
-        return out
-    z_prev = z_of(t.flat[0])
-    out.flat[0] = math.atan2(z_prev.imag, z_prev.real)
-    for i in range(1, t.size):
-        z_next = z_of(t.flat[i])
-        out.flat[i] = out.flat[i - 1] + argument_increment(
-            z_of, t.flat[i - 1], t.flat[i], z_prev, z_next, "sturm_argument")
-        z_prev = z_next
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,19 @@ def build_parser():
     return ap
 
 
+def _as_flag_text(name, kind, value):
+    """A --config value as its flag gives it: a JSON number, true or false
+    as its JSON text, so that it takes the flag's conversion (10.9 is not an
+    int, true not a float); a switch takes only true or false."""
+    if kind is bool:
+        if not isinstance(value, (bool, type(None))):
+            raise ConfigError(f"{name}: must be true or false, not {json.dumps(value)}")
+        return value
+    if isinstance(value, list):
+        return [_as_flag_text(name, kind, v) for v in value]
+    return json.dumps(value) if isinstance(value, (bool, int, float)) else value
+
+
 def _resolve(args):
     """Each parameter from its flag, else from the --config key of its name,
     else its default, passed through its type whatever its source."""
@@ -287,7 +300,7 @@ def _resolve(args):
     for name, kind, default in args.params:
         value = getattr(args, name)
         if value is None:
-            value = config.get(name)
+            value = _as_flag_text(name, kind, config.get(name))
         if value is None or value == []:     # an empty list counts as absent
             value = default
         if value is _REQUIRED:

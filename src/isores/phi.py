@@ -1,6 +1,7 @@
-"""The resonance functional over the cylinder: pointwise evaluation, closed
-harmonic forms, the Pinney large-amplitude slice and Fourier constants,
-full-grid scans with a certification verdict, and boundary winding numbers.
+"""The resonance functional over the cylinder: pointwise evaluation, the
+Pinney large-amplitude slice and Fourier constants, full-grid scans with a
+certification verdict, and boundary winding numbers, read by the one
+argument walk (_argument_change).
 
 Cost model: Phi(., r) correlates p with the one profile psi(., r), so a scan
 works per r-column (and on the Pinney infinity slice), never per node.  A
@@ -18,6 +19,7 @@ for every built-in center (_profile); Pinney's one form serves every
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -28,9 +30,8 @@ from .errors import ConfigError, NumericsError
 from .forcing import (ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
-from .autonomous import (argument_increment, asymmetric_psi_closed,
-                         pinney_psi_antiderivative, pinney_psi_closed,
-                         profile_amplitude, psi_solution)
+from .autonomous import (asymmetric_psi_closed, pinney_psi_antiderivative,
+                         pinney_psi_closed, profile_amplitude, psi_solution)
 from .potentials import PotentialSpec, pinney
 
 def _knots(points):
@@ -162,17 +163,6 @@ def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
     the numerically integrated variational solution otherwise.
     """
     return complex(_phi_column(pot, f, [float(theta)], float(r), cfg)[0])
-
-
-def harmonic_phi_closed(n: int, f: ForcingTerm, theta: float) -> complex:
-    """Phi for the harmonic potential of frequency n, reduced to the n-th
-    Fourier integral I_n(p).  Satisfies
-    |I_n|/(2 pi n) <= |Phi| <= |I_n|/(2 pi)."""
-    from .forcing import fourier_coefficient
-    i_n = fourier_coefficient(f, n)
-    a, b = i_n.real, i_n.imag
-    c, s = math.cos(n * theta), math.sin(n * theta)
-    return complex((a * c - b * s) + 1j * (b * c + a * s) / n) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -313,37 +303,61 @@ def resonance_verdict(field: PhiField, threshold: float = 1e-4) -> Verdict:
                    threshold=threshold, coverage=coverage)
 
 
+def _argument_change(z_of, nodes, floor, name) -> float:
+    """Change of arg z_of along the nodes, in the order given (scalars, or
+    points as arrays).  z_of is read once per node, and a gap whose arg step
+    exceeds pi/2 is halved, at most 48 times, so a branch jump cannot alias.
+    NumericsError where |z| < floor or z is nan, or after the 48th halving."""
+    def at(t):
+        z = z_of(t)
+        if not abs(z) >= floor:
+            raise NumericsError(f"{name}: |z| = {abs(z):.2e} at {t}")
+        return z
+
+    total, t0 = 0.0, nodes[0]
+    z0 = at(t0)
+    for t1 in nodes[1:]:
+        ahead = [(t1, at(t1), 0)]       # right ends still to reach, nearest last
+        while ahead:
+            t, z, depth = ahead[-1]
+            d = cmath.phase(z / z0)
+            if abs(d) <= 0.5 * math.pi:
+                total += d
+                t0, z0, _ = ahead.pop()
+            elif depth >= 48:
+                raise NumericsError(f"{name}: argument varies too fast")
+            else:
+                tm = 0.5 * (t0 + t)
+                ahead[-1] = (t, z, depth + 1)
+                ahead.append((tm, at(tm), depth + 1))
+    return total
+
+
 def winding_number(field: PhiField, rectangle, zero_tol: float = 1e-9) -> int:
     """Winding number of Phi along the boundary of the finite
     rectangle = (theta_lo, theta_hi, r_lo, r_hi), counterclockwise.
 
-    Each side is seeded with the scan's nodes on it (theta_grid or r_grid),
-    and each increment between seeds is an argument_increment, so a side on
-    which Phi turns by nearly 2*pi is not read as its small remainder.  A
-    boundary modulus below zero_tol aborts (too close to a zero)."""
+    The boundary nodes are the corners and the scan's nodes strictly inside
+    each side (theta_grid or r_grid), so a side on which Phi turns by nearly
+    2*pi is not read as its small remainder.  A boundary modulus below
+    zero_tol, which must be finite and positive, aborts (too close to a
+    zero)."""
     if not all(math.isfinite(c) for c in rectangle):
         raise NumericsError(f"winding_number: the rectangle {rectangle} must be finite")
+    if not 0 < zero_tol < math.inf:
+        raise ConfigError("zero_tol: must be finite and positive")
     th0, th1, r0, r1 = rectangle
-
-    def val(theta, r):
-        z = field.eval(theta, r)
-        if abs(z) < zero_tol:
-            raise NumericsError(
-                f"winding_number: |Phi| = {abs(z):.2e} on the boundary at {(theta, r)}")
-        return z
-
-    # each side varies one coordinate: (z_of, start, end, the scan's nodes)
-    sides = [(lambda th: val(th, r0), th0, th1, field.theta_grid),
-             (lambda r: val(th1, r), r0, r1, field.r_grid),
-             (lambda th: val(th, r1), th1, th0, field.theta_grid),
-             (lambda r: val(th0, r), r1, r0, field.r_grid)]
-    total = 0.0
-    for z_of, a, b, grid in sides:
+    nodes = []
+    # each side varies one coordinate: (start, end, the other coordinate, axis)
+    for a, b, fixed, axis in ((th0, th1, r0, 0), (r0, r1, th1, 1),
+                              (th1, th0, r1, 0), (r1, r0, th0, 1)):
+        grid = field.r_grid if axis else field.theta_grid
         inner = np.sort(grid[(grid - a) * (grid - b) < 0])
-        t = np.concatenate([[a], inner if a < b else inner[::-1], [b]])
-        z = [z_of(s) for s in t]
-        total += sum(argument_increment(z_of, t[i], t[i + 1], z[i], z[i + 1], "winding_number")
-                     for i in range(t.size - 1))
+        for s in np.concatenate([[a], inner if a < b else inner[::-1]]):
+            nodes.append((fixed, s) if axis else (s, fixed))
+    nodes.append((th0, r0))
+    total = _argument_change(lambda p: field.eval(p[0], p[1]), np.array(nodes),
+                             zero_tol, "winding_number")
     w = total / TWO_PI
     if abs(w - round(w)) > 0.05:
         raise NumericsError(f"winding_number: non-integer winding {w:.4f}")

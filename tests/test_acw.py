@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isores.errors import NumericsError
+from isores.errors import ConfigError, NumericsError
 from isores.acw import (AcwState, acw_first_integral, acw_numeric_check,
                         acw_orbit, acw_poincare, phi_lambda, two_piece_map,
                         write_acw_csv)
@@ -44,6 +44,17 @@ def test_phi_lambda_examples():
         phi_lambda(-1.0, AcwState(1.0, 0.0))
     with pytest.raises(NumericsError):
         AcwState(0.0, 1.0)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+def test_every_acw_map_checks_c_once(c, cfg):
+    # acw_poincare(inf) returned x = inf, and acw_numeric_check(nan) failed
+    # inside the integrator with "no starting step"
+    s = AcwState(1.0, 0.5)
+    for call in (lambda: acw_poincare(c, s), lambda: acw_orbit(c, s, 3),
+                 lambda: acw_numeric_check(c, s, cfg)):
+        with pytest.raises(ConfigError, match="c: must be finite and positive"):
+            call()
 
 
 def test_poincare_examples():

@@ -15,8 +15,7 @@ from isores.autonomous import (ActionAngle, action_of_amplitude,
                                dx_dI_rofe_beketov, from_action_angle,
                                minimal_period, negative_semiperiod,
                                pinney_phi_closed, pinney_psi_antiderivative,
-                               pinney_psi_closed, psi_solution, sturm_argument,
-                               to_action_angle)
+                               pinney_psi_closed, psi_solution, to_action_angle)
 from isores.potentials import custom, inverse_V
 
 
@@ -441,49 +440,6 @@ def test_negative_semiperiod_matches_closed_form_on_grid(pin):
     for action, ref in zip(actions, _PINNEY_T_MINUS_MP, strict=True):
         assert abs(negative_semiperiod(pin, action) - ref) <= 1e-14 * min(1.0, ref)
 
-
-# -- Sturm argument --------------------------------------------------------------
-
-def test_sturm_argument_harmonic_exact(har, cfg):
-    vs = psi_solution(har, 1.0, cfg)
-    ts = np.linspace(0.0, TWO_PI, 200)
-    arg = sturm_argument(vs, ts)
-    assert np.max(np.abs(arg + ts)) < 1e-9
-
-
-def test_sturm_argument_strictly_decreasing(pin, cfg):
-    vs = psi_solution(pin, 1.0, cfg)
-    ts = np.linspace(0.0, TWO_PI, 400)
-    for comp in ("u", "v"):
-        arg = sturm_argument(vs, ts, component=comp)
-        assert np.all(np.diff(arg) < 0)
-
-
-def test_sturm_argument_quantized_winding(pin, har2, cfg):
-    ts = np.linspace(0.0, TWO_PI, 300)
-    vs = psi_solution(pin, 1.0, cfg)
-    total = sturm_argument(vs, ts)[-1] - sturm_argument(vs, ts)[0]
-    assert total == pytest.approx(-TWO_PI, abs=1e-6)
-    vs2 = psi_solution(har2, 1.0, cfg)
-    total2 = sturm_argument(vs2, ts)[-1] - sturm_argument(vs2, ts)[0]
-    assert total2 == pytest.approx(-2 * TWO_PI, abs=1e-6)
-
-
-
-def test_sturm_argument_empty_grid(har, cfg):
-    # reading the first node of the empty grid raised IndexError
-    assert sturm_argument(psi_solution(har, 1.0, cfg), []).shape == (0,)
-
-
-def test_sturm_argument_halves_coarse_steps(har2, cfg):
-    # at t-steps of pi/2 the argument of cos 2t - 2i sin 2t turns by -pi per
-    # step, beyond pi/2: only the halving finds it, as a fine grid does
-    vs = psi_solution(har2, 1.0, cfg)
-    coarse = sturm_argument(vs, 0.5 * math.pi * np.arange(5))
-    fine = sturm_argument(vs, np.linspace(0.0, TWO_PI, 401))
-    assert np.all(np.abs(np.diff(coarse)) > 0.5 * math.pi)
-    assert np.max(np.abs(coarse - fine[::100])) < 1e-9
-    assert coarse[-1] - coarse[0] == pytest.approx(-2 * TWO_PI, abs=1e-9)
 
 def _critical_points(fn, dfn, t_lo, t_hi, n=4000):
     ts = np.linspace(t_lo, t_hi, n)

@@ -447,6 +447,18 @@ def test_config_values_pass_through_the_flag_type(tmp_path, capsys):
     config.write_text(json.dumps({"potential": {"kind": "pinney"}, "r": [100]}))
     assert main(["period-audit", "--config", str(config)]) == 1
     assert "error: potential: " in capsys.readouterr().err
+    # a value its flag could not give: 10.9 ran 10 periods, true ran eps 1
+    # and "false" turned the check on, all with exit 0
+    run = {"potential": "pinney", "forcing": "sin", "eps": 0.05}
+    for command, values, message in [
+            ("resonance-run", {**run, "periods": 10.9}, "periods: invalid literal for int()"),
+            ("resonance-run", {**run, "eps": True}, "eps: could not convert string to float: 'true'"),
+            ("acw", {"c": 4, "check": "false"}, 'check: must be true or false, not "false"'),
+            ("period-audit", {"potential": "pinney", "r": [1, False]},
+             "r: could not convert string to float: 'false'")]:
+        config.write_text(json.dumps(values))
+        assert main([command, "--config", str(config)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ from scipy.special import ellipeinc, ellipkinc
 
 import isores as iso
 from isores.errors import ConfigError, DomainError, NumericsError
-from isores.forcing import PiecewiseConst, Sampled, TrigPoly, TWO_PI
+from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI,
+                            fourier_coefficient)
 from isores.autonomous import pinney_psi_closed, psi_solution
 import isores.phi
-from isores.phi import (adaptive_complex_quad, corollary_bound,
-                        default_r_grid, eval_phi, harmonic_phi_closed, phi_scan,
+from isores.phi import (_argument_change, adaptive_complex_quad,
+                        corollary_bound, default_r_grid, eval_phi, phi_scan,
                         pinney_fourier_constants, resonance_verdict,
                         winding_number, write_phi_csv)
 
@@ -448,6 +450,16 @@ def test_step_and_sampled_scans_cost(monkeypatch, pin, cfg, f, pieces):
 
 # -- harmonic closed form --------------------------------------------------------
 
+def harmonic_phi_closed(n, f, theta):
+    """Phi for the harmonic potential of frequency n, reduced to the n-th
+    Fourier integral I_n(p), written apart from the scan: it satisfies
+    |I_n|/(2 pi n) <= |Phi| <= |I_n|/(2 pi)."""
+    i_n = fourier_coefficient(f, n)
+    a, b = i_n.real, i_n.imag
+    c, s = math.cos(n * theta), math.sin(n * theta)
+    return complex((a * c - b * s) + 1j * (b * c + a * s) / n) / TWO_PI
+
+
 def test_harmonic_phi_closed_examples(sin_f):
     assert abs(harmonic_phi_closed(1, sin_f, 0.4)) == pytest.approx(0.5, abs=1e-12)
     assert abs(harmonic_phi_closed(2, sin_f, 1.0)) == pytest.approx(0.0, abs=1e-12)
@@ -460,7 +472,6 @@ def test_harmonic_phi_closed_examples(sin_f):
 
 
 def test_harmonic_two_sided_bound_random(cfg):
-    from isores.forcing import fourier_coefficient
     for _ in range(20):
         f = random_trig(degree=3)
         for n in (1, 2, 3):
@@ -685,6 +696,98 @@ def test_winding_number_boundary_guard(pin, crafted_zero, cfg):
     with pytest.raises(NumericsError):
         winding_number(field, (math.pi - 0.4, math.pi + 0.4,
                                r_star, 2.0 * r_star), zero_tol=1e-6)
+
+
+def test_winding_number_requires_a_positive_zero_tol(har2, sin_f, cfg):
+    # harmonic:2 with sin has Phi = 0 up to 8e-17: at zero_tol 0, -1 or nan
+    # the guard was off and rounding noise read as winding 0
+    field = phi_scan(har2, sin_f, 16, np.linspace(0.5, 5.0, 4), cfg)
+    with pytest.raises(NumericsError, match=r"\|z\|"):
+        winding_number(field, (0.5, 2.0, 1.0, 4.0))
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="zero_tol: must be finite and positive"):
+            winding_number(field, (0.5, 2.0, 1.0, 4.0), zero_tol=tol)
+
+
+@pytest.mark.parametrize("forcing", ["1+2cos", "step"])
+def test_winding_number_on_a_coarse_scan_halves_its_sides(pin, crafted_zero, cfg,
+                                                          monkeypatch, forcing):
+    # 4 theta nodes leave gaps on the theta sides that turn by more than
+    # pi/2: only halving between them gives the 256-node windings
+    f = (crafted_zero[0] if forcing == "1+2cos" else
+         PiecewiseConst(breakpoints=(0.3, 1.9, 3.4, 5.0), values=(0.7, -0.4, 0.9, -0.8)))
+    r_star = crafted_zero[1]
+    rects = [(math.pi - 0.5, math.pi + 0.5, 0.7 * r_star, 1.4 * r_star),
+             (0.0, 6.2, 0.0, 1e4), (0.5, 2.0, 1.0, 4.0)]
+    fine = phi_scan(pin, f, 256, default_r_grid(10.0, 8), cfg)
+    expected = [winding_number(fine, q) for q in rects]
+    coarse = phi_scan(pin, f, 4, default_r_grid(10.0, 8), cfg)
+    points = []
+    evaluate = isores.phi.eval_phi
+    monkeypatch.setattr(isores.phi, "eval_phi",
+                        lambda *a: points.append(a[2:4]) or evaluate(*a))
+    assert [winding_number(coarse, q) for q in rects] == expected
+    # some boundary point is neither a corner nor a scan node: a midpoint
+    th_nodes = {*coarse.theta_grid, *(c for q in rects for c in q[:2])}
+    r_nodes = {*coarse.r_grid, *(c for q in rects for c in q[2:])}
+    assert any(th not in th_nodes or r not in r_nodes for th, r in points)
+
+
+# -- the argument walk -----------------------------------------------------------------
+
+def _turn_of(vs, component):
+    """t -> y + i y' for y the real (u) or imaginary (v) part of psi."""
+    if component == "u":
+        return lambda t: complex(vs.u(t) + 1j * vs.du(t))
+    return lambda t: complex(vs.v(t) + 1j * vs.dv(t))
+
+
+def test_argument_change_harmonic_turns_once(har, cfg):
+    # u + iu' = cos t - i sin t: its argument is -t
+    z_of = _turn_of(psi_solution(har, 1.0, cfg), "u")
+    ts = np.linspace(0.0, TWO_PI, 200)
+    for k in (1, 57, 100, 199):
+        assert _argument_change(z_of, ts[:k + 1], 1e-9, "u") == \
+            pytest.approx(-ts[k], abs=1e-9)
+
+
+@pytest.mark.parametrize("component", ["u", "v"])
+def test_argument_change_pinney_turns_back_once(pin, cfg, component):
+    z_of = _turn_of(psi_solution(pin, 1.0, cfg), component)
+    ts = np.linspace(0.0, TWO_PI, 400)
+    steps = [_argument_change(z_of, ts[i:i + 2], 1e-9, component)
+             for i in range(ts.size - 1)]
+    assert max(steps) < 0
+    assert _argument_change(z_of, ts, 1e-9, component) == \
+        pytest.approx(-TWO_PI, abs=1e-6)
+
+
+def test_argument_change_halves_coarse_gaps(har2, cfg):
+    # at t-steps of pi/2 the argument of cos 2t - 2i sin 2t turns by -pi per
+    # step, beyond pi/2: only the halving finds it, as a fine grid does
+    z_of = _turn_of(psi_solution(har2, 1.0, cfg), "u")
+    coarse = 0.5 * math.pi * np.arange(5)
+    steps = [_argument_change(z_of, coarse[i:i + 2], 1e-9, "u") for i in range(4)]
+    assert all(abs(d) > 0.5 * math.pi for d in steps)
+    total = _argument_change(z_of, coarse, 1e-9, "u")
+    assert total == pytest.approx(-2 * TWO_PI, abs=1e-9)
+    fine = _argument_change(z_of, np.linspace(0.0, TWO_PI, 401), 1e-9, "u")
+    assert abs(total - fine) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [1e-12, math.nan])
+def test_argument_change_refuses_a_small_or_nan_modulus(bad):
+    # a nan value was halved 48 times and read as "argument varies too fast"
+    z_of = lambda t: complex(bad) if t == 0.5 else cmath.exp(1j * t)
+    with pytest.raises(NumericsError, match=r"walk: \|z\| = .* at 0.5"):
+        _argument_change(z_of, [0.0, 0.5, 1.0], 1e-9, "walk")
+
+
+def test_argument_change_gives_up_after_48_halvings():
+    # the argument jumps by pi at t = 0.5: no halving resolves it
+    z_of = lambda t: 1.0 if t < 0.5 else -1.0 + 1e-3j
+    with pytest.raises(NumericsError, match="walk: argument varies too fast"):
+        _argument_change(z_of, [0.0, 1.0], 1e-9, "walk")
 
 
 # -- export ---------------------------------------------------------------------------------
