@@ -9,18 +9,19 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericsError
-from .integrate import IntegratorConfig, _compile_system, integrate_ode
+from .integrate import IntegratorConfig, solve_forced
+from .potentials import custom
 
 
 @dataclass(frozen=True)
 class AcwState:
-    """Point of the half-plane D = (0, inf) x R."""
+    """Point of the half-plane D = (0, inf) x R, in floats."""
     x: float
     y: float
 
     def __post_init__(self):
-        if not (self.x > 0):
-            raise NumericsError("AcwState: x must be positive")
+        if not (0 < self.x < math.inf and math.isfinite(self.y)):
+            raise NumericsError(f"AcwState: need a finite x > 0 and a finite y, got {self}")
 
 
 def _check_c(c: float):     # the one check of the level c of R
@@ -41,9 +42,11 @@ def acw_poincare(c: float, s: AcwState) -> AcwState:
     """Poincare map of x'' + x = R(t)/x^3 over one period pi, where R is 1 on
     [0, pi/2) and c on [pi/2, pi):
     (x0, y0) -> (x0*Pi, y0/Pi), Pi = sqrt((x0^2 y0^2 + c)/(x0^2 y0^2 + 1)).
-    Algebraically identical to phi_lambda(c) o phi_lambda(1)."""
+    Algebraically identical to phi_lambda(c) o phi_lambda(1).  x0^2 y0^2 is
+    the first integral squared: it overflows only where |x0 y0| > 1e154."""
     _check_c(c)
-    q = s.x * s.x * s.y * s.y
+    i = s.x * s.y
+    q = i * i
     pi_factor = math.sqrt((q + c) / (q + 1.0))
     return AcwState(s.x * pi_factor, s.y / pi_factor)
 
@@ -61,16 +64,25 @@ def acw_first_integral(s: AcwState) -> float:
 
 def acw_orbit(c: float, s0: AcwState, n_steps: int):
     """Iterates (x_n, y_n) of the Poincare map; geometric in n because the
-    growth factor Pi is itself a first integral."""
+    growth factor Pi is itself a first integral.  An iterate past the float
+    range (x_1024 = 2^1024 from (1, 0) at c = 4) raises NumericsError."""
     _check_c(c)
     if n_steps < 1:
-        raise ValueError("acw_orbit: n_steps must be >= 1")
+        raise ConfigError("steps: must be an integer >= 1")
     out = [s0]
     s = s0
-    for _ in range(n_steps):
-        s = acw_poincare(c, s)
+    for n in range(1, n_steps + 1):
+        try:
+            s = acw_poincare(c, s)
+        except NumericsError as exc:
+            raise NumericsError(f"acw_orbit: step {n} leaves the float range ({exc})") from None
         out.append(s)
     return out
+
+
+def _ermakov(lam: float):     # x'' + x = lam/x^3 is x'' = -V'(x) on (0, inf)
+    return custom(lambda x: 0.5 * x * x + 0.5 * lam / (x * x), lambda x: x - lam / x ** 3,
+                  lambda x: 1.0 + 3.0 * lam / x ** 4, domain_left=0.0)
 
 
 @dataclass(frozen=True)
@@ -81,21 +93,16 @@ class AcwCheck:
 
 
 def acw_numeric_check(c: float, s0: AcwState, cfg: IntegratorConfig) -> AcwCheck:
-    """Integrate x'' + x = R(t)/x^3 over [0, pi] (Caratheodory: the step
-    grid splits exactly at the R jump at pi/2) and compare the endpoint with
-    the closed-form Poincare map."""
+    """Integrate x'' + x = R(t)/x^3 over [0, pi], one solve per quarter
+    period on the centre V = x^2/2 + R/(2 x^2) with R's level on it
+    (Caratheodory: no step straddles the R jump at pi/2), and compare the
+    endpoint with the closed-form Poincare map."""
     analytic = acw_poincare(c, s0)      # checks c
-    # R is read once per span at tm, a time inside it, so the stages at
-    # pi/2 read the span's own piece
-    fun = _compile_system(2, ["x = s_0",
-                              "if x < 1e-9: x = 1e-9",
-                              "r_0 = s_1",
-                              "r_1 = -s_0 + lam / x ** 3"],
-                          {"pi": math.pi, "half_pi": 0.5 * math.pi, "c": c},
-                          guard=("x_zero_guard", "z_0 - 1e-9"),
-                          span=["lam = 1.0 if tm % pi < half_pi else c"])
-    raw = integrate_ode(fun, [s0.x, s0.y], 0.0, math.pi, cfg, breakpoints=[0.5 * math.pi])
-    numeric = AcwState(float(raw.ys[-1, 0]), float(raw.ys[-1, 1]))
+    y = [s0.x, s0.y]
+    for lam, t0 in ((1.0, 0.0), (c, 0.5 * math.pi)):
+        y = solve_forced(_ermakov(lam), None, 0.0, y, t0, t0 + 0.5 * math.pi,
+                         cfg).ys[-1].tolist()
+    numeric = AcwState(*y)
     err = max(abs(numeric.x - analytic.x), abs(numeric.y - analytic.y))
     return AcwCheck(analytic=analytic, numeric=numeric, max_err=err)
 

@@ -87,12 +87,13 @@ class PotentialSpec:
     ``n_iso`` is the isochrony integer N (minimal period 2*pi/N) when known;
     None means the potential has not been certified isochronous and callers
     must audit the period themselves.  Evaluator callbacks must be pure and
-    accept numpy arrays.  ``scalar`` declares V' and V'' of a built-in family
-    as expression text in a float x, with the values of the constants they
-    read: (dv, d2v, constants).  The integrator compiles these into its
-    right-hand sides.  Only a custom potential (scalar None) has its _dv and
-    _d2v called with Python floats by the integrator, which uses each result
-    as a scalar.
+    accept numpy arrays.  A built-in family declares V, V' and V'' once, as
+    expression text in a float x (_declared): its callbacks evaluate that
+    text, and ``scalar`` is (dv, d2v, constants), the text of V' and V''
+    with the values of the constants they read, which the integrator
+    compiles into its right-hand sides.  Only a custom potential (scalar
+    None) has its _dv and _d2v called with Python floats by the integrator,
+    which uses each result as a scalar.
     """
 
     kind: str
@@ -118,17 +119,18 @@ class PotentialSpec:
                 f"{self.kind}: x <= {self.domain_left} + {DOMAIN_GUARD} is outside the domain")
         return x
 
-    def v(self, x):
-        out = self._v(self._check_domain(x))
+    def _evaluate(self, callback, x):
+        out = callback(self._check_domain(x))
         return out if np.ndim(out) else float(out)
+
+    def v(self, x):
+        return self._evaluate(self._v, x)
 
     def dv(self, x):
-        out = self._dv(self._check_domain(x))
-        return out if np.ndim(out) else float(out)
+        return self._evaluate(self._dv, x)
 
     def d2v(self, x):
-        out = self._d2v(self._check_domain(x))
-        return out if np.ndim(out) else float(out)
+        return self._evaluate(self._d2v, x)
 
     def require_isochronous(self):
         if self.n_iso is None:
@@ -138,19 +140,28 @@ class PotentialSpec:
         return self.n_iso
 
 
+def _declared(kind, params, domain_left, n_iso, v, dv, d2v, constants, kink_at_zero=False):
+    """A built-in family from its one declaration: V, V' and V'' as
+    expression text in a float x (squares written as products, since a float
+    ** raises OverflowError where a product is inf) and the values of the
+    constants they read.  Each text is compiled once and taken by a float or
+    by each element of an array, so both see the same float arithmetic."""
+    def elementwise(expr):
+        f = eval(f"lambda x: {expr}", dict(constants))
+        each = np.frompyfunc(f, 1, 1)
+        return lambda x: each(x).astype(float) if np.ndim(x) else f(float(x))
+    return PotentialSpec(kind, params, domain_left, n_iso, *map(elementwise, (v, dv, d2v)),
+                         kink_at_zero=kink_at_zero, scalar=(dv, d2v, constants))
+
+
 @functools.lru_cache(maxsize=64)
 def harmonic(n: int) -> PotentialSpec:
     """V(x) = n^2 x^2 / 2; every orbit has minimal period 2*pi/n."""
     if n < 1 or n != int(n):
         raise ConfigError("potential.n: must be a positive integer")
     n = int(n)
-    n2 = float(n * n)
-    return PotentialSpec(
-        kind="harmonic", params=(n,), domain_left=-math.inf, n_iso=n,
-        _v=lambda x: 0.5 * n2 * x * x,
-        _dv=lambda x: n2 * x,
-        _d2v=lambda x: np.full_like(np.asarray(x, dtype=float), n2),
-        scalar=("n2 * x", "n2", {"n2": n2}))
+    return _declared("harmonic", (n,), -math.inf, n,
+                     "0.5 * n2 * x * x", "n2 * x", "n2", {"n2": float(n * n)})
 
 
 @functools.lru_cache(maxsize=1)
@@ -158,24 +169,10 @@ def pinney() -> PotentialSpec:
     """Shifted Pinney potential on (-1, inf), with a vertical asymptote at
     x=-1: V(x) = ((x+1)^2 + (x+1)^-2)/8 - 1/4, evaluated as (x(x+2)/(x+1))^2/8,
     which does not cancel near 0.  All orbits are 2*pi-periodic."""
-    def _v(x):
-        x = np.asarray(x, dtype=float)
-        return 0.125 * np.square(x * (x + 2.0) / (x + 1.0))
-
-    def _dv(x):
-        u = np.asarray(x, dtype=float) + 1.0
-        return 0.25 * (u - u ** -3)
-
-    def _d2v(x):
-        u = np.asarray(x, dtype=float) + 1.0
-        return 0.25 + 0.75 * u ** -4
-
-    # the same operations over a float x: float ** int is the libm pow that
-    # numpy applies to a 0-d argument
-    return PotentialSpec(kind="pinney", params=(), domain_left=-1.0, n_iso=1,
-                         _v=_v, _dv=_dv, _d2v=_d2v,
-                         scalar=("0.25 * ((x + 1.0) - (x + 1.0) ** -3)",
-                                 "0.25 + 0.75 * (x + 1.0) ** -4", {}))
+    return _declared("pinney", (), -1.0, 1,
+                     "0.125 * ((w := x * (x + 2.0) / (x + 1.0)) * w)",
+                     "0.25 * ((x + 1.0) - (x + 1.0) ** -3)",
+                     "0.25 + 0.75 * (x + 1.0) ** -4", {})
 
 
 @functools.lru_cache(maxsize=64)
@@ -190,27 +187,12 @@ def asymmetric(alpha: float, beta: float) -> PotentialSpec:
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise ConfigError("potential.alpha/beta: must be finite and positive")
     alpha, beta = float(alpha), float(beta)
-
-    def _v(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * (alpha * np.maximum(x, 0.0) ** 2 + beta * np.minimum(x, 0.0) ** 2)
-
-    def _dv(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, alpha * x, beta * x)
-
-    def _d2v(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, alpha, beta)
-
     nu = 2.0 / (1.0 / math.sqrt(alpha) + 1.0 / math.sqrt(beta))
     n_iso = int(round(nu)) if abs(nu - round(nu)) < 1e-9 and round(nu) >= 1 else None
-    return PotentialSpec(kind="asymmetric", params=(alpha, beta),
-                         domain_left=-math.inf, n_iso=n_iso,
-                         _v=_v, _dv=_dv, _d2v=_d2v, kink_at_zero=True,
-                         scalar=("alpha * x if x > 0 else beta * x",
-                                 "alpha if x >= 0 else beta",
-                                 {"alpha": alpha, "beta": beta}))
+    return _declared("asymmetric", (alpha, beta), -math.inf, n_iso,
+                     "0.5 * (alpha * (x * x) if x > 0 else beta * (x * x))",
+                     "alpha * x if x > 0 else beta * x", "alpha if x >= 0 else beta",
+                     {"alpha": alpha, "beta": beta}, kink_at_zero=True)
 
 
 def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None,

@@ -144,14 +144,46 @@ def test_numeric_check_sample_grid(cfg):
 def test_numeric_check_reads_r_on_its_span(monkeypatch, cfg, c):
     # R read at the stage time gave the stages at pi/2 the next piece's
     # level: 148 steps (76 shorter than 1e-4) and 3028 right-hand sides at
-    # c = 4; read on the span's own piece it takes 27
+    # c = 4; one solve per quarter period, each on its own level, takes 27
     import isores.acw as acw_mod
-    solves, real = [], acw_mod.integrate_ode
-    monkeypatch.setattr(acw_mod, "integrate_ode",
+    solves, real = [], acw_mod.solve_forced
+    monkeypatch.setattr(acw_mod, "solve_forced",
                         lambda *a, **k: solves.append(real(*a, **k)) or solves[-1])
     chk = acw_numeric_check(c, AcwState(1.0, 0.0), cfg)
     assert chk.max_err <= 1e-10
-    assert len(solves) == 1 and solves[0].stats["n_steps"] <= 40
+    assert [(s.ts[0], s.ts[-1]) for s in solves] == [(0.0, 0.5 * math.pi),
+                                                     (0.5 * math.pi, math.pi)]
+    assert sum(s.stats["n_steps"] for s in solves) <= 40
+
+
+def test_numeric_check_end_state_is_pinned(cfg):
+    # the two quarter-period solves on the Ermakov centres land where the
+    # one compiled system with R read per span landed, bit for bit
+    chk = acw_numeric_check(4.0, AcwState(1.0, 0.0), cfg)
+    assert chk.numeric == AcwState(1.999999999997274, 1.8321455463876646e-13)
+    assert chk.analytic == AcwState(2.0, 0.0)
+
+
+@pytest.mark.parametrize("x, y", [(math.inf, 0.0), (math.nan, 0.0), (0.0, 1.0),
+                                  (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+def test_acw_state_is_finite(x, y):
+    with pytest.raises(NumericsError, match="AcwState: need a finite x > 0 and a finite y"):
+        AcwState(x, y)
+
+
+def test_orbit_names_the_step_that_leaves_the_float_range():
+    # x_n = 2^n, and x_1023 is the last iterate in the float range; q = x^2
+    # y^2 evaluated as x x y y was inf * 0 = nan at step 513, which failed as
+    # "AcwState: x must be positive"
+    assert acw_orbit(4.0, AcwState(1.0, 0.0), 1023)[-1].x == 2.0 ** 1023
+    with pytest.raises(NumericsError, match="step 1024 leaves the float range"):
+        acw_orbit(4.0, AcwState(1.0, 0.0), 1024)
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_orbit_requires_an_integer_step_count(n_steps):
+    with pytest.raises(ConfigError, match=r"steps: must be an integer >= 1"):
+        acw_orbit(4.0, AcwState(1.0, 0.0), n_steps)
 
 
 def test_two_piece_generalization(cfg):

@@ -128,6 +128,23 @@ def test_acw_c_must_be_finite_and_positive(c, capsys):
     assert "c: must be finite and positive" in capsys.readouterr().err
 
 
+def test_acw_steps_must_be_at_least_one(capsys):
+    # a ValueError named the function's argument: "acw_orbit: n_steps"
+    assert main(["acw", "--c", "4", "--steps", "0"]) == 1
+    assert "steps: must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--steps", "1100"], "step 1024 leaves the float range"),
+    (["--y0", "nan", "--steps", "3"], "need a finite x > 0 and a finite y"),
+])
+def test_acw_names_a_state_outside_the_float_range(args, message, capsys):
+    # both failed as "AcwState: x must be positive": x x y y = inf * 0 made
+    # step 513 nan, and y0 = nan was accepted and made the next x nan
+    assert main(["acw", "--c", "4", *args]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_period_audit_command(tmp_path, capsys):
     rc = main(["period-audit", "--potential", "pinney", "--r", "100",
                "--out", str(tmp_path)])

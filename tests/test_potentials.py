@@ -73,24 +73,36 @@ def test_asymmetric_requires_finite_positive_coefficients(alpha, beta):
                                  asymmetric(4.0, 4.0 / 9.0)],
                          ids=lambda p: p.kind + str(p.params))
 def test_derivative_float_path_matches_array_path(pot):
-    # the float path is the declared expression the integrator compiles
-    xs = np.concatenate([np.linspace(-0.999, 5.0, 3001), [0.0, -0.0, 40.0]])
+    # V, V' and V'' are declared once, as text: an array takes the float
+    # arithmetic of that text at each element, and V' and V'' are the text
+    # the integrator compiles
+    xs = np.concatenate([np.linspace(-0.999, 5.0, 3001), [0.0, -0.0, 40.0, 1e150]])
     *exprs, constants = pot.scalar
     for fn, expr in zip((pot._dv, pot._d2v), exprs):
         code = compile(expr, "<scalar>", "eval")
-        scalar = lambda x: eval(code, dict(constants), {"x": x})
-        arr = np.asarray(fn(xs), dtype=float)
-        got = np.array([scalar(float(x)) for x in xs])
-        assert all(type(scalar(float(x))) is float for x in xs[::100])
-        # a 0-d argument takes the array path with the scalar arithmetic
-        assert np.array_equal(got, [float(fn(np.asarray(x))) for x in xs])
-        if pot.kind == "pinney":
-            # numpy's vectorised power may round u**-3 and u**-4 differently
-            # from libm's pow by an ulp: bound the error by the power term
-            u = xs + 1.0
-            assert np.all(np.abs(got - arr) <= 4.5e-16 * (u + u ** -4))
-        else:
-            assert np.array_equal(got, arr)
+        assert all(fn(float(x)) == eval(code, dict(constants), {"x": float(x)})
+                   for x in xs)
+    for method in (pot.v, pot.dv, pot.d2v):
+        got = [method(float(x)) for x in xs]
+        assert all(type(y) is float for y in got)
+        # a 0-d argument takes the float path too
+        assert np.array_equal(got, [method(np.asarray(x)) for x in xs])
+        assert np.array_equal(got, method(xs))
+        assert np.array_equal(np.signbit(got), np.signbit(method(xs)))
+        assert method(xs.reshape(5, -1)).shape == (5, 3005 // 5)
+
+
+@pytest.mark.parametrize("pot, name, x", [
+    (harmonic(1), "v", -1e160), (pinney(), "v", 1e160), (asymmetric(4.0, 4.0 / 9.0), "v", 1e160),
+    (asymmetric(4.0, 4.0 / 9.0), "v", -1e160), (harmonic(3), "dv", 1e308),
+    (asymmetric(4.0, 4.0 / 9.0), "dv", 1e308)], ids=lambda p: getattr(p, "kind", str(p)))
+def test_builtin_overflow_is_inf(pot, name, x):
+    # a float ** raises OverflowError where a product is inf, so the text
+    # writes its squares as products (inverse_V reads an inf as "above")
+    method = getattr(pot, name)
+    assert method(x) == math.inf
+    with np.errstate(over="ignore"):
+        assert method(np.array([x, 1.0]))[0] == math.inf
 
 
 def test_domain_guard(pin):
