@@ -43,11 +43,12 @@ def acw_poincare(c: float, s: AcwState) -> AcwState:
     [0, pi/2) and c on [pi/2, pi):
     (x0, y0) -> (x0*Pi, y0/Pi), Pi = sqrt((x0^2 y0^2 + c)/(x0^2 y0^2 + 1)).
     Algebraically identical to phi_lambda(c) o phi_lambda(1).  x0^2 y0^2 is
-    the first integral squared: it overflows only where |x0 y0| > 1e154."""
+    the first integral squared, inf where |x0 y0| > 1.3e154; Pi is then its
+    limit 1, to which it rounds already from x0^2 y0^2 ~ 1e32 on."""
     _check_c(c)
     i = s.x * s.y
     q = i * i
-    pi_factor = math.sqrt((q + c) / (q + 1.0))
+    pi_factor = math.sqrt((q + c) / (q + 1.0)) if q < math.inf else 1.0
     return AcwState(s.x * pi_factor, s.y / pi_factor)
 
 

@@ -148,8 +148,8 @@ def _declared(kind, params, domain_left, n_iso, v, dv, d2v, constants, kink_at_z
     by each element of an array, so both see the same float arithmetic."""
     def elementwise(expr):
         f = eval(f"lambda x: {expr}", dict(constants))
-        each = np.frompyfunc(f, 1, 1)
-        return lambda x: each(x).astype(float) if np.ndim(x) else f(float(x))
+        return lambda x: (np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+                          if np.ndim(x) else f(float(x)))
     return PotentialSpec(kind, params, domain_left, n_iso, *map(elementwise, (v, dv, d2v)),
                          kink_at_zero=kink_at_zero, scalar=(dv, d2v, constants))
 

@@ -180,6 +180,15 @@ def test_orbit_names_the_step_that_leaves_the_float_range():
         acw_orbit(4.0, AcwState(1.0, 0.0), 1024)
 
 
+def test_poincare_past_a_squared_first_integral_in_the_float_range():
+    # (x y)^2 = 1e320 is inf, and (inf + c)/(inf + 1) was nan, which failed
+    # as "step 1 leaves the float range" though Pi rounds to 1 and the next
+    # state is the same state
+    s = AcwState(1e160, 1.0)
+    assert acw_poincare(4.0, s) == s
+    assert acw_orbit(4.0, s, 3)[-1] == s
+
+
 @pytest.mark.parametrize("n_steps", [0, -1])
 def test_orbit_requires_an_integer_step_count(n_steps):
     with pytest.raises(ConfigError, match=r"steps: must be an integer >= 1"):

@@ -78,10 +78,14 @@ def test_derivative_float_path_matches_array_path(pot):
     # the integrator compiles
     xs = np.concatenate([np.linspace(-0.999, 5.0, 3001), [0.0, -0.0, 40.0, 1e150]])
     *exprs, constants = pot.scalar
+    for fn in (pot._v, pot._dv, pot._d2v):
+        # the text gives a Python float on a float, used as a scalar
+        assert all(type(fn(float(x))) is float for x in xs)
     for fn, expr in zip((pot._dv, pot._d2v), exprs):
         code = compile(expr, "<scalar>", "eval")
-        assert all(fn(float(x)) == eval(code, dict(constants), {"x": float(x)})
-                   for x in xs)
+        scalar = [eval(code, dict(constants), {"x": float(x)}) for x in xs]
+        assert all(type(y) is float for y in scalar)
+        assert scalar == [fn(float(x)) for x in xs]
     for method in (pot.v, pot.dv, pot.d2v):
         got = [method(float(x)) for x in xs]
         assert all(type(y) is float for y in got)
