@@ -1,7 +1,7 @@
 """Unforced dynamics of a potential center: orbits, the complex variational
-solution, measured minimal periods, action-angle coordinates, the
-Rofe-Beketov action derivative, the negative semi-period, and large-action
-(bouncing) limit audits.  Action-angle
+solution, measured minimal periods, action-angle coordinates, the Rofe-Beketov
+action derivative, the negative semi-period (closed form where the center
+declares one) and large-action (bouncing) limit audits.  Action-angle
 coordinates need a certified n_iso = N: every period is then 2*pi/N, so
 I = E/N = V(r)/N both ways, with no area quadrature and no measured period."""
 
@@ -20,7 +20,7 @@ from .potentials import PotentialSpec, inverse_V
 
 
 # ---------------------------------------------------------------------------
-# closed forms (the shifted Pinney potential, harmonic and asymmetric centers)
+# closed-form orbit of the shifted Pinney potential
 
 def pinney_phi_closed(r, t):
     """Closed-form orbit of the Pinney center: position and velocity of the
@@ -34,100 +34,6 @@ def pinney_phi_closed(r, t):
     x = -1.0 + root
     v = (lam ** -2 - lam ** 2) * np.sin(t) / (4.0 * root)
     return x, v
-
-
-def pinney_psi_closed(r, t):
-    """Closed-form complex variational solution along the Pinney orbit of
-    amplitude r (psi(0)=1, psi'(0)=i) for every 0 <= r <= inf.  With mu =
-    (1 + r)^-4, r = 0 (mu = 1) is the linearisation e^{it} and r = inf
-    (mu = 0) the large-amplitude limit |cos(t/2)| + 2i sin(t/2) sgn cos(t/2)."""
-    mu = 0.0 if math.isinf(r) else (1.0 + float(r)) ** -4
-    t = np.asarray(t, dtype=float)
-    c2 = np.cos(0.5 * t) ** 2
-    s2 = np.sin(0.5 * t) ** 2
-    den = np.sqrt(c2 + mu * s2)
-    return (c2 - mu * s2) / den + 1j * (np.sin(t) / den)
-
-
-def carlson_rf_rd(x, y, z):
-    """Carlson's symmetric integrals (R_F(x, y, z), R_D(x, y, z)) for x, y, z
-    >= 0 with at most one of x, y zero and z > 0.  One duplication loop
-    serves both, since they contract the same iterates x, y, z (Carlson,
-    Numer. Algorithms 10, 1995; DLMF 19.36.1-2); R_D also sums
-    4^-n / (sqrt(z_n) (z_n + lam_n)).  The loop stops when 4^-n Q < A_n for
-    every element and both means, which bounds each series remainder by
-    r = 2^-53: Q is (3r)^-1/6 max|A0 - x_i| for R_F and (r/4)^-1/6 for R_D."""
-    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
-    a0_f, a0_d = (x + y + z) / 3.0, (x + y + 3.0 * z) / 5.0
-    spread = np.maximum(np.abs(x - z), np.abs(y - z)) + np.abs(x - y)
-    q = (2.0 ** -55) ** (-1 / 6) * spread       # >= both Q: |A0 - x_i| <= spread
-    x0, y0 = x, y
-    a_f, a_d, tail, scale = a0_f, a0_d, np.zeros(x.shape), 1.0
-    while np.any(q * scale >= np.minimum(a_f, a_d)):
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        tail = tail + scale / (sz * (z + lam))
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        a_f, a_d, scale = 0.25 * (a_f + lam), 0.25 * (a_d + lam), 0.25 * scale
-    fx, fy = scale * (a0_f - x0) / a_f, scale * (a0_f - y0) / a_f
-    fz = -(fx + fy)
-    e2, e3 = fx * fy - fz * fz, fx * fy * fz
-    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a_f)
-    dx, dy = scale * (a0_d - x0) / a_d, scale * (a0_d - y0) / a_d
-    dz = -(dx + dy) / 3.0
-    xy, zz = dx * dy, dz * dz
-    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz
-    e4, e5 = 3.0 * (xy - zz) * zz, xy * zz * dz
-    rd = (scale / (a_d * np.sqrt(a_d))
-          * (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
-             - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0) + 3.0 * tail)
-    return rf, rd
-
-
-def pinney_psi_antiderivative(r, t):
-    """Psi(t, r) = int_0^t psi(s, r) ds on the Pinney orbit of amplitude r
-    (r = inf the limit profile), exact for every real t.  With mu = (1 + r)^-4,
-    c, s = cos, sin of phi = t/2 in [0, pi/2] and y = c^2 + mu s^2, psi
-    integrates to the incomplete elliptic integrals E and F of parameter
-    1 - mu; DLMF 19.25.10 writes E with R_F and R_D so that no 1/(1 - mu) and
-    no cancellation is left at either end:
-        Re Psi = 2 (1 + mu) c s / sqrt(y) - 2 mu s R_F(c^2, 1, y)
-                 + (2/3) mu (1 + mu) s^3 R_D(c^2, 1, y),
-        Im Psi = 4 s^2 / (1 + sqrt(y)).
-    Re psi is even about 0 and pi, so t in (pi, 2pi) reads 2 Re Psi(pi) -
-    Re Psi(2pi - t), and each period adds 2 Re Psi(pi).  At mu = 0 the R_F,
-    R_D terms vanish: Re Psi = 2 s over the first half period."""
-    mu = 0.0 if math.isinf(r) else (1.0 + float(r)) ** -4
-    shape, t = np.shape(t), np.ravel(np.asarray(t, dtype=float))
-    turns = np.floor(t / TWO_PI)
-    u = t - TWO_PI * turns
-    back = u > math.pi
-    phi = 0.5 * np.append(np.where(back, TWO_PI - u, u), math.pi)   # and t = pi
-    s, c = np.sin(phi), np.cos(phi)
-    y = c * c + mu * s * s
-    re = 2.0 * (1.0 + mu) * c * s / np.sqrt(y)
-    if mu > 0.0:
-        rf, rd = carlson_rf_rd(c * c, 1.0, y)
-        re = re + mu * s * ((2.0 / 3.0) * (1.0 + mu) * s * s * rd - 2.0 * rf)
-    im = 4.0 * s * s / (1.0 + np.sqrt(y))
-    re = 2.0 * (turns + back) * re[-1] + np.where(back, -re[:-1], re[:-1])
-    return (re + 1j * im[:-1]).reshape(shape)
-
-
-def asymmetric_psi_closed(w, mu, t):
-    """psi(t, r) of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2 at every r >= 0: x(t; r) =
-    r X(t), so psi = X - i X'/w^2, with X = cos(w s) on the x > 0 arcs (s the
-    time from the nearest maximum) and -(w/mu) sin(mu (t - t1)) on the x < 0
-    arc from t1 = pi/(2w).  X has period pi/w + pi/mu, not always 2*pi."""
-    t = np.asarray(t, dtype=float)
-    if w == mu:                     # harmonic: one sinusoid, no kink
-        return np.cos(w * t) + 1j * np.sin(w * t) / w
-    t1, period = 0.5 * math.pi / w, math.pi / w + math.pi / mu
-    s = np.mod(t, period)
-    s = np.where(s > t1 + math.pi / mu, s - period, s)   # the last x > 0 arc
-    arc = mu * (s - t1)
-    return np.where(s > t1, -(w / mu) * np.sin(arc) + 1j * np.cos(arc) / w,
-                    np.cos(w * s) + 1j * np.sin(w * s) / w)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +121,13 @@ class VariationalSolution:
 
 def profile_amplitude(pot: PotentialSpec, r: float) -> float:
     """The amplitude whose psi serves r, and the one check of r: DomainError
-    unless 0 <= r <= inf.  The harmonic and asymmetric centers are
-    positively homogeneous of degree 2 (x(t; r) = r x(t; 1), V''(r x) =
-    V''(x)), so every finite r >= 0 shares psi(., 1), r = 0 as its r -> 0+
-    limit; any other potential keeps its r (Pinney's r = inf too)."""
+    unless 0 <= r <= inf.  On a homogeneous center (pot.homogeneous: the
+    harmonic and asymmetric ones) every finite r >= 0 shares psi(., 1),
+    r = 0 as its r -> 0+ limit; any other potential keeps its r (Pinney's
+    r = inf too)."""
     if not r >= 0:
         raise DomainError(f"r must be nonnegative or inf, got {r}")
-    if pot.kind in ("harmonic", "asymmetric") and math.isfinite(r):
+    if pot.homogeneous and math.isfinite(r):
         return 1.0
     return r
 
@@ -350,22 +256,15 @@ def dx_dI_rofe_beketov(pot: PotentialSpec, r: float, t_grid,
 # negative semi-period
 
 def negative_semiperiod(pot: PotentialSpec, action: float) -> float:
-    """Time per period spent at x < 0 by the orbit of the given action:
+    """Time per period spent at x < 0 by the orbit of the given action: the
+    center's closed form where it declares one (pot.t_minus, Pinney's), else
     sqrt(2) * integral over (r_-, 0) of dx / sqrt(Omega(I) - V(x)),
-    with a square-root substitution at the turning point.
-
-    Pinney's is closed form: on its orbit x < 0 iff cos^2(t/2) < 1/(l + 1)
-    with l = 4I + 1 + sqrt((4I + 1)^2 - 1), so T- = 2 pi - 4 arccos((l + 1)^-1/2)
-    = 4 arcsin((l + 1)^-1/2).  (4I + 1)^2 - 1 is written 8I(1 + 2I), and
-    arcsin spares the difference: within 1e-15 of 40-digit arithmetic for
-    I = 1e-10...1e8.  Its quadrature would lose digits at small I, where
-    E - V(x) cancels near the turning point (6e-5 at I = 1e-8)."""
+    with a square-root substitution at the turning point."""
     n = pot.require_isochronous()
     if not 0 < action < math.inf:
         raise DomainError("negative_semiperiod: action must be finite and positive")
-    if pot.kind == "pinney":
-        lam2 = 4.0 * action + 1.0 + math.sqrt(8.0 * action * (1.0 + 2.0 * action))
-        return 4.0 * math.asin(1.0 / math.sqrt(lam2 + 1.0))
+    if pot.t_minus is not None:
+        return pot.t_minus(action)
     energy = n * action
     r_neg = inverse_V(pot, energy, -1)
 

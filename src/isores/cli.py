@@ -77,17 +77,11 @@ def parse_potential(text: str):
             return potential_from_descriptor(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"potential: invalid JSON ({exc})") from exc
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "pinney" and len(parts) == 1:
-        return potential_from_descriptor({"kind": "pinney"})
-    if kind == "harmonic" and len(parts) == 2:
-        return potential_from_descriptor({"kind": "harmonic", "n": int(parts[1])})
-    if kind == "asymmetric" and len(parts) == 3:
-        return potential_from_descriptor({"kind": "asymmetric",
-                                          "alpha": float(parts[1]),
-                                          "beta": float(parts[2])})
-    raise ConfigError(f"potential: cannot parse {text!r}")
+    kind, *values = text.split(":")
+    names = {"pinney": (), "harmonic": ("n",), "asymmetric": ("alpha", "beta")}.get(kind)
+    if names is None or len(values) != len(names):
+        raise ConfigError(f"potential: cannot parse {text!r}")
+    return potential_from_descriptor({"kind": kind, **dict(zip(names, values))})
 
 
 def _write_table(out_path, stem, header, rows, fmt):

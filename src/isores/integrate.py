@@ -115,20 +115,20 @@ class RawSolution:
         time order (ties: v_zero, x_zero, log).  A sign change between knots
         is root-found on its step's interpolant, as the loop finds the kink."""
         found = [(e.t, 2, e.kind) for e in self._log]
-        for rank, c, kind in ((0, 1, "v_zero"), (1, 0, "x_zero")):
+        for rank, c, name in ((0, 1, "v_zero"), (1, 0, "x_zero")):
             sign = np.sign(self.ys[:, c])
             # a zero on a knot counts once, and never for a component that is 0
             arrive = (sign == 0) & np.append(sign.any(), sign[:-1] != 0)
-            found += [(t, rank, kind) for t in self.ts[arrive].tolist()]
+            found += [(t, rank, name) for t in self.ts[arrive].tolist()]
             for k in np.flatnonzero(sign[:-1] * sign[1:] < 0).tolist():
                 t_old, h = float(self.ts[k]), float(self.h[k])
                 y_at = _interpolant(t_old, h, self.ys[k].tolist(), self.coef[k])
                 found.append((brentq(lambda t: y_at(t)[c], t_old, t_old + h,
-                                     xtol=_ROOT_TOL, rtol=_ROOT_TOL), rank, kind))
-        return [Event(kind, t) for t, _, kind in sorted(found)]
+                                     xtol=_ROOT_TOL, rtol=_ROOT_TOL), rank, name))
+        return [Event(name, t) for t, _, name in sorted(found)]
 
-    def events_of(self, kind):
-        return [e for e in self.events if e.kind == kind]
+    def events_of(self, name):
+        return [e for e in self.events if name == e.kind]
 
     def state(self, t) -> State:
         x, v = self.eval(float(t))[:2]

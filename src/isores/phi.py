@@ -9,12 +9,11 @@ trigonometric p takes the Fourier modes of psi from one call of the
 package's adaptive quadrature (forcing.adaptive_complex_quad, imported here
 by name), cached per profile.  Any other p differences the antiderivative
 Psi = int psi at the shifted piece starts of p, in one step whichever
-source Psi comes from: for a step p on the Pinney center the closed form
-(Carlson's R_F and R_D), with no quadrature; else one quadrature per column
-between all the starts.  Each node is then a finite sum.  Columns that share
-a profile (profile_amplitude) are computed once, and psi is a closed form
-for every built-in center (_profile); Pinney's one form serves every
-0 <= r <= inf.
+source Psi comes from: for a step p the closed form a center declares
+(Pinney's), with no quadrature; else one quadrature per column between all
+the starts.  Each node is then a finite sum.  Columns that share a profile
+(profile_amplitude) are computed once, and psi is the center's declared
+closed form (_profile) where it has one: every built-in center does.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from .errors import ConfigError, NumericsError
 from .forcing import (ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad,
                       complex_fourier_coefficients)
 from .integrate import IntegratorConfig
-from .autonomous import (asymmetric_psi_closed, pinney_psi_antiderivative,
-                         pinney_psi_closed, profile_amplitude, psi_solution)
+from .autonomous import profile_amplitude, psi_solution
 from .potentials import PotentialSpec, pinney
 
 def _knots(points):
@@ -39,42 +37,17 @@ def _knots(points):
     return np.unique(np.concatenate([[0.0, TWO_PI], np.mod(points, TWO_PI)]))
 
 
-def _pinney_layer_points(r):
-    """Extra split points around t = pi resolving the sharp layer of the
-    Pinney variational solution at large amplitude; no point lies nearer to
-    pi than a float can, so the ladder ends when (1 + r)**-2 underflows."""
-    lam = 1.0 + r
-    if lam < 10.0:
-        return ()
-    pts = []
-    scale = max(lam ** -2, math.ulp(math.pi))
-    while scale < 0.5:
-        pts.extend([math.pi - scale, math.pi + scale])
-        scale *= 16.0
-    pts.append(math.pi)
-    return tuple(pts)
-
-
 @functools.lru_cache(maxsize=64)
 def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
     """(psi(., r), extra split points for its quadratures, its antiderivative
-    Psi(., r) = int_0^. psi or None), the one place that picks psi: the
-    closed forms of the built-in centers (split at the kink x = 0 or the
-    Pinney layer), else the integrated variational solution.  Only Pinney
-    has a profile at r = inf and a closed-form Psi: one form of each serves
-    every 0 <= r <= inf.  Cached: winding_number and the Fourier modes reuse
-    a scan's."""
-    if pot.kind == "pinney":
-        return ((lambda t: pinney_psi_closed(r, t)), _pinney_layer_points(r),
-                (lambda t: pinney_psi_antiderivative(r, t)))
-    if r == math.inf:
+    Psi(., r) = int_0^. psi or None): the profile the center declares, else
+    the integrated variational solution.  Only a declared profile that is
+    not homogeneous (Pinney's) serves r = inf.  Cached: winding_number and
+    the Fourier modes reuse a scan's."""
+    if r == math.inf and (pot.profile is None or pot.homogeneous):
         raise NumericsError(f"{pot.kind}: no large-amplitude limit profile")
-    if pot.kind in ("harmonic", "asymmetric"):
-        w, mu = math.sqrt(pot.d2v(1.0)), math.sqrt(pot.d2v(-1.0))
-        down = np.arange(0.5 * math.pi / w, TWO_PI, math.pi / w + math.pi / mu)
-        crossings = np.concatenate([down, down + math.pi / mu])
-        kinks = () if w == mu else tuple(crossings[crossings <= TWO_PI].tolist())
-        return (lambda t: asymmetric_psi_closed(w, mu, t)), kinks, None
+    if pot.profile is not None:
+        return pot.profile(r)
     return psi_solution(pot, r, cfg).psi, (), None
 
 
@@ -157,11 +130,8 @@ def _phi_column(pot: PotentialSpec, f: ForcingTerm, theta, r: float,
 
 def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
              cfg: IntegratorConfig) -> complex:
-    """Phi_p(theta, r) = (1/2pi) int_0^{2pi} p(t - theta) psi(t, r) dt.
-
-    One column of a scan; psi is the closed form for the built-in centers,
-    the numerically integrated variational solution otherwise.
-    """
+    """Phi_p(theta, r) = (1/2pi) int_0^{2pi} p(t - theta) psi(t, r) dt, one
+    column of a scan on the profile that _profile picks."""
     return complex(_phi_column(pot, f, [float(theta)], float(r), cfg)[0])
 
 
@@ -205,10 +175,10 @@ def corollary_bound(a0: float, a1: float, b1: float) -> CorollaryBound:
 
 @dataclass(frozen=True, eq=False)
 class PhiField:
-    """Sampled |Phi| data over the cylinder grid plus, for the Pinney
-    potential, the analytic r -> inf slice.  argmin reports (theta, r) with
-    r = inf pointing into the infinity slice; ties report the first r-column,
-    so the r-independent asymmetric and harmonic fields report r = 0."""
+    """Sampled |Phi| data over the cylinder grid plus the r -> inf slice of
+    a declared profile (Pinney's).  argmin reports (theta, r) with r = inf
+    pointing into the infinity slice; ties report the first r-column, so the
+    r-independent asymmetric and harmonic fields report r = 0."""
 
     theta_grid: np.ndarray
     r_grid: np.ndarray
@@ -241,9 +211,9 @@ def default_r_grid(r_max: float = 1e3, n: int = 60):
 def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
              r_grid, cfg: IntegratorConfig) -> PhiField:
     """Evaluate Phi_p on the product grid (uniform theta x given r ladder),
-    one column per profile, copied into every r that shares it; Pinney
-    fields also carry the infinity slice.  Never returns a partial field:
-    any evaluation error propagates."""
+    one column per profile, copied into every r that shares it, and the r =
+    inf slice where a declared profile serves it.  Never returns a partial
+    field: any evaluation error propagates."""
     if theta_count < 1 or len(r_grid) < 1:
         raise NumericsError("phi_scan: grids must be nonempty")
     theta = np.linspace(0.0, TWO_PI, theta_count, endpoint=False)
@@ -251,9 +221,8 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     keys = [profile_amplitude(pot, float(r)) for r in r_grid]
     columns = {k: _phi_column(pot, f, theta, k, cfg) for k in dict.fromkeys(keys)}
     values = np.column_stack([columns[k] for k in keys])
-    infinity = None
-    if pot.kind == "pinney":
-        infinity = _phi_column(pot, f, theta, math.inf, cfg)
+    infinity = (_phi_column(pot, f, theta, math.inf, cfg)
+                if pot.profile is not None and not pot.homogeneous else None)
 
     mods = np.abs(values)
     i, j = np.unravel_index(np.argmin(mods), mods.shape)

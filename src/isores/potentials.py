@@ -1,5 +1,5 @@
-"""Potential families for isochronous centers: harmonic, shifted Pinney,
-asymmetric (piecewise-quadratic), and user-supplied callbacks; inverse_V,
+"""Potential families for isochronous centers, with the closed forms they
+declare: harmonic, shifted Pinney, asymmetric; and user callbacks; inverse_V,
 the inversion of V on either side of the centre, exact to rounding at every
 level; and the singular-endpoint sigma map with its structural audit."""
 
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
+from .forcing import TWO_PI
 
 DOMAIN_GUARD = 1e-14
 _BRENT_RTOL = 4 * math.ulp(1.0)
@@ -93,7 +94,10 @@ class PotentialSpec:
     with the values of the constants they read, which the integrator
     compiles into its right-hand sides.  Only a custom potential (scalar
     None) has its _dv and _d2v called with Python floats by the integrator,
-    which uses each result as a scalar.
+    which uses each result as a scalar.  Closed forms, where declared:
+    ``profile`` maps 0 <= r <= inf to (psi(., r), split points for its
+    quadratures, Psi = int_0^. psi or None), or if ``homogeneous`` (x(t; r)
+    = r x(t; 1)) every finite r to one profile; ``t_minus`` maps I to T-.
     """
 
     kind: str
@@ -105,6 +109,9 @@ class PotentialSpec:
     _d2v: callable
     kink_at_zero: bool = False
     scalar: tuple | None = None
+    profile: callable | None = None
+    homogeneous: bool = False
+    t_minus: callable | None = None
 
     @property
     def singular_left(self):
@@ -140,39 +147,167 @@ class PotentialSpec:
         return self.n_iso
 
 
-def _declared(kind, params, domain_left, n_iso, v, dv, d2v, constants, kink_at_zero=False):
+def _declared(kind, params, domain_left, n_iso, v, dv, d2v, constants, **closed):
     """A built-in family from its one declaration: V, V' and V'' as
     expression text in a float x (squares written as products, since a float
-    ** raises OverflowError where a product is inf) and the values of the
-    constants they read.  Each text is compiled once and taken by a float or
+    ** raises OverflowError where a product is inf), the constants they read
+    and its closed forms.  Each text is compiled once and taken by a float or
     by each element of an array, so both see the same float arithmetic."""
     def elementwise(expr):
         f = eval(f"lambda x: {expr}", dict(constants))
         return lambda x: (np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
                           if np.ndim(x) else f(float(x)))
     return PotentialSpec(kind, params, domain_left, n_iso, *map(elementwise, (v, dv, d2v)),
-                         kink_at_zero=kink_at_zero, scalar=(dv, d2v, constants))
+                         scalar=(dv, d2v, constants), **closed)
+
+
+def pinney_psi_closed(r, t):
+    """Closed-form complex variational solution along the Pinney orbit of
+    amplitude r (psi(0)=1, psi'(0)=i) for every 0 <= r <= inf.  With mu =
+    (1 + r)^-4, r = 0 (mu = 1) is the linearisation e^{it} and r = inf
+    (mu = 0) the large-amplitude limit |cos(t/2)| + 2i sin(t/2) sgn cos(t/2)."""
+    mu = 0.0 if math.isinf(r) else (1.0 + float(r)) ** -4
+    t = np.asarray(t, dtype=float)
+    c2 = np.cos(0.5 * t) ** 2
+    s2 = np.sin(0.5 * t) ** 2
+    den = np.sqrt(c2 + mu * s2)
+    return (c2 - mu * s2) / den + 1j * (np.sin(t) / den)
+
+
+def carlson_rf_rd(x, y, z):
+    """Carlson's symmetric integrals (R_F(x, y, z), R_D(x, y, z)) for x, y, z
+    >= 0 with at most one of x, y zero and z > 0.  One duplication loop
+    serves both, since they contract the same iterates x, y, z (Carlson,
+    Numer. Algorithms 10, 1995; DLMF 19.36.1-2); R_D also sums
+    4^-n / (sqrt(z_n) (z_n + lam_n)).  The loop stops when 4^-n Q < A_n for
+    every element and both means, which bounds each series remainder by
+    r = 2^-53: Q is (3r)^-1/6 max|A0 - x_i| for R_F and (r/4)^-1/6 for R_D."""
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    a0_f, a0_d = (x + y + z) / 3.0, (x + y + 3.0 * z) / 5.0
+    spread = np.maximum(np.abs(x - z), np.abs(y - z)) + np.abs(x - y)
+    q = (2.0 ** -55) ** (-1 / 6) * spread       # >= both Q: |A0 - x_i| <= spread
+    x0, y0 = x, y
+    a_f, a_d, tail, scale = a0_f, a0_d, np.zeros(x.shape), 1.0
+    while np.any(q * scale >= np.minimum(a_f, a_d)):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        tail = tail + scale / (sz * (z + lam))
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        a_f, a_d, scale = 0.25 * (a_f + lam), 0.25 * (a_d + lam), 0.25 * scale
+    fx, fy = scale * (a0_f - x0) / a_f, scale * (a0_f - y0) / a_f
+    fz = -(fx + fy)
+    e2, e3 = fx * fy - fz * fz, fx * fy * fz
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a_f)
+    dx, dy = scale * (a0_d - x0) / a_d, scale * (a0_d - y0) / a_d
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz
+    e4, e5 = 3.0 * (xy - zz) * zz, xy * zz * dz
+    rd = (scale / (a_d * np.sqrt(a_d))
+          * (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+             - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0) + 3.0 * tail)
+    return rf, rd
+
+
+def pinney_psi_antiderivative(r, t):
+    """Psi(t, r) = int_0^t psi(s, r) ds on the Pinney orbit of amplitude r
+    (r = inf the limit profile), exact for every real t.  With mu = (1 + r)^-4,
+    c, s = cos, sin of phi = t/2 in [0, pi/2] and y = c^2 + mu s^2, psi
+    integrates to the incomplete elliptic integrals E and F of parameter
+    1 - mu; DLMF 19.25.10 writes E with R_F and R_D so that no 1/(1 - mu) and
+    no cancellation is left at either end:
+        Re Psi = 2 (1 + mu) c s / sqrt(y) - 2 mu s R_F(c^2, 1, y)
+                 + (2/3) mu (1 + mu) s^3 R_D(c^2, 1, y),
+        Im Psi = 4 s^2 / (1 + sqrt(y)).
+    Re psi is even about 0 and pi, so t in (pi, 2pi) reads 2 Re Psi(pi) -
+    Re Psi(2pi - t), and each period adds 2 Re Psi(pi).  At mu = 0 the R_F,
+    R_D terms vanish: Re Psi = 2 s over the first half period."""
+    mu = 0.0 if math.isinf(r) else (1.0 + float(r)) ** -4
+    shape, t = np.shape(t), np.ravel(np.asarray(t, dtype=float))
+    turns = np.floor(t / TWO_PI)
+    u = t - TWO_PI * turns
+    back = u > math.pi
+    phi = 0.5 * np.append(np.where(back, TWO_PI - u, u), math.pi)   # and t = pi
+    s, c = np.sin(phi), np.cos(phi)
+    y = c * c + mu * s * s
+    re = 2.0 * (1.0 + mu) * c * s / np.sqrt(y)
+    if mu > 0.0:
+        rf, rd = carlson_rf_rd(c * c, 1.0, y)
+        re = re + mu * s * ((2.0 / 3.0) * (1.0 + mu) * s * s * rd - 2.0 * rf)
+    im = 4.0 * s * s / (1.0 + np.sqrt(y))
+    re = 2.0 * (turns + back) * re[-1] + np.where(back, -re[:-1], re[:-1])
+    return (re + 1j * im[:-1]).reshape(shape)
+
+
+def _pinney_layer_points(r):
+    """Extra split points around t = pi resolving the sharp layer of the
+    Pinney variational solution at large amplitude; no point lies nearer to
+    pi than a float can, so the ladder ends when (1 + r)**-2 underflows."""
+    lam = 1.0 + r
+    if lam < 10.0:
+        return ()
+    pts = []
+    scale = max(lam ** -2, math.ulp(math.pi))
+    while scale < 0.5:
+        pts.extend([math.pi - scale, math.pi + scale])
+        scale *= 16.0
+    pts.append(math.pi)
+    return tuple(pts)
+
+
+def asymmetric_psi_closed(w, mu, t):
+    """psi(t, r) of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2 at every r >= 0: x(t; r) =
+    r X(t), so psi = X - i X'/w^2, with X = cos(w s) on the x > 0 arcs (s the
+    time from the nearest maximum) and -(w/mu) sin(mu (t - t1)) on the x < 0
+    arc from t1 = pi/(2w).  X has period pi/w + pi/mu, not always 2*pi."""
+    t = np.asarray(t, dtype=float)
+    if w == mu:                     # harmonic: one sinusoid, no kink
+        return np.cos(w * t) + 1j * np.sin(w * t) / w
+    t1, period = 0.5 * math.pi / w, math.pi / w + math.pi / mu
+    s = np.mod(t, period)
+    s = np.where(s > t1 + math.pi / mu, s - period, s)   # the last x > 0 arc
+    arc = mu * (s - t1)
+    return np.where(s > t1, -(w / mu) * np.sin(arc) + 1j * np.cos(arc) / w,
+                    np.cos(w * s) + 1j * np.sin(w * s) / w)
+
+
+def _sinusoid_chain(w, mu):
+    """The profile of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2 at every finite r,
+    split at the kinks (zeros of x in [0, 2*pi]), none where w = mu."""
+    down = np.arange(0.5 * math.pi / w, TWO_PI, math.pi / w + math.pi / mu)
+    crossings = np.concatenate([down, down + math.pi / mu])
+    kinks = () if w == mu else tuple(crossings[crossings <= TWO_PI].tolist())
+    return functools.partial(asymmetric_psi_closed, w, mu), kinks, None
 
 
 @functools.lru_cache(maxsize=64)
 def harmonic(n: int) -> PotentialSpec:
     """V(x) = n^2 x^2 / 2; every orbit has minimal period 2*pi/n."""
-    if n < 1 or n != int(n):
+    if not 1 <= n < math.inf or n != int(n):
         raise ConfigError("potential.n: must be a positive integer")
     n = int(n)
-    return _declared("harmonic", (n,), -math.inf, n,
-                     "0.5 * n2 * x * x", "n2 * x", "n2", {"n2": float(n * n)})
+    return _declared("harmonic", (n,), -math.inf, n, "0.5 * n2 * x * x", "n2 * x", "n2",
+                     {"n2": float(n * n)}, profile=lambda r: _sinusoid_chain(n, n),
+                     homogeneous=True)
 
 
 @functools.lru_cache(maxsize=1)
 def pinney() -> PotentialSpec:
     """Shifted Pinney potential on (-1, inf), with a vertical asymptote at
     x=-1: V(x) = ((x+1)^2 + (x+1)^-2)/8 - 1/4, evaluated as (x(x+2)/(x+1))^2/8,
-    which does not cancel near 0.  All orbits are 2*pi-periodic."""
+    which does not cancel near 0.  All orbits are 2*pi-periodic; the one of
+    action I has x < 0 iff cos^2(t/2) < 1/(l + 1), l = 4I + 1 + sqrt(8I(1 +
+    2I)), so T- = 4 arcsin((l + 1)^-1/2), within 1e-15 of 40-digit arithmetic
+    for I = 1e-10...1e8 (the quadrature lost 6e-5 at I = 1e-8)."""
     return _declared("pinney", (), -1.0, 1,
                      "0.125 * ((w := x * (x + 2.0) / (x + 1.0)) * w)",
                      "0.25 * ((x + 1.0) - (x + 1.0) ** -3)",
-                     "0.25 + 0.75 * (x + 1.0) ** -4", {})
+                     "0.25 + 0.75 * (x + 1.0) ** -4", {},
+                     profile=lambda r: (functools.partial(pinney_psi_closed, r),
+                                        _pinney_layer_points(r),
+                                        functools.partial(pinney_psi_antiderivative, r)),
+                     t_minus=lambda i: 4.0 * math.asin(1.0 / math.sqrt(
+                         4.0 * i + 1.0 + math.sqrt(8.0 * i * (1.0 + 2.0 * i)) + 1.0)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -192,15 +327,16 @@ def asymmetric(alpha: float, beta: float) -> PotentialSpec:
     return _declared("asymmetric", (alpha, beta), -math.inf, n_iso,
                      "0.5 * (alpha * (x * x) if x > 0 else beta * (x * x))",
                      "alpha * x if x > 0 else beta * x", "alpha if x >= 0 else beta",
-                     {"alpha": alpha, "beta": beta}, kink_at_zero=True)
+                     {"alpha": alpha, "beta": beta}, kink_at_zero=True, homogeneous=True,
+                     profile=lambda r: _sinusoid_chain(math.sqrt(alpha), math.sqrt(beta)))
 
 
 def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None,
            kink_at_zero=False) -> PotentialSpec:
     """Wrap user-supplied evaluators.  Isochrony is not assumed: pass n_iso
-    only after auditing the period.  Its kind is always "custom": the
-    closed forms that phi and autonomous pick by kind belong to the
-    built-in families only."""
+    only after auditing the period.  It declares no closed forms, so phi
+    and autonomous take their numeric paths (psi_solution, the T-
+    quadrature)."""
     return PotentialSpec(kind="custom", params=(), domain_left=float(domain_left),
                          n_iso=n_iso, _v=v, _dv=dv, _d2v=d2v,
                          kink_at_zero=kink_at_zero)
@@ -312,14 +448,16 @@ def potential_from_descriptor(d) -> PotentialSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("potential: descriptor must be an object with a 'kind' field")
     kind = d["kind"]
+    if any(isinstance(d.get(key), bool) for key in ("n", "alpha", "beta")):
+        raise ConfigError("potential: n, alpha and beta must be numbers, not booleans")
     try:
         if kind == "harmonic":
-            return harmonic(int(d["n"]))
+            return harmonic(float(d["n"]))
         if kind == "pinney":
             return pinney()
         if kind == "asymmetric":
             return asymmetric(float(d["alpha"]), float(d["beta"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"potential: malformed descriptor ({exc})") from exc

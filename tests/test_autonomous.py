@@ -10,13 +10,13 @@ from isores.errors import ConfigError, DomainError, NumericsError
 from isores.forcing import TWO_PI
 from isores.integrate import IntegratorConfig, State, integrate_autonomous
 from isores.autonomous import (ActionAngle, action_of_amplitude,
-                               amplitude_of_action, asymmetric_psi_closed,
-                               bouncing_limit_audit, carlson_rf_rd,
+                               amplitude_of_action, bouncing_limit_audit,
                                dx_dI_rofe_beketov, from_action_angle,
                                minimal_period, negative_semiperiod,
-                               pinney_phi_closed, pinney_psi_antiderivative,
-                               pinney_psi_closed, psi_solution, to_action_angle)
-from isores.potentials import custom, inverse_V
+                               pinney_phi_closed, psi_solution, to_action_angle)
+from isores.potentials import (asymmetric_psi_closed, carlson_rf_rd, custom,
+                               inverse_V, pinney_psi_antiderivative,
+                               pinney_psi_closed)
 
 
 def pinney_t_minus_closed(action):

@@ -67,6 +67,13 @@ def test_parse_potential():
         parse_potential("cubic")
 
 
+def test_a_fractional_harmonic_n_is_a_usage_error(capsys):
+    # {"n": 2.5} scanned harmonic(2) and exited 2, a scientific result
+    assert main(["phi-scan", "--potential", '{"kind":"harmonic","n":2.5}',
+                 "--forcing", "sin"]) == 1
+    assert "potential.n: must be a positive integer" in capsys.readouterr().err
+
+
 def test_phi_scan_exit_codes(tmp_path):
     rc = main(["phi-scan", "--potential", "pinney", "--forcing", "sin",
                "--theta-points", "32", "--r-points", "8",

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ import isores as iso
 from isores.errors import ConfigError, DomainError, NumericsError
 from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI,
                             fourier_coefficient)
-from isores.autonomous import pinney_psi_closed, psi_solution
+from isores.autonomous import negative_semiperiod, psi_solution
 import isores.phi
+import isores.potentials
+from isores.potentials import pinney_psi_closed
 from isores.phi import (_argument_change, adaptive_complex_quad,
                         corollary_bound, default_r_grid, eval_phi, phi_scan,
                         pinney_fourier_constants, resonance_verdict,
@@ -223,6 +226,23 @@ def test_custom_centre_scan_matches_pinney_closed_forms(cfg):
         assert resonance_verdict(field).coverage == "grid-only"
 
 
+def test_a_renamed_pinney_keeps_its_closed_forms(monkeypatch, pin, cfg, sin_f):
+    # phi and autonomous picked the closed forms by kind: a Pinney centre of
+    # another name took psi_solution at each of the 8 amplitudes, lost the
+    # r = inf slice, moved its values and integrated T-
+    renamed = dataclasses.replace(pin, kind="shifted-pinney")
+    solves = _count_calls(monkeypatch, isores.phi, "psi_solution")
+    step = PiecewiseConst((0.3, 1.9, 3.4, 5.0), (0.7, -0.4, 0.9, -0.8))
+    for f in (sin_f, step):
+        field, closed = (phi_scan(p, f, 32, default_r_grid(1e3, 8), cfg) for p in (renamed, pin))
+        assert np.array_equal(field.values, closed.values)
+        assert field.infinity_slice is not None
+        assert np.array_equal(field.infinity_slice, closed.infinity_slice)
+    assert solves == []
+    for action in (1e-8, 0.5, 1e6):
+        assert negative_semiperiod(renamed, action) == negative_semiperiod(pin, action)
+
+
 def test_pinney_scan_at_r0_solves_no_variational_equation(monkeypatch, pin, cfg, sin_f):
     # r = 0 took psi_solution's linearisation; the closed form covers it
     solves = _count_calls(monkeypatch, isores.phi, "psi_solution")
@@ -397,14 +417,14 @@ def test_pinney_layer_points_terminate_at_huge_r():
     # (1 + r)**-2 underflows to 0 at r = 1e200: the ladder starts at the
     # float spacing near pi instead of looping forever
     for r in (1e200, math.inf):
-        pts = isores.phi._pinney_layer_points(r)
+        pts = isores.potentials._pinney_layer_points(r)
         assert 0 < len(pts) < 64 and pts[-1] == math.pi
         assert min(abs(p - math.pi) for p in pts[:-1]) == math.ulp(math.pi)
         assert max(abs(p - math.pi) for p in pts) < 0.5
     # default scans keep their ladder: it starts at the layer width
-    pts = isores.phi._pinney_layer_points(1e3)
+    pts = isores.potentials._pinney_layer_points(1e3)
     assert pts[:2] == (math.pi - 1001.0 ** -2, math.pi + 1001.0 ** -2)
-    assert isores.phi._pinney_layer_points(8.0) == ()
+    assert isores.potentials._pinney_layer_points(8.0) == ()
 
 
 def test_sampled_scan_matches_scipy_quad(pin, cfg):

@@ -411,13 +411,17 @@ def test_custom_potential_requires_isochrony_flag():
 
 
 def test_custom_potential_kind_is_fixed():
-    # phi and autonomous pick closed forms (Pinney's psi, its r = inf slice)
-    # by kind, and only the built-in families have them
+    # a custom centre declares no closed forms (Pinney's psi, its r = inf
+    # slice, T-), and neither its kind nor those can be passed in
     args = dict(v=lambda x: 0.5 * np.asarray(x) ** 2, dv=lambda x: np.asarray(x),
                 d2v=lambda x: np.ones_like(np.asarray(x, dtype=float)), n_iso=1)
     assert custom(**args).kind == "custom"
     with pytest.raises(TypeError):
         custom(**args, kind="pinney")
+    assert (custom(**args).profile, custom(**args).t_minus) == (None, None)
+    for name in ("profile", "homogeneous", "t_minus"):
+        with pytest.raises(TypeError):
+            custom(**args, **{name: getattr(pinney(), name)})
 
 
 def test_descriptor_round_trip():
@@ -430,3 +434,14 @@ def test_descriptor_round_trip():
         potential_from_descriptor({"kind": "harmonic"})
     with pytest.raises(ConfigError):
         potential_from_descriptor({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("d", [{"kind": "harmonic", "n": 2.5}, {"kind": "harmonic", "n": True},
+                               {"kind": "harmonic", "n": math.inf},
+                               {"kind": "asymmetric", "alpha": True, "beta": 4.0},
+                               {"kind": "asymmetric", "alpha": 4.0, "beta": False}])
+def test_descriptor_rejects_fractional_and_boolean_numbers(d):
+    # int(2.5) built harmonic(2), int(True) harmonic(1) and float(True) an
+    # alpha of 1; int(inf) raised OverflowError, which no caller catches
+    with pytest.raises(ConfigError):
+        potential_from_descriptor(d)
