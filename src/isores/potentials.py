@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,6 +287,8 @@ def harmonic(n: int) -> PotentialSpec:
     if not 1 <= n < math.inf or n != int(n):
         raise ConfigError("potential.n: must be a positive integer")
     n = int(n)
+    if n * n > sys.float_info.max:
+        raise ConfigError("potential.n: must be below 1.34e154, where n^2 leaves the float range")
     return _declared("harmonic", (n,), -math.inf, n, "0.5 * n2 * x * x", "n2 * x", "n2",
                      {"n2": float(n * n)}, profile=lambda r: _sinusoid_chain(n, n),
                      homogeneous=True)

@@ -836,8 +836,22 @@ def test_phi_csv_abs_is_the_verdict_modulus(pin, cfg, tmp_path):
     assert table[:, 4].min() == field.min_modulus == resonance_verdict(field).min_modulus
 
 
+def _row_by_row_csv(field):
+    """The phi CSV built apart from the writer: rows (theta, r, re, im, abs)
+    one at a time, with the modulus phi_scan's verdict takes (np.abs of the
+    array), and every cell printed "%.17g" of its float."""
+    mods = np.abs(field.values)
+    rows = [(th, r, field.values[i, j].real, field.values[i, j].imag, mods[i, j])
+            for j, r in enumerate(field.r_grid)
+            for i, th in enumerate(field.theta_grid)]
+    if field.infinity_slice is not None:
+        rows += [(th, -1.0, z.real, z.imag, m) for th, z, m in
+                 zip(field.theta_grid, field.infinity_slice, np.abs(field.infinity_slice))]
+    lines = ["theta,r,re,im,abs"] + [",".join("%.17g" % float(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_phi_csv_bytes_match_row_writer(pin, sin_f, cfg, tmp_path):
-    from isores.io import write_csv
     from isores.phi import PhiField
     base = phi_scan(pin, sin_f, 8, [0.0, 1.0, 50.0], cfg)
     values = base.values.copy()
@@ -845,16 +859,24 @@ def test_phi_csv_bytes_match_row_writer(pin, sin_f, cfg, tmp_path):
     values[2, 1] = 0.0
     field = PhiField(base.theta_grid, base.r_grid, values, base.infinity_slice,
                      base.min_modulus, base.argmin)
-    # the row-by-row construction the array writer replaces, with the
-    # modulus phi_scan's verdict takes (np.abs of the array)
-    mods, inf_mods = np.abs(values), np.abs(field.infinity_slice)
-    rows = [(th, r, values[i, j].real, values[i, j].imag, mods[i, j])
-            for j, r in enumerate(field.r_grid)
-            for i, th in enumerate(field.theta_grid)]
-    rows += [(th, -1.0, z.real, z.imag, m)
-             for th, z, m in zip(field.theta_grid, field.infinity_slice, inf_mods)]
-    header = ["theta", "r", "re", "im", "abs"]
-    expected = write_csv(tmp_path / "rows.csv", header, rows).read_bytes()
     got = write_phi_csv(field, tmp_path / "field.csv").read_bytes()
-    assert got == expected
+    assert got == _row_by_row_csv(field)
     assert b",-0,0.25,0.25\n" in got and b",0,0,0\n" in got
+
+
+def test_phi_csv_of_a_homogeneous_scan_repeats_one_column(cfg, tmp_path):
+    # every r of an asymmetric centre shares one profile, so the scan's r
+    # columns are equal bit for bit and the CSV's re, im and abs columns
+    # repeat the first column's 256 rows in every r block
+    field = phi_scan(iso.asymmetric(4.0, 4.0 / 9.0), TrigPoly(sin_coeffs=(1.0,)), 256,
+                     [0.5, 1.0, 50.0, 1e3], cfg)
+    assert field.infinity_slice is None
+    bits = field.values.view(np.int64).reshape(256, 4, 2)    # theta, r, (re, im)
+    assert (bits == bits[:, :1]).all()
+    got = write_phi_csv(field, tmp_path / "field.csv").read_bytes()
+    assert got == _row_by_row_csv(field)
+    cells = [line.split(b",")[2:] for line in got.splitlines()[1:]]
+    assert len(cells) == 4 * 256
+    assert all(cells[k] == cells[k % 256] for k in range(len(cells)))
+
+

@@ -445,3 +445,14 @@ def test_descriptor_rejects_fractional_and_boolean_numbers(d):
     # alpha of 1; int(inf) raised OverflowError, which no caller catches
     with pytest.raises(ConfigError):
         potential_from_descriptor(d)
+
+
+def test_harmonic_n_whose_square_leaves_the_float_range_is_a_usage_error():
+    # float(n * n) overflowed: harmonic(10**200) escaped as OverflowError and
+    # the well-formed descriptor read "malformed descriptor (int too large to
+    # convert to float)"
+    for build in (lambda: harmonic(10**200),
+                  lambda: potential_from_descriptor({"kind": "harmonic", "n": 1e300})):
+        with pytest.raises(ConfigError, match=r"^potential\.n: must be below 1\.34e154"):
+            build()
+    assert harmonic(2**511).d2v(0.0) == 2.0**1022
