@@ -27,13 +27,14 @@ from .potentials import appendix_audit, potential_from_descriptor
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TERM_RE = re.compile(rf"([+-]?)(?:({_NUMBER})?\*)?(sin|cos)(\d*)t?$")
 _TOKEN_RE = re.compile(r"[+-]?(?:[^+-]|(?<=[\d.][eE])[+-])+")    # not at an exponent's sign
+_STRAY_RE = re.compile(r"(?<![\d.][eE])[+-](?=[+-]|$)")    # a sign that starts no token
 
 
 def parse_forcing(text: str) -> "TrigPoly":
     """Compile the CLI shorthand ('sin', 'cos2t', '0.1+1*cos+0.5*sin2t') to a
     trigonometric polynomial; a constant is a number, and a cos or sin term
-    of harmonic 0 is a ConfigError.  A JSON object is passed through the
-    full descriptor parser."""
+    of harmonic 0 or a sign that starts no term ('sin+') is a ConfigError.
+    A JSON object is passed through the full descriptor parser."""
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -43,6 +44,9 @@ def parse_forcing(text: str) -> "TrigPoly":
     s = text.replace(" ", "")
     if not s:
         raise ConfigError("forcing: empty shorthand")
+    stray = _STRAY_RE.search(s)
+    if stray:
+        raise ConfigError(f"forcing: stray sign {stray.group()!r} at {stray.start() + 1} in {s!r}")
     tokens = _TOKEN_RE.findall(s)
     a0 = 0.0
     a: dict[int, float] = {}

@@ -23,6 +23,9 @@ class ForcingTerm:
     shared freely between threads.
     """
 
+    # (starts, values, slopes) of a piecewise-linear p (_Pieces), else None
+    pieces = None
+
     def eval(self, t):
         raise NotImplementedError
 
@@ -32,23 +35,15 @@ class ForcingTerm:
         values of the names they read.  The span statements read only tm, a
         time inside the span between the split points that tt lies in, and
         run once per span (and once per right-hand-side call), not at every
-        stage: there a forcing reads the piece or segment it has on the
-        span, and the lines, which run at every stage, read what they set.
-        Names start with p, and none is one of the step loop's own."""
+        stage: there a forcing reads the piece it has on the span, and the
+        lines, which run at every stage, read what they set.  Names start
+        with p, and none is one of the step loop's own."""
         return [], ["p = float(p_eval(tt))"], {"p_eval": self.eval}
 
-    def jump_points(self):
-        """Discontinuity times of p within [0, 2*pi), as a sorted array."""
-        return np.empty(0)
-
-    def kink_points(self):
-        """Times in [0, 2*pi) where p is continuous but not smooth."""
-        return np.empty(0)
-
     def split_points(self):
-        """All smoothness breakpoints (jumps plus kinks) in [0, 2*pi)."""
-        pts = np.concatenate([self.jump_points(), self.kink_points()])
-        return np.unique(pts)
+        """Where p jumps or has a kink in [0, 2*pi), sorted: the integrator and
+        the quadratures split there.  A custom forcing with breaks overrides it."""
+        return np.empty(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +98,50 @@ class TrigPoly(ForcingTerm):
         return out if out.ndim else float(out)
 
 
+class _Pieces(ForcingTerm):
+    """p declared once by its pieces (starts, values, slopes), tuples of floats
+    a subclass sets: p = v_j + m_j (t - s_j) on [s_j, s_j+1), s_n = s_0 + 2*pi,
+    and below s_0 on the last piece, one period back.  eval, the integrator's
+    scalar source, the split points, phi and I_n all read them."""
+
+    def piece(self, t):
+        """(start in absolute time, value, slope) of the piece holding float t."""
+        starts, values, slopes = self.pieces
+        k, tau = divmod(t, TWO_PI)
+        j = bisect.bisect_right(starts, tau) - 1
+        if j < 0:
+            j, k = len(starts) - 1, k - 1
+        return starts[j] + k * TWO_PI, values[j], slopes[j]
+
+    def eval(self, t):
+        # the arithmetic of piece, so the array and float paths agree bit for bit
+        starts, values, slopes = map(np.asarray, self.pieces)
+        t = np.asarray(t, dtype=float)
+        k, tau = np.divmod(t, TWO_PI)
+        j = np.searchsorted(starts, tau, side="right") - 1
+        k = np.where(j < 0, k - 1, k)
+        out = values[j] + slopes[j] * (t - (starts[j] + k * TWO_PI))
+        return out if out.ndim else float(out)
+
+    def scalar_source(self):
+        # p is linear between the starts the integrator splits at, so the
+        # span reads its piece once, at tm: its start, value and slope; each
+        # stage is then v + m (tt - s), and a step's 0.0 slope leaves v
+        return (["p_s, p_v, p_m = p_segment(tm)"], ["p = p_v + p_m * (tt - p_s)"],
+                {"p_segment": self.piece})
+
+    def split_points(self):
+        return np.array(self.pieces[0])
+
+
 @dataclass(frozen=True, eq=False)
-class PiecewiseConst(ForcingTerm):
+class PiecewiseConst(_Pieces):
     """Right-continuous step function of period ``period`` (a divisor of 2*pi).
 
     ``breakpoints`` are the piece starts within [0, period); the value at a
     breakpoint belongs to the piece on its right.  Times below the first
-    breakpoint wrap around to the last piece.
+    breakpoint wrap around to the last piece.  Its pieces are the breaks
+    tiled over [0, 2*pi), each with slope 0.
     """
 
     breakpoints: tuple
@@ -131,34 +163,17 @@ class PiecewiseConst(ForcingTerm):
             raise ConfigError("forcing.breaks: must be strictly increasing within [0, period)")
         if not all(math.isfinite(v) for v in self.values):
             raise ConfigError("forcing.values: must be finite")
-
-    @property
-    def repetitions(self):
-        return int(round(TWO_PI / self.period))
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        tau = np.mod(t, self.period)
-        idx = np.searchsorted(self.breakpoints, tau, side="right") - 1
-        vals = np.asarray(self.values)[idx % len(self.values)]
-        return vals if vals.ndim else float(vals)
-
-    def scalar_source(self):
-        # p is constant between the breaks the integrator splits at, so the
-        # span reads its piece once, at tm: at the span's end tt would give
-        # the next piece, and its stages there would jump
-        return ["p = float(p_eval(tm))"], [], {"p_eval": self.eval}
-
-    def jump_points(self):
-        base = np.asarray(self.breakpoints)
-        pts = np.concatenate([base + k * self.period for k in range(self.repetitions)])
-        return np.unique(np.mod(pts, TWO_PI))
+        tiled = np.concatenate([b + k * self.period for k in range(round(m))])
+        starts, j = np.unique(np.mod(tiled, TWO_PI), return_index=True)
+        values = tuple(self.values[i % b.size] for i in j)
+        object.__setattr__(self, "pieces", (tuple(starts.tolist()), values, (0.0,) * j.size))
 
 
 @dataclass(frozen=True, eq=False)
-class Sampled(ForcingTerm):
+class Sampled(_Pieces):
     """Values on the uniform grid 2*pi*j/n, j=0..n-1, linearly interpolated
-    and wrapped periodically."""
+    and wrapped periodically: its pieces start at the samples, with
+    np.interp's slopes."""
 
     values: tuple
 
@@ -168,38 +183,10 @@ class Sampled(ForcingTerm):
             raise ConfigError("forcing.values: sampled forcing needs >= 2 samples")
         if not all(math.isfinite(v) for v in self.values):
             raise ConfigError("forcing.values: must be finite")
-
-    @property
-    def times(self):
-        return np.linspace(0.0, TWO_PI, len(self.values), endpoint=False)
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        tau = np.mod(t, TWO_PI)
-        tgrid = np.append(self.times, TWO_PI)
-        vgrid = np.append(self.values, self.values[0])
-        out = np.interp(tau, tgrid, vgrid)
-        return out if out.ndim else float(out)
-
-    def scalar_source(self):
-        # p is linear between the samples the integrator splits at, so the
-        # span reads its segment once, at tm: the start s (in absolute time,
-        # as the split points are tiled), the value there and np.interp's
-        # slope; each stage is then v + m (tt - s)
-        n, starts = len(self.values), self.times.tolist()
-        values = [*self.values, self.values[0]]
-        ends = [*starts[1:], TWO_PI]
-        slopes = [(values[j + 1] - values[j]) / (ends[j] - starts[j]) for j in range(n)]
-
-        def segment(tm):
-            k, tau = divmod(tm, TWO_PI)
-            j = min(bisect.bisect_right(starts, tau), n) - 1
-            return starts[j] + k * TWO_PI, values[j], slopes[j]
-        return (["p_s, p_v, p_m = p_segment(tm)"], ["p = p_v + p_m * (tt - p_s)"],
-                {"p_segment": segment})
-
-    def kink_points(self):
-        return self.times.copy()
+        starts = np.linspace(0.0, TWO_PI, len(self.values), endpoint=False).tolist()
+        ends, ahead = [*starts[1:], TWO_PI], [*self.values[1:], self.values[0]]
+        slopes = [(w - v) / (e - s) for s, e, v, w in zip(starts, ends, self.values, ahead)]
+        object.__setattr__(self, "pieces", (tuple(starts), self.values, tuple(slopes)))
 
 
 def tiled_split_points(f: ForcingTerm, a: float, b: float):
@@ -321,8 +308,8 @@ def abs_integral(f: ForcingTerm, t: float) -> float:
 def fourier_coefficient(f: ForcingTerm, n: int) -> complex:
     """I_n(p) = integral of p(t) e^{int} over [0, 2*pi], n >= 1.
 
-    Exact for trigonometric polynomials and step functions; adaptive
-    quadrature otherwise.
+    Exact for trigonometric polynomials and piecewise-linear p (steps and
+    sampled signals); adaptive quadrature otherwise.
     """
     if n < 1:
         raise ValueError("fourier_coefficient: n must be >= 1")
@@ -330,13 +317,13 @@ def fourier_coefficient(f: ForcingTerm, n: int) -> complex:
         # orthogonality: only the matching harmonic survives
         a, b = f.harmonic(n)
         return complex(math.pi * a, math.pi * b)
-    if isinstance(f, PiecewiseConst):
-        total = 0.0 + 0.0j
-        knots = _partition(0.0, TWO_PI, tiled_split_points(f, 0.0, TWO_PI))
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            c = float(f.eval(0.5 * (lo + hi)))
-            total += c * (np.exp(1j * n * hi) - np.exp(1j * n * lo)) / (1j * n)
-        return complex(total)
+    if f.pieces is not None:
+        # on [a, b] with p = p_a + m (t - a): (p_b e^{inb} - p_a e^{ina}) / (in)
+        # - m (e^{inb} - e^{ina}) / (in)^2, over one period from s_0
+        a, pa, m = map(np.asarray, f.pieces)
+        b = np.append(a[1:], a[0] + TWO_PI)
+        ea, eb, pb = np.exp(1j * n * a), np.exp(1j * n * b), pa + m * (b - a)
+        return complex(np.sum((pb * eb - pa * ea) / (1j * n) - m * (eb - ea) / (1j * n) ** 2))
     return fourier_coefficient_quadrature(f, n)
 
 
@@ -361,10 +348,19 @@ def complex_fourier_coefficients(f: TrigPoly, kmax: int):
 
 
 def forcing_from_descriptor(d) -> ForcingTerm:
-    """Build a ForcingTerm from its JSON descriptor (dict)."""
+    """Build a ForcingTerm from its JSON descriptor (dict): a, b, breaks and
+    values are arrays, and no number is a boolean."""
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("forcing: descriptor must be an object with a 'kind' field")
     kind = d["kind"]
+    for key in ("a", "b", "breaks", "values"):
+        if key in d and not isinstance(d[key], (list, tuple)):
+            raise ConfigError(f"forcing.{key}: must be an array, not {type(d[key]).__name__}")
+    numbers = [d.get("a0"), d.get("period"), *d.get("a", ()), *d.get("b", ()),
+               *d.get("breaks", ()), *d.get("values", ())]
+    if any(isinstance(x, bool) for x in numbers):
+        raise ConfigError("forcing: a0, period, a, b, breaks and values must be numbers, "
+                          "not booleans")
     try:
         if kind == "trig":
             return TrigPoly(a0=float(d.get("a0", 0.0)),

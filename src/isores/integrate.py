@@ -19,9 +19,9 @@ eps*p(t) and its extra components (n = 2 for a forced run, 3 with the
 Rofe-Beketov integral, 6 with the variational pairs; solve_forced solves
 it), writes that body from the expression text a built-in potential
 declares for V' and V'' and from the statements a forcing writes for p:
-TrigPoly's over math.cos/math.sin, a step's piece and a sampled forcing's
-segment read by span statements once per span, so that each stage reads a
-float or one line of arithmetic.  The loop runs the body inline at each
+TrigPoly's over math.cos/math.sin, a step's or sampled forcing's piece
+(start, value, slope) read by span statements once per span, so that each
+stage reads one line of arithmetic.  The loop runs the body inline at each
 stage, so no stage makes a Python call (custom potentials and custom
 forcings call their callbacks from the body, and a plain function is
 called from a body of one line).  The constants (eps, the coefficients,
@@ -586,8 +586,8 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     expression over tt, s_0..s_{n-1}, r_1 = x'' and V's derivatives dv and
     d2v at x (d2v is computed only when read).  V' and V'' are a built-in
     potential's declared expressions (a custom one's callbacks on the float
-    x), p is its scalar source (a step's piece and a sampled segment are
-    span statements, read once per span at its midpoint tm, so the stages at
+    x), p is its scalar source (a step's or sampled forcing's piece is a
+    span statement, read once per span at its midpoint tm, so the stages at
     a break see the span's own piece), and fun.run is the DOP853 loop over
     one span (_system_source), which restarts at a kink of V'' at x = 0 and
     stops where x falls to a + cfg.singularity_margin above a singular

@@ -81,24 +81,22 @@ def _phi_column(pot: PotentialSpec, f: ForcingTerm, theta, r: float,
                 cfg: IntegratorConfig):
     """Phi(theta, r) for an array of theta at one amplitude r (r = inf is the
     Pinney limit), on the profile of r.  A trigonometric p reuses its cached
-    c_m.  Any other p (step, sampled) is v_j + m_j (u - s_j) on its pieces
-    [s_j, s_j+1), s_n = s_0 + 2pi: Phi sums int psi and int (t - a) psi
-    between the shifted starts, reduced to x_j = s_j + theta mod 2pi.  One
-    differencing step serves both sources of Psi = int_0 psi: piece j takes
-    Psi(x_j+1) - Psi(x_j), plus Psi(2pi) if it crosses 2pi.  With every
-    m_j = 0 and a closed-form Psi, Psi is read at the starts and at 2pi;
-    else it is a table of cumulative sums of one quadrature between all the
-    starts, which also gives int t psi for the slopes."""
+    c_m.  Any other p declares its pieces (else ConfigError), v_j +
+    m_j (u - s_j) on [s_j, s_j+1), s_n = s_0 + 2pi: Phi sums int psi and
+    int (t - a) psi between the shifted starts, reduced to x_j = s_j + theta
+    mod 2pi.  One differencing step serves both sources of Psi = int_0 psi:
+    piece j takes Psi(x_j+1) - Psi(x_j), plus Psi(2pi) if it crosses 2pi.
+    With every m_j = 0 and a closed-form Psi, Psi is read at the starts and
+    at 2pi; else it is a table of cumulative sums of one quadrature between
+    all the starts, which also gives int t psi for the slopes."""
     theta = np.asarray(theta, dtype=float)
     r = profile_amplitude(pot, r)
     if isinstance(f, TrigPoly):
         return _phi_trig(f, _psi_fourier(pot, r, max(f.degree, 1), cfg), theta)
+    if f.pieces is None:
+        raise ConfigError(f"phi: {type(f).__name__} is no TrigPoly and declares no pieces")
     psi, extra, antiderivative = _profile(pot, r, cfg)
-    s = f.split_points()
-    h = np.diff(np.append(s, s[0] + TWO_PI))
-    # p at the quarter points of each piece: its start value and slope
-    lo, hi = np.split(f.eval(np.concatenate([s + 0.25 * h, s + 0.75 * h])), 2)
-    value, slope = lo + 0.5 * (lo - hi), 2.0 * (hi - lo) / h
+    s, value, slope = map(np.asarray, f.pieces)
     sloped = bool(np.any(slope))
     x = np.mod(s[None, :] + theta[:, None], TWO_PI)    # piece starts of p(t - theta)
     if antiderivative is not None and not sloped:

@@ -57,6 +57,23 @@ def test_parse_forcing_rejects_a_zero_harmonic():
     assert main(["phi-scan", "--potential", "pinney", "--forcing", "2*cos0t+sin"]) == 1
 
 
+@pytest.mark.parametrize("text, sign, at", [
+    ("sin+", "+", 4),        # ran as sin t (exit 0)
+    ("+", "+", 1),           # scanned p = 0 (exit 2)
+    ("sin++cos", "+", 4),    # read as sin t + cos t
+    ("--sin", "-", 1),       # read as -sin t
+    ("1 - -cos", "-", 2)])
+def test_parse_forcing_rejects_a_stray_sign(text, sign, at):
+    with pytest.raises(ConfigError, match=rf"stray sign '\{sign}' at {at} in "):
+        parse_forcing(text)
+
+
+def test_a_stray_sign_is_a_usage_error(capsys):
+    assert main(["phi-scan", "--potential", "pinney", "--forcing", "sin+"]) == 1
+    assert "stray sign '+'" in capsys.readouterr().err
+    assert parse_forcing("-sin+cos2t-0.5").a0 == -0.5
+
+
 def test_parse_potential():
     assert parse_potential("pinney").kind == "pinney"
     assert parse_potential("harmonic:3").params == (3,)

@@ -66,6 +66,67 @@ def test_eval_sampled_interpolation():
     assert f.eval(2 * math.pi - math.pi / 4) == pytest.approx(-0.5)
 
 
+# a period-pi step whose first start is past 0 (so its last piece wraps
+# across 2*pi) and a sampled signal: (forcing, starts, values, slopes) of
+# the declaration, written out from the constructor arguments
+STEP = PiecewiseConst(breakpoints=(0.4, 1.9), values=(1.0, -2.0), period=math.pi)
+SAMPLED = Sampled(values=(0.2, 1.0, -0.5, 0.3, -0.9))
+DECLARED = [
+    (STEP, [0.4, 1.9, 0.4 + math.pi, 1.9 + math.pi], [1.0, -2.0, 1.0, -2.0], [0.0] * 4),
+    (SAMPLED, [TWO_PI * j / 5 for j in range(5)], [0.2, 1.0, -0.5, 0.3, -0.9],
+     [(b - a) / (TWO_PI / 5) for a, b in zip((0.2, 1.0, -0.5, 0.3, -0.9),
+                                              (1.0, -0.5, 0.3, -0.9, 0.2))])]
+
+
+@pytest.mark.parametrize("f, starts, values, slopes", DECLARED)
+def test_pieces_are_the_declaration(f, starts, values, slopes):
+    s, v, m = f.pieces
+    assert np.allclose(s, starts, rtol=0, atol=1e-15) and v == tuple(values)
+    assert np.allclose(m, slopes, rtol=1e-15, atol=0)
+    assert np.array_equal(f.split_points(), s)
+
+
+@pytest.mark.parametrize("f, starts, values, slopes", DECLARED)
+def test_eval_is_value_plus_slope_times_offset(f, starts, values, slopes):
+    s, v, m = f.pieces
+    ends = [*s[1:], s[0] + TWO_PI]
+    for j in range(len(s)):
+        # right-continuity: a start belongs to its own piece
+        assert f.eval(s[j]) == v[j]
+        for frac in (0.1, 0.5, 0.999):
+            d = frac * (ends[j] - s[j])
+            want = v[j] + m[j] * d
+            assert f.eval(s[j] + d) == pytest.approx(want, abs=1e-15)
+            for k in (-3, -1, 1, 4):
+                assert f.eval(s[j] + d + k * TWO_PI) == pytest.approx(want, abs=1e-13)
+    # below s_0: the last piece, one period back, on arrays as on floats
+    below = np.linspace(0.0, s[0], 7, endpoint=False)
+    want = v[-1] + m[-1] * (below + TWO_PI - s[-1])
+    assert np.allclose(f.eval(below), want, rtol=0, atol=1e-15)
+    assert [f.eval(t) for t in below] == f.eval(below).tolist()
+
+
+@pytest.mark.parametrize("f", [STEP, SAMPLED])
+def test_pieces_float_path_matches_array_path(f):
+    # the span statements and the stage line the integrator compiles give
+    # the float eval gives at tm, and a stage at the span's end (the next
+    # start) keeps the span's own piece
+    span, lines, constants = f.scalar_source()
+    assert (span, lines) == (["p_s, p_v, p_m = p_segment(tm)"], ["p = p_v + p_m * (tt - p_s)"])
+    code = compile("\n".join(span + lines), "<scalar>", "exec")
+    ts = np.linspace(-40.0, 40.0, 4001)
+    for t, want in zip(ts, f.eval(ts)):
+        scope = {"tm": float(t), "tt": float(t)}
+        exec(code, dict(constants), scope)
+        assert type(scope["p"]) is float and scope["p"] == want
+    s, v, m = f.pieces
+    ends = [*s[1:], s[0] + TWO_PI]
+    for j in range(len(s)):
+        scope = {"tm": 0.5 * (s[j] + ends[j]), "tt": ends[j]}
+        exec(code, dict(constants), scope)
+        assert scope["p"] == pytest.approx(v[j] + m[j] * (ends[j] - s[j]), abs=1e-15)
+
+
 @given(trig_polys, st.floats(-50.0, 50.0))
 @settings(max_examples=60, deadline=None)
 def test_periodicity(f, t):
@@ -155,17 +216,20 @@ def test_fourier_piecewise_exact_vs_quadrature():
 
 
 def test_fourier_of_sampled_is_the_exact_integral():
-    # the quadrature fallback against the integral of the piecewise-linear p:
-    # on [a, b] with p = p_a + m (t - a), (p_b e^{inb} - p_a e^{ina}) / (in)
-    # - m (e^{inb} - e^{ina}) / (in)^2
+    # the piecewise-linear integral written out from the samples alone: on
+    # [a, b] with p = p_a + m (t - a), (p_b e^{inb} - p_a e^{ina}) / (in)
+    # - m (e^{inb} - e^{ina}) / (in)^2, against fourier_coefficient's sum
+    # over the declared pieces and against the quadrature
     f = Sampled((0.2, 1.0, -0.5, 0.3, -0.9))
-    ts, ps = [*f.times.tolist(), TWO_PI], [*f.values, f.values[0]]
+    ts = [*np.linspace(0.0, TWO_PI, 5, endpoint=False).tolist(), TWO_PI]
+    ps = [*f.values, f.values[0]]
     for n in (1, 2, 3):
         exact = 0.0
         for a, b, pa, pb in zip(ts, ts[1:], ps, ps[1:]):
             ea, eb, m = np.exp(1j * n * a), np.exp(1j * n * b), (pb - pa) / (b - a)
             exact += (pb * eb - pa * ea) / (1j * n) - m * (eb - ea) / (1j * n) ** 2
         assert abs(fourier_coefficient(f, n) - exact) <= 1e-12
+        assert abs(fourier_coefficient_quadrature(f, n) - exact) <= 1e-12
 
 
 def test_complex_fourier_coefficients_reconstruct():
@@ -190,6 +254,28 @@ def test_descriptor_round_trip():
         g = forcing_from_descriptor(desc)
         for t in np.linspace(0, TWO_PI, 23):
             assert g.eval(t) == pytest.approx(f.eval(t), abs=1e-15)
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "trig", "a": "12"},           # read as cos t + 2 cos 2t
+    {"kind": "trig", "b": "1"},
+    {"kind": "piecewise", "breaks": "0", "values": [1.0]},
+    {"kind": "sampled", "values": "12"},   # read as (1, 2)
+    {"kind": "trig", "a": 1.0}])
+def test_descriptor_arrays_must_be_arrays(desc):
+    with pytest.raises(ConfigError, match="must be an array"):
+        forcing_from_descriptor(desc)
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "trig", "a0": True},          # read as 1.0
+    {"kind": "trig", "a": [1.0, False]},
+    {"kind": "piecewise", "breaks": [0, True], "values": [1.0, 2.0]},
+    {"kind": "piecewise", "period": True, "breaks": [0.0], "values": [1.0]},
+    {"kind": "sampled", "values": [True, False]}])
+def test_descriptor_numbers_are_not_booleans(desc):
+    with pytest.raises(ConfigError, match="not booleans"):
+        forcing_from_descriptor(desc)
 
 
 def test_descriptor_validation():

@@ -802,8 +802,8 @@ def test_step_piece_is_read_once_per_span(monkeypatch, pin, cfg):
     # a span statement reads the piece where tm is set: twice in the
     # starting-step rule and once in run, per restart, not at each of the 15
     # stages of every step
-    lookups, real = [], PiecewiseConst.eval
-    monkeypatch.setattr(PiecewiseConst, "eval", lambda self, t: lookups.append(t) or real(self, t))
+    lookups, real = [], PiecewiseConst.piece
+    monkeypatch.setattr(PiecewiseConst, "piece", lambda self, t: lookups.append(t) or real(self, t))
     step = PiecewiseConst(breakpoints=(0.3, 1.9, 3.4, 5.0), values=(0.7, -0.4, 0.9, -0.8))
     raw = solve_forced(pin, step, 0.05, [1.0, 0.0], 0.0, 2 * TWO_PI, cfg)
     assert raw.stats["n_segments"] == 9 and raw.stats["n_steps"] > 9

@@ -10,7 +10,7 @@ from scipy.special import ellipeinc, ellipkinc
 import isores as iso
 from isores.errors import ConfigError, DomainError, NumericsError
 from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI,
-                            fourier_coefficient)
+                            fourier_coefficient, fourier_coefficient_quadrature)
 from isores.autonomous import negative_semiperiod, psi_solution
 import isores.phi
 import isores.potentials
@@ -62,7 +62,7 @@ def test_piecewise_forcing_direct_quadrature(pin, cfg, simpson):
     theta = 0.9
     # oracle: segment-wise Simpson between the jumps of p(t - theta)
     cuts = np.sort(np.concatenate([[0.0, TWO_PI],
-                                   np.mod(f.jump_points() + theta, TWO_PI)]))
+                                   np.mod(f.split_points() + theta, TWO_PI)]))
     oracle = 0.0 + 0.0j
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-12:
@@ -341,7 +341,7 @@ def test_phi_scan_step_forcing_matches_scipy_quad(cfg, center, f):
     for i, th in enumerate(field.theta_grid):
         # and at the jumps of p(t - theta)
         cuts = np.unique(np.concatenate([[0.0, TWO_PI], splits,
-                                         np.mod(f.jump_points() + th, TWO_PI)]))
+                                         np.mod(f.split_points() + th, TWO_PI)]))
         for j, psi in enumerate(profiles):
             fun = lambda t: f.eval(t - th) * psi(t)
             ref = sum(_quad_complex(fun, lo, hi)
@@ -437,7 +437,7 @@ def test_sampled_scan_matches_scipy_quad(pin, cfg):
     layer = math.pi + np.array([0.0, -1e-2, 1e-2, -0.1, 0.1])
     for i, th in enumerate(field.theta_grid):
         cuts = np.unique(np.concatenate([[0.0, TWO_PI], layer,
-                                         np.mod(f.kink_points() + th, TWO_PI)]))
+                                         np.mod(f.split_points() + th, TWO_PI)]))
         for j, psi in enumerate(profiles + [pinney_limit_profile]):
             fun = lambda t: f.eval(t - th) * psi(t)
             ref = sum(_quad_complex(fun, lo, hi)
@@ -452,7 +452,7 @@ def test_sampled_scan_matches_scipy_quad(pin, cfg):
 def test_step_and_sampled_scans_cost(monkeypatch, pin, cfg, f, pieces):
     # a step p differences the closed-form Pinney Psi and makes no quadrature;
     # a sampled p makes one per distinct profile plus the infinity slice.  p
-    # is read twice per piece and column, never at a quadrature node
+    # is read from its declared pieces, never evaluated
     quads = _count_calls(monkeypatch, isores.phi, "adaptive_complex_quad")
     points = []
     cls_eval = type(f).eval
@@ -465,7 +465,37 @@ def test_step_and_sampled_scans_cost(monkeypatch, pin, cfg, f, pieces):
     phi_scan(pin, f, 64, r_grid, cfg)
     columns = r_grid.size + 1
     assert len(quads) == (columns if isinstance(f, Sampled) else 0)
-    assert points == [2 * pieces] * columns
+    assert len(f.pieces[0]) == pieces and points == []
+
+
+class AbsSine(iso.ForcingTerm):
+    """|sin t|, a custom forcing with kinks at 0 and pi."""
+
+    def eval(self, t):
+        return np.abs(np.sin(t))
+
+    def split_points(self):
+        return np.array([0.0, math.pi])
+
+
+class Smooth(iso.ForcingTerm):
+    """cos t + 0.3 sin 2t, a custom forcing with no split points."""
+
+    def eval(self, t):
+        return np.cos(t) + 0.3 * np.sin(2.0 * t)
+
+
+@pytest.mark.parametrize("f", [AbsSine(), Smooth()])
+def test_phi_refuses_a_forcing_without_pieces(pin, cfg, f):
+    # phi read p's pieces from two evaluations at the quarter points of its
+    # split intervals: |sin t| gave 0.2891+0j at (0.3, 0.5), where the
+    # integral is 0.2813+0.0317j, and no split points raised IndexError
+    with pytest.raises(ConfigError, match="declares no pieces"):
+        eval_phi(pin, f, 0.3, 0.5, cfg)
+    with pytest.raises(ConfigError, match="declares no pieces"):
+        phi_scan(pin, f, 8, [0.0, 1.0], cfg)
+    # the package's other readers of p still take it: I_n by quadrature
+    assert abs(fourier_coefficient(f, 1) - fourier_coefficient_quadrature(f, 1)) == 0.0
 
 
 # -- harmonic closed form --------------------------------------------------------
