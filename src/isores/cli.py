@@ -85,6 +85,10 @@ def parse_potential(text: str):
     names = {"pinney": (), "harmonic": ("n",), "asymmetric": ("alpha", "beta")}.get(kind)
     if names is None or len(values) != len(names):
         raise ConfigError(f"potential: cannot parse {text!r}")
+    try:
+        values = [float(v) for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"potential: cannot parse {text!r} ({exc})") from None
     return potential_from_descriptor({"kind": kind, **dict(zip(names, values))})
 
 

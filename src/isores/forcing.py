@@ -347,20 +347,28 @@ def complex_fourier_coefficients(f: TrigPoly, kmax: int):
     return out
 
 
+def check_descriptor_numbers(name, d, numbers, arrays=()):
+    """ConfigError unless each of the keys present in the descriptor d names
+    a number (an int or a float, never a boolean or a string), and each of
+    the array keys present an array of numbers; name prefixes the message."""
+    for key in arrays:
+        if key in d and not isinstance(d[key], (list, tuple)):
+            raise ConfigError(f"{name}.{key}: must be an array, not {type(d[key]).__name__}")
+    fields = [(k, d[k]) for k in numbers if k in d] + [(k, x) for k in arrays for x in d.get(k, ())]
+    for key, x in fields:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"{name}.{key}: {x!r} is not a number; "
+                              f"{', '.join((*numbers, *arrays))} must be numbers, "
+                              "not booleans or strings")
+
+
 def forcing_from_descriptor(d) -> ForcingTerm:
     """Build a ForcingTerm from its JSON descriptor (dict): a, b, breaks and
-    values are arrays, and no number is a boolean."""
+    values are arrays, and every number is an int or a float."""
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("forcing: descriptor must be an object with a 'kind' field")
     kind = d["kind"]
-    for key in ("a", "b", "breaks", "values"):
-        if key in d and not isinstance(d[key], (list, tuple)):
-            raise ConfigError(f"forcing.{key}: must be an array, not {type(d[key]).__name__}")
-    numbers = [d.get("a0"), d.get("period"), *d.get("a", ()), *d.get("b", ()),
-               *d.get("breaks", ()), *d.get("values", ())]
-    if any(isinstance(x, bool) for x in numbers):
-        raise ConfigError("forcing: a0, period, a, b, breaks and values must be numbers, "
-                          "not booleans")
+    check_descriptor_numbers("forcing", d, ("a0", "period"), ("a", "b", "breaks", "values"))
     try:
         if kind == "trig":
             return TrigPoly(a0=float(d.get("a0", 0.0)),

@@ -5,15 +5,18 @@ argument walk (_argument_change).
 
 Cost model: Phi(., r) correlates p with the one profile psi(., r), so a scan
 works per r-column (and on the Pinney infinity slice), never per node.  A
-trigonometric p takes the Fourier modes of psi from one call of the
-package's adaptive quadrature (forcing.adaptive_complex_quad, imported here
-by name), cached per profile.  Any other p differences the antiderivative
-Psi = int psi at the shifted piece starts of p, in one step whichever
-source Psi comes from: for a step p the closed form a center declares
-(Pinney's), with no quadrature; else one quadrature per column between all
-the starts.  Each node is then a finite sum.  Columns that share a profile
-(profile_amplitude) are computed once, and psi is the center's declared
-closed form (_profile) where it has one: every built-in center does.
+trigonometric p takes the Fourier modes of psi, cached per profile: the
+closed form a center declares (the harmonic and asymmetric sinusoid
+chain's), else one call of the package's adaptive quadrature
+(forcing.adaptive_complex_quad, imported here by name).  Any other p
+differences the antiderivative Psi = int psi at the shifted piece starts of
+p, in one step whichever source Psi comes from: for a step p the closed form
+every built-in center declares, with no quadrature; else (a sloped p, or a
+custom center) one quadrature per column between all the starts.  Each node
+is then a finite sum.  Columns that share a profile (profile_amplitude) are
+computed once, and psi is the center's declared closed form (_profile) where
+it has one: every built-in center does.  So a harmonic or asymmetric scan
+with a trigonometric or step p makes no quadrature and solves no ODE.
 """
 
 from __future__ import annotations
@@ -55,8 +58,12 @@ def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
 def _psi_fourier(pot: PotentialSpec, r: float, kmax: int,
                  cfg: IntegratorConfig):
     """Fourier coefficients c_m(r) = (1/2pi) int psi(t, r) e^{-imt} dt for
-    m = -kmax..kmax, all modes in one batched quadrature."""
+    m = -kmax..kmax of the profile _profile picks (which checks r): the
+    ones the center declares (the sinusoid chain's), else all modes in one
+    batched quadrature (Pinney, custom)."""
     psi, extra, _ = _profile(pot, r, cfg)
+    if pot.fourier is not None:
+        return pot.fourier(r, kmax)
     m = np.arange(-kmax, kmax + 1)
     g = lambda t, k: psi(t) * np.exp(-1j * m[k] * t)
     knots = _knots(extra)

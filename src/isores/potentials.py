@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
-from .forcing import TWO_PI
+from .forcing import TWO_PI, check_descriptor_numbers
 
 DOMAIN_GUARD = 1e-14
 _BRENT_RTOL = 4 * math.ulp(1.0)
@@ -98,7 +98,9 @@ class PotentialSpec:
     which uses each result as a scalar.  Closed forms, where declared:
     ``profile`` maps 0 <= r <= inf to (psi(., r), split points for its
     quadratures, Psi = int_0^. psi or None), or if ``homogeneous`` (x(t; r)
-    = r x(t; 1)) every finite r to one profile; ``t_minus`` maps I to T-.
+    = r x(t; 1)) every finite r to one profile; ``fourier`` maps (r, m_max)
+    to the c_m(r) = (1/2pi) int_0^2pi psi(t, r) e^{-imt} dt of that profile,
+    m = -m_max..m_max; ``t_minus`` maps I to T-.
     """
 
     kind: str
@@ -111,6 +113,7 @@ class PotentialSpec:
     kink_at_zero: bool = False
     scalar: tuple | None = None
     profile: callable | None = None
+    fourier: callable | None = None
     homogeneous: bool = False
     t_minus: callable | None = None
 
@@ -256,29 +259,84 @@ def _pinney_layer_points(r):
     return tuple(pts)
 
 
+def _sinc(y):
+    """sin(y)/y, and 1 at y = 0."""
+    safe = np.where(y == 0.0, 1.0, y)
+    return np.where(y == 0.0, 1.0, np.sin(safe) / safe)
+
+
+@functools.lru_cache(maxsize=64)
+def _arc_table(w, mu):
+    """The arcs of [0, 2*pi] on which the unit orbit X of V = (w^2 (x+)^2 +
+    mu^2 (x-)^2)/2 (X(0) = 1, X'(0) = 0) is one sinusoid, as rows (start,
+    end, centre c, omega, a, b): psi = X - i X'/w^2 = a e^{i omega (t - c)} +
+    b e^{-i omega (t - c)} on the arc, c the extremum of X it is about.  The
+    x > 0 arcs have omega = w and a, b = (1 +- 1/w)/2, about the maxima
+    k (pi/w + pi/mu); the x < 0 arcs omega = mu and a, b = -(w/mu +- 1/w)/2,
+    from the down crossings k (pi/w + pi/mu) + pi/(2w) to the up crossings
+    pi/mu later.  X has period pi/w + pi/mu, not always 2*pi.  Where w = mu
+    (harmonic) it is one arc, with no kink."""
+    w, mu = float(w), float(mu)
+    period = math.pi / w + math.pi / mu
+    if w == mu:
+        edges = [0.0, TWO_PI]
+    else:
+        down = np.arange(0.5 * math.pi / w, TWO_PI, period)
+        cuts = np.stack([down, down + math.pi / mu], axis=1).ravel()
+        edges = [0.0, *cuts[cuts < TWO_PI].tolist(), TWO_PI]
+    rows = []
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if j % 2 == 0:      # x > 0, about the maximum j/2 periods on
+            rows.append((lo, hi, j // 2 * period, w, 0.5 * (1.0 + 1.0 / w), 0.5 * (1.0 - 1.0 / w)))
+        else:               # x < 0, about the minimum pi/(2 mu) past the down crossing
+            rows.append((lo, hi, lo + 0.5 * math.pi / mu, mu,
+                         -0.5 * (w / mu + 1.0 / w), -0.5 * (w / mu - 1.0 / w)))
+    return np.array(rows)
+
+
 def asymmetric_psi_closed(w, mu, t):
-    """psi(t, r) of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2 at every r >= 0: x(t; r) =
-    r X(t), so psi = X - i X'/w^2, with X = cos(w s) on the x > 0 arcs (s the
-    time from the nearest maximum) and -(w/mu) sin(mu (t - t1)) on the x < 0
-    arc from t1 = pi/(2w).  X has period pi/w + pi/mu, not always 2*pi."""
+    """psi(t, r) of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2 at every r >= 0, for t
+    in [0, 2*pi]: x(t; r) = r X(t), so psi = X - i X'/w^2, read from the arc
+    holding t in the arc table."""
+    arcs = _arc_table(w, mu)
     t = np.asarray(t, dtype=float)
-    if w == mu:                     # harmonic: one sinusoid, no kink
-        return np.cos(w * t) + 1j * np.sin(w * t) / w
-    t1, period = 0.5 * math.pi / w, math.pi / w + math.pi / mu
-    s = np.mod(t, period)
-    s = np.where(s > t1 + math.pi / mu, s - period, s)   # the last x > 0 arc
-    arc = mu * (s - t1)
-    return np.where(s > t1, -(w / mu) * np.sin(arc) + 1j * np.cos(arc) / w,
-                    np.cos(w * s) + 1j * np.sin(w * s) / w)
+    j = np.maximum(np.searchsorted(arcs[:, 0], t, side="right") - 1, 0)
+    _, _, c, omega, a, b = np.moveaxis(arcs[j], -1, 0)
+    u = omega * (t - c)
+    return a * np.exp(1j * u) + b * np.exp(-1j * u)
+
+
+def _arc_integral(arcs, t, k):
+    """int_0^t psi(s) e^{-iks} ds on an arc table, for t in [0, 2*pi] and k
+    broadcast against each other.  The part [lo, top] of an arc inside
+    [0, t], of length L and midpoint mid, adds
+        L e^{-ik mid} (a e^{i omega (mid - c)} sinc((omega - k) L/2)
+                       + b e^{-i omega (mid - c)} sinc((omega + k) L/2)),
+    which needs no branch at omega = k and cancels nothing there, where
+    (e^{i kappa L} - 1)/(i kappa) loses digits."""
+    lo, hi, c, omega, a, b = arcs.T
+    t, k = (np.asarray(v, dtype=float)[..., None] for v in (t, k))
+    top = np.clip(t, lo, hi)
+    length, mid = top - lo, 0.5 * (lo + top)
+    phase = omega * (mid - c)
+    return np.sum(length * np.exp(-1j * k * mid)
+                  * (a * np.exp(1j * phase) * _sinc(0.5 * (omega - k) * length)
+                     + b * np.exp(-1j * phase) * _sinc(0.5 * (omega + k) * length)), axis=-1)
 
 
 def _sinusoid_chain(w, mu):
-    """The profile of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2 at every finite r,
-    split at the kinks (zeros of x in [0, 2*pi]), none where w = mu."""
-    down = np.arange(0.5 * math.pi / w, TWO_PI, math.pi / w + math.pi / mu)
-    crossings = np.concatenate([down, down + math.pi / mu])
-    kinks = () if w == mu else tuple(crossings[crossings <= TWO_PI].tolist())
-    return functools.partial(asymmetric_psi_closed, w, mu), kinks, None
+    """The closed forms of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2, as fields of its
+    _declared call: every finite r shares one profile (psi split at the
+    kinks, and Psi) and one set of c_m, all read from the arc table, which
+    the first read builds."""
+    def profile(r):
+        arcs = _arc_table(w, mu)
+        return (functools.partial(asymmetric_psi_closed, w, mu), tuple(arcs[1:, 0].tolist()),
+                functools.partial(_arc_integral, arcs, k=0))
+
+    def fourier(r, m_max):
+        return _arc_integral(_arc_table(w, mu), TWO_PI, np.arange(-m_max, m_max + 1)) / TWO_PI
+    return {"homogeneous": True, "profile": profile, "fourier": fourier}
 
 
 @functools.lru_cache(maxsize=64)
@@ -290,8 +348,7 @@ def harmonic(n: int) -> PotentialSpec:
     if n * n > sys.float_info.max:
         raise ConfigError("potential.n: must be below 1.34e154, where n^2 leaves the float range")
     return _declared("harmonic", (n,), -math.inf, n, "0.5 * n2 * x * x", "n2 * x", "n2",
-                     {"n2": float(n * n)}, profile=lambda r: _sinusoid_chain(n, n),
-                     homogeneous=True)
+                     {"n2": float(n * n)}, **_sinusoid_chain(n, n))
 
 
 @functools.lru_cache(maxsize=1)
@@ -330,8 +387,8 @@ def asymmetric(alpha: float, beta: float) -> PotentialSpec:
     return _declared("asymmetric", (alpha, beta), -math.inf, n_iso,
                      "0.5 * (alpha * (x * x) if x > 0 else beta * (x * x))",
                      "alpha * x if x > 0 else beta * x", "alpha if x >= 0 else beta",
-                     {"alpha": alpha, "beta": beta}, kink_at_zero=True, homogeneous=True,
-                     profile=lambda r: _sinusoid_chain(math.sqrt(alpha), math.sqrt(beta)))
+                     {"alpha": alpha, "beta": beta}, kink_at_zero=True,
+                     **_sinusoid_chain(math.sqrt(alpha), math.sqrt(beta)))
 
 
 def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None,
@@ -451,8 +508,7 @@ def potential_from_descriptor(d) -> PotentialSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("potential: descriptor must be an object with a 'kind' field")
     kind = d["kind"]
-    if any(isinstance(d.get(key), bool) for key in ("n", "alpha", "beta")):
-        raise ConfigError("potential: n, alpha and beta must be numbers, not booleans")
+    check_descriptor_numbers("potential", d, ("n", "alpha", "beta"))
     try:
         if kind == "harmonic":
             return harmonic(float(d["n"]))

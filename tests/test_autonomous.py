@@ -79,14 +79,20 @@ def test_asymmetric_psi_does_not_depend_on_amplitude(cfg):
 
 
 @pytest.mark.parametrize("alpha, beta", [(4.0, 4.0 / 9.0), (2.0, 3.0),
-                                         (1.0 / 1.3 ** 2, 1.0 / 0.7 ** 2)])
+                                         (1.0 / 1.3 ** 2, 1.0 / 0.7 ** 2),
+                                         (2.5, 0.5347), (16.0, 0.3265), (1.0, 1.0 / 9.0),
+                                         (9.0, 9.0), (36.0, 9.0)])
 def test_asymmetric_psi_closed_matches_integrated_psi(cfg, alpha, beta):
-    # isochronous, not isochronous (period != 2*pi), and a second isochronous
-    # pair with its x < 0 arc longer than pi
+    # isochronous, not isochronous (period != 2*pi), a second isochronous
+    # pair with its x < 0 arc longer than pi, three more (the last of period
+    # 4*pi, one kink), the harmonic one arc (w = mu = 3) and a chain of nine
+    # arcs; the profile the centre declares reads the same arc table
     ts = np.linspace(0.0, TWO_PI, 4001)
-    ref = psi_solution(iso.asymmetric(alpha, beta), 1.0, cfg).psi(ts)
+    pot = iso.asymmetric(alpha, beta)
+    ref = psi_solution(pot, 1.0, cfg).psi(ts)
     closed = asymmetric_psi_closed(math.sqrt(alpha), math.sqrt(beta), ts)
     assert np.max(np.abs(closed - ref)) <= 1e-9
+    assert np.array_equal(pot.profile(1.0)[0](ts), closed)
 
 
 def test_psi_periodicity(pin, cfg):

@@ -80,8 +80,19 @@ def test_parse_potential():
     pot = parse_potential("asymmetric:4:0.4444444444444444")
     assert pot.kind == "asymmetric"
     assert parse_potential('{"kind":"harmonic","n":2}').params == (2,)
-    with pytest.raises(ConfigError):
-        parse_potential("cubic")
+    assert parse_potential("asymmetric:4:0.44").params == (4.0, 0.44)
+    for text in ("cubic", "harmonic:two", "asymmetric:4:4/9"):
+        with pytest.raises(ConfigError, match="potential: cannot parse"):
+            parse_potential(text)
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--potential", '{"kind":"harmonic","n":"2"}'),             # scanned harmonic(2), exit 2
+    ("--forcing", '{"kind":"trig","a":["12"],"a0":"0.5"}')])    # scanned 0.5 + 12 cos t, exit 0
+def test_a_string_where_a_descriptor_number_belongs_is_a_usage_error(flag, text, capsys):
+    argv = {"--potential": "pinney", "--forcing": "sin", flag: text}
+    assert main(["phi-scan", *(x for item in argv.items() for x in item)]) == 1
+    assert "is not a number" in capsys.readouterr().err
 
 
 def test_a_fractional_harmonic_n_is_a_usage_error(capsys):

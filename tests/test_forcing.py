@@ -278,6 +278,17 @@ def test_descriptor_numbers_are_not_booleans(desc):
         forcing_from_descriptor(desc)
 
 
+@pytest.mark.parametrize("desc", [
+    {"kind": "trig", "a": ["12"], "a0": "0.5"},     # built 0.5 + 12 cos t
+    {"kind": "trig", "a0": "0.5"},
+    {"kind": "piecewise", "breaks": [0.0, "1"], "values": [1.0, -1.0]},
+    {"kind": "piecewise", "period": "3.14", "breaks": [0.0], "values": [1.0]},
+    {"kind": "sampled", "values": ["1", "2"]}])
+def test_descriptor_numbers_are_not_strings(desc):
+    with pytest.raises(ConfigError, match="is not a number"):
+        forcing_from_descriptor(desc)
+
+
 def test_descriptor_validation():
     with pytest.raises(ConfigError):
         forcing_from_descriptor({"kind": "nope"})

@@ -146,6 +146,28 @@ def test_phi_scan_asymmetric_matches_piecewise_sinusoid_reference(cfg):
     assert np.max(np.abs(field.values - ref[:, None])) <= 1e-13
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (4.0, 4.0 / 9.0)],
+                         ids=["harmonic1", "asymmetric"])
+def test_step_phi_on_the_chain_matches_a_gauss_legendre_sum(cfg, alpha, beta):
+    # a step p on the chain differences the declared Psi; the reference sums
+    # p(t - theta) psi(t) by 40-node Gauss-Legendre between the kinks of psi
+    # and the jumps of p, where the integrand is one sinusoid
+    breaks, values = np.array([0.3, 1.9, 3.4, 5.0]), np.array([0.7, -0.4, 0.9, -0.8])
+    pot = iso.harmonic(1) if alpha == beta else iso.asymmetric(alpha, beta)
+    field = phi_scan(pot, PiecewiseConst(tuple(breaks), tuple(values)), 64, [0.0, 2.0], cfg)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    ref = np.zeros(64, dtype=complex)
+    for i, th in enumerate(field.theta_grid):
+        for lo, hi, psi in _asymmetric_psi_pieces(alpha, beta):
+            cuts = np.mod(breaks + th, TWO_PI)
+            edges = np.unique(np.concatenate([[lo, hi], cuts[(cuts > lo) & (cuts < hi)]]))
+            for a, b in zip(edges[:-1], edges[1:]):
+                t = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+                p = values[np.searchsorted(breaks, np.mod(t - th, TWO_PI), side="right") - 1]
+                ref[i] += 0.5 * (b - a) * np.sum(weights * p * psi(t))
+    assert np.max(np.abs(field.values - ref[:, None] / TWO_PI)) <= 1e-14
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -165,12 +187,12 @@ def test_homogeneous_scans_share_one_profile(monkeypatch, cfg, har):
     isores.phi._psi_fourier.cache_clear()    # no c_m left by other tests
     field = phi_scan(iso.asymmetric(4.0, 4.0 / 9.0), TrigPoly(sin_coeffs=(1.0,)),
                      16, default_r_grid(1e3, 8), cfg)
-    assert (len(solves), len(quads)) == (0, 1)
+    assert (len(solves), len(quads)) == (0, 0)
     assert all(np.array_equal(field.values[:, 0], field.values[:, j]) for j in range(8))
     assert field.argmin[1] == 0.0        # ties report the first r-column
     step = PiecewiseConst(breakpoints=(0.0, 1.0, 3.0), values=(1.0, -0.5, 0.25))
     phi_scan(har, step, 16, np.linspace(0.0, 5.0, 8), cfg)
-    assert (len(solves), len(quads)) == (0, 2)
+    assert (len(solves), len(quads)) == (0, 0)
 
 
 def test_eval_phi_reuses_the_scan_profile(cfg):

@@ -418,8 +418,8 @@ def test_custom_potential_kind_is_fixed():
     assert custom(**args).kind == "custom"
     with pytest.raises(TypeError):
         custom(**args, kind="pinney")
-    assert (custom(**args).profile, custom(**args).t_minus) == (None, None)
-    for name in ("profile", "homogeneous", "t_minus"):
+    assert (custom(**args).profile, custom(**args).fourier, custom(**args).t_minus) == (None,) * 3
+    for name in ("profile", "fourier", "homogeneous", "t_minus"):
         with pytest.raises(TypeError):
             custom(**args, **{name: getattr(pinney(), name)})
 
@@ -447,6 +447,15 @@ def test_descriptor_rejects_fractional_and_boolean_numbers(d):
         potential_from_descriptor(d)
 
 
+@pytest.mark.parametrize("d", [{"kind": "harmonic", "n": "2"},     # built harmonic(2)
+                               {"kind": "asymmetric", "alpha": "4", "beta": 0.25},
+                               {"kind": "asymmetric", "alpha": 4.0, "beta": "0.25"},
+                               {"kind": "harmonic", "n": None}])
+def test_descriptor_numbers_are_not_strings(d):
+    with pytest.raises(ConfigError, match="is not a number"):
+        potential_from_descriptor(d)
+
+
 def test_harmonic_n_whose_square_leaves_the_float_range_is_a_usage_error():
     # float(n * n) overflowed: harmonic(10**200) escaped as OverflowError and
     # the well-formed descriptor read "malformed descriptor (int too large to
@@ -456,3 +465,28 @@ def test_harmonic_n_whose_square_leaves_the_float_range_is_a_usage_error():
         with pytest.raises(ConfigError, match=r"^potential\.n: must be below 1\.34e154"):
             build()
     assert harmonic(2**511).d2v(0.0) == 2.0**1022
+
+
+@pytest.mark.parametrize("pot", [harmonic(1), harmonic(3), asymmetric(4.0, 4.0 / 9.0),
+                                 asymmetric(2.5, 0.5347), asymmetric(16.0, 0.3265),
+                                 asymmetric(1.0, 1.0 / 9.0), asymmetric(1.0 + 2e-6, 1.0 / 9.0)],
+                         ids=lambda pot: f"{pot.kind}{pot.params}")
+def test_chain_fourier_and_antiderivative_match_the_quadrature(pot):
+    # the declared c_m and Psi of the sinusoid chain (isochronous, not
+    # isochronous, and omega - m = 1e-6 from a harmonic) against
+    # adaptive_complex_quad over the declared psi, split at its kinks
+    from isores.forcing import TWO_PI, adaptive_complex_quad
+    psi, kinks, antiderivative = pot.profile(1.0)
+    knots = np.unique(np.concatenate([[0.0, TWO_PI], kinks]))
+    m = np.arange(-8, 9)
+    owner, j = np.divmod(np.arange(m.size * (knots.size - 1)), knots.size - 1)
+    cm = adaptive_complex_quad(lambda t, k: psi(t) * np.exp(-1j * m[k] * t),
+                               (knots[j], knots[j + 1], owner)) / TWO_PI
+    assert np.max(np.abs(pot.fourier(1.0, 8) - cm)) <= 1e-14
+    ts = np.linspace(0.0, TWO_PI, 53)
+    a, b, owner = [], [], []        # int_0^t psi is integral i - 1 for t = ts[i]
+    for i, t in enumerate(ts[1:]):
+        edges = np.unique(np.concatenate([[0.0, t], knots[knots < t]]))
+        a, b, owner = a + edges[:-1].tolist(), b + edges[1:].tolist(), owner + [i] * (edges.size - 1)
+    quad = adaptive_complex_quad(lambda t, k: psi(t), tuple(map(np.array, (a, b, owner))))
+    assert np.max(np.abs(antiderivative(ts) - np.append(0.0, quad))) <= 1e-14
