@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, _quad_checked
-from .integrate import (VARIATIONAL, IntegratorConfig, RawSolution, State,
+from .integrate import (VARIATIONAL, IntegratorConfig, RawSolution, State, energy,
                         integrate_autonomous, solve_forced)
 from .potentials import PotentialSpec, inverse_V
 
@@ -187,7 +187,7 @@ def to_action_angle(pot: PotentialSpec, s: State, cfg: IntegratorConfig) -> Acti
     """Action-angle coordinates of a phase point for a certified n_iso = N:
     the action is E/N, the angle the travel time from the section
     {v=0, x>0} times 2*pi over the period 2*pi/N."""
-    e = 0.5 * s.v * s.v + float(pot.v(s.x))
+    e = energy(pot, s)
     if not 0.0 < e < math.inf:
         raise DomainError("to_action_angle: the energy must be finite and positive")
     n = pot.require_isochronous()

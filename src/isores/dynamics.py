@@ -78,9 +78,9 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     stop_reason.
 
     The run builds its system (forced_system) once and steps each window
-    [2 pi k, 2 pi (k + 1)] as its own integrate_ode solve, split at f's split
-    points of that period, so the steps, knots and end states are those of
-    a chain of integrate_forced calls, and memory does not grow with
+    [2 pi k, 2 pi (k + 1)] as its own integrate_ode solve, which restarts
+    where the system says, so the steps, knots and end states are those of
+    a chain of solve_forced calls, and memory does not grow with
     n_periods.  A window's suprema are taken over its step knots and
     _WINDOW_SAMPLES uniform times, evaluated in one dense-output call.
     """
@@ -90,8 +90,7 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     sqrt_e0 = math.sqrt(e0)
     l1 = l1_norm(f)
     budget_rate = abs(eps) / math.sqrt(2.0) * l1
-    fun = forced_system(pot, f, eps, cfg)
-    splits = f.split_points().tolist() if eps != 0.0 else []
+    system = forced_system(pot, f, eps, cfg)
 
     sup_xv = []
     sup_x = []
@@ -102,8 +101,7 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     for k in range(n_periods):
         t0, t1 = k * TWO_PI, (k + 1) * TWO_PI
         try:
-            traj = integrate_ode(fun, [state.x, state.v], t0, t1, cfg,
-                                 breakpoints=[b + t0 for b in splits])
+            traj = integrate_ode(system, [state.x, state.v], t0, t1, cfg)
         except IntegrationError as exc:
             stop_reason = str(exc)
             break

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import ConfigError, NumericsError
 
 TWO_PI = 2.0 * math.pi
+# The most copies of its breaks a step forcing tiles over [0, 2*pi): every
+# solve and every Phi column splits at each piece
+_MAX_REPETITIONS = 1024
 
 
 class ForcingTerm:
@@ -154,6 +157,8 @@ class PiecewiseConst(_Pieces):
         if self.period <= 0 or not math.isfinite(self.period):
             raise ConfigError("forcing.period: must be a positive real")
         m = TWO_PI / self.period
+        if m > _MAX_REPETITIONS:
+            raise ConfigError(f"forcing.period: 2*pi/period must be at most {_MAX_REPETITIONS}")
         if abs(m - round(m)) > 1e-9 or round(m) < 1:
             raise ConfigError("forcing.period: 2*pi/period must be a positive integer")
         if len(self.breakpoints) != len(self.values) or not self.breakpoints:
@@ -189,13 +194,13 @@ class Sampled(_Pieces):
         object.__setattr__(self, "pieces", (tuple(starts), self.values, tuple(slopes)))
 
 
-def tiled_split_points(f: ForcingTerm, a: float, b: float):
-    """f's smoothness breakpoints pts + k*2*pi over every period that meets
-    [a, b], and one more on each side, unsorted."""
-    pts = f.split_points()
+def tiled_split_points(points, a: float, b: float):
+    """The split points of a 2*pi-periodic p (its split_points()) tiled as
+    point + k*2*pi over every period that meets [a, b], and one more on each
+    side: a list, unsorted, and empty at no cost when points is."""
     k0 = math.floor(a / TWO_PI) - 1
     k1 = math.ceil(b / TWO_PI) + 1
-    return np.concatenate([pts + k * TWO_PI for k in range(k0, k1 + 1)])
+    return [p + k * TWO_PI for p in points for k in range(k0, k1 + 1)]
 
 
 def _partition(a, b, points=()):
@@ -289,7 +294,7 @@ def l1_norm(f: ForcingTerm) -> float:
     """Integral of |p| over one period, by adaptive quadrature split at the
     breakpoints of p (relative tolerance well below 1e-10)."""
     return _quad_checked(lambda t: np.abs(f.eval(t)), 0.0, TWO_PI,
-                         tiled_split_points(f, 0.0, TWO_PI))
+                         tiled_split_points(f.split_points(), 0.0, TWO_PI))
 
 
 def abs_integral(f: ForcingTerm, t: float) -> float:
@@ -301,7 +306,7 @@ def abs_integral(f: ForcingTerm, t: float) -> float:
     total = k * l1_norm(f)
     if rem > 0:
         total += _quad_checked(lambda s: np.abs(f.eval(s)), 0.0, rem,
-                               tiled_split_points(f, 0.0, rem))
+                               tiled_split_points(f.split_points(), 0.0, rem))
     return total
 
 
@@ -333,7 +338,7 @@ def fourier_coefficient_quadrature(f: ForcingTerm, n: int) -> complex:
     if n < 1:
         raise ValueError("fourier_coefficient: n must be >= 1")
     return complex(_quad_checked(lambda t: f.eval(t) * np.exp(1j * n * t), 0.0, TWO_PI,
-                                 tiled_split_points(f, 0.0, TWO_PI)))
+                                 tiled_split_points(f.split_points(), 0.0, TWO_PI)))
 
 
 def complex_fourier_coefficients(f: TrigPoly, kmax: int):

@@ -8,13 +8,13 @@ its degree-7 dense output.
 
 Cost model.  An attempted step costs 12 right-hand-side evaluations (11
 stages and f_new), an accepted one 3 more for its dense output, and every
-restart (start, forcing breakpoint, kink) 2 more, so nfev = 2 n_segments +
-15 n_steps + 12 n_rejected.  The whole
-accept/reject loop over one span is generated as source over scalar locals
-(_system_source) and compiled once per structure: the state size n, the
-system's body (the lines that compute the right-hand side), its span
-statements (lines run once per span) and the expressions of the kink and
-the guard it watches.  forced_system, the one builder of x'' = -V'(x) +
+restart (start, forcing break, kink) 2 more, so nfev = 2 n_segments +
+15 n_steps + 12 n_rejected.  The whole accept/reject loop over one span is
+generated as source over scalar locals (_system_source) and compiled once
+per structure: the state size n, the system's body (the lines that
+compute the right-hand side), its span statements (lines run once per
+span) and the expressions of the kink and the guard it watches.
+forced_system, the one builder of x'' = -V'(x) +
 eps*p(t) and its extra components (n = 2 for a forced run, 3 with the
 Rofe-Beketov integral, 6 with the variational pairs; solve_forced solves
 it), writes that body from the expression text a built-in potential
@@ -23,28 +23,28 @@ TrigPoly's over math.cos/math.sin, a step's or sampled forcing's piece
 (start, value, slope) read by span statements once per span, so that each
 stage reads one line of arithmetic.  The loop runs the body inline at each
 stage, so no stage makes a Python call (custom potentials and custom
-forcings call their callbacks from the body, and a plain function is
-called from a body of one line).  The constants (eps, the coefficients,
-the clamp, the guard's threshold) are globals bound per system, so systems
-that differ only in values share one code object.  The loop returns to
-integrate_ode only at the span's end, after the step that crosses
-max_steps, when the step size falls below the spacing of floats, or on a
-sign change of the kink or the guard, which ends a step and is root-found
-on the step's interpolant there;
-integrate_ode loops over the spans between breakpoints and restarts the
-step at each kink root, by one rule for the kink (see integrate_ode).  An
-attempted step of a forced harmonic or Pinney run costs 16-18 us, 1.1-1.3
-us per right-hand side with its share of the stage sums, as in the
-Dormand-Prince 5(4) loop this one replaced (2-core VM, Python 3.11); at
-rel_tol 1e-11 a forced period takes 3-7 times fewer steps than that pair
-took at 1e-10, to a smaller error.  The stage sums
-keep the terms and the order of a loop over components, and the
-controller's comparisons give min's and max's floats (the tests' reference
-loop), so the results are the same to the bit.  The v=0 and x=0 crossings
-are found when RawSolution.events is first read.  Each accepted step is
-recorded once, in flat lists: its knot, its size and its 16 stage rows, from
-which the dense output is built (np.fromiter, then one array product) at
-the end; RawSolution.eval evaluates any number of times in one array operation.
+forcings call their callbacks from the body), and the system carries p's
+split points, where each of its solves restarts.  The constants (eps, the
+coefficients, the clamp, the guard's threshold) are globals bound per
+system, so systems that differ only in values share one code object.  The
+loop returns to integrate_ode only at the span's end, after the step that
+crosses max_steps, when the step size falls below the spacing of floats,
+or on a sign change of the kink or the guard, which ends a step and is
+root-found on the step's interpolant there; integrate_ode loops over the
+spans between the split points and restarts the step at each kink root,
+by one rule for the kink (see integrate_ode).  An attempted step of a
+forced harmonic or Pinney run costs 16-18 us, 1.1-1.3 us per right-hand
+side with its share of the stage sums, as in the Dormand-Prince 5(4) loop
+this one replaced (2-core VM, Python 3.11); at rel_tol 1e-11 a forced
+period takes 3-7 times fewer steps than that pair took at 1e-10, to a
+smaller error.  The stage sums keep the terms and the order of a loop
+over components, and the controller's comparisons give min's and max's
+floats (the tests' reference loop), so the results are the same to the
+bit.  The v=0 and x=0 crossings are found when RawSolution.events is first
+read.  Each accepted step is recorded once, in flat lists: its knot, its
+size and its 16 stage rows, from which the dense output is built
+(np.fromiter, then one array product) at the end; RawSolution.eval
+evaluates any number of times in one array operation.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class Event:
 
 
 class RawSolution:
-    """Chained dense solution of an n-dimensional first-order system: what
-    every solve returns, and what a failed one attaches to its
+    """Chained dense solution of an n-dimensional compiled system: what
+    integrate_ode returns, and what a failed solve attaches to its
     IntegrationError as ``trajectory``.
 
     ts and ys are the knots, one row of ys per knot; for the (x, v) systems
@@ -405,14 +405,16 @@ def _compiled(n, span, body, kink, guard):
                    "exec")
 
 
-def _compile_system(n, body, constants, kink=None, guard=None, span=()):
+def _compile_system(n, body, constants, kink=None, guard=None, span=(), splits=()):
     """rhs(t, y) of an n-component system from its body and span statements
-    (lines, see _system_source), with its loop as rhs.run.  The loop watches
-    the kink, an expression over t_new and the step's end state
-    z_0..z_{n-1}, and the guard, (kind, expression); rhs.kink and rhs.guard
-    are the same expressions as integrate_ode's options, g(t, y) and (kind,
-    g(t, y)), or None.  constants are the values of the globals that the
-    body, the span statements and the expressions read, bound per system."""
+    (lines, see _system_source), with everything integrate_ode needs to
+    solve it: its loop as rhs.run; the kink, an expression over t_new and
+    the step's end state z_0..z_{n-1}, and the guard, (kind, expression),
+    that the loop watches, as rhs.kink = g(t, y) and rhs.guard = (kind,
+    g(t, y)), or None; and rhs.splits, the split points in [0, 2*pi) of a
+    2*pi-periodic p, as floats, where every solve restarts.  constants are
+    the values of the globals that the body, the span statements and the
+    expressions read, bound per system."""
     namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
                  "nextafter": math.nextafter, "inf": math.inf, **constants}
     exec(_compiled(n, tuple(span), tuple(body), kink, guard and guard[1]), namespace)
@@ -420,6 +422,7 @@ def _compile_system(n, body, constants, kink=None, guard=None, span=()):
     rhs.run = namespace["run"]
     rhs.kink = namespace.get("watch_kink")
     rhs.guard = guard and (guard[0], namespace["watch_guard"])
+    rhs.splits = tuple(map(float, splits))
     return rhs
 
 
@@ -459,22 +462,20 @@ def _floats(values):
     return np.fromiter(values, float, len(values))
 
 
-def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
-                  kink=None, guard=None) -> RawSolution:
-    """Integrate y' = fun(t, y) over [t0, t1] with dense output; fun maps a
-    list of floats to a sequence of floats.  A fun made by _compile_system
-    (forced_system's, say) steps with its own fun.run, which runs fun's body
-    and the expressions of its own fun.kink and fun.guard inline, and takes
-    neither option; any other fun gets a run that calls fun, kink and guard.
+def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
+    """Integrate y' = system(t, y) over [t0, t1] with dense output, for a
+    system made by _compile_system (forced_system's): it steps with
+    system.run, which runs the body and the expressions of system.kink and
+    system.guard inline, and restarts at system.splits tiled over [t0, t1].
 
-    breakpoints -- interior times where the step grid must restart (logged
-                   as ``forcing_break`` events);
-    kink        -- g(t, y) whose zero crossings force a restart so that no
-                   step straddles them;
-    guard       -- (kind, g(t, y)): downward crossing aborts with the partial
-                   RawSolution attached to the raised IntegrationError.
+    splits -- the step grid restarts at each tiled split point inside
+              (t0, t1), logged as a ``forcing_break`` event;
+    kink   -- g(t, y) whose zero crossings force a restart so that no step
+              straddles them;
+    guard  -- (kind, g(t, y)): a downward crossing aborts with the partial
+              RawSolution attached to the raised IntegrationError.
 
-    One pass per span between breakpoints, with one restart per kink root:
+    One pass per span between split points, with one restart per kink root:
     the earliest kink or guard root on the step's interpolant ends the step.
     Every pass starts at the last knot, so step k starts at knot k.
     At a span's start the kink is watched for leaving g's side, and at g = 0
@@ -494,18 +495,8 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
     if not all(map(math.isfinite, y)):
         raise ValueError("integrate_ode: y0 must be finite")
     n = len(y)
-    stops = [t0] + [float(b) for b in sorted(breakpoints)
-                    if t0 + 1e-12 < b < t1 - 1e-12] + [t1]
-    if getattr(fun, "run", None) is None:   # a loop that calls fun, kink and guard
-        s, r, z = (", ".join(f"{c}_{i}" for i in range(n)) for c in "srz")
-        calls = {"fun": fun, "kink": kink, "guard": guard and guard[1]}
-        system = _compile_system(
-            n, [f"{r}, = fun(tt, [{s},])"], calls, kink and f"kink(t_new, [{z},])",
-            guard and (guard[0], f"guard(t_new, [{z},])"))
-    elif kink is not None or guard is not None:
-        raise ValueError("integrate_ode: a compiled system watches its own kink and guard")
-    else:
-        system = fun
+    stops = [t0] + sorted(b for b in tiled_split_points(system.splits, t0, t1)
+                          if t0 + 1e-12 < b < t1 - 1e-12) + [t1]
     run, kink, guard = system.run, system.kink, system.guard
     # the functions whose sign change ends a step, kink first
     watched = [g for g in (kink, guard and guard[1]) if g is not None]
@@ -540,7 +531,7 @@ def integrate_ode(fun, y0, t0, t1, cfg: IntegratorConfig, *, breakpoints=(),
                 h_abs = _initial_step(at, ta, y, f, tb - ta, cfg)
             except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
                 fail(f"integration failed: no starting step at t = {ta} ({exc})")
-            if not math.isfinite(h_abs):       # fun is not finite at (ta, y) or near it
+            if not math.isfinite(h_abs):       # system is not finite at (ta, y) or near it
                 fail(f"integration failed: no starting step at t = {ta} (h = {h_abs})")
             why, n_steps, n_rejected, hit = run(
                 ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), n_steps,
@@ -592,7 +583,8 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     one span (_system_source), which restarts at a kink of V'' at x = 0 and
     stops where x falls to a + cfg.singularity_margin above a singular
     endpoint a (stages past a see V at a + 1e-13); fun.kink and fun.guard
-    carry them."""
+    carry them.  fun.splits is where every solve restarts: p's split
+    points, none when eps = 0, f is None or p is trigonometric."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     dv, d2v, constants = pot.scalar or ("float(_dv(x))", "float(_d2v(x))",
@@ -605,9 +597,10 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     body.append(f"dv = {dv}")
     if any("d2v" in expr for expr in extra):
         body.append(f"d2v = {d2v}")
-    acc, span = "-dv", []
+    acc, span, splits = "-dv", [], ()
     if eps != 0.0 and f is not None:
         span, p_lines, p_constants = f.scalar_source()
+        splits = f.split_points()
         body += p_lines
         constants.update(p_constants, eps=eps)
         acc = "-dv + eps * p"
@@ -616,19 +609,19 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     return _compile_system(2 + len(extra), body, constants,
                            kink="z_0" if pot.kink_at_zero else None,
                            guard=("singularity", "z_0 - thresh") if pot.singular_left else None,
-                           span=span)
+                           span=span, splits=splits)
 
 
 def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
                  t1: float, cfg: IntegratorConfig, extra=()) -> RawSolution:
     """Solve forced_system(pot, f, eps, cfg, extra) from y0 = (x, v, ...)
-    over [t0, t1]: the dense solution, with its steps split at p's breaks
-    when p is given and eps != 0.  x must lie in V's domain; a failure raises
-    IntegrationError, whose ``trajectory`` is a RawSolution too."""
-    fun = forced_system(pot, f, eps, cfg, extra)
+    over [t0, t1]: the dense solution, restarted where the system says (at
+    p's breaks when p is given and eps != 0).  x must lie in V's domain; a
+    failure raises IntegrationError, whose ``trajectory`` is a RawSolution
+    too."""
+    system = forced_system(pot, f, eps, cfg, extra)
     pot._check_domain(y0[0])
-    breaks = tiled_split_points(f, t0, t1) if eps != 0.0 and f is not None else ()
-    return integrate_ode(fun, y0, t0, t1, cfg, breakpoints=breaks)
+    return integrate_ode(system, y0, t0, t1, cfg)
 
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,

@@ -279,7 +279,7 @@ def test_from_action_angle_at_whole_turns_solves_nothing(monkeypatch, pin, cfg, 
     calls = []
     solve = isores.integrate.integrate_ode
     monkeypatch.setattr(isores.integrate, "integrate_ode",
-                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+                        lambda *a: calls.append(1) or solve(*a))
     r = amplitude_of_action(pin, 0.7)
     assert from_action_angle(pin, ActionAngle(theta=theta, action=0.7), cfg) == State(r, 0.0)
     assert calls == []
@@ -291,7 +291,7 @@ def test_from_action_angle_integrates_once(monkeypatch, pin, cfg):
     calls = []
     solve = isores.integrate.integrate_ode
     monkeypatch.setattr(isores.integrate, "integrate_ode",
-                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+                        lambda *a: calls.append(1) or solve(*a))
     from_action_angle(pin, ActionAngle(theta=2.2, action=0.7), cfg)
     assert len(calls) == 1
 
@@ -307,7 +307,7 @@ def test_to_action_angle_integrates_once_and_integrates_no_area(monkeypatch, pot
     solves, quads = [], []
     solve, quad_ = isores.integrate.integrate_ode, isores.forcing.adaptive_complex_quad
     monkeypatch.setattr(isores.integrate, "integrate_ode",
-                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+                        lambda *a: solves.append(1) or solve(*a))
     monkeypatch.setattr(isores.forcing, "adaptive_complex_quad",
                         lambda *a, **k: quads.append(1) or quad_(*a, **k))
     aa = to_action_angle(pot, State(0.5, 0.3), cfg)

@@ -5,7 +5,7 @@ import pytest
 
 import isores as iso
 from isores import dynamics
-from isores.forcing import ForcingTerm, TrigPoly, TWO_PI
+from isores.forcing import ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI
 from isores.integrate import IntegratorConfig, State, integrate_forced, solve_forced
 from isores.dynamics import (find_periodic_solution, resonance_run,
                              seed_from_phi_zero, stroboscopic_map,
@@ -49,27 +49,32 @@ def test_resonance_run_budget_holds_at_the_crossing_step(pin, sin_f):
     assert diag.stop_reason == "step budget exceeded (11 > 10)"
 
 
+@pytest.mark.parametrize("f", [
+    TrigPoly(sin_coeffs=(1.0,)),                                           # no breaks
+    PiecewiseConst((0.4, 1.9), (1.0, -2.0), period=math.pi),               # 4 jumps a period
+    Sampled((0.2, 1.0, -0.5, 0.3, -0.9)),                                  # 5 kinks a period
+], ids=["sin", "step", "sampled"])
 @pytest.mark.parametrize("pot, start", [
     (iso.pinney(), State(1.0, 0.0)),                       # singularity guard
     (iso.asymmetric(4.0, 4.0 / 9.0), State(1.0, 0.0)),     # kink restarts
 ])
-def test_resonance_run_steps_match_recorded_chain(pot, start, sin_f, cfg,
-                                                  monkeypatch):
-    # every step, every event and so the end state of the run's windows are
-    # those of a chain of solve_forced calls made directly
+def test_resonance_run_steps_match_recorded_chain(pot, start, f, cfg, monkeypatch):
+    # every step, every event (the forcing breaks too) and so the end state
+    # of the run's windows are those of a chain of solve_forced calls made
+    # directly
     runs = []
     real = dynamics.integrate_ode
 
-    def recording(*args, **kwargs):
-        traj = real(*args, **kwargs)
+    def recording(*args):
+        traj = real(*args)
         runs.append(traj)
         return traj
     monkeypatch.setattr(dynamics, "integrate_ode", recording)
-    diag = resonance_run(pot, sin_f, 0.05, start, 10, cfg)
+    diag = resonance_run(pot, f, 0.05, start, 10, cfg)
     assert len(runs) == 10
     state = start
     for k, traj in enumerate(runs):
-        chain = solve_forced(pot, sin_f, 0.05, [state.x, state.v], k * TWO_PI,
+        chain = solve_forced(pot, f, 0.05, [state.x, state.v], k * TWO_PI,
                              (k + 1) * TWO_PI, cfg)
         assert chain.events_of("v_zero")
         assert chain.events == traj.events

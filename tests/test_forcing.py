@@ -66,13 +66,18 @@ def test_eval_sampled_interpolation():
     assert f.eval(2 * math.pi - math.pi / 4) == pytest.approx(-0.5)
 
 
-# a period-pi step whose first start is past 0 (so its last piece wraps
-# across 2*pi) and a sampled signal: (forcing, starts, values, slopes) of
-# the declaration, written out from the constructor arguments
+# period-pi and period-2pi/3 steps whose first start is past 0 (so their
+# last piece wraps across 2*pi) and a sampled signal: (forcing, starts,
+# values, slopes) of the declaration, written out from the constructor
+# arguments
 STEP = PiecewiseConst(breakpoints=(0.4, 1.9), values=(1.0, -2.0), period=math.pi)
 SAMPLED = Sampled(values=(0.2, 1.0, -0.5, 0.3, -0.9))
+THIRD = TWO_PI / 3
 DECLARED = [
     (STEP, [0.4, 1.9, 0.4 + math.pi, 1.9 + math.pi], [1.0, -2.0, 1.0, -2.0], [0.0] * 4),
+    (PiecewiseConst(breakpoints=(0.4, 1.9), values=(1.0, -2.0), period=THIRD),
+     [0.4, 1.9, 0.4 + THIRD, 1.9 + THIRD, 0.4 + 2 * THIRD, 1.9 + 2 * THIRD],
+     [1.0, -2.0] * 3, [0.0] * 6),
     (SAMPLED, [TWO_PI * j / 5 for j in range(5)], [0.2, 1.0, -0.5, 0.3, -0.9],
      [(b - a) / (TWO_PI / 5) for a, b in zip((0.2, 1.0, -0.5, 0.3, -0.9),
                                               (1.0, -0.5, 0.3, -0.9, 0.2))])]
@@ -84,6 +89,15 @@ def test_pieces_are_the_declaration(f, starts, values, slopes):
     assert np.allclose(s, starts, rtol=0, atol=1e-15) and v == tuple(values)
     assert np.allclose(m, slopes, rtol=1e-15, atol=0)
     assert np.array_equal(f.split_points(), s)
+
+
+@pytest.mark.parametrize("period", [1e-300, TWO_PI / 2 ** 20, TWO_PI / 1025])
+def test_step_of_more_than_1024_periods_is_rejected_at_once(period):
+    # its breaks were tiled round(2*pi/period) times: 6.3e300 copies at
+    # period 1e-300, allocated until memory ran out; 1024 still builds
+    PiecewiseConst(breakpoints=(0.0,), values=(1.0,), period=TWO_PI / 1024)
+    with pytest.raises(ConfigError, match=r"forcing.period: 2\*pi/period must be at most 1024"):
+        PiecewiseConst(breakpoints=(0.0,), values=(1.0,), period=period)
 
 
 @pytest.mark.parametrize("f, starts, values, slopes", DECLARED)

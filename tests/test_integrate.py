@@ -9,8 +9,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 import isores as iso
 from isores.errors import ConfigError, IntegrationError
-from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI, abs_integral,
-                            tiled_split_points)
+from isores.forcing import PiecewiseConst, Sampled, TrigPoly, TWO_PI, abs_integral
 from isores.integrate import (VARIATIONAL, IntegratorConfig, State, energy,
                               forced_system, integrate_autonomous,
                               integrate_forced, integrate_ode, solve_forced)
@@ -261,7 +260,6 @@ def test_restart_at_a_kink_root_keeps_python_floats(cfg):
     # a numpy-float root tolerance made brentq return the kink root as
     # np.float64, which spread to the restarted state and k1 and made every
     # later step run numpy-scalar arithmetic, about 3x slower per attempt
-    from isores.integrate import integrate_ode
     fun = forced_system(iso.asymmetric(4.0, 4.0 / 9.0), None, 0.0, cfg)
     received, run = [], fun.run
 
@@ -284,9 +282,9 @@ def _recorded_calls(monkeypatch, module):
     calls = []
     real = module.integrate_ode
 
-    def recording(fun, y0, t0, t1, cfg, **kwargs):
-        raw = real(fun, y0, t0, t1, cfg, **kwargs)
-        calls.append((fun, y0, t0, kwargs, raw))
+    def recording(fun, y0, t0, t1, cfg):
+        raw = real(fun, y0, t0, t1, cfg)
+        calls.append((fun, y0, t0, raw))
         return raw
     monkeypatch.setattr(module, "integrate_ode", recording)
     return calls
@@ -367,7 +365,7 @@ def test_dense_table_matches_segment_loop(case, monkeypatch):
     else:
         t1 = TWO_PI
         psi_solution(iso.asymmetric(4.0, 4.0 / 9.0), 1.0, cfg)
-    (fun, y0, t0, _, raw), = calls
+    (fun, y0, t0, raw), = calls
     breaks = [e.t for e in raw.events if e.kind == "forcing_break"]
     kinks = [e.t for e in raw.events
              if e.kind == "x_zero" and fun.kink is not None]
@@ -550,13 +548,26 @@ def _list_chain(fun, y0, t0, t1, cfg, breaks, kink):
     return ts, ys, roots, tuple(counts)
 
 
+def _calling_system(fun, n, kink=None, guard=None, splits=(), reads_tm=False):
+    """A compiled system whose body calls fun(t, y), or fun(t, y, tm) if
+    reads_tm (a step forcing reads its piece at tm), at each stage and whose
+    loop calls the kink and the guard functions: the tests' closures run in
+    the loop integrate_ode runs for every system."""
+    from isores.integrate import _compile_system
+    s, r, z = (", ".join(f"{c}_{i}" for i in range(n)) for c in "srz")
+    return _compile_system(
+        n, [f"{r}, = fun(tt, [{s},]{', tm' if reads_tm else ''})"],
+        {"fun": fun, "kink": kink, "guard": guard and guard[1]},
+        kink and f"kink(t_new, [{z},])", guard and (guard[0], f"guard(t_new, [{z},])"),
+        splits=splits)
+
+
 def test_error_norm_is_zero_where_its_denominator_underflows():
     # a right-hand side of size 1e-154: |e5|^2 is 0 and 0.01 |e3|^2
     # underflows to 0, so the norm is 0/0; read as 0, the steps are accepted
-    from isores.integrate import integrate_ode
     c = 1e-154
-    raw = integrate_ode(lambda t, y: (c + t * c, y[0] + c), [0.0, 0.0], 0.5, 0.53125,
-                        IntegratorConfig(rel_tol=1e-10, abs_tol=1e-8))
+    raw = integrate_ode(_calling_system(lambda t, y: (c + t * c, y[0] + c), 2), [0.0, 0.0],
+                        0.5, 0.53125, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-8))
     assert raw.ts[-1] == 0.53125 and raw.stats["n_rejected"] == 0
 
 
@@ -590,12 +601,12 @@ def _span_case(draw, n):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_list_step_bit_for_bit(n, data):
-    # the generated loop for a plain function, which it calls at each stage:
-    # its steps, rejections and stage rows are those of the list loop with
-    # the list step, float for float
-    from isores.integrate import _DENSE, integrate_ode
+    # the generated loop for a system that calls a plain function at each
+    # stage: its steps, rejections and stage rows are those of the list loop
+    # with the list step, float for float
+    from isores.integrate import _DENSE
     fun, t, y, span, cfg = data.draw(_span_case(n))
-    raw = integrate_ode(fun, y, t, t + span, cfg)
+    raw = integrate_ode(_calling_system(fun, n), y, t, t + span, cfg)
     ts, ys, rows, n_rejected, _ = _reference_loop(fun, t, y, t + span, cfg)
     assert _bits(raw.ts) == _bits(ts)
     assert _bits(raw.ys.ravel()) == _bits(np.ravel(ys))
@@ -654,24 +665,11 @@ def _closure_rhs(pot, f, eps, n):
 _EXTRA = {2: (), 3: (ROFE_BEKETOV,), 6: VARIATIONAL}
 
 
-def _calling_system(closure, n, kink, guard):
-    """The loop integrate_ode writes for a plain function, with the kink and
-    the guard functions, but calling closure(t, y, tm): a step forcing reads
-    its piece at tm, which a plain function is not given."""
-    from isores.integrate import _compile_system
-    s, r, z = (", ".join(f"{c}_{i}" for i in range(n)) for c in "srz")
-    return _compile_system(
-        n, [f"{r}, = fun(tt, [{s},], tm)"],
-        {"fun": closure, "kink": kink, "guard": guard and guard[1]},
-        kink and f"kink(t_new, [{z},])", guard and (guard[0], f"guard(t_new, [{z},])"))
-
-
-def _record(fun, y0, t0, t1, cfg, options):
+def _record(fun, y0, t0, t1, cfg):
     """Everything a solve leaves, as bits: the message of the IntegrationError
     it raised (None if none), its stats, events, knots and dense table."""
-    from isores.integrate import integrate_ode
     try:
-        raw, message = integrate_ode(fun, y0, t0, t1, cfg, **options), None
+        raw, message = integrate_ode(fun, y0, t0, t1, cfg), None
     except IntegrationError as exc:
         raw, message = exc.trajectory, str(exc)
     return (message, raw.stats, [(e.kind, float(e.t).hex()) for e in raw.events],
@@ -702,15 +700,12 @@ def test_compiled_system_matches_closure_and_reference_step(potential, forcing, 
                   (1.0, [-0.99, -5.0, 1.0, 0.0, 0.0, 1.0][:n], 0.01)]
     for t, y, h in cases:
         fun = forced_system(pot, f, eps, cfg, _EXTRA[n])
-        options = {"breakpoints": tiled_split_points(f, t, t + h) if eps != 0.0 else ()}
         assert _bits(fun(t, y)) == _bits(closure(t, y))
-        got = _record(fun, y, t, t + h, cfg, options)
-        if forcing == "step":
-            assert got == _record(_calling_system(closure, n, fun.kink, fun.guard),
-                                  y, t, t + h, cfg, options)
-        else:
-            assert got == _record(closure, y, t, t + h, cfg,
-                                  {**options, "kink": fun.kink, "guard": fun.guard})
+        got = _record(fun, y, t, t + h, cfg)
+        # a step forcing reads its piece at tm
+        calling = _calling_system(closure, n, fun.kink, fun.guard, fun.splits,
+                                  reads_tm=forcing == "step")
+        assert got == _record(calling, y, t, t + h, cfg)
         message, stats, _, ts, ys, *_ = got
         if message is None and stats["n_segments"] == 1:
             at = lambda s, z, tm=0.5 * (t + (t + h)): closure(s, z, tm)
@@ -735,15 +730,11 @@ def test_systems_differing_in_constants_share_code():
 
 def test_compiled_system_watches_only_its_own_kink_and_guard(cfg):
     # the loop of a compiled system has its kink and guard inline: they come
-    # with it as fun.kink and fun.guard, and integrate_ode takes no others
-    from isores.integrate import integrate_ode
+    # with it as fun.kink and fun.guard
     asym = iso.asymmetric(4.0, 4.0 / 9.0)
     fun = forced_system(asym, None, 0.0, cfg)
     assert fun.guard is None
     assert fun.kink(0.0, [0.25, -3.0]) == 0.25
-    with pytest.raises(ValueError, match="its own kink and guard"):
-        integrate_ode(fun, [1.0, 0.0], 0.0, 1.0, cfg,
-                      guard=("singularity", lambda t, y: y[0] + 1.0))
     pin_fun = forced_system(iso.pinney(), None, 0.0, cfg)
     kind, g = pin_fun.guard
     assert (kind, g(0.0, [0.25, 0.0])) == ("singularity", 0.25 - (-1.0 + cfg.singularity_margin))
@@ -816,8 +807,9 @@ def test_sampled_segment_matches_interpolation_at_every_stage(pin, cfg):
     f = Sampled((0.2, 1.0, -0.5, 0.3, -0.9))
     t1 = 4 * TWO_PI
     raw = solve_forced(pin, f, 0.05, [1.0, 0.0], 0.0, t1, cfg)
-    ref = integrate_ode(lambda t, y: (y[1], -pin.dv(y[0]) + 0.05 * f.eval(t)), [1.0, 0.0],
-                        0.0, t1, cfg, breakpoints=tiled_split_points(f, 0.0, t1))
+    rhs = lambda t, y: (y[1], -pin.dv(y[0]) + 0.05 * f.eval(t))
+    ref = integrate_ode(_calling_system(rhs, 2, splits=f.split_points()), [1.0, 0.0],
+                        0.0, t1, cfg)
     assert raw.stats["n_segments"] == ref.stats["n_segments"] == 20
     assert np.allclose(raw.ys[-1], ref.ys[-1], rtol=1e-10, atol=0.0)
 
@@ -827,21 +819,19 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
     # Pinney forced by a step (restarts at its breaks) with and without its
     # variational pairs, and the Rofe-Beketov system (restarts at the kink)
     from isores.autonomous import _rofe_raw
-    from isores.integrate import integrate_ode
     calls = []
-    counted = lambda fun: lambda t, y: calls.append(1) or fun(t, y)
+
+    counted = lambda fun, n: _calling_system(lambda t, y: calls.append(1) or fun(t, y), n,
+                                             fun.kink, fun.guard, fun.splits)
     if n == 3:
         monkeypatch.setattr(iso.integrate, "integrate_ode",
-                            lambda fun, *a, **k: integrate_ode(counted(fun), *a, kink=fun.kink,
-                                                               guard=fun.guard, **k))
+                            lambda fun, *a: integrate_ode(counted(fun, 3), *a))
         raw = _rofe_raw(iso.asymmetric(4.0, 4.0 / 9.0), 2.0, TWO_PI, cfg)
     else:
         y0 = [0.5, 0.2, 1.0, 0.0, 0.0, 1.0][:n]
         step = PiecewiseConst(breakpoints=(0.0, 2.0), values=(1.0, -1.0))
         fun = forced_system(pin, step, 0.1, cfg, VARIATIONAL[:n - 2])
-        raw = integrate_ode(counted(fun), y0, 0.0, 2 * TWO_PI, cfg, kink=fun.kink,
-                            guard=fun.guard,
-                            breakpoints=tiled_split_points(step, 0.0, 2 * TWO_PI))
+        raw = integrate_ode(counted(fun, n), y0, 0.0, 2 * TWO_PI, cfg)
     s = raw.stats
     assert s["n_segments"] > 1 and s["n_steps"] > 0
     assert s["nfev"] == len(calls)
@@ -849,8 +839,8 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
 
 
 def _stopping(rhs):
-    """rhs, giving up after 1000 calls: a step loop that does not stop fails
-    a test instead of hanging it."""
+    """The system of rhs, giving up after 1000 calls: a step loop that does
+    not stop fails a test instead of hanging it."""
     calls = []
 
     def fun(t, y):
@@ -858,7 +848,7 @@ def _stopping(rhs):
         if len(calls) > 1000:
             raise RuntimeError("the step loop did not stop")
         return rhs(t, y)
-    return fun
+    return _calling_system(fun, 2)
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0),
@@ -867,7 +857,6 @@ def test_non_finite_time_span_is_rejected(t0, t1):
     # a nan end compares False with every time, so the step loop ran to the
     # step budget; a non-finite start made every step nan and rejected, with
     # no budget at all
-    from isores.integrate import integrate_ode
     with pytest.raises(ValueError, match="must be finite"):
         integrate_ode(_stopping(lambda t, y: (y[1], -y[0])), [1.0, 0.0], t0, t1,
                       IntegratorConfig(max_steps=50))
@@ -877,14 +866,12 @@ def test_non_finite_time_span_is_rejected(t0, t1):
 def test_non_finite_start_is_rejected(y0):
     # a nan starting step: h < min_step is never true, every step is
     # rejected, and max_steps counts only accepted steps
-    from isores.integrate import integrate_ode
     with pytest.raises(ValueError, match="y0 must be finite"):
         integrate_ode(_stopping(lambda t, y: (y[1], -y[0])), y0, 0.0, 1.0,
                       IntegratorConfig(max_steps=50))
 
 
 def test_non_finite_right_hand_side_at_the_start_fails():
-    from isores.integrate import integrate_ode
     with pytest.raises(IntegrationError, match="no starting step at t = 0.0") as exc:
         integrate_ode(_stopping(lambda t, y: (math.nan, -y[0])), [1.0, 0.0], 0.0, 1.0,
                       IntegratorConfig(max_steps=50))
@@ -983,17 +970,17 @@ def test_stats_and_last_knot_are_pinned(key):
     ((1.0, 0.0), ([148, 67, 3028, 2], ["0x1.fffffffffd021p+0", "-0x1.fc513a63ebd00p-39"])),
     ((1.0, 1.0), ([115, 50, 2329, 2], ["0x1.94c583ada6454p+0", "0x1.43d1362452f48p-1"]))])
 def test_call_form_stats_and_last_knot_are_pinned(cfg, s0, pinned):
-    # a plain-function right-hand side with a callable guard and a break:
-    # x'' + x = R(t)/x^3 with c = 4, R read at the stage time, as acw's check
-    # once built it
-    from isores.integrate import integrate_ode
+    # a system that calls a plain function, with a callable guard and a
+    # break: x'' + x = R(t)/x^3 with c = 4, R read at the stage time, as
+    # acw's check once built it
 
     def rhs(t, y):
         lam = 1.0 if (t % math.pi) < 0.5 * math.pi else 4.0
         x = max(y[0], 1e-9)
         return (y[1], -y[0] + lam / x ** 3)
-    raw = integrate_ode(rhs, list(s0), 0.0, math.pi, cfg, breakpoints=[0.5 * math.pi],
-                        guard=("x_zero_guard", lambda t, y: y[0] - 1e-9))
+    system = _calling_system(rhs, 2, guard=("x_zero_guard", lambda t, y: y[0] - 1e-9),
+                             splits=[0.5 * math.pi])
+    raw = integrate_ode(system, list(s0), 0.0, math.pi, cfg)
     assert ([raw.stats[k] for k in _STATS], _bits(raw.ys[-1])) == pinned
 
 
@@ -1046,8 +1033,8 @@ def test_kink_root_at_a_break_restarts_from_its_knot(cfg):
     # one starts from the root's knot, so y' = 1 gains t1 - root after it
     # (a restart at the breakpoint lost the 5e-13 between them)
     root = 1.0 - 5e-13
-    raw = integrate_ode(lambda t, y: (1.0,), [0.0], 0.0, 2.0, cfg, breakpoints=[1.0],
-                        kink=lambda t, y: t - root)
+    system = _calling_system(lambda t, y: (1.0,), 1, kink=lambda t, y: t - root, splits=[1.0])
+    raw = integrate_ode(system, [0.0], 0.0, 2.0, cfg)
     k = int(np.flatnonzero(raw.ts < 1.0)[-1])
     assert raw.ts[k] == root and raw.ts[k + 1] > 1.0
     assert abs((raw.ys[-1, 0] - raw.ys[k, 0]) - (2.0 - root)) < 1e-14
