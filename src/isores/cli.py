@@ -107,9 +107,9 @@ def _table_format(text):
 
 
 def cmd_phi_scan(p):
-    cfg = IntegratorConfig(p.rel_tol, p.abs_tol)
+    # every centre the CLI builds declares its psi and Psi, so no tolerance is read
     r_grid = phi_mod.default_r_grid(p.r_max, p.r_points)
-    field = phi_mod.phi_scan(p.potential, p.forcing, p.theta_points, r_grid, cfg)
+    field = phi_mod.phi_scan(p.potential, p.forcing, p.theta_points, r_grid, IntegratorConfig())
     verdict = phi_mod.resonance_verdict(field, p.threshold)
     if p.out is not None:
         phi_mod.write_phi_csv(field, p.out / "phi_field.csv")
@@ -216,7 +216,7 @@ _FORMAT = ("format", _table_format, "csv")
 COMMANDS = {
     "phi-scan": (cmd_phi_scan, "scan |Phi_p| over the cylinder", [
         _POTENTIAL, _FORCING, ("theta_points", int, 256), ("r_max", float, 1e3),
-        ("r_points", int, 60), ("threshold", float, 1e-4), *_TOLERANCES, _OUT]),
+        ("r_points", int, 60), ("threshold", float, 1e-4), _OUT]),
     "resonance-run": (cmd_resonance_run, "long forced run with growth verdict", [
         _POTENTIAL, _FORCING, ("eps", float, _REQUIRED), ("periods", int, 100),
         ("x0", float, 0.0), ("v0", float, 0.0), *_TOLERANCES, _OUT]),

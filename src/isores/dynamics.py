@@ -43,22 +43,19 @@ class ResonanceDiagnostics:
     verdict: str
     eps: float
     n_periods: int
-    config: IntegratorConfig
     final_state: State
     partial: bool = False
     stop_reason: str | None = None
 
 
 def _window_verdict(window_sup: np.ndarray) -> str:
+    """The verdict of a full run's n >= 10 window suprema (resonance_run)."""
     n = len(window_sup)
-    if n < 4:
-        return "inconclusive"
     half = window_sup[n - math.ceil(n / 2):]
     growing = bool(np.all(np.diff(half) > 0)) and half[-1] > 2.0 * window_sup[0]
     if growing:
         return "growing"
-    q = max(1, n // 4)
-    if np.max(window_sup) <= 1.5 * np.max(window_sup[:q]):
+    if np.max(window_sup) <= 1.5 * np.max(window_sup[:n // 4]):
         return "bounded"
     return "inconclusive"
 
@@ -75,7 +72,7 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     every window end (slack 1e-6); violation is an integrator failure.
     An integration failure (singularity guard, step budget) returns partial
     diagnostics with verdict "inconclusive", partial=True and its message in
-    stop_reason.
+    stop_reason.  A start of non-finite energy is a DomainError, not a run.
 
     The run builds its system (forced_system) once and steps each window
     [2 pi k, 2 pi (k + 1)] as its own integrate_ode solve, which restarts
@@ -87,6 +84,8 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     if n_periods < 10:
         raise ValueError("resonance_run: need n_periods >= 10")
     e0 = energy(pot, s0)
+    if not math.isfinite(e0):
+        raise DomainError("resonance_run: the energy of the start must be finite")
     sqrt_e0 = math.sqrt(e0)
     l1 = l1_norm(f)
     budget_rate = abs(eps) / math.sqrt(2.0) * l1
@@ -123,8 +122,8 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     return ResonanceDiagnostics(
         window_sup=window_sup, window_sup_x=np.asarray(sup_x),
         energy_sqrt=np.asarray(sqrt_e), envelope_bound=np.asarray(envelope),
-        verdict=verdict, eps=eps, n_periods=n_periods, config=cfg,
-        final_state=state, partial=partial, stop_reason=stop_reason)
+        verdict=verdict, eps=eps, n_periods=n_periods, final_state=state,
+        partial=partial, stop_reason=stop_reason)
 
 
 def stroboscopic_map(pot: PotentialSpec, f: ForcingTerm, eps: float,

@@ -194,19 +194,15 @@ class Sampled(_Pieces):
         object.__setattr__(self, "pieces", (tuple(starts), self.values, tuple(slopes)))
 
 
-def tiled_split_points(points, a: float, b: float):
-    """The split points of a 2*pi-periodic p (its split_points()) tiled as
-    point + k*2*pi over every period that meets [a, b], and one more on each
-    side: a list, unsorted, and empty at no cost when points is."""
-    k0 = math.floor(a / TWO_PI) - 1
-    k1 = math.ceil(b / TWO_PI) + 1
-    return [p + k * TWO_PI for p in points for k in range(k0, k1 + 1)]
-
-
-def _partition(a, b, points=()):
-    """a, the points strictly inside (a, b) in order, and b."""
-    pts = np.asarray(points, dtype=float)
-    return np.concatenate([[a], np.unique(pts[(pts > a + 1e-13) & (pts < b - 1e-13)]), [b]])
+def partition(points, a: float, b: float):
+    """[a, *inner, b], where every solve and every quadrature of p cuts [a, b]:
+    inner is p's split_points() tiled as point + k*2*pi, kept where more than
+    1e-12 inside [a, b], each once and in order; [a, b] at no cost for none."""
+    if not len(points):
+        return [a, b]
+    k0, k1 = math.floor(a / TWO_PI) - 1, math.ceil(b / TWO_PI) + 1
+    tiled = {p + k * TWO_PI for p in points for k in range(k0, k1 + 1)}
+    return [a, *sorted(t for t in tiled if a + 1e-12 < t < b - 1e-12), b]
 
 
 @functools.lru_cache(maxsize=None)
@@ -279,11 +275,12 @@ def adaptive_complex_quad(g, segments, order=16, hard_rtol=None):
 
 
 def _quad_checked(integrand, a, b, points=()):
-    """Integral of the vectorized real or complex integrand over [a, b], split
-    at the points, as a Python float or complex: one adaptive_complex_quad
+    """Integral of the vectorized real or complex integrand over [a, b], cut
+    where partition(points, a, b) cuts it (points: a forcing's 2*pi-periodic
+    split points), as a Python float or complex: one adaptive_complex_quad
     integral held to its achieved error, not its tolerance (near-center orbits
     reach the noise floor of E - V(x) first): NumericsError above 1e-5*max(1, |I|)."""
-    knots = _partition(a, b, points)
+    knots = np.array(partition(points, a, b))
     segments = (knots[:-1], knots[1:], np.zeros(knots.size - 1, int))
     val = adaptive_complex_quad(lambda t, k: integrand(t), segments, hard_rtol=1e-5)[0]
     return float(val.real) if val.imag == 0 else complex(val)
@@ -293,8 +290,7 @@ def _quad_checked(integrand, a, b, points=()):
 def l1_norm(f: ForcingTerm) -> float:
     """Integral of |p| over one period, by adaptive quadrature split at the
     breakpoints of p (relative tolerance well below 1e-10)."""
-    return _quad_checked(lambda t: np.abs(f.eval(t)), 0.0, TWO_PI,
-                         tiled_split_points(f.split_points(), 0.0, TWO_PI))
+    return _quad_checked(lambda t: np.abs(f.eval(t)), 0.0, TWO_PI, f.split_points())
 
 
 def abs_integral(f: ForcingTerm, t: float) -> float:
@@ -305,8 +301,7 @@ def abs_integral(f: ForcingTerm, t: float) -> float:
     rem = t - k * TWO_PI
     total = k * l1_norm(f)
     if rem > 0:
-        total += _quad_checked(lambda s: np.abs(f.eval(s)), 0.0, rem,
-                               tiled_split_points(f.split_points(), 0.0, rem))
+        total += _quad_checked(lambda s: np.abs(f.eval(s)), 0.0, rem, f.split_points())
     return total
 
 
@@ -338,7 +333,7 @@ def fourier_coefficient_quadrature(f: ForcingTerm, n: int) -> complex:
     if n < 1:
         raise ValueError("fourier_coefficient: n must be >= 1")
     return complex(_quad_checked(lambda t: f.eval(t) * np.exp(1j * n * t), 0.0, TWO_PI,
-                                 tiled_split_points(f.split_points(), 0.0, TWO_PI)))
+                                 f.split_points()))
 
 
 def complex_fourier_coefficients(f: TrigPoly, kmax: int):

@@ -24,7 +24,7 @@ TrigPoly's over math.cos/math.sin, a step's or sampled forcing's piece
 stage reads one line of arithmetic.  The loop runs the body inline at each
 stage, so no stage makes a Python call (custom potentials and custom
 forcings call their callbacks from the body), and the system carries p's
-split points, where each of its solves restarts.  The constants (eps, the
+split points, where forcing.partition cuts each solve.  The constants (eps, the
 coefficients, the clamp, the guard's threshold) are globals bound per
 system, so systems that differ only in values share one code object.  The
 loop returns to integrate_ode only at the span's end, after the step that
@@ -57,7 +57,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .forcing import ForcingTerm, abs_integral, tiled_split_points
+from .forcing import ForcingTerm, abs_integral, partition
 from .potentials import PotentialSpec, brentq
 
 
@@ -466,10 +466,10 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     """Integrate y' = system(t, y) over [t0, t1] with dense output, for a
     system made by _compile_system (forced_system's): it steps with
     system.run, which runs the body and the expressions of system.kink and
-    system.guard inline, and restarts at system.splits tiled over [t0, t1].
+    system.guard inline, and restarts at partition(system.splits, t0, t1).
 
-    splits -- the step grid restarts at each tiled split point inside
-              (t0, t1), logged as a ``forcing_break`` event;
+    splits -- the step grid restarts at each inner point of that partition,
+              logged as a ``forcing_break`` event;
     kink   -- g(t, y) whose zero crossings force a restart so that no step
               straddles them;
     guard  -- (kind, g(t, y)): a downward crossing aborts with the partial
@@ -495,8 +495,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     if not all(map(math.isfinite, y)):
         raise ValueError("integrate_ode: y0 must be finite")
     n = len(y)
-    stops = [t0] + sorted(b for b in tiled_split_points(system.splits, t0, t1)
-                          if t0 + 1e-12 < b < t1 - 1e-12) + [t1]
+    stops = partition(system.splits, t0, t1)
     run, kink, guard = system.run, system.kink, system.guard
     # the functions whose sign change ends a step, kink first
     watched = [g for g in (kink, guard and guard[1]) if g is not None]

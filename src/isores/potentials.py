@@ -328,7 +328,7 @@ def _sinusoid_chain(w, mu):
     """The closed forms of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2, as fields of its
     _declared call: every finite r shares one profile (psi split at the
     kinks, and Psi) and one set of c_m, all read from the arc table, which
-    the first read builds."""
+    the first read builds; and T- = pi/mu, its x < 0 arc, at every action."""
     def profile(r):
         arcs = _arc_table(w, mu)
         return (functools.partial(asymmetric_psi_closed, w, mu), tuple(arcs[1:, 0].tolist()),
@@ -336,7 +336,8 @@ def _sinusoid_chain(w, mu):
 
     def fourier(r, m_max):
         return _arc_integral(_arc_table(w, mu), TWO_PI, np.arange(-m_max, m_max + 1)) / TWO_PI
-    return {"homogeneous": True, "profile": profile, "fourier": fourier}
+    return {"homogeneous": True, "profile": profile, "fourier": fourier,
+            "t_minus": lambda i: math.pi / mu}
 
 
 @functools.lru_cache(maxsize=64)

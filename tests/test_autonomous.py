@@ -423,10 +423,26 @@ def test_negative_semiperiod_limits(pin):
     assert negative_semiperiod(pin, 1e4) < 0.1
 
 
+@pytest.mark.parametrize("pot, t_minus", [
+    (iso.harmonic(1), math.pi), (iso.harmonic(3), math.pi / 3),
+    (iso.asymmetric(4.0, 4 / 9), math.pi / math.sqrt(4 / 9))])
+def test_negative_semiperiod_of_the_sinusoid_chain_is_pi_over_mu(pot, t_minus):
+    # its x < 0 arc; the quadrature gave 4.71238898038519 for asymmetric(4, 4/9)
+    # at I = 1e-6, 5.0e-13 off 3 pi/2
+    for action in (1e-6, 1.0, 1e6):
+        assert negative_semiperiod(pot, action) == t_minus
+
+
+def _undeclared(pot):
+    """pot's V, V' and V'' as a custom centre, which declares no closed form."""
+    return custom(v=pot._v, dv=pot._dv, d2v=pot._d2v, n_iso=pot.n_iso,
+                  kink_at_zero=pot.kink_at_zero)
+
+
 def test_negative_semiperiod_quadrature_for_other_centres(har):
-    # the centres without a closed form keep the quadrature: harmonic spends
+    # a centre without a closed form keeps the quadrature: harmonic spends
     # pi at x < 0, and asymmetric(4, 4/9) half a period of frequency 2/3
-    asym = iso.asymmetric(4.0, 4.0 / 9.0)
+    har, asym = _undeclared(har), _undeclared(iso.asymmetric(4.0, 4.0 / 9.0))
     for action in (1e-4, 0.5, 3.0, 42.0):
         assert negative_semiperiod(har, action) == pytest.approx(math.pi, rel=1e-10)
         assert negative_semiperiod(asym, action) == pytest.approx(1.5 * math.pi, rel=1e-10)

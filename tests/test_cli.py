@@ -134,6 +134,16 @@ def test_resonance_run_exit_codes(tmp_path):
     assert rc == 2
 
 
+def test_resonance_run_that_shrinks_then_grows_is_inconclusive(capsys):
+    # the amplitude |1 - eps t/2| of x'' + x = eps sin t from (1, 0) falls to
+    # 0 at t = 80 and grows again: neither growing nor bounded over 35 periods
+    assert main(["resonance-run", "--potential", "harmonic:1", "--forcing", "sin",
+                 "--eps", "0.025", "--x0", "1", "--periods", "35"]) == 3
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "inconclusive" and verdict["partial"] is False
+    assert verdict["max_window_sup"] == pytest.approx(2.468247333520525, rel=1e-9)
+
+
 def test_tolerance_defaults_are_the_integrators(tmp_path):
     # the flags' defaults are IntegratorConfig's: no --rel-tol is its rel_tol
     from isores.integrate import IntegratorConfig
@@ -197,6 +207,13 @@ def test_periodic_find_command(capsys):
     rc = main(["periodic-find", "--potential", "harmonic:1", "--forcing",
                "sin", "--eps", "0.05", "--x0", "0.3", "--v0", "0.1"])
     assert rc == 2
+
+
+def test_periodic_find_writes_its_payload(tmp_path, capsys):
+    assert main(["periodic-find", *_VALID["periodic-find"], "--out", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert json.loads((tmp_path / "periodic.json").read_text()) == payload
+    assert payload["converged"] is True
 
 
 def test_periodic_find_backs_off_out_of_domain_steps(capsys):
@@ -332,13 +349,19 @@ def test_format_json_tables(tmp_path):
     ["resonance-run", "--potential", "harmonic:1", "--forcing", "sin",
      "--eps", "0.05", "--periods", "10", "--v0", "nan"],
     ["resonance-run", "--potential", "pinney", "--forcing", "sin",
-     "--eps", "0.05", "--periods", "10", "--v0", "inf"]],
+     "--eps", "0.05", "--periods", "10", "--v0", "inf"],
+    ["resonance-run", "--potential", "harmonic:1", "--forcing", "sin",
+     "--eps", "0.05", "--periods", "10", "--x0", "1e200"],
+    ["resonance-run", "--potential", "pinney", "--forcing", "sin",
+     "--eps", "0.05", "--periods", "10", "--x0", "1e200"]],
     ids=["rel-tol-inf", "abs-tol-nan", "alpha-inf", "eps-nan", "acw-rel-tol-nan",
-         "v0-nan", "v0-inf"])
+         "v0-nan", "v0-inf", "harmonic-energy-overflow", "pinney-energy-overflow"])
 def test_non_finite_inputs_are_config_errors(argv, capsys):
     # each one ran on (or hung) instead of naming the bad field; acw checked
     # its tolerances only under --check, and exited 0 without it; a
-    # non-finite v0 made the starting step nan, and every step was rejected
+    # non-finite v0 made the starting step nan, and every step was rejected;
+    # x0 = 1e200 has energy inf, and its failed first step was reported as a
+    # partial run, verdict inconclusive (exit 3)
     assert main(argv) == 1
     assert "must be finite" in capsys.readouterr().err
 
@@ -469,7 +492,8 @@ _VALID = {
 _REMOVED_FLAGS = ([(command, ["--seedless"]) for command in _VALID]
                   + [(command, ["--format", "json"]) for command in
                      ("phi-scan", "resonance-run", "acw", "periodic-find")]
-                  + [("fourier-constants", ["--rel-tol", "1e-8"])])
+                  + [("fourier-constants", ["--rel-tol", "1e-8"]),
+                     ("phi-scan", ["--rel-tol", "1e-8"])])
 
 
 @pytest.mark.parametrize("command, flag", _REMOVED_FLAGS,
@@ -481,6 +505,16 @@ def test_commands_reject_flags_they_do_not_read(command, flag, capsys):
     assert main([command, *_VALID[command], *flag]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage:") and f"unrecognized arguments: {flag[0]}" in err
+
+
+@pytest.mark.parametrize("text", [None, "[1, 2]", "{\"eps\": "],
+                         ids=["missing", "not-an-object", "invalid-json"])
+def test_unreadable_config_is_a_usage_error(text, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    if text is not None:
+        config.write_text(text)
+    assert main(["fourier-constants", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
 
 
 def test_config_values_pass_through_the_flag_type(tmp_path, capsys):

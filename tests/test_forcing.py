@@ -11,7 +11,7 @@ from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI, _MAX_LIVE
                             complex_fourier_coefficients,
                             forcing_from_descriptor,
                             fourier_coefficient, fourier_coefficient_quadrature,
-                            l1_norm)
+                            l1_norm, partition)
 
 coeff = st.floats(-3.0, 3.0, allow_nan=False)
 trig_polys = st.builds(
@@ -189,6 +189,17 @@ def test_noise_floor_integrand_stops_at_the_refinement_budget():
         # every pass halves at most 2 * _MAX_LIVE segments at 2 * 16 nodes,
         # and the live counts double up to that: a geometric sum
         assert sum(points) <= 8 * 16 * _MAX_LIVE
+
+
+def test_partition_tiles_each_split_point_once_inside():
+    assert partition(np.empty(0), 0.5, 1.5) == [0.5, 1.5]
+    # by 2*pi over [a, b]; a repeated point cuts once
+    assert partition([1.0, 1.0], -TWO_PI, 2 * TWO_PI) == [
+        -TWO_PI, 1.0 - TWO_PI, 1.0, 1.0 + TWO_PI, 2 * TWO_PI]
+    # a point within 1e-12 of an end makes no cut
+    assert partition([1.0], 1.0 - 5e-13, 1.0 + TWO_PI + 5e-13) == [
+        1.0 - 5e-13, 1.0 + TWO_PI + 5e-13]
+    assert partition([1.0], 1.0 - 2e-12, 2.0) == [1.0 - 2e-12, 1.0, 2.0]
 
 
 def test_abs_integral_partial_periods():

@@ -9,7 +9,8 @@ from scipy.integrate import DOP853, solve_ivp
 
 import isores as iso
 from isores.errors import ConfigError, IntegrationError
-from isores.forcing import PiecewiseConst, Sampled, TrigPoly, TWO_PI, abs_integral
+from isores.forcing import (ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI,
+                            abs_integral)
 from isores.integrate import (VARIATIONAL, IntegratorConfig, State, energy,
                               forced_system, integrate_autonomous,
                               integrate_forced, integrate_ode, solve_forced)
@@ -87,6 +88,26 @@ def test_sampled_forcing_splits_at_kinks(pin, cfg):
     breaks = sorted(e.t for e in traj.events_of("forcing_break"))
     expected = [k * math.pi / 2 for k in range(1, 8)]
     assert np.allclose(breaks, expected, atol=1e-12)
+
+
+def test_a_repeated_split_point_restarts_once(har, cfg):
+    # [0.0, 1.0, 1.0] gave the solve a zero-length span at t = 1.0, where it
+    # failed: "no starting step at t = 1.0 (float division by zero)"
+    class Step(ForcingTerm):
+        def __init__(self, points):
+            self.points = points
+
+        def eval(self, t):
+            return np.where(np.mod(t, TWO_PI) < 1.0, 1.0, -0.5)
+
+        def split_points(self):
+            return np.array(self.points)
+
+    once, twice = (solve_forced(har, Step(points), 0.1, [1.0, 0.0], 0.0, 2 * TWO_PI, cfg)
+                   for points in ([0.0, 1.0], [0.0, 1.0, 1.0]))
+    assert np.array_equal(twice.ts, once.ts) and np.array_equal(twice.ys, once.ys)
+    assert twice.events == once.events and len(once.events_of("forcing_break")) == 3
+    assert twice.end_state() == once.end_state()
 
 
 def test_energy_values(pin, har, cfg):
