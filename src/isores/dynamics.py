@@ -72,7 +72,9 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     every window end (slack 1e-6); violation is an integrator failure.
     An integration failure (singularity guard, step budget) returns partial
     diagnostics with verdict "inconclusive", partial=True and its message in
-    stop_reason.  A start of non-finite energy is a DomainError, not a run.
+    stop_reason.  A start of non-finite energy is a DomainError, and a start
+    from which no step can be taken re-raises its IntegrationError: neither
+    is a run.
 
     The run builds its system (forced_system) once and steps each window
     [2 pi k, 2 pi (k + 1)] as its own integrate_ode solve, which restarts
@@ -102,6 +104,8 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
         try:
             traj = integrate_ode(system, [state.x, state.v], t0, t1, cfg)
         except IntegrationError as exc:
+            if k == 0 and exc.trajectory.stats["n_steps"] == 0:
+                raise      # no step from the start: no run to report
             stop_reason = str(exc)
             break
         xv = np.abs(np.concatenate(

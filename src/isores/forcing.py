@@ -1,11 +1,14 @@
 """2*pi-periodic forcing terms: trigonometric polynomials, piecewise-constant
 profiles and sampled signals, their L1 norms and Fourier data, and the one
-adaptive quadrature of the package (adaptive_complex_quad)."""
+adaptive quadrature of the package (adaptive_complex_quad).  Each kind
+declares its data once, a trigonometric p its harmonics and a step or
+sampled p its pieces, and every reader takes them from there."""
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +29,8 @@ class ForcingTerm:
     shared freely between threads.
     """
 
-    # (starts, values, slopes) of a piecewise-linear p (_Pieces), else None
+    # (starts, values, slopes) of a piecewise-linear p (_Pieces), else None;
+    # a TrigPoly declares its harmonics instead
     pieces = None
 
     def eval(self, t):
@@ -51,7 +55,10 @@ class ForcingTerm:
 
 @dataclass(frozen=True, eq=False)
 class TrigPoly(ForcingTerm):
-    """a0 + sum_k (a_k cos(kt) + b_k sin(kt)) with finitely many harmonics."""
+    """a0 + sum_k (a_k cos(kt) + b_k sin(kt)), declared once as a0 and
+    ``harmonics``: (k, a_k, b_k) for every k >= 1 with a nonzero a_k or b_k,
+    in increasing k.  eval, the integrator's scalar source, I_n and phi
+    read them."""
 
     a0: float = 0.0
     cos_coeffs: tuple = ()
@@ -66,24 +73,14 @@ class TrigPoly(ForcingTerm):
             vals = vals if isinstance(vals, tuple) else (vals,)
             if not all(math.isfinite(v) for v in vals):
                 raise ConfigError(f"forcing.{name}: coefficients must be finite")
-        # (k, a_k, b_k) for every harmonic with a nonzero coefficient
-        terms = tuple((k,) + self.harmonic(k) for k in range(1, self.degree + 1))
-        object.__setattr__(self, "_terms", tuple(h for h in terms if h[1] or h[2]))
-
-    @property
-    def degree(self):
-        return max(len(self.cos_coeffs), len(self.sin_coeffs))
-
-    def harmonic(self, k):
-        """(a_k, b_k) with zero padding beyond the stored degree; k >= 1."""
-        a = self.cos_coeffs[k - 1] if k <= len(self.cos_coeffs) else 0.0
-        b = self.sin_coeffs[k - 1] if k <= len(self.sin_coeffs) else 0.0
-        return a, b
+        pairs = itertools.zip_longest(self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)
+        object.__setattr__(self, "harmonics",
+                           tuple((k, a, b) for k, (a, b) in enumerate(pairs, 1) if a or b))
 
     def scalar_source(self):
         # the operations of eval in its order, each coefficient a name
         lines, constants = ["p = p_a0"], {"p_a0": self.a0}
-        for k, a, b in self._terms:
+        for k, a, b in self.harmonics:
             for name, c, fn in ((f"p_a{k}", a, "cos"), (f"p_b{k}", b, "sin")):
                 if c:
                     lines.append(f"p = p + {name} * {fn}({k} * tt)")
@@ -93,7 +90,7 @@ class TrigPoly(ForcingTerm):
     def eval(self, t):
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, self.a0, dtype=float)
-        for k, a, b in self._terms:
+        for k, a, b in self.harmonics:
             if a:
                 out = out + a * np.cos(k * t)
             if b:
@@ -314,8 +311,8 @@ def fourier_coefficient(f: ForcingTerm, n: int) -> complex:
     if n < 1:
         raise ValueError("fourier_coefficient: n must be >= 1")
     if isinstance(f, TrigPoly):
-        # orthogonality: only the matching harmonic survives
-        a, b = f.harmonic(n)
+        # orthogonality: only the matching harmonic survives, if p declares it
+        a, b = next(((a, b) for k, a, b in f.harmonics if k == n), (0.0, 0.0))
         return complex(math.pi * a, math.pi * b)
     if f.pieces is not None:
         # on [a, b] with p = p_a + m (t - a): (p_b e^{inb} - p_a e^{ina}) / (in)
@@ -334,17 +331,6 @@ def fourier_coefficient_quadrature(f: ForcingTerm, n: int) -> complex:
         raise ValueError("fourier_coefficient: n must be >= 1")
     return complex(_quad_checked(lambda t: f.eval(t) * np.exp(1j * n * t), 0.0, TWO_PI,
                                  f.split_points()))
-
-
-def complex_fourier_coefficients(f: TrigPoly, kmax: int):
-    """Coefficients p_hat_k, k = -kmax..kmax, of p(t) = sum p_hat_k e^{ikt}."""
-    out = np.zeros(2 * kmax + 1, dtype=complex)
-    out[kmax] = f.a0
-    for k in range(1, kmax + 1):
-        a, b = f.harmonic(k)
-        out[kmax + k] = 0.5 * (a - 1j * b)
-        out[kmax - k] = 0.5 * (a + 1j * b)
-    return out
 
 
 def check_descriptor_numbers(name, d, numbers, arrays=()):

@@ -5,10 +5,10 @@ argument walk (_argument_change).
 
 Cost model: Phi(., r) correlates p with the one profile psi(., r), so a scan
 works per r-column (and on the Pinney infinity slice), never per node.  A
-trigonometric p takes the Fourier modes of psi, cached per profile: the
-closed form a center declares (the harmonic and asymmetric sinusoid
-chain's), else one call of the package's adaptive quadrature
-(forcing.adaptive_complex_quad, imported here by name).  Any other p
+trigonometric p takes the Fourier modes of psi up to its highest harmonic,
+cached per profile: the closed form a center declares (the harmonic and
+asymmetric sinusoid chain's), else one call of the package's adaptive
+quadrature (forcing.adaptive_complex_quad, imported here by name).  Any other p
 differences the antiderivative Psi = int psi at the shifted piece starts of
 p, in one step whichever source Psi comes from: for a step p the closed form
 every built-in center declares, with no quadrature; else (a sloped p, or a
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .forcing import (ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad,
-                      complex_fourier_coefficients)
+from .forcing import ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad
 from .integrate import IntegratorConfig
 from .autonomous import profile_amplitude, psi_solution
 from .potentials import PotentialSpec, pinney
@@ -73,12 +72,16 @@ def _psi_fourier(pot: PotentialSpec, r: float, kmax: int,
 
 def _phi_trig(f: TrigPoly, cm, theta):
     """Phi(theta) = sum_k p_hat_k c_{-k} e^{-ik theta} (exact reordering of
-    the defining quadrature for trigonometric forcings)."""
+    the defining quadrature for trigonometric forcings) over the k that p
+    declares, in increasing k: p_hat_0 = a0 and p_hat_{+-k} = (a_k -+ i b_k)/2
+    for each of its harmonics, paired with the c_{-+k} in cm (m = -K..K)."""
     kmax = (len(cm) - 1) // 2
-    p_hat = complex_fourier_coefficients(f, kmax)
+    p_hat = {0: complex(f.a0)}
+    for k, a, b in f.harmonics:
+        p_hat[k], p_hat[-k] = 0.5 * (a - 1j * b), 0.5 * (a + 1j * b)
     out = np.zeros(theta.shape, dtype=complex)
-    for k in range(-kmax, kmax + 1):
-        coef = p_hat[k + kmax] * cm[kmax - k]
+    for k in sorted(p_hat):
+        coef = p_hat[k] * cm[kmax - k]
         if coef != 0:
             out = out + coef * np.exp(-1j * k * theta)
     return out
@@ -99,7 +102,8 @@ def _phi_column(pot: PotentialSpec, f: ForcingTerm, theta, r: float,
     theta = np.asarray(theta, dtype=float)
     r = profile_amplitude(pot, r)
     if isinstance(f, TrigPoly):
-        return _phi_trig(f, _psi_fourier(pot, r, max(f.degree, 1), cfg), theta)
+        kmax = max((k for k, _, _ in f.harmonics), default=1)
+        return _phi_trig(f, _psi_fourier(pot, r, kmax, cfg), theta)
     if f.pieces is None:
         raise ConfigError(f"phi: {type(f).__name__} is no TrigPoly and declares no pieces")
     psi, extra, antiderivative = _profile(pot, r, cfg)

@@ -76,6 +76,11 @@ def test_asymmetric_psi_does_not_depend_on_amplitude(cfg):
         ref = psi_solution(pot, 1.0, cfg).psi(ts)
         for r in (1e-2, 37.0, 1e3):
             assert np.max(np.abs(psi_solution(pot, r, cfg).psi(ts) - ref)) <= 1e-8
+    # r = 0 takes the shared profile, not the linearization at the kink
+    asym = iso.asymmetric(4.0, 4.0 / 9.0)
+    at_zero = psi_solution(asym, 0.0, cfg)
+    assert at_zero.r == 0.0
+    assert np.array_equal(at_zero.psi(ts), psi_solution(asym, 1.0, cfg).psi(ts))
 
 
 @pytest.mark.parametrize("alpha, beta", [(4.0, 4.0 / 9.0), (2.0, 3.0),
@@ -209,6 +214,13 @@ def test_action_examples(pin, har, har2):
     assert action_of_amplitude(har, 2.0) == pytest.approx(2.0, rel=1e-10)
     assert action_of_amplitude(har2, 1.0) == pytest.approx(1.0, rel=1e-10)
     assert action_of_amplitude(pin, 0.0) == 0.0
+    assert amplitude_of_action(har2, 0.0) == 0.0
+    with pytest.raises(DomainError, match="r must be finite and nonnegative"):
+        action_of_amplitude(har2, -1)
+    with pytest.raises(DomainError, match="action must be nonnegative"):
+        amplitude_of_action(har2, -1)
+    with pytest.raises(DomainError, match="action must be positive"):
+        from_action_angle(har2, ActionAngle(0.0, 0.0), IntegratorConfig())
 
 
 def test_action_landau_identity(pin):
@@ -503,3 +515,5 @@ def test_bouncing_limit_audit(pin, cfg):
         assert vals[0] > vals[1] > vals[2]
     d0 = [abs(r.dxdI_at_0 - math.sqrt(2.0)) for r in recs]
     assert d0[0] > d0[1] > d0[2]
+    with pytest.raises(NumericsError, match="needs minimal period 2\\*pi"):
+        bouncing_limit_audit(iso.harmonic(2), [1.0], cfg)

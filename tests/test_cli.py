@@ -95,6 +95,15 @@ def test_a_string_where_a_descriptor_number_belongs_is_a_usage_error(flag, text,
     assert "is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--forcing", "   ", "forcing: empty shorthand"),
+    ("--potential", "{nope", "potential: invalid JSON")])
+def test_an_empty_or_broken_spec_is_a_usage_error(flag, text, message, capsys):
+    argv = {"--potential": "pinney", "--forcing": "sin", flag: text}
+    assert main(["phi-scan", *(x for item in argv.items() for x in item)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_a_fractional_harmonic_n_is_a_usage_error(capsys):
     # {"n": 2.5} scanned harmonic(2) and exited 2, a scientific result
     assert main(["phi-scan", "--potential", '{"kind":"harmonic","n":2.5}',
@@ -157,12 +166,14 @@ def test_tolerance_defaults_are_the_integrators(tmp_path):
             == (tmp_path / "explicit" / "verdict.json").read_bytes())
 
 
-def test_acw_command(tmp_path):
+def test_acw_command(tmp_path, capsys):
     rc = main(["acw", "--c", "4", "--x0", "1", "--y0", "0", "--steps", "10",
-               "--out", str(tmp_path)])
+               "--check", "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "acw_orbit.csv").read_text().splitlines()
     assert lines[-1].split(",")[1] == "1024"
+    # the numeric cross-check of the map, held to the bound CI holds it to
+    assert json.loads(capsys.readouterr().out)["numeric_check_max_err"] <= 1e-10
 
 
 @pytest.mark.parametrize("c", ["nan", "inf", "-1"])
@@ -364,6 +375,15 @@ def test_non_finite_inputs_are_config_errors(argv, capsys):
     # partial run, verdict inconclusive (exit 3)
     assert main(argv) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_a_start_with_no_step_exits_1(capsys):
+    # x0 = 1e150 has finite energy, but the starting-step rule overflows
+    # before the first step: it was reported as a partial run, verdict
+    # inconclusive (exit 3)
+    assert main(["resonance-run", "--potential", "harmonic:1", "--forcing", "sin",
+                 "--eps", "0.05", "--periods", "10", "--x0", "1e150"]) == 1
+    assert "no starting step" in capsys.readouterr().err
 
 
 def test_periodic_find_non_finite_zero_angle_exits_at_once(capsys):

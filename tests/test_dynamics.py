@@ -5,6 +5,7 @@ import pytest
 
 import isores as iso
 from isores import dynamics
+from isores.errors import IntegrationError
 from isores.forcing import ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI
 from isores.integrate import IntegratorConfig, State, integrate_forced, solve_forced
 from isores.dynamics import (find_periodic_solution, resonance_run,
@@ -41,6 +42,25 @@ def test_partial_run_says_why_it_stopped(pin, sin_f, start, cfg, reason):
     assert reason in diag.stop_reason
     assert len(diag.window_sup) < 10
     assert "stop_reason" not in verdict_dict(diag)
+
+
+def test_a_start_with_no_step_is_an_error(har, sin_f, cfg):
+    # the starting-step rule overflows at x0 = 1e150: no step was taken, and
+    # the run was reported as partial, verdict inconclusive
+    with pytest.raises(IntegrationError, match="no starting step") as err:
+        resonance_run(har, sin_f, 0.05, State(1e150, 0.0), 10, cfg)
+    assert err.value.trajectory.stats["n_steps"] == 0
+
+
+def test_a_later_window_with_no_step_stays_partial(har, sin_f, cfg, monkeypatch):
+    # only the start's own window makes a failure before the first step an
+    # error; window 1 here restarts where no step can be taken
+    real = dynamics.integrate_ode
+    monkeypatch.setattr(dynamics, "integrate_ode", lambda system, y0, t0, t1, cfg:
+                        real(system, [1e150, 0.0] if t0 > 0 else y0, t0, t1, cfg))
+    diag = resonance_run(har, sin_f, 0.05, State(1.0, 0.0), 10, cfg)
+    assert diag.partial and diag.verdict == "inconclusive"
+    assert "no starting step" in diag.stop_reason and len(diag.window_sup) == 1
 
 
 def test_resonance_run_budget_holds_at_the_crossing_step(pin, sin_f):

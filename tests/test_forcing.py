@@ -8,7 +8,6 @@ import isores as iso
 from isores.errors import ConfigError, NumericsError
 from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI, _MAX_LIVE,
                             abs_integral, adaptive_complex_quad,
-                            complex_fourier_coefficients,
                             forcing_from_descriptor,
                             fourier_coefficient, fourier_coefficient_quadrature,
                             l1_norm, partition)
@@ -207,6 +206,8 @@ def test_abs_integral_partial_periods():
     assert abs_integral(f, 0.0) == 0.0
     assert abs_integral(f, math.pi) == pytest.approx(2.0, rel=1e-10)
     assert abs_integral(f, 2 * TWO_PI + math.pi) == pytest.approx(10.0, rel=1e-10)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        abs_integral(f, -1)
 
 
 def test_fourier_examples():
@@ -217,6 +218,8 @@ def test_fourier_examples():
     assert fourier_coefficient(cos, 1) == pytest.approx(math.pi, abs=1e-12)
     with pytest.raises(ValueError):
         fourier_coefficient(sin, 0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        fourier_coefficient_quadrature(sin, 0)
 
 
 @given(trig_polys, st.integers(1, 5))
@@ -257,11 +260,14 @@ def test_fourier_of_sampled_is_the_exact_integral():
         assert abs(fourier_coefficient_quadrature(f, n) - exact) <= 1e-12
 
 
-def test_complex_fourier_coefficients_reconstruct():
-    f = TrigPoly(a0=0.3, cos_coeffs=(1.0, -0.5), sin_coeffs=(0.25,))
-    cm = complex_fourier_coefficients(f, 3)
+def test_harmonics_reconstruct():
+    # p is a0 plus its declared harmonics; the zero ones are left out
+    f = TrigPoly(a0=0.3, cos_coeffs=(1.0, -0.5, 0.0, 0.0), sin_coeffs=(0.25, 0.0, 0.0, 2.0))
+    assert f.harmonics == ((1, 1.0, 0.25), (2, -0.5, 0.0), (4, 0.0, 2.0))
     ts = np.linspace(0, TWO_PI, 17)
-    rec = sum(cm[k + 3] * np.exp(1j * k * ts) for k in range(-3, 4))
+    # p_hat_{+-k} = (a_k -+ i b_k) / 2, as phi pairs them with c_{-+k}
+    rec = f.a0 + sum(0.5 * (a - 1j * b) * np.exp(1j * k * ts)
+                     + 0.5 * (a + 1j * b) * np.exp(-1j * k * ts) for k, a, b in f.harmonics)
     assert np.allclose(rec.imag, 0.0, atol=1e-14)
     assert np.allclose(rec.real, f.eval(ts), atol=1e-13)
 
@@ -326,3 +332,14 @@ def test_descriptor_validation():
         Sampled(values=(1.0,))
     with pytest.raises(ConfigError):
         TrigPoly(a0=math.nan)
+    for build, message in (
+            (lambda: PiecewiseConst((0.0, 1.0), (1.0,)), "forcing.breaks: need one value"),
+            (lambda: PiecewiseConst((0.0,), (1.0,), period=-1),
+             "forcing.period: must be a positive real"),
+            (lambda: PiecewiseConst((0.0,), (math.nan,)), "forcing.values: must be finite"),
+            (lambda: Sampled((0.0, math.nan)), "forcing.values: must be finite"),
+            (lambda: forcing_from_descriptor([1, 2]), "must be an object"),
+            (lambda: forcing_from_descriptor({"kind": "piecewise", "breaks": [0.0]}),
+             r"forcing: malformed descriptor \('values'\)")):
+        with pytest.raises(ConfigError, match=message):
+            build()

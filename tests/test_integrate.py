@@ -659,7 +659,7 @@ def _closure_rhs(pot, f, eps, n):
         if not isinstance(f, TrigPoly):     # a step: its piece at tm
             return float(f.eval(tm))
         out = f.a0
-        for k, a, b in f._terms:
+        for k, a, b in f.harmonics:
             if a:
                 out = out + a * math.cos(k * t)
             if b:
@@ -881,6 +881,20 @@ def test_non_finite_time_span_is_rejected(t0, t1):
     with pytest.raises(ValueError, match="must be finite"):
         integrate_ode(_stopping(lambda t, y: (y[1], -y[0])), [1.0, 0.0], t0, t1,
                       IntegratorConfig(max_steps=50))
+
+
+@pytest.mark.parametrize("t1", [1.0, 0.5])
+def test_an_empty_or_backward_span_is_rejected(t1):
+    with pytest.raises(ValueError, match="need t1 > t0"):
+        integrate_ode(_stopping(lambda t, y: (y[1], -y[0])), [1.0, 0.0], 1.0, t1,
+                      IntegratorConfig(max_steps=50))
+
+
+def test_dense_output_is_read_inside_its_span_only():
+    sol = integrate_ode(_stopping(lambda t, y: (y[1], -y[0])), [1.0, 0.0], 0.0, 1.0,
+                        IntegratorConfig(max_steps=50))
+    with pytest.raises(ValueError, match="outside the integrated span"):
+        sol.eval(1.5)
 
 
 @pytest.mark.parametrize("y0", [[1.0, math.nan], [math.inf, 0.0]])

@@ -704,6 +704,8 @@ def test_phi_scan_zero_forcing(pin, cfg):
     field = phi_scan(pin, TrigPoly(), 8, [0.0, 1.0], cfg)
     assert field.min_modulus == 0.0
     assert not resonance_verdict(field).certified_resonant
+    with pytest.raises(NumericsError, match="grids must be nonempty"):
+        phi_scan(pin, TrigPoly(), 0, [0.0, 1.0], cfg)
 
 
 def test_dirac_bump_lower_bound(har, cfg):

@@ -209,6 +209,13 @@ def test_appendix_audit_near_zero(pin):
     assert audit.slope_defects[0] == pytest.approx(0.0, abs=1e-5)
 
 
+def test_appendix_audit_needs_a_bounded_center_of_period_2pi():
+    with pytest.raises(ConfigError, match="needs minimal period 2\\*pi"):
+        appendix_audit(harmonic(2), [1.0])
+    with pytest.raises(DomainError, match="needs a finite left endpoint"):
+        appendix_audit(harmonic(1), [1.0])
+
+
 def test_inverse_level_helpers(pin):
     e = pin.v(2.5)
     assert inverse_V(pin, e, 1) == pytest.approx(2.5, rel=1e-12)
@@ -434,6 +441,8 @@ def test_descriptor_round_trip():
         potential_from_descriptor({"kind": "harmonic"})
     with pytest.raises(ConfigError):
         potential_from_descriptor({"kind": "mystery"})
+    with pytest.raises(ConfigError, match="must be an object"):
+        potential_from_descriptor("x")
 
 
 @pytest.mark.parametrize("d", [{"kind": "harmonic", "n": 2.5}, {"kind": "harmonic", "n": True},
