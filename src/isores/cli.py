@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import autonomous, dynamics, phi as phi_mod
 from .errors import ConfigError, IsoresError
 from .forcing import TrigPoly, forcing_from_descriptor
 from .integrate import IntegratorConfig, State
-from .io import write_csv, write_json
+from .io import format_rows, write_csv, write_json
 from .potentials import appendix_audit, potential_from_descriptor
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -92,11 +93,17 @@ def parse_potential(text: str):
     return potential_from_descriptor({"kind": kind, **dict(zip(names, values))})
 
 
+def _json_rows(header, rows):
+    """Table rows as JSON objects, a non-finite float as its CSV text ("inf",
+    "-inf", "nan"): strict JSON has no token for it."""
+    cell = lambda v: v if math.isfinite(v) else format_rows([v]).strip()
+    return [{key: cell(v) for key, v in zip(header, row)} for row in rows]
+
+
 def _write_table(out_path, stem, header, rows, fmt):
     """Tabular export honoring --format: csv (default) or json rows."""
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        return write_json(out_path / f"{stem}.json", payload)
+        return write_json(out_path / f"{stem}.json", _json_rows(header, rows))
     return write_csv(out_path / f"{stem}.csv", header, rows)
 
 
@@ -148,7 +155,7 @@ def cmd_period_audit(p):
     rows = [(r, autonomous.minimal_period(p.potential, r, cfg)) for r in p.r]
     if p.out is not None:
         _write_table(p.out, "periods", ["r", "period"], rows, p.format)
-    return {"periods": [{"r": r, "period": period} for r, period in rows]}, 0
+    return {"periods": _json_rows(["r", "period"], rows)}, 0
 
 
 def cmd_periodic_find(p):
@@ -174,7 +181,7 @@ def cmd_limits_audit(p):
     header = ["I", "sup_x_defect", "sup_dxdI_defect", "dxdI_at_0"]
     rows = [(rec.action, rec.sup_x_defect, rec.sup_dxdI_defect, rec.dxdI_at_0)
             for rec in records]
-    payload = {"limits": [dict(zip(header, row)) for row in rows]}
+    payload = {"limits": _json_rows(header, rows)}
     if p.out is not None:
         _write_table(p.out, "bouncing", header, rows, p.format)
     if p.potential.singular_left:
@@ -191,16 +198,11 @@ def cmd_limits_audit(p):
 
 
 def cmd_fourier_constants(p):
-    rows = []
-    for r in p.r:
-        const = phi_mod.pinney_fourier_constants(r)
-        rows.append((r, const.c0, const.d_plus, const.d_minus))
+    header = ["r", "c0", "d_plus", "d_minus"]     # PinneyConstants' fields after r
+    rows = [(r, *astuple(phi_mod.pinney_fourier_constants(r))) for r in p.r]
     if p.out is not None:
-        _write_table(p.out, "fourier_constants", ["r", "c0", "d_plus", "d_minus"],
-                     rows, p.format)
-    return {"constants": [
-        {"r": ("inf" if math.isinf(r) else r), "c0": c0, "d_plus": dp,
-         "d_minus": dm} for r, c0, dp, dm in rows]}, 0
+        _write_table(p.out, "fourier_constants", header, rows, p.format)
+    return {"constants": _json_rows(header, rows)}, 0
 
 
 # Every parameter of a command, declared once as (name, type, default): the

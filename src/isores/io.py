@@ -1,6 +1,6 @@
 """Deterministic CSV/JSON output: fixed 17-significant-digit formatting so
-identical configs produce byte-identical files.  A CSV column prints each of
-its distinct values (by their bits) once, and rows are written in blocks."""
+identical configs produce byte-identical files.  format_rows is the one cell
+format, printed by write_csv's small tables and by phi.write_phi_csv."""
 
 from __future__ import annotations
 
@@ -10,32 +10,29 @@ from pathlib import Path
 import numpy as np
 
 
+def format_rows(values, width=1):
+    """values (floats, row after row) as one string of CSV lines of width
+    cells, each "%.17g": a whole number below 1e17 as its digits, -0.0 as -0."""
+    row = ",".join(["%.17g"] * width) + "\n"
+    return row * (len(values) // width) % tuple(values)
+
+
 def write_csv(path, header, rows):
     """A CSV table: rows (an array, or rows of ints and floats) as floats,
-    each printed "%.17g" (a whole number below 1e17 as its digits, -0.0 as
-    -0).  Each distinct value of a column, told apart by its bits so that
-    -0.0 and 0.0 stay apart, is formatted once; rows are joined and written
-    1024 at a time, so the whole text is never held in memory."""
+    formatted and written 1024 rows at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     table = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    columns = []
-    for column in table.T.view(np.int64):
-        bits, inverse = np.unique(column, return_inverse=True)
-        # one "%" over every distinct value is quicker than one call each
-        values = tuple(bits.view(float).tolist())
-        text = np.array(("%.17g\n" * len(values) % values).split(), dtype=object)
-        columns.append((text, inverse))
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for k in range(0, len(table), 1024):
-            cells = [text[inverse[k:k + 1024]].tolist() for text, inverse in columns]
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            f.write(format_rows(table[k:k + 1024].ravel().tolist(), len(header)))
     return path
 
 
 def write_json(path, obj):
+    """obj as strict JSON: a nan or infinite float raises ValueError."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path

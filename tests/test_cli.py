@@ -306,6 +306,22 @@ def test_fourier_constants_command(capsys):
     assert payload["constants"][1]["c0"] == pytest.approx(2 / math.pi, abs=1e-9)
 
 
+def test_json_tables_are_strict_json(tmp_path):
+    # the default --r list ends at inf, which json.dumps wrote as the token
+    # Infinity: no strict parser reads it, so a JSON table writes "inf", as
+    # stdout does, and write_json refuses a non-finite float
+    from isores.io import write_json
+    assert main(["fourier-constants", "--format", "json", "--out", str(tmp_path)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    rows = json.loads((tmp_path / "fourier_constants.json").read_text(),
+                      parse_constant=refuse)
+    assert rows[-1]["r"] == "inf" and rows[0]["r"] == 0.0
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"x": math.nan})
+
+
 def test_config_file_defaults(tmp_path):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({

@@ -905,6 +905,10 @@ def _row_by_row_csv(field):
     return ("\n".join(lines) + "\n").encode()
 
 
+# the 4-piece step forcing of the CI's step scans
+STEP_4 = PiecewiseConst((0.3, 1.9, 3.4, 5.0), (0.7, -0.4, 0.9, -0.8))
+
+
 def test_phi_csv_bytes_match_row_writer(pin, sin_f, cfg, tmp_path):
     from isores.phi import PhiField
     base = phi_scan(pin, sin_f, 8, [0.0, 1.0, 50.0], cfg)
@@ -916,6 +920,54 @@ def test_phi_csv_bytes_match_row_writer(pin, sin_f, cfg, tmp_path):
     got = write_phi_csv(field, tmp_path / "field.csv").read_bytes()
     assert got == _row_by_row_csv(field)
     assert b",-0,0.25,0.25\n" in got and b",0,0,0\n" in got
+
+    # a step scan with its infinity slice: no column repeats the one before
+    step = phi_scan(pin, STEP_4, 16, [0.0, 1.0, 50.0], cfg)
+    columns = np.column_stack([step.values, step.infinity_slice]).T
+    assert all((a != b).any() for a, b in zip(columns, columns[1:]))
+    # columns A, A, B, A, Z, Z': equal adjacent and apart, so text reused by
+    # anything but the column before (its r, its profile, the first column)
+    # shows; Z and Z' differ only in the sign of a zero, which == misses
+    a, b = base.values[:, 0], base.values[:, 1]
+    z, z_ = a.copy(), a.copy()
+    z[0], z_[0] = 0.0, complex(-0.0, 0.0)
+    repeats = PhiField(base.theta_grid, np.arange(6.0), np.column_stack([a, a, b, a, z, z_]),
+                       None, 0.0, (0.0, 0.0))
+    # one theta and one r, with the infinity slice
+    single = phi_scan(pin, sin_f, 1, [1.0], cfg)
+    # cells that print apart from ordinary floats, in the grid and the slice
+    special = np.array([complex(math.nan, -0.0), complex(math.inf, 5e-324),
+                        complex(-math.inf, 0.0), complex(-0.0, math.nan)])
+    slice_ = np.array([complex(-0.0, math.inf), complex(5e-324, math.nan),
+                       complex(0.0, -math.inf), complex(math.nan, -0.0)])
+    odd = PhiField(np.linspace(0.0, TWO_PI, 4, endpoint=False), np.array([0.0, 1.0]),
+                   np.column_stack([special, special[::-1]]), slice_, 0.0, (0.0, 0.0))
+    for field in (step, repeats, single, odd):
+        got = write_phi_csv(field, tmp_path / "field.csv").read_bytes()
+        assert got == _row_by_row_csv(field)
+    assert got.splitlines()[1:10:4] == [b"0,0,nan,-0,nan", b"0,1,-0,nan,nan",
+                                        b"0,-1,-0,inf,inf"]
+
+
+def test_phi_csv_formats_each_theta_r_and_distinct_column_once(pin, cfg, tmp_path,
+                                                               monkeypatch):
+    # counted at the one formatting helper: the theta grid, the r values
+    # (-1 for the infinity slice) and each column's 3 cells per theta, a
+    # column equal to the one before formatted with it
+    import isores.io
+    counted, format_rows = [], isores.io.format_rows
+
+    def counting(values, width=1):
+        counted.append(len(values))
+        return format_rows(values, width)
+    monkeypatch.setattr(isores.io, "format_rows", counting)
+    homogeneous = phi_scan(iso.asymmetric(4.0, 4.0 / 9.0), TrigPoly(sin_coeffs=(1.0,)), 256,
+                           default_r_grid(), cfg)
+    write_phi_csv(homogeneous, tmp_path / "a.csv")
+    assert sum(counted) == 256 + 60 + 3 * 256
+    counted.clear()
+    write_phi_csv(phi_scan(pin, STEP_4, 256, default_r_grid(), cfg), tmp_path / "b.csv")
+    assert sum(counted) == 256 + 61 + 3 * 256 * 61
 
 
 def test_phi_csv_of_a_homogeneous_scan_repeats_one_column(cfg, tmp_path):
