@@ -54,7 +54,8 @@ def acw_poincare(c: float, s: AcwState) -> AcwState:
 
 def two_piece_map(r1: float, r2: float, s: AcwState) -> AcwState:
     """Period map for a general pi-periodic two-level profile (r1 on the
-    first quarter-period, r2 on the second)."""
+    first quarter-period, r2 on the second).  Public API, exported by isores;
+    the package does not call it (acw_poincare is its r1 = 1, r2 = c case)."""
     return phi_lambda(r2, phi_lambda(r1, s))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, _quad_checked
 from .integrate import (VARIATIONAL, IntegratorConfig, RawSolution, State, energy,
-                        integrate_autonomous, solve_forced)
+                        solve_forced)
 from .potentials import PotentialSpec, inverse_V
 
 
@@ -24,7 +24,8 @@ from .potentials import PotentialSpec, inverse_V
 
 def pinney_phi_closed(r, t):
     """Closed-form orbit of the Pinney center: position and velocity of the
-    solution with x(0)=r, v(0)=0, written with lambda = 1 + r."""
+    solution with x(0)=r, v(0)=0, written with lambda = 1 + r.  A test
+    oracle for the integrated orbit; the package does not call it."""
     lam = 1.0 + float(r)
     t = np.asarray(t, dtype=float)
     c2 = np.cos(0.5 * t) ** 2
@@ -44,7 +45,7 @@ def _section_return(pot: PotentialSpec, s: State, horizon: float,
     """First time in (1e-9, horizon] at which the unforced orbit from s
     crosses the section {v = 0, x > 0}, refined on the dense output; None if
     it does not get there within the horizon."""
-    traj = integrate_autonomous(pot, s, 0.0, horizon, cfg)
+    traj = solve_forced(pot, None, 0.0, [s.x, s.v], 0.0, horizon, cfg)
     for ev in traj.events_of("v_zero"):
         if ev.t > 1e-9 and traj.eval(ev.t)[0] > 0:
             return float(ev.t)
@@ -111,10 +112,13 @@ class VariationalSolution:
         return p[2] + 1j * p[4]
 
     def dpsi(self, t):
+        """Public API: psi' = u' + i*v'; the package does not call it."""
         p = self._parts(t)
         return p[3] + 1j * p[5]
 
     def wronskian(self, t):
+        """Test oracle: u*v' - u'*v, 1 on an exact solution; the package
+        does not call it."""
         p = self._parts(t)
         return p[2] * p[5] - p[3] * p[4]
 
@@ -214,7 +218,7 @@ def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
     tau = (theta + TWO_PI if theta < 0 else theta) / pot.require_isochronous()
     if tau == 0.0:
         return State(float(r), 0.0)
-    traj = integrate_autonomous(pot, State(float(r), 0.0), 0.0, tau, cfg)
+    traj = solve_forced(pot, None, 0.0, [float(r), 0.0], 0.0, tau, cfg)
     return traj.end_state()
 
 
@@ -306,7 +310,7 @@ def bouncing_limit_audit(pot: PotentialSpec, I_list, cfg: IntegratorConfig,
     for action in I_list:
         r = amplitude_of_action(pot, action)
         sqrt_i = math.sqrt(action)
-        traj = integrate_autonomous(pot, State(r, 0.0), 0.0, TWO_PI, cfg)
+        traj = solve_forced(pot, None, 0.0, [r, 0.0], 0.0, TWO_PI, cfg)
         t_full = np.linspace(0.0, TWO_PI, _BOUNCING_GRID)
         x, _ = traj.eval(t_full)
         limit_x = 2.0 * math.sqrt(2.0) * np.abs(np.cos(0.5 * t_full))

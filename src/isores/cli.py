@@ -8,6 +8,7 @@ them: 0 = positive result (certified / growing / converged), 2 = negative,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -256,7 +257,9 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extra
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The one parser of the process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="isores",
         description="Resonance tools for periodically forced isochronous "

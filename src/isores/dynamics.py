@@ -132,7 +132,9 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
 
 def stroboscopic_map(pot: PotentialSpec, f: ForcingTerm, eps: float,
                      s: State, cfg: IntegratorConfig) -> State:
-    """State at t = 2*pi of the forced flow started from s at t = 0."""
+    """State at t = 2*pi of the forced flow started from s at t = 0: one
+    solve_forced call, kept as a name because perfbench/tracing.py wraps it;
+    Newton (find_periodic_solution) solves _newton_system instead."""
     return solve_forced(pot, f, eps, [s.x, s.v], 0.0, TWO_PI, cfg).end_state()
 
 

@@ -290,18 +290,6 @@ def l1_norm(f: ForcingTerm) -> float:
     return _quad_checked(lambda t: np.abs(f.eval(t)), 0.0, TWO_PI, f.split_points())
 
 
-def abs_integral(f: ForcingTerm, t: float) -> float:
-    """Integral of |p| over [0, t] for t >= 0 (whole periods reuse l1_norm)."""
-    if t < 0:
-        raise ValueError("abs_integral: t must be nonnegative")
-    k = math.floor(t / TWO_PI)
-    rem = t - k * TWO_PI
-    total = k * l1_norm(f)
-    if rem > 0:
-        total += _quad_checked(lambda s: np.abs(f.eval(s)), 0.0, rem, f.split_points())
-    return total
-
-
 def fourier_coefficient(f: ForcingTerm, n: int) -> complex:
     """I_n(p) = integral of p(t) e^{int} over [0, 2*pi], n >= 1.
 
@@ -325,8 +313,9 @@ def fourier_coefficient(f: ForcingTerm, n: int) -> complex:
 
 
 def fourier_coefficient_quadrature(f: ForcingTerm, n: int) -> complex:
-    """I_n(p) by pure quadrature regardless of the forcing kind (used to
-    cross-check the closed forms)."""
+    """I_n(p) by pure quadrature regardless of the forcing kind: the path of
+    fourier_coefficient for a custom forcing, and the tests' oracle for its
+    closed forms."""
     if n < 1:
         raise ValueError("fourier_coefficient: n must be >= 1")
     return complex(_quad_checked(lambda t: f.eval(t) * np.exp(1j * n * t), 0.0, TWO_PI,

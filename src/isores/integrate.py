@@ -57,7 +57,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .forcing import ForcingTerm, abs_integral, partition
+from .forcing import ForcingTerm, partition
 from .potentials import PotentialSpec, brentq
 
 
@@ -95,12 +95,12 @@ class RawSolution:
     integrate_ode returns, and what a failed solve attaches to its
     IntegrationError as ``trajectory``.
 
-    ts and ys are the knots, one row of ys per knot; for the (x, v) systems
-    of integrate_forced and integrate_autonomous, ys[:, 0] is x and ys[:, 1]
-    is v.  Step k starts at knot k, has size h[k] and covers knot interval
-    (ts[k], ts[k + 1]], picked as scipy's OdeSolution picks its interpolant;
-    coef[k], shape (7, n), is its DOP853 dense output in powers of s =
-    (t - ts[k]) / h[k]: y = ys[k] + h[k] * sum_j coef[k, j] * s**(j+1).
+    ts and ys are the knots, one row of ys per knot; for the systems of
+    solve_forced, ys[:, 0] is x and ys[:, 1] is v.  Step k starts at knot k,
+    has size h[k] and covers knot interval (ts[k], ts[k + 1]], picked as
+    scipy's OdeSolution picks its interpolant; coef[k], shape (7, n), is its
+    DOP853 dense output in powers of s = (t - ts[k]) / h[k]:
+    y = ys[k] + h[k] * sum_j coef[k, j] * s**(j+1).
     Nothing changes it once built, so it is safe to share.
     """
 
@@ -625,40 +625,16 @@ def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,
                          cfg: IntegratorConfig) -> RawSolution:
-    """Solve x'' = -V'(x) from s0 over [t0, t1]; the dense (x, v) solution.
-
-    Its x=0 and v=0 crossings are found when its events are read, refined
-    on the dense output to well below 1e-12; potentials with a kink at x=0
-    restart the step there so the discontinuous V'' never degrades the order.
-    Raises IntegrationError, whose ``trajectory`` is the RawSolution up to
-    the failure, if the step budget is exhausted or the orbit reaches
-    domain_left + singularity_margin.
-    """
-    return integrate_forced(pot, None, 0.0, s0, t0, t1, cfg)
+    """solve_forced(pot, None, 0.0, [s0.x, s0.v], t0, t1, cfg), kept as a name
+    because perfbench/tracing.py wraps it; nothing in the package calls it."""
+    return solve_forced(pot, None, 0.0, [s0.x, s0.v], t0, t1, cfg)
 
 
 def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
                      t0: float, t1: float, cfg: IntegratorConfig) -> RawSolution:
-    """Solve x'' = -V'(x) + eps*p(t); the dense (x, v) solution.
-
-    Steps never straddle a discontinuity of p: the grid is split there and a
-    ``forcing_break`` event is logged at every breakpoint.  With eps = 0 or
-    f = None the forcing is inert and this is integrate_autonomous.  The
-    a-priori bound |sqrt(E(t1)) - sqrt(E(t0))| <= |eps|/sqrt(2) * int |p| is
-    verified at the endpoint (slack 1e-6); solve_forced solves without it.  A
-    failure raises IntegrationError, whose ``trajectory`` is a RawSolution too.
-    """
-    raw = solve_forced(pot, f, eps, [s0.x, s0.v], t0, t1, cfg)
-    if eps != 0.0 and f is not None and t0 >= 0:
-        e0 = energy(pot, s0)
-        e1 = energy(pot, raw.end_state())
-        budget = abs(eps) / math.sqrt(2.0) * (abs_integral(f, t1) - abs_integral(f, t0))
-        slack = abs(math.sqrt(e1) - math.sqrt(e0)) - budget
-        if slack > 1e-6:
-            raise IntegrationError(
-                f"energy envelope violated by {slack:.3e}: integrator failure",
-                trajectory=raw)
-    return raw
+    """solve_forced(pot, f, eps, [s0.x, s0.v], t0, t1, cfg), kept as a name
+    because perfbench/tracing.py wraps it; nothing in the package calls it."""
+    return solve_forced(pot, f, eps, [s0.x, s0.v], t0, t1, cfg)
 
 
 def energy(pot: PotentialSpec, s: State) -> float:

@@ -178,7 +178,8 @@ class CorollaryBound:
 def corollary_bound(a0: float, a1: float, b1: float) -> CorollaryBound:
     """Resonance certificate for p = a0 + a1 cos t + b1 sin t on the Pinney
     center: certified when a1^2 + b1^2 > 9 a0^2, with the uniform bound
-    |Phi_p| >= (sqrt(a1^2+b1^2) - 3|a0|) / (3 pi^2)."""
+    |Phi_p| >= (sqrt(a1^2+b1^2) - 3|a0|) / (3 pi^2).  Public API, exported by
+    isores; no command calls it."""
     margin = math.hypot(a1, b1) - 3.0 * abs(a0)
     bound = margin / (3.0 * math.pi ** 2) if margin > 0 else 0.0
     return CorollaryBound(margin=margin, phi_lower_bound=bound,

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 import isores as iso
+from isores.forcing import TWO_PI, _quad_checked, l1_norm
 from isores.integrate import IntegratorConfig, State
 
 
@@ -78,3 +79,21 @@ def simpson_complex(values, ts):
 @pytest.fixture(scope="session")
 def simpson():
     return simpson_complex
+
+
+def abs_integral_oracle(f, t):
+    """Integral of |p| over [0, t] for t >= 0, the energy envelope's budget:
+    whole periods by l1_norm, the rest by _quad_checked split at p's breaks."""
+    if t < 0:
+        raise ValueError("abs_integral: t must be nonnegative")
+    k = math.floor(t / TWO_PI)
+    rem = t - k * TWO_PI
+    total = k * l1_norm(f)
+    if rem > 0:
+        total += _quad_checked(lambda s: np.abs(f.eval(s)), 0.0, rem, f.split_points())
+    return total
+
+
+@pytest.fixture(scope="session")
+def abs_integral():
+    return abs_integral_oracle

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import isores as iso
-from isores.forcing import PiecewiseConst, TrigPoly, TWO_PI, abs_integral
+from isores.forcing import PiecewiseConst, TrigPoly, TWO_PI
 from isores.integrate import State, energy, integrate_autonomous, integrate_forced
 from isores.autonomous import (bouncing_limit_audit, dx_dI_rofe_beketov,
                                minimal_period, negative_semiperiod,
@@ -236,7 +236,7 @@ def test_criterion_13_appendix_audit(pin):
 
 
 def test_criterion_14_energy_envelope_global(pin, diag_harm_sin, diag_pin_sin,
-                                             diag_harm_cos2, sin_f, cfg):
+                                             diag_harm_cos2, sin_f, cfg, abs_integral):
     worst = -math.inf
     for diag in (diag_harm_sin, diag_pin_sin, diag_harm_cos2):
         drift = np.abs(diag.energy_sqrt - diag.energy_sqrt[0])

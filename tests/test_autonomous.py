@@ -56,7 +56,7 @@ def test_psi_at_center_linearization(pin, har2, cfg):
         vs = psi_solution(pot, 0.0, cfg)
         ts = np.linspace(0, TWO_PI, 33)
         assert np.allclose(vs.psi(ts), np.cos(n * ts) + 1j * np.sin(n * ts) / n,
-                           atol=1e-12)
+                           rtol=0, atol=1e-12)
 
 
 def test_wronskian_and_product_bound(pin, cfg):

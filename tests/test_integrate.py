@@ -9,12 +9,12 @@ from scipy.integrate import DOP853, solve_ivp
 
 import isores as iso
 from isores.errors import ConfigError, IntegrationError
-from isores.forcing import (ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI,
-                            abs_integral)
+from isores.forcing import ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI
 from isores.integrate import (VARIATIONAL, IntegratorConfig, State, energy,
                               forced_system, integrate_autonomous,
                               integrate_forced, integrate_ode, solve_forced)
 from isores.autonomous import ROFE_BEKETOV, pinney_phi_closed
+from isores.dynamics import stroboscopic_map
 
 
 def test_harmonic_closed_orbit(har, cfg):
@@ -35,8 +35,8 @@ def test_knots_match_interpolation(pin, cfg):
     ts = traj.ts
     assert np.all(np.diff(ts) > 0)
     x, v = traj.eval(ts)
-    assert np.allclose(x, traj.ys[:, 0], atol=1e-12)
-    assert np.allclose(v, traj.ys[:, 1], atol=1e-12)
+    assert np.allclose(x, traj.ys[:, 0], rtol=0, atol=1e-12)
+    assert np.allclose(v, traj.ys[:, 1], rtol=0, atol=1e-12)
 
 
 def test_eps_zero_reduces_to_autonomous(pin, cfg):
@@ -49,12 +49,36 @@ def test_eps_zero_reduces_to_autonomous(pin, cfg):
 
 
 def test_no_forcing_with_nonzero_eps_is_autonomous(pin, cfg):
-    # f = None is unforced whatever eps is: no breaks to tile, no envelope
+    # f = None is unforced whatever eps is: no breaks to tile
     auto = integrate_autonomous(pin, State(1.0, 0.0), 0.0, 1.0, cfg)
     forced = integrate_forced(pin, None, 0.1, State(1.0, 0.0), 0.0, 1.0, cfg)
     assert np.array_equal(auto.ts, forced.ts)
     assert np.array_equal(auto.ys, forced.ys)
     assert auto.stats == forced.stats
+
+
+_WRAPPED = {"autonomous": (None, 0.0),
+            "forced-trig": (TrigPoly(a0=0.2, cos_coeffs=(1.0,)), 0.1),
+            "forced-step": (PiecewiseConst(breakpoints=(0.0, math.pi / 2),
+                                           values=(1.0, 4.0), period=math.pi), 0.05),
+            "stroboscopic": (TrigPoly(sin_coeffs=(1.0,)), 0.05)}
+
+
+@pytest.mark.parametrize("name", list(_WRAPPED))
+def test_kept_wrappers_are_solve_forced_bit_for_bit(pin, cfg, name):
+    # integrate_autonomous, integrate_forced and stroboscopic_map are names
+    # only: the same knots, steps, dense rows, stats and end state
+    f, eps = _WRAPPED[name]
+    s0 = State(1.0, 0.0)
+    ref = solve_forced(pin, f, eps, [s0.x, s0.v], 0.0, TWO_PI, cfg)
+    if name == "stroboscopic":
+        assert stroboscopic_map(pin, f, eps, s0, cfg) == ref.end_state()
+        return
+    raw = (integrate_autonomous(pin, s0, 0.0, TWO_PI, cfg) if f is None
+           else integrate_forced(pin, f, eps, s0, 0.0, TWO_PI, cfg))
+    for part in ("ts", "ys", "h", "coef"):
+        assert np.array_equal(getattr(raw, part), getattr(ref, part))
+    assert raw.stats == ref.stats and raw.end_state() == ref.end_state()
 
 
 def test_forced_harmonic_variation_of_constants(har, cfg):
@@ -76,7 +100,7 @@ def test_forcing_breakpoints_are_split_events(pin, cfg):
     traj = integrate_forced(pin, f, 0.05, State(1.0, 0.0), 0.0, 2 * TWO_PI, cfg)
     breaks = sorted(e.t for e in traj.events_of("forcing_break"))
     expected = [k * math.pi / 2 for k in range(1, 8)]
-    assert np.allclose(breaks, expected, atol=1e-12)
+    assert np.allclose(breaks, expected, rtol=0, atol=1e-12)
     # splits are exact knots
     for b in expected:
         assert np.min(np.abs(traj.ts - b)) < 1e-12
@@ -87,7 +111,7 @@ def test_sampled_forcing_splits_at_kinks(pin, cfg):
     traj = integrate_forced(pin, f, 0.05, State(1.0, 0.0), 0.0, 2 * TWO_PI, cfg)
     breaks = sorted(e.t for e in traj.events_of("forcing_break"))
     expected = [k * math.pi / 2 for k in range(1, 8)]
-    assert np.allclose(breaks, expected, atol=1e-12)
+    assert np.allclose(breaks, expected, rtol=0, atol=1e-12)
 
 
 def test_a_repeated_split_point_restarts_once(har, cfg):
@@ -125,7 +149,7 @@ def test_energy_drift_100_periods(pin, cfg):
     assert np.max(np.abs(e - e0)) / e0 <= 1e-8
 
 
-def test_forced_energy_envelope_runtime_check(pin, sin_f, cfg):
+def test_forced_energy_envelope_runtime_check(pin, sin_f, cfg, abs_integral):
     eps = 0.05
     traj = integrate_forced(pin, sin_f, eps, State(1.0, 0.0), 0.0, 10 * TWO_PI, cfg)
     e0 = energy(pin, State(1.0, 0.0))
@@ -227,7 +251,7 @@ def test_asymmetric_kink_handling(cfg):
     assert x_pi == pytest.approx(-3.0, abs=1e-8)
     crossings = sorted(e.t for e in traj.events_of("x_zero"))
     assert np.allclose(crossings, [math.pi / 4, math.pi / 4 + 3 * math.pi / 2],
-                       atol=1e-9)
+                       rtol=0, atol=1e-9)
     # crossings are exact knots (steps never straddle the kink)
     for c in crossings:
         assert np.min(np.abs(traj.ts - c)) < 1e-9
