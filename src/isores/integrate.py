@@ -574,20 +574,19 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     """The compiled right-hand side of x'' = -V'(x) + eps*p(t) over (s_0, s_1)
     = (x, v) and one more component per extra line: r_{2+i} = extra[i], an
     expression over tt, s_0..s_{n-1}, r_1 = x'' and V's derivatives dv and
-    d2v at x (d2v is computed only when read).  V' and V'' are a built-in
-    potential's declared expressions (a custom one's callbacks on the float
-    x), p is its scalar source (a step's or sampled forcing's piece is a
-    span statement, read once per span at its midpoint tm, so the stages at
-    a break see the span's own piece), and fun.run is the DOP853 loop over
-    one span (_system_source), which restarts at a kink of V'' at x = 0 and
-    stops where x falls to a + cfg.singularity_margin above a singular
-    endpoint a (stages past a see V at a + 1e-13); fun.kink and fun.guard
-    carry them.  fun.splits is where every solve restarts: p's split
-    points, none when eps = 0, f is None or p is trigonometric."""
+    d2v at x (d2v is computed only when read).  V' and V'' are the
+    potential's ``scalar`` text, p is its scalar source (a step's or
+    sampled forcing's piece is a span statement, read once per span at its
+    midpoint tm, so the stages at a break see the span's own piece), and
+    fun.run is the DOP853 loop over one span (_system_source), which
+    restarts at a kink of V'' at x = 0 and stops where x falls to a +
+    cfg.singularity_margin above a singular endpoint a (stages past a see V
+    at a + 1e-13); fun.kink and fun.guard carry them.  fun.splits is where
+    every solve restarts: p's split points, none when eps = 0, f is None or
+    p is trigonometric."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
-    dv, d2v, constants = pot.scalar or ("float(_dv(x))", "float(_d2v(x))",
-                                        {"_dv": pot._dv, "_d2v": pot._d2v})
+    dv, d2v, constants = pot.scalar
     body, constants = ["x = s_0"], dict(constants)
     if pot.singular_left:
         body.append("if x < clamp: x = clamp")

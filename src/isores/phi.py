@@ -188,10 +188,11 @@ def corollary_bound(a0: float, a1: float, b1: float) -> CorollaryBound:
 
 @dataclass(frozen=True, eq=False)
 class PhiField:
-    """Sampled |Phi| data over the cylinder grid plus the r -> inf slice of
-    a declared profile (Pinney's).  argmin reports (theta, r) with r = inf
-    pointing into the infinity slice; ties report the first r-column, so the
-    r-independent asymmetric and harmonic fields report r = 0."""
+    """Sampled Phi over the cylinder grid plus the r -> inf slice of a
+    declared profile (Pinney's), as views of one table with r = inf last.
+    min_modulus is its smallest np.abs, argmin (theta, r) the first theta
+    in the first r-column holding it: the r-independent asymmetric and
+    harmonic fields report r = 0."""
 
     theta_grid: np.ndarray
     r_grid: np.ndarray
@@ -223,34 +224,28 @@ def default_r_grid(r_max: float = 1e3, n: int = 60):
 
 def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
              r_grid, cfg: IntegratorConfig) -> PhiField:
-    """Evaluate Phi_p on the product grid (uniform theta x given r ladder),
-    one column per profile, copied into every r that shares it, and the r =
-    inf slice where a declared profile serves it.  Never returns a partial
-    field: any evaluation error propagates."""
+    """Evaluate Phi_p on one table: a column per r of the ladder, then r =
+    inf where a declared profile (Pinney's) serves it, each distinct profile
+    computed once.  Its np.abs, as the CSV prints it, gives min_modulus and
+    the argmin: the first r-column holding it (r = inf last), at its first
+    theta.  Never returns a partial field: any error propagates."""
     if theta_count < 1 or len(r_grid) < 1:
         raise NumericsError("phi_scan: grids must be nonempty")
     theta = np.linspace(0.0, TWO_PI, theta_count, endpoint=False)
     r_grid = np.asarray(r_grid, dtype=float)
-    keys = [profile_amplitude(pot, float(r)) for r in r_grid]
+    with_inf = pot.profile is not None and not pot.homogeneous
+    amplitudes = r_grid.tolist() + [math.inf] * with_inf
+    keys = [profile_amplitude(pot, r) for r in amplitudes]
     columns = {k: _phi_column(pot, f, theta, k, cfg) for k in dict.fromkeys(keys)}
-    values = np.column_stack([columns[k] for k in keys])
-    infinity = (_phi_column(pot, f, theta, math.inf, cfg)
-                if pot.profile is not None and not pot.homogeneous else None)
-
-    mods = np.abs(values)
-    i, j = np.unravel_index(np.argmin(mods), mods.shape)
-    min_mod = float(mods[i, j])
-    argmin = (float(theta[i]), float(r_grid[j]))
-    if infinity is not None:
-        k = int(np.argmin(np.abs(infinity)))
-        if abs(infinity[k]) < min_mod:
-            min_mod = float(abs(infinity[k]))
-            argmin = (float(theta[k]), math.inf)
-
+    table = np.column_stack([columns[k] for k in keys])
+    mods = np.abs(table)
+    j = int(np.argmin(mods.min(axis=0)))         # the first r-column holding the minimum
+    i = int(np.argmin(mods[:, j]))               # and in it the first theta
     evaluator = lambda th, r: eval_phi(pot, f, th, r, cfg)
-    return PhiField(theta_grid=theta, r_grid=r_grid, values=values,
-                    infinity_slice=infinity, min_modulus=min_mod,
-                    argmin=argmin, _evaluator=evaluator)
+    return PhiField(theta_grid=theta, r_grid=r_grid, values=table[:, :r_grid.size],
+                    infinity_slice=table[:, -1] if with_inf else None,
+                    min_modulus=float(mods[i, j]),
+                    argmin=(float(theta[i]), amplitudes[j]), _evaluator=evaluator)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ def brentq(f, a, b, *, xtol, rtol, maxiter=100):
     bracket is narrower than xtol + rtol*|x|.  A nan value of f or a bracket
     without a sign change raises ValueError; running out of maxiter
     iterations raises NumericsError."""
+    xtol, rtol = float(xtol), float(rtol)    # a numpy float's 0/0 would warn, not raise
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < _BRENT_RTOL:
@@ -89,18 +90,17 @@ class PotentialSpec:
     ``n_iso`` is the isochrony integer N (minimal period 2*pi/N) when known;
     None means the potential has not been certified isochronous and callers
     must audit the period themselves.  Evaluator callbacks must be pure and
-    accept numpy arrays.  A built-in family declares V, V' and V'' once, as
-    expression text in a float x (_declared): its callbacks evaluate that
-    text, and ``scalar`` is (dv, d2v, constants), the text of V' and V''
-    with the values of the constants they read, which the integrator
-    compiles into its right-hand sides.  Only a custom potential (scalar
-    None) has its _dv and _d2v called with Python floats by the integrator,
-    which uses each result as a scalar.  Closed forms, where declared:
-    ``profile`` maps 0 <= r <= inf to (psi(., r), split points for its
-    quadratures, Psi = int_0^. psi or None), or if ``homogeneous`` (x(t; r)
-    = r x(t; 1)) every finite r to one profile; ``fourier`` maps (r, m_max)
-    to the c_m(r) = (1/2pi) int_0^2pi psi(t, r) e^{-imt} dt of that profile,
-    m = -m_max..m_max; ``t_minus`` maps I to T-.
+    accept numpy arrays.  ``scalar`` is (dv, d2v, constants): the text of
+    V' and V'' in a float x with the values of the names they read, which
+    the integrator compiles into its right-hand sides.  A built-in family
+    declares V, V' and V'' once, as that text (_declared), and its callbacks
+    evaluate it; a custom potential's text calls its _dv and _d2v on the
+    Python float x and takes each result as a float.  Closed forms, where
+    declared: ``profile`` maps 0 <= r <= inf to (psi(., r), split points
+    for its quadratures, Psi = int_0^. psi or None), or if ``homogeneous``
+    (x(t; r) = r x(t; 1)) every finite r to one profile; ``fourier`` maps
+    (r, m_max) to the c_m(r) = (1/2pi) int_0^2pi psi(t, r) e^{-imt} dt of
+    that profile, m = -m_max..m_max; ``t_minus`` maps I to T-.
     """
 
     kind: str
@@ -110,8 +110,8 @@ class PotentialSpec:
     _v: callable
     _dv: callable
     _d2v: callable
+    scalar: tuple
     kink_at_zero: bool = False
-    scalar: tuple | None = None
     profile: callable | None = None
     fourier: callable | None = None
     homogeneous: bool = False
@@ -400,7 +400,8 @@ def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None,
     quadrature)."""
     return PotentialSpec(kind="custom", params=(), domain_left=float(domain_left),
                          n_iso=n_iso, _v=v, _dv=dv, _d2v=d2v,
-                         kink_at_zero=kink_at_zero)
+                         kink_at_zero=kink_at_zero,
+                         scalar=("float(_dv(x))", "float(_d2v(x))", {"_dv": dv, "_d2v": d2v}))
 
 
 def _level_gap(pot, level):

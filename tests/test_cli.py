@@ -209,6 +209,14 @@ def test_period_audit_command(tmp_path, capsys):
     assert payload["periods"][0]["period"] == pytest.approx(2 * math.pi, abs=1e-6)
 
 
+def test_an_unknown_table_format_is_a_usage_error(tmp_path, capsys):
+    rc = main(["period-audit", "--potential", "harmonic:1", "--format", "xml",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "format: must be csv or json, not 'xml'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_periodic_find_command(capsys):
     rc = main(["periodic-find", "--potential", "harmonic:1", "--forcing",
                "cos2t", "--eps", "0.09", "--x0", "0", "--v0", "0"])

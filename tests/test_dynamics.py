@@ -249,3 +249,25 @@ def test_finder_crafted_zero(pin, crafted_zero, cfg):
         s = traj.state(k * TWO_PI)
         assert abs(s.x - res.state.x) + abs(s.v - res.state.v) <= \
             10 * max(res.residual, 1e-9)
+
+
+def test_finder_stops_when_the_iteration_budget_is_spent(pin, cfg, monkeypatch):
+    # one Newton step from the README's seed leaves a residual of ~2e-4
+    monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
+    f = TrigPoly(a0=1.0, cos_coeffs=(2.0,))
+    seed = seed_from_phi_zero(pin, math.pi, 0.337, cfg)
+    res = find_periodic_solution(pin, f, 0.01, seed, cfg)
+    assert (res.converged, res.iterations) == (False, 1)
+    assert res.message == "iteration budget exhausted"
+    assert 1e-4 < res.residual < 1e-3
+
+
+def test_finder_stops_when_damping_cannot_reduce_the_residual(pin, sin_f, cfg, monkeypatch):
+    # G is (1, 0) everywhere: every halved step keeps the residual at 1
+    monkeypatch.setattr(dynamics, "_newton_system",
+                        lambda pot, f, eps, s, cfg: (np.array([1.0, 0.0]), np.eye(2)))
+    seed = State(1.0, 0.0)
+    res = find_periodic_solution(pin, sin_f, 0.01, seed, cfg)
+    assert (res.converged, res.iterations, res.state) == (False, 1, seed)
+    assert res.message == "damping failed to reduce the residual"
+    assert res.residual == 1.0

@@ -877,17 +877,25 @@ def test_phi_csv_export(pin, sin_f, cfg, tmp_path):
 
 
 def test_phi_csv_abs_is_the_verdict_modulus(pin, cfg, tmp_path):
-    # abs(complex) row by row differed from the verdict's np.abs in the last
-    # digit: this field's smallest CSV abs was 0.02982550180973451, its
-    # min_modulus 0.029825501809734513
-    f = TrigPoly(a0=0.9125345096721971, cos_coeffs=(-0.4315976725024171,),
-                 sin_coeffs=(0.2970944141596501,))
-    field = phi_scan(pin, f, 64, default_r_grid(1e3, 20), cfg)
-    table = np.loadtxt(write_phi_csv(field, tmp_path / "field.csv"), delimiter=",",
-                       skiprows=1)
-    z = np.concatenate([field.values.T.ravel(), field.infinity_slice])
-    assert np.array_equal(table[:, 4], np.abs(z))
-    assert table[:, 4].min() == field.min_modulus == resonance_verdict(field).min_modulus
+    # (a0, a1, b1, whether the minimum lies on r = inf)
+    cases = [
+        # abs(complex) row by row differed from the verdict's np.abs in the
+        # last digit: this field's smallest CSV abs was 0.02982550180973451,
+        # its min_modulus 0.029825501809734513
+        (0.9125345096721971, -0.4315976725024171, 0.2970944141596501, False),
+        # a scalar abs() on the r = inf slice gave min_modulus
+        # 0.12358093609426314 against the CSV's 0.12358093609426316
+        (0.2349050409322333, -0.7466015348994606, -0.9964502755949307, True),
+    ]
+    for a0, a1, b1, at_infinity in cases:
+        f = TrigPoly(a0=a0, cos_coeffs=(a1,), sin_coeffs=(b1,))
+        field = phi_scan(pin, f, 64, default_r_grid(1e3, 20), cfg)
+        assert math.isinf(field.argmin[1]) == at_infinity
+        table = np.loadtxt(write_phi_csv(field, tmp_path / "field.csv"), delimiter=",",
+                           skiprows=1)
+        z = np.concatenate([field.values.T.ravel(), field.infinity_slice])
+        assert np.array_equal(table[:, 4], np.abs(z))
+        assert table[:, 4].min() == field.min_modulus == resonance_verdict(field).min_modulus
 
 
 def _row_by_row_csv(field):
