@@ -9,11 +9,16 @@ its degree-7 dense output.
 Cost model.  An attempted step costs 12 right-hand-side evaluations (11
 stages and f_new), an accepted one 3 more for its dense output, and every
 restart (start, forcing break, kink) 2 more, so nfev = 2 n_segments +
-15 n_steps + 12 n_rejected.  The whole accept/reject loop over one span is
-generated as source over scalar locals (_system_source) and compiled once
-per structure: the state size n, the system's body (the lines that
-compute the right-hand side), its span statements (lines run once per
-span) and the expressions of the kink and the guard it watches.
+15 n_steps + 12 n_rejected.  A tangent solve (Newton's monodromy, which
+only differentiates (x, v): forced_system's tangent) builds the dense
+output only for a step that ends at a kink or guard crossing, for its
+root-find, so nfev = 2 n_segments + 12 (n_steps + n_rejected) + 3 per
+such step; (x, v) alone set its steps.  The whole accept/reject loop over
+one span is generated as source over scalar locals (_system_source) and
+compiled once per structure: the state size n, whether it is a tangent
+system, the system's body (the lines that compute the right-hand side),
+its span statements (lines run once per span) and the expressions of the
+kink and the guard it watches.
 forced_system, the one builder of x'' = -V'(x) +
 eps*p(t) and its extra components (n = 2 for a forced run, 3 with the
 Rofe-Beketov integral, 6 with the variational pairs; solve_forced solves
@@ -101,19 +106,29 @@ class RawSolution:
     scipy's OdeSolution picks its interpolant; coef[k], shape (7, n), is its
     DOP853 dense output in powers of s = (t - ts[k]) / h[k]:
     y = ys[k] + h[k] * sum_j coef[k, j] * s**(j+1).
+    A tangent solve (Newton's monodromy, see forced_system) keeps no dense
+    output: its coef is None, and eval, state and events raise ValueError.
     Nothing changes it once built, so it is safe to share.
     """
 
     def __init__(self, ts, ys, h, coef, log, stats):
-        self.ts, self.ys, self.h, self.coef = map(np.asarray, (ts, ys, h, coef))
+        self.ts, self.ys, self.h = map(np.asarray, (ts, ys, h))
+        self.coef = None if coef is None else np.asarray(coef)
         self._log = log                   # Events logged while stepping
         self.stats = stats
+
+    def _dense(self):
+        if self.coef is None:
+            raise ValueError("a tangent solve keeps no dense output: only its knots "
+                             "(ts, ys) and end state can be read")
+        return self.coef
 
     @cached_property
     def events(self):
         """The logged breaks and guard stop and every v=0 and x=0 crossing in
         time order (ties: v_zero, x_zero, log).  A sign change between knots
         is root-found on its step's interpolant, as the loop finds the kink."""
+        coef = self._dense()
         found = [(e.t, 2, e.kind) for e in self._log]
         for rank, c, name in ((0, 1, "v_zero"), (1, 0, "x_zero")):
             sign = np.sign(self.ys[:, c])
@@ -122,7 +137,7 @@ class RawSolution:
             found += [(t, rank, name) for t in self.ts[arrive].tolist()]
             for k in np.flatnonzero(sign[:-1] * sign[1:] < 0).tolist():
                 t_old, h = float(self.ts[k]), float(self.h[k])
-                y_at = _interpolant(t_old, h, self.ys[k].tolist(), self.coef[k])
+                y_at = _interpolant(t_old, h, self.ys[k].tolist(), coef[k])
                 found.append((brentq(lambda t: y_at(t)[c], t_old, t_old + h,
                                      xtol=_ROOT_TOL, rtol=_ROOT_TOL), rank, name))
         return [Event(name, t) for t, _, name in sorted(found)]
@@ -141,18 +156,19 @@ class RawSolution:
         """Dense evaluation at scalar or array times inside [ts[0], ts[-1]],
         every step's interpolant in one array operation: one value per
         component, each an array over the times for array input."""
+        coef = self._dense()
         t0, t1 = float(self.ts[0]), float(self.ts[-1])
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.size and (t_arr.min() < t0 - 1e-9 or t_arr.max() > t1 + 1e-9):
             raise ValueError("evaluation time outside the integrated span")
         t_arr = np.clip(t_arr, t0, t1)
-        rows, powers, n = self.coef.shape
+        rows, powers, n = coef.shape
         k = np.searchsorted(self.ts[1:-1], t_arr, side="left")
         h = self.h.take(k)
         # one flat run per component, [c_0 at every time, c_1 ...], so that
         # each operation below is on contiguous arrays of one shape
         s = np.concatenate([(t_arr - self.ts.take(k)) / h] * n)
-        coef = self.coef.reshape(rows, -1).T.take(k, axis=1).reshape(powers, -1)
+        coef = coef.reshape(rows, -1).T.take(k, axis=1).reshape(powers, -1)
         p = s
         y = coef[0] * p
         for c in coef[1:]:
@@ -259,7 +275,7 @@ _DENSE = _dense_matrix()
 _ROOT_TOL = 4 * math.ulp(1.0)      # scipy's event-root tolerance, a Python float
 
 
-def _system_source(n, span, body, kink, guard):
+def _system_source(n, span, body, kink, guard, tangent):
     """Source of rhs(tt, y, tm) and of run(...), the DOP853 loop over one
     span, for an n-component system body: lines that read tt and
     s_0..s_{n-1} and set r_0..r_{n-1} (and no name of the loop's own).  The
@@ -295,7 +311,15 @@ def _system_source(n, span, body, kink, guard):
     order of the loop over components that the tests compare it with bit for
     bit (the tableau's zeros skipped).  Each watched expression is
     also written as watch_kink(t_new, z) or watch_guard(t_new, z), its value
-    at a state z, for the root-find."""
+    at a state z, for the root-find.
+
+    A tangent system is (x, v) = (s_0, s_1) followed by components that
+    differentiate it (the variational pairs), which the sums for s_0 and s_1
+    never read: its error norm, den included, sums over z_0 and z_1 only, and
+    an accepted step runs its 3 dense stages and appends its 16 stage rows
+    only when it ends at a watched sign change, whose root-find reads them.
+    So it takes the steps of the 2-component system from the same start, to
+    the same (x, v) bit for bit, at 12 right-hand sides per accepted step."""
     watch = [expr for expr in (kink, guard) if expr is not None]
     m = len(watch)
 
@@ -314,16 +338,17 @@ def _system_source(n, span, body, kink, guard):
     # stages 2..12, then f_new = k13 at the order 8 solution z = y + h B.K
     step = [line for j in range(2, 14) for line in stage(j)]
     step += ["; ".join(f"z_{i} = s_{i}" for i in range(n))]
-    for i in range(n):
+    norm = 2 if tangent else n     # the components of the error norm
+    for i in range(norm):
         step += [f"a, b = abs(y_{i}), abs(z_{i})",
                  "sc = atol + (b if b > a else a) * rtol",
                  f"e5_{i} = ({combo(_E5, i)}) / sc",
                  f"e3_{i} = ({combo(_E3, i)}) / sc"]
     # the loop's sums start at 0.0, and 0.0 + e * e is e * e for every float e
-    sq5, sq3 = (" + ".join(f"e{o}_{i} * e{o}_{i}" for i in range(n)) for o in (5, 3))
+    sq5, sq3 = (" + ".join(f"e{o}_{i} * e{o}_{i}" for i in range(norm)) for o in (5, 3))
     step += [f"sq5 = {sq5}",
              f"sq3 = {sq3}",
-             f"den = (sq5 + 0.01 * sq3) * {n}",
+             f"den = (sq5 + 0.01 * sq3) * {norm}",
              "err = h * sq5 / sqrt(den) if den else 0.0",
              "if err < 1:",
              "    factor = 10.0",
@@ -339,13 +364,15 @@ def _system_source(n, span, body, kink, guard):
              "n_rej += 1"]
 
     stages = each(lambda j: each(lambda i: f"k{j + 1}_{i}"), 16)
-    accepted = [line for j in range(14, 17) for line in stage(j)]
-    accepted += ["hs.append(h)", f"ks += ({stages},)"]
+    dense = [line for j in range(14, 17) for line in stage(j)]
+    keep = f"ks += ({stages},)"
+    accepted = ["hs.append(h)"] if tangent else [*dense, "hs.append(h)", keep]
     if m:
         olds, news = each(lambda i: f"g_{i}", m), each(lambda i: f"w_{i}", m)
         crossed = " or ".join(f"d_{i} * g_{i} <= 0 <= d_{i} * w_{i}" for i in range(m))
         accepted += [f"w_{i} = {expr}" for i, expr in enumerate(watch)]
         accepted += [f"if {crossed}:",
+                     *(f"    {line}" for line in ([*dense, keep] if tangent else ())),
                      f"    return 'hit', n_steps, n_rej, (t_new, ({olds},), ({news},), "
                      f"({each(lambda i: f'd_{i}', m)},))",
                      f"{olds}, = {news},"]
@@ -397,15 +424,16 @@ def _system_source(n, span, body, kink, guard):
 
 
 @lru_cache(maxsize=64)
-def _compiled(n, span, body, kink, guard):
-    """The compiled _system_source(n, span, body, kink, guard), cached by
-    structure, the span statements included: systems that differ only in
-    the values of their constants share one code object."""
-    return compile(_system_source(n, span, body, kink, guard), f"<isores system, n={n}>",
-                   "exec")
+def _compiled(n, span, body, kink, guard, tangent):
+    """The compiled _system_source(n, span, body, kink, guard, tangent),
+    cached by structure, the span statements included: systems that differ
+    only in the values of their constants share one code object."""
+    return compile(_system_source(n, span, body, kink, guard, tangent),
+                   f"<isores system, n={n}>", "exec")
 
 
-def _compile_system(n, body, constants, kink=None, guard=None, span=(), splits=()):
+def _compile_system(n, body, constants, kink=None, guard=None, span=(), splits=(),
+                    tangent=False):
     """rhs(t, y) of an n-component system from its body and span statements
     (lines, see _system_source), with everything integrate_ode needs to
     solve it: its loop as rhs.run; the kink, an expression over t_new and
@@ -414,22 +442,25 @@ def _compile_system(n, body, constants, kink=None, guard=None, span=(), splits=(
     g(t, y)), or None; and rhs.splits, the split points in [0, 2*pi) of a
     2*pi-periodic p, as floats, where every solve restarts.  constants are
     the values of the globals that the body, the span statements and the
-    expressions read, bound per system."""
+    expressions read, bound per system.  A tangent system (rhs.tangent, see
+    _system_source) is stepped by (x, v) alone and keeps no dense output."""
     namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
                  "nextafter": math.nextafter, "inf": math.inf, **constants}
-    exec(_compiled(n, tuple(span), tuple(body), kink, guard and guard[1]), namespace)
+    exec(_compiled(n, tuple(span), tuple(body), kink, guard and guard[1], tangent), namespace)
     rhs = namespace["rhs"]
     rhs.run = namespace["run"]
     rhs.kink = namespace.get("watch_kink")
     rhs.guard = guard and (guard[0], namespace["watch_guard"])
     rhs.splits = tuple(map(float, splits))
+    rhs.tangent = tangent
     return rhs
 
 
-def _initial_step(fun, t, y, f, span, cfg):
-    """scipy's starting-step rule for an error estimator of order 7."""
-    scale = [cfg.abs_tol + abs(a) * cfg.rel_tol for a in y]
-    rms = lambda v: math.sqrt(sum((x / s) ** 2 for x, s in zip(v, scale)) / len(v))
+def _initial_step(fun, t, y, f, span, cfg, norm):
+    """scipy's starting-step rule for an error estimator of order 7, scaled
+    by the first norm components of y (all of them but a tangent's)."""
+    scale = [cfg.abs_tol + abs(a) * cfg.rel_tol for a in y[:norm]]
+    rms = lambda v: math.sqrt(sum((x / s) ** 2 for x, s in zip(v, scale)) / norm)
     d0, d1 = rms(y), rms(f)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     f1 = fun(t + h0, [a + h0 * p for a, p in zip(y, f)])
@@ -485,7 +516,11 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     rule, as a new solve_ivp call would, with tm the midpoint of what the
     loop then steps over (see _system_source); each attempted step makes 12
     calls and each accepted one 3 more for its dense output, so
-    nfev = 2 n_segments + 15 n_steps + 12 n_rejected.
+    nfev = 2 n_segments + 15 n_steps + 12 n_rejected.  A tangent system
+    (system.tangent) scales the starting step by (x, v), as it steps, and
+    builds the dense output only of a step that ends at a crossing: 3 more
+    calls for each such step instead of each accepted one, and a solution
+    with knots only.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("integrate_ode: t0 and t1 must be finite")
@@ -499,14 +534,18 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     run, kink, guard = system.run, system.kink, system.guard
     # the functions whose sign change ends a step, kink first
     watched = [g for g in (kink, guard and guard[1]) if g is not None]
+    tangent = system.tangent
     ts, ys, hs, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 16n floats a row
-    n_steps = n_rejected = n_segments = 0
+    n_steps = n_rejected = n_segments = n_hits = 0
 
     def solution():
-        stats = {"n_steps": n_steps, "nfev": 2 * n_segments + 15 * n_steps + 12 * n_rejected,
+        n_dense = n_hits if tangent else n_steps      # the steps that built their rows
+        stats = {"n_steps": n_steps,
+                 "nfev": 2 * n_segments + 12 * (n_steps + n_rejected) + 3 * n_dense,
                  "n_segments": n_segments, "n_rejected": n_rejected}
-        return RawSolution(_floats(ts), _floats(ys).reshape(-1, n), _floats(hs),
-                           _DENSE @ _floats(ks).reshape(-1, 16, n), log, stats)
+        coef = None if tangent else _DENSE @ _floats(ks).reshape(-1, 16, n)
+        return RawSolution(_floats(ts), _floats(ys).reshape(-1, n), _floats(hs), coef, log,
+                           stats)
 
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
@@ -527,7 +566,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
             at = lambda t, y, tm=0.5 * (ta + tb): system(t, y, tm)
             f = at(ta, y)
             try:
-                h_abs = _initial_step(at, ta, y, f, tb - ta, cfg)
+                h_abs = _initial_step(at, ta, y, f, tb - ta, cfg, 2 if tangent else n)
             except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
                 fail(f"integration failed: no starting step at t = {ta} ({exc})")
             if not math.isfinite(h_abs):       # system is not finite at (ta, y) or near it
@@ -541,7 +580,12 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
             if why == "hit":   # the earliest root on the step's interpolant ends the step
                 t_new, g_old, g_new, dirs = hit
                 t, h = ts[-1], hs[-1]     # the step's start: its knot is not appended
-                y_at = _interpolant(t, h, ys[-n:], _DENSE @ np.array(ks[-16 * n:]).reshape(16, n))
+                rows = np.array(ks[-16 * n:]).reshape(16, n)
+                # a tangent's (x, v) columns as the 2-component solve's product gives
+                # them, bit for bit: one product over all n columns rounds them otherwise
+                coef = (np.hstack([_DENSE @ rows[:, :2].copy(), _DENSE @ rows[:, 2:].copy()])
+                        if tangent else _DENSE @ rows)
+                y_at = _interpolant(t, h, ys[-n:], coef)
                 t_end, stop = min((brentq(lambda s, g=watched[i]: g(s, y_at(s)),
                                           t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
                                   for i, (a, b, d) in enumerate(zip(g_old, g_new, dirs))
@@ -549,6 +593,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
                 ts.append(t_end)
                 ys += y_at(t_end)
                 n_steps += 1
+                n_hits += 1
             if n_steps > cfg.max_steps:
                 fail(f"step budget exceeded ({n_steps} > {cfg.max_steps})")
             y = ys[-n:]
@@ -570,7 +615,7 @@ VARIATIONAL = ("s_3", "-d2v * s_2", "s_5", "-d2v * s_4")
 
 
 def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: IntegratorConfig,
-                  extra=()):
+                  extra=(), *, tangent=False):
     """The compiled right-hand side of x'' = -V'(x) + eps*p(t) over (s_0, s_1)
     = (x, v) and one more component per extra line: r_{2+i} = extra[i], an
     expression over tt, s_0..s_{n-1}, r_1 = x'' and V's derivatives dv and
@@ -583,7 +628,14 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     cfg.singularity_margin above a singular endpoint a (stages past a see V
     at a + 1e-13); fun.kink and fun.guard carry them.  fun.splits is where
     every solve restarts: p's split points, none when eps = 0, f is None or
-    p is trigonometric."""
+    p is trigonometric.
+
+    tangent marks extra lines that only differentiate (x, v), as Newton's
+    monodromy does with VARIATIONAL: (x, v) alone set the error norm and the
+    starting step, and the solve keeps no dense output, so its steps and (x,
+    v) are those of the 2-component solve bit for bit and each accepted step
+    costs 12 right-hand sides instead of 15 (see _system_source).  psi keeps
+    the full norm: its variational pair is the result, not a derivative."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     dv, d2v, constants = pot.scalar
@@ -607,17 +659,17 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     return _compile_system(2 + len(extra), body, constants,
                            kink="z_0" if pot.kink_at_zero else None,
                            guard=("singularity", "z_0 - thresh") if pot.singular_left else None,
-                           span=span, splits=splits)
+                           span=span, splits=splits, tangent=tangent)
 
 
 def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
-                 t1: float, cfg: IntegratorConfig, extra=()) -> RawSolution:
-    """Solve forced_system(pot, f, eps, cfg, extra) from y0 = (x, v, ...)
-    over [t0, t1]: the dense solution, restarted where the system says (at
-    p's breaks when p is given and eps != 0).  x must lie in V's domain; a
-    failure raises IntegrationError, whose ``trajectory`` is a RawSolution
-    too."""
-    system = forced_system(pot, f, eps, cfg, extra)
+                 t1: float, cfg: IntegratorConfig, extra=(), *, tangent=False) -> RawSolution:
+    """Solve forced_system(pot, f, eps, cfg, extra, tangent=tangent) from y0 =
+    (x, v, ...) over [t0, t1]: the dense solution (knots only for a
+    tangent solve), restarted where the system says (at p's breaks when p is
+    given and eps != 0).  x must lie in V's domain; a failure raises
+    IntegrationError, whose ``trajectory`` is a RawSolution too."""
+    system = forced_system(pot, f, eps, cfg, extra, tangent=tangent)
     pot._check_domain(y0[0])
     return integrate_ode(system, y0, t0, t1, cfg)
 

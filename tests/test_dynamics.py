@@ -236,6 +236,40 @@ def test_finder_jacobian_matches_central_differences(pin, cfg):
             assert np.max(np.abs(jac[:, col] - fd)) <= 1e-8
 
 
+# (centre, p, eps, start) of Newton solves whose watched crossings differ:
+# Pinney watches its singularity guard, the asymmetric centre crosses its
+# kink at x = 0 (the crossing step's dense row is built), a step forcing
+# splits the period, and the README's periodic-find seed
+_NEWTON_CASES = {
+    "pinney-guard": (iso.pinney(), TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01, (0.4, 0.1)),
+    "asymmetric-kink": (iso.asymmetric(4.0, 4.0 / 9.0), TrigPoly(sin_coeffs=(1.0,)), 0.01,
+                        (0.5, 0.2)),
+    "step": (iso.pinney(), PiecewiseConst(breakpoints=(0.3, 1.9, 3.4, 5.0),
+                                          values=(0.7, -0.4, 0.9, -0.8)), 0.05, (0.5, 0.2)),
+    "readme-seed": (iso.pinney(), TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01,
+                    (-0.5271435109012217, -3.897836046984349e-12)),
+}
+
+
+@pytest.mark.parametrize("case", list(_NEWTON_CASES))
+def test_newton_solve_takes_the_period_maps_steps(case, cfg):
+    # the tangent solve is stepped by (x, v) alone: its knots, step sizes and
+    # (x, v) rows are the 2-component solve's, so G is P(s) - s exactly
+    from isores.integrate import VARIATIONAL
+    pot, f, eps, (x, v) = _NEWTON_CASES[case]
+    two = solve_forced(pot, f, eps, [x, v], 0.0, TWO_PI, cfg)
+    tangent = solve_forced(pot, f, eps, [x, v, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
+                           VARIATIONAL, tangent=True)
+    assert tangent.ts.tolist() == two.ts.tolist()
+    assert tangent.h.tolist() == two.h.tolist()
+    assert tangent.ys[:, :2].tolist() == two.ys.tolist()
+    if case in ("asymmetric-kink", "step"):
+        assert two.stats["n_segments"] > 1       # restarts at a kink root or a break
+    g, _ = dynamics._newton_system(pot, f, eps, State(x, v), cfg)
+    end = stroboscopic_map(pot, f, eps, State(x, v), cfg)
+    assert g.tolist() == [end.x - x, end.v - v]
+
+
 def test_finder_crafted_zero(pin, crafted_zero, cfg):
     forcing, r_star, action_star = crafted_zero
     seed = seed_from_phi_zero(pin, math.pi, action_star, cfg)

@@ -9,7 +9,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 import isores as iso
 from isores.errors import ConfigError, IntegrationError
-from isores.forcing import ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI
+from isores.forcing import ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI, partition
 from isores.integrate import (VARIATIONAL, IntegratorConfig, State, energy,
                               forced_system, integrate_autonomous,
                               integrate_forced, integrate_ode, solve_forced)
@@ -79,6 +79,19 @@ def test_kept_wrappers_are_solve_forced_bit_for_bit(pin, cfg, name):
     for part in ("ts", "ys", "h", "coef"):
         assert np.array_equal(getattr(raw, part), getattr(ref, part))
     assert raw.stats == ref.stats and raw.end_state() == ref.end_state()
+
+
+@pytest.mark.parametrize("read", ["eval", "state", "events"])
+def test_a_tangent_solve_has_no_dense_output(pin, sin_f, cfg, read):
+    # Newton's tangent solve keeps its knots only: a dense read says so
+    # instead of reading an empty table
+    raw = solve_forced(pin, sin_f, 0.05, [0.5, 0.2, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
+                       VARIATIONAL, tangent=True)
+    assert raw.coef is None and raw.stats["n_steps"] > 0
+    assert raw.end_state() == State(*raw.ys[-1, :2].tolist())
+    with pytest.raises(ValueError, match="a tangent solve keeps no dense output"):
+        {"eval": lambda: raw.eval(1.0), "state": lambda: raw.state(1.0),
+         "events": lambda: raw.events}[read]()
 
 
 def test_forced_harmonic_variation_of_constants(har, cfg):
@@ -498,37 +511,40 @@ def _stage(fun, t, y, h, ks, node, pairs):
     return fun(t + node * h, [a + h * _combo(pairs, ks, i) for i, a in enumerate(y)])
 
 
-def _dop853_step_reference(fun, t, y, f, h, cfg):
+def _dop853_step_reference(fun, t, y, f, h, cfg, norm):
     """The list-based DOP853 step the generated loop runs inline: the
     reference for its arithmetic, term by term.  Returns y_new, the 13
-    stage rows (f_new last) and scipy's error norm, 0 where its denominator
-    is 0 (scipy's 0/0 there, when 0.01 |e3|^2 underflows, is nan)."""
+    stage rows (f_new last) and scipy's error norm over the first norm
+    components, 0 where its denominator is 0 (scipy's 0/0 there, when 0.01
+    |e3|^2 underflows, is nan)."""
     ks = [f]
     for node, pairs in _STAGES[1:]:
         ks.append(_stage(fun, t, y, h, ks, node, pairs))
     y_new = [a + h * _combo(_WEIGHTS, ks, i) for i, a in enumerate(y)]
     ks.append(fun(t + h, y_new))
     sq5 = sq3 = 0.0
-    for i, (a, b) in enumerate(zip(y, y_new)):
+    for i, (a, b) in enumerate(zip(y[:norm], y_new)):
         scale = cfg.abs_tol + max(abs(a), abs(b)) * cfg.rel_tol
         e5, e3 = _combo(_ERR5, ks, i) / scale, _combo(_ERR3, ks, i) / scale
         sq5 += e5 * e5
         sq3 += e3 * e3
-    den = (sq5 + 0.01 * sq3) * len(y)
+    den = (sq5 + 0.01 * sq3) * norm
     return y_new, ks, 0.0 if den == 0 else h * sq5 / math.sqrt(den)
 
 
-def _reference_loop(fun, t, y, tb, cfg, kink=None, d=0.0):
+def _reference_loop(fun, t, y, tb, cfg, kink=None, d=0.0, tangent=False):
     """The list-based accept/reject loop over one span [t, tb] that the
     generated loop replaces, with min and max for its controller,
     _dop853_step_reference for its step and the dense stages after each
     accepted step: knots, rows (t, h, 16 stage rows), rejections, and the
     end t_new of the step that crossed the kink g(t, y) in direction d (d
     g_old <= 0 <= d g_new), whose row is kept and whose knot is not, or
-    None if the loop reached tb."""
+    None if the loop reached tb.  A tangent system's starting step and error
+    norm read its first 2 components only."""
     from isores.integrate import _initial_step
+    norm = 2 if tangent else len(y)
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, tb - t, cfg)
+    h_abs = _initial_step(fun, t, y, f, tb - t, cfg, norm)
     ts, ys, rows, n_rejected = [t], [y], [], 0
     g = kink and kink(t, y)
     while t < tb:
@@ -538,7 +554,7 @@ def _reference_loop(fun, t, y, tb, cfg, kink=None, d=0.0):
             assert h_abs >= min_step
             t_new = min(t + h_abs, tb)
             h = t_new - t
-            y_new, ks, err = _dop853_step_reference(fun, t, y, f, h, cfg)
+            y_new, ks, err = _dop853_step_reference(fun, t, y, f, h, cfg, norm)
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
                 h_abs = h * (min(1.0, factor) if rejected else factor)
@@ -593,18 +609,19 @@ def _list_chain(fun, y0, t0, t1, cfg, breaks, kink):
     return ts, ys, roots, tuple(counts)
 
 
-def _calling_system(fun, n, kink=None, guard=None, splits=(), reads_tm=False):
+def _calling_system(fun, n, kink=None, guard=None, splits=(), reads_tm=False,
+                    tangent=False):
     """A compiled system whose body calls fun(t, y), or fun(t, y, tm) if
     reads_tm (a step forcing reads its piece at tm), at each stage and whose
     loop calls the kink and the guard functions: the tests' closures run in
-    the loop integrate_ode runs for every system."""
+    the loop integrate_ode runs for every system, a tangent one's too."""
     from isores.integrate import _compile_system
     s, r, z = (", ".join(f"{c}_{i}" for i in range(n)) for c in "srz")
     return _compile_system(
         n, [f"{r}, = fun(tt, [{s},]{', tm' if reads_tm else ''})"],
         {"fun": fun, "kink": kink, "guard": guard and guard[1]},
         kink and f"kink(t_new, [{z},])", guard and (guard[0], f"guard(t_new, [{z},])"),
-        splits=splits)
+        splits=splits, tangent=tangent)
 
 
 def test_error_norm_is_zero_where_its_denominator_underflows():
@@ -712,24 +729,32 @@ _EXTRA = {2: (), 3: (ROFE_BEKETOV,), 6: VARIATIONAL}
 
 def _record(fun, y0, t0, t1, cfg):
     """Everything a solve leaves, as bits: the message of the IntegrationError
-    it raised (None if none), its stats, events, knots and dense table."""
+    it raised (None if none), its stats, events, knots and dense table (a
+    tangent solve has neither events nor table: None for both)."""
     try:
         raw, message = integrate_ode(fun, y0, t0, t1, cfg), None
     except IntegrationError as exc:
         raw, message = exc.trajectory, str(exc)
-    return (message, raw.stats, [(e.kind, float(e.t).hex()) for e in raw.events],
-            *(_bits(np.ravel(a)) for a in (raw.ts, raw.ys, raw.h, raw.coef)))
+    dense = raw.coef is not None
+    return (message, raw.stats,
+            [(e.kind, float(e.t).hex()) for e in raw.events] if dense else None,
+            *(_bits(np.ravel(a)) for a in (raw.ts, raw.ys, raw.h)),
+            _bits(np.ravel(raw.coef)) if dense else None)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
-@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("n", [2, 3, 6, "tangent"])
 @pytest.mark.parametrize("forcing", list(_FORCINGS))
 @pytest.mark.parametrize("potential", list(_POTENTIALS))
 def test_compiled_system_matches_closure_and_reference_step(potential, forcing, n, eps):
     # the body, the kink and the guard inline in the loop against the same
     # loop calling the closure and the kink and guard functions, over spans
     # long enough to cross x = 0 and the step's breaks; a span without a
-    # restart against the list loop with the list step too
+    # restart against the list loop with the list step too.  "tangent" is
+    # the 6-component system Newton solves, stepped by (x, v) alone: its
+    # knots, sizes and (x, v) are the 2-component solve's too
+    tangent = n == "tangent"
+    n = 6 if tangent else n
     pot, f = _POTENTIALS[potential], _FORCINGS[forcing]
     cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     closure = _closure_rhs(pot, f, eps, n)
@@ -744,17 +769,25 @@ def test_compiled_system_matches_closure_and_reference_step(potential, forcing, 
         cases += [(1.0, [-1.0 + 1e-14, 0.3, 1.0, 0.0, 0.0, 1.0][:n], 0.01),
                   (1.0, [-0.99, -5.0, 1.0, 0.0, 0.0, 1.0][:n], 0.01)]
     for t, y, h in cases:
-        fun = forced_system(pot, f, eps, cfg, _EXTRA[n])
+        fun = forced_system(pot, f, eps, cfg, _EXTRA[n], tangent=tangent)
         assert _bits(fun(t, y)) == _bits(closure(t, y))
         got = _record(fun, y, t, t + h, cfg)
         # a step forcing reads its piece at tm
         calling = _calling_system(closure, n, fun.kink, fun.guard, fun.splits,
-                                  reads_tm=forcing == "step")
+                                  reads_tm=forcing == "step", tangent=tangent)
         assert got == _record(calling, y, t, t + h, cfg)
-        message, stats, _, ts, ys, *_ = got
+        message, stats, _, ts, ys, hs, _ = got
+        if tangent:
+            two_message, two_stats, _, two_ts, two_ys, two_hs, _ = _record(
+                forced_system(pot, f, eps, cfg), y[:2], t, t + h, cfg)
+            assert (two_message, two_ts, two_hs) == (message, ts, hs)
+            assert two_ys == [b for row in np.reshape(ys, (-1, 6)).tolist() for b in row[:2]]
+            counts = ("n_steps", "n_rejected", "n_segments")
+            assert [two_stats[k] for k in counts] == [stats[k] for k in counts]
         if message is None and stats["n_segments"] == 1:
             at = lambda s, z, tm=0.5 * (t + (t + h)): closure(s, z, tm)
-            ref_ts, ref_ys, rows, n_rejected, _ = _reference_loop(at, t, y, t + h, cfg)
+            ref_ts, ref_ys, rows, n_rejected, _ = _reference_loop(at, t, y, t + h, cfg,
+                                                                  tangent=tangent)
             assert (ts, ys) == (_bits(ref_ts), _bits(np.ravel(ref_ys)))
             assert (stats["n_steps"], stats["n_rejected"]) == (len(rows), n_rejected)
 
@@ -818,14 +851,15 @@ def test_forced_run_end_state_is_pinned(monkeypatch, pin, sin_f, cfg):
 
 
 def test_periodic_find_state_is_pinned(pin, cfg):
-    # the README periodic-find example: 2-component seeding, 6-component Newton
+    # the README periodic-find example: 2-component seeding, Newton on the
+    # 6-component tangent solve that takes the 2-component map's steps
     from isores.dynamics import find_periodic_solution, seed_from_phi_zero
     seed = seed_from_phi_zero(pin, 3.141592653589793, 0.337, cfg)
     assert (seed.x, seed.v) == (-0.5271435109012217, -3.897836046984349e-12)
     sol = find_periodic_solution(pin, TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01, seed, cfg)
-    assert (float(sol.state.x), float(sol.state.v)) == (-0.5114233983028434,
-                                                        5.871103905758711e-12)
-    assert (sol.residual, sol.iterations) == (9.431250471685333e-13, 3)
+    assert (float(sol.state.x), float(sol.state.v)) == (-0.5114233982852691,
+                                                        -1.1009384510868579e-10)
+    assert (sol.residual, sol.iterations) == (9.368134300617456e-13, 3)
 
 
 def test_rofe_beketov_three_component_solve_is_pinned(pin, cfg):
@@ -859,28 +893,41 @@ def test_sampled_segment_matches_interpolation_at_every_stage(pin, cfg):
     assert np.allclose(raw.ys[-1], ref.ys[-1], rtol=1e-10, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("n", [2, 3, 6, "tangent"])
 def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
     # Pinney forced by a step (restarts at its breaks) with and without its
-    # variational pairs, and the Rofe-Beketov system (restarts at the kink)
+    # variational pairs, the Rofe-Beketov system (restarts at the kink), and
+    # Newton's tangent solve on the asymmetric centre forced by a step, whose
+    # steps that end at the kink alone build their dense output
     from isores.autonomous import _rofe_raw
     calls = []
 
     counted = lambda fun, n: _calling_system(lambda t, y: calls.append(1) or fun(t, y), n,
-                                             fun.kink, fun.guard, fun.splits)
+                                             fun.kink, fun.guard, fun.splits,
+                                             tangent=fun.tangent)
+    step = PiecewiseConst(breakpoints=(0.0, 2.0), values=(1.0, -1.0))
+    y0 = [0.5, 0.2, 1.0, 0.0, 0.0, 1.0]
     if n == 3:
         monkeypatch.setattr(iso.integrate, "integrate_ode",
                             lambda fun, *a: integrate_ode(counted(fun, 3), *a))
         raw = _rofe_raw(iso.asymmetric(4.0, 4.0 / 9.0), 2.0, TWO_PI, cfg)
+    elif n == "tangent":
+        fun = forced_system(iso.asymmetric(4.0, 4.0 / 9.0), step, 0.1, cfg, VARIATIONAL,
+                            tangent=True)
+        raw = integrate_ode(counted(fun, 6), y0, 0.0, 2 * TWO_PI, cfg)
     else:
-        y0 = [0.5, 0.2, 1.0, 0.0, 0.0, 1.0][:n]
-        step = PiecewiseConst(breakpoints=(0.0, 2.0), values=(1.0, -1.0))
         fun = forced_system(pin, step, 0.1, cfg, VARIATIONAL[:n - 2])
-        raw = integrate_ode(counted(fun, n), y0, 0.0, 2 * TWO_PI, cfg)
+        raw = integrate_ode(counted(fun, n), y0[:n], 0.0, 2 * TWO_PI, cfg)
     s = raw.stats
     assert s["n_segments"] > 1 and s["n_steps"] > 0
     assert s["nfev"] == len(calls)
-    assert s["nfev"] == 2 * s["n_segments"] + 15 * s["n_steps"] + 12 * s["n_rejected"]
+    # the steps that build their dense output: every accepted one, but only
+    # those that end at a kink root for a tangent solve, each a restart past
+    # the starts of the spans between the step's breaks
+    spans = len(partition(step.split_points(), 0.0, 2 * TWO_PI)) - 1
+    dense = s["n_segments"] - spans if n == "tangent" else s["n_steps"]
+    assert dense > 0
+    assert s["nfev"] == 2 * s["n_segments"] + 12 * (s["n_steps"] + s["n_rejected"]) + 3 * dense
 
 
 def _stopping(rhs):
