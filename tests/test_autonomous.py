@@ -180,6 +180,76 @@ def test_pinney_psi_antiderivative_tends_to_the_limit():
         assert np.max(np.abs(pinney_psi_antiderivative(r, ts) - limit)) <= 1e-14, r
 
 
+def _bits(a):
+    return np.asarray(a, dtype=complex).view(np.int64)
+
+
+# mu = (1 + r)^-4 at these r: Psi's rows of carlson_rf_rd take 7, 10, 6, 9,
+# 11, 8 and 6 duplication steps (r = 0 is mu = 1, r = 1e80 a subnormal mu)
+_CARLSON_R = (1.0, 1e3, 0.0, 100.0, 1e80, 10.0, 0.1)
+
+
+def _psi_rows(r, n=33):
+    """The arguments (c^2, 1, c^2 + mu s^2) Psi passes carlson_rf_rd, as
+    rows, for phi = t/2 on n points of [0, pi/2] and each amplitude of r."""
+    phi = np.linspace(0.0, 0.5 * math.pi, n)
+    s, c = np.sin(phi), np.cos(phi)
+    mu = np.array([(1.0 + a) ** -4 for a in r])[:, None]
+    return np.broadcast_arrays(c * c, 1.0, c * c + mu * s * s)
+
+
+def test_carlson_rows_take_their_own_steps(monkeypatch):
+    # each row stops on its own test: np.sqrt runs 3 times a step and twice
+    # after the loop, so a row alone shows its steps
+    sqrts = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sqrt(self, x):
+            sqrts.append(1)
+            return np.sqrt(x)
+    monkeypatch.setattr(iso.potentials, "np", Counting())
+    steps = []
+    for row in zip(*_psi_rows(_CARLSON_R)):
+        sqrts.clear()
+        carlson_rf_rd(*row)
+        steps.append((len(sqrts) - 2) // 3)
+    assert steps == [7, 10, 6, 9, 11, 8, 6]
+
+
+@pytest.mark.parametrize("block", [8192, 66, 33, 1])
+def test_carlson_rows_equal_one_call_a_row(monkeypatch, block):
+    # rows of 6 to 11 steps in no order, mu = 1 and mu -> 0 among them, in
+    # one block, in blocks of 2 rows and a partial one, and a row a block
+    monkeypatch.setattr(iso.potentials, "_CARLSON_BLOCK", block)
+    x, y, z = _psi_rows(_CARLSON_R)
+    rf, rd = carlson_rf_rd(x, y, z)
+    assert rf.shape == rd.shape == x.shape
+    for k, row in enumerate(zip(x, y, z)):
+        one_rf, one_rd = carlson_rf_rd(*row)
+        assert np.array_equal(_bits(rf[k]), _bits(one_rf)), k
+        assert np.array_equal(_bits(rd[k]), _bits(one_rd)), k
+    # a 1-D input is one row, a scalar one element
+    assert np.array_equal(_bits(carlson_rf_rd(x[3], y[3], z[3])[0]), _bits(rf[3]))
+    assert carlson_rf_rd(x[3, 5], 1.0, z[3, 5])[1].shape == ()
+
+
+def test_pinney_psi_antiderivative_rows_equal_one_call_an_amplitude():
+    # the default ladder and inf, at t on 0, pi, 2 pi, past 2 pi and below 0
+    r = np.append(iso.phi.default_r_grid(), math.inf)
+    t = np.array([0.0, 1e-3, 1.0, math.pi, 4.0, TWO_PI, 9.0, 2 * TWO_PI + 0.5, -0.5, -7.0])
+    rows = pinney_psi_antiderivative(r, t)
+    assert rows.shape == (r.size, t.size)
+    for k, a in enumerate(r):
+        assert np.array_equal(_bits(rows[k]), _bits(pinney_psi_antiderivative(a, t))), a
+    grid = t.reshape(2, 5)
+    assert pinney_psi_antiderivative(r[:3], grid).shape == (3, 2, 5)
+    assert np.array_equal(_bits(pinney_psi_antiderivative(r[:3], grid)[1]),
+                          _bits(pinney_psi_antiderivative(r[1], grid)))
+
+
 # -- periods ------------------------------------------------------------------
 
 def test_minimal_period_examples(pin, har2, cfg):

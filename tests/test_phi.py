@@ -429,7 +429,7 @@ def test_step_forcing_knots_on_zero_and_layer_points(pin, cfg):
         extra = isores.phi._profile(pin, r, cfg)[1]
         assert extra
         theta = np.concatenate([[0.0, TWO_PI - 1.0, 0.5], extra])
-        got = isores.phi._phi_column(pin, f, theta, r, cfg)
+        got = isores.phi._phi_table(pin, f, theta, [r], cfg)[:, 0]
         assert np.max(np.abs(got - _pinney_step_phi(f, theta, r))) <= 1e-12, r
         for k, t in enumerate(theta):
             assert abs(eval_phi(pin, f, t, r, cfg) - got[k]) <= 1e-12
@@ -488,6 +488,36 @@ def test_step_and_sampled_scans_cost(monkeypatch, pin, cfg, f, pieces):
     columns = r_grid.size + 1
     assert len(quads) == (columns if isinstance(f, Sampled) else 0)
     assert len(f.pieces[0]) == pieces and points == []
+
+
+STEP_4 = PiecewiseConst((0.3, 1.9, 3.4, 5.0), (0.7, -0.4, 0.9, -0.8))
+STEP_3 = PiecewiseConst((0.0, 1.0, 3.0), (1.0, -0.5, 0.25))
+
+
+@pytest.mark.parametrize("theta_count", [1, 7, 256])
+@pytest.mark.parametrize("r_points", [5, 13, 61])
+@pytest.mark.parametrize("f", [STEP_4, STEP_3], ids=["4 pieces", "3 pieces"])
+def test_pinney_step_scan_equals_its_one_amplitude_tables(pin, cfg, f, theta_count, r_points):
+    # one Psi table over every amplitude, with Carlson's rows in one block,
+    # a partial one or several, gives each column the floats of the table of
+    # its amplitude alone, which eval_phi reads at a single theta
+    field = phi_scan(pin, f, theta_count, default_r_grid(1e3, r_points), cfg)
+    table = np.column_stack([field.values, field.infinity_slice])
+    for j, r in enumerate([*field.r_grid, math.inf]):
+        alone = isores.phi._phi_table(pin, f, field.theta_grid, [r], cfg)[:, 0]
+        assert table[:, j].tobytes() == alone.tobytes(), r
+        if theta_count == 1:
+            assert eval_phi(pin, f, 0.0, r, cfg) == table[0, j]
+
+
+def test_a_step_scan_reads_psi_in_one_call(monkeypatch, pin, cfg):
+    # one Psi call for the scan, where there was one a column, and one run of
+    # Carlson's loop for each block of 8 rows (of 1025 points): the 60 finite
+    # r take it, r = inf (mu = 0) does not
+    psi = _count_calls(monkeypatch, isores.potentials, "pinney_psi_antiderivative")
+    blocks = _count_calls(monkeypatch, isores.potentials, "_carlson_rows")
+    phi_scan(pin, STEP_4, 256, default_r_grid(), cfg)
+    assert (len(psi), len(blocks)) == (1, 8)
 
 
 class AbsSine(iso.ForcingTerm):
@@ -914,9 +944,6 @@ def _row_by_row_csv(field):
 
 
 # the 4-piece step forcing of the CI's step scans
-STEP_4 = PiecewiseConst((0.3, 1.9, 3.4, 5.0), (0.7, -0.4, 0.9, -0.8))
-
-
 def test_phi_csv_bytes_match_row_writer(pin, sin_f, cfg, tmp_path):
     from isores.phi import PhiField
     base = phi_scan(pin, sin_f, 8, [0.0, 1.0, 50.0], cfg)

@@ -119,6 +119,22 @@ def test_domain_guard(pin):
         pin.v(math.inf)
 
 
+@pytest.mark.parametrize("x", [0.5, np.float64(0.5), np.float32(0.5), np.array(0.5), [0.5]])
+def test_domain_check_of_each_float_form(x):
+    # the callback sees a float array, 0-d for one float, and each form of
+    # a bad float raises the same DomainError
+    seen = []
+    pot = custom(lambda y: seen.append(y) or y * y, lambda y: 2.0 * y, lambda y: 2.0 + 0.0 * y,
+                 domain_left=-1.0)
+    assert pot.v(x) == pytest.approx(0.25)
+    assert seen[0].dtype == np.float64 and seen[0].shape == np.shape(x)
+    for bad, message in ((math.nan, "non-finite"), (np.float64(-math.inf), "non-finite"),
+                         (-1.0 + 1e-15, "outside the domain"), (np.float32(-2.0), "outside")):
+        for form in (bad, [bad]):
+            with pytest.raises(DomainError, match=message):
+                pot.v(form)
+
+
 def test_restoring_sign_property(pin):
     for pot in (pin, harmonic(3), asymmetric(4.0, 4.0 / 9.0)):
         xs = np.concatenate([-np.logspace(-3, -0.5, 15), np.logspace(-3, 1.5, 15)])
