@@ -11,14 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autonomous import ActionAngle, from_action_angle
-from .errors import DomainError, IntegrationError, NumericsError
+from .errors import ConfigError, DomainError, IntegrationError, NumericsError
 from .forcing import ForcingTerm, TWO_PI, l1_norm
 from .integrate import (VARIATIONAL, IntegratorConfig, State, energy, forced_system,
                         integrate_ode, solve_forced)
 from .potentials import PotentialSpec
 
 ENVELOPE_SLACK = 1e-6
-_WINDOW_SAMPLES = 512         # uniform times per window beside the step knots
+_WINDOW_SAMPLES = 512         # uniform times per window; an integrated one adds its knots
 _NEWTON_TOL = 1e-10           # the residual norm at which Newton has converged
 _NEWTON_MAX_ITER = 50
 
@@ -76,12 +76,18 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     from which no step can be taken re-raises its IntegrationError: neither
     is a run.
 
-    The run builds its system (forced_system) once and steps each window
-    [2 pi k, 2 pi (k + 1)] as its own integrate_ode solve, which restarts
-    where the system says, so the steps, knots and end states are those of
-    a chain of solve_forced calls, and memory does not grow with
-    n_periods.  A window's suprema are taken over its step knots and
-    _WINDOW_SAMPLES uniform times, evaluated in one dense-output call.
+    Each window [2 pi k, 2 pi (k + 1)] is one call of the run's window map
+    from the state that ends the window before, and memory does not grow
+    with n_periods.  Where the centre declares its forced flow for p
+    (PotentialSpec.forced_flow: harmonic:n with a trigonometric p), that
+    exact flow is the map: a window's suprema are over its _WINDOW_SAMPLES
+    uniform times, both ends included, and the run reads no tolerance of
+    cfg and can take no failed step.  Otherwise the run builds its system
+    (forced_system) once and steps each window as its own integrate_ode
+    solve, which restarts where the system says, so the steps, knots and
+    end states are those of a chain of solve_forced calls; a window's
+    suprema are over its step knots and the same uniform times, evaluated
+    in one dense-output call.
     """
     if n_periods < 10:
         raise ValueError("resonance_run: need n_periods >= 10")
@@ -91,7 +97,15 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     sqrt_e0 = math.sqrt(e0)
     l1 = l1_norm(f)
     budget_rate = abs(eps) / math.sqrt(2.0) * l1
-    system = forced_system(pot, f, eps, cfg)
+    if not math.isfinite(eps):
+        raise ConfigError("eps: must be finite")
+    flow = pot.forced_flow(f, eps) if pot.forced_flow else None
+    if flow is None:
+        system = forced_system(pot, f, eps, cfg)
+
+        def flow(state, t0, times):     # the samples, then the knots: the last is the end
+            traj = integrate_ode(system, [state.x, state.v], t0, times[-1], cfg)
+            return np.concatenate([traj.eval(times), traj.ys.T], axis=1)
 
     sup_xv = []
     sup_x = []
@@ -100,19 +114,18 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     state = s0
     stop_reason = None
     for k in range(n_periods):
-        t0, t1 = k * TWO_PI, (k + 1) * TWO_PI
+        t0 = k * TWO_PI
         try:
-            traj = integrate_ode(system, [state.x, state.v], t0, t1, cfg)
+            xv = flow(state, t0, np.linspace(t0, (k + 1) * TWO_PI, _WINDOW_SAMPLES))
         except IntegrationError as exc:
             if k == 0 and exc.trajectory.stats["n_steps"] == 0:
                 raise      # no step from the start: no run to report
             stop_reason = str(exc)
             break
-        xv = np.abs(np.concatenate(
-            [traj.eval(np.linspace(t0, t1, _WINDOW_SAMPLES)), traj.ys.T], axis=1))
+        state = State(float(xv[0, -1]), float(xv[1, -1]))    # the window's end
+        xv = np.abs(xv)
         sup_xv.append(float((xv[0] + xv[1]).max()))
         sup_x.append(float(xv[0].max()))
-        state = traj.end_state()
         sqrt_e.append(math.sqrt(energy(pot, state)))
         envelope.append(sqrt_e0 + budget_rate * (k + 1))
         if abs(sqrt_e[-1] - sqrt_e0) > budget_rate * (k + 1) + ENVELOPE_SLACK:

@@ -104,7 +104,11 @@ class PotentialSpec:
     whatever r the profile was built for, so that a scan reads Psi at all
     its amplitudes in one call (phi._phi_table).  ``fourier`` maps (r,
     m_max) to the c_m(r) = (1/2pi) int_0^2pi psi(t, r) e^{-imt} dt of that
-    profile, m = -m_max..m_max; ``t_minus`` maps I to T-.
+    profile, m = -m_max..m_max; ``t_minus`` maps I to T-.  ``forced_flow``
+    maps (p, eps) to the exact flow of x'' = -V'(x) + eps p(t) as a window
+    map (state, t0, times) -> (x, v), a (2, len(times)) array at times >=
+    t0 from state at t0, or to None where it has no closed form for that p;
+    resonance_run reads it in place of the integrator.
     """
 
     kind: str
@@ -120,6 +124,7 @@ class PotentialSpec:
     fourier: callable | None = None
     homogeneous: bool = False
     t_minus: callable | None = None
+    forced_flow: callable | None = None
 
     @property
     def singular_left(self):
@@ -390,16 +395,55 @@ def _sinusoid_chain(w, mu):
             "t_minus": lambda i: math.pi / mu}
 
 
+def _harmonic_forced_flow(n, f, eps):
+    """The forced flow of x'' + n^2 x = eps p(t) (PotentialSpec.forced_flow)
+    for a p that declares its harmonics, a trigonometric one, else None.  A
+    window from (x0, v0) at t0 is x = x_p + u cos n(t - t0) + (v/n) sin n(t
+    - t0), with u, v the start's offsets from x_p and x_p' at t0 and
+        x_p = eps (a0/n^2 + sum_{k != n} (a_k cos kt + b_k sin kt)/(n^2 - k^2)
+                   + (t - t0) (a_n sin nt - b_n cos nt)/(2n)),
+    whose secular k = n term is 0 at t0, so no window subtracts a large
+    x_p(t0).  n and k are integers: k = n, or |n^2 - k^2| >= 1."""
+    harmonics = getattr(f, "harmonics", None)
+    if harmonics is None:
+        return None
+    w, n2 = float(n), n * n
+    a_n, b_n = next(((a, b) for k, a, b in harmonics if k == n), (0.0, 0.0))
+    alpha, beta, c0 = eps * a_n / (2.0 * w), eps * b_n / (2.0 * w), eps * f.a0 / n2
+    off = [(float(k), eps * a / (n2 - k * k), eps * b / (n2 - k * k))
+           for k, a, b in harmonics if k != n]
+
+    def window(state, t0, times):
+        t = np.append(t0, times)
+        tau = t - t0
+        cn, sn = np.cos(w * t), np.sin(w * t)
+        xp = c0 + tau * (alpha * sn - beta * cn)
+        vp = alpha * sn - beta * cn + w * tau * (alpha * cn + beta * sn)
+        for k, a, b in off:
+            ck, sk = np.cos(k * t), np.sin(k * t)
+            xp = xp + (a * ck + b * sk)
+            vp = vp + k * (b * ck - a * sk)
+        u, v = state.x - xp[0], state.v - vp[0]
+        cr, sr = np.cos(w * tau[1:]), np.sin(w * tau[1:])
+        return np.array([xp[1:] + u * cr + (v / w) * sr, vp[1:] + v * cr - w * u * sr])
+    return window
+
+
 @functools.lru_cache(maxsize=64)
 def harmonic(n: int) -> PotentialSpec:
-    """V(x) = n^2 x^2 / 2; every orbit has minimal period 2*pi/n."""
+    """V(x) = n^2 x^2 / 2; every orbit has minimal period 2*pi/n.  Besides
+    the sinusoid chain's closed forms it declares its forced flow for a
+    trigonometric p (_harmonic_forced_flow): the one-arc asymmetric(a, a)
+    does not, since there sqrt(a) need not be an integer and n^2 - k^2 may
+    come near 0."""
     if not 1 <= n < math.inf or n != int(n):
         raise ConfigError("potential.n: must be a positive integer")
     n = int(n)
     if n * n > sys.float_info.max:
         raise ConfigError("potential.n: must be below 1.34e154, where n^2 leaves the float range")
     return _declared("harmonic", (n,), -math.inf, n, "0.5 * n2 * x * x", "n2 * x", "n2",
-                     {"n2": float(n * n)}, **_sinusoid_chain(n, n))
+                     {"n2": float(n * n)}, **_sinusoid_chain(n, n),
+                     forced_flow=functools.partial(_harmonic_forced_flow, n))
 
 
 @functools.lru_cache(maxsize=1)

@@ -44,21 +44,21 @@ def test_partial_run_says_why_it_stopped(pin, sin_f, start, cfg, reason):
     assert "stop_reason" not in verdict_dict(diag)
 
 
-def test_a_start_with_no_step_is_an_error(har, sin_f, cfg):
+def test_a_start_with_no_step_is_an_error(pin, sin_f, cfg):
     # the starting-step rule overflows at x0 = 1e150: no step was taken, and
     # the run was reported as partial, verdict inconclusive
     with pytest.raises(IntegrationError, match="no starting step") as err:
-        resonance_run(har, sin_f, 0.05, State(1e150, 0.0), 10, cfg)
+        resonance_run(pin, sin_f, 0.05, State(1e150, 0.0), 10, cfg)
     assert err.value.trajectory.stats["n_steps"] == 0
 
 
-def test_a_later_window_with_no_step_stays_partial(har, sin_f, cfg, monkeypatch):
+def test_a_later_window_with_no_step_stays_partial(pin, sin_f, cfg, monkeypatch):
     # only the start's own window makes a failure before the first step an
     # error; window 1 here restarts where no step can be taken
     real = dynamics.integrate_ode
     monkeypatch.setattr(dynamics, "integrate_ode", lambda system, y0, t0, t1, cfg:
                         real(system, [1e150, 0.0] if t0 > 0 else y0, t0, t1, cfg))
-    diag = resonance_run(har, sin_f, 0.05, State(1.0, 0.0), 10, cfg)
+    diag = resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 10, cfg)
     assert diag.partial and diag.verdict == "inconclusive"
     assert "no starting step" in diag.stop_reason and len(diag.window_sup) == 1
 
@@ -105,11 +105,15 @@ def test_resonance_run_steps_match_recorded_chain(pot, start, f, cfg, monkeypatc
     assert diag.final_state == state
 
 
+class Sine(ForcingTerm):
+    """sin t without declared harmonics: a custom forcing."""
+
+    def eval(self, t):
+        return np.sin(t)
+
+
 def test_custom_forcing_subclass_runs_like_trigpoly(pin, sin_f, cfg):
     # the base scalar_source calls p_eval at every stage
-    class Sine(ForcingTerm):
-        def eval(self, t):
-            return np.sin(t)
     custom = resonance_run(pin, Sine(), 0.05, State(1.0, 0.0), 20, cfg).final_state
     trig = resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 20, cfg).final_state
     assert abs(custom.x - trig.x) + abs(custom.v - trig.v) <= 1e-12
@@ -123,6 +127,93 @@ def test_resonance_run_builds_its_system_once(monkeypatch, pin, sin_f, cfg):
                         lambda *a, **k: built.append(1) or real(*a, **k))
     resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 10, cfg)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("pot, f, built", [
+    (iso.harmonic(1), TrigPoly(sin_coeffs=(1.0,)), 0),       # the declared flow
+    (iso.harmonic(1), PiecewiseConst((0.4, 1.9), (1.0, -2.0)), 1),
+    (iso.harmonic(1), Sine(), 1),
+    (iso.asymmetric(1.0, 1.0), TrigPoly(sin_coeffs=(1.0,)), 1),   # declares no flow
+], ids=["harmonic-trig", "harmonic-step", "harmonic-custom", "asymmetric-1-1-trig"])
+def test_the_declared_flow_chooses_the_path(pot, f, built, cfg, monkeypatch):
+    # only harmonic:n with a trigonometric p reads its exact flow; every other
+    # run builds its one system and its end state is that of a chain of
+    # solve_forced calls, bit for bit
+    import isores.integrate
+    systems, real = [], isores.integrate._compile_system
+    monkeypatch.setattr(isores.integrate, "_compile_system",
+                        lambda *a, **k: systems.append(1) or real(*a, **k))
+    diag = resonance_run(pot, f, 0.05, State(1.0, 0.0), 10, cfg)
+    assert len(systems) == built
+    if built:
+        state = State(1.0, 0.0)
+        for k in range(10):
+            state = solve_forced(pot, f, 0.05, [state.x, state.v], k * TWO_PI,
+                                 (k + 1) * TWO_PI, cfg).end_state()
+        assert diag.final_state == state
+
+
+def _window_sups(x, v, n_periods):
+    """The sup of |x| + |v| and of |x| over the 512 uniform times of each
+    window [2 pi k, 2 pi (k + 1)], for closed forms x(t) and v(t)."""
+    t = np.array([np.linspace(k * TWO_PI, (k + 1) * TWO_PI, 512) for k in range(n_periods)])
+    return (np.abs(x(t)) + np.abs(v(t))).max(axis=1), np.abs(x(t)).max(axis=1)
+
+
+def test_harmonic_window_sups_are_the_exact_solutions(har, sin_f, cfg):
+    # x'' + x = eps sin t from (1, 0): x = cos t + (eps/2)(sin t - t cos t)
+    eps = 0.025
+    diag = resonance_run(har, sin_f, eps, State(1.0, 0.0), 35, cfg)
+    x = lambda t: np.cos(t) + 0.5 * eps * (np.sin(t) - t * np.cos(t))
+    v = lambda t: -np.sin(t) + 0.5 * eps * t * np.sin(t)
+    sup_xv, sup_x = _window_sups(x, v, 35)
+    assert np.allclose(diag.window_sup, sup_xv, rtol=1e-12, atol=0)
+    assert np.allclose(diag.window_sup_x, sup_x, rtol=1e-12, atol=0)
+    t = 35 * TWO_PI
+    end = diag.final_state
+    assert abs(end.x - x(t)) + abs(end.v - v(t)) <= 1e-12 * (1 + abs(end.x) + abs(end.v))
+
+
+def test_harmonic_resonant_term_is_exact(har2, cos2_f, cfg):
+    # the k = n term: x'' + 4x = eps cos 2t from rest is x = eps t sin(2t)/4
+    eps = 0.05
+    end = resonance_run(har2, cos2_f, eps, State(0.0, 0.0), 50, cfg).final_state
+    t = 50 * TWO_PI
+    x = eps * t * math.sin(2 * t) / 4
+    v = eps * (math.sin(2 * t) + 2 * t * math.cos(2 * t)) / 4
+    assert abs(end.x - x) + abs(end.v - v) <= 1e-12 * (1 + abs(end.x) + abs(end.v))
+
+
+def test_harmonic_flow_with_a_constant_and_off_resonant_terms(har2, cfg):
+    # p = 0.3 + cos t + 0.5 sin 3t on n = 2, against an independent solve;
+    # every window's sups too, since at whole periods the a0 term and the
+    # sin kt terms of x_p' vanish and the end states alone would not see them
+    from scipy.integrate import solve_ivp
+    f = TrigPoly(a0=0.3, cos_coeffs=(1.0,), sin_coeffs=(0.0, 0.0, 0.5))
+    eps, start = 0.4, (0.7, -0.2)
+    diag = resonance_run(har2, f, eps, State(*start), 10, cfg)
+    ref = solve_ivp(lambda t, y: [y[1], -4.0 * y[0] + eps * (0.3 + np.cos(t) + 0.5 * np.sin(3 * t))],
+                    (0.0, 10 * TWO_PI), start, method="DOP853", rtol=1e-13, atol=1e-15,
+                    dense_output=True).sol
+    sup_xv, sup_x = _window_sups(lambda t: ref(t.ravel())[0].reshape(t.shape),
+                                 lambda t: ref(t.ravel())[1].reshape(t.shape), 10)
+    assert np.allclose(diag.window_sup, sup_xv, rtol=1e-10, atol=0)
+    assert np.allclose(diag.window_sup_x, sup_x, rtol=1e-10, atol=0)
+    end, (x, v) = diag.final_state, ref(10 * TWO_PI)
+    assert abs(end.x - x) + abs(end.v - v) <= 1e-10 * (1 + abs(x) + abs(v))
+
+
+def test_harmonic_window_sups_scale_with_eps(har, sin_f, cfg):
+    # x solves the run at (eps, s) iff x / eps solves it at (1, s / eps)
+    eps = 0.05
+    small = resonance_run(har, sin_f, eps, State(0.3, -0.2), 20, cfg)
+    unit = resonance_run(har, sin_f, 1.0, State(0.3 / eps, -0.2 / eps), 20, cfg)
+    assert np.allclose(small.window_sup, eps * unit.window_sup, rtol=1e-12, atol=0)
+
+
+def test_harmonic_flow_rejects_a_non_finite_eps(har, sin_f, cfg):
+    with pytest.raises(iso.ConfigError, match="eps: must be finite"):
+        resonance_run(har, sin_f, math.nan, State(1.0, 0.0), 10, cfg)
 
 
 def test_envelope_violation_stops_the_run_at_its_window(monkeypatch, pin, sin_f, cfg):
