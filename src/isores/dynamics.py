@@ -70,11 +70,12 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     when the run-wide maximum stays within 1.5x the first-quarter maximum;
     "inconclusive" otherwise.  The energy envelope inequality is asserted at
     every window end (slack 1e-6); violation is an integrator failure.
-    An integration failure (singularity guard, step budget) returns partial
+    An integration failure (singularity guard, step budget) or a window
+    whose end state or energy leaves the float range returns partial
     diagnostics with verdict "inconclusive", partial=True and its message in
     stop_reason.  A start of non-finite energy is a DomainError, and a start
-    from which no step can be taken re-raises its IntegrationError: neither
-    is a run.
+    from which no step can be taken, or whose first window leaves the float
+    range, raises an IntegrationError: none of these is a run.
 
     Each window [2 pi k, 2 pi (k + 1)] is one call of the run's window map
     from the state that ends the window before, and memory does not grow
@@ -116,17 +117,22 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     for k in range(n_periods):
         t0 = k * TWO_PI
         try:
-            xv = flow(state, t0, np.linspace(t0, (k + 1) * TWO_PI, _WINDOW_SAMPLES))
+            with np.errstate(over="ignore", invalid="ignore"):    # named below
+                xv = flow(state, t0, np.linspace(t0, (k + 1) * TWO_PI, _WINDOW_SAMPLES))
+            end = State(float(xv[0, -1]), float(xv[1, -1]))     # the window's end
+            e = energy(pot, end) if math.isfinite(end.x) and math.isfinite(end.v) else math.inf
+            if not math.isfinite(e):
+                raise IntegrationError(f"resonance_run: window {k} leaves the float range")
         except IntegrationError as exc:
-            if k == 0 and exc.trajectory.stats["n_steps"] == 0:
-                raise      # no step from the start: no run to report
+            if k == 0 and (exc.trajectory is None or exc.trajectory.stats["n_steps"] == 0):
+                raise      # no step or no finite window from the start: no run to report
             stop_reason = str(exc)
             break
-        state = State(float(xv[0, -1]), float(xv[1, -1]))    # the window's end
+        state = end
         xv = np.abs(xv)
         sup_xv.append(float((xv[0] + xv[1]).max()))
         sup_x.append(float(xv[0].max()))
-        sqrt_e.append(math.sqrt(energy(pot, state)))
+        sqrt_e.append(math.sqrt(e))
         envelope.append(sqrt_e0 + budget_rate * (k + 1))
         if abs(sqrt_e[-1] - sqrt_e0) > budget_rate * (k + 1) + ENVELOPE_SLACK:
             raise NumericsError(

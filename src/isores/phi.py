@@ -1,29 +1,27 @@
-"""The resonance functional over the cylinder: pointwise evaluation, the
-Pinney large-amplitude slice and Fourier constants, full-grid scans with a
-certification verdict, and boundary winding numbers, read by the one
-argument walk (_argument_change).
+"""The resonance functional over the cylinder as one evaluator, _phi_table,
+which a full-grid scan with its certification verdict, a point (eval_phi)
+and the boundary winding number all read, plus the Pinney large-amplitude
+slice and Fourier constants.
 
-Cost model: Phi(., r) correlates p with the one profile psi(., r), so a scan
-is one table (_phi_table) over its distinct profiles (profile_amplitude),
-a column each (the Pinney infinity slice too), never a node at a time.  A
-trigonometric p takes the Fourier modes of psi up to its highest harmonic,
-cached per profile: the closed form a center declares (the harmonic and
-asymmetric sinusoid chain's), else one call of the package's adaptive
-quadrature (forcing.adaptive_complex_quad, imported here by name).  Any other p
-differences the antiderivative Psi = int psi at the shifted piece starts of
-p, found once for the table, in one step whichever source Psi comes from:
-for a step p the closed form every built-in center declares, one call over
-all the columns with no quadrature; else (a sloped p, or a custom center)
-one quadrature per column between all the starts.  Each node is then a
-finite sum.  psi is the center's declared closed form (_profile) where it
-has one: every built-in center does.  So a harmonic or asymmetric scan
-with a trigonometric or step p makes no quadrature and solves no ODE.
-Made by one Psi call instead of 61, the table of a 256 x 60 Pinney step
-scan takes 0.5-0.6 of the time it took (2-core x86 VM), about a third of
-the scan's cost now; its CSV (write_phi_csv) takes the rest.  That
-formats the theta grid, each r and each distinct column once, and joins
-each r block in one call; the 47k distinct floats of a step scan cost at
-least 22.5 ms of "%.17g".
+Cost model: Phi(., r) correlates p with the one profile psi(., r), so a table
+is a column per distinct profile (profile_amplitude), the Pinney infinity
+slice too, never a node at a time.  A trigonometric p takes the Fourier
+modes of psi up to its highest harmonic, cached per profile: the closed form
+a center declares (the harmonic and asymmetric sinusoid chain's), else one
+call of the package's adaptive quadrature (forcing.adaptive_complex_quad,
+imported here by name).  Any other p differences the antiderivative Psi =
+int psi at the shifted piece starts of p, found once for the table, in one
+step whichever source Psi comes from: for a step p the closed form every
+built-in center declares, one call over all the columns with no quadrature;
+else (a sloped p, or a custom center) one quadrature per column between all
+the starts.  So a harmonic or asymmetric scan with a trigonometric or step p
+makes no quadrature and solves no ODE.  The winding walk reads a table a
+side and a point a halving: 4 tables in 6 ms on a 256 x 60 Pinney step
+scan, where a table a node took 0.33 s (2-core x86 VM).  The Pinney Psi
+stops Carlson's loop for a row when all of it has converged, so there a
+point or a side may differ from the scan's node by a few ulp: 213 of the
+256 nodes at r = 0.961, by at most 6.2e-17.  The CSV (write_phi_csv)
+formats the theta grid, each r and each distinct column once.
 """
 
 from __future__ import annotations
@@ -49,13 +47,10 @@ def _knots(points):
 
 @functools.lru_cache(maxsize=64)
 def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
-    """(psi(., r), extra split points for its quadratures, its antiderivative
-    Psi(., r) = int_0^. psi or None): the profile the center declares, else
-    the integrated variational solution.  Only a declared profile that is
-    not homogeneous (Pinney's) serves r = inf.  Cached: winding_number and
-    the Fourier modes reuse a scan's."""
-    if r == math.inf and (pot.profile is None or pot.homogeneous):
-        raise NumericsError(f"{pot.kind}: no large-amplitude limit profile")
+    """(psi(., r), extra split points for its quadratures, the center's
+    Psi(t, rs) or None): the profile the center declares, else the
+    integrated variational solution.  Cached, so that every table of one
+    field (phi_scan's, eval_phi's and winding_number's) builds it once."""
     if pot.profile is not None:
         return pot.profile(r)
     return psi_solution(pot, r, cfg).psi, (), None
@@ -65,12 +60,12 @@ def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
 def _psi_fourier(pot: PotentialSpec, r: float, kmax: int,
                  cfg: IntegratorConfig):
     """Fourier coefficients c_m(r) = (1/2pi) int psi(t, r) e^{-imt} dt for
-    m = -kmax..kmax of the profile _profile picks (which checks r): the
-    ones the center declares (the sinusoid chain's), else all modes in one
-    batched quadrature (Pinney, custom)."""
-    psi, extra, _ = _profile(pot, r, cfg)
+    m = -kmax..kmax: the ones the center declares (the sinusoid chain's),
+    else all modes of _profile's psi in one batched quadrature (Pinney,
+    custom)."""
     if pot.fourier is not None:
         return pot.fourier(r, kmax)
+    psi, extra, _ = _profile(pot, r, cfg)
     m = np.arange(-kmax, kmax + 1)
     g = lambda t, k: psi(t) * np.exp(-1j * m[k] * t)
     knots = _knots(extra)
@@ -95,39 +90,44 @@ def _phi_trig(f: TrigPoly, cm, theta):
     return out
 
 
-def _phi_table(pot: PotentialSpec, f: ForcingTerm, theta, keys, cfg: IntegratorConfig):
-    """Phi(theta, r), (theta.size, len(keys)): a row per theta of an array
-    and a column per profile amplitude of keys (profile_amplitude's; r = inf
-    is the Pinney limit), each on the profile of its key.  A trigonometric p
-    reuses each key's cached c_m.  Any other p declares its pieces (else
+def _phi_table(pot: PotentialSpec, f: ForcingTerm, theta, amplitudes,
+               cfg: IntegratorConfig):
+    """Phi(theta, r), (theta.size, len(amplitudes)): a row per theta and a
+    column per amplitude (r = inf the Pinney limit), each distinct profile
+    (profile_amplitude, which checks r) computed once.  A trigonometric p
+    reuses each profile's cached c_m.  Any other p declares its pieces (else
     ConfigError), v_j + m_j (u - s_j) on [s_j, s_j+1), s_n = s_0 + 2pi: Phi
     sums int psi and int (t - a) psi between the shifted starts, reduced to
     x_j = s_j + theta mod 2pi, which, with the pieces that wrap past 2pi, are
-    found once for all keys.  One differencing step (_differences) serves
+    found once for all columns.  One differencing step (_differences) serves
     both sources of Psi = int_0 psi.  With every m_j = 0 and a closed-form
-    Psi, one call of the declared Psi reads it at the starts and at 2pi:
-    Psi(t) for one key, else Psi(t, keys), a row a key (a homogeneous
-    centre has one key); else each key takes one quadrature between all
+    Psi, one call of the declared Psi(t, rs) reads it at the starts and at
+    2pi, a row a profile; else each profile takes one quadrature between all
     the starts (_phi_quadrature)."""
     theta = np.asarray(theta, dtype=float)
+    keys = [profile_amplitude(pot, float(r)) for r in amplitudes]
+    column = {k: j for j, k in enumerate(dict.fromkeys(keys))}
+    if math.inf in column and (pot.profile is None or pot.homogeneous):
+        raise NumericsError("phi: the center declares no large-amplitude limit profile")
     if isinstance(f, TrigPoly):
         kmax = max((k for k, _, _ in f.harmonics), default=1)
-        return np.column_stack([_phi_trig(f, _psi_fourier(pot, r, kmax, cfg), theta)
-                                for r in keys])
-    if f.pieces is None:
+        table = np.column_stack([_phi_trig(f, _psi_fourier(pot, r, kmax, cfg), theta)
+                                 for r in column])
+    elif f.pieces is None:
         raise ConfigError(f"phi: {type(f).__name__} is no TrigPoly and declares no pieces")
-    s, value, slope = map(np.asarray, f.pieces)
-    x = np.mod(s[None, :] + theta[:, None], TWO_PI)    # piece starts of p(t - theta)
-    wrap = np.roll(x, -1, axis=1) <= x                 # the pieces that cross 2*pi
-    profiles = [_profile(pot, r, cfg) for r in keys]    # each checks its r
-    antiderivative = profiles[0][2]
-    if antiderivative is None or np.any(slope):
-        return np.column_stack([_phi_quadrature(psi, extra, x, wrap, value, slope)
-                                for psi, extra, _ in profiles])
-    t = np.append(x, TWO_PI)                           # and at 2*pi, a row a key
-    at = antiderivative(t)[None] if len(keys) == 1 else antiderivative(t, np.array(keys))
-    df = _differences(at[:, :-1].reshape(len(keys), *x.shape), at[:, -1:, None], wrap)
-    return (df @ value).T / TWO_PI
+    else:
+        s, value, slope = map(np.asarray, f.pieces)
+        x = np.mod(s[None, :] + theta[:, None], TWO_PI)    # piece starts of p(t - theta)
+        wrap = np.roll(x, -1, axis=1) <= x                 # the pieces that cross 2*pi
+        antiderivative = _profile(pot, keys[0], cfg)[2]
+        if antiderivative is None or np.any(slope):
+            table = np.column_stack([_phi_quadrature(*_profile(pot, r, cfg)[:2], x, wrap,
+                                                     value, slope) for r in column])
+        else:                                          # and at 2*pi, a row a profile
+            at = antiderivative(np.append(x, TWO_PI), np.array(list(column)))
+            df = _differences(at[:, :-1].reshape(len(column), *x.shape), at[:, -1:, None], wrap)
+            table = (df @ value).T / TWO_PI
+    return np.take(table, [column[k] for k in keys], axis=1)
 
 
 def _differences(f_at, f_period, wrap):
@@ -165,10 +165,9 @@ def _phi_quadrature(psi, extra, x, wrap, value, slope):
 
 def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
              cfg: IntegratorConfig) -> complex:
-    """Phi_p(theta, r) = (1/2pi) int_0^{2pi} p(t - theta) psi(t, r) dt, the
-    one-key case of a scan's table on the profile that _profile picks."""
-    key = profile_amplitude(pot, float(r))
-    return complex(_phi_table(pot, f, [float(theta)], [key], cfg)[0, 0])
+    """Phi_p(theta, r) = (1/2pi) int_0^{2pi} p(t - theta) psi(t, r) dt: a
+    table of one theta and one r."""
+    return complex(_phi_table(pot, f, [float(theta)], [float(r)], cfg)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,8 @@ class PhiField:
     declared profile (Pinney's), as views of one table with r = inf last.
     min_modulus is its smallest np.abs, argmin (theta, r) the first theta
     in the first r-column holding it: the r-independent asymmetric and
-    harmonic fields report r = 0."""
+    harmonic fields report r = 0.  It is a field of pot, f and cfg (None
+    in a field built by hand), which winding_number reads."""
 
     theta_grid: np.ndarray
     r_grid: np.ndarray
@@ -224,12 +224,9 @@ class PhiField:
     infinity_slice: np.ndarray | None
     min_modulus: float
     argmin: tuple
-    _evaluator: object = None
-
-    def eval(self, theta, r):
-        if self._evaluator is None:
-            raise NumericsError("PhiField carries no evaluator")
-        return self._evaluator(theta, r)
+    pot: PotentialSpec | None = None
+    f: ForcingTerm | None = None
+    cfg: IntegratorConfig | None = None
 
 
 def default_r_grid(r_max: float = 1e3, n: int = 60):
@@ -249,28 +246,24 @@ def default_r_grid(r_max: float = 1e3, n: int = 60):
 def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
              r_grid, cfg: IntegratorConfig) -> PhiField:
     """Evaluate Phi_p on one table: a column per r of the ladder, then r =
-    inf where a declared profile (Pinney's) serves it, each distinct profile
-    computed once.  Its np.abs, as the CSV prints it, gives min_modulus and
-    the argmin: the first r-column holding it (r = inf last), at its first
-    theta.  Never returns a partial field: any error propagates."""
+    inf where a declared profile (Pinney's) serves it.  Its np.abs, as the
+    CSV prints it, gives min_modulus and the argmin: the first r-column
+    holding it (r = inf last), at its first theta.  Never returns a partial
+    field: any error propagates."""
     if theta_count < 1 or len(r_grid) < 1:
         raise NumericsError("phi_scan: grids must be nonempty")
     theta = np.linspace(0.0, TWO_PI, theta_count, endpoint=False)
     r_grid = np.asarray(r_grid, dtype=float)
     with_inf = pot.profile is not None and not pot.homogeneous
     amplitudes = r_grid.tolist() + [math.inf] * with_inf
-    keys = [profile_amplitude(pot, r) for r in amplitudes]
-    column = {k: j for j, k in enumerate(dict.fromkeys(keys))}
-    table = np.take(_phi_table(pot, f, theta, list(column), cfg), [column[k] for k in keys],
-                    axis=1)
+    table = _phi_table(pot, f, theta, amplitudes, cfg)
     mods = np.abs(table)
     j = int(np.argmin(mods.min(axis=0)))         # the first r-column holding the minimum
     i = int(np.argmin(mods[:, j]))               # and in it the first theta
-    evaluator = lambda th, r: eval_phi(pot, f, th, r, cfg)
     return PhiField(theta_grid=theta, r_grid=r_grid, values=table[:, :r_grid.size],
                     infinity_slice=table[:, -1] if with_inf else None,
-                    min_modulus=float(mods[i, j]),
-                    argmin=(float(theta[i]), amplitudes[j]), _evaluator=evaluator)
+                    min_modulus=float(mods[i, j]), argmin=(float(theta[i]), amplitudes[j]),
+                    pot=pot, f=f, cfg=cfg)
 
 
 @dataclass(frozen=True)
@@ -305,21 +298,21 @@ def resonance_verdict(field: PhiField, threshold: float = 1e-4) -> Verdict:
                    threshold=threshold, coverage=coverage)
 
 
-def _argument_change(z_of, nodes, floor, name) -> float:
-    """Change of arg z_of along the nodes, in the order given (scalars, or
-    points as arrays).  z_of is read once per node, and a gap whose arg step
-    exceeds pi/2 is halved, at most 48 times, so a branch jump cannot alias.
-    NumericsError where |z| < floor or z is nan, or after the 48th halving."""
-    def at(t):
-        z = z_of(t)
+def _argument_change(z_of, nodes, values, floor, name) -> float:
+    """Change of arg z along the nodes, in the order given (scalars, or
+    points as arrays), from its values there.  A gap whose arg step exceeds
+    pi/2 is halved by reading z_of at its midpoint, at most 48 times, so a
+    branch jump cannot alias.  NumericsError where |z| < floor or z is nan,
+    or after the 48th halving."""
+    def at(t, z):
         if not abs(z) >= floor:
             raise NumericsError(f"{name}: |z| = {abs(z):.2e} at {t}")
         return z
 
     total, t0 = 0.0, nodes[0]
-    z0 = at(t0)
-    for t1 in nodes[1:]:
-        ahead = [(t1, at(t1), 0)]       # right ends still to reach, nearest last
+    z0 = at(t0, values[0])
+    for t1, z1 in zip(nodes[1:], values[1:]):
+        ahead = [(t1, at(t1, z1), 0)]   # right ends still to reach, nearest last
         while ahead:
             t, z, depth = ahead[-1]
             d = cmath.phase(z / z0)
@@ -331,7 +324,7 @@ def _argument_change(z_of, nodes, floor, name) -> float:
             else:
                 tm = 0.5 * (t0 + t)
                 ahead[-1] = (t, z, depth + 1)
-                ahead.append((tm, at(tm), depth + 1))
+                ahead.append((tm, at(tm, z_of(tm)), depth + 1))
     return total
 
 
@@ -341,24 +334,29 @@ def winding_number(field: PhiField, rectangle, zero_tol: float = 1e-9) -> int:
 
     The boundary nodes are the corners and the scan's nodes strictly inside
     each side (theta_grid or r_grid), so a side on which Phi turns by nearly
-    2*pi is not read as its small remainder.  A boundary modulus below
-    zero_tol, which must be finite and positive, aborts (too close to a
-    zero)."""
+    2*pi is not read as its small remainder: one table a side, and a point
+    (eval_phi) at each halving.  A boundary modulus below zero_tol, which
+    must be finite and positive, aborts (too close to a zero)."""
     if not all(math.isfinite(c) for c in rectangle):
         raise NumericsError(f"winding_number: the rectangle {rectangle} must be finite")
     if not 0 < zero_tol < math.inf:
         raise ConfigError("zero_tol: must be finite and positive")
+    pot, f, cfg = field.pot, field.f, field.cfg
+    if pot is None:
+        raise NumericsError("winding_number: the field records no potential")
     th0, th1, r0, r1 = rectangle
-    nodes = []
+    nodes, values = [], []
     # each side varies one coordinate: (start, end, the other coordinate, axis)
     for a, b, fixed, axis in ((th0, th1, r0, 0), (r0, r1, th1, 1),
                               (th1, th0, r1, 0), (r1, r0, th0, 1)):
         grid = field.r_grid if axis else field.theta_grid
         inner = np.sort(grid[(grid - a) * (grid - b) < 0])
-        for s in np.concatenate([[a], inner if a < b else inner[::-1]]):
-            nodes.append((fixed, s) if axis else (s, fixed))
-    nodes.append((th0, r0))
-    total = _argument_change(lambda p: field.eval(p[0], p[1]), np.array(nodes),
+        side = np.concatenate([[a], inner if a < b else inner[::-1]])
+        th, r = ([fixed], side) if axis else (side, [fixed])
+        nodes += [(t, s) for t in th for s in r]
+        values += _phi_table(pot, f, th, r, cfg).ravel().tolist()
+    total = _argument_change(lambda p: eval_phi(pot, f, p[0], p[1], cfg),
+                             np.array(nodes + [(th0, r0)]), values + values[:1],
                              zero_tol, "winding_number")
     w = total / TWO_PI
     if abs(w - round(w)) > 0.05:

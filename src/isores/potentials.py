@@ -98,11 +98,10 @@ class PotentialSpec:
     Python float x and takes each result as a float.  Closed forms, where
     declared: ``profile`` maps 0 <= r <= inf to (psi(., r), split points
     for its quadratures, Psi or None), or if ``homogeneous`` (x(t; r) = r
-    x(t; 1)) every finite r to one profile.  Psi(t) = int_0^t psi(s, r) ds
-    has the shape of t.  A centre that is not homogeneous also takes
-    Psi(t, rs) for a 1-D array rs of amplitudes: a row per amplitude of rs,
-    whatever r the profile was built for, so that a scan reads Psi at all
-    its amplitudes in one call (phi._phi_table).  ``fourier`` maps (r,
+    x(t; 1)) every finite r to one profile.  Psi is the centre's, the same
+    for every r: Psi(t, rs) = int_0^t psi(s, r) ds for each r of a 1-D array
+    rs, a row each of the shape of t, so that a table reads Psi at all its
+    amplitudes in one call (phi._phi_table).  ``fourier`` maps (r,
     m_max) to the c_m(r) = (1/2pi) int_0^2pi psi(t, r) e^{-imt} dt of that
     profile, m = -m_max..m_max; ``t_minus`` maps I to T-.  ``forced_flow``
     maps (p, eps) to the exact flow of x'' = -V'(x) + eps p(t) as a window
@@ -387,7 +386,7 @@ def _sinusoid_chain(w, mu):
     def profile(r):
         arcs = _arc_table(w, mu)
         return (functools.partial(asymmetric_psi_closed, w, mu), tuple(arcs[1:, 0].tolist()),
-                functools.partial(_arc_integral, arcs, k=0))
+                lambda t, rs: np.broadcast_to(_arc_integral(arcs, t, 0), (len(rs), *np.shape(t))))
 
     def fourier(r, m_max):
         return _arc_integral(_arc_table(w, mu), TWO_PI, np.arange(-m_max, m_max + 1)) / TWO_PI
@@ -460,7 +459,7 @@ def pinney() -> PotentialSpec:
                      "0.25 + 0.75 * (x + 1.0) ** -4", {},
                      profile=lambda r: (functools.partial(pinney_psi_closed, r),
                                         _pinney_layer_points(r),
-                                        lambda t, r=r: pinney_psi_antiderivative(r, t)),
+                                        lambda t, rs: pinney_psi_antiderivative(rs, t)),
                      t_minus=lambda i: 4.0 * math.asin(1.0 / math.sqrt(
                          4.0 * i + 1.0 + math.sqrt(8.0 * i * (1.0 + 2.0 * i)) + 1.0)))
 

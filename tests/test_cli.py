@@ -153,6 +153,16 @@ def test_resonance_run_that_shrinks_then_grows_is_inconclusive(capsys):
     assert verdict["max_window_sup"] == pytest.approx(2.468247333520525, rel=1e-9)
 
 
+@pytest.mark.parametrize("eps", ["1e308", "1e160"])
+def test_a_harmonic_window_past_the_float_range_is_named(eps, capsys):
+    # the closed-form window overflowed: at 1e308 with numpy RuntimeWarnings
+    # and "harmonic: non-finite evaluation point", at 1e160 as "energy
+    # envelope violated at window 0 (excess inf)"
+    assert main(["resonance-run", "--potential", "harmonic:1", "--forcing", "sin",
+                 "--eps", eps, "--periods", "10"]) == 1
+    assert "resonance_run: window 0 leaves the float range" in capsys.readouterr().err
+
+
 def test_tolerance_defaults_are_the_integrators(tmp_path):
     # the flags' defaults are IntegratorConfig's: no --rel-tol is its rel_tol;
     # on Pinney, since a harmonic run with a trigonometric p reads no tolerance

@@ -63,6 +63,16 @@ def test_a_later_window_with_no_step_stays_partial(pin, sin_f, cfg, monkeypatch)
     assert "no starting step" in diag.stop_reason and len(diag.window_sup) == 1
 
 
+def test_a_window_past_the_float_range_ends_the_run(har, sin_f, cfg):
+    # x grows by eps pi a period, so its energy leaves the float range in
+    # window 60: that read "energy envelope violated at window 60 (excess inf)"
+    diag = resonance_run(har, sin_f, 1e152, State(1.0, 0.0), 100, cfg)
+    assert diag.partial and diag.verdict == "inconclusive"
+    assert diag.stop_reason == "resonance_run: window 60 leaves the float range"
+    assert len(diag.window_sup) == 60 and np.all(np.isfinite(diag.energy_sqrt))
+    assert abs(diag.final_state.x) == pytest.approx(1e152 * math.pi * 60, rel=1e-9)
+
+
 def test_resonance_run_budget_holds_at_the_crossing_step(pin, sin_f):
     diag = resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 10,
                          IntegratorConfig(max_steps=10))

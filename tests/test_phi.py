@@ -837,6 +837,18 @@ def test_winding_number_on_a_coarse_scan_halves_its_sides(pin, crafted_zero, cfg
     assert any(th not in th_nodes or r not in r_nodes for th, r in points)
 
 
+def test_winding_number_reads_each_side_as_one_table(pin, cfg, monkeypatch):
+    # each side's corner and scan nodes are one table and a halving one point:
+    # the walk read every node as a table of its own, 625 on the 256-theta scan
+    for theta_count, halvings in ((256, False), (4, True)):
+        field = phi_scan(pin, STEP_4, theta_count, default_r_grid(), cfg)
+        tables = _count_calls(monkeypatch, isores.phi, "_phi_table")
+        points = _count_calls(monkeypatch, isores.phi, "eval_phi")
+        assert winding_number(field, (0.0, 6.2, 0.0, 1e3)) == 1
+        assert len(tables) == 4 + len(points) and bool(points) == halvings
+        monkeypatch.undo()
+
+
 # -- the argument walk -----------------------------------------------------------------
 
 def _turn_of(vs, component):
@@ -851,7 +863,8 @@ def test_argument_change_harmonic_turns_once(har, cfg):
     z_of = _turn_of(psi_solution(har, 1.0, cfg), "u")
     ts = np.linspace(0.0, TWO_PI, 200)
     for k in (1, 57, 100, 199):
-        assert _argument_change(z_of, ts[:k + 1], 1e-9, "u") == \
+        nodes = ts[:k + 1]
+        assert _argument_change(z_of, nodes, [z_of(t) for t in nodes], 1e-9, "u") == \
             pytest.approx(-ts[k], abs=1e-9)
 
 
@@ -859,10 +872,11 @@ def test_argument_change_harmonic_turns_once(har, cfg):
 def test_argument_change_pinney_turns_back_once(pin, cfg, component):
     z_of = _turn_of(psi_solution(pin, 1.0, cfg), component)
     ts = np.linspace(0.0, TWO_PI, 400)
-    steps = [_argument_change(z_of, ts[i:i + 2], 1e-9, component)
+    values = [z_of(t) for t in ts]
+    steps = [_argument_change(z_of, ts[i:i + 2], values[i:i + 2], 1e-9, component)
              for i in range(ts.size - 1)]
     assert max(steps) < 0
-    assert _argument_change(z_of, ts, 1e-9, component) == \
+    assert _argument_change(z_of, ts, values, 1e-9, component) == \
         pytest.approx(-TWO_PI, abs=1e-6)
 
 
@@ -871,11 +885,14 @@ def test_argument_change_halves_coarse_gaps(har2, cfg):
     # step, beyond pi/2: only the halving finds it, as a fine grid does
     z_of = _turn_of(psi_solution(har2, 1.0, cfg), "u")
     coarse = 0.5 * math.pi * np.arange(5)
-    steps = [_argument_change(z_of, coarse[i:i + 2], 1e-9, "u") for i in range(4)]
+    values = [z_of(t) for t in coarse]
+    steps = [_argument_change(z_of, coarse[i:i + 2], values[i:i + 2], 1e-9, "u")
+             for i in range(4)]
     assert all(abs(d) > 0.5 * math.pi for d in steps)
-    total = _argument_change(z_of, coarse, 1e-9, "u")
+    total = _argument_change(z_of, coarse, values, 1e-9, "u")
     assert total == pytest.approx(-2 * TWO_PI, abs=1e-9)
-    fine = _argument_change(z_of, np.linspace(0.0, TWO_PI, 401), 1e-9, "u")
+    ts = np.linspace(0.0, TWO_PI, 401)
+    fine = _argument_change(z_of, ts, [z_of(t) for t in ts], 1e-9, "u")
     assert abs(total - fine) < 1e-9
 
 
@@ -884,14 +901,15 @@ def test_argument_change_refuses_a_small_or_nan_modulus(bad):
     # a nan value was halved 48 times and read as "argument varies too fast"
     z_of = lambda t: complex(bad) if t == 0.5 else cmath.exp(1j * t)
     with pytest.raises(NumericsError, match=r"walk: \|z\| = .* at 0.5"):
-        _argument_change(z_of, [0.0, 0.5, 1.0], 1e-9, "walk")
+        nodes = [0.0, 0.5, 1.0]
+        _argument_change(z_of, nodes, [z_of(t) for t in nodes], 1e-9, "walk")
 
 
 def test_argument_change_gives_up_after_48_halvings():
     # the argument jumps by pi at t = 0.5: no halving resolves it
     z_of = lambda t: 1.0 if t < 0.5 else -1.0 + 1e-3j
     with pytest.raises(NumericsError, match="walk: argument varies too fast"):
-        _argument_change(z_of, [0.0, 1.0], 1e-9, "walk")
+        _argument_change(z_of, [0.0, 1.0], [z_of(0.0), z_of(1.0)], 1e-9, "walk")
 
 
 # -- export ---------------------------------------------------------------------------------
