@@ -16,40 +16,18 @@ from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, _quad_checked
 from .integrate import (VARIATIONAL, IntegratorConfig, RawSolution, State, energy,
                         solve_forced)
-from .potentials import PotentialSpec, inverse_V
+from .potentials import PotentialSpec, brentq, inverse_V
 
 
 # ---------------------------------------------------------------------------
-# closed-form orbit of the shifted Pinney potential
+# orbits and periods
 
-def pinney_phi_closed(r, t):
-    """Closed-form orbit of the Pinney center: position and velocity of the
-    solution with x(0)=r, v(0)=0, written with lambda = 1 + r.  A test
-    oracle for the integrated orbit; the package does not call it."""
-    lam = 1.0 + float(r)
-    t = np.asarray(t, dtype=float)
-    c2 = np.cos(0.5 * t) ** 2
-    s2 = np.sin(0.5 * t) ** 2
-    q = lam ** 2 * c2 + lam ** -2 * s2
-    root = np.sqrt(q)
-    x = -1.0 + root
-    v = (lam ** -2 - lam ** 2) * np.sin(t) / (4.0 * root)
-    return x, v
-
-
-# ---------------------------------------------------------------------------
-# periods
-
-def _section_return(pot: PotentialSpec, s: State, horizon: float,
-                    cfg: IntegratorConfig):
-    """First time in (1e-9, horizon] at which the unforced orbit from s
-    crosses the section {v = 0, x > 0}, refined on the dense output; None if
-    it does not get there within the horizon."""
-    traj = solve_forced(pot, None, 0.0, [s.x, s.v], 0.0, horizon, cfg)
-    for ev in traj.events_of("v_zero"):
-        if ev.t > 1e-9 and traj.eval(ev.t)[0] > 0:
-            return float(ev.t)
-    return None
+def _orbit(pot: PotentialSpec, r: float, t1: float, cfg: IntegratorConfig):
+    """t -> (x, v) on [0, t1] along the orbit through (r, 0): the orbit the
+    center declares, else one solve_forced read through its dense output."""
+    if pot.orbit is not None:
+        return lambda t: pot.orbit(r, t)
+    return solve_forced(pot, None, 0.0, [r, 0.0], 0.0, t1, cfg).eval
 
 
 def minimal_period(pot: PotentialSpec, r: float, cfg: IntegratorConfig) -> float:
@@ -64,9 +42,10 @@ def minimal_period(pot: PotentialSpec, r: float, cfg: IntegratorConfig) -> float
     pot._check_domain(r)
     guess = TWO_PI / pot.n_iso if pot.n_iso else TWO_PI
     for horizon in (1.25 * guess, 10.0 * TWO_PI):
-        tau = _section_return(pot, State(r, 0.0), horizon, cfg)
-        if tau is not None:
-            return tau
+        traj = solve_forced(pot, None, 0.0, [r, 0.0], 0.0, horizon, cfg)
+        for ev in traj.events_of("v_zero"):
+            if ev.t > 1e-9 and traj.eval(ev.t)[0] > 0:
+                return float(ev.t)
     raise NumericsError(
         f"minimal_period: no return to the section within {10 * TWO_PI:.3f} "
         "time units; the motion does not look periodic")
@@ -189,26 +168,32 @@ def amplitude_of_action(pot: PotentialSpec, action: float) -> float:
 
 def to_action_angle(pot: PotentialSpec, s: State, cfg: IntegratorConfig) -> ActionAngle:
     """Action-angle coordinates of a phase point for a certified n_iso = N:
-    the action is E/N, the angle the travel time from the section
-    {v=0, x>0} times 2*pi over the period 2*pi/N."""
+    the action E/N, the angle N tau for the time tau from (r, 0) to it.  The
+    flow turns clockwise, so the polar angle atan2(-v, x) mod 2*pi of _orbit
+    rises from 0 to 2*pi over the period 2*pi/N; brentq finds where it meets
+    the point's."""
     e = energy(pot, s)
     if not 0.0 < e < math.inf:
         raise DomainError("to_action_angle: the energy must be finite and positive")
     n = pot.require_isochronous()
     if s.v == 0.0 and s.x > 0.0:
         return ActionAngle(0.0, e / n)
-    # reversibility: the forward orbit from (x, -v) reaches (r, 0) at the
-    # same travel time at which the original point was reached from (r, 0)
-    tau = _section_return(pot, State(s.x, -s.v), 1.25 * TWO_PI / n, cfg)
-    if tau is None:
-        raise NumericsError("to_action_angle: section return not found")
+    period, target = TWO_PI / n, math.atan2(-s.v, s.x) % TWO_PI
+    orbit = _orbit(pot, inverse_V(pot, e, 1), period, cfg)
+
+    def gap(t):
+        x, v = orbit(t)
+        return (TWO_PI if t >= period else math.atan2(-v, x) % TWO_PI) - target
+
+    tau = brentq(gap, 0.0, period, xtol=math.ulp(0.0), rtol=8.9e-16, maxiter=200)
     return ActionAngle(math.fmod(n * tau, TWO_PI), e / n)
 
 
 def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
                       cfg: IntegratorConfig) -> State:
-    """Phase point with the given action and angle (inverse of
-    to_action_angle up to integration tolerance)."""
+    """Phase point with the given action and angle: _orbit at tau = theta/N,
+    the inverse of to_action_angle to rounding on a center that declares
+    its orbit, and up to integration tolerance on one solve otherwise."""
     if not (math.isfinite(aa.theta) and math.isfinite(aa.action)):
         raise ConfigError("from_action_angle: angle and action must be finite")
     if aa.action <= 0:
@@ -218,8 +203,8 @@ def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
     tau = (theta + TWO_PI if theta < 0 else theta) / pot.require_isochronous()
     if tau == 0.0:
         return State(float(r), 0.0)
-    traj = solve_forced(pot, None, 0.0, [float(r), 0.0], 0.0, tau, cfg)
-    return traj.end_state()
+    x, v = _orbit(pot, r, tau, cfg)(tau)
+    return State(float(x), float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +295,8 @@ def bouncing_limit_audit(pot: PotentialSpec, I_list, cfg: IntegratorConfig,
     for action in I_list:
         r = amplitude_of_action(pot, action)
         sqrt_i = math.sqrt(action)
-        traj = solve_forced(pot, None, 0.0, [r, 0.0], 0.0, TWO_PI, cfg)
         t_full = np.linspace(0.0, TWO_PI, _BOUNCING_GRID)
-        x, _ = traj.eval(t_full)
+        x, _ = _orbit(pot, r, TWO_PI, cfg)(t_full)
         limit_x = 2.0 * math.sqrt(2.0) * np.abs(np.cos(0.5 * t_full))
         sup_x = float(np.max(np.abs(x / sqrt_i - limit_x)))
 

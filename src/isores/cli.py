@@ -129,6 +129,8 @@ def cmd_resonance_run(p):
     cfg = IntegratorConfig(p.rel_tol, p.abs_tol)
     diag = dynamics.resonance_run(p.potential, p.forcing, p.eps, State(p.x0, p.v0),
                                   p.periods, cfg)
+    if diag.partial:        # stderr: the artifacts keep no stop_reason
+        print(f"partial run: {diag.stop_reason}", file=sys.stderr)
     if p.out is not None:
         dynamics.write_diagnostics_csv(diag, p.out / "diagnostics.csv")
         write_json(p.out / "verdict.json", dynamics.verdict_dict(diag))

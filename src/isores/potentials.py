@@ -101,7 +101,9 @@ class PotentialSpec:
     x(t; 1)) every finite r to one profile.  Psi is the centre's, the same
     for every r: Psi(t, rs) = int_0^t psi(s, r) ds for each r of a 1-D array
     rs, a row each of the shape of t, so that a table reads Psi at all its
-    amplitudes in one call (phi._phi_table).  ``fourier`` maps (r,
+    amplitudes in one call (phi._phi_table).  ``orbit`` maps (r, t) to
+    (x, v) at times t in [0, 2*pi] on the orbit through (r, 0), for finite r
+    > 0 (autonomous._orbit).  ``fourier`` maps (r,
     m_max) to the c_m(r) = (1/2pi) int_0^2pi psi(t, r) e^{-imt} dt of that
     profile, m = -m_max..m_max; ``t_minus`` maps I to T-.  ``forced_flow``
     maps (p, eps) to the exact flow of x'' = -V'(x) + eps p(t) as a window
@@ -120,6 +122,7 @@ class PotentialSpec:
     scalar: tuple
     kink_at_zero: bool = False
     profile: callable | None = None
+    orbit: callable | None = None
     fourier: callable | None = None
     homogeneous: bool = False
     t_minus: callable | None = None
@@ -171,6 +174,20 @@ def _declared(kind, params, domain_left, n_iso, v, dv, d2v, constants, **closed)
                           if np.ndim(x) else f(float(x)))
     return PotentialSpec(kind, params, domain_left, n_iso, *map(elementwise, (v, dv, d2v)),
                          scalar=(dv, d2v, constants), **closed)
+
+
+def pinney_phi_closed(r, t):
+    """Closed-form orbit of the Pinney center: position and velocity of the
+    solution with x(0)=r, v(0)=0, written with lambda = 1 + r."""
+    lam = 1.0 + float(r)
+    t = np.asarray(t, dtype=float)
+    c2 = np.cos(0.5 * t) ** 2
+    s2 = np.sin(0.5 * t) ** 2
+    q = lam ** 2 * c2 + lam ** -2 * s2
+    root = np.sqrt(q)
+    x = -1.0 + root
+    v = (lam ** -2 - lam ** 2) * np.sin(t) / (4.0 * root)
+    return x, v
 
 
 def pinney_psi_closed(r, t):
@@ -382,7 +399,12 @@ def _sinusoid_chain(w, mu):
     """The closed forms of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2, as fields of its
     _declared call: every finite r shares one profile (psi split at the
     kinks, and Psi) and one set of c_m, all read from the arc table, which
-    the first read builds; and T- = pi/mu, its x < 0 arc, at every action."""
+    the first read builds; the orbit r X = r Re psi, r X' = -r w^2 Im psi;
+    and T- = pi/mu, its x < 0 arc, at every action."""
+    def orbit(r, t):
+        psi = asymmetric_psi_closed(w, mu, t)
+        return r * psi.real, -r * w * w * psi.imag
+
     def profile(r):
         arcs = _arc_table(w, mu)
         return (functools.partial(asymmetric_psi_closed, w, mu), tuple(arcs[1:, 0].tolist()),
@@ -390,7 +412,7 @@ def _sinusoid_chain(w, mu):
 
     def fourier(r, m_max):
         return _arc_integral(_arc_table(w, mu), TWO_PI, np.arange(-m_max, m_max + 1)) / TWO_PI
-    return {"homogeneous": True, "profile": profile, "fourier": fourier,
+    return {"homogeneous": True, "profile": profile, "orbit": orbit, "fourier": fourier,
             "t_minus": lambda i: math.pi / mu}
 
 
@@ -460,6 +482,7 @@ def pinney() -> PotentialSpec:
                      profile=lambda r: (functools.partial(pinney_psi_closed, r),
                                         _pinney_layer_points(r),
                                         lambda t, rs: pinney_psi_antiderivative(rs, t)),
+                     orbit=pinney_phi_closed,
                      t_minus=lambda i: 4.0 * math.asin(1.0 / math.sqrt(
                          4.0 * i + 1.0 + math.sqrt(8.0 * i * (1.0 + 2.0 * i)) + 1.0)))
 
@@ -489,8 +512,8 @@ def custom(v, dv, d2v, domain_left=-math.inf, n_iso=None,
            kink_at_zero=False) -> PotentialSpec:
     """Wrap user-supplied evaluators.  Isochrony is not assumed: pass n_iso
     only after auditing the period.  It declares no closed forms, so phi
-    and autonomous take their numeric paths (psi_solution, the T-
-    quadrature)."""
+    and autonomous take their numeric paths (psi_solution, the solved orbit,
+    the T- quadrature)."""
     return PotentialSpec(kind="custom", params=(), domain_left=float(domain_left),
                          n_iso=n_iso, _v=v, _dv=dv, _d2v=d2v,
                          kink_at_zero=kink_at_zero,

@@ -11,10 +11,11 @@ from isores.forcing import PiecewiseConst, TrigPoly, TWO_PI
 from isores.integrate import State, energy, integrate_autonomous, integrate_forced
 from isores.autonomous import (bouncing_limit_audit, dx_dI_rofe_beketov,
                                minimal_period, negative_semiperiod,
-                               pinney_phi_closed, psi_solution)
+                               psi_solution)
 from isores.phi import (corollary_bound, default_r_grid, eval_phi, phi_scan,
                         pinney_fourier_constants, winding_number)
-from isores.potentials import appendix_audit, inverse_V, pinney_psi_closed
+from isores.potentials import (appendix_audit, inverse_V, pinney_phi_closed,
+                               pinney_psi_closed)
 from isores.dynamics import find_periodic_solution, seed_from_phi_zero
 from isores.acw import (AcwState, acw_first_integral, acw_numeric_check,
                         acw_orbit, acw_poincare, phi_lambda)

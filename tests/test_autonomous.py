@@ -8,15 +8,15 @@ from scipy.optimize import brentq
 import isores as iso
 from isores.errors import ConfigError, DomainError, NumericsError
 from isores.forcing import TWO_PI
-from isores.integrate import IntegratorConfig, State, integrate_autonomous
+from isores.integrate import IntegratorConfig, State, integrate_autonomous, solve_forced
 from isores.autonomous import (ActionAngle, action_of_amplitude,
                                amplitude_of_action, bouncing_limit_audit,
                                dx_dI_rofe_beketov, from_action_angle,
                                minimal_period, negative_semiperiod,
-                               pinney_phi_closed, psi_solution, to_action_angle)
+                               psi_solution, to_action_angle)
 from isores.potentials import (asymmetric_psi_closed, carlson_rf_rd, custom,
-                               inverse_V, pinney_psi_antiderivative,
-                               pinney_psi_closed)
+                               inverse_V, pinney_phi_closed,
+                               pinney_psi_antiderivative, pinney_psi_closed)
 
 
 def pinney_t_minus_closed(action):
@@ -24,6 +24,16 @@ def pinney_t_minus_closed(action):
     cos^2(t/2) < 1/(lambda^2+1), so T- = 2*pi - 4*arccos((lambda^2+1)^-1/2)."""
     lam2 = 4.0 * action + 1.0 + math.sqrt((4.0 * action + 1.0) ** 2 - 1.0)
     return TWO_PI - 4.0 * math.acos(1.0 / math.sqrt(lam2 + 1.0))
+
+
+def _undeclared(pot):
+    """pot's V, V' and V'' as a custom centre, which declares no closed form."""
+    return custom(v=pot._v, dv=pot._dv, d2v=pot._d2v, n_iso=pot.n_iso,
+                  kink_at_zero=pot.kink_at_zero)
+
+
+_BUILT_INS = [iso.pinney(), iso.harmonic(1), iso.harmonic(2), iso.asymmetric(4.0, 4.0 / 9.0)]
+_BUILT_IN_IDS = ["pinney", "harmonic1", "harmonic2", "asymmetric"]
 
 
 # -- orbits -----------------------------------------------------------------
@@ -38,6 +48,18 @@ def test_closed_form_cross_validation(pin, cfg):
         assert np.max(np.abs(v - vc)) <= 1e-8
         vs = psi_solution(pin, r, cfg)
         assert np.max(np.abs(vs.psi(ts) - pinney_psi_closed(r, ts))) <= 1e-8
+
+
+@pytest.mark.parametrize("pot", _BUILT_INS[1:], ids=_BUILT_IN_IDS[1:])
+def test_chain_orbit_matches_the_solved_orbit(pot, cfg):
+    # r Re psi and -r w^2 Im psi of the arc table against DOP853; 4e-11 to
+    # 8e-11 of r apart, across the kinks of the asymmetric centre
+    ts = np.linspace(0.0, TWO_PI, 1001)
+    for r in (0.3, 1.0, 5.0):
+        x, v = pot.orbit(r, ts)
+        xs, vs = solve_forced(pot, None, 0.0, [r, 0.0], 0.0, TWO_PI, cfg).eval(ts)
+        assert np.max(np.abs(x - xs)) <= 1e-9 * r
+        assert np.max(np.abs(v - vs)) <= 1e-9 * r
 
 
 # -- variational solutions ---------------------------------------------------
@@ -367,23 +389,9 @@ def test_from_action_angle_at_whole_turns_solves_nothing(monkeypatch, pin, cfg, 
     assert calls == []
 
 
-def test_from_action_angle_integrates_once(monkeypatch, pin, cfg):
-    # the period of a certified isochronous center is 2*pi/N, not measured
-    import isores.integrate
-    calls = []
-    solve = isores.integrate.integrate_ode
-    monkeypatch.setattr(isores.integrate, "integrate_ode",
-                        lambda *a: calls.append(1) or solve(*a))
-    from_action_angle(pin, ActionAngle(theta=2.2, action=0.7), cfg)
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("pot", [iso.pinney(), iso.harmonic(1), iso.harmonic(2),
-                                 iso.asymmetric(4.0, 4.0 / 9.0)],
-                         ids=["pinney", "harmonic1", "harmonic2", "asymmetric"])
-def test_to_action_angle_integrates_once_and_integrates_no_area(monkeypatch, pot, cfg):
-    # I = E/N and T = 2*pi/N: the section return is the one solve, and
-    # neither the action nor the period takes a quadrature
+def _counted(monkeypatch):
+    """Lists that grow by one at each integrate_ode and each
+    adaptive_complex_quad call."""
     import isores.forcing
     import isores.integrate
     solves, quads = [], []
@@ -392,9 +400,55 @@ def test_to_action_angle_integrates_once_and_integrates_no_area(monkeypatch, pot
                         lambda *a: solves.append(1) or solve(*a))
     monkeypatch.setattr(isores.forcing, "adaptive_complex_quad",
                         lambda *a, **k: quads.append(1) or quad_(*a, **k))
+    return solves, quads
+
+
+@pytest.mark.parametrize("pot", _BUILT_INS, ids=_BUILT_IN_IDS)
+def test_from_action_angle_solves_only_an_undeclared_orbit(monkeypatch, pot, cfg):
+    # a built-in centre reads its declared orbit; its custom twin solves once
+    solves, _ = _counted(monkeypatch)
+    from_action_angle(pot, ActionAngle(theta=2.2, action=0.7), cfg)
+    assert len(solves) == 0
+    from_action_angle(_undeclared(pot), ActionAngle(theta=2.2, action=0.7), cfg)
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("pot", _BUILT_INS, ids=_BUILT_IN_IDS)
+def test_to_action_angle_solves_only_an_undeclared_orbit_and_integrates_no_area(
+        monkeypatch, pot, cfg):
+    # I = E/N and T = 2*pi/N: the declared orbit gives the angle with no
+    # solve, its custom twin's one solve, and neither the action nor the
+    # period takes a quadrature
+    solves, quads = _counted(monkeypatch)
     aa = to_action_angle(pot, State(0.5, 0.3), cfg)
-    assert (len(solves), len(quads)) == (1, 0)
+    assert (len(solves), len(quads)) == (0, 0)
     assert aa.action == (0.5 * 0.3 ** 2 + pot.v(0.5)) / pot.n_iso
+    twin = to_action_angle(_undeclared(pot), State(0.5, 0.3), cfg)
+    assert (len(solves), len(quads)) == (1, 0)
+    assert twin.action == aa.action
+    assert twin.theta == pytest.approx(aa.theta, abs=1e-9)
+
+
+_ROUND_TRIP_THETAS = [1e-12, 1e-6, 0.3, 2.2, math.pi, 4.0, TWO_PI - 1e-6, TWO_PI - 1e-12]
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
+@pytest.mark.parametrize("pot", _BUILT_INS, ids=_BUILT_IN_IDS)
+@pytest.mark.parametrize("action", [1e-6, 0.7, 1e3])
+def test_action_angle_round_trip_over_the_turn(pot, action, declared, cfg):
+    # a declared orbit is inverse to rounding (3.4e-14 at worst), a solved
+    # one to integration tolerance (1.6e-10); the twin's states lie on the
+    # declared orbit at the same angle.  The angle, not the state: at
+    # Pinney's bounce (I = 1e3, theta = pi) V' is -1.8e5, so the twin's
+    # 2.5e-12 in time is 4.5e-7 in v
+    centre = pot if declared else _undeclared(pot)
+    tol = 1e-13 if declared else 1e-9
+    for theta in _ROUND_TRIP_THETAS:
+        s = from_action_angle(centre, ActionAngle(theta=theta, action=action), cfg)
+        for reader in (pot,) if declared else (centre, pot):
+            back = to_action_angle(reader, s, cfg)
+            assert abs(math.remainder(back.theta - theta, TWO_PI)) <= tol
+            assert back.action == pytest.approx(action, rel=1e-12 if declared else 1e-9)
 
 
 @pytest.mark.parametrize("theta, action", [(math.nan, 0.337), (math.inf, 0.337),
@@ -515,12 +569,6 @@ def test_negative_semiperiod_of_the_sinusoid_chain_is_pi_over_mu(pot, t_minus):
         assert negative_semiperiod(pot, action) == t_minus
 
 
-def _undeclared(pot):
-    """pot's V, V' and V'' as a custom centre, which declares no closed form."""
-    return custom(v=pot._v, dv=pot._dv, d2v=pot._d2v, n_iso=pot.n_iso,
-                  kink_at_zero=pot.kink_at_zero)
-
-
 def test_negative_semiperiod_quadrature_for_other_centres(har):
     # a centre without a closed form keeps the quadrature: harmonic spends
     # pi at x < 0, and asymmetric(4, 4/9) half a period of frequency 2/3
@@ -587,3 +635,12 @@ def test_bouncing_limit_audit(pin, cfg):
     assert d0[0] > d0[1] > d0[2]
     with pytest.raises(NumericsError, match="needs minimal period 2\\*pi"):
         bouncing_limit_audit(iso.harmonic(2), [1.0], cfg)
+
+
+def test_bouncing_limit_audit_reads_the_declared_or_the_solved_orbit(pin, cfg):
+    # Pinney's closed-form orbit and its custom twin's one solve give the
+    # same x defect to 3.0e-10 relative, and the same dx/dI records
+    for rec, twin in zip(bouncing_limit_audit(pin, [1e2, 1e3, 1e4], cfg),
+                         bouncing_limit_audit(_undeclared(pin), [1e2, 1e3, 1e4], cfg)):
+        assert rec.sup_x_defect == pytest.approx(twin.sup_x_defect, rel=1e-9)
+        assert (rec.sup_dxdI_defect, rec.dxdI_at_0) == (twin.sup_dxdI_defect, twin.dxdI_at_0)

@@ -163,6 +163,39 @@ def test_a_harmonic_window_past_the_float_range_is_named(eps, capsys):
     assert "resonance_run: window 0 leaves the float range" in capsys.readouterr().err
 
 
+def test_a_partial_run_says_why_it_stopped_on_stderr(tmp_path, capsys):
+    # window 60 leaves the float range: exit 3 with partial true, and nothing
+    # said why; stderr says it now, and stdout and verdict.json keep no
+    # stop_reason
+    assert main(["resonance-run", "--potential", "harmonic:1", "--forcing", "sin",
+                 "--eps", "1e152", "--periods", "100", "--out", str(tmp_path)]) == 3
+    out = capsys.readouterr()
+    assert out.err == "partial run: resonance_run: window 60 leaves the float range\n"
+    verdict = json.loads(out.out)
+    assert verdict["partial"] is True and "stop_reason" not in verdict
+    assert json.loads((tmp_path / "verdict.json").read_text()) == verdict
+
+
+def test_a_step_budget_stop_is_named_on_stderr(monkeypatch, capsys):
+    # no flag sets max_steps, so the command's config is given a budget of 10
+    import functools
+    import isores.cli
+    from isores.integrate import IntegratorConfig
+    monkeypatch.setattr(isores.cli, "IntegratorConfig",
+                        functools.partial(IntegratorConfig, max_steps=10))
+    assert main(["resonance-run", "--potential", "pinney", "--forcing", "sin",
+                 "--eps", "0.05", "--periods", "10", "--x0", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("partial run: ") and "step budget" in out.err
+    assert json.loads(out.out)["partial"] is True
+
+
+def test_a_full_run_prints_nothing_on_stderr(capsys):
+    assert main(["resonance-run", "--potential", "pinney", "--forcing", "sin",
+                 "--eps", "0.05", "--periods", "20", "--x0", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_tolerance_defaults_are_the_integrators(tmp_path):
     # the flags' defaults are IntegratorConfig's: no --rel-tol is its rel_tol;
     # on Pinney, since a harmonic run with a trigonometric p reads no tolerance

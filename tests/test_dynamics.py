@@ -348,7 +348,7 @@ _NEWTON_CASES = {
     "step": (iso.pinney(), PiecewiseConst(breakpoints=(0.3, 1.9, 3.4, 5.0),
                                           values=(0.7, -0.4, 0.9, -0.8)), 0.05, (0.5, 0.2)),
     "readme-seed": (iso.pinney(), TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01,
-                    (-0.5271435109012217, -3.897836046984349e-12)),
+                    (-0.527143510900082, -2.7509910248427227e-16)),
 }
 
 

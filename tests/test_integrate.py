@@ -13,8 +13,9 @@ from isores.forcing import ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_P
 from isores.integrate import (VARIATIONAL, IntegratorConfig, State, energy,
                               forced_system, integrate_autonomous,
                               integrate_forced, integrate_ode, solve_forced)
-from isores.autonomous import ROFE_BEKETOV, pinney_phi_closed
+from isores.autonomous import ROFE_BEKETOV
 from isores.dynamics import stroboscopic_map
+from isores.potentials import pinney_phi_closed
 
 
 def test_harmonic_closed_orbit(har, cfg):
@@ -851,15 +852,16 @@ def test_forced_run_end_state_is_pinned(monkeypatch, pin, sin_f, cfg):
 
 
 def test_periodic_find_state_is_pinned(pin, cfg):
-    # the README periodic-find example: 2-component seeding, Newton on the
-    # 6-component tangent solve that takes the 2-component map's steps
+    # the README periodic-find example: seeding on Pinney's closed-form
+    # orbit, Newton on the 6-component tangent solve that takes the
+    # 2-component map's steps
     from isores.dynamics import find_periodic_solution, seed_from_phi_zero
     seed = seed_from_phi_zero(pin, 3.141592653589793, 0.337, cfg)
-    assert (seed.x, seed.v) == (-0.5271435109012217, -3.897836046984349e-12)
+    assert (seed.x, seed.v) == (-0.527143510900082, -2.7509910248427227e-16)
     sol = find_periodic_solution(pin, TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01, seed, cfg)
-    assert (float(sol.state.x), float(sol.state.v)) == (-0.5114233982852691,
-                                                        -1.1009384510868579e-10)
-    assert (sol.residual, sol.iterations) == (9.368134300617456e-13, 3)
+    assert (float(sol.state.x), float(sol.state.v)) == (-0.5114233982852648,
+                                                        -1.1007947756452205e-10)
+    assert (sol.residual, sol.iterations) == (9.360519328086657e-13, 3)
 
 
 def test_rofe_beketov_three_component_solve_is_pinned(pin, cfg):
