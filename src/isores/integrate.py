@@ -531,6 +531,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     calls for each such step instead of each accepted one, and a solution
     with knots only.
     """
+    t0, t1 = float(t0), float(t1)     # a numpy bound would make the loop's arithmetic numpy's
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("integrate_ode: t0 and t1 must be finite")
     if t1 <= t0:

@@ -106,10 +106,14 @@ class PotentialSpec:
     > 0 (autonomous._orbit).  ``fourier`` maps (r,
     m_max) to the c_m(r) = (1/2pi) int_0^2pi psi(t, r) e^{-imt} dt of that
     profile, m = -m_max..m_max; ``t_minus`` maps I to T-.  ``forced_flow``
-    maps (p, eps) to the exact flow of x'' = -V'(x) + eps p(t) as a window
-    map (state, t0, times) -> (x, v), a (2, len(times)) array at times >=
-    t0 from state at t0, or to None where it has no closed form for that p;
-    resonance_run reads it in place of the integrator.
+    maps (p, eps, state, tau) to the exact flow of x'' = -V'(x) + eps p(t)
+    from state at t = 0 as a table over whole periods, or to None where it
+    has no closed form for that p: windows(k0, k1) -> (x, v), each of shape
+    (k1 - k0, len(tau)), the flow at the times 2 pi k + tau of the windows
+    k0 <= k < k1, for offsets tau from 0 to 2 pi, both included, where the
+    last column of window k is the start of window k + 1.  Its period map
+    is exact, and memory grows with k1 - k0, not with the run;
+    resonance_run reads it in blocks in place of the integrator.
     """
 
     kind: str
@@ -416,38 +420,54 @@ def _sinusoid_chain(w, mu):
             "t_minus": lambda i: math.pi / mu}
 
 
-def _harmonic_forced_flow(n, f, eps):
-    """The forced flow of x'' + n^2 x = eps p(t) (PotentialSpec.forced_flow)
-    for a p that declares its harmonics, a trigonometric one, else None.  A
-    window from (x0, v0) at t0 is x = x_p + u cos n(t - t0) + (v/n) sin n(t
-    - t0), with u, v the start's offsets from x_p and x_p' at t0 and
-        x_p = eps (a0/n^2 + sum_{k != n} (a_k cos kt + b_k sin kt)/(n^2 - k^2)
-                   + (t - t0) (a_n sin nt - b_n cos nt)/(2n)),
-    whose secular k = n term is 0 at t0, so no window subtracts a large
-    x_p(t0).  n and k are integers: k = n, or |n^2 - k^2| >= 1."""
+def _harmonic_forced_flow(n, f, eps, state, tau):
+    """The forced flow of x'' + n^2 x = eps p(t) from state at t = 0
+    (PotentialSpec.forced_flow), for a p that declares its harmonics, a
+    trigonometric one, else None.  At the offset tau into the window [2 pi k,
+    2 pi (k + 1)] it is x = x_p + u cos n tau + (v/n) sin n tau, with u, v
+    the window start's offsets from x_p and x_p' at tau = 0 and
+        x_p = eps (a0/n^2 + sum_{k != n} (a_k cos k tau + b_k sin k tau)/(n^2 - k^2)
+                   + tau (a_n sin n tau - b_n cos n tau)/(2n)).
+    n and k are integers (k = n, or |n^2 - k^2| >= 1), and the secular k = n
+    term restarts at each window's start, so x_p, x_p' and the rotation are
+    the same in every window: one table over the offsets tau (0 to 2 pi, both
+    included), and no window subtracts a large x_p.  At tau = 2 pi every cos
+    is 1 and every sin 0, exactly, so the period map is the translation s ->
+    s + D, D = (x_p(2 pi) - x_p(0), x_p'(2 pi) - x_p'(0)): window k starts at
+    state + k D, with no chain of windows whose rounding builds up.  Returns
+    windows(k0, k1) -> (x, v), each (k1 - k0, len(tau)): the flow at 2 pi k +
+    tau for k0 <= k < k1, whose last column is the start of window k + 1,
+    the same floats, so memory grows with k1 - k0 and not with the run."""
     harmonics = getattr(f, "harmonics", None)
     if harmonics is None:
         return None
     w, n2 = float(n), n * n
     a_n, b_n = next(((a, b) for k, a, b in harmonics if k == n), (0.0, 0.0))
     alpha, beta, c0 = eps * a_n / (2.0 * w), eps * b_n / (2.0 * w), eps * f.a0 / n2
-    off = [(float(k), eps * a / (n2 - k * k), eps * b / (n2 - k * k))
-           for k, a, b in harmonics if k != n]
 
-    def window(state, t0, times):
-        t = np.append(t0, times)
-        tau = t - t0
-        cn, sn = np.cos(w * t), np.sin(w * t)
-        xp = c0 + tau * (alpha * sn - beta * cn)
-        vp = alpha * sn - beta * cn + w * tau * (alpha * cn + beta * sn)
-        for k, a, b in off:
-            ck, sk = np.cos(k * t), np.sin(k * t)
+    def turns(k):      # cos and sin of k tau, which ends on whole turns
+        c, s = np.cos(k * tau), np.sin(k * tau)
+        c[-1], s[-1] = 1.0, 0.0
+        return c, s
+    cn, sn = turns(w)
+    xp = c0 + tau * (alpha * sn - beta * cn)
+    vp = alpha * sn - beta * cn + w * tau * (alpha * cn + beta * sn)
+    for k, a, b in harmonics:
+        if k != n:
+            a, b = eps * a / (n2 - k * k), eps * b / (n2 - k * k)
+            ck, sk = turns(float(k))
             xp = xp + (a * ck + b * sk)
             vp = vp + k * (b * ck - a * sk)
-        u, v = state.x - xp[0], state.v - vp[0]
-        cr, sr = np.cos(w * tau[1:]), np.sin(w * tau[1:])
-        return np.array([xp[1:] + u * cr + (v / w) * sr, vp[1:] + v * cr - w * u * sr])
-    return window
+    dx, dv = xp[-1] - xp[0], vp[-1] - vp[0]
+
+    def windows(k0, k1):
+        k = np.arange(k0, k1 + 1.0)
+        xs, vs = state.x + k * dx, state.v + k * dv      # the starts of windows k0..k1
+        u, v = (xs[:-1] - xp[0])[:, None], (vs[:-1] - vp[0])[:, None]
+        xt, vt = xp + u * cn + (v / w) * sn, vp + v * cn - w * u * sn
+        xt[:, -1], vt[:, -1] = xs[1:], vs[1:]
+        return xt, vt
+    return windows
 
 
 @functools.lru_cache(maxsize=64)

@@ -221,6 +221,67 @@ def test_harmonic_window_sups_scale_with_eps(har, sin_f, cfg):
     assert np.allclose(small.window_sup, eps * unit.window_sup, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n_periods", [10, 17, 37])
+def test_the_harmonic_table_is_the_same_in_any_block(har2, cfg, n_periods, monkeypatch):
+    # each window is its own rows of the table, so the blocks it is read in
+    # (a last block short or not) move no bit; nor does a tolerance or a
+    # step budget, which a closed-form run never reads
+    f = TrigPoly(a0=0.3, cos_coeffs=(1.0, 0.5), sin_coeffs=(0.0, 0.7, 0.5))
+    loose = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3, max_steps=1)
+    runs = []
+    for block, config in ((1, cfg), (8, loose), (64, cfg)):
+        monkeypatch.setattr(dynamics, "_TABLE_BLOCK", block)
+        runs.append(resonance_run(har2, f, 0.4, State(0.7, -0.2), n_periods, config))
+    for diag in runs[1:]:
+        for read in ("window_sup", "window_sup_x", "energy_sqrt", "envelope_bound"):
+            assert getattr(diag, read).tobytes() == getattr(runs[0], read).tobytes()
+        assert diag.final_state == runs[0].final_state
+
+
+@pytest.mark.parametrize("n_periods", [200, 20_000])
+def test_a_harmonic_run_is_a_translation_with_no_drift(har, sin_f, cfg, n_periods):
+    # x'' + x = 0.05 sin t from rest ends at x = -0.05 pi N, v = 0: window k
+    # starts at k D, not at the end of a chain of windows, and the whole turn
+    # at tau = 2 pi rotates nothing (the window chain was 1.9e-12 off at N =
+    # 20 000)
+    end = resonance_run(har, sin_f, 0.05, State(0.0, 0.0), n_periods, cfg).final_state
+    x = -0.05 * math.pi * n_periods
+    assert abs(end.x - x) + abs(end.v) <= 1e-15 * (1 + abs(x))
+
+
+def test_a_harmonic_run_holds_its_memory_flat(har, sin_f, cfg):
+    # the table is read 8 windows at a time, so beyond its four records a
+    # window holds nothing (a list of floats a window read 3.3 MB here)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        resonance_run(har, sin_f, 0.05, State(0.0, 0.0), 20_000, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
+@pytest.mark.parametrize("end", [1e200, math.inf])
+def test_an_integrated_window_past_the_float_range_ends_the_run(pin, sin_f, cfg, end,
+                                                              monkeypatch):
+    # window 3 ends where the energy (1e200) or the state (inf) leaves the
+    # float range: the run is cut there, as a harmonic one is, whatever the
+    # chain then does
+    real = dynamics.integrate_ode
+
+    def leaving(system, y0, t0, t1, cfg):
+        traj = real(system, y0, t0, t1, cfg)
+        if t0 == 3 * TWO_PI:
+            traj.ys[-1] = (end, 0.0)
+        return traj
+    monkeypatch.setattr(dynamics, "integrate_ode", leaving)
+    diag = resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 10, cfg)
+    assert diag.partial and diag.verdict == "inconclusive"
+    assert diag.stop_reason == "resonance_run: window 3 leaves the float range"
+    assert len(diag.window_sup) == 3 and len(diag.energy_sqrt) == 4
+
+
 def test_harmonic_flow_rejects_a_non_finite_eps(har, sin_f, cfg):
     with pytest.raises(iso.ConfigError, match="eps: must be finite"):
         resonance_run(har, sin_f, math.nan, State(1.0, 0.0), 10, cfg)

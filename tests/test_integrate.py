@@ -333,6 +333,27 @@ def test_restart_at_a_kink_root_keeps_python_floats(cfg):
     assert all(type(e.t) is float for e in raw.events)
 
 
+def test_a_numpy_bound_steps_in_python_floats(pin, cfg):
+    # a np.float64 t1 (a window's last sample time) reached run as tb, and
+    # what it touched ran numpy-scalar arithmetic (with a step p, the span's
+    # piece read at tm, so every stage): 200 windows of a 3-component Pinney
+    # system with a 2-piece step took 0.89-0.98 s against 0.38 s, same bits
+    fun = forced_system(pin, PiecewiseConst((0.4, 1.9), (1.0, -2.0)), 0.05, cfg,
+                        (ROFE_BEKETOV,))
+    bounds, run = [], fun.run
+
+    def spy(ta, *args):
+        bounds.append(args[2 * 3 + 1])     # run(ta, *y, *f, h, tb, ...) over 3 components
+        return run(ta, *args)
+    fun.run = spy
+    raws = [integrate_ode(fun, [1.0, 0.0, 0.0], t0, t1, cfg)
+            for t0, t1 in ((0.0, TWO_PI), (np.float64(0.0), np.float64(TWO_PI)))]
+    assert bounds and all(type(tb) is float for tb in bounds)
+    for read in ("ts", "ys", "h", "coef"):
+        a, b = (getattr(raw, read) for raw in raws)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # -- the step loop against scipy's DOP853 ------------------------------------------
 
 def _recorded_calls(monkeypatch, module):
