@@ -189,9 +189,9 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
 
 def stroboscopic_map(pot: PotentialSpec, f: ForcingTerm, eps: float,
                      s: State, cfg: IntegratorConfig) -> State:
-    """State at t = 2*pi of the forced flow started from s at t = 0: one
-    solve_forced call, kept as a name because perfbench/tracing.py wraps it;
-    Newton (find_periodic_solution) solves _newton_system instead."""
+    """solve_forced(pot, f, eps, [s.x, s.v], 0.0, 2*pi, cfg).end_state(),
+    kept only because perfbench/tracing.py wraps it by name: the package
+    does not export or call it (Newton solves _newton_system)."""
     return solve_forced(pot, f, eps, [s.x, s.v], 0.0, TWO_PI, cfg).end_state()
 
 
@@ -208,10 +208,10 @@ def _newton_system(pot: PotentialSpec, f: ForcingTerm, eps: float, s: State,
                    cfg: IntegratorConfig):
     """G(s) = P(s) - s for the period map P, and G's Jacobian M - I: one
     tangent solve of the forced variational system, the monodromy matrix M =
-    [[u, w], [u', w']].  (x, v) alone set its steps, so P(s) is
-    stroboscopic_map(s) bit for bit, and M differentiates that discrete map
-    along its steps with their sizes held (internal numerical
-    differentiation)."""
+    [[u, w], [u', w']].  (x, v) alone set its steps, so P(s) is the end
+    state of the 2-component solve_forced(pot, f, eps, [s.x, s.v], 0.0,
+    2*pi, cfg) bit for bit, and M differentiates that discrete map along its
+    steps with their sizes held (internal numerical differentiation)."""
     raw = solve_forced(pot, f, eps, [s.x, s.v, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
                        VARIATIONAL, tangent=True)
     x, v, u, du, w, dw = raw.ys[-1]
@@ -220,13 +220,14 @@ def _newton_system(pot: PotentialSpec, f: ForcingTerm, eps: float, s: State,
 
 def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
                            seed: State, cfg: IntegratorConfig) -> PeriodicSolution:
-    """Damped Newton iteration on G(s) = stroboscopic_map(s) - s.
+    """Damped Newton iteration on G(s) = P(s) - s, P the period map: the
+    end state of solve_forced(pot, f, eps, [s.x, s.v], 0.0, 2*pi, cfg).
 
     One tangent solve of the forced variational system (_newton_system)
-    gives G, equal to stroboscopic_map(s) - s bit for bit, and its Jacobian,
-    that of the discrete map along its own steps.  Steps are
-    halved (8 times at most) until the residual falls; a candidate that fails
-    or leaves the domain is halved too.  A Jacobian with condition number
+    gives G, equal to P(s) - s bit for bit, and its Jacobian, that of the
+    discrete map along its own steps.  Steps are halved (8 times at most)
+    until the residual falls; a candidate that fails or leaves the domain is
+    halved too.  A Jacobian with condition number
     above 1e12 or norm below 1e-6 aborts with a diagnostic: at eps = 0 (and
     for any forcing that leaves the isochronous period map a translation)
     the whole plane is fixed or shifted and Newton has nothing to solve.

@@ -574,16 +574,20 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
             n_segments += 1
             # at the span's midpoint, as run reads it (a forcing's piece)
             at = lambda t, y, tm=0.5 * (ta + tb): system(t, y, tm)
-            f = at(ta, y)
-            try:
+            try:   # a float ** or / in the system raises where numpy's would give inf
+                f = at(ta, y)
                 h_abs = _initial_step(at, ta, y, f, tb - ta, cfg, 2 if tangent else n)
             except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
                 fail(f"integration failed: no starting step at t = {ta} ({exc})")
             if not math.isfinite(h_abs):       # system is not finite at (ta, y) or near it
                 fail(f"integration failed: no starting step at t = {ta} (h = {h_abs})")
-            why, n_steps, n_rejected, hit = run(
-                ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), n_steps,
-                n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, hs, ks)
+            try:
+                why, n_steps, n_rejected, hit = run(
+                    ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), n_steps,
+                    n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, hs, ks)
+            except (OverflowError, ZeroDivisionError) as exc:
+                n_steps = len(ts) - 1   # run's step count is lost with it: count its knots
+                fail(f"integration failed: a step from t = {ts[-1]} ({exc})")
             if why == "min_step":
                 fail("integration failed: Required step size is less than spacing "
                      "between numbers.")
@@ -686,15 +690,17 @@ def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
 
 def integrate_autonomous(pot: PotentialSpec, s0: State, t0: float, t1: float,
                          cfg: IntegratorConfig) -> RawSolution:
-    """solve_forced(pot, None, 0.0, [s0.x, s0.v], t0, t1, cfg), kept as a name
-    because perfbench/tracing.py wraps it; nothing in the package calls it."""
+    """solve_forced(pot, None, 0.0, [s0.x, s0.v], t0, t1, cfg), kept only
+    because perfbench/tracing.py wraps it by name: the package does not
+    export or call it."""
     return solve_forced(pot, None, 0.0, [s0.x, s0.v], t0, t1, cfg)
 
 
 def integrate_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
                      t0: float, t1: float, cfg: IntegratorConfig) -> RawSolution:
-    """solve_forced(pot, f, eps, [s0.x, s0.v], t0, t1, cfg), kept as a name
-    because perfbench/tracing.py wraps it; nothing in the package calls it."""
+    """solve_forced(pot, f, eps, [s0.x, s0.v], t0, t1, cfg), kept only
+    because perfbench/tracing.py wraps it by name: the package does not
+    export or call it."""
     return solve_forced(pot, f, eps, [s0.x, s0.v], t0, t1, cfg)
 
 

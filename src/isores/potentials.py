@@ -138,9 +138,15 @@ class PotentialSpec:
 
     def _check_domain(self, x):
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        if x.ndim:
+            finite = np.all(np.isfinite(x))
+            below = self.singular_left and np.any(x <= self.domain_left + DOMAIN_GUARD)
+        else:   # float comparisons: numpy's reductions over a 0-d array cost more than V
+            xf = float(x)
+            finite, below = math.isfinite(xf), xf <= self.domain_left + DOMAIN_GUARD
+        if not finite:
             raise DomainError(f"{self.kind}: non-finite evaluation point")
-        if self.singular_left and np.any(x <= self.domain_left + DOMAIN_GUARD):
+        if below:
             raise DomainError(
                 f"{self.kind}: x <= {self.domain_left} + {DOMAIN_GUARD} is outside the domain")
         return x

@@ -8,7 +8,7 @@ import pytest
 
 import isores as iso
 from isores.forcing import PiecewiseConst, TrigPoly, TWO_PI
-from isores.integrate import State, energy, integrate_autonomous, integrate_forced
+from isores.integrate import State, energy, solve_forced
 from isores.autonomous import (bouncing_limit_audit, dx_dI_rofe_beketov,
                                minimal_period, negative_semiperiod,
                                psi_solution)
@@ -67,7 +67,7 @@ def test_criterion_04_closed_form_cross_validation(pin, cfg):
     ts = np.linspace(0.0, TWO_PI, 1201)
     worst = 0.0
     for r in (0.5, 1.0, 5.0):
-        traj = integrate_autonomous(pin, State(r, 0.0), 0.0, TWO_PI, cfg)
+        traj = solve_forced(pin, None, 0.0, [r, 0.0], 0.0, TWO_PI, cfg)
         x, _ = traj.eval(ts)
         xc, _ = pinney_phi_closed(r, ts)
         vs = psi_solution(pin, r, cfg)
@@ -178,7 +178,8 @@ def test_criterion_11_periodic_solution_converse(pin, crafted_zero, cfg):
     seed = seed_from_phi_zero(pin, math.pi, action_star, cfg)
     res = find_periodic_solution(pin, forcing, 0.01, seed, cfg)
     assert res.converged and res.residual <= 1e-8
-    traj = integrate_forced(pin, forcing, 0.01, res.state, 0.0, 10 * TWO_PI, cfg)
+    traj = solve_forced(pin, forcing, 0.01, [res.state.x, res.state.v], 0.0, 10 * TWO_PI,
+                        cfg)
     drift = max(abs(traj.state(k * TWO_PI).x - res.state.x)
                 + abs(traj.state(k * TWO_PI).v - res.state.v)
                 for k in range(1, 11))
@@ -247,7 +248,7 @@ def test_criterion_14_energy_envelope_global(pin, diag_harm_sin, diag_pin_sin,
     f = PiecewiseConst(breakpoints=(0.0, math.pi / 2), values=(1.0, 4.0),
                        period=math.pi)
     eps = 0.02
-    traj = integrate_forced(pin, f, eps, State(1.0, 0.0), 0.0, 20 * TWO_PI, cfg)
+    traj = solve_forced(pin, f, eps, [1.0, 0.0], 0.0, 20 * TWO_PI, cfg)
     e0 = energy(pin, State(1.0, 0.0))
     for t in np.linspace(0.3, 20 * TWO_PI, 60):
         e = energy(pin, traj.state(t))

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 import isores as iso
 from isores.errors import ConfigError, DomainError, NumericsError
 from isores.forcing import TWO_PI
-from isores.integrate import IntegratorConfig, State, integrate_autonomous, solve_forced
+from isores.integrate import IntegratorConfig, State, solve_forced
 from isores.autonomous import (ActionAngle, action_of_amplitude,
                                amplitude_of_action, bouncing_limit_audit,
                                dx_dI_rofe_beketov, from_action_angle,
@@ -41,7 +41,7 @@ _BUILT_IN_IDS = ["pinney", "harmonic1", "harmonic2", "asymmetric"]
 def test_closed_form_cross_validation(pin, cfg):
     ts = np.linspace(0.0, TWO_PI, 1001)
     for r in (0.5, 1.0, 5.0):
-        traj = integrate_autonomous(pin, State(r, 0.0), 0.0, TWO_PI, cfg)
+        traj = solve_forced(pin, None, 0.0, [r, 0.0], 0.0, TWO_PI, cfg)
         x, v = traj.eval(ts)
         xc, vc = pinney_phi_closed(r, ts)
         assert np.max(np.abs(x - xc)) <= 1e-8

@@ -339,6 +339,16 @@ def test_the_runtime_never_loads_scipy():
     assert run.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
+@pytest.mark.parametrize("action", ["1e170", "1e-300"])
+def test_an_action_out_of_float_range_is_an_integration_error(action, capsys):
+    # the Rofe-Beketov system's first right-hand side overflows a float **
+    # (1e170) or divides by zero (1e-300): it escaped as a traceback
+    assert main(["limits-audit", "--I", action]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: integration failed: no starting step at t = 0.0 (")
+    assert err.count("\n") == 1
+
+
 def test_limits_audit_command(tmp_path, capsys):
     rc = main(["limits-audit", "--potential", "pinney", "--I", "100",
                "--out", str(tmp_path)])

@@ -7,9 +7,8 @@ import isores as iso
 from isores import dynamics
 from isores.errors import IntegrationError
 from isores.forcing import ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI
-from isores.integrate import IntegratorConfig, State, integrate_forced, solve_forced
-from isores.dynamics import (find_periodic_solution, resonance_run,
-                             seed_from_phi_zero, stroboscopic_map,
+from isores.integrate import IntegratorConfig, State, solve_forced
+from isores.dynamics import (find_periodic_solution, resonance_run, seed_from_phi_zero,
                              verdict_dict, write_diagnostics_csv)
 
 
@@ -335,18 +334,18 @@ def test_diagnostics_csv(diag_harm_sin, tmp_path):
 
 def test_strobo_identity_at_eps_zero(pin, sin_f, cfg):
     for s in (State(0.7, 0.2), State(1.5, -0.4), State(0.1, 0.05)):
-        out = stroboscopic_map(pin, sin_f, 0.0, s, cfg)
+        out = solve_forced(pin, sin_f, 0.0, [s.x, s.v], 0.0, TWO_PI, cfg).end_state()
         assert abs(out.x - s.x) + abs(out.v - s.v) < 1e-8
 
 
 def test_strobo_exact_periodic_solution(har, cos2_f, cfg):
     # x = -(eps/3) cos 2t with eps = 0.3 passes through (-0.1, 0)
-    out = stroboscopic_map(har, cos2_f, 0.3, State(-0.1, 0.0), cfg)
+    out = solve_forced(har, cos2_f, 0.3, [-0.1, 0.0], 0.0, TWO_PI, cfg).end_state()
     assert abs(out.x + 0.1) + abs(out.v) < 1e-8
 
 
 def test_strobo_moves_under_certified_forcing(pin, sin_f, cfg):
-    out = stroboscopic_map(pin, sin_f, 0.05, State(1.0, 0.0), cfg)
+    out = solve_forced(pin, sin_f, 0.05, [1.0, 0.0], 0.0, TWO_PI, cfg).end_state()
     assert abs(out.x - 1.0) + abs(out.v) > 1e-3
 
 
@@ -386,14 +385,16 @@ def test_finder_jacobian_matches_central_differences(pin, cfg):
     f = TrigPoly(a0=1.0, cos_coeffs=(2.0,))
     for s in (State(1.0, 0.0), State(0.5, 0.3)):
         g, jac = dynamics._newton_system(pin, f, 0.01, s, cfg)
-        m = stroboscopic_map(pin, f, 0.01, s, cfg)
+        m = solve_forced(pin, f, 0.01, [s.x, s.v], 0.0, TWO_PI, cfg).end_state()
         assert np.max(np.abs(g - [m.x - s.x, m.v - s.v])) <= 1e-9
         assert np.linalg.cond(jac) < 50
         for col in range(2):
             h = 1e-6 * (abs((s.x, s.v)[col]) + 1.0)
             dx, dv = (h, 0.0) if col == 0 else (0.0, h)
-            mp = stroboscopic_map(pin, f, 0.01, State(s.x + dx, s.v + dv), cfg)
-            mm = stroboscopic_map(pin, f, 0.01, State(s.x - dx, s.v - dv), cfg)
+            mp = solve_forced(pin, f, 0.01, [s.x + dx, s.v + dv], 0.0, TWO_PI,
+                              cfg).end_state()
+            mm = solve_forced(pin, f, 0.01, [s.x - dx, s.v - dv], 0.0, TWO_PI,
+                              cfg).end_state()
             fd = np.array([mp.x - mm.x - 2.0 * dx, mp.v - mm.v - 2.0 * dv]) / (2.0 * h)
             assert np.max(np.abs(jac[:, col] - fd)) <= 1e-8
 
@@ -428,7 +429,7 @@ def test_newton_solve_takes_the_period_maps_steps(case, cfg):
     if case in ("asymmetric-kink", "step"):
         assert two.stats["n_segments"] > 1       # restarts at a kink root or a break
     g, _ = dynamics._newton_system(pot, f, eps, State(x, v), cfg)
-    end = stroboscopic_map(pot, f, eps, State(x, v), cfg)
+    end = two.end_state()
     assert g.tolist() == [end.x - x, end.v - v]
 
 
@@ -440,7 +441,8 @@ def test_finder_crafted_zero(pin, crafted_zero, cfg):
     res = find_periodic_solution(pin, forcing, 0.01, seed, cfg)
     assert res.converged and res.residual <= 1e-8
     # re-integration closes period after period
-    traj = integrate_forced(pin, forcing, 0.01, res.state, 0.0, 10 * TWO_PI, cfg)
+    traj = solve_forced(pin, forcing, 0.01, [res.state.x, res.state.v], 0.0, 10 * TWO_PI,
+                        cfg)
     for k in range(1, 11):
         s = traj.state(k * TWO_PI)
         assert abs(s.x - res.state.x) + abs(s.v - res.state.v) <= \
