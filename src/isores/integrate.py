@@ -578,7 +578,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
                 f = at(ta, y)
                 h_abs = _initial_step(at, ta, y, f, tb - ta, cfg, 2 if tangent else n)
             except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
-                fail(f"integration failed: no starting step at t = {ta} ({exc})")
+                fail(f"integration failed: no starting step at t = {ta} ({exc.args[-1]})")
             if not math.isfinite(h_abs):       # system is not finite at (ta, y) or near it
                 fail(f"integration failed: no starting step at t = {ta} (h = {h_abs})")
             try:
@@ -587,7 +587,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
                     n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, hs, ks)
             except (OverflowError, ZeroDivisionError) as exc:
                 n_steps = len(ts) - 1   # run's step count is lost with it: count its knots
-                fail(f"integration failed: a step from t = {ts[-1]} ({exc})")
+                fail(f"integration failed: a step from t = {ts[-1]} ({exc.args[-1]})")
             if why == "min_step":
                 fail("integration failed: Required step size is less than spacing "
                      "between numbers.")

@@ -13,6 +13,10 @@ import isores
 from isores.cli import main, parse_forcing, parse_potential
 from isores.errors import ConfigError
 
+# a fresh interpreter's environment, importing the isores these tests import
+_SOURCE_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(isores.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+
 
 def test_parse_forcing_shorthand():
     f = parse_forcing("sin")
@@ -216,7 +220,7 @@ def test_acw_command(tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "acw_orbit.csv").read_text().splitlines()
     assert lines[-1].split(",")[1] == "1024"
-    # the numeric cross-check of the map, held to the bound CI holds it to
+    # the numeric cross-check of the map against the closed form, to 1e-10
     assert json.loads(capsys.readouterr().out)["numeric_check_max_err"] <= 1e-10
 
 
@@ -330,23 +334,22 @@ def test_the_runtime_never_loads_scipy():
     # a scan, a period read from crossings (brentq in integrate), a Newton
     # solve seeded through inverse_V (brentq in potentials) and a
     # forced run, all in a fresh interpreter
-    src = str(Path(isores.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", _COMMANDS_WITHOUT_SCIPY],
-                         capture_output=True, text=True, env=env, timeout=300)
+                         capture_output=True, text=True, env=_SOURCE_ENV, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
-@pytest.mark.parametrize("action", ["1e170", "1e-300"])
-def test_an_action_out_of_float_range_is_an_integration_error(action, capsys):
+@pytest.mark.parametrize("action, why", [("1e170", "Numerical result out of range"),
+                                          ("1e-300", "float division by zero")],
+                         ids=["1e170", "1e-300"])
+def test_an_action_out_of_float_range_is_an_integration_error(action, why, capsys):
     # the Rofe-Beketov system's first right-hand side overflows a float **
-    # (1e170) or divides by zero (1e-300): it escaped as a traceback
+    # (1e170) or divides by zero (1e-300): it escaped as a traceback, and the
+    # overflow's (errno, text) pair was printed in a second pair of parentheses
     assert main(["limits-audit", "--I", action]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: integration failed: no starting step at t = 0.0 (")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"error: integration failed: no starting step at t = 0.0 ({why})\n")
 
 
 def test_limits_audit_command(tmp_path, capsys):
@@ -524,24 +527,49 @@ def test_missing_required_parameter():
                  "--forcing", "sin"]) == 1
 
 
-@pytest.mark.parametrize("argv, message", [
+def _isores(argv, capsys, timeout=None):
+    """(exit code, stderr) of `isores argv`: run in process, or, given a
+    timeout in seconds, in a fresh interpreter killed past it (a hang fails
+    the test instead of stalling the suite)."""
+    if timeout is None:
+        code = main(argv)
+        return code, capsys.readouterr().err
+    run = subprocess.run([sys.executable, "-m", "isores.cli", *argv], capture_output=True,
+                         text=True, env=_SOURCE_ENV, timeout=timeout)
+    return run.returncode, run.stderr
+
+
+@pytest.mark.parametrize("argv, message, timeout", [
     (["phi-scan", "--potential", "pinney", "--forcing", "sin", "--bogus", "1"],
-     "unrecognized arguments: --bogus"),
+     "unrecognized arguments: --bogus", None),
     (["phi-scan", "--potential", "pinney", "--forcing", "sin", "--r-points", "abc"],
-     "r_points: invalid literal"),
-    (["period-audit", "--potential", "pinney", "--r", "one"], "r: could not convert"),
-    ([], "required"),
+     "r_points: invalid literal", None),
+    (["period-audit", "--potential", "pinney", "--r", "one"], "r: could not convert", None),
+    ([], "required", None),
     (["periodic-find", "--potential", "pinney", "--forcing", "1+2*cos", "--eps", "0.01",
-      "--zero-theta", "3.141592653589793"], "zero_theta, zero_action: give both or neither"),
+      "--zero-theta", "3.141592653589793"], "zero_theta, zero_action: give both or neither",
+     None),
     (["periodic-find", "--potential", "pinney", "--forcing", "1+2*cos", "--eps", "0.01",
-      "--zero-action", "0.337"], "zero_theta, zero_action: give both or neither"),
+      "--zero-action", "0.337"], "zero_theta, zero_action: give both or neither", None),
+    (["phi-scan", "--potential", "pinney", "--forcing", '{"kind":"trig","a":"12"}'],
+     "error: forcing.a: must be an array, not str", None),
+    (["resonance-run", "--potential", "harmonic:1", "--forcing", "sin", "--eps", "0.05",
+      "--periods", "10", "--v0", "nan"], "must be finite", 60),
+    (["phi-scan", "--potential", "pinney", "--forcing",
+      '{"kind":"piecewise","breaks":[0],"values":[1],"period":1e-300}'],
+     "error: forcing.period: 2*pi/period must be at most 1024", 30),
 ], ids=["unknown-flag", "malformed-int", "malformed-repeated", "no-command",
-        "half-phi-zero-theta", "half-phi-zero-action"])
-def test_usage_errors_exit_1(argv, message, capsys):
+        "half-phi-zero-theta", "half-phi-zero-action", "descriptor-array-as-string",
+        "non-finite-start", "step-of-a-tiny-period"])
+def test_usage_errors_exit_1(argv, message, timeout, capsys):
     # argparse exited 2, the code of a negative result; half a Phi-zero seed
-    # fell back to (x0, v0), and Newton's failure there exited 2 too
-    assert main(argv) == 1
-    assert message in capsys.readouterr().err
+    # fell back to (x0, v0), and Newton's failure there exited 2 too; "a":
+    # "12" was split into characters and scanned cos t + 2 cos 2t (exit 0).
+    # Two hung: v0 = nan made the starting step nan and every step was
+    # rejected, and a step of period 1e-300 tiled its breaks 6.3e300 times
+    code, err = _isores(argv, capsys, timeout)
+    assert code == 1
+    assert message in err
 
 
 def test_half_phi_zero_seed_from_config_file_is_a_usage_error(tmp_path, capsys):
@@ -588,6 +616,14 @@ _VALID = {
     "limits-audit": ["--potential", "harmonic:1", "--I", "10"],
     "fourier-constants": ["--r", "1"],
 }
+
+
+@pytest.mark.parametrize("command", list(_VALID))
+def test_every_command_prints_its_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: isores {command} [-h]")
+
+
 _REMOVED_FLAGS = ([(command, ["--seedless"]) for command in _VALID]
                   + [(command, ["--format", "json"]) for command in
                      ("phi-scan", "resonance-run", "acw", "periodic-find")]
@@ -670,3 +706,150 @@ def test_limits_audit_delta_and_x_are_checked_by_name(argv, message, capsys):
     # failed with "pinney: non-finite evaluation point"
     assert main(["limits-audit", "--potential", "pinney", "--I", "100", *argv]) == 1
     assert message in capsys.readouterr().err
+
+
+# -- results and files of whole commands: one row a case ---------------------------------
+
+def _ends_on_the_exact_solution(bound):
+    # x'' + x = 0.05 sin t from rest is x = 0.025 (sin t - t cos t): after 200
+    # periods x = -0.05 pi 200 and x' = 0
+    def check(verdict):
+        err = max(abs(verdict["final_x"] + 0.05 * math.pi * 200), abs(verdict["final_v"]))
+        assert err <= bound, err
+    return check
+
+
+def _grows_in_full(verdict):
+    assert verdict["verdict"] == "growing" and verdict["partial"] is False, verdict
+
+
+_FORCED_200 = ["resonance-run", "--forcing", "sin", "--eps", "0.05", "--periods", "200"]
+_STEP_4 = '{"kind":"piecewise","breaks":[0.3,1.9,3.4,5.0],"values":[0.7,-0.4,0.9,-0.8]}'
+_SAMPLED_5 = '{"kind":"sampled","values":[0.2,1.0,-0.5,0.3,-0.9]}'
+_ASYMMETRIC = "asymmetric:4:0.4444444444444444"
+
+
+@pytest.mark.parametrize("argv, code, check, timeout", [
+    # harmonic:1 reads its closed-form table, whose period map is an exact
+    # translation (a chain of closed-form windows was 2.5e-13 off)
+    ([*_FORCED_200, "--potential", "harmonic:1"], 0, _ends_on_the_exact_solution(1e-13),
+     None),
+    # the same equation on a centre that declares no flow: the DOP853 loop
+    # on a linear centre (2.3e-8 off at rtol 1e-11)
+    ([*_FORCED_200, "--potential", "asymmetric:1:1"], 0, _ends_on_the_exact_solution(2.5e-7),
+     None),
+    # a step's or sampled forcing's piece is read once per span, a path no
+    # benchmark workload runs; both runs grow, and a slow one is killed
+    (["resonance-run", "--potential", "pinney", "--eps", "0.05", "--periods", "200",
+      "--x0", "1", "--forcing", _STEP_4], 0, _grows_in_full, 60),
+    (["resonance-run", "--potential", "pinney", "--eps", "0.05", "--periods", "200",
+      "--x0", "1", "--forcing", _SAMPLED_5], 0, _grows_in_full, 60),
+    # x = v = 0 on the asymmetric kink never moves: bounded, where a loop
+    # that restarted at every step never returned
+    (["resonance-run", "--potential", _ASYMMETRIC, "--forcing", "sin", "--eps", "0",
+      "--periods", "10"], 2, None, 30),
+], ids=["harmonic-exact", "undeclared-linear-centre-exact", "pinney-step-grows",
+        "pinney-sampled-grows", "rest-point-on-the-kink"])
+def test_scientific_results_set_the_exit_code(argv, code, check, timeout, tmp_path, capsys):
+    assert _isores([*argv, "--out", str(tmp_path)], capsys, timeout) == (code, "")
+    if check is not None:
+        check(json.loads((tmp_path / "verdict.json").read_text()))
+
+
+def _csv_rows(path):
+    """The header and the cells of a CSV file, read without the writer."""
+    header, *rows = path.read_text().splitlines()
+    return header, [line.split(",") for line in rows]
+
+
+def _min_abs_is_the_verdict_modulus(out, at_infinity=False):
+    # min_modulus is the smallest abs of the table the CSV prints, the r = -1
+    # block included
+    _, rows = _csv_rows(out / "phi_field.csv")
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert min(float(row[4]) for row in rows) == verdict["min_modulus"], verdict
+    assert (verdict["argmin_r"] == "inf") == at_infinity, verdict
+
+
+def _cells_print_as_themselves(out, columns):
+    # every cell is the "%.17g" of its own float, and the infinity slice
+    # (r = -1), where there is one, is the last block
+    header, rows = _csv_rows(out / "phi_field.csv")
+    assert header == "theta,r,re,im,abs"
+    assert len(rows) == 256 * columns
+    bad = [c for row in rows for c in row if c != "%.17g" % float(c)]
+    assert not bad, bad[:5]
+    r = [row[1] for row in rows]
+    assert "-1" not in r[:-256]
+    return rows
+
+
+def _homogeneous_cells(out):
+    # every r of an asymmetric centre shares one profile, so the writer
+    # formats one column: the abs column holds no more strings than its rows
+    rows = _cells_print_as_themselves(out, 60)
+    assert len({row[4] for row in rows}) <= 256
+
+
+def _pinney_step_cells(out):
+    # no r column of a Pinney step scan repeats the one before
+    rows = _cells_print_as_themselves(out, 61)
+    assert [row[1] for row in rows[-256:]] == ["-1"] * 256
+
+
+def _small_step_scan_cells(out):
+    # each column holds the floats of the table of its amplitude alone, which
+    # eval_phi reads at one theta; eval_phi's Carlson loop runs on that
+    # theta's points only, so it may stop a step earlier, 6e-17 off
+    import isores.phi
+    from isores import IntegratorConfig, PiecewiseConst, pinney
+    pot, cfg = pinney(), IntegratorConfig()
+    f = PiecewiseConst((0.3, 1.9, 3.4, 5.0), (0.7, -0.4, 0.9, -0.8))
+    _, rows = _csv_rows(out / "phi_field.csv")
+    assert len(rows) == 7 * 14
+    theta = np.array([float(row[0]) for row in rows[:7]])
+    for k in range(14):
+        block = rows[7 * k:7 * k + 7]
+        r = float(block[0][1])
+        r = math.inf if r == -1 else r
+        alone = isores.phi._phi_table(pot, f, theta, [r], cfg)[:, 0]
+        for row, th, z in zip(block, theta, alone):
+            assert row[2:4] == ["%.17g" % z.real, "%.17g" % z.imag], (row, z)
+            e = isores.phi.eval_phi(pot, f, th, r, cfg)
+            assert max(abs(e.real - z.real), abs(e.imag - z.imag)) <= 1e-15, (row, e)
+
+
+def _a_fixed_point_of_its_map(out):
+    # Newton's tangent solve takes the steps of the 2-component period map,
+    # so one solve_forced period from the reported (x, v) gives the reported
+    # residual to the bit ('1+2*cos' is a0 = 1, a1 = 2)
+    from isores import IntegratorConfig, TrigPoly, pinney, solve_forced
+    r = json.loads((out / "periodic.json").read_text())
+    end = solve_forced(pinney(), TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01, [r["x"], r["v"]],
+                       0.0, 2 * math.pi, IntegratorConfig()).ys[-1]
+    res = float(np.linalg.norm(end - [r["x"], r["v"]]))
+    assert res == r["residual"] and res <= 1e-10, (res, r)
+
+
+@pytest.mark.parametrize("argv, check", [
+    # no benchmark workload takes phi's knot-table path (a sloped forcing,
+    # such as a sampled one, or a custom centre)
+    (["phi-scan", "--potential", _ASYMMETRIC, "--forcing", _SAMPLED_5],
+     _min_abs_is_the_verdict_modulus),
+    # the minimum lies on the r = inf slice, the scan's last column
+    (["phi-scan", "--potential", "pinney", "--theta-points", "64", "--r-points", "20",
+      "--forcing", '{"kind":"trig","a0":0.2349050409322333,"a":[-0.7466015348994606],'
+                   '"b":[-0.9964502755949307]}'],
+     lambda out: _min_abs_is_the_verdict_modulus(out, at_infinity=True)),
+    (["phi-scan", "--potential", _ASYMMETRIC, "--forcing", "sin"], _homogeneous_cells),
+    (["phi-scan", "--potential", "pinney", "--forcing", _STEP_4], _pinney_step_cells),
+    (["phi-scan", "--potential", "pinney", "--forcing", _STEP_4, "--theta-points", "7",
+      "--r-points", "13"], _small_step_scan_cells),
+    (["periodic-find", "--potential", "pinney", "--forcing", "1+2*cos", "--eps", "0.01",
+      "--zero-theta", "3.141592653589793", "--zero-action", "0.337"],
+     _a_fixed_point_of_its_map),
+], ids=["sampled-scan-min-modulus", "min-modulus-at-r-inf", "homogeneous-scan-cells",
+        "pinney-step-scan-cells", "small-step-scan-cells", "periodic-orbit-is-fixed"])
+def test_the_files_a_command_writes(argv, check, tmp_path):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    check(tmp_path)

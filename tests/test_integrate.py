@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,34 @@ def test_kept_wrappers_are_solve_forced_bit_for_bit(pin, cfg, name):
     for part in ("ts", "ys", "h", "coef"):
         assert np.array_equal(getattr(raw, part), getattr(ref, part))
     assert raw.stats == ref.stats and raw.end_state() == ref.end_state()
+
+
+def test_kept_wrappers_are_named_nowhere_else():
+    # the wrappers are the module-level functions of src/ kept for the tracer;
+    # src/ and tests/, comments included, name them only in their own def
+    # lines and in the body of the test that pins them to solve_forced
+    root = Path(__file__).resolve().parents[1]
+    files = [path for top in ("src", "tests") for path in sorted((root / top).rglob("*"))
+             if path.is_file() and "__pycache__" not in path.parts]
+    allowed, wrappers = set(), []
+    for path in files:
+        if path.suffix != ".py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if "perfbench/tracing.py wraps it by name" in (ast.get_docstring(node) or ""):
+                wrappers.append(node.name)
+                allowed.add((path, node.lineno))
+            if node.name == "test_kept_wrappers_are_solve_forced_bit_for_bit":
+                allowed.update((path, n) for n in range(node.lineno + 1, node.end_lineno + 1))
+    assert len(wrappers) == 3, wrappers
+    word = re.compile(r"\b(%s)\b" % "|".join(wrappers))
+    named = [f"{path.relative_to(root)}:{n}: {line.strip()}" for path in files
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if word.search(line) and (path, n) not in allowed]
+    assert not named, named
 
 
 def test_the_package_exports_the_solve_it_runs():

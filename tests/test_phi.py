@@ -490,6 +490,7 @@ def test_step_and_sampled_scans_cost(monkeypatch, pin, cfg, f, pieces):
     assert len(f.pieces[0]) == pieces and points == []
 
 
+# the 4-piece step forcing of the command-line step scans in test_cli.py
 STEP_4 = PiecewiseConst((0.3, 1.9, 3.4, 5.0), (0.7, -0.4, 0.9, -0.8))
 STEP_3 = PiecewiseConst((0.0, 1.0, 3.0), (1.0, -0.5, 0.25))
 
@@ -961,7 +962,6 @@ def _row_by_row_csv(field):
     return ("\n".join(lines) + "\n").encode()
 
 
-# the 4-piece step forcing of the CI's step scans
 def test_phi_csv_bytes_match_row_writer(pin, sin_f, cfg, tmp_path):
     from isores.phi import PhiField
     base = phi_scan(pin, sin_f, 8, [0.0, 1.0, 50.0], cfg)
