@@ -210,9 +210,10 @@ def from_action_angle(pot: PotentialSpec, aa: ActionAngle,
 # ---------------------------------------------------------------------------
 # Rofe-Beketov derivative with respect to the action
 
-# The Rofe-Beketov integrand (1 - V''(x)) (xdot^2 - xddot^2) / (xdot^2 + xddot^2)^2
-# as forced_system's extra line: the system over (x, v, its integral)
-ROFE_BEKETOV = "(1.0 - d2v) * (s_1 * s_1 - r_1 * r_1) / (s_1 * s_1 + r_1 * r_1) ** 2"
+# The Rofe-Beketov integrand (1 - V''(x)) ((xdot^2 - xddot^2) / q) / q, q = xdot^2 + xddot^2,
+# as forced_system's extra line over (x, v, its integral): q^2 overflows from I ~ 1e154
+ROFE_BEKETOV = ("(1.0 - d2v) * ((s_1 * s_1 - r_1 * r_1) / (s_1 * s_1 + r_1 * r_1)"
+                " / (s_1 * s_1 + r_1 * r_1))")
 
 
 def _rofe_raw(pot: PotentialSpec, r: float, t_max: float, cfg: IntegratorConfig):

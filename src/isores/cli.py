@@ -126,9 +126,8 @@ def cmd_phi_scan(p):
 
 
 def cmd_resonance_run(p):
-    cfg = IntegratorConfig(p.rel_tol, p.abs_tol)
     diag = dynamics.resonance_run(p.potential, p.forcing, p.eps, State(p.x0, p.v0),
-                                  p.periods, cfg)
+                                  p.periods, p.cfg)
     if diag.partial:        # stderr: the artifacts keep no stop_reason
         print(f"partial run: {diag.stop_reason}", file=sys.stderr)
     if p.out is not None:
@@ -139,7 +138,6 @@ def cmd_resonance_run(p):
 
 
 def cmd_acw(p):
-    cfg = IntegratorConfig(p.rel_tol, p.abs_tol)
     s0 = acw_mod.AcwState(p.x0, p.y0)
     orbit = acw_mod.acw_orbit(p.c, s0, p.steps)
     if p.out is not None:
@@ -148,28 +146,26 @@ def cmd_acw(p):
                "y_final": orbit[-1].y,
                "first_integral": acw_mod.acw_first_integral(orbit[-1])}
     if p.check:
-        chk = acw_mod.acw_numeric_check(p.c, s0, cfg)
+        chk = acw_mod.acw_numeric_check(p.c, s0, p.cfg)
         summary["numeric_check_max_err"] = chk.max_err
     return summary, 0
 
 
 def cmd_period_audit(p):
-    cfg = IntegratorConfig(p.rel_tol, p.abs_tol)
-    rows = [(r, autonomous.minimal_period(p.potential, r, cfg)) for r in p.r]
+    rows = [(r, autonomous.minimal_period(p.potential, r, p.cfg)) for r in p.r]
     if p.out is not None:
         _write_table(p.out, "periods", ["r", "period"], rows, p.format)
     return {"periods": _json_rows(["r", "period"], rows)}, 0
 
 
 def cmd_periodic_find(p):
-    cfg = IntegratorConfig(p.rel_tol, p.abs_tol)
     if (p.zero_theta is None) != (p.zero_action is None):
         raise ConfigError("zero_theta, zero_action: give both or neither")
     if p.zero_theta is not None:
-        seed = dynamics.seed_from_phi_zero(p.potential, p.zero_theta, p.zero_action, cfg)
+        seed = dynamics.seed_from_phi_zero(p.potential, p.zero_theta, p.zero_action, p.cfg)
     else:
         seed = State(p.x0, p.v0)
-    result = dynamics.find_periodic_solution(p.potential, p.forcing, p.eps, seed, cfg)
+    result = dynamics.find_periodic_solution(p.potential, p.forcing, p.eps, seed, p.cfg)
     payload = {"converged": result.converged, "x": result.state.x,
                "v": result.state.v, "residual": result.residual,
                "iterations": result.iterations, "message": result.message}
@@ -179,8 +175,7 @@ def cmd_periodic_find(p):
 
 
 def cmd_limits_audit(p):
-    cfg = IntegratorConfig(p.rel_tol, p.abs_tol)
-    records = autonomous.bouncing_limit_audit(p.potential, p.I, cfg, delta=p.delta)
+    records = autonomous.bouncing_limit_audit(p.potential, p.I, p.cfg, delta=p.delta)
     header = ["I", "sup_x_defect", "sup_dxdI_defect", "dxdI_at_0"]
     rows = [(rec.action, rec.sup_x_defect, rec.sup_dxdI_defect, rec.dxdI_at_0)
             for rec in records]
@@ -326,6 +321,8 @@ def _resolve(args):
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"{name}: {exc}") from None
         values[name] = value
+    if "rel_tol" in values:         # _TOLERANCES: the command's one IntegratorConfig
+        values["cfg"] = IntegratorConfig(values.pop("rel_tol"), values.pop("abs_tol"))
     return argparse.Namespace(**values)
 
 

@@ -17,11 +17,11 @@ else (a sloped p, or a custom center) one quadrature per column between all
 the starts.  So a harmonic or asymmetric scan with a trigonometric or step p
 makes no quadrature and solves no ODE.  The winding walk reads a table a
 side and a point a halving: 4 tables in 6 ms on a 256 x 60 Pinney step
-scan, where a table a node took 0.33 s (2-core x86 VM).  The Pinney Psi
-stops Carlson's loop for a row when all of it has converged, so there a
-point or a side may differ from the scan's node by a few ulp: 213 of the
-256 nodes at r = 0.961, by at most 6.2e-17.  The CSV (write_phi_csv)
-formats the theta grid, each r and each distinct column once.
+scan, where a table a node took 0.33 s (2-core x86 VM).  Sums over pieces
+run in order (np.einsum: a matmul's BLAS kernel, which the table's shape
+picks, may not), so a point or a side is its scan node bit for bit from c_m
+or a declared Psi, and to the tolerance of a quadrature column (a sloped p,
+a custom center).  The CSV formats each theta, r and column once.
 """
 
 from __future__ import annotations
@@ -47,13 +47,12 @@ def _knots(points):
 
 @functools.lru_cache(maxsize=64)
 def _profile(pot: PotentialSpec, r: float, cfg: IntegratorConfig):
-    """(psi(., r), extra split points for its quadratures, the center's
-    Psi(t, rs) or None): the profile the center declares, else the
-    integrated variational solution.  Cached, so that every table of one
-    field (phi_scan's, eval_phi's and winding_number's) builds it once."""
+    """(psi(., r), extra split points for its quadratures): the declared
+    profile, else the integrated variational solution.  Cached, so that every
+    table of one field (phi_scan's, eval_phi's, winding_number's) builds it once."""
     if pot.profile is not None:
         return pot.profile(r)
-    return psi_solution(pot, r, cfg).psi, (), None
+    return psi_solution(pot, r, cfg).psi, ()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -65,7 +64,7 @@ def _psi_fourier(pot: PotentialSpec, r: float, kmax: int,
     custom)."""
     if pot.fourier is not None:
         return pot.fourier(r, kmax)
-    psi, extra, _ = _profile(pot, r, cfg)
+    psi, extra = _profile(pot, r, cfg)
     m = np.arange(-kmax, kmax + 1)
     g = lambda t, k: psi(t) * np.exp(-1j * m[k] * t)
     knots = _knots(extra)
@@ -100,10 +99,10 @@ def _phi_table(pot: PotentialSpec, f: ForcingTerm, theta, amplitudes,
     sums int psi and int (t - a) psi between the shifted starts, reduced to
     x_j = s_j + theta mod 2pi, which, with the pieces that wrap past 2pi, are
     found once for all columns.  One differencing step (_differences) serves
-    both sources of Psi = int_0 psi.  With every m_j = 0 and a closed-form
-    Psi, one call of the declared Psi(t, rs) reads it at the starts and at
-    2pi, a row a profile; else each profile takes one quadrature between all
-    the starts (_phi_quadrature)."""
+    both sources of Psi = int_0 psi.  With every m_j = 0 and a declared Psi,
+    one call of pot.antiderivative reads it at the starts and at 2pi, a row a
+    profile; else each profile takes one quadrature between all the starts
+    (_phi_quadrature)."""
     theta = np.asarray(theta, dtype=float)
     keys = [profile_amplitude(pot, float(r)) for r in amplitudes]
     column = {k: j for j, k in enumerate(dict.fromkeys(keys))}
@@ -119,14 +118,13 @@ def _phi_table(pot: PotentialSpec, f: ForcingTerm, theta, amplitudes,
         s, value, slope = map(np.asarray, f.pieces)
         x = np.mod(s[None, :] + theta[:, None], TWO_PI)    # piece starts of p(t - theta)
         wrap = np.roll(x, -1, axis=1) <= x                 # the pieces that cross 2*pi
-        antiderivative = _profile(pot, keys[0], cfg)[2]
-        if antiderivative is None or np.any(slope):
-            table = np.column_stack([_phi_quadrature(*_profile(pot, r, cfg)[:2], x, wrap,
+        if pot.antiderivative is None or np.any(slope):
+            table = np.column_stack([_phi_quadrature(*_profile(pot, r, cfg), x, wrap,
                                                      value, slope) for r in column])
         else:                                          # and at 2*pi, a row a profile
-            at = antiderivative(np.append(x, TWO_PI), np.array(list(column)))
+            at = pot.antiderivative(np.append(x, TWO_PI), np.array(list(column)))
             df = _differences(at[:, :-1].reshape(len(column), *x.shape), at[:, -1:, None], wrap)
-            table = (df @ value).T / TWO_PI
+            table = np.einsum("...j,j->...", df, value).T / TWO_PI
     return np.take(table, [column[k] for k in keys], axis=1)
 
 
@@ -153,13 +151,13 @@ def _phi_quadrature(psi, extra, x, wrap, value, slope):
     f_knot = np.concatenate([[0.0], np.cumsum(quad[:n])])
     f_at = f_knot[at]
     df = _differences(f_at, f_knot[-1], wrap)
-    phi = df @ value
+    phi = np.einsum("...j,j->...", df, value)
     if sloped:                                  # int (t - x) psi via int t psi
         t_knot = np.concatenate([[0.0], np.cumsum(quad[n:] + a[:n] * quad[:n])])
         t_at = t_knot[at]
         moment = (np.roll(t_at, -1, axis=1) - t_at - x * df
                   + wrap * (t_knot[-1] + TWO_PI * np.roll(f_at, -1, axis=1)))
-        phi = phi + moment @ slope
+        phi = phi + np.einsum("...j,j->...", moment, slope)
     return phi / TWO_PI
 
 

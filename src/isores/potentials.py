@@ -97,15 +97,16 @@ class PotentialSpec:
     evaluate it; a custom potential's text calls its _dv and _d2v on the
     Python float x and takes each result as a float.  Closed forms, where
     declared: ``profile`` maps 0 <= r <= inf to (psi(., r), split points
-    for its quadratures, Psi or None), or if ``homogeneous`` (x(t; r) = r
-    x(t; 1)) every finite r to one profile.  Psi is the centre's, the same
-    for every r: Psi(t, rs) = int_0^t psi(s, r) ds for each r of a 1-D array
-    rs, a row each of the shape of t, so that a table reads Psi at all its
-    amplitudes in one call (phi._phi_table).  ``orbit`` maps (r, t) to
-    (x, v) at times t in [0, 2*pi] on the orbit through (r, 0), for finite r
-    > 0 (autonomous._orbit).  ``fourier`` maps (r,
-    m_max) to the c_m(r) = (1/2pi) int_0^2pi psi(t, r) e^{-imt} dt of that
-    profile, m = -m_max..m_max; ``t_minus`` maps I to T-.  ``forced_flow``
+    for its quadratures), or if ``homogeneous`` (x(t; r) = r x(t; 1)) every
+    finite r to one profile.  ``antiderivative`` maps (t, rs) to Psi(t, r) =
+    int_0^t psi(s, r) ds, a row of t's shape for each r of a 1-D array rs,
+    so that a Phi table reads all its amplitudes in one call.  ``orbit`` maps
+    (r, t) to (x, v) at times t in [0, 2*pi] on the orbit through (r, 0), for
+    finite r > 0 (autonomous._orbit).  ``fourier`` maps (r, m_max) to the
+    c_m(r) = (1/2pi) int_0^2pi psi(t, r) e^{-imt} dt of that profile, m =
+    -m_max..m_max; ``t_minus`` maps I to T-.  From a declared Psi or c_m,
+    phi's Phi at a point is its scan node bit for bit; a quadrature of psi (a
+    sloped p, a custom centre) agrees to its tolerance.  ``forced_flow``
     maps (p, eps, state, tau) to the exact flow of x'' = -V'(x) + eps p(t)
     from state at t = 0 as a table over whole periods, or to None where it
     has no closed form for that p: windows(k0, k1) -> (x, v), each of shape
@@ -126,6 +127,7 @@ class PotentialSpec:
     scalar: tuple
     kink_at_zero: bool = False
     profile: callable | None = None
+    antiderivative: callable | None = None
     orbit: callable | None = None
     fourier: callable | None = None
     homogeneous: bool = False
@@ -408,7 +410,7 @@ def _arc_integral(arcs, t, k):
 def _sinusoid_chain(w, mu):
     """The closed forms of V = (w^2 (x+)^2 + mu^2 (x-)^2)/2, as fields of its
     _declared call: every finite r shares one profile (psi split at the
-    kinks, and Psi) and one set of c_m, all read from the arc table, which
+    kinks), one Psi and one set of c_m, all read from the arc table, which
     the first read builds; the orbit r X = r Re psi, r X' = -r w^2 Im psi;
     and T- = pi/mu, its x < 0 arc, at every action."""
     def orbit(r, t):
@@ -416,14 +418,16 @@ def _sinusoid_chain(w, mu):
         return r * psi.real, -r * w * w * psi.imag
 
     def profile(r):
-        arcs = _arc_table(w, mu)
-        return (functools.partial(asymmetric_psi_closed, w, mu), tuple(arcs[1:, 0].tolist()),
-                lambda t, rs: np.broadcast_to(_arc_integral(arcs, t, 0), (len(rs), *np.shape(t))))
+        return (functools.partial(asymmetric_psi_closed, w, mu),
+                tuple(_arc_table(w, mu)[1:, 0].tolist()))
+
+    def antiderivative(t, rs):
+        return np.broadcast_to(_arc_integral(_arc_table(w, mu), t, 0), (len(rs), *np.shape(t)))
 
     def fourier(r, m_max):
         return _arc_integral(_arc_table(w, mu), TWO_PI, np.arange(-m_max, m_max + 1)) / TWO_PI
-    return {"homogeneous": True, "profile": profile, "orbit": orbit, "fourier": fourier,
-            "t_minus": lambda i: math.pi / mu}
+    return {"homogeneous": True, "profile": profile, "antiderivative": antiderivative,
+            "orbit": orbit, "fourier": fourier, "t_minus": lambda i: math.pi / mu}
 
 
 def _harmonic_forced_flow(n, f, eps, state, tau):
@@ -506,8 +510,8 @@ def pinney() -> PotentialSpec:
                      "0.25 * ((x + 1.0) - (x + 1.0) ** -3)",
                      "0.25 + 0.75 * (x + 1.0) ** -4", {},
                      profile=lambda r: (functools.partial(pinney_psi_closed, r),
-                                        _pinney_layer_points(r),
-                                        lambda t, rs: pinney_psi_antiderivative(rs, t)),
+                                        _pinney_layer_points(r)),
+                     antiderivative=lambda t, rs: pinney_psi_antiderivative(rs, t),
                      orbit=pinney_phi_closed,
                      t_minus=lambda i: 4.0 * math.asin(1.0 / math.sqrt(
                          4.0 * i + 1.0 + math.sqrt(8.0 * i * (1.0 + 2.0 * i)) + 1.0)))

@@ -340,13 +340,14 @@ def test_the_runtime_never_loads_scipy():
     assert run.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
-@pytest.mark.parametrize("action, why", [("1e170", "Numerical result out of range"),
+@pytest.mark.parametrize("action, why", [("1e300", "Numerical result out of range"),
                                           ("1e-300", "float division by zero")],
-                         ids=["1e170", "1e-300"])
+                         ids=["1e300", "1e-300"])
 def test_an_action_out_of_float_range_is_an_integration_error(action, why, capsys):
-    # the Rofe-Beketov system's first right-hand side overflows a float **
-    # (1e170) or divides by zero (1e-300): it escaped as a traceback, and the
-    # overflow's (errno, text) pair was printed in a second pair of parentheses
+    # the Rofe-Beketov solve's starting-step rule overflows a float ** (1e300)
+    # or its first right-hand side divides by zero (1e-300): it escaped as a
+    # traceback, and the overflow's (errno, text) pair was printed in a second
+    # pair of parentheses
     assert main(["limits-audit", "--I", action]) == 1
     assert capsys.readouterr().err == (
         f"error: integration failed: no starting step at t = 0.0 ({why})\n")
@@ -748,8 +749,13 @@ _ASYMMETRIC = "asymmetric:4:0.4444444444444444"
     # that restarted at every step never returned
     (["resonance-run", "--potential", _ASYMMETRIC, "--forcing", "sin", "--eps", "0",
       "--periods", "10"], 2, None, 30),
+    # the Rofe-Beketov integrand squared xdot^2 + xddot^2, which overflowed
+    # from an action of about 1e154 though the quotient is small: exit 1 with
+    # "no starting step"
+    *((["limits-audit", "--I", action], 0, None, None) for action in ("1e155", "1e200", "1e250")),
 ], ids=["harmonic-exact", "undeclared-linear-centre-exact", "pinney-step-grows",
-        "pinney-sampled-grows", "rest-point-on-the-kink"])
+        "pinney-sampled-grows", "rest-point-on-the-kink", "limits-audit-1e155",
+        "limits-audit-1e200", "limits-audit-1e250"])
 def test_scientific_results_set_the_exit_code(argv, code, check, timeout, tmp_path, capsys):
     assert _isores([*argv, "--out", str(tmp_path)], capsys, timeout) == (code, "")
     if check is not None:

@@ -792,8 +792,8 @@ def _closure_rhs(pot, f, eps, n):
             return (y[1], acc)
         a = float(pot._d2v(x))
         if n == 3:
-            return (y[1], acc, (1.0 - a) * (y[1] * y[1] - acc * acc)
-                    / (y[1] * y[1] + acc * acc) ** 2)
+            q = y[1] * y[1] + acc * acc
+            return (y[1], acc, (1.0 - a) * ((y[1] * y[1] - acc * acc) / q / q))
         return (y[1], acc, y[3], -a * y[2], y[5], -a * y[4])
     return rhs
 
@@ -942,7 +942,7 @@ def test_periodic_find_state_is_pinned(pin, cfg):
 def test_rofe_beketov_three_component_solve_is_pinned(pin, cfg):
     from isores.autonomous import dx_dI_rofe_beketov
     assert dx_dI_rofe_beketov(pin, 2.0, [0.5, 2.0], cfg).tolist() == [
-        1.3064531953413427, 0.6972044398109228]
+        1.3064531953413425, 0.6972044398109127]
 
 
 def test_step_piece_is_read_once_per_span(monkeypatch, pin, cfg):

@@ -197,16 +197,29 @@ def test_homogeneous_scans_share_one_profile(monkeypatch, cfg, har):
 
 def test_eval_phi_reuses_the_scan_profile(cfg):
     # the asymmetric psi is a closed form, so the cache shows in its
-    # statistics, not in a count of ODE solves
+    # statistics, not in a count of ODE solves; a sampled p integrates psi
+    # (a step p reads the declared Psi and builds no profile)
     import isores.phi
     isores.phi._profile.cache_clear()
-    field = phi_scan(iso.asymmetric(4.0, 4.0 / 9.0), PiecewiseConst((0.5, 2.0), (1.0, 4.0)),
+    field = phi_scan(iso.asymmetric(4.0, 4.0 / 9.0), Sampled(values=(1.0, 4.0, -0.5)),
                      32, default_r_grid(1e3, 8), cfg)
     scanned = isores.phi._profile.cache_info()
     assert scanned.misses == 1
     winding_number(field, (0.1, 3.0, 0.5, 50.0))
     wound = isores.phi._profile.cache_info()
     assert wound.misses == scanned.misses and wound.hits > scanned.hits
+
+
+@pytest.mark.parametrize("center", ["harmonic", "asymmetric", "pinney"])
+def test_a_closed_form_step_scan_builds_no_profile(monkeypatch, cfg, center):
+    # Psi is the centre's declaration, not a profile's: _phi_table built the
+    # profile of the first amplitude only to read its Psi
+    pot = {"harmonic": iso.harmonic(1), "asymmetric": iso.asymmetric(4.0, 4.0 / 9.0),
+           "pinney": iso.pinney()}[center]
+    profiles = _count_calls(monkeypatch, isores.phi, "_profile")
+    field = phi_scan(pot, STEP_4, 32, default_r_grid(1e3, 8), cfg)
+    winding_number(field, (0.1, 3.0, 0.5, 50.0))
+    assert profiles == []
 
 
 @pytest.mark.parametrize("r", [-1.0, math.nan])
@@ -501,14 +514,28 @@ STEP_3 = PiecewiseConst((0.0, 1.0, 3.0), (1.0, -0.5, 0.25))
 def test_pinney_step_scan_equals_its_one_amplitude_tables(pin, cfg, f, theta_count, r_points):
     # one Psi table over every amplitude, with Carlson's rows in one block,
     # a partial one or several, gives each column the floats of the table of
-    # its amplitude alone, which eval_phi reads at a single theta
+    # its amplitude alone
     field = phi_scan(pin, f, theta_count, default_r_grid(1e3, r_points), cfg)
     table = np.column_stack([field.values, field.infinity_slice])
     for j, r in enumerate([*field.r_grid, math.inf]):
         alone = isores.phi._phi_table(pin, f, field.theta_grid, [r], cfg)[:, 0]
         assert table[:, j].tobytes() == alone.tobytes(), r
-        if theta_count == 1:
-            assert eval_phi(pin, f, 0.0, r, cfg) == table[0, j]
+
+
+@pytest.mark.parametrize("center", ["harmonic", "asymmetric", "pinney"])
+def test_a_step_point_is_its_scan_node_bit_for_bit(cfg, center):
+    # eval_phi at every node (and the r = inf slice) of a 256 x 61 step scan
+    # reads the scan's floats: the pieces were summed by a matmul, whose BLAS
+    # kernel the table's shape picked, and a point differed from its node on
+    # 79-86 % of the nodes, by up to 1.2e-16
+    pot = {"harmonic": iso.harmonic(1), "asymmetric": iso.asymmetric(4.0, 4.0 / 9.0),
+           "pinney": iso.pinney()}[center]
+    field = phi_scan(pot, STEP_4, 256, default_r_grid(1e3, 61), cfg)
+    table, rs = field.values, [*field.r_grid]
+    if field.infinity_slice is not None:
+        table, rs = np.column_stack([table, field.infinity_slice]), rs + [math.inf]
+    points = np.array([[eval_phi(pot, STEP_4, th, r, cfg) for r in rs] for th in field.theta_grid])
+    assert points.tobytes() == table.tobytes()
 
 
 def test_a_step_scan_reads_psi_in_one_call(monkeypatch, pin, cfg):

@@ -440,15 +440,16 @@ def test_custom_potential_requires_isochrony_flag():
 
 
 def test_custom_potential_kind_is_fixed():
-    # a custom centre declares no closed forms (Pinney's psi, its r = inf
+    # a custom centre declares no closed forms (Pinney's psi and Psi, its r = inf
     # slice, T-), and neither its kind nor those can be passed in
     args = dict(v=lambda x: 0.5 * np.asarray(x) ** 2, dv=lambda x: np.asarray(x),
                 d2v=lambda x: np.ones_like(np.asarray(x, dtype=float)), n_iso=1)
     assert custom(**args).kind == "custom"
     with pytest.raises(TypeError):
         custom(**args, kind="pinney")
-    assert (custom(**args).profile, custom(**args).fourier, custom(**args).t_minus) == (None,) * 3
-    for name in ("profile", "fourier", "homogeneous", "t_minus"):
+    centre = custom(**args)
+    assert (centre.profile, centre.antiderivative, centre.fourier, centre.t_minus) == (None,) * 4
+    for name in ("profile", "antiderivative", "fourier", "homogeneous", "t_minus"):
         with pytest.raises(TypeError):
             custom(**args, **{name: getattr(pinney(), name)})
 
@@ -507,7 +508,7 @@ def test_chain_fourier_and_antiderivative_match_the_quadrature(pot):
     # isochronous, and omega - m = 1e-6 from a harmonic) against
     # adaptive_complex_quad over the declared psi, split at its kinks
     from isores.forcing import TWO_PI, adaptive_complex_quad
-    psi, kinks, antiderivative = pot.profile(1.0)
+    psi, kinks = pot.profile(1.0)
     knots = np.unique(np.concatenate([[0.0, TWO_PI], kinks]))
     m = np.arange(-8, 9)
     owner, j = np.divmod(np.arange(m.size * (knots.size - 1)), knots.size - 1)
@@ -520,4 +521,4 @@ def test_chain_fourier_and_antiderivative_match_the_quadrature(pot):
         edges = np.unique(np.concatenate([[0.0, t], knots[knots < t]]))
         a, b, owner = a + edges[:-1].tolist(), b + edges[1:].tolist(), owner + [i] * (edges.size - 1)
     quad = adaptive_complex_quad(lambda t, k: psi(t), tuple(map(np.array, (a, b, owner))))
-    assert np.max(np.abs(antiderivative(ts, [1.0])[0] - np.append(0.0, quad))) <= 1e-14
+    assert np.max(np.abs(pot.antiderivative(ts, [1.0])[0] - np.append(0.0, quad))) <= 1e-14
