@@ -78,7 +78,7 @@ def _integrated_windows(pot, f, eps, s0, cfg, records):
     before; return the number of windows run and the message of the
     IntegrationError that stopped the chain, or None.  The chain stops
     after a window whose end is not finite too, which the caller names."""
-    system = forced_system(pot, f, eps, cfg)
+    system = forced_system(pot, f, eps, cfg, samples=_WINDOW_SAMPLES)
     y = [s0.x, s0.v]
     for k in range(records.shape[1]):
         if not (math.isfinite(y[0]) and math.isfinite(y[1])):
@@ -91,7 +91,7 @@ def _integrated_windows(pot, f, eps, s0, cfg, records):
                 raise      # no step from the start: no run to report
             return k, str(exc)
         # the samples, then the knots: the last is the end
-        xv = np.concatenate([traj.eval(np.linspace(t0, t1, _WINDOW_SAMPLES)), traj.ys.T],
+        xv = np.concatenate([traj.eval(np.linspace(t0, t1, system.samples)), traj.ys.T],
                             axis=1)
         records[:2, k] = _sups(xv[0], xv[1])
         y = traj.ys[-1].tolist()
@@ -124,12 +124,13 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     uniform in [0, 2 pi] with both ends included, and its end is the next
     window's start, s0 + (k + 1) D for the exact translation D that is the
     period map.  That run reads no tolerance of cfg and can take no failed
-    step.  Otherwise the run builds its system (forced_system) once and
-    steps each window as its own integrate_ode solve (_integrated_windows),
-    which restarts where the system says, so the steps, knots and end states
-    are those of a chain of solve_forced calls; a window's suprema are over
-    its step knots and _WINDOW_SAMPLES uniform times, evaluated in one
-    dense-output call.  One pass over the window ends then serves both: it
+    step.  Otherwise the run builds its windowed system (forced_system with
+    samples) once and steps each window as its own integrate_ode solve
+    (_integrated_windows), which restarts where the system says, so the
+    steps, knots and end states are those of a chain of solve_forced calls;
+    a window's suprema are over its step knots and _WINDOW_SAMPLES uniform
+    times, evaluated in one dense-output call that only the steps holding
+    them (and those its events read) build.  One pass over the window ends then serves both: it
     reads their energies in one pot.v call, cuts the run at the first end
     that leaves the float range, checks the envelope and gives the verdict.
     Memory grows with n_periods only by these records.

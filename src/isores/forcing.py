@@ -78,14 +78,15 @@ class TrigPoly(ForcingTerm):
                            tuple((k, a, b) for k, (a, b) in enumerate(pairs, 1) if a or b))
 
     def scalar_source(self):
-        # the operations of eval in its order, each coefficient a name
-        lines, constants = ["p = p_a0"], {"p_a0": self.a0}
+        # the operations of eval in its order, each coefficient a name, in
+        # one expression (1 * tt is tt)
+        terms, constants = ["p_a0"], {"p_a0": self.a0}
         for k, a, b in self.harmonics:
             for name, c, fn in ((f"p_a{k}", a, "cos"), (f"p_b{k}", b, "sin")):
                 if c:
-                    lines.append(f"p = p + {name} * {fn}({k} * tt)")
+                    terms.append(f"{name} * {fn}({'tt' if k == 1 else f'{k} * tt'})")
                     constants[name] = c
-        return [], lines, constants
+        return [], [f"p = {' + '.join(terms)}"], constants
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)

@@ -7,19 +7,19 @@ order 8 steps, its error norm from the order 5 and order 3 estimates, and
 its degree-7 dense output.
 
 Cost model.  An attempted step costs 11 right-hand-side evaluations (its
-stages), an accepted one 4 more (f_new, which the error estimate does not
-read, and 3 for its dense output), and every restart (start, forcing
-break, kink) 2 more, so nfev = 2 n_segments + 15 n_steps + 11 n_rejected.
-A tangent solve (Newton's monodromy, which only differentiates (x, v):
-forced_system's tangent) builds the dense output only for a step that
-ends at a kink or guard crossing, for its root-find, so nfev =
-2 n_segments + 12 n_steps + 11 n_rejected + 3 per such step; (x, v) alone
-set its steps.  The whole accept/reject loop over one span is generated
+stages), an accepted one 1 more (f_new, which the error estimate does not
+read), one that builds its dense output 3 more, and every restart (start,
+forcing break, kink) 2 more: nfev = 2 n_segments + 12 n_steps +
+11 n_rejected + 3 n_dense.  Every step builds it but in a tangent solve
+(Newton's monodromy, which only differentiates (x, v) and is stepped by
+them: forced_system's tangent) and a windowed one (a resonance_run window:
+forced_system's samples), where only a step whose rows are read does (see
+_system_source).  The whole accept/reject loop over one span is generated
 as source over scalar locals (_system_source) and compiled once per
-structure: the state size n, whether it is a tangent system, the system's
-body (the lines that compute the right-hand side), its span statements
-(lines run once per span) and the expressions of the kink and the guard
-it watches.
+structure: the state size n, whether it is a tangent or a windowed system,
+the system's body (the lines that compute the right-hand side), its span
+statements (lines run once per span) and the expressions of the kink and
+the guard it watches.
 forced_system, the one builder of x'' = -V'(x) +
 eps*p(t) and its extra components (n = 2 for a forced run, 3 with the
 Rofe-Beketov integral, 6 with the variational pairs; solve_forced solves
@@ -38,25 +38,26 @@ crosses max_steps, when the step size falls below the spacing of floats,
 or on a sign change of the kink or the guard, which ends a step and is
 root-found on the step's interpolant there; integrate_ode loops over the
 spans between the split points and restarts the step at each kink root,
-by one rule for the kink (see integrate_ode).  An attempted step of a
-forced harmonic or Pinney run costs 16-18 us, 1.1-1.3 us per right-hand
-side with its share of the stage sums, as in the Dormand-Prince 5(4) loop
-this one replaced (2-core VM, Python 3.11); at rel_tol 1e-11 a forced
-period takes 3-7 times fewer steps than that pair took at 1e-10, to a
-smaller error.  The stage sums keep the terms and the order of a loop
-over components, and the controller's comparisons give min's and max's
-floats (the tests' reference loop), so the results are the same to the
-bit.  The v=0 and x=0 crossings are found when RawSolution.events is first
-read.  Each accepted step is recorded once, in flat lists: its knot, its
-size and its 16 stage rows, from which the dense output is built
-(np.fromiter, then one array product) at the end; RawSolution.eval
-evaluates any number of times in one array operation.
+by one rule for the kink (see integrate_ode).  An attempted step of a forced
+Pinney run costs 9-10 us and an accepted asymmetric:1:1 one 12-15 us,
+0.7-0.9 us per right-hand side with its share of the stage sums (windowed
+solves, 2-core VM, Python 3.11).  At rel_tol 1e-11 a forced period takes 3-7
+times fewer steps than the Dormand-Prince 5(4) loop it replaced took at
+1e-10, to a smaller error.  The stage sums keep the terms and the order of a
+loop over components, and the controller's comparisons give min's and max's
+floats (the tests' reference loop), so the results are the same to the bit.
+The v=0 and x=0 crossings are found when RawSolution.events is first read.
+Each accepted step is recorded once, in flat lists: its knot, its size and
+its 16 stage rows if it builds them, from which the dense output is built
+(np.fromiter, then one array product) at the end; RawSolution.eval evaluates
+any number of times in one array operation.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -109,36 +110,44 @@ class RawSolution:
     y = ys[k] + h[k] * sum_j coef[k, j] * s**(j+1).
     A tangent solve (Newton's monodromy, see forced_system) keeps no dense
     output: its coef is None, and eval, state and events raise ValueError.
-    Nothing changes it once built, so it is safe to share.
+    A windowed one's step k has row rows[k] of coef, none if -1, where eval
+    raises ValueError (if rows is None, step k's is coef[k]).  Nothing
+    changes it once built, so it is safe to share.
     """
 
-    def __init__(self, ts, ys, h, coef, log, stats):
+    def __init__(self, ts, ys, h, coef, log, stats, rows=None):
         self.ts, self.ys, self.h = map(np.asarray, (ts, ys, h))
         self.coef = None if coef is None else np.asarray(coef)
+        self.rows = rows
         self._log = log                   # Events logged while stepping
         self.stats = stats
 
-    def _dense(self):
+    def _dense(self, k):
+        """The rows of coef of the steps k, an index array."""
         if self.coef is None:
             raise ValueError("a tangent solve keeps no dense output: only its knots "
                              "(ts, ys) and end state can be read")
-        return self.coef
+        rows = k if self.rows is None else self.rows[k]
+        if rows.min(initial=0) < 0:
+            raise ValueError("a windowed solve keeps no dense output inside a step "
+                             "that holds none of its window's samples")
+        return rows
 
     @cached_property
     def events(self):
         """The logged breaks and guard stop and every v=0 and x=0 crossing in
         time order (ties: v_zero, x_zero, log).  A sign change between knots
         is root-found on its step's interpolant, as the loop finds the kink."""
-        coef = self._dense()
         found = [(e.t, 2, e.kind) for e in self._log]
         for rank, c, name in ((0, 1, "v_zero"), (1, 0, "x_zero")):
             sign = np.sign(self.ys[:, c])
             # a zero on a knot counts once, and never for a component that is 0
             arrive = (sign == 0) & np.append(sign.any(), sign[:-1] != 0)
             found += [(t, rank, name) for t in self.ts[arrive].tolist()]
-            for k in np.flatnonzero(sign[:-1] * sign[1:] < 0).tolist():
+            steps = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+            for k, row in zip(steps.tolist(), self._dense(steps).tolist()):
                 t_old, h = float(self.ts[k]), float(self.h[k])
-                y_at = _interpolant(t_old, h, self.ys[k].tolist(), coef[k])
+                y_at = _interpolant(t_old, h, self.ys[k].tolist(), self.coef[row])
                 found.append((brentq(lambda t: y_at(t)[c], t_old, t_old + h,
                                      xtol=_ROOT_TOL, rtol=_ROOT_TOL), rank, name))
         return [Event(name, t) for t, _, name in sorted(found)]
@@ -157,19 +166,19 @@ class RawSolution:
         """Dense evaluation at scalar or array times inside [ts[0], ts[-1]],
         every step's interpolant in one array operation: one value per
         component, each an array over the times for array input."""
-        coef = self._dense()
         t0, t1 = float(self.ts[0]), float(self.ts[-1])
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.size and (t_arr.min() < t0 - 1e-9 or t_arr.max() > t1 + 1e-9):
             raise ValueError("evaluation time outside the integrated span")
         t_arr = np.clip(t_arr, t0, t1)
-        rows, powers, n = coef.shape
         k = np.searchsorted(self.ts[1:-1], t_arr, side="left")
+        rows = self._dense(k)
+        n_rows, powers, n = self.coef.shape
         h = self.h.take(k)
         # one flat run per component, [c_0 at every time, c_1 ...], so that
         # each operation below is on contiguous arrays of one shape
         s = np.concatenate([(t_arr - self.ts.take(k)) / h] * n)
-        coef = coef.reshape(rows, -1).T.take(k, axis=1).reshape(powers, -1)
+        coef = self.coef.reshape(n_rows, -1).T.take(rows, axis=1).reshape(powers, -1)
         p = s
         y = coef[0] * p
         for c in coef[1:]:
@@ -276,7 +285,7 @@ _DENSE = _dense_matrix()
 _ROOT_TOL = 4 * math.ulp(1.0)      # scipy's event-root tolerance, a Python float
 
 
-def _system_source(n, span, body, kink, guard, tangent):
+def _system_source(n, span, body, kink, guard, tangent, windowed):
     """Source of rhs(tt, y, tm) and of run(...), the DOP853 loop over one
     span, for an n-component system body: lines that read tt and
     s_0..s_{n-1} and set r_0..r_{n-1} (and no name of the loop's own).  The
@@ -293,10 +302,11 @@ def _system_source(n, span, body, kink, guard, tangent):
     update, with the body inline at each of the 11 stages, and at f_new =
     k13 once the step is accepted (k13's error weights are 0).  The norm is
     0 where the root's argument is 0, also where it underflows to 0
-    (scipy's 0/0 there is nan, which rejects the step).  An
-    accepted step runs the 3 stages of its dense output inline too, appends
-    h to hs and its 16 stage rows to ks (16n floats); its knot, t_new to ts
-    and its n components to ys (its start is the last knot).  The kink and
+    (scipy's 0/0 there is nan, which rejects the step).  Stage j writes
+    the body's r_i as k{j}_i.  An accepted step appends h to hs, its knot
+    t_new to ts and its n components to ys (its start is the last knot), and
+    runs the 3 stages of its dense output inline and appends its 16 stage
+    rows to ks (16n floats), every step but as below.  The kink and
     the guard (each an expression over t_new and the step's end state
     z_0..z_{n-1}, or None) are the watched functions, kink first; g_i is
     one's value at the step's start and d_i the direction of the crossing
@@ -322,9 +332,17 @@ def _system_source(n, span, body, kink, guard, tangent):
     only when it ends at a watched sign change, whose root-find reads them.
     So it takes the steps of the 2-component system from the same start, to
     the same (x, v) bit for bit, at 12 right-hand sides per accepted step
-    (11 per rejected one)."""
+    (11 per rejected one).  A windowed system's run takes dt, w0, w1, kept
+    after g_0..: its window [w0, w1] is sampled at j * dt + w0 and w1, and a
+    step builds its rows, and appends its index n_steps to kept, only if it
+    holds nxt (the first sample at or after the span's start, then past the
+    last step), ends at w1 or at a watched sign change, or changes the sign
+    of x = z_0 or v = z_1 (RawSolution.events root-finds that)."""
     watch = [expr for expr in (kink, guard) if expr is not None]
     m = len(watch)
+
+    def indent(lines, depth):
+        return ["    " * depth + line for line in lines]
 
     def each(fmt, count=n):        # fmt(i) for every component, comma-joined
         return ", ".join(fmt(i) for i in range(count))
@@ -337,11 +355,15 @@ def _system_source(n, span, body, kink, guard, tangent):
         return [f"tt = {t_j}"] + [f"s_{i} = y_{i} + h * ({combo(_A[j - 1], i)})"
                                   for i in range(n)]
 
-    def value(j):                  # the body there, into k{j}_i
-        return list(body) + ["; ".join(f"k{j}_{i} = r_{i}" for i in range(n))]
+    def value(j):                  # the body there, its r_i renamed k{j}_i
+        return [re.sub(r"\br_(\d+)\b", rf"k{j}_\1", line) for line in body]
 
     def stage(j):
         return point(j) + value(j)
+
+    def sample(t, op):             # nxt, the first sample j * dt + w0 not op t
+        return [f"j = int(({t} - w0) / dt)", "nxt = j * dt + w0",
+                f"while nxt {op} {t}: j += 1; nxt = j * dt + w0"]
 
     # stages 2..12, then the order 8 solution z = y + h B.K; f_new = k13 at z
     # has weight 0 in the error, so only an accepted step evaluates it
@@ -374,19 +396,28 @@ def _system_source(n, span, body, kink, guard, tangent):
 
     stages = each(lambda j: each(lambda i: f"k{j + 1}_{i}"), 16)
     dense = [line for j in range(14, 17) for line in stage(j)]
-    keep = f"ks += ({stages},)"
-    accepted = value(13) + (["hs.append(h)"] if tangent else [*dense, "hs.append(h)", keep])
+    dense += [f"ks += ({stages},)", *(["kept.append(n_steps)"] if windowed else [])]
+    # a tangent or windowed step builds its rows only where they are read
+    rule = (["hit"] if m else []) + (["nxt <= t_new", "t_new == w1", "z_0 < 0 < y_0",
+                                      "y_0 < 0 < z_0", "z_1 < 0 < y_1", "y_1 < 0 < z_1"]
+                                     if windowed else [])
+    if tangent or windowed:
+        dense = [f"if {' or '.join(rule)}:", *indent(dense, 1)] if rule else []
+    accepted = value(13)
     if m:
         olds, news = each(lambda i: f"g_{i}", m), each(lambda i: f"w_{i}", m)
         crossed = " or ".join(f"d_{i} * g_{i} <= 0 <= d_{i} * w_{i}" for i in range(m))
-        accepted += [f"w_{i} = {expr}" for i, expr in enumerate(watch)]
-        accepted += [f"if {crossed}:",
-                     *(f"    {line}" for line in ([*dense, keep] if tangent else ())),
+        accepted += [*(f"w_{i} = {expr}" for i, expr in enumerate(watch)), f"hit = {crossed}"]
+    accepted += [*dense, "hs.append(h)"]
+    if m:
+        accepted += ["if hit:",
                      f"    return 'hit', n_steps, n_rej, (t_new, ({olds},), ({news},), "
                      f"({each(lambda i: f'd_{i}', m)},))",
                      f"{olds}, = {news},"]
         if kink is not None:
             accepted += ["if d_0 != d_0 and w_0: d_0 = -1.0 if w_0 > 0 else 1.0"]
+    if windowed:
+        accepted += ["if nxt <= t_new:", *indent(sample("t_new", "<="), 1)]
     accepted += ["ts.append(t_new)",
                  f"ys += ({each(lambda i: f'z_{i}')},)",
                  "n_steps += 1",
@@ -397,11 +428,9 @@ def _system_source(n, span, body, kink, guard, tangent):
                  "if t == tb:",
                  "    return 'end', n_steps, n_rej, None"]
 
-    def indent(lines, depth):
-        return ["    " * depth + line for line in lines]
-
     args = ", ".join([each(lambda i: f"y_{i}"), each(lambda i: f"k1_{i}"), "h_abs, tb",
                       *([each(lambda i: f"d_{i}", m), each(lambda i: f"g_{i}", m)] if m else []),
+                      *(["dt, w0, w1, kept"] if windowed else []),
                       "n_steps, n_rej, max_steps, atol, rtol, ts, ys, hs, ks"])
     lines = ["def rhs(tt, y, tm=None):",
              "    if tm is None: tm = tt",
@@ -411,6 +440,7 @@ def _system_source(n, span, body, kink, guard, tangent):
              f"    return ({each(lambda i: f'r_{i}')},)",
              f"def run(t, {args}):",
              "    tm = 0.5 * (t + tb)",
+             *indent(sample("t", "<") if windowed else [], 1),
              *indent(span, 1),
              "    while True:",
              "        min_step = 10 * (nextafter(t, inf) - t)",
@@ -433,16 +463,16 @@ def _system_source(n, span, body, kink, guard, tangent):
 
 
 @lru_cache(maxsize=64)
-def _compiled(n, span, body, kink, guard, tangent):
-    """The compiled _system_source(n, span, body, kink, guard, tangent),
-    cached by structure, the span statements included: systems that differ
-    only in the values of their constants share one code object."""
-    return compile(_system_source(n, span, body, kink, guard, tangent),
+def _compiled(n, span, body, kink, guard, tangent, windowed):
+    """The compiled _system_source(n, span, body, kink, guard, tangent,
+    windowed), cached by structure, the span statements included: systems
+    that differ only in the values of their constants share one code object."""
+    return compile(_system_source(n, span, body, kink, guard, tangent, windowed),
                    f"<isores system, n={n}>", "exec")
 
 
 def _compile_system(n, body, constants, kink=None, guard=None, span=(), splits=(),
-                    tangent=False):
+                    tangent=False, samples=0):
     """rhs(t, y) of an n-component system from its body and span statements
     (lines, see _system_source), with everything integrate_ode needs to
     solve it: its loop as rhs.run; the kink, an expression over t_new and
@@ -452,16 +482,18 @@ def _compile_system(n, body, constants, kink=None, guard=None, span=(), splits=(
     2*pi-periodic p, as floats, where every solve restarts.  constants are
     the values of the globals that the body, the span statements and the
     expressions read, bound per system.  A tangent system (rhs.tangent, see
-    _system_source) is stepped by (x, v) alone and keeps no dense output."""
+    _system_source) is stepped by (x, v) alone and keeps no dense output;
+    a windowed one (rhs.samples > 0) keeps it where its samples fall."""
     namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
                  "nextafter": math.nextafter, "inf": math.inf, **constants}
-    exec(_compiled(n, tuple(span), tuple(body), kink, guard and guard[1], tangent), namespace)
+    exec(_compiled(n, tuple(span), tuple(body), kink, guard and guard[1], tangent,
+                   samples > 0), namespace)
     rhs = namespace["rhs"]
     rhs.run = namespace["run"]
     rhs.kink = namespace.get("watch_kink")
     rhs.guard = guard and (guard[0], namespace["watch_guard"])
     rhs.splits = tuple(map(float, splits))
-    rhs.tangent = tangent
+    rhs.tangent, rhs.samples = tangent, samples
     return rhs
 
 
@@ -523,13 +555,12 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     at rest; after a root, the other way.  v=0 and x=0 crossings are found
     when RawSolution.events is read.  Each restart re-runs the starting-step
     rule, as a new solve_ivp call would, with tm the midpoint of what the
-    loop then steps over (see _system_source); each attempted step makes 11
-    calls and each accepted one 4 more (f_new and its dense output), so
-    nfev = 2 n_segments + 15 n_steps + 11 n_rejected.  A tangent system
-    (system.tangent) scales the starting step by (x, v), as it steps, and
-    builds the dense output only of a step that ends at a crossing: 3 more
-    calls for each such step instead of each accepted one, and a solution
-    with knots only.
+    loop then steps over (see _system_source); nfev = 2 n_segments +
+    12 n_steps + 11 n_rejected + 3 n_dense (the module's cost model).  A
+    tangent system (system.tangent) scales the starting step by (x, v), as
+    it steps, and gives a solution with knots only.  A windowed one
+    (system.samples = N > 0) builds the dense output only where its samples,
+    np.linspace(t0, t1, N), and its events read it (see _system_source).
     """
     t0, t1 = float(t0), float(t1)     # a numpy bound would make the loop's arithmetic numpy's
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -544,18 +575,25 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     run, kink, guard = system.run, system.kink, system.guard
     # the functions whose sign change ends a step, kink first
     watched = [g for g in (kink, guard and guard[1]) if g is not None]
-    tangent = system.tangent
+    tangent, samples = system.tangent, system.samples
+    # a windowed loop's samples, np.linspace(t0, t1, samples)'s: j * dt + t0, t1 last
+    kept = []          # a windowed solve's steps that built their rows
+    grid = ((t1 - t0) / (samples - 1), t0, t1, kept) if samples else ()
     ts, ys, hs, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 16n floats a row
-    n_steps = n_rejected = n_segments = n_hits = 0
+    n_steps = n_rejected = n_segments = 0
 
     def solution():
-        n_dense = n_hits if tangent else n_steps      # the steps that built their rows
+        table = _floats(ks).reshape(-1, 16, n)      # the steps that built their rows
         stats = {"n_steps": n_steps,
-                 "nfev": 2 * n_segments + 12 * n_steps + 11 * n_rejected + 3 * n_dense,
+                 "nfev": 2 * n_segments + 12 * n_steps + 11 * n_rejected + 3 * len(table),
                  "n_segments": n_segments, "n_rejected": n_rejected}
-        coef = None if tangent else _DENSE @ _floats(ks).reshape(-1, 16, n)
+        coef = None if tangent else _DENSE @ table
+        rows = None
+        if samples:
+            rows = np.full(len(ts) - 1, -1)
+            rows[kept] = np.arange(len(kept))
         return RawSolution(_floats(ts), _floats(ys).reshape(-1, n), _floats(hs), coef, log,
-                           stats)
+                           stats, rows)
 
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
@@ -583,7 +621,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
                 fail(f"integration failed: no starting step at t = {ta} (h = {h_abs})")
             try:
                 why, n_steps, n_rejected, hit = run(
-                    ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), n_steps,
+                    ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), *grid, n_steps,
                     n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, hs, ks)
             except (OverflowError, ZeroDivisionError) as exc:
                 n_steps = len(ts) - 1   # run's step count is lost with it: count its knots
@@ -607,7 +645,6 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
                 ts.append(t_end)
                 ys += y_at(t_end)
                 n_steps += 1
-                n_hits += 1
             if n_steps > cfg.max_steps:
                 fail(f"step budget exceeded ({n_steps} > {cfg.max_steps})")
             y = ys[-n:]
@@ -629,7 +666,7 @@ VARIATIONAL = ("s_3", "-d2v * s_2", "s_5", "-d2v * s_4")
 
 
 def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: IntegratorConfig,
-                  extra=(), *, tangent=False):
+                  extra=(), *, tangent=False, samples=0):
     """The compiled right-hand side of x'' = -V'(x) + eps*p(t) over (s_0, s_1)
     = (x, v) and one more component per extra line: r_{2+i} = extra[i], an
     expression over tt, s_0..s_{n-1}, r_1 = x'' and V's derivatives dv and
@@ -649,7 +686,8 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     starting step, and the solve keeps no dense output, so its steps and (x,
     v) are those of the 2-component solve bit for bit and each accepted step
     costs 12 right-hand sides instead of 15 (see _system_source).  psi keeps
-    the full norm: its variational pair is the result, not a derivative."""
+    the full norm: its variational pair is the result, not a derivative.
+    samples > 0 makes a windowed system (see integrate_ode)."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     dv, d2v, constants = pot.scalar
@@ -673,7 +711,7 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     return _compile_system(2 + len(extra), body, constants,
                            kink="z_0" if pot.kink_at_zero else None,
                            guard=("singularity", "z_0 - thresh") if pot.singular_left else None,
-                           span=span, splits=splits, tangent=tangent)
+                           span=span, splits=splits, tangent=tangent, samples=samples)
 
 
 def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,

@@ -83,14 +83,19 @@ def test_resonance_run_budget_holds_at_the_crossing_step(pin, sin_f):
     PiecewiseConst((0.4, 1.9), (1.0, -2.0), period=math.pi),               # 4 jumps a period
     Sampled((0.2, 1.0, -0.5, 0.3, -0.9)),                                  # 5 kinks a period
 ], ids=["sin", "step", "sampled"])
-@pytest.mark.parametrize("pot, start", [
-    (iso.pinney(), State(1.0, 0.0)),                       # singularity guard
-    (iso.asymmetric(4.0, 4.0 / 9.0), State(1.0, 0.0)),     # kink restarts
+@pytest.mark.parametrize("pot, start, mostly_rowless", [
+    pytest.param(iso.pinney(), State(1.0, 0.0), False, id="pot0-start0"),    # singularity guard
+    pytest.param(iso.asymmetric(4.0, 4.0 / 9.0), State(1.0, 0.0), False,
+                 id="pot1-start1"),                                         # kink restarts
+    # most steps are short ones at the bounce, between two samples
+    pytest.param(iso.pinney(), State(0.0, 16.0), True, id="pot2-start2"),
 ])
-def test_resonance_run_steps_match_recorded_chain(pot, start, f, cfg, monkeypatch):
+def test_resonance_run_steps_match_recorded_chain(pot, start, mostly_rowless, f, cfg,
+                                                  monkeypatch):
     # every step, every event (the forcing breaks too) and so the end state
     # of the run's windows are those of a chain of solve_forced calls made
-    # directly
+    # directly, and so is every sample of each window, though a window keeps
+    # the dense output of only the steps its samples and events read
     runs = []
     real = dynamics.integrate_ode
 
@@ -110,8 +115,13 @@ def test_resonance_run_steps_match_recorded_chain(pot, start, f, cfg, monkeypatc
         assert chain.stats["n_steps"] == traj.stats["n_steps"]
         assert np.array_equal(chain.ts, traj.ts)
         assert np.array_equal(chain.ys, traj.ys)
+        samples = np.linspace(k * TWO_PI, (k + 1) * TWO_PI, 512)
+        assert np.array_equal(chain.eval(samples), traj.eval(samples))
         state = chain.end_state()
     assert diag.final_state == state
+    kept = sum(int((traj.rows >= 0).sum()) for traj in runs)
+    steps = sum(traj.stats["n_steps"] for traj in runs)
+    assert 2 * kept < steps if mostly_rowless else kept <= steps
 
 
 class Sine(ForcingTerm):

@@ -28,12 +28,13 @@ def test_eval_trig_examples():
 
 
 def test_trig_float_path_matches_array_path():
-    # the float path is the scalar source the integrator compiles; harmonic
-    # 2 is all zero, the others have one zero coefficient each
+    # the float path is the scalar source the integrator compiles, one
+    # expression; harmonic 2 is all zero, the others have one zero
+    # coefficient each
     f = TrigPoly(a0=0.3, cos_coeffs=(1.0, 0.0, -0.5, 0.0),
                  sin_coeffs=(0.0, 0.0, 0.25, 2.0))
     span, lines, constants = f.scalar_source()
-    assert span == [] and len(lines) == 5
+    assert span == [] and len(lines) == 1
     assert set(constants) == {"p_a0", "p_a1", "p_a3", "p_b3", "p_b4"}
     code = compile("\n".join(lines), "<scalar>", "exec")
     ts = np.linspace(-40.0, 40.0, 4001)

@@ -138,10 +138,20 @@ def test_an_overflow_inside_a_step_is_an_integration_error(cfg, tangent):
     assert 0.8 < raw.ys[-1, 0] < 0.888 and raw.ts[-1] < math.pi / 2
 
 
-@pytest.mark.parametrize("read", ["eval", "state", "events"])
+@pytest.mark.parametrize("read", ["eval", "state", "events", "windowed"])
 def test_a_tangent_solve_has_no_dense_output(pin, sin_f, cfg, read):
     # Newton's tangent solve keeps its knots only: a dense read says so
-    # instead of reading an empty table
+    # instead of reading an empty table.  A windowed solve (a resonance_run
+    # window's) keeps the rows of the steps its samples fall in, and eval
+    # says so inside any other step
+    if read == "windowed":
+        system = forced_system(pin, sin_f, 0.05, cfg, samples=512)
+        raw = integrate_ode(system, [0.0, 16.0], 0.0, TWO_PI, cfg)
+        k = int(np.argmin(raw.rows))
+        assert raw.rows[k] == -1 and raw.coef.shape[0] < raw.stats["n_steps"]
+        with pytest.raises(ValueError, match="keeps no dense output inside a step"):
+            raw.eval([0.0, float(raw.ts[k] + 0.5 * raw.h[k])])
+        return
     raw = solve_forced(pin, sin_f, 0.05, [0.5, 0.2, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
                        VARIATIONAL, tangent=True)
     assert raw.coef is None and raw.stats["n_steps"] > 0
@@ -149,6 +159,20 @@ def test_a_tangent_solve_has_no_dense_output(pin, sin_f, cfg, read):
     with pytest.raises(ValueError, match="a tangent solve keeps no dense output"):
         {"eval": lambda: raw.eval(1.0), "state": lambda: raw.state(1.0),
          "events": lambda: raw.events}[read]()
+
+
+def test_a_windowed_solve_keeps_the_row_of_its_last_sample(pin, sin_f, cfg):
+    # on [1.4, 5.7] with 2 samples the grid's j * dt + t0 for j = 1 is
+    # 5.700000000000001, past the window's end, which np.linspace gives as
+    # 5.7: the step that ends the window keeps its row for it all the same,
+    # though it holds no other sample and changes no sign
+    assert (5.7 - 1.4) + 1.4 > 5.7
+    raw = integrate_ode(forced_system(pin, sin_f, 0.05, cfg, samples=2), [1.0, 0.0],
+                        1.4, 5.7, cfg)
+    plain = solve_forced(pin, sin_f, 0.05, [1.0, 0.0], 1.4, 5.7, cfg)
+    assert raw.rows[0] == 0 and raw.rows[-1] > 0 and raw.coef.shape[0] < raw.stats["n_steps"]
+    assert np.array_equal(raw.eval(np.linspace(1.4, 5.7, 2)),
+                          plain.eval(np.linspace(1.4, 5.7, 2)))
 
 
 def test_forced_harmonic_variation_of_constants(har, cfg):
@@ -686,7 +710,7 @@ def _list_chain(fun, y0, t0, t1, cfg, breaks, kink):
 
 
 def _calling_system(fun, n, kink=None, guard=None, splits=(), reads_tm=False,
-                    tangent=False):
+                    tangent=False, samples=0):
     """A compiled system whose body calls fun(t, y), or fun(t, y, tm) if
     reads_tm (a step forcing reads its piece at tm), at each stage and whose
     loop calls the kink and the guard functions: the tests' closures run in
@@ -697,7 +721,7 @@ def _calling_system(fun, n, kink=None, guard=None, splits=(), reads_tm=False,
         n, [f"{r}, = fun(tt, [{s},]{', tm' if reads_tm else ''})"],
         {"fun": fun, "kink": kink, "guard": guard and guard[1]},
         kink and f"kink(t_new, [{z},])", guard and (guard[0], f"guard(t_new, [{z},])"),
-        splits=splits, tangent=tangent)
+        splits=splits, tangent=tangent, samples=samples)
 
 
 def test_error_norm_is_zero_where_its_denominator_underflows():
@@ -923,7 +947,7 @@ def test_forced_run_end_state_is_pinned(monkeypatch, pin, sin_f, cfg):
     assert (d.final_state.x, d.final_state.v) == (-0.7549530350356217, 1.099912740734585)
     assert float(d.window_sup[-1]) == 4.048133753943679
     assert len(calls) == 20
-    assert [sum(c[-1].stats[k] for c in calls) for k in _STATS] == [982, 259, 17619, 20]
+    assert [sum(c[-1].stats[k] for c in calls) for k in _STATS] == [982, 259, 17601, 20]
 
 
 def test_periodic_find_state_is_pinned(pin, cfg):
@@ -970,18 +994,20 @@ def test_sampled_segment_matches_interpolation_at_every_stage(pin, cfg):
     assert np.allclose(raw.ys[-1], ref.ys[-1], rtol=1e-10, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, "tangent"])
+@pytest.mark.parametrize("n", [2, 3, 6, "tangent", "windowed"])
 def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
     # Pinney forced by a step (restarts at its breaks) with and without its
-    # variational pairs, the Rofe-Beketov system (restarts at the kink), and
+    # variational pairs, the Rofe-Beketov system (restarts at the kink),
     # Newton's tangent solve on the asymmetric centre forced by a step, whose
-    # steps that end at the kink alone build their dense output
+    # steps that end at the kink alone build their dense output, and a
+    # windowed Pinney solve, whose steps that hold none of its samples (and
+    # change no sign) do not
     from isores.autonomous import _rofe_raw
     calls = []
 
     counted = lambda fun, n: _calling_system(lambda t, y: calls.append(1) or fun(t, y), n,
                                              fun.kink, fun.guard, fun.splits,
-                                             tangent=fun.tangent)
+                                             tangent=fun.tangent, samples=fun.samples)
     step = PiecewiseConst(breakpoints=(0.0, 2.0), values=(1.0, -1.0))
     y0 = [0.5, 0.2, 1.0, 0.0, 0.0, 1.0]
     if n == 3:
@@ -992,6 +1018,9 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
         fun = forced_system(iso.asymmetric(4.0, 4.0 / 9.0), step, 0.1, cfg, VARIATIONAL,
                             tangent=True)
         raw = integrate_ode(counted(fun, 6), y0, 0.0, 2 * TWO_PI, cfg)
+    elif n == "windowed":
+        fun = forced_system(pin, step, 0.1, cfg, samples=512)
+        raw = integrate_ode(counted(fun, 2), [0.0, 8.0], 0.0, 2 * TWO_PI, cfg)
     else:
         fun = forced_system(pin, step, 0.1, cfg, VARIATIONAL[:n - 2])
         raw = integrate_ode(counted(fun, n), y0[:n], 0.0, 2 * TWO_PI, cfg)
@@ -1000,10 +1029,12 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
     assert s["nfev"] == len(calls)
     # the steps that build their dense output: every accepted one, but only
     # those that end at a kink root for a tangent solve, each a restart past
-    # the starts of the spans between the step's breaks
+    # the starts of the spans between the step's breaks, and those that keep
+    # their row for a windowed one
     spans = len(partition(step.split_points(), 0.0, 2 * TWO_PI)) - 1
-    dense = s["n_segments"] - spans if n == "tangent" else s["n_steps"]
-    assert dense > 0
+    dense = (s["n_segments"] - spans if n == "tangent" else
+             raw.coef.shape[0] if n == "windowed" else s["n_steps"])
+    assert 0 < dense <= s["n_steps"] and (n != "windowed" or dense < s["n_steps"])
     assert s["nfev"] == 2 * s["n_segments"] + 12 * s["n_steps"] + 11 * s["n_rejected"] + 3 * dense
 
 
