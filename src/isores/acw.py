@@ -6,14 +6,14 @@ direct integration."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import ConfigError, NumericsError
 from .integrate import IntegratorConfig, solve_forced
 from .potentials import custom
 
 
-@dataclass(frozen=True)
+@record
 class AcwState:
     """Point of the half-plane D = (0, inf) x R, in floats."""
     x: float
@@ -87,7 +87,7 @@ def _ermakov(lam: float):     # x'' + x = lam/x^3 is x'' = -V'(x) on (0, inf)
                   lambda x: 1.0 + 3.0 * lam / x ** 4, domain_left=0.0)
 
 
-@dataclass(frozen=True)
+@record
 class AcwCheck:
     analytic: AcwState
     numeric: AcwState

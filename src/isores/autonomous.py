@@ -8,10 +8,10 @@ I = E/N = V(r)/N both ways, with no area quadrature and no measured period."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import record, replace
 from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, _quad_checked
 from .integrate import (VARIATIONAL, IntegratorConfig, RawSolution, State, energy,
@@ -54,7 +54,7 @@ def minimal_period(pot: PotentialSpec, r: float, cfg: IntegratorConfig) -> float
 # ---------------------------------------------------------------------------
 # variational solutions
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class VariationalSolution:
     """Fundamental complex solution psi = u + i*v of the linearization along
     the orbit of amplitude r: u(0)=1, u'(0)=0, v(0)=0, v'(0)=1."""
@@ -139,7 +139,7 @@ def psi_solution(pot: PotentialSpec, r: float, cfg: IntegratorConfig,
 # ---------------------------------------------------------------------------
 # action-angle machinery
 
-@dataclass(frozen=True)
+@record
 class ActionAngle:
     theta: float
     action: float
@@ -271,7 +271,7 @@ def negative_semiperiod(pot: PotentialSpec, action: float) -> float:
 _BOUNCING_GRID = 2001       # times over the period; half as many inside (0, pi - delta)
 
 
-@dataclass(frozen=True)
+@record
 class BouncingAudit:
     action: float
     sup_x_defect: float

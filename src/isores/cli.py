@@ -13,12 +13,12 @@ import json
 import math
 import re
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import acw as acw_mod
+from ._record import astuple
 from . import autonomous, dynamics, phi as phi_mod
 from .errors import ConfigError, IsoresError
 from .forcing import TrigPoly, forcing_from_descriptor
@@ -333,10 +333,11 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         payload, code = args.run(_resolve(args))
-    except (IsoresError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except (IsoresError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)     # strict JSON: a nan is a ValueError
         return 1
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(text)
     return code
 
 

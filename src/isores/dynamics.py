@@ -6,10 +6,10 @@ of the resonance functional."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .autonomous import ActionAngle, from_action_angle
 from .errors import ConfigError, DomainError, IntegrationError, NumericsError
 from .forcing import ForcingTerm, TWO_PI, l1_norm
@@ -28,7 +28,7 @@ _NEWTON_TOL = 1e-10           # the residual norm at which Newton has converged
 _NEWTON_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
+@record
 class ResonanceDiagnostics:
     """Windowed records of a forced run over whole periods.
 
@@ -196,7 +196,7 @@ def stroboscopic_map(pot: PotentialSpec, f: ForcingTerm, eps: float,
     return solve_forced(pot, f, eps, [s.x, s.v], 0.0, TWO_PI, cfg).end_state()
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicSolution:
     state: State
     residual: float

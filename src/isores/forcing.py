@@ -10,10 +10,10 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import ConfigError, NumericsError
 
 TWO_PI = 2.0 * math.pi
@@ -53,7 +53,7 @@ class ForcingTerm:
         return np.empty(0)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TrigPoly(ForcingTerm):
     """a0 + sum_k (a_k cos(kt) + b_k sin(kt)), declared once as a0 and
     ``harmonics``: (k, a_k, b_k) for every k >= 1 with a nonzero a_k or b_k,
@@ -135,7 +135,7 @@ class _Pieces(ForcingTerm):
         return np.array(self.pieces[0])
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PiecewiseConst(_Pieces):
     """Right-continuous step function of period ``period`` (a divisor of 2*pi).
 
@@ -172,7 +172,7 @@ class PiecewiseConst(_Pieces):
         object.__setattr__(self, "pieces", (tuple(starts.tolist()), values, (0.0,) * j.size))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Sampled(_Pieces):
     """Values on the uniform grid 2*pi*j/n, j=0..n-1, linearly interpolated
     and wrapped periodically: its pieces start at the samples, with

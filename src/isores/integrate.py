@@ -58,24 +58,24 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._record import record
 from .errors import ConfigError, IntegrationError
 from .forcing import ForcingTerm, partition
 from .potentials import PotentialSpec, brentq
 
 
-@dataclass(frozen=True)
+@record
 class State:
     """Phase point (position, velocity)."""
     x: float
     v: float
 
 
-@dataclass(frozen=True)
+@record
 class IntegratorConfig:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-12
@@ -91,7 +91,7 @@ class IntegratorConfig:
             raise ConfigError("integrator.max_steps: must be an integer >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class Event:
     kind: str
     t: float

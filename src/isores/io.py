@@ -31,8 +31,10 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, obj):
-    """obj as strict JSON: a nan or infinite float raises ValueError."""
+    """obj as strict JSON: a nan or infinite float raises ValueError, and
+    then nothing is written."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    path.write_text(text)
     return path

@@ -29,11 +29,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._record import record
 from .errors import ConfigError, NumericsError
 from .forcing import ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad
 from .integrate import IntegratorConfig
@@ -168,7 +168,7 @@ def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
     return complex(_phi_table(pot, f, [float(theta)], [float(r)], cfg)[0, 0])
 
 
-@dataclass(frozen=True)
+@record
 class PinneyConstants:
     """First Fourier data of the Pinney variational solution:
     c0 = mean of Re psi, d_plus/d_minus the cos/sin projections pairing with
@@ -189,7 +189,7 @@ def pinney_fourier_constants(r: float) -> PinneyConstants:
                            d_minus=float(0.5 * (c1 - c_m1).real))
 
 
-@dataclass(frozen=True)
+@record
 class CorollaryBound:
     margin: float
     phi_lower_bound: float
@@ -207,7 +207,7 @@ def corollary_bound(a0: float, a1: float, b1: float) -> CorollaryBound:
                           resonant=margin > 0)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PhiField:
     """Sampled Phi over the cylinder grid plus the r -> inf slice of a
     declared profile (Pinney's), as views of one table with r = inf last.
@@ -247,7 +247,8 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     inf where a declared profile (Pinney's) serves it.  Its np.abs, as the
     CSV prints it, gives min_modulus and the argmin: the first r-column
     holding it (r = inf last), at its first theta.  Never returns a partial
-    field: any error propagates."""
+    field: any error propagates, and a node where Phi is not finite is a
+    NumericsError."""
     if theta_count < 1 or len(r_grid) < 1:
         raise NumericsError("phi_scan: grids must be nonempty")
     theta = np.linspace(0.0, TWO_PI, theta_count, endpoint=False)
@@ -255,6 +256,12 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     with_inf = pot.profile is not None and not pot.homogeneous
     amplitudes = r_grid.tolist() + [math.inf] * with_inf
     table = _phi_table(pot, f, theta, amplitudes, cfg)
+    bad = ~np.isfinite(table)
+    if bad.any():                   # the first r-column holding one, at its first theta
+        j = int(np.argmax(bad.any(axis=0)))
+        i = int(np.argmax(bad[:, j]))
+        raise NumericsError(f"phi_scan: Phi = {table[i, j]} at theta = {float(theta[i])!r}, "
+                            f"r = {amplitudes[j]!r} is not finite")
     mods = np.abs(table)
     j = int(np.argmin(mods.min(axis=0)))         # the first r-column holding the minimum
     i = int(np.argmin(mods[:, j]))               # and in it the first theta
@@ -264,7 +271,7 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
                     pot=pot, f=f, cfg=cfg)
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     certified_resonant: bool
     min_modulus: float

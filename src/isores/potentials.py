@@ -8,10 +8,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import ConfigError, DomainError, NumericsError
 from .forcing import TWO_PI, check_descriptor_numbers
 
@@ -83,7 +83,7 @@ def brentq(f, a, b, *, xtol, rtol, maxiter=100):
                         f"(last iterate {xcur!r})")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PotentialSpec:
     """A potential V with its derivatives and structural metadata.
 
@@ -620,7 +620,7 @@ def sigma_map(pot: PotentialSpec, x: float) -> float:
     return inverse_V(pot, pot.v(x), -1)
 
 
-@dataclass(frozen=True)
+@record
 class AppendixAudit:
     """Per-point diagnostics of the singular-isochronous structure:
     iso_residuals[i] = V(x_i) - (x_i - sigma(x_i))^2 / 8 and

@@ -573,6 +573,43 @@ def test_usage_errors_exit_1(argv, message, timeout, capsys):
     assert message in err
 
 
+_HUGE_SAMPLED = '{"kind":"sampled","values":[1e308,-1e308]}'
+_HUGE_PERIODIC = ["periodic-find", "--potential", "pinney", "--forcing", "sin", "--eps", "1e300"]
+
+
+@pytest.mark.parametrize("argv, out, message", [
+    (["phi-scan", "--potential", "pinney", "--forcing", _HUGE_SAMPLED], False,
+     "error: phi_scan: Phi = (nan+nanj) at theta = 0.0, r = 0.0 is not finite"),
+    (["phi-scan", "--potential", "pinney", "--forcing", _HUGE_SAMPLED], True,
+     "error: phi_scan: Phi = (nan+nanj) at theta = 0.0, r = 0.0 is not finite"),
+    (_HUGE_PERIODIC, False, "error: Out of range float values are not JSON compliant"),
+    (_HUGE_PERIODIC, True, "error: Out of range float values are not JSON compliant"),
+    # x0 y0 = 1e600: the first integral overflows, and "Infinity" exited 0
+    (["acw", "--c", "4", "--x0", "1e300", "--y0", "1e300", "--steps", "5"], False,
+     "error: Out of range float values are not JSON compliant"),
+    # each array is larger than x86-64's 128 TiB user address space, so it
+    # is refused at once whatever the overcommit setting: nothing is allocated
+    (["resonance-run", "--potential", "pinney", "--forcing", "sin", "--eps", "0.05",
+      "--periods", "10000000000000"], False, "error: Unable to allocate 291. TiB"),
+    (["phi-scan", "--potential", "pinney", "--forcing", "sin",
+      "--theta-points", "100000000000000"], False, "error: Unable to allocate 728. TiB"),
+    (["phi-scan", "--potential", "pinney", "--forcing", "sin",
+      "--r-points", "100000000000000"], False, "error: Unable to allocate 728. TiB"),
+], ids=["nan-scan", "nan-scan-out", "inf-residual", "inf-residual-out", "inf-first-integral",
+        "run-records-too-large", "theta-grid-too-large", "r-grid-too-large"])
+def test_a_result_that_cannot_be_held_exits_1(argv, out, message, tmp_path, capsys):
+    # a nan Phi or an infinite residual printed NaN or Infinity, which is not
+    # JSON, and exited 2; with --out, the CSV was written and then the JSON
+    # refused (exit 1).  numpy's refused allocation escaped main as a traceback
+    with warnings.catch_warnings():     # numpy's overflow notes on the way there
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([*argv, *(["--out", str(tmp_path / "out")] if out else [])])
+    stdout, stderr = capsys.readouterr()
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(message) and stderr.count("\n") == 1, stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_half_phi_zero_seed_from_config_file_is_a_usage_error(tmp_path, capsys):
     # one of the pair fell back to the seed (x0, v0), and Newton exited 2
     config = tmp_path / "run.json"

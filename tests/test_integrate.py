@@ -115,6 +115,18 @@ def test_kept_wrappers_are_named_nowhere_else():
     assert not named, named
 
 
+def test_no_source_module_imports_dataclasses():
+    # dataclasses wrote and compiled 102 methods for the package's 19
+    # records at every import, 11-20 ms of each command's start; the records
+    # are isores._record's, whose methods are closures
+    src = Path(__file__).resolve().parents[1] / "src" / "isores"
+    imports = re.compile(r"^\s*(import|from)\s+dataclasses\b")
+    named = [f"{path.name}:{n}: {line.strip()}" for path in sorted(src.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1) if imports.match(line)]
+    assert len(list(src.glob("*.py"))) >= 12
+    assert not named, named
+
+
 def test_the_package_exports_the_solve_it_runs():
     import isores.integrate
     assert iso.solve_forced is isores.integrate.solve_forced

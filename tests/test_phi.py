@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import ellipeinc, ellipkinc
 
 import isores as iso
+from isores._record import replace
 from isores.errors import ConfigError, DomainError, NumericsError
 from isores.forcing import (PiecewiseConst, Sampled, TrigPoly, TWO_PI,
                             fourier_coefficient, fourier_coefficient_quadrature)
@@ -265,7 +265,7 @@ def test_a_renamed_pinney_keeps_its_closed_forms(monkeypatch, pin, cfg, sin_f):
     # phi and autonomous picked the closed forms by kind: a Pinney centre of
     # another name took psi_solution at each of the 8 amplitudes, lost the
     # r = inf slice, moved its values and integrated T-
-    renamed = dataclasses.replace(pin, kind="shifted-pinney")
+    renamed = replace(pin, kind="shifted-pinney")
     solves = _count_calls(monkeypatch, isores.phi, "psi_solution")
     step = PiecewiseConst((0.3, 1.9, 3.4, 5.0), (0.7, -0.4, 0.9, -0.8))
     for f in (sin_f, step):
