@@ -124,15 +124,16 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     uniform in [0, 2 pi] with both ends included, and its end is the next
     window's start, s0 + (k + 1) D for the exact translation D that is the
     period map.  That run reads no tolerance of cfg and can take no failed
-    step.  Otherwise the run builds its windowed system (forced_system with
+    step.  Otherwise the run builds its sampled system (forced_system with
     samples) once and steps each window as its own integrate_ode solve
     (_integrated_windows), which restarts where the system says, so the
     steps, knots and end states are those of a chain of solve_forced calls;
     a window's suprema are over its step knots and _WINDOW_SAMPLES uniform
     times, evaluated in one dense-output call that only the steps holding
-    them (and those its events read) build.  One pass over the window ends then serves both: it
-    reads their energies in one pot.v call, cuts the run at the first end
-    that leaves the float range, checks the envelope and gives the verdict.
+    them (and those a kink or guard root ends) build.  One pass over the
+    window ends then serves both: it reads their energies in one pot.v
+    call, cuts the run at the first end that leaves the float range, checks
+    the envelope and gives the verdict.
     Memory grows with n_periods only by these records.
     """
     if n_periods < 10:
@@ -237,7 +238,7 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
     """
     s = seed
     g, jac = _newton_system(pot, f, eps, s, cfg)
-    res = float(np.linalg.norm(g))
+    res = math.hypot(*g)
     if res <= _NEWTON_TOL:
         return PeriodicSolution(state=s, residual=res, converged=True,
                                 iterations=0, message="seed is a fixed point")
@@ -262,7 +263,7 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
             except (DomainError, IntegrationError, NumericsError):
                 lam *= 0.5
                 continue
-            if np.linalg.norm(g_new) < res:
+            if math.hypot(*g_new) < res:
                 break
             lam *= 0.5
         else:
@@ -270,7 +271,7 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
                                     iterations=it,
                                     message="damping failed to reduce the residual")
         s, g, jac = cand, g_new, jac_new
-        res = float(np.linalg.norm(g))
+        res = math.hypot(*g)
         if res <= _NEWTON_TOL:
             return PeriodicSolution(state=s, residual=res, converged=True,
                                     iterations=it, message="converged")

@@ -10,16 +10,18 @@ Cost model.  An attempted step costs 11 right-hand-side evaluations (its
 stages), an accepted one 1 more (f_new, which the error estimate does not
 read), one that builds its dense output 3 more, and every restart (start,
 forcing break, kink) 2 more: nfev = 2 n_segments + 12 n_steps +
-11 n_rejected + 3 n_dense.  Every step builds it but in a tangent solve
-(Newton's monodromy, which only differentiates (x, v) and is stepped by
-them: forced_system's tangent) and a windowed one (a resonance_run window:
-forced_system's samples), where only a step whose rows are read does (see
-_system_source).  The whole accept/reject loop over one span is generated
-as source over scalar locals (_system_source) and compiled once per
-structure: the state size n, whether it is a tangent or a windowed system,
-the system's body (the lines that compute the right-hand side), its span
-statements (lines run once per span) and the expressions of the kink and
-the guard it watches.
+11 n_rejected + 3 n_dense.  A system is plain or sampled: every step of a
+plain one builds its dense output, and a step of a sampled one builds it
+only where it holds the next of the solve's samples or ends at a watched
+kink or guard crossing (see _system_source).  A resonance_run window is a
+sampled solve (forced_system's samples), and so is Newton's tangent solve,
+with no samples: it only differentiates (x, v) and is stepped by them
+(forced_system's tangent).  The whole accept/reject loop over one span is
+generated as source over scalar locals (_system_source) and compiled once
+per structure: the state size n, whether the system is a tangent one and
+whether it is sampled, the system's body (the lines that compute the
+right-hand side), its span statements (lines run once per span) and the
+expressions of the kink and the guard it watches.
 forced_system, the one builder of x'' = -V'(x) +
 eps*p(t) and its extra components (n = 2 for a forced run, 3 with the
 Rofe-Beketov integral, 6 with the variational pairs; solve_forced solves
@@ -40,7 +42,7 @@ root-found on the step's interpolant there; integrate_ode loops over the
 spans between the split points and restarts the step at each kink root,
 by one rule for the kink (see integrate_ode).  An attempted step of a forced
 Pinney run costs 9-10 us and an accepted asymmetric:1:1 one 12-15 us,
-0.7-0.9 us per right-hand side with its share of the stage sums (windowed
+0.7-0.9 us per right-hand side with its share of the stage sums (sampled
 solves, 2-core VM, Python 3.11).  At rel_tol 1e-11 a forced period takes 3-7
 times fewer steps than the Dormand-Prince 5(4) loop it replaced took at
 1e-10, to a smaller error.  The stage sums keep the terms and the order of a
@@ -58,6 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -108,29 +111,25 @@ class RawSolution:
     scipy's OdeSolution picks its interpolant; coef[k], shape (7, n), is its
     DOP853 dense output in powers of s = (t - ts[k]) / h[k]:
     y = ys[k] + h[k] * sum_j coef[k, j] * s**(j+1).
-    A tangent solve (Newton's monodromy, see forced_system) keeps no dense
-    output: its coef is None, and eval, state and events raise ValueError.
-    A windowed one's step k has row rows[k] of coef, none if -1, where eval
-    raises ValueError (if rows is None, step k's is coef[k]).  Nothing
-    changes it once built, so it is safe to share.
+    A plain solve has rows None: step k's row is coef[k].  A sampled one
+    (see _system_source) has rows, and step k's row is coef[rows[k]], none
+    if rows[k] is -1: eval, state and events raise ValueError where they
+    need a step that has none.  Nothing changes it once built, so it is
+    safe to share.
     """
 
     def __init__(self, ts, ys, h, coef, log, stats, rows=None):
-        self.ts, self.ys, self.h = map(np.asarray, (ts, ys, h))
-        self.coef = None if coef is None else np.asarray(coef)
+        self.ts, self.ys, self.h, self.coef = map(np.asarray, (ts, ys, h, coef))
         self.rows = rows
         self._log = log                   # Events logged while stepping
         self.stats = stats
 
     def _dense(self, k):
         """The rows of coef of the steps k, an index array."""
-        if self.coef is None:
-            raise ValueError("a tangent solve keeps no dense output: only its knots "
-                             "(ts, ys) and end state can be read")
         rows = k if self.rows is None else self.rows[k]
         if rows.min(initial=0) < 0:
-            raise ValueError("a windowed solve keeps no dense output inside a step "
-                             "that holds none of its window's samples")
+            raise ValueError("a sampled solve keeps no dense output inside a step that "
+                             "holds none of its samples and ends at no kink or guard crossing")
         return rows
 
     @cached_property
@@ -285,7 +284,7 @@ _DENSE = _dense_matrix()
 _ROOT_TOL = 4 * math.ulp(1.0)      # scipy's event-root tolerance, a Python float
 
 
-def _system_source(n, span, body, kink, guard, tangent, windowed):
+def _system_source(n, span, body, kink, guard, tangent, sampled):
     """Source of rhs(tt, y, tm) and of run(...), the DOP853 loop over one
     span, for an n-component system body: lines that read tt and
     s_0..s_{n-1} and set r_0..r_{n-1} (and no name of the loop's own).  The
@@ -306,7 +305,7 @@ def _system_source(n, span, body, kink, guard, tangent, windowed):
     the body's r_i as k{j}_i.  An accepted step appends h to hs, its knot
     t_new to ts and its n components to ys (its start is the last knot), and
     runs the 3 stages of its dense output inline and appends its 16 stage
-    rows to ks (16n floats), every step but as below.  The kink and
+    rows to ks (16n floats), every step of a plain system.  The kink and
     the guard (each an expression over t_new and the step's end state
     z_0..z_{n-1}, or None) are the watched functions, kink first; g_i is
     one's value at the step's start and d_i the direction of the crossing
@@ -325,19 +324,18 @@ def _system_source(n, span, body, kink, guard, tangent, windowed):
     also written as watch_kink(t_new, z) or watch_guard(t_new, z), its value
     at a state z, for the root-find.
 
-    A tangent system is (x, v) = (s_0, s_1) followed by components that
-    differentiate it (the variational pairs), which the sums for s_0 and s_1
-    never read: its error norm, den included, sums over z_0 and z_1 only, and
-    an accepted step runs its 3 dense stages and appends its 16 stage rows
-    only when it ends at a watched sign change, whose root-find reads them.
-    So it takes the steps of the 2-component system from the same start, to
+    A sampled system's run takes grid, kept after g_0..: grid is the
+    solve's samples in increasing order, ending with inf.  nxt is the first
+    sample at or after the span's start, then the first past the last
+    step, and an accepted step runs its 3 dense stages, appends its rows
+    and appends its index n_steps to kept only if it holds nxt or ends at a
+    watched sign change, whose root-find reads them.  A tangent system is
+    (x, v) = (s_0, s_1) followed by components that differentiate it (the
+    variational pairs), which the sums for s_0 and s_1 never read: its error
+    norm, den included, sums over z_0 and z_1 only.  Sampled with no samples,
+    it takes the steps of the 2-component system from the same start, to
     the same (x, v) bit for bit, at 12 right-hand sides per accepted step
-    (11 per rejected one).  A windowed system's run takes dt, w0, w1, kept
-    after g_0..: its window [w0, w1] is sampled at j * dt + w0 and w1, and a
-    step builds its rows, and appends its index n_steps to kept, only if it
-    holds nxt (the first sample at or after the span's start, then past the
-    last step), ends at w1 or at a watched sign change, or changes the sign
-    of x = z_0 or v = z_1 (RawSolution.events root-finds that)."""
+    (11 per rejected one)."""
     watch = [expr for expr in (kink, guard) if expr is not None]
     m = len(watch)
 
@@ -360,10 +358,6 @@ def _system_source(n, span, body, kink, guard, tangent, windowed):
 
     def stage(j):
         return point(j) + value(j)
-
-    def sample(t, op):             # nxt, the first sample j * dt + w0 not op t
-        return [f"j = int(({t} - w0) / dt)", "nxt = j * dt + w0",
-                f"while nxt {op} {t}: j += 1; nxt = j * dt + w0"]
 
     # stages 2..12, then the order 8 solution z = y + h B.K; f_new = k13 at z
     # has weight 0 in the error, so only an accepted step evaluates it
@@ -396,13 +390,10 @@ def _system_source(n, span, body, kink, guard, tangent, windowed):
 
     stages = each(lambda j: each(lambda i: f"k{j + 1}_{i}"), 16)
     dense = [line for j in range(14, 17) for line in stage(j)]
-    dense += [f"ks += ({stages},)", *(["kept.append(n_steps)"] if windowed else [])]
-    # a tangent or windowed step builds its rows only where they are read
-    rule = (["hit"] if m else []) + (["nxt <= t_new", "t_new == w1", "z_0 < 0 < y_0",
-                                      "y_0 < 0 < z_0", "z_1 < 0 < y_1", "y_1 < 0 < z_1"]
-                                     if windowed else [])
-    if tangent or windowed:
-        dense = [f"if {' or '.join(rule)}:", *indent(dense, 1)] if rule else []
+    dense += [f"ks += ({stages},)"]
+    if sampled:    # a sampled step builds its rows only where they are read
+        dense = [f"if {'hit or ' if m else ''}nxt <= t_new:", *indent(dense, 1),
+                 "    kept.append(n_steps)"]
     accepted = value(13)
     if m:
         olds, news = each(lambda i: f"g_{i}", m), each(lambda i: f"w_{i}", m)
@@ -416,8 +407,8 @@ def _system_source(n, span, body, kink, guard, tangent, windowed):
                      f"{olds}, = {news},"]
         if kink is not None:
             accepted += ["if d_0 != d_0 and w_0: d_0 = -1.0 if w_0 > 0 else 1.0"]
-    if windowed:
-        accepted += ["if nxt <= t_new:", *indent(sample("t_new", "<="), 1)]
+    if sampled:
+        accepted += ["while nxt <= t_new: i += 1; nxt = grid[i]"]
     accepted += ["ts.append(t_new)",
                  f"ys += ({each(lambda i: f'z_{i}')},)",
                  "n_steps += 1",
@@ -430,7 +421,7 @@ def _system_source(n, span, body, kink, guard, tangent, windowed):
 
     args = ", ".join([each(lambda i: f"y_{i}"), each(lambda i: f"k1_{i}"), "h_abs, tb",
                       *([each(lambda i: f"d_{i}", m), each(lambda i: f"g_{i}", m)] if m else []),
-                      *(["dt, w0, w1, kept"] if windowed else []),
+                      *(["grid, kept"] if sampled else []),
                       "n_steps, n_rej, max_steps, atol, rtol, ts, ys, hs, ks"])
     lines = ["def rhs(tt, y, tm=None):",
              "    if tm is None: tm = tt",
@@ -440,7 +431,7 @@ def _system_source(n, span, body, kink, guard, tangent, windowed):
              f"    return ({each(lambda i: f'r_{i}')},)",
              f"def run(t, {args}):",
              "    tm = 0.5 * (t + tb)",
-             *indent(sample("t", "<") if windowed else [], 1),
+             *(["    i = bisect_left(grid, t); nxt = grid[i]"] if sampled else []),
              *indent(span, 1),
              "    while True:",
              "        min_step = 10 * (nextafter(t, inf) - t)",
@@ -463,11 +454,11 @@ def _system_source(n, span, body, kink, guard, tangent, windowed):
 
 
 @lru_cache(maxsize=64)
-def _compiled(n, span, body, kink, guard, tangent, windowed):
+def _compiled(n, span, body, kink, guard, tangent, sampled):
     """The compiled _system_source(n, span, body, kink, guard, tangent,
-    windowed), cached by structure, the span statements included: systems
+    sampled), cached by structure, the span statements included: systems
     that differ only in the values of their constants share one code object."""
-    return compile(_system_source(n, span, body, kink, guard, tangent, windowed),
+    return compile(_system_source(n, span, body, kink, guard, tangent, sampled),
                    f"<isores system, n={n}>", "exec")
 
 
@@ -482,12 +473,15 @@ def _compile_system(n, body, constants, kink=None, guard=None, span=(), splits=(
     2*pi-periodic p, as floats, where every solve restarts.  constants are
     the values of the globals that the body, the span statements and the
     expressions read, bound per system.  A tangent system (rhs.tangent, see
-    _system_source) is stepped by (x, v) alone and keeps no dense output;
-    a windowed one (rhs.samples > 0) keeps it where its samples fall."""
+    _system_source) is stepped by (x, v) alone.  It is sampled, and so is one
+    with rhs.samples > 0: its steps build their dense output only where
+    rhs.samples uniform samples of each solve fall or a kink or guard
+    crossing ends them."""
     namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
-                 "nextafter": math.nextafter, "inf": math.inf, **constants}
+                 "nextafter": math.nextafter, "inf": math.inf, "bisect_left": bisect_left,
+                 **constants}
     exec(_compiled(n, tuple(span), tuple(body), kink, guard and guard[1], tangent,
-                   samples > 0), namespace)
+                   tangent or samples > 0), namespace)
     rhs = namespace["rhs"]
     rhs.run = namespace["run"]
     rhs.kink = namespace.get("watch_kink")
@@ -558,9 +552,10 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     loop then steps over (see _system_source); nfev = 2 n_segments +
     12 n_steps + 11 n_rejected + 3 n_dense (the module's cost model).  A
     tangent system (system.tangent) scales the starting step by (x, v), as
-    it steps, and gives a solution with knots only.  A windowed one
-    (system.samples = N > 0) builds the dense output only where its samples,
-    np.linspace(t0, t1, N), and its events read it (see _system_source).
+    it steps.  A sampled one (tangent, or system.samples = N > 0) has the
+    samples np.linspace(t0, t1, N), none for a tangent one, and its steps
+    build their dense output only where these or a kink or guard root read
+    it (see _system_source).
     """
     t0, t1 = float(t0), float(t1)     # a numpy bound would make the loop's arithmetic numpy's
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -576,9 +571,10 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     # the functions whose sign change ends a step, kink first
     watched = [g for g in (kink, guard and guard[1]) if g is not None]
     tangent, samples = system.tangent, system.samples
-    # a windowed loop's samples, np.linspace(t0, t1, samples)'s: j * dt + t0, t1 last
-    kept = []          # a windowed solve's steps that built their rows
-    grid = ((t1 - t0) / (samples - 1), t0, t1, kept) if samples else ()
+    kept = []          # a sampled solve's steps that built their rows
+    # a sampled loop's grid (np.linspace's samples, none for a tangent, then inf) and kept
+    sampled = ((np.linspace(t0, t1, samples).tolist() + [math.inf], kept)
+               if tangent or samples else ())
     ts, ys, hs, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 16n floats a row
     n_steps = n_rejected = n_segments = 0
 
@@ -587,13 +583,12 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
         stats = {"n_steps": n_steps,
                  "nfev": 2 * n_segments + 12 * n_steps + 11 * n_rejected + 3 * len(table),
                  "n_segments": n_segments, "n_rejected": n_rejected}
-        coef = None if tangent else _DENSE @ table
         rows = None
-        if samples:
+        if sampled:
             rows = np.full(len(ts) - 1, -1)
             rows[kept] = np.arange(len(kept))
-        return RawSolution(_floats(ts), _floats(ys).reshape(-1, n), _floats(hs), coef, log,
-                           stats, rows)
+        return RawSolution(_floats(ts), _floats(ys).reshape(-1, n), _floats(hs), _DENSE @ table,
+                           log, stats, rows)
 
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
@@ -621,7 +616,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
                 fail(f"integration failed: no starting step at t = {ta} (h = {h_abs})")
             try:
                 why, n_steps, n_rejected, hit = run(
-                    ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), *grid, n_steps,
+                    ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), *sampled, n_steps,
                     n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, hs, ks)
             except (OverflowError, ZeroDivisionError) as exc:
                 n_steps = len(ts) - 1   # run's step count is lost with it: count its knots
@@ -683,11 +678,13 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
 
     tangent marks extra lines that only differentiate (x, v), as Newton's
     monodromy does with VARIATIONAL: (x, v) alone set the error norm and the
-    starting step, and the solve keeps no dense output, so its steps and (x,
-    v) are those of the 2-component solve bit for bit and each accepted step
-    costs 12 right-hand sides instead of 15 (see _system_source).  psi keeps
-    the full norm: its variational pair is the result, not a derivative.
-    samples > 0 makes a windowed system (see integrate_ode)."""
+    starting step, and the solve is sampled with no samples, so its steps
+    and (x, v) are those of the 2-component solve bit for bit and each
+    accepted step costs 12 right-hand sides instead of 15 (see
+    _system_source).  psi keeps the full norm: its variational pair is the
+    result, not a derivative.  samples > 0 makes a sampled system, whose
+    steps build their dense output where samples uniform times of each
+    solve fall (see integrate_ode)."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     dv, d2v, constants = pot.scalar
@@ -717,8 +714,8 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
 def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
                  t1: float, cfg: IntegratorConfig, extra=(), *, tangent=False) -> RawSolution:
     """Solve forced_system(pot, f, eps, cfg, extra, tangent=tangent) from y0 =
-    (x, v, ...) over [t0, t1]: the dense solution (knots only for a
-    tangent solve), restarted where the system says (at p's breaks when p is
+    (x, v, ...) over [t0, t1]: the dense solution (for a tangent solve,
+    only where a kink or guard crossing ends a step), restarted where the system says (at p's breaks when p is
     given and eps != 0).  x must lie in V's domain; a failure raises
     IntegrationError, whose ``trajectory`` is a RawSolution too."""
     system = forced_system(pot, f, eps, cfg, extra, tangent=tangent)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -574,7 +576,6 @@ def test_usage_errors_exit_1(argv, message, timeout, capsys):
 
 
 _HUGE_SAMPLED = '{"kind":"sampled","values":[1e308,-1e308]}'
-_HUGE_PERIODIC = ["periodic-find", "--potential", "pinney", "--forcing", "sin", "--eps", "1e300"]
 
 
 @pytest.mark.parametrize("argv, out, message", [
@@ -582,8 +583,6 @@ _HUGE_PERIODIC = ["periodic-find", "--potential", "pinney", "--forcing", "sin", 
      "error: phi_scan: Phi = (nan+nanj) at theta = 0.0, r = 0.0 is not finite"),
     (["phi-scan", "--potential", "pinney", "--forcing", _HUGE_SAMPLED], True,
      "error: phi_scan: Phi = (nan+nanj) at theta = 0.0, r = 0.0 is not finite"),
-    (_HUGE_PERIODIC, False, "error: Out of range float values are not JSON compliant"),
-    (_HUGE_PERIODIC, True, "error: Out of range float values are not JSON compliant"),
     # x0 y0 = 1e600: the first integral overflows, and "Infinity" exited 0
     (["acw", "--c", "4", "--x0", "1e300", "--y0", "1e300", "--steps", "5"], False,
      "error: Out of range float values are not JSON compliant"),
@@ -595,12 +594,12 @@ _HUGE_PERIODIC = ["periodic-find", "--potential", "pinney", "--forcing", "sin", 
       "--theta-points", "100000000000000"], False, "error: Unable to allocate 728. TiB"),
     (["phi-scan", "--potential", "pinney", "--forcing", "sin",
       "--r-points", "100000000000000"], False, "error: Unable to allocate 728. TiB"),
-], ids=["nan-scan", "nan-scan-out", "inf-residual", "inf-residual-out", "inf-first-integral",
+], ids=["nan-scan", "nan-scan-out", "inf-first-integral",
         "run-records-too-large", "theta-grid-too-large", "r-grid-too-large"])
 def test_a_result_that_cannot_be_held_exits_1(argv, out, message, tmp_path, capsys):
-    # a nan Phi or an infinite residual printed NaN or Infinity, which is not
-    # JSON, and exited 2; with --out, the CSV was written and then the JSON
-    # refused (exit 1).  numpy's refused allocation escaped main as a traceback
+    # a nan Phi printed NaN, which is not JSON, and exited 2; with --out, the
+    # CSV was written and then the JSON refused (exit 1).  numpy's refused
+    # allocation escaped main as a traceback
     with warnings.catch_warnings():     # numpy's overflow notes on the way there
         warnings.simplefilter("ignore", RuntimeWarning)
         code = main([*argv, *(["--out", str(tmp_path / "out")] if out else [])])
@@ -608,6 +607,28 @@ def test_a_result_that_cannot_be_held_exits_1(argv, out, message, tmp_path, caps
     assert (code, stdout) == (1, "")
     assert stderr.startswith(message) and stderr.count("\n") == 1, stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("potential", ["pinney", "harmonic:1"])
+def test_periodic_find_at_a_huge_eps_prints_a_finite_residual(potential, out, tmp_path,
+                                                              capsys):
+    # G = P(s) - s is finite near 1e300, and np.linalg.norm's sum of squares
+    # overflowed: the residual printed as inf (exit 1, "Out of range float
+    # values are not JSON compliant"), with numpy's overflow warning.  Its
+    # norm is math.hypot's, and Newton stops at the singular Jacobian
+    argv = ["periodic-find", "--potential", potential, "--forcing", "sin", "--eps", "1e300",
+            *(["--out", str(tmp_path)] if out else [])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    stdout, stderr = capsys.readouterr()
+    payload = json.loads(stdout)
+    assert (code, stderr) == (2, "")
+    assert 1e300 < payload["residual"] < math.inf and not payload["converged"]
+    assert payload["message"].startswith("singular Jacobian")
+    if out:
+        assert json.loads((tmp_path / "periodic.json").read_text()) == payload
 
 
 def test_half_phi_zero_seed_from_config_file_is_a_usage_error(tmp_path, capsys):
@@ -870,7 +891,7 @@ def _a_fixed_point_of_its_map(out):
     r = json.loads((out / "periodic.json").read_text())
     end = solve_forced(pinney(), TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01, [r["x"], r["v"]],
                        0.0, 2 * math.pi, IntegratorConfig()).ys[-1]
-    res = float(np.linalg.norm(end - [r["x"], r["v"]]))
+    res = math.hypot(*(end - [r["x"], r["v"]]))
     assert res == r["residual"] and res <= 1e-10, (res, r)
 
 
@@ -896,3 +917,31 @@ def _a_fixed_point_of_its_map(out):
 def test_the_files_a_command_writes(argv, check, tmp_path):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     check(tmp_path)
+
+
+def _readme_block(heading, fence):
+    """The first fenced block under a README heading, its fence "```bash"
+    or "```python"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split(f"## {heading}", 1)[1].split(f"{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run_as_documented(monkeypatch, tmp_path):
+    # every line of the "Command line" block exits with the code of its
+    # "# exit N" comment, 0 otherwise, writing its --out files under
+    # tmp_path, and the "Library quick tour" block runs; a numpy
+    # RuntimeWarning (an overflow, say) fails either
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("Command line", "```bash").replace("\\\n", " ").splitlines()
+    assert len(lines) == 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for line in lines:
+            cmd, _, comment = line.partition("#")
+            m = re.search(r"exit (\d+)", comment)
+            program, *argv = shlex.split(cmd)
+            assert program == "isores"
+            assert main(argv) == (int(m.group(1)) if m else 0), cmd
+        exec(compile(_readme_block("Library quick tour", "```python"),
+                     "README.md quick tour", "exec"), {})
+    assert (tmp_path / "out").is_dir()

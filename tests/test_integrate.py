@@ -150,9 +150,13 @@ def test_an_overflow_inside_a_step_is_an_integration_error(cfg, tangent):
     assert 0.8 < raw.ys[-1, 0] < 0.888 and raw.ts[-1] < math.pi / 2
 
 
+_ROWLESS = "a sampled solve keeps no dense output inside a step that holds none of its samples"
+
+
 @pytest.mark.parametrize("read", ["eval", "state", "events", "windowed"])
 def test_a_tangent_solve_has_no_dense_output(pin, sin_f, cfg, read):
-    # Newton's tangent solve keeps its knots only: a dense read says so
+    # Newton's tangent solve is sampled with no samples: on Pinney, which
+    # has no kink, it keeps its knots only, and a dense read says so
     # instead of reading an empty table.  A windowed solve (a resonance_run
     # window's) keeps the rows of the steps its samples fall in, and eval
     # says so inside any other step
@@ -161,23 +165,69 @@ def test_a_tangent_solve_has_no_dense_output(pin, sin_f, cfg, read):
         raw = integrate_ode(system, [0.0, 16.0], 0.0, TWO_PI, cfg)
         k = int(np.argmin(raw.rows))
         assert raw.rows[k] == -1 and raw.coef.shape[0] < raw.stats["n_steps"]
-        with pytest.raises(ValueError, match="keeps no dense output inside a step"):
+        with pytest.raises(ValueError, match=_ROWLESS):
             raw.eval([0.0, float(raw.ts[k] + 0.5 * raw.h[k])])
         return
     raw = solve_forced(pin, sin_f, 0.05, [0.5, 0.2, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
                        VARIATIONAL, tangent=True)
-    assert raw.coef is None and raw.stats["n_steps"] > 0
+    assert raw.stats["n_steps"] > 0
     assert raw.end_state() == State(*raw.ys[-1, :2].tolist())
-    with pytest.raises(ValueError, match="a tangent solve keeps no dense output"):
+    with pytest.raises(ValueError, match=_ROWLESS):
         {"eval": lambda: raw.eval(1.0), "state": lambda: raw.state(1.0),
          "events": lambda: raw.events}[read]()
 
 
+def _kink_tangent_solve(cfg):
+    """Newton's tangent solve on asymmetric(4, 4/9) over a period, whose
+    steps that end at the kink x = 0 keep their rows, and the 2-component
+    solve from the same start."""
+    asym, f = iso.asymmetric(4.0, 4.0 / 9.0), TrigPoly(sin_coeffs=(1.0,))
+    raw = solve_forced(asym, f, 0.05, [0.5, 0.2, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
+                       VARIATIONAL, tangent=True)
+    return raw, solve_forced(asym, f, 0.05, [0.5, 0.2], 0.0, TWO_PI, cfg)
+
+
+def test_a_tangent_solve_reads_inside_a_step_that_ends_at_the_kink(cfg):
+    # the root-find of a kink crossing reads the step's rows, so they are
+    # kept: eval inside that step agrees with the 2-component solve
+    raw, two = _kink_tangent_solve(cfg)
+    kept = np.flatnonzero(raw.rows >= 0)
+    assert kept.size and raw.coef.shape[0] == kept.size < raw.stats["n_steps"]
+    assert np.array_equal(raw.ts, two.ts)
+    assert np.all(np.abs(raw.ys[kept + 1, 0]) < 1e-12)     # each ends at x = 0
+    t = raw.ts[kept] + 0.37 * (raw.ts[kept + 1] - raw.ts[kept])   # h runs past the root
+    assert np.max(np.abs(raw.eval(t)[:2] - two.eval(t))) < 1e-12
+
+
+@pytest.mark.parametrize("read", ["eval", "state", "events"])
+def test_a_tangent_solve_with_kink_rows_still_refuses_a_rowless_step(cfg, read):
+    # the same solve has no rows in the steps that end elsewhere: a read
+    # there, or the v = 0 root-find, raises the one message
+    raw, _ = _kink_tangent_solve(cfg)
+    k = int(np.argmin(raw.rows))
+    assert raw.rows[k] == -1
+    t = float(raw.ts[k] + 0.5 * raw.h[k])
+    with pytest.raises(ValueError, match=_ROWLESS):
+        {"eval": lambda: raw.eval(t), "state": lambda: raw.state(t),
+         "events": lambda: raw.events}[read]()
+
+
+def test_a_window_reads_no_events_where_a_sign_change_holds_no_sample(pin, sin_f, cfg):
+    # a Pinney window from (0, 16) spends most of its steps at the bounce,
+    # between two samples: the v = 0 crossing there has no rows to
+    # root-find on, since no reader of a window reads its events
+    system = forced_system(pin, sin_f, 0.05, cfg, samples=512)
+    raw = integrate_ode(system, [0.0, 16.0], 0.0, TWO_PI, cfg)
+    assert 2 * raw.coef.shape[0] < raw.stats["n_steps"]
+    with pytest.raises(ValueError, match=_ROWLESS):
+        raw.events
+
+
 def test_a_windowed_solve_keeps_the_row_of_its_last_sample(pin, sin_f, cfg):
-    # on [1.4, 5.7] with 2 samples the grid's j * dt + t0 for j = 1 is
-    # 5.700000000000001, past the window's end, which np.linspace gives as
-    # 5.7: the step that ends the window keeps its row for it all the same,
-    # though it holds no other sample and changes no sign
+    # on [1.4, 5.7] with 2 samples the last sample is the window's end, 5.7,
+    # as np.linspace gives it (its step times 1, plus 1.4, would round past
+    # it): the step that ends the window keeps its row for it, though it
+    # holds no other sample
     assert (5.7 - 1.4) + 1.4 > 5.7
     raw = integrate_ode(forced_system(pin, sin_f, 0.05, cfg, samples=2), [1.0, 0.0],
                         1.4, 5.7, cfg)
@@ -842,16 +892,15 @@ _EXTRA = {2: (), 3: (ROFE_BEKETOV,), 6: VARIATIONAL}
 def _record(fun, y0, t0, t1, cfg):
     """Everything a solve leaves, as bits: the message of the IntegrationError
     it raised (None if none), its stats, events, knots and dense table (a
-    tangent solve has neither events nor table: None for both)."""
+    tangent solve's table holds the rows of its kink and guard steps only,
+    and its events are None: a v = 0 crossing may fall in a rowless step)."""
     try:
         raw, message = integrate_ode(fun, y0, t0, t1, cfg), None
     except IntegrationError as exc:
         raw, message = exc.trajectory, str(exc)
-    dense = raw.coef is not None
     return (message, raw.stats,
-            [(e.kind, float(e.t).hex()) for e in raw.events] if dense else None,
-            *(_bits(np.ravel(a)) for a in (raw.ts, raw.ys, raw.h)),
-            _bits(np.ravel(raw.coef)) if dense else None)
+            [(e.kind, float(e.t).hex()) for e in raw.events] if raw.rows is None else None,
+            *(_bits(np.ravel(a)) for a in (raw.ts, raw.ys, raw.h, raw.coef)))
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
@@ -1012,8 +1061,7 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
     # variational pairs, the Rofe-Beketov system (restarts at the kink),
     # Newton's tangent solve on the asymmetric centre forced by a step, whose
     # steps that end at the kink alone build their dense output, and a
-    # windowed Pinney solve, whose steps that hold none of its samples (and
-    # change no sign) do not
+    # windowed Pinney solve, whose steps that hold none of its samples do not
     from isores.autonomous import _rofe_raw
     calls = []
 
