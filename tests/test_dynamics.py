@@ -442,6 +442,51 @@ def test_newton_solve_takes_the_period_maps_steps(case, cfg):
     assert g.tolist() == [end.x - x, end.v - v]
 
 
+# (centre, p, eps, start) of the Newton solves whose G and monodromy M are
+# pinned: the README seed, a start whose period crosses the asymmetric kink
+# (restarts at its roots), one whose step forcing splits the period
+# (restarts at its breaks) and a custom centre, with G = P(s) - s and M =
+# (u, u', w, w') at the period's end as float.hex
+_PINNED_NEWTON = {
+    "readme-seed": (_NEWTON_CASES["readme-seed"],
+                    ("0x1.006be1e874000p-15", "-0x1.54f1c65e7ba58p-8"),
+                    ("0x1.fee9485ed56c6p-1", "0x1.6139b210f298cp-2", "-0x1.80aed5aea7484p-7",
+                     "0x1.ff036657d24dbp-1")),
+    "asymmetric-kink": (_NEWTON_CASES["asymmetric-kink"],
+                        ("-0x1.f5c4a802a5600p-7", "-0x1.02a1c12d28000p-14"),
+                        ("0x1.003a6fb83200fp+0", "0x1.7e98ca2742400p-12",
+                         "-0x1.1da0ad9683680p-9", "0x1.ff8b208cf1336p-1")),
+    "pinney-step": ((iso.pinney(), PiecewiseConst(breakpoints=(0.3, 1.9, 3.4, 5.0),
+                                                  values=(1.0, -0.5, 0.7, -1.2)), 0.05,
+                     (0.5, 0.2)),
+                    ("-0x1.2ad7414868de8p-5", "-0x1.9b00232006530p-6"),
+                    ("0x1.0d61ce0d09b72p+0", "0x1.d64668d94fde8p-6", "-0x1.c22b9ebb332b4p-4",
+                     "0x1.e507d0208cc5ep-1")),
+    "custom": ((iso.custom(v=lambda x: 0.5 * np.asarray(x) ** 2 + 0.025 * np.asarray(x) ** 4,
+                           dv=lambda x: x + 0.1 * x ** 3, d2v=lambda x: 1.0 + 0.3 * x ** 2),
+                TrigPoly(sin_coeffs=(1.0,)), 0.05, (0.5, 0.2)),
+               ("-0x1.278a8a9887532p-3", "-0x1.99c2a8c217350p-6"),
+               ("0x1.0af1d96af9b6cp+0", "-0x1.28ea9c4df6bd0p-3", "0x1.31d5641ccf6fap-4",
+                "0x1.e5b15dd006202p-1")),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_NEWTON))
+def test_newton_g_and_monodromy_are_pinned(case, cfg):
+    # G and M to the bit, and the Jacobian Newton reads is M - I
+    from isores.integrate import VARIATIONAL
+    (pot, f, eps, (x, v)), g_hex, m_hex = _PINNED_NEWTON[case]
+    g, jac = dynamics._newton_system(pot, f, eps, State(x, v), cfg)
+    raw = solve_forced(pot, f, eps, [x, v, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
+                       VARIATIONAL, tangent=True)
+    u, du, w, dw = raw.ys[-1, 2:].tolist()
+    assert [a.hex() for a in g.tolist()] == list(g_hex)
+    assert [a.hex() for a in (u, du, w, dw)] == list(m_hex)
+    assert jac.tolist() == [[u - 1.0, w], [du, dw - 1.0]]
+    restarts = {"asymmetric-kink": 3, "pinney-step": 5}.get(case, 1)
+    assert raw.stats["n_segments"] == restarts
+
+
 def test_finder_crafted_zero(pin, crafted_zero, cfg):
     forcing, r_star, action_star = crafted_zero
     seed = seed_from_phi_zero(pin, math.pi, action_star, cfg)
