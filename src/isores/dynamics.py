@@ -13,8 +13,7 @@ from ._record import record
 from .autonomous import ActionAngle, from_action_angle
 from .errors import ConfigError, DomainError, IntegrationError, NumericsError
 from .forcing import ForcingTerm, TWO_PI, l1_norm
-from .integrate import (VARIATIONAL, IntegratorConfig, State, energy, forced_system,
-                        integrate_ode, solve_forced)
+from .integrate import IntegratorConfig, State, energy, forced_system, integrate_ode, solve_forced
 from .potentials import PotentialSpec
 
 ENVELOPE_SLACK = 1e-6
@@ -91,8 +90,7 @@ def _integrated_windows(pot, f, eps, s0, cfg, records):
                 raise      # no step from the start: no run to report
             return k, str(exc)
         # the samples, then the knots: the last is the end
-        xv = np.concatenate([traj.eval(np.linspace(t0, t1, system.samples)), traj.ys.T],
-                            axis=1)
+        xv = np.concatenate([traj.eval(traj.samples), traj.ys.T], axis=1)
         records[:2, k] = _sups(xv[0], xv[1])
         y = traj.ys[-1].tolist()
         records[2:, k] = y
@@ -208,16 +206,14 @@ class PeriodicSolution:
 
 def _newton_system(pot: PotentialSpec, f: ForcingTerm, eps: float, s: State,
                    cfg: IntegratorConfig):
-    """G(s) = P(s) - s for the period map P, and G's Jacobian M - I: one
-    tangent solve of the forced variational system, the monodromy matrix M =
-    [[u, w], [u', w']].  (x, v) alone set its steps, so P(s) is the end
-    state of the 2-component solve_forced(pot, f, eps, [s.x, s.v], 0.0,
-    2*pi, cfg) bit for bit, and M differentiates that discrete map along its
-    steps with their sizes held (internal numerical differentiation)."""
-    raw = solve_forced(pot, f, eps, [s.x, s.v, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
-                       VARIATIONAL, tangent=True)
-    x, v, u, du, w, dw = raw.ys[-1]
-    return np.array([x - s.x, v - s.v]), np.array([[u - 1.0, w], [du, dw - 1.0]])
+    """G(s) = P(s) - s for the period map P, and the solve that gives it:
+    the tangent 2-component solve_forced(pot, f, eps, [s.x, s.v], 0.0, 2*pi,
+    cfg, tangent=True), P(s) to the bit, whose variations give the monodromy
+    M = [[u, w], [u', w']] and G's Jacobian M - I.  M differentiates that
+    discrete map along its steps with their sizes held (internal numerical
+    differentiation)."""
+    raw = solve_forced(pot, f, eps, [s.x, s.v], 0.0, TWO_PI, cfg, tangent=True)
+    return raw.ys[-1] - [s.x, s.v], raw
 
 
 def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
@@ -225,9 +221,9 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
     """Damped Newton iteration on G(s) = P(s) - s, P the period map: the
     end state of solve_forced(pot, f, eps, [s.x, s.v], 0.0, 2*pi, cfg).
 
-    One tangent solve of the forced variational system (_newton_system)
-    gives G, equal to P(s) - s bit for bit, and its Jacobian, that of the
-    discrete map along its own steps.  Steps are halved (8 times at most)
+    Each candidate is one period-map solve (_newton_system), G = P(s) - s bit
+    for bit, and the Jacobian M - I along its steps one pass over them, run
+    only where Newton steps from.  Steps are halved (8 times at most)
     until the residual falls; a candidate that fails or leaves the domain is
     halved too.  A Jacobian with condition number
     above 1e12 or norm below 1e-6 aborts with a diagnostic: at eps = 0 (and
@@ -237,12 +233,14 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
     after _NEWTON_MAX_ITER iterations.
     """
     s = seed
-    g, jac = _newton_system(pot, f, eps, s, cfg)
+    g, raw = _newton_system(pot, f, eps, s, cfg)
     res = math.hypot(*g)
     if res <= _NEWTON_TOL:
         return PeriodicSolution(state=s, residual=res, converged=True,
                                 iterations=0, message="seed is a fixed point")
     for it in range(1, _NEWTON_MAX_ITER + 1):
+        u, du, w, dw = raw.variations()[-1]       # M, where Newton steps from
+        jac = np.array([[u - 1.0, w], [du, dw - 1.0]])
         cond = np.linalg.cond(jac)
         # the isochronous period map degenerates to a translation when the
         # forcing cannot tilt it (eps = 0, a linear oscillator): M = I, and
@@ -259,7 +257,7 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
         for _ in range(8):
             cand = State(s.x + lam * step[0], s.v + lam * step[1])
             try:
-                g_new, jac_new = _newton_system(pot, f, eps, cand, cfg)
+                g_new, raw_new = _newton_system(pot, f, eps, cand, cfg)
             except (DomainError, IntegrationError, NumericsError):
                 lam *= 0.5
                 continue
@@ -270,7 +268,7 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
             return PeriodicSolution(state=s, residual=res, converged=False,
                                     iterations=it,
                                     message="damping failed to reduce the residual")
-        s, g, jac = cand, g_new, jac_new
+        s, g, raw = cand, g_new, raw_new
         res = math.hypot(*g)
         if res <= _NEWTON_TOL:
             return PeriodicSolution(state=s, residual=res, converged=True,

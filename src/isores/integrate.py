@@ -14,11 +14,13 @@ forcing break, kink) 2 more: nfev = 2 n_segments + 12 n_steps +
 plain one builds its dense output, and a step of a sampled one builds it
 only where it holds the next of the solve's samples or ends at a watched
 kink or guard crossing (see _system_source).  A resonance_run window is a
-sampled solve (forced_system's samples), and so is Newton's tangent solve,
-with no samples: it only differentiates (x, v) and is stepped by them
-(forced_system's tangent).  The whole accept/reject loop over one span is
-generated as source over scalar locals (_system_source) and compiled once
-per structure: the state size n, whether the system is a tangent one and
+sampled solve (forced_system's samples), and so is Newton's period map
+(forced_system's tangent), with no samples: its steps record their stage x,
+and its monodromy is one pass over them (RawSolution.variations) at one V''
+and no V' per recorded stage (12 a step, 15 one that ends at a kink root,
+1 more at the start and at each root).  The whole accept/reject loop over
+one span is generated as source over scalar locals (_system_source) and
+compiled once per structure: the state size n, the tangent lines and
 whether it is sampled, the system's body (the lines that compute the
 right-hand side), its span statements (lines run once per span) and the
 expressions of the kink and the guard it watches.
@@ -114,15 +116,36 @@ class RawSolution:
     A plain solve has rows None: step k's row is coef[k].  A sampled one
     (see _system_source) has rows, and step k's row is coef[rows[k]], none
     if rows[k] is -1: eval, state and events raise ValueError where they
-    need a step that has none.  Nothing changes it once built, so it is
-    safe to share.
+    need a step that has none; samples is its np.linspace.  Nothing
+    changes it once built, so it is safe to share.
     """
 
-    def __init__(self, ts, ys, h, coef, log, stats, rows=None):
+    def __init__(self, ts, ys, h, coef, log, stats, rows=None, samples=None, tangent=None):
         self.ts, self.ys, self.h, self.coef = map(np.asarray, (ts, ys, h, coef))
-        self.rows = rows
+        self.rows, self.samples = rows, samples
         self._log = log                   # Events logged while stepping
         self.stats = stats
+        self._tangent = tangent           # (system, its stage x's) of a tangent solve
+
+    def variations(self, start=(1.0, 0.0, 0.0, 1.0)):
+        """A tangent solve's (u, u', w, w') at each knot from start, tuples of
+        floats: its tangent lines over its steps' stage x's, k1 carried as k13
+        (the same floats at a break) and taken afresh at a kink root, read on
+        the 4 columns' own interpolant.  From (1, 0, 0, 1) the last is M's."""
+        system, xs = self._tangent
+        ts, hs, x = self.ts.tolist(), self.h.tolist(), self.ys[:, 0].tolist()
+        vs, k = [tuple(map(float, start))], 0      # numpy scalars would make the pass numpy's
+        try:   # a float ** or / raises where numpy's would give inf, as in a step
+            k1 = system.tangent_at(x[0], *vs[0])
+            for end in [*np.flatnonzero(self.rows >= 0).tolist(), -1]:
+                rows = system.vary(k, end, *vs[-1], *k1, hs, xs, vs)   # end's, from vs[-1]
+                if end < 0:
+                    return vs
+                y_at = _interpolant(ts[end], hs[end], vs[-1], _DENSE @ np.reshape(rows, (16, 4)))
+                vs.append(tuple(y_at(ts[end + 1])))
+                k, k1 = end + 1, system.tangent_at(x[end + 1], *vs[-1])
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise IntegrationError(f"integration failed: a variation ({exc.args[-1]})") from None
 
     def _dense(self, k):
         """The rows of coef of the steps k, an index array."""
@@ -285,9 +308,9 @@ _ROOT_TOL = 4 * math.ulp(1.0)      # scipy's event-root tolerance, a Python floa
 
 
 def _system_source(n, span, body, kink, guard, tangent, sampled):
-    """Source of rhs(tt, y, tm) and of run(...), the DOP853 loop over one
-    span, for an n-component system body: lines that read tt and
-    s_0..s_{n-1} and set r_0..r_{n-1} (and no name of the loop's own).  The
+    """Sources of rhs(tt, y, tm) and run(...), the DOP853 loop over one span
+    (then of a tangent system's pass), for an n-component system body: lines
+    that read tt and s_0..s_{n-1} and set r_0..r_{n-1} (no loop name).  The
     body may read tm, a time inside the span: run sets it to the midpoint of
     the span it steps over, and rhs to tt unless it is given.  The span
     statements (lines over tm and constants only, such as a forcing's
@@ -295,7 +318,7 @@ def _system_source(n, span, body, kink, guard, tangent, sampled):
     and the body reads the names they set at every stage.
 
     run(t, y_0.., k1_0.., h_abs, tb, d_0.., g_0.., n_steps, n_rej, max_steps,
-    atol, rtol, ts, ys, hs, ks) steps from (t, y) with k1 = rhs(t, y, tm)
+    atol, rtol, ts, ys, hs, ks, xs) steps from (t, y) with k1 = rhs(t, y, tm)
     towards tb: accept/reject, scipy DOP853's error norm |h| |e5|^2 / sqrt((|e5|^2 +
     0.01 |e3|^2) n), its controller (exponent -1/8) and its step-size
     update, with the body inline at each of the 11 stages, and at f_new =
@@ -329,51 +352,53 @@ def _system_source(n, span, body, kink, guard, tangent, sampled):
     sample at or after the span's start, then the first past the last
     step, and an accepted step runs its 3 dense stages, appends its rows
     and appends its index n_steps to kept only if it holds nxt or ends at a
-    watched sign change, whose root-find reads them.  A tangent system is
-    (x, v) = (s_0, s_1) followed by components that differentiate it (the
-    variational pairs), which the sums for s_0 and s_1 never read: its error
-    norm, den included, sums over z_0 and z_1 only.  Sampled with no samples,
-    it takes the steps of the 2-component system from the same start, to
-    the same (x, v) bit for bit, at 12 right-hand sides per accepted step
-    (11 per rejected one)."""
+    watched sign change, whose root-find reads them.  A tangent system
+    (tangent: lines over s_0 = x and s_2..s_5 = (u, u', w, w') that set
+    r_2..r_5) is sampled; its stage j's x is x{j}, and a step appends
+    (x2, ..., x13) to xs, (..., x16) where it builds its rows.  vary(k, end,
+    y_2.., k1_2.., hs, xs, vs) runs the tangent lines over the steps from k
+    with the terms and order of the loop's sums, appending each knot to vs,
+    and returns step end's 16 rows (its start vs[-1]), None past the last."""
     watch = [expr for expr in (kink, guard) if expr is not None]
     m = len(watch)
 
     def indent(lines, depth):
         return ["    " * depth + line for line in lines]
 
-    def each(fmt, count=n):        # fmt(i) for every component, comma-joined
-        return ", ".join(fmt(i) for i in range(count))
+    def each(fmt, count=n, first=0):   # fmt(i) for every component, comma-joined
+        return ", ".join(fmt(i) for i in range(first, count))
 
     def combo(coefs, i):           # (c1) * k1_i + (c2) * k2_i + ..., zeros skipped
         return " + ".join(f"({c!r}) * k{j + 1}_{i}" for j, c in coefs.items())
 
+    def sums(j, comps):            # stage j's state
+        return [f"s_{i} = y_{i} + h * ({combo(_A[j - 1], i)})" for i in comps]
+
     def point(j):                  # stage j's time and state
         t_j = "t + h" if _C[j - 1] == 1.0 else f"t + ({_C[j - 1]!r}) * h"
-        return [f"tt = {t_j}"] + [f"s_{i} = y_{i} + h * ({combo(_A[j - 1], i)})"
-                                  for i in range(n)]
+        return [f"tt = {t_j}"] + sums(j, range(n))
 
-    def value(j):                  # the body there, its r_i renamed k{j}_i
-        return [re.sub(r"\br_(\d+)\b", rf"k{j}_\1", line) for line in body]
+    def value(j, lines=body):      # the lines there, r_i renamed k{j}_i (and s_0 x{j})
+        lines = [re.sub(r"\br_(\d+)\b", rf"k{j}_\1", line) for line in lines]
+        return [re.sub(r"\bs_0\b", f"x{j}", line) for line in lines] if tangent else lines
 
     def stage(j):
-        return point(j) + value(j)
+        return value(j, [*point(j), *body])
 
     # stages 2..12, then the order 8 solution z = y + h B.K; f_new = k13 at z
     # has weight 0 in the error, so only an accepted step evaluates it
-    step = [line for j in range(2, 13) for line in stage(j)] + point(13)
-    step += ["; ".join(f"z_{i} = s_{i}" for i in range(n))]
-    norm = 2 if tangent else n     # the components of the error norm
-    for i in range(norm):
+    step = [line for j in range(2, 13) for line in stage(j)]
+    step += value(13, point(13) + ["; ".join(f"z_{i} = s_{i}" for i in range(n))])
+    for i in range(n):
         step += [f"a, b = abs(y_{i}), abs(z_{i})",
                  "sc = atol + (b if b > a else a) * rtol",
                  f"e5_{i} = ({combo(_E5, i)}) / sc",
                  f"e3_{i} = ({combo(_E3, i)}) / sc"]
     # the loop's sums start at 0.0, and 0.0 + e * e is e * e for every float e
-    sq5, sq3 = (" + ".join(f"e{o}_{i} * e{o}_{i}" for i in range(norm)) for o in (5, 3))
+    sq5, sq3 = (" + ".join(f"e{o}_{i} * e{o}_{i}" for i in range(n)) for o in (5, 3))
     step += [f"sq5 = {sq5}",
              f"sq3 = {sq3}",
-             f"den = (sq5 + 0.01 * sq3) * {norm}",
+             f"den = (sq5 + 0.01 * sq3) * {n}",
              "err = h * sq5 / sqrt(den) if den else 0.0",
              "if err < 1:",
              "    factor = 10.0",
@@ -390,11 +415,11 @@ def _system_source(n, span, body, kink, guard, tangent, sampled):
 
     stages = each(lambda j: each(lambda i: f"k{j + 1}_{i}"), 16)
     dense = [line for j in range(14, 17) for line in stage(j)]
-    dense += [f"ks += ({stages},)"]
+    dense += [f"ks += ({stages},)", *(["xs[-1] += (x14, x15, x16)"] if tangent else [])]
     if sampled:    # a sampled step builds its rows only where they are read
         dense = [f"if {'hit or ' if m else ''}nxt <= t_new:", *indent(dense, 1),
                  "    kept.append(n_steps)"]
-    accepted = value(13)
+    accepted = value(13) + ([f"xs.append(({each(lambda j: f'x{j}', 14, 2)},))"] if tangent else [])
     if m:
         olds, news = each(lambda i: f"g_{i}", m), each(lambda i: f"w_{i}", m)
         crossed = " or ".join(f"d_{i} * g_{i} <= 0 <= d_{i} * w_{i}" for i in range(m))
@@ -422,7 +447,7 @@ def _system_source(n, span, body, kink, guard, tangent, sampled):
     args = ", ".join([each(lambda i: f"y_{i}"), each(lambda i: f"k1_{i}"), "h_abs, tb",
                       *([each(lambda i: f"d_{i}", m), each(lambda i: f"g_{i}", m)] if m else []),
                       *(["grid, kept"] if sampled else []),
-                      "n_steps, n_rej, max_steps, atol, rtol, ts, ys, hs, ks"])
+                      "n_steps, n_rej, max_steps, atol, rtol, ts, ys, hs, ks, xs"])
     lines = ["def rhs(tt, y, tm=None):",
              "    if tm is None: tm = tt",
              *indent(span, 1),
@@ -450,20 +475,38 @@ def _system_source(n, span, body, kink, guard, tangent, sampled):
             lines += [f"def watch_{name}(t_new, z):",
                       f"    {each(lambda i: f'z_{i}')}, = z",
                       f"    return {expr}"]
-    return "\n".join(lines) + "\n"
+    sources = [lines]
+    if tangent:    # the pass over (u, u', w, w'), stage by stage, a source of its own
+        y, k1, s, k13 = (each(lambda i: f"{c}_{i}", 6, 2) for c in ("y", "k1", "s", "k13"))
+        rows = each(lambda j: f"k{j}_2, k{j}_3, k{j}_4, k{j}_5", 17, 1)
+        replay = [value(j, [*sums(j, range(2, 6)), *tangent]) for j in range(2, 17)]
+        sources += [[f"def vary(k, end, {y}, {k1}, hs, xs, vs):",
+                     "    while k < len(hs):",
+                     f"        h = hs[k]; {each(lambda j: f'x{j}', 14, 2)}, *dense = xs[k]",
+                     *indent(sum(replay[:12], []), 2),
+                     "        if k == end:",
+                     "            x14, x15, x16, = dense",
+                     *indent(sum(replay[12:], []), 3),
+                     f"            return ({rows},)",
+                     f"        {y}, {k1}, = {s}, {k13},",
+                     f"        vs.append(({y},)); k += 1",
+                     f"def tangent_at(s_0, {s}):",
+                     *indent(tangent, 1),
+                     f"    return ({each(lambda i: f'r_{i}', 6, 2)},)"]]
+    return ["\n".join(source) + "\n" for source in sources]
 
 
 @lru_cache(maxsize=64)
 def _compiled(n, span, body, kink, guard, tangent, sampled):
-    """The compiled _system_source(n, span, body, kink, guard, tangent,
-    sampled), cached by structure, the span statements included: systems
-    that differ only in the values of their constants share one code object."""
-    return compile(_system_source(n, span, body, kink, guard, tangent, sampled),
-                   f"<isores system, n={n}>", "exec")
+    """Each source of _system_source(n, span, body, kink, guard, tangent,
+    sampled) compiled on its own, cached by structure (span statements too):
+    systems that differ only in the values of their constants share code."""
+    return tuple(compile(source, f"<isores system, n={n}>", "exec")
+                 for source in _system_source(n, span, body, kink, guard, tangent, sampled))
 
 
 def _compile_system(n, body, constants, kink=None, guard=None, span=(), splits=(),
-                    tangent=False, samples=0):
+                    tangent=(), samples=0):
     """rhs(t, y) of an n-component system from its body and span statements
     (lines, see _system_source), with everything integrate_ode needs to
     solve it: its loop as rhs.run; the kink, an expression over t_new and
@@ -472,30 +515,33 @@ def _compile_system(n, body, constants, kink=None, guard=None, span=(), splits=(
     g(t, y)), or None; and rhs.splits, the split points in [0, 2*pi) of a
     2*pi-periodic p, as floats, where every solve restarts.  constants are
     the values of the globals that the body, the span statements and the
-    expressions read, bound per system.  A tangent system (rhs.tangent, see
-    _system_source) is stepped by (x, v) alone.  It is sampled, and so is one
-    with rhs.samples > 0: its steps build their dense output only where
-    rhs.samples uniform samples of each solve fall or a kink or guard
-    crossing ends them."""
+    expressions read, bound per system.  A system with tangent lines
+    (rhs.tangent, whose pass is rhs.vary, see _system_source) is sampled
+    with no samples, and one with rhs.samples > 0 is sampled: its steps
+    build their dense output only where rhs.samples uniform samples of each
+    solve fall or a kink or guard crossing ends them."""
+    if tangent and samples:
+        raise ValueError("a tangent system takes no samples")
     namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
                  "nextafter": math.nextafter, "inf": math.inf, "bisect_left": bisect_left,
                  **constants}
-    exec(_compiled(n, tuple(span), tuple(body), kink, guard and guard[1], tangent,
-                   tangent or samples > 0), namespace)
+    for code in _compiled(n, tuple(span), tuple(body), kink, guard and guard[1], tuple(tangent),
+                          bool(tangent) or samples > 0):
+        exec(code, namespace)
     rhs = namespace["rhs"]
     rhs.run = namespace["run"]
     rhs.kink = namespace.get("watch_kink")
     rhs.guard = guard and (guard[0], namespace["watch_guard"])
     rhs.splits = tuple(map(float, splits))
-    rhs.tangent, rhs.samples = tangent, samples
+    rhs.tangent, rhs.samples = tuple(tangent), samples
+    rhs.vary, rhs.tangent_at = namespace.get("vary"), namespace.get("tangent_at")
     return rhs
 
 
-def _initial_step(fun, t, y, f, span, cfg, norm):
-    """scipy's starting-step rule for an error estimator of order 7, scaled
-    by the first norm components of y (all of them but a tangent's)."""
-    scale = [cfg.abs_tol + abs(a) * cfg.rel_tol for a in y[:norm]]
-    rms = lambda v: math.sqrt(sum((x / s) ** 2 for x, s in zip(v, scale)) / norm)
+def _initial_step(fun, t, y, f, span, cfg):
+    """scipy's starting-step rule for an error estimator of order 7."""
+    scale = [cfg.abs_tol + abs(a) * cfg.rel_tol for a in y]
+    rms = lambda v: math.sqrt(sum((x / s) ** 2 for x, s in zip(v, scale)) / len(y))
     d0, d1 = rms(y), rms(f)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     f1 = fun(t + h0, [a + h0 * p for a, p in zip(y, f)])
@@ -551,11 +597,11 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     rule, as a new solve_ivp call would, with tm the midpoint of what the
     loop then steps over (see _system_source); nfev = 2 n_segments +
     12 n_steps + 11 n_rejected + 3 n_dense (the module's cost model).  A
-    tangent system (system.tangent) scales the starting step by (x, v), as
-    it steps.  A sampled one (tangent, or system.samples = N > 0) has the
-    samples np.linspace(t0, t1, N), none for a tangent one, and its steps
-    build their dense output only where these or a kink or guard root read
-    it (see _system_source).
+    sampled system (tangent, or system.samples = N > 0) has the samples
+    np.linspace(t0, t1, N) (RawSolution.samples; none for N = 0), and its
+    steps build their dense output only where these or a kink or guard
+    root read it; a tangent one's steps record its stage x's (see
+    _system_source).
     """
     t0, t1 = float(t0), float(t1)     # a numpy bound would make the loop's arithmetic numpy's
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -570,11 +616,11 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
     run, kink, guard = system.run, system.kink, system.guard
     # the functions whose sign change ends a step, kink first
     watched = [g for g in (kink, guard and guard[1]) if g is not None]
-    tangent, samples = system.tangent, system.samples
-    kept = []          # a sampled solve's steps that built their rows
-    # a sampled loop's grid (np.linspace's samples, none for a tangent, then inf) and kept
-    sampled = ((np.linspace(t0, t1, samples).tolist() + [math.inf], kept)
-               if tangent or samples else ())
+    samples = np.linspace(t0, t1, system.samples) if system.samples else None
+    kept, xs = [], []  # a sampled solve's steps that built their rows, a tangent's stage x's
+    # a sampled loop's grid (its samples, then inf) and kept
+    sampled = (((samples.tolist() if system.samples else []) + [math.inf], kept)
+               if system.tangent or system.samples else ())
     ts, ys, hs, ks, log = [t0], list(y), [], [], []   # ys: n, ks: 16n floats a row
     n_steps = n_rejected = n_segments = 0
 
@@ -588,7 +634,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
             rows = np.full(len(ts) - 1, -1)
             rows[kept] = np.arange(len(kept))
         return RawSolution(_floats(ts), _floats(ys).reshape(-1, n), _floats(hs), _DENSE @ table,
-                           log, stats, rows)
+                           log, stats, rows, samples, (system, xs) if system.tangent else None)
 
     def fail(msg):
         raise IntegrationError(msg, trajectory=solution())
@@ -609,7 +655,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
             at = lambda t, y, tm=0.5 * (ta + tb): system(t, y, tm)
             try:   # a float ** or / in the system raises where numpy's would give inf
                 f = at(ta, y)
-                h_abs = _initial_step(at, ta, y, f, tb - ta, cfg, 2 if tangent else n)
+                h_abs = _initial_step(at, ta, y, f, tb - ta, cfg)
             except (OverflowError, ZeroDivisionError) as exc:   # a state too large to scale
                 fail(f"integration failed: no starting step at t = {ta} ({exc.args[-1]})")
             if not math.isfinite(h_abs):       # system is not finite at (ta, y) or near it
@@ -617,7 +663,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
             try:
                 why, n_steps, n_rejected, hit = run(
                     ta, *y, *f, h_abs, tb, *dirs, *(g(ta, y) for g in watched), *sampled, n_steps,
-                    n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, hs, ks)
+                    n_rejected, cfg.max_steps, cfg.abs_tol, cfg.rel_tol, ts, ys, hs, ks, xs)
             except (OverflowError, ZeroDivisionError) as exc:
                 n_steps = len(ts) - 1   # run's step count is lost with it: count its knots
                 fail(f"integration failed: a step from t = {ts[-1]} ({exc.args[-1]})")
@@ -627,12 +673,7 @@ def integrate_ode(system, y0, t0, t1, cfg: IntegratorConfig) -> RawSolution:
             if why == "hit":   # the earliest root on the step's interpolant ends the step
                 t_new, g_old, g_new, dirs = hit
                 t, h = ts[-1], hs[-1]     # the step's start: its knot is not appended
-                rows = np.array(ks[-16 * n:]).reshape(16, n)
-                # a tangent's (x, v) columns as the 2-component solve's product gives
-                # them, bit for bit: one product over all n columns rounds them otherwise
-                coef = (np.hstack([_DENSE @ rows[:, :2].copy(), _DENSE @ rows[:, 2:].copy()])
-                        if tangent else _DENSE @ rows)
-                y_at = _interpolant(t, h, ys[-n:], coef)
+                y_at = _interpolant(t, h, ys[-n:], _DENSE @ np.array(ks[-16 * n:]).reshape(16, n))
                 t_end, stop = min((brentq(lambda s, g=watched[i]: g(s, y_at(s)),
                                           t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
                                   for i, (a, b, d) in enumerate(zip(g_old, g_new, dirs))
@@ -676,15 +717,12 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     every solve restarts: p's split points, none when eps = 0, f is None or
     p is trigonometric.
 
-    tangent marks extra lines that only differentiate (x, v), as Newton's
-    monodromy does with VARIATIONAL: (x, v) alone set the error norm and the
-    starting step, and the solve is sampled with no samples, so its steps
-    and (x, v) are those of the 2-component solve bit for bit and each
-    accepted step costs 12 right-hand sides instead of 15 (see
-    _system_source).  psi keeps the full norm: its variational pair is the
-    result, not a derivative.  samples > 0 makes a sampled system, whose
-    steps build their dense output where samples uniform times of each
-    solve fall (see integrate_ode)."""
+    tangent makes Newton's period map: sampled with no samples, its steps
+    and (x, v) are the plain system's bit for bit, and they record the
+    stage x's over which RawSolution.variations replays VARIATIONAL, the
+    terms of the 6-component system stepped by (x, v) alone.  samples > 0
+    makes a sampled system, whose steps build their dense output where
+    samples uniform times of each solve fall (see integrate_ode)."""
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     dv, d2v, constants = pot.scalar
@@ -693,6 +731,8 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
         body.append("if x < clamp: x = clamp")
         constants.update(clamp=pot.domain_left + 1e-13,
                          thresh=pot.domain_left + cfg.singularity_margin)
+    # the tangent pass's lines: x as the body reads it, then the variational pairs
+    vary = [*body, f"d2v = {d2v}", *(f"r_{i} = {e}" for i, e in enumerate(VARIATIONAL, 2))]
     body.append(f"dv = {dv}")
     if any("d2v" in expr for expr in extra):
         body.append(f"d2v = {d2v}")
@@ -708,15 +748,17 @@ def forced_system(pot: PotentialSpec, f: ForcingTerm, eps: float, cfg: Integrato
     return _compile_system(2 + len(extra), body, constants,
                            kink="z_0" if pot.kink_at_zero else None,
                            guard=("singularity", "z_0 - thresh") if pot.singular_left else None,
-                           span=span, splits=splits, tangent=tangent, samples=samples)
+                           span=span, splits=splits, samples=samples,
+                           tangent=vary if tangent else ())
 
 
 def solve_forced(pot: PotentialSpec, f: ForcingTerm, eps: float, y0, t0: float,
                  t1: float, cfg: IntegratorConfig, extra=(), *, tangent=False) -> RawSolution:
     """Solve forced_system(pot, f, eps, cfg, extra, tangent=tangent) from y0 =
-    (x, v, ...) over [t0, t1]: the dense solution (for a tangent solve,
-    only where a kink or guard crossing ends a step), restarted where the system says (at p's breaks when p is
-    given and eps != 0).  x must lie in V's domain; a failure raises
+    (x, v, ...) over [t0, t1]: the dense solution (for a tangent solve, only
+    where a kink or guard crossing ends a step, and its variations),
+    restarted where the system says (at p's breaks when p is given and eps
+    != 0).  x must lie in V's domain; a failure raises
     IntegrationError, whose ``trajectory`` is a RawSolution too."""
     system = forced_system(pot, f, eps, cfg, extra, tangent=tangent)
     pot._check_domain(y0[0])

@@ -393,7 +393,9 @@ def test_finder_jacobian_matches_central_differences(pin, cfg):
     # differences of the period map at non-degenerate points (cond J < 50)
     f = TrigPoly(a0=1.0, cos_coeffs=(2.0,))
     for s in (State(1.0, 0.0), State(0.5, 0.3)):
-        g, jac = dynamics._newton_system(pin, f, 0.01, s, cfg)
+        g, raw = dynamics._newton_system(pin, f, 0.01, s, cfg)
+        u, du, w, dw = raw.variations()[-1]
+        jac = np.array([[u - 1.0, w], [du, dw - 1.0]])
         m = solve_forced(pin, f, 0.01, [s.x, s.v], 0.0, TWO_PI, cfg).end_state()
         assert np.max(np.abs(g - [m.x - s.x, m.v - s.v])) <= 1e-9
         assert np.linalg.cond(jac) < 50
@@ -425,16 +427,14 @@ _NEWTON_CASES = {
 
 @pytest.mark.parametrize("case", list(_NEWTON_CASES))
 def test_newton_solve_takes_the_period_maps_steps(case, cfg):
-    # the tangent solve is stepped by (x, v) alone: its knots, step sizes and
-    # (x, v) rows are the 2-component solve's, so G is P(s) - s exactly
-    from isores.integrate import VARIATIONAL
+    # the tangent solve is the 2-component solve: its knots, step sizes and
+    # (x, v) rows are the plain one's, so G is P(s) - s exactly
     pot, f, eps, (x, v) = _NEWTON_CASES[case]
     two = solve_forced(pot, f, eps, [x, v], 0.0, TWO_PI, cfg)
-    tangent = solve_forced(pot, f, eps, [x, v, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
-                           VARIATIONAL, tangent=True)
+    tangent = solve_forced(pot, f, eps, [x, v], 0.0, TWO_PI, cfg, tangent=True)
     assert tangent.ts.tolist() == two.ts.tolist()
     assert tangent.h.tolist() == two.h.tolist()
-    assert tangent.ys[:, :2].tolist() == two.ys.tolist()
+    assert tangent.ys.tolist() == two.ys.tolist()
     if case in ("asymmetric-kink", "step"):
         assert two.stats["n_segments"] > 1       # restarts at a kink root or a break
     g, _ = dynamics._newton_system(pot, f, eps, State(x, v), cfg)
@@ -473,18 +473,55 @@ _PINNED_NEWTON = {
 
 @pytest.mark.parametrize("case", list(_PINNED_NEWTON))
 def test_newton_g_and_monodromy_are_pinned(case, cfg):
-    # G and M to the bit, and the Jacobian Newton reads is M - I
-    from isores.integrate import VARIATIONAL
+    # G and M to the bit (Newton's Jacobian is M - I)
     (pot, f, eps, (x, v)), g_hex, m_hex = _PINNED_NEWTON[case]
-    g, jac = dynamics._newton_system(pot, f, eps, State(x, v), cfg)
-    raw = solve_forced(pot, f, eps, [x, v, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
-                       VARIATIONAL, tangent=True)
-    u, du, w, dw = raw.ys[-1, 2:].tolist()
+    g, raw = dynamics._newton_system(pot, f, eps, State(x, v), cfg)
     assert [a.hex() for a in g.tolist()] == list(g_hex)
-    assert [a.hex() for a in (u, du, w, dw)] == list(m_hex)
-    assert jac.tolist() == [[u - 1.0, w], [du, dw - 1.0]]
+    assert [a.hex() for a in raw.variations()[-1]] == list(m_hex)
     restarts = {"asymmetric-kink": 3, "pinney-step": 5}.get(case, 1)
     assert raw.stats["n_segments"] == restarts
+
+
+@pytest.mark.parametrize("seed, iterations, n_solves", [
+    (None, 3, 4),                 # the README seed: every full step is taken
+    (State(0.3, 0.0), 5, 11),     # the line search refuses 6 candidates, 3 of them failed
+])
+def test_newton_reads_the_monodromy_only_where_it_steps_from(pin, cfg, monkeypatch, seed,
+                                                             iterations, n_solves):
+    # each candidate is one period-map solve; the pass over its steps runs
+    # for the seed and each candidate Newton steps from, never for the
+    # converged one or one the line search refuses
+    from isores.integrate import RawSolution
+    seed = seed or seed_from_phi_zero(pin, math.pi, 0.337, cfg)
+    solves, passes = [], []       # a solve that raised is None
+    real_solve, real_pass = dynamics.solve_forced, RawSolution.variations
+
+    def solve(*args, **kwargs):
+        solves.append(None)
+        solves[-1] = real_solve(*args, **kwargs)
+        return solves[-1]
+    monkeypatch.setattr(dynamics, "solve_forced", solve)
+    monkeypatch.setattr(RawSolution, "variations",
+                        lambda self, *a: passes.append(self) or real_pass(self, *a))
+    sol = find_periodic_solution(pin, TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01, seed, cfg)
+    assert (sol.converged, sol.iterations, len(solves)) == (True, iterations, n_solves)
+    assert len(passes) == iterations and passes[0] is solves[0]
+    assert solves[-1] not in passes and all(raw in solves for raw in passes)
+
+
+def test_a_pass_from_numpy_scalars_runs_on_floats(pin, cfg):
+    # a line-search candidate holds np.float64 coordinates (s.x + lam *
+    # step[0]); the pass starts from the solve's knots and start, as floats,
+    # so none of its arithmetic is numpy's
+    f = TrigPoly(a0=1.0, cos_coeffs=(2.0,))
+    cand = State(np.float64(-0.51), np.float64(1e-3))
+    g, raw = dynamics._newton_system(pin, f, 0.01, cand, cfg)
+    for start in ((1.0, 0.0, 0.0, 1.0), tuple(np.array([1.0, 0.0, 0.0, 1.0]))):
+        knots = raw.variations(start)
+        assert len(knots) == raw.ts.size
+        assert {type(a) for knot in knots for a in knot} == {float}
+    assert raw.variations() == dynamics._newton_system(pin, f, 0.01, State(-0.51, 1e-3),
+                                                       cfg)[1].variations()
 
 
 def test_finder_crafted_zero(pin, crafted_zero, cfg):
@@ -516,8 +553,10 @@ def test_finder_stops_when_the_iteration_budget_is_spent(pin, cfg, monkeypatch):
 
 def test_finder_stops_when_damping_cannot_reduce_the_residual(pin, sin_f, cfg, monkeypatch):
     # G is (1, 0) everywhere: every halved step keeps the residual at 1
+    class Solve:       # M = 2 I, so the Jacobian M - I is I
+        variations = staticmethod(lambda: [(2.0, 0.0, 0.0, 2.0)])
     monkeypatch.setattr(dynamics, "_newton_system",
-                        lambda pot, f, eps, s, cfg: (np.array([1.0, 0.0]), np.eye(2)))
+                        lambda pot, f, eps, s, cfg: (np.array([1.0, 0.0]), Solve))
     seed = State(1.0, 0.0)
     res = find_periodic_solution(pin, sin_f, 0.01, seed, cfg)
     assert (res.converged, res.iterations, res.state) == (False, 1, seed)

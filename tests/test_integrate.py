@@ -140,14 +140,25 @@ def test_an_overflow_inside_a_step_is_an_integration_error(cfg, tangent):
     def dv(x):
         return x + 0.0 * math.exp(800.0 * x)
     pot = iso.custom(v=lambda x: 0.5 * np.asarray(x) ** 2, dv=dv, d2v=lambda x: 1.0 + 0.0 * x)
-    extra = VARIATIONAL if tangent else ()
-    y0 = [0.0, 1.0, 1.0, 0.0, 0.0, 1.0][:6 if tangent else 2]
     with pytest.raises(IntegrationError, match=r"^integration failed: a step from t = .* "
                                                r"\(math range error\)$") as exc:
-        solve_forced(pot, None, 0.0, y0, 0.0, TWO_PI, cfg, extra, tangent=tangent)
+        solve_forced(pot, None, 0.0, [0.0, 1.0], 0.0, TWO_PI, cfg, tangent=tangent)
     raw = exc.value.trajectory
     assert raw.h.size == raw.ts.size - 1 == raw.stats["n_steps"] > 0
     assert 0.8 < raw.ys[-1, 0] < 0.888 and raw.ts[-1] < math.pi / 2
+
+
+def test_an_overflow_inside_the_tangent_pass_is_an_integration_error(cfg):
+    # V'' is read only by the pass over a tangent solve's stages: a custom
+    # V'' whose float exp overflows past x = 0.888 leaves the solve whole
+    # and stops its variations with the error a step would raise
+    pot = iso.custom(v=lambda x: 0.5 * np.asarray(x) ** 2, dv=lambda x: x,
+                     d2v=lambda x: 1.0 + 0.0 * math.exp(800.0 * x))
+    raw = solve_forced(pot, None, 0.0, [0.0, 1.0], 0.0, TWO_PI, cfg, tangent=True)
+    assert raw.ts[-1] == TWO_PI and np.max(raw.ys[:, 0]) > 0.888
+    with pytest.raises(IntegrationError, match=r"^integration failed: a variation "
+                                               r"\(math range error\)$"):
+        raw.variations()
 
 
 _ROWLESS = "a sampled solve keeps no dense output inside a step that holds none of its samples"
@@ -168,10 +179,9 @@ def test_a_tangent_solve_has_no_dense_output(pin, sin_f, cfg, read):
         with pytest.raises(ValueError, match=_ROWLESS):
             raw.eval([0.0, float(raw.ts[k] + 0.5 * raw.h[k])])
         return
-    raw = solve_forced(pin, sin_f, 0.05, [0.5, 0.2, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
-                       VARIATIONAL, tangent=True)
+    raw = solve_forced(pin, sin_f, 0.05, [0.5, 0.2], 0.0, TWO_PI, cfg, tangent=True)
     assert raw.stats["n_steps"] > 0
-    assert raw.end_state() == State(*raw.ys[-1, :2].tolist())
+    assert raw.end_state() == State(*raw.ys[-1].tolist())
     with pytest.raises(ValueError, match=_ROWLESS):
         {"eval": lambda: raw.eval(1.0), "state": lambda: raw.state(1.0),
          "events": lambda: raw.events}[read]()
@@ -182,21 +192,21 @@ def _kink_tangent_solve(cfg):
     steps that end at the kink x = 0 keep their rows, and the 2-component
     solve from the same start."""
     asym, f = iso.asymmetric(4.0, 4.0 / 9.0), TrigPoly(sin_coeffs=(1.0,))
-    raw = solve_forced(asym, f, 0.05, [0.5, 0.2, 1.0, 0.0, 0.0, 1.0], 0.0, TWO_PI, cfg,
-                       VARIATIONAL, tangent=True)
+    raw = solve_forced(asym, f, 0.05, [0.5, 0.2], 0.0, TWO_PI, cfg, tangent=True)
     return raw, solve_forced(asym, f, 0.05, [0.5, 0.2], 0.0, TWO_PI, cfg)
 
 
 def test_a_tangent_solve_reads_inside_a_step_that_ends_at_the_kink(cfg):
     # the root-find of a kink crossing reads the step's rows, so they are
-    # kept: eval inside that step agrees with the 2-component solve
+    # kept: they are the 2-component solve's, and eval inside that step
+    # gives its floats
     raw, two = _kink_tangent_solve(cfg)
     kept = np.flatnonzero(raw.rows >= 0)
     assert kept.size and raw.coef.shape[0] == kept.size < raw.stats["n_steps"]
-    assert np.array_equal(raw.ts, two.ts)
+    assert np.array_equal(raw.ts, two.ts) and np.array_equal(raw.coef, two.coef[kept])
     assert np.all(np.abs(raw.ys[kept + 1, 0]) < 1e-12)     # each ends at x = 0
     t = raw.ts[kept] + 0.37 * (raw.ts[kept + 1] - raw.ts[kept])   # h runs past the root
-    assert np.max(np.abs(raw.eval(t)[:2] - two.eval(t))) < 1e-12
+    assert _bits(np.ravel(raw.eval(t))) == _bits(np.ravel(two.eval(t)))
 
 
 @pytest.mark.parametrize("read", ["eval", "state", "events"])
@@ -702,11 +712,13 @@ def _reference_loop(fun, t, y, tb, cfg, kink=None, d=0.0, tangent=False):
     end t_new of the step that crossed the kink g(t, y) in direction d (d
     g_old <= 0 <= d g_new), whose row is kept and whose knot is not, or
     None if the loop reached tb.  A tangent system's starting step and error
-    norm read its first 2 components only."""
+    norm read its first 2 components only, (x, v), which the others do not
+    move."""
     from isores.integrate import _initial_step
     norm = 2 if tangent else len(y)
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, tb - t, cfg, norm)
+    two = (lambda s, z: fun(s, [*z, *y[2:]])[:2]) if tangent else fun
+    h_abs = _initial_step(two, t, y[:norm], f[:norm], tb - t, cfg)
     ts, ys, rows, n_rejected = [t], [y], [], 0
     g = kink and kink(t, y)
     while t < tb:
@@ -772,18 +784,20 @@ def _list_chain(fun, y0, t0, t1, cfg, breaks, kink):
 
 
 def _calling_system(fun, n, kink=None, guard=None, splits=(), reads_tm=False,
-                    tangent=False, samples=0):
+                    tangent=None, samples=0):
     """A compiled system whose body calls fun(t, y), or fun(t, y, tm) if
     reads_tm (a step forcing reads its piece at tm), at each stage and whose
     loop calls the kink and the guard functions: the tests' closures run in
-    the loop integrate_ode runs for every system, a tangent one's too."""
+    the loop integrate_ode runs for every system, a tangent one's too, whose
+    tangent lines call tangent(x, u, u', w, w') for (u', u'', w', w'')."""
     from isores.integrate import _compile_system
     s, r, z = (", ".join(f"{c}_{i}" for i in range(n)) for c in "srz")
     return _compile_system(
         n, [f"{r}, = fun(tt, [{s},]{', tm' if reads_tm else ''})"],
-        {"fun": fun, "kink": kink, "guard": guard and guard[1]},
+        {"fun": fun, "kink": kink, "guard": guard and guard[1], "vary_fun": tangent},
         kink and f"kink(t_new, [{z},])", guard and (guard[0], f"guard(t_new, [{z},])"),
-        splits=splits, tangent=tangent, samples=samples)
+        splits=splits, samples=samples,
+        tangent=["r_2, r_3, r_4, r_5, = vary_fun(s_0, s_2, s_3, s_4, s_5)"] if tangent else ())
 
 
 def test_error_norm_is_zero_where_its_denominator_underflows():
@@ -893,14 +907,17 @@ def _record(fun, y0, t0, t1, cfg):
     """Everything a solve leaves, as bits: the message of the IntegrationError
     it raised (None if none), its stats, events, knots and dense table (a
     tangent solve's table holds the rows of its kink and guard steps only,
-    and its events are None: a v = 0 crossing may fall in a rowless step)."""
+    and its events are None: a v = 0 crossing may fall in a rowless step).
+    A tangent solve runs from (x, v) = y0[:2] and its variations from
+    y0[2:], and each of its knots is (x, v, u, u', w, w')."""
     try:
-        raw, message = integrate_ode(fun, y0, t0, t1, cfg), None
+        raw, message = integrate_ode(fun, y0[:2] if fun.tangent else y0, t0, t1, cfg), None
     except IntegrationError as exc:
         raw, message = exc.trajectory, str(exc)
+    ys = np.hstack([raw.ys, raw.variations(y0[2:])]) if fun.tangent else raw.ys
     return (message, raw.stats,
             [(e.kind, float(e.t).hex()) for e in raw.events] if raw.rows is None else None,
-            *(_bits(np.ravel(a)) for a in (raw.ts, raw.ys, raw.h, raw.coef)))
+            *(_bits(np.ravel(a)) for a in (raw.ts, ys, raw.h, raw.coef)))
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
@@ -912,8 +929,10 @@ def test_compiled_system_matches_closure_and_reference_step(potential, forcing, 
     # loop calling the closure and the kink and guard functions, over spans
     # long enough to cross x = 0 and the step's breaks; a span without a
     # restart against the list loop with the list step too.  "tangent" is
-    # the 6-component system Newton solves, stepped by (x, v) alone: its
-    # knots, sizes and (x, v) are the 2-component solve's too
+    # the 2-component period map Newton solves and its pass over the
+    # variational pairs: its knots, sizes and (x, v) are the 2-component
+    # solve's, and every knot's (x, v, u, u', w, w') the 6-component
+    # system's stepped by (x, v) alone
     tangent = n == "tangent"
     n = 6 if tangent else n
     pot, f = _POTENTIALS[potential], _FORCINGS[forcing]
@@ -930,12 +949,17 @@ def test_compiled_system_matches_closure_and_reference_step(potential, forcing, 
         cases += [(1.0, [-1.0 + 1e-14, 0.3, 1.0, 0.0, 0.0, 1.0][:n], 0.01),
                   (1.0, [-0.99, -5.0, 1.0, 0.0, 0.0, 1.0][:n], 0.01)]
     for t, y, h in cases:
-        fun = forced_system(pot, f, eps, cfg, _EXTRA[n], tangent=tangent)
-        assert _bits(fun(t, y)) == _bits(closure(t, y))
+        fun = forced_system(pot, f, eps, cfg, () if tangent else _EXTRA[n], tangent=tangent)
+        body = _closure_rhs(pot, f, eps, 2) if tangent else closure
+        vary = tangent and (lambda x, *u: closure(0.0, [x, 0.0, *u])[2:])
+        m = 2 if tangent else n
+        assert _bits(fun(t, y[:m])) == _bits(closure(t, y)[:m])
+        if tangent:
+            assert _bits(fun.tangent_at(y[0], *y[2:])) == _bits(vary(y[0], *y[2:]))
         got = _record(fun, y, t, t + h, cfg)
         # a step forcing reads its piece at tm
-        calling = _calling_system(closure, n, fun.kink, fun.guard, fun.splits,
-                                  reads_tm=forcing == "step", tangent=tangent)
+        calling = _calling_system(body, m, fun.kink, fun.guard, fun.splits,
+                                  reads_tm=forcing == "step", tangent=vary)
         assert got == _record(calling, y, t, t + h, cfg)
         message, stats, _, ts, ys, hs, _ = got
         if tangent:
@@ -1067,7 +1091,7 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
 
     counted = lambda fun, n: _calling_system(lambda t, y: calls.append(1) or fun(t, y), n,
                                              fun.kink, fun.guard, fun.splits,
-                                             tangent=fun.tangent, samples=fun.samples)
+                                             tangent=fun.tangent_at, samples=fun.samples)
     step = PiecewiseConst(breakpoints=(0.0, 2.0), values=(1.0, -1.0))
     y0 = [0.5, 0.2, 1.0, 0.0, 0.0, 1.0]
     if n == 3:
@@ -1075,9 +1099,8 @@ def test_nfev_counts_every_right_hand_side_call(monkeypatch, pin, cfg, n):
                             lambda fun, *a: integrate_ode(counted(fun, 3), *a))
         raw = _rofe_raw(iso.asymmetric(4.0, 4.0 / 9.0), 2.0, TWO_PI, cfg)
     elif n == "tangent":
-        fun = forced_system(iso.asymmetric(4.0, 4.0 / 9.0), step, 0.1, cfg, VARIATIONAL,
-                            tangent=True)
-        raw = integrate_ode(counted(fun, 6), y0, 0.0, 2 * TWO_PI, cfg)
+        fun = forced_system(iso.asymmetric(4.0, 4.0 / 9.0), step, 0.1, cfg, tangent=True)
+        raw = integrate_ode(counted(fun, 2), y0[:2], 0.0, 2 * TWO_PI, cfg)
     elif n == "windowed":
         fun = forced_system(pin, step, 0.1, cfg, samples=512)
         raw = integrate_ode(counted(fun, 2), [0.0, 8.0], 0.0, 2 * TWO_PI, cfg)
