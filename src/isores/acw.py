@@ -108,9 +108,3 @@ def acw_numeric_check(c: float, s0: AcwState, cfg: IntegratorConfig) -> AcwCheck
     err = max(abs(numeric.x - analytic.x), abs(numeric.y - analytic.y))
     return AcwCheck(analytic=analytic, numeric=numeric, max_err=err)
 
-
-def write_acw_csv(orbit, path):
-    """CSV export with columns n,x,y,xy."""
-    from .io import write_csv
-    rows = [(n, s.x, s.y, s.x * s.y) for n, s in enumerate(orbit)]
-    return write_csv(path, ["n", "x", "y", "xy"], rows)

@@ -1,8 +1,8 @@
 """Command-line surface: scans, long runs, audits and data export.
 
-Exit codes encode the scientific outcome so shell harnesses can branch on
-them: 0 = positive result (certified / growing / converged), 2 = negative,
-3 = inconclusive, 1 = usage, configuration, IO or numerical error.
+phi-scan, resonance-run and periodic-find answer with an Evidence, and
+EXIT_CODES maps its (method, supports) to the exit code; the other commands
+exit 0, and every command 1 on a usage, configuration, IO or numerical error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acw as acw_mod
-from ._record import astuple
+from ._record import astuple, record
 from . import autonomous, dynamics, phi as phi_mod
 from .errors import ConfigError, IsoresError
 from .forcing import TrigPoly, forcing_from_descriptor
@@ -114,6 +114,27 @@ def _table_format(text):
     return text
 
 
+@record
+class Evidence:
+    """A scientific command's answer; EXIT_CODES gives its exit code."""
+    method: str             # "phi-grid", "forced-run" or "periodic-orbit"
+    supports: str | None    # "resonant", "not resonant", or None: neither
+    detail: dict            # what the command prints and writes to JSON
+
+
+EXIT_CODES = {      # (method, supports) -> exit code, one-to-one for each method
+    ("phi-grid", "resonant"): 0, ("phi-grid", None): 2,
+    ("forced-run", "resonant"): 0, ("forced-run", "not resonant"): 2, ("forced-run", None): 3,
+    ("periodic-orbit", "not resonant"): 0, ("periodic-orbit", None): 2}
+
+
+def _answer(evidence, out, name):
+    """(detail, exit code) of evidence, its detail written to out/name under --out."""
+    if out is not None:
+        write_json(out / name, evidence.detail)
+    return evidence.detail, EXIT_CODES[evidence.method, evidence.supports]
+
+
 def cmd_phi_scan(p):
     # every centre the CLI builds declares its psi and Psi, so no tolerance is read
     r_grid = phi_mod.default_r_grid(p.r_max, p.r_points)
@@ -121,8 +142,11 @@ def cmd_phi_scan(p):
     verdict = phi_mod.resonance_verdict(field, p.threshold)
     if p.out is not None:
         phi_mod.write_phi_csv(field, p.out / "phi_field.csv")
-        write_json(p.out / "verdict.json", verdict.to_dict())
-    return verdict.to_dict(), 0 if verdict.certified_resonant else 2
+    theta, r = verdict.argmin
+    return _answer(Evidence("phi-grid", "resonant" if verdict.certified_resonant else None, {
+        "certified_resonant": verdict.certified_resonant, "min_modulus": verdict.min_modulus,
+        "argmin_theta": theta, "argmin_r": "inf" if math.isinf(r) else r,
+        "threshold": verdict.threshold, "coverage": verdict.coverage}), p.out, "verdict.json")
 
 
 def cmd_resonance_run(p):
@@ -130,18 +154,24 @@ def cmd_resonance_run(p):
                                   p.periods, p.cfg)
     if diag.partial:        # stderr: the artifacts keep no stop_reason
         print(f"partial run: {diag.stop_reason}", file=sys.stderr)
+    n = len(diag.window_sup)
     if p.out is not None:
-        dynamics.write_diagnostics_csv(diag, p.out / "diagnostics.csv")
-        write_json(p.out / "verdict.json", dynamics.verdict_dict(diag))
-    return (dynamics.verdict_dict(diag),
-            {"growing": 0, "bounded": 2, "inconclusive": 3}[diag.verdict])
+        write_csv(p.out / "diagnostics.csv", ["window_index", "window_sup", "sqrtE", "envelope"],
+                  np.column_stack([np.arange(n), diag.window_sup, diag.energy_sqrt[1:],
+                                   diag.envelope_bound[1:]]))
+    supports = {"growing": "resonant", "bounded": "not resonant"}.get(diag.verdict)
+    return _answer(Evidence("forced-run", supports, {
+        "verdict": diag.verdict, "eps": diag.eps, "n_periods": diag.n_periods,
+        "partial": diag.partial, "final_x": diag.final_state.x, "final_v": diag.final_state.v,
+        "max_window_sup": float(np.max(diag.window_sup)) if n else None}), p.out, "verdict.json")
 
 
 def cmd_acw(p):
     s0 = acw_mod.AcwState(p.x0, p.y0)
     orbit = acw_mod.acw_orbit(p.c, s0, p.steps)
     if p.out is not None:
-        acw_mod.write_acw_csv(orbit, p.out / "acw_orbit.csv")
+        write_csv(p.out / "acw_orbit.csv", ["n", "x", "y", "xy"],
+                  [(n, s.x, s.y, acw_mod.acw_first_integral(s)) for n, s in enumerate(orbit)])
     summary = {"c": p.c, "steps": p.steps, "x_final": orbit[-1].x,
                "y_final": orbit[-1].y,
                "first_integral": acw_mod.acw_first_integral(orbit[-1])}
@@ -166,12 +196,10 @@ def cmd_periodic_find(p):
     else:
         seed = State(p.x0, p.v0)
     result = dynamics.find_periodic_solution(p.potential, p.forcing, p.eps, seed, p.cfg)
-    payload = {"converged": result.converged, "x": result.state.x,
-               "v": result.state.v, "residual": result.residual,
-               "iterations": result.iterations, "message": result.message}
-    if p.out is not None:
-        write_json(p.out / "periodic.json", payload)
-    return payload, 0 if result.converged else 2
+    return _answer(Evidence("periodic-orbit", "not resonant" if result.converged else None, {
+        "converged": result.converged, "x": result.state.x, "v": result.state.v,
+        "residual": result.residual, "iterations": result.iterations,
+        "message": result.message}), p.out, "periodic.json")
 
 
 def cmd_limits_audit(p):

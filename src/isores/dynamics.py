@@ -135,7 +135,7 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     Memory grows with n_periods only by these records.
     """
     if n_periods < 10:
-        raise ValueError("resonance_run: need n_periods >= 10")
+        raise ConfigError("periods: must be >= 10")
     e0 = energy(pot, s0)
     if not math.isfinite(e0):
         raise DomainError("resonance_run: the energy of the start must be finite")
@@ -286,18 +286,3 @@ def seed_from_phi_zero(pot: PotentialSpec, theta_star: float,
     return from_action_angle(pot, ActionAngle(theta=-theta_star,
                                               action=action_star), cfg)
 
-
-def write_diagnostics_csv(diag: ResonanceDiagnostics, path):
-    """CSV export with columns window_index,window_sup,sqrtE,envelope."""
-    from .io import write_csv
-    rows = [(k, diag.window_sup[k], diag.energy_sqrt[k + 1],
-             diag.envelope_bound[k + 1]) for k in range(len(diag.window_sup))]
-    return write_csv(path, ["window_index", "window_sup", "sqrtE", "envelope"], rows)
-
-
-def verdict_dict(diag: ResonanceDiagnostics):
-    return {"verdict": diag.verdict, "eps": diag.eps,
-            "n_periods": diag.n_periods, "partial": diag.partial,
-            "final_x": diag.final_state.x, "final_v": diag.final_state.v,
-            "max_window_sup": float(np.max(diag.window_sup))
-            if len(diag.window_sup) else None}

@@ -249,8 +249,10 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     holding it (r = inf last), at its first theta.  Never returns a partial
     field: any error propagates, and a node where Phi is not finite is a
     NumericsError."""
-    if theta_count < 1 or len(r_grid) < 1:
-        raise NumericsError("phi_scan: grids must be nonempty")
+    if theta_count < 1:
+        raise ConfigError("theta_points: must be >= 1")
+    if len(r_grid) < 1:
+        raise NumericsError("phi_scan: the r grid must be nonempty")
     theta = np.linspace(0.0, TWO_PI, theta_count, endpoint=False)
     r_grid = np.asarray(r_grid, dtype=float)
     with_inf = pot.profile is not None and not pot.homogeneous
@@ -278,15 +280,6 @@ class Verdict:
     argmin: tuple
     threshold: float
     coverage: str
-
-    def to_dict(self):
-        theta, r = self.argmin
-        return {"certified_resonant": self.certified_resonant,
-                "min_modulus": self.min_modulus,
-                "argmin_theta": theta,
-                "argmin_r": "inf" if math.isinf(r) else r,
-                "threshold": self.threshold,
-                "coverage": self.coverage}
 
 
 def resonance_verdict(field: PhiField, threshold: float = 1e-4) -> Verdict:

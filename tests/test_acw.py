@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from isores.errors import ConfigError, NumericsError
 from isores.acw import (AcwState, acw_first_integral, acw_numeric_check,
-                        acw_orbit, acw_poincare, phi_lambda, two_piece_map,
-                        write_acw_csv)
+                        acw_orbit, acw_poincare, phi_lambda, two_piece_map)
 
 
 def acw_exact_orbit(c, s0, n_steps):
@@ -203,10 +202,3 @@ def test_two_piece_generalization(cfg):
     assert out.x == pytest.approx(s.x, rel=1e-12)
     assert out.y == pytest.approx(s.y, rel=1e-12)
 
-
-def test_acw_csv(tmp_path):
-    orbit = acw_orbit(4.0, AcwState(1.0, 0.0), 10)
-    p = write_acw_csv(orbit, tmp_path / "orbit.csv")
-    lines = p.read_text().splitlines()
-    assert lines[0] == "n,x,y,xy"
-    assert lines[-1].startswith("10,1024,")

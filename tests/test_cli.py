@@ -136,7 +136,7 @@ def test_phi_scan_exit_codes(tmp_path):
     assert rc == 0
 
 
-def test_resonance_run_exit_codes(tmp_path):
+def test_resonance_run_exit_codes(har, sin_f, cfg, tmp_path):
     rc = main(["resonance-run", "--potential", "harmonic:1", "--forcing", "sin",
                "--eps", "0.05", "--periods", "40",
                "--out", str(tmp_path / "run")])
@@ -144,6 +144,11 @@ def test_resonance_run_exit_codes(tmp_path):
     rows = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
     assert rows[0] == "window_index,window_sup,sqrtE,envelope"
     assert len(rows) == 41
+    # a window's index, sup |x| + |v|, and sqrt(E) and the envelope at its end
+    d = isores.resonance_run(har, sin_f, 0.05, isores.State(0.0, 0.0), 40, cfg)
+    np.testing.assert_array_equal([[float(v) for v in row.split(",")] for row in rows[1:]],
+                                  np.column_stack([np.arange(40), d.window_sup,
+                                                   d.energy_sqrt[1:], d.envelope_bound[1:]]))
     rc = main(["resonance-run", "--potential", "harmonic:1", "--forcing",
                "cos2t", "--eps", "0.05", "--periods", "40"])
     assert rc == 2
@@ -221,7 +226,11 @@ def test_acw_command(tmp_path, capsys):
                "--check", "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "acw_orbit.csv").read_text().splitlines()
-    assert lines[-1].split(",")[1] == "1024"
+    assert lines[0] == "n,x,y,xy"
+    assert lines[-1].startswith("10,1024,")
+    orbit = isores.acw_orbit(4.0, isores.AcwState(1.0, 0.0), 10)
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == \
+        [[n, s.x, s.y, s.x * s.y] for n, s in enumerate(orbit)]
     # the numeric cross-check of the map against the closed form, to 1e-10
     assert json.loads(capsys.readouterr().out)["numeric_check_max_err"] <= 1e-10
 
@@ -561,15 +570,21 @@ def _isores(argv, capsys, timeout=None):
     (["phi-scan", "--potential", "pinney", "--forcing",
       '{"kind":"piecewise","breaks":[0],"values":[1],"period":1e-300}'],
      "error: forcing.period: 2*pi/period must be at most 1024", 30),
+    (["phi-scan", "--potential", "pinney", "--forcing", "sin", "--theta-points", "0"],
+     "error: theta_points: must be >= 1", None),
+    (["resonance-run", "--potential", "harmonic:1", "--forcing", "sin", "--eps", "0.05",
+      "--periods", "5"], "error: periods: must be >= 10", None),
 ], ids=["unknown-flag", "malformed-int", "malformed-repeated", "no-command",
         "half-phi-zero-theta", "half-phi-zero-action", "descriptor-array-as-string",
-        "non-finite-start", "step-of-a-tiny-period"])
+        "non-finite-start", "step-of-a-tiny-period", "no-theta-points", "too-few-periods"])
 def test_usage_errors_exit_1(argv, message, timeout, capsys):
     # argparse exited 2, the code of a negative result; half a Phi-zero seed
     # fell back to (x0, v0), and Newton's failure there exited 2 too; "a":
     # "12" was split into characters and scanned cos t + 2 cos 2t (exit 0).
     # Two hung: v0 = nan made the starting step nan and every step was
-    # rejected, and a step of period 1e-300 tiled its breaks 6.3e300 times
+    # rejected, and a step of period 1e-300 tiled its breaks 6.3e300 times.
+    # --theta-points 0 and --periods 5 named phi_scan's and resonance_run's
+    # arguments ("grids must be nonempty", "need n_periods >= 10")
     code, err = _isores(argv, capsys, timeout)
     assert code == 1
     assert message in err

@@ -8,8 +8,7 @@ from isores import dynamics
 from isores.errors import IntegrationError
 from isores.forcing import ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI
 from isores.integrate import IntegratorConfig, State, solve_forced
-from isores.dynamics import (find_periodic_solution, resonance_run, seed_from_phi_zero,
-                             verdict_dict, write_diagnostics_csv)
+from isores.dynamics import find_periodic_solution, resonance_run, seed_from_phi_zero
 
 
 # -- resonance runs -------------------------------------------------------------
@@ -40,7 +39,6 @@ def test_partial_run_says_why_it_stopped(pin, sin_f, start, cfg, reason):
     assert diag.partial and diag.verdict == "inconclusive"
     assert reason in diag.stop_reason
     assert len(diag.window_sup) < 10
-    assert "stop_reason" not in verdict_dict(diag)
 
 
 def test_a_start_with_no_step_is_an_error(pin, sin_f, cfg):
@@ -330,13 +328,6 @@ def test_verdict_stability_under_doubling(pin, har, sin_f, cos2_f, cfg):
 def test_resonance_run_validation(har, sin_f, cfg):
     with pytest.raises(ValueError):
         iso.resonance_run(har, sin_f, 0.05, State(0.0, 0.0), 5, cfg)
-
-
-def test_diagnostics_csv(diag_harm_sin, tmp_path):
-    p = write_diagnostics_csv(diag_harm_sin, tmp_path / "diag.csv")
-    lines = p.read_text().splitlines()
-    assert lines[0] == "window_index,window_sup,sqrtE,envelope"
-    assert len(lines) == 101
 
 
 # -- stroboscopic map -------------------------------------------------------------
