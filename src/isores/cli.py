@@ -21,7 +21,7 @@ from . import acw as acw_mod
 from ._record import astuple, record
 from . import autonomous, dynamics, phi as phi_mod
 from .errors import ConfigError, IsoresError
-from .forcing import TrigPoly, forcing_from_descriptor
+from .forcing import forcing_from_descriptor
 from .integrate import IntegratorConfig, State
 from .io import format_rows, write_csv, write_json
 from .potentials import appendix_audit, potential_from_descriptor
@@ -32,17 +32,22 @@ _TOKEN_RE = re.compile(r"[+-]?(?:[^+-]|(?<=[\d.][eE])[+-])+")    # not at an exp
 _STRAY_RE = re.compile(r"(?<![\d.][eE])[+-](?=[+-]|$)")    # a sign that starts no token
 
 
-def parse_forcing(text: str) -> "TrigPoly":
-    """Compile the CLI shorthand ('sin', 'cos2t', '0.1+1*cos+0.5*sin2t') to a
-    trigonometric polynomial; a constant is a number, and a cos or sin term
-    of harmonic 0 or a sign that starts no term ('sin+') is a ConfigError.
-    A JSON object is passed through the full descriptor parser."""
+def _json_descriptor(name, text):
+    """The descriptor that text, a JSON object, spells."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name}: invalid JSON ({exc})") from exc
+
+
+def parse_forcing(text: str):
+    """A forcing from its JSON descriptor or from the CLI shorthand of a
+    trigonometric polynomial ('sin', 'cos2t', '0.1+1*cos+0.5*sin2t'); a
+    constant is a number, and a cos or sin term of harmonic 0 or a sign that
+    starts no term ('sin+') is a ConfigError."""
     text = text.strip()
     if text.startswith("{"):
-        try:
-            return forcing_from_descriptor(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"forcing: invalid JSON ({exc})") from exc
+        return forcing_from_descriptor(_json_descriptor("forcing", text))
     s = text.replace(" ", "")
     if not s:
         raise ConfigError("forcing: empty shorthand")
@@ -70,19 +75,16 @@ def parse_forcing(text: str) -> "TrigPoly":
             except ValueError:
                 raise ConfigError(f"forcing: cannot parse term {tok!r}") from None
     kmax = max(list(a) + list(b) + [0])
-    return TrigPoly(a0=a0,
-                    cos_coeffs=tuple(a.get(k, 0.0) for k in range(1, kmax + 1)),
-                    sin_coeffs=tuple(b.get(k, 0.0) for k in range(1, kmax + 1)))
+    return forcing_from_descriptor({"kind": "trig", "a0": a0,
+                                    "a": [a.get(k, 0.0) for k in range(1, kmax + 1)],
+                                    "b": [b.get(k, 0.0) for k in range(1, kmax + 1)]})
 
 
 def parse_potential(text: str):
     """'pinney', 'harmonic:n', 'asymmetric:alpha:beta', or a JSON object."""
     text = text.strip()
     if text.startswith("{"):
-        try:
-            return potential_from_descriptor(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"potential: invalid JSON ({exc})") from exc
+        return potential_from_descriptor(_json_descriptor("potential", text))
     kind, *values = text.split(":")
     names = {"pinney": (), "harmonic": ("n",), "asymmetric": ("alpha", "beta")}.get(kind)
     if names is None or len(values) != len(names):

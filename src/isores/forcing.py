@@ -323,10 +323,14 @@ def fourier_coefficient_quadrature(f: ForcingTerm, n: int) -> complex:
                                  f.split_points()))
 
 
-def check_descriptor_numbers(name, d, numbers, arrays=()):
-    """ConfigError unless each of the keys present in the descriptor d names
-    a number (an int or a float, never a boolean or a string), and each of
-    the array keys present an array of numbers; name prefixes the message."""
+def from_descriptor(name, d, builders, numbers, arrays=()):
+    """builders[kind](d) for d, a JSON object whose kind names a builder, once
+    the keys in numbers that d holds name numbers (ints or floats, never
+    booleans or strings) and those in arrays arrays of numbers.  A builder's
+    KeyError, TypeError, ValueError or OverflowError (an int too large for a
+    float) is a malformed descriptor; every error is a ConfigError after name."""
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ConfigError(f"{name}: descriptor must be an object with a 'kind' field")
     for key in arrays:
         if key in d and not isinstance(d[key], (list, tuple)):
             raise ConfigError(f"{name}.{key}: must be an array, not {type(d[key]).__name__}")
@@ -336,28 +340,23 @@ def check_descriptor_numbers(name, d, numbers, arrays=()):
             raise ConfigError(f"{name}.{key}: {x!r} is not a number; "
                               f"{', '.join((*numbers, *arrays))} must be numbers, "
                               "not booleans or strings")
+    kind = d["kind"]
+    build = builders.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise ConfigError(f"{name}.kind: unknown kind {kind!r}")
+    try:
+        return build(d)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: malformed descriptor ({exc})") from exc
 
 
 def forcing_from_descriptor(d) -> ForcingTerm:
-    """Build a ForcingTerm from its JSON descriptor (dict): a, b, breaks and
-    values are arrays, and every number is an int or a float."""
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("forcing: descriptor must be an object with a 'kind' field")
-    kind = d["kind"]
-    check_descriptor_numbers("forcing", d, ("a0", "period"), ("a", "b", "breaks", "values"))
-    try:
-        if kind == "trig":
-            return TrigPoly(a0=float(d.get("a0", 0.0)),
-                            cos_coeffs=tuple(d.get("a", ())),
-                            sin_coeffs=tuple(d.get("b", ())))
-        if kind == "piecewise":
-            return PiecewiseConst(breakpoints=tuple(d["breaks"]),
-                                  values=tuple(d["values"]),
-                                  period=float(d.get("period", TWO_PI)))
-        if kind == "sampled":
-            return Sampled(values=tuple(d["values"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"forcing: malformed descriptor ({exc})") from exc
-    raise ConfigError(f"forcing.kind: unknown kind {kind!r}")
+    """A ForcingTerm from its JSON descriptor (dict), read by from_descriptor:
+    trig (a0, a, b), piecewise (breaks, values, period) or sampled (values)."""
+    return from_descriptor("forcing", d, {
+        "trig": lambda d: TrigPoly(d.get("a0", 0.0), d.get("a", ()), d.get("b", ())),
+        "piecewise": lambda d: PiecewiseConst(d["breaks"], d["values"], d.get("period", TWO_PI)),
+        "sampled": lambda d: Sampled(d["values"]),
+    }, ("a0", "period"), ("a", "b", "breaks", "values"))

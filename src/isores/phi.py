@@ -252,12 +252,13 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     if theta_count < 1:
         raise ConfigError("theta_points: must be >= 1")
     if len(r_grid) < 1:
-        raise NumericsError("phi_scan: the r grid must be nonempty")
+        raise ConfigError("r_grid: must be nonempty")
     theta = np.linspace(0.0, TWO_PI, theta_count, endpoint=False)
     r_grid = np.asarray(r_grid, dtype=float)
     with_inf = pot.profile is not None and not pot.homogeneous
     amplitudes = r_grid.tolist() + [math.inf] * with_inf
-    table = _phi_table(pot, f, theta, amplitudes, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):     # named below
+        table = _phi_table(pot, f, theta, amplitudes, cfg)
     bad = ~np.isfinite(table)
     if bad.any():                   # the first r-column holding one, at its first theta
         j = int(np.argmax(bad.any(axis=0)))

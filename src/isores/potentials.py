@@ -13,7 +13,7 @@ import numpy as np
 
 from ._record import record
 from .errors import ConfigError, DomainError, NumericsError
-from .forcing import TWO_PI, check_descriptor_numbers
+from .forcing import TWO_PI, from_descriptor
 
 DOMAIN_GUARD = 1e-14
 _BRENT_RTOL = 4 * math.ulp(1.0)
@@ -652,21 +652,11 @@ def appendix_audit(pot: PotentialSpec, x_grid) -> AppendixAudit:
 
 
 def potential_from_descriptor(d) -> PotentialSpec:
-    """Build a PotentialSpec from its JSON descriptor (dict)."""
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("potential: descriptor must be an object with a 'kind' field")
-    kind = d["kind"]
-    check_descriptor_numbers("potential", d, ("n", "alpha", "beta"))
-    try:
-        if kind == "harmonic":
-            return harmonic(float(d["n"]))
-        if kind == "pinney":
-            return pinney()
-        if kind == "asymmetric":
-            return asymmetric(float(d["alpha"]), float(d["beta"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"potential: malformed descriptor ({exc})") from exc
-    raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+    """A PotentialSpec from its JSON descriptor (dict), read by
+    forcing.from_descriptor: harmonic (n), pinney or asymmetric (alpha, beta)."""
+    return from_descriptor("potential", d, {
+        "harmonic": lambda d: harmonic(float(d["n"])),
+        "pinney": lambda d: pinney(),
+        "asymmetric": lambda d: asymmetric(float(d["alpha"]), float(d["beta"])),
+    }, ("n", "alpha", "beta"))
 

@@ -551,6 +551,16 @@ def _isores(argv, capsys, timeout=None):
     return run.returncode, run.stderr
 
 
+_HUGE_INT = "1" + "0" * 400    # 401 digits, past the largest float
+_HUGE_INT_FORCINGS = [
+    f'{{"kind":"trig","a0":{_HUGE_INT}}}',
+    f'{{"kind":"trig","a":[1,{_HUGE_INT}]}}',
+    f'{{"kind":"piecewise","breaks":[0,3],"values":[1,{_HUGE_INT}]}}',
+    f'{{"kind":"piecewise","breaks":[0,3],"values":[1,-1],"period":{_HUGE_INT}}}',
+    f'{{"kind":"sampled","values":[1,{_HUGE_INT},0,-1]}}',
+]
+
+
 @pytest.mark.parametrize("argv, message, timeout", [
     (["phi-scan", "--potential", "pinney", "--forcing", "sin", "--bogus", "1"],
      "unrecognized arguments: --bogus", None),
@@ -574,9 +584,16 @@ def _isores(argv, capsys, timeout=None):
      "error: theta_points: must be >= 1", None),
     (["resonance-run", "--potential", "harmonic:1", "--forcing", "sin", "--eps", "0.05",
       "--periods", "5"], "error: periods: must be >= 10", None),
+    *((["phi-scan", "--potential", "pinney", "--forcing", descriptor],
+       "error: forcing: malformed descriptor (int too large to convert to float)", None)
+      for descriptor in _HUGE_INT_FORCINGS),
+    (["phi-scan", "--potential", "pinney", "--forcing", '{"kind":[]}'],
+     "error: forcing.kind: unknown kind []", None),
 ], ids=["unknown-flag", "malformed-int", "malformed-repeated", "no-command",
         "half-phi-zero-theta", "half-phi-zero-action", "descriptor-array-as-string",
-        "non-finite-start", "step-of-a-tiny-period", "no-theta-points", "too-few-periods"])
+        "non-finite-start", "step-of-a-tiny-period", "no-theta-points", "too-few-periods",
+        "huge-int-trig-a0", "huge-int-trig-a", "huge-int-piecewise-value",
+        "huge-int-piecewise-period", "huge-int-sampled-value", "unhashable-kind"])
 def test_usage_errors_exit_1(argv, message, timeout, capsys):
     # argparse exited 2, the code of a negative result; half a Phi-zero seed
     # fell back to (x0, v0), and Newton's failure there exited 2 too; "a":
@@ -584,7 +601,8 @@ def test_usage_errors_exit_1(argv, message, timeout, capsys):
     # Two hung: v0 = nan made the starting step nan and every step was
     # rejected, and a step of period 1e-300 tiled its breaks 6.3e300 times.
     # --theta-points 0 and --periods 5 named phi_scan's and resonance_run's
-    # arguments ("grids must be nonempty", "need n_periods >= 10")
+    # arguments ("grids must be nonempty", "need n_periods >= 10").  An int
+    # too large for a float in a forcing escaped main as an OverflowError
     code, err = _isores(argv, capsys, timeout)
     assert code == 1
     assert message in err
@@ -614,9 +632,10 @@ _HUGE_SAMPLED = '{"kind":"sampled","values":[1e308,-1e308]}'
 def test_a_result_that_cannot_be_held_exits_1(argv, out, message, tmp_path, capsys):
     # a nan Phi printed NaN, which is not JSON, and exited 2; with --out, the
     # CSV was written and then the JSON refused (exit 1).  numpy's refused
-    # allocation escaped main as a traceback
-    with warnings.catch_warnings():     # numpy's overflow notes on the way there
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # allocation escaped main as a traceback.  A nan scan printed numpy's
+    # "invalid value" RuntimeWarnings before its error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main([*argv, *(["--out", str(tmp_path / "out")] if out else [])])
     stdout, stderr = capsys.readouterr()
     assert (code, stdout) == (1, "")

@@ -288,6 +288,15 @@ def test_descriptor_round_trip():
             assert g.eval(t) == pytest.approx(f.eval(t), abs=1e-15)
 
 
+def test_a_custom_forcing_must_declare_eval():
+    # the base class declares no p, and every reader of p goes through eval
+    class Bare(iso.ForcingTerm):
+        pass
+    with pytest.raises(NotImplementedError):
+        Bare().eval(0.0)
+    assert Bare().split_points().size == 0
+
+
 @pytest.mark.parametrize("desc", [
     {"kind": "trig", "a": "12"},           # read as cos t + 2 cos 2t
     {"kind": "trig", "b": "1"},

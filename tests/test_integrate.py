@@ -187,6 +187,13 @@ def test_a_tangent_solve_has_no_dense_output(pin, sin_f, cfg, read):
          "events": lambda: raw.events}[read]()
 
 
+def test_a_tangent_system_takes_no_samples():
+    # a tangent solve is the sampled solve with no samples: it keeps no rows
+    # to serve samples from
+    with pytest.raises(ValueError, match="a tangent system takes no samples"):
+        _calling_system(lambda t, y: y[:2], 6, tangent=lambda *x: x[1:], samples=4)
+
+
 def _kink_tangent_solve(cfg):
     """Newton's tangent solve on asymmetric(4, 4/9) over a period, whose
     steps that end at the kink x = 0 keep their rows, and the 2-component

@@ -764,6 +764,8 @@ def test_phi_scan_zero_forcing(pin, cfg):
     assert not resonance_verdict(field).certified_resonant
     with pytest.raises(ConfigError, match="theta_points: must be >= 1"):
         phi_scan(pin, TrigPoly(), 0, [0.0, 1.0], cfg)
+    with pytest.raises(ConfigError, match="r_grid: must be nonempty"):
+        phi_scan(pin, TrigPoly(), 8, [], cfg)
 
 
 def test_dirac_bump_lower_bound(har, cfg):
@@ -819,6 +821,13 @@ def test_winding_number_rejects_a_non_finite_rectangle(pin, crafted_zero, cfg, c
     field = phi_scan(pin, forcing, 32, default_r_grid(10.0, 8), cfg)
     with pytest.raises(NumericsError, match="must be finite"):
         winding_number(field, (0.0, 6.2, 0.0, corner))
+
+
+def test_winding_number_needs_the_field_of_a_potential(pin, sin_f, cfg):
+    # a field built by hand records no pot, f or cfg to evaluate Phi with
+    field = replace(phi_scan(pin, sin_f, 8, [0.0, 1.0], cfg), pot=None)
+    with pytest.raises(NumericsError, match="the field records no potential"):
+        winding_number(field, (0.5, 2.0, 0.0, 1.0))
 
 
 def test_winding_number_boundary_guard(pin, crafted_zero, cfg):
