@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -306,22 +307,24 @@ def build_parser():
     return ap
 
 
-def _as_flag_text(name, kind, value):
-    """A --config value as its flag gives it: a JSON number, true or false
-    as its JSON text, so that it takes the flag's conversion (10.9 is not an
-    int, true not a float); a switch takes only true or false."""
+def _as_flag_text(name, kind, default, value):
+    """A --config value as its flag gives it: a JSON string as it stands, any
+    other value as its JSON text (10.9 is no int, true no float, an object a
+    JSON descriptor), an array one text per element for a repeatable
+    parameter; a switch takes only true or false."""
     if kind is bool:
         if not isinstance(value, (bool, type(None))):
             raise ConfigError(f"{name}: must be true or false, not {json.dumps(value)}")
         return value
-    if isinstance(value, list):
-        return [_as_flag_text(name, kind, v) for v in value]
-    return json.dumps(value) if isinstance(value, (bool, int, float)) else value
+    if isinstance(default, list) and isinstance(value, list):
+        return [v if isinstance(v, str) else json.dumps(v) for v in value]
+    return value if isinstance(value, (str, type(None))) else json.dumps(value)
 
 
 def _resolve(args):
     """Each parameter from its flag, else from the --config key of its name,
-    else its default, passed through its type whatever its source."""
+    else its default, passed through its type whatever its source; a config
+    key that names no parameter is a usage error, as an unknown flag is."""
     config = {}
     if args.config:
         try:
@@ -330,11 +333,14 @@ def _resolve(args):
             raise ConfigError(f"config: cannot read {args.config} ({exc})") from exc
         if not isinstance(config, dict):
             raise ConfigError("config: top level must be a JSON object")
+        unknown = config.keys() - {name for name, _, _ in args.params}
+        if unknown:
+            raise ConfigError(f"config: unknown keys {json.dumps(sorted(unknown))}")
     values = {}
     for name, kind, default in args.params:
         value = getattr(args, name)
         if value is None:
-            value = _as_flag_text(name, kind, config.get(name))
+            value = _as_flag_text(name, kind, default, config.get(name))
         if value is None or value == []:     # an empty list counts as absent
             value = default
         if value is _REQUIRED:
@@ -348,7 +354,7 @@ def _resolve(args):
                 value = kind(value)
         except IsoresError:
             raise
-        except (AttributeError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
         values[name] = value
     if "rel_tol" in values:         # _TOLERANCES: the command's one IntegratorConfig
@@ -367,7 +373,13 @@ def main(argv=None) -> int:
     except (IsoresError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)     # strict JSON: a nan is a ValueError
         return 1
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError as exc:  # stdout's reader has gone: an IO error
+        # what is left in stdout's buffer goes to devnull, not to a traceback at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

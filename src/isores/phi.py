@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from ._record import record
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DomainError, NumericsError
 from .forcing import ForcingTerm, TrigPoly, TWO_PI, adaptive_complex_quad
 from .integrate import IntegratorConfig
 from .autonomous import profile_amplitude, psi_solution
@@ -164,7 +164,9 @@ def _phi_quadrature(psi, extra, x, wrap, value, slope):
 def eval_phi(pot: PotentialSpec, f: ForcingTerm, theta: float, r: float,
              cfg: IntegratorConfig) -> complex:
     """Phi_p(theta, r) = (1/2pi) int_0^{2pi} p(t - theta) psi(t, r) dt: a
-    table of one theta and one r."""
+    table of one theta and one r, theta finite (else DomainError)."""
+    if not math.isfinite(theta):
+        raise DomainError(f"eval_phi: theta must be finite, got {theta}")
     return complex(_phi_table(pot, f, [float(theta)], [float(r)], cfg)[0, 0])
 
 

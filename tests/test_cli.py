@@ -735,6 +735,84 @@ def test_commands_reject_flags_they_do_not_read(command, flag, capsys):
     assert err.startswith("usage:") and f"unrecognized arguments: {flag[0]}" in err
 
 
+_SCAN = ["--potential", "pinney", "--forcing", "sin", "--theta-points", "8", "--r-points", "4"]
+
+
+@pytest.mark.parametrize("command, flags, name, value", [
+    ("phi-scan", _SCAN[:2] + _SCAN[4:], "forcing", {"kind": "trig", "a0": 0.5, "b": [1]}),
+    ("phi-scan", _SCAN[:2] + _SCAN[4:], "forcing",
+     {"kind": "piecewise", "breaks": [0, 3], "values": [1, -1]}),
+    ("period-audit", ["--r", "100"], "potential", {"kind": "pinney"}),
+    ("period-audit", ["--r", "100"], "potential", {"kind": "harmonic", "n": 2}),
+    *(("acw", ["--steps", "2"], "c", value) for value in ([4], {"c": 4}, True)),
+    *(("phi-scan", _SCAN[:6], "r_points", value) for value in ([4], {"n": 4}, True)),
+    *(("fourier-constants", ["--r", "1"], "out", value) for value in ([1], {"a": 1}, True)),
+    ("acw", ["--c", "4", "--steps", "2"], "x0", None),
+    ("resonance-run", _SCAN[:4], "eps", None),
+], ids=["trig-forcing", "piecewise-forcing", "pinney-potential", "harmonic-potential",
+        "float-array", "float-object", "float-true", "int-array", "int-object", "int-true",
+        "out-array", "out-object", "out-true", "absent-x0", "absent-eps"])
+def test_a_config_value_is_read_as_its_flag_text(command, flags, name, value, tmp_path,
+                                                 monkeypatch, capsys):
+    # a config value other than a string is its JSON text, and takes its
+    # flag's conversion and checks; null is the flag left out.  A descriptor
+    # object failed ("'dict' object has no attribute 'strip'"), and an array
+    # or object for a number printed int()'s or float()'s TypeError text
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({name: value}))
+    flag = [] if value is None else ["--" + name.replace("_", "-"), json.dumps(value)]
+    results = []
+    for where, argv in [("config", ["--config", str(config)]), ("flag", flag)]:
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)        # a relative --out lands here
+        code = main([command, *flags, *argv])
+        files = {str(f.relative_to(Path.cwd())): f.read_bytes()
+                 for f in sorted(Path.cwd().rglob("*")) if f.is_file()}
+        results.append((code, *capsys.readouterr(), files))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command, values, keys", [
+    ("resonance-run", {"potential": "pinney", "forcing": "sin", "eps": 0.05, "periods": 10,
+                       "x_0": 1.0}, '["x_0"]'),
+    ("phi-scan", {"potential": "pinney", "forcing": "sin", "theta_pionts": 8},
+     '["theta_pionts"]'),
+    ("fourier-constants", {"r": [1], "zeta": 1, "config": "run.json", "eps": 0.1},
+     '["config", "eps", "zeta"]'),
+], ids=["misspelt-x0", "misspelt-theta-points", "keys-of-no-parameter"])
+def test_an_unknown_config_key_is_a_usage_error(command, values, keys, tmp_path, capsys):
+    # the keys were dropped: "x_0" ran from x0 = 0 (exit 0, final_x -0.6905)
+    # and "theta_pionts" scanned 256 theta; as flags both exit 1
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values))
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", f"error: config: unknown keys {keys}\n")
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered, tmp_path):
+    # unbuffered, print raised BrokenPipeError out of main, a traceback;
+    # buffered, the flush at exit printed "Exception ignored ... BrokenPipeError"
+    # and exited 120.  The read end is closed before the child starts, so its
+    # first write fails
+    env = {k: v for k, v in _SOURCE_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "isores.cli", "fourier-constants",
+                              "--r", "0", "--r", "1", "--r", "inf", "--out", str(tmp_path)],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True,
+                             env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+    assert "Broken pipe" in run.stderr
+    assert (tmp_path / "fourier_constants.csv").is_file()
+
+
 @pytest.mark.parametrize("text", [None, "[1, 2]", "{\"eps\": "],
                          ids=["missing", "not-an-object", "invalid-json"])
 def test_unreadable_config_is_a_usage_error(text, tmp_path, capsys):
@@ -758,9 +836,12 @@ def test_config_values_pass_through_the_flag_type(tmp_path, capsys):
     config.write_text(json.dumps({"potential": "pinney", "r": 100}))
     assert main(["period-audit", "--config", str(config)]) == 1
     assert "r: must be a list" in capsys.readouterr().err
+    # a descriptor object is read as its JSON text, as its flag gives it
     config.write_text(json.dumps({"potential": {"kind": "pinney"}, "r": [100]}))
-    assert main(["period-audit", "--config", str(config)]) == 1
-    assert "error: potential: " in capsys.readouterr().err
+    assert main(["period-audit", "--config", str(config)]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["period-audit", "--potential", '{"kind": "pinney"}', "--r", "100"]) == 0
+    assert capsys.readouterr().out == stdout
     # a value its flag could not give: 10.9 ran 10 periods, true ran eps 1
     # and "false" turned the check on, all with exit 0
     run = {"potential": "pinney", "forcing": "sin", "eps": 0.05}

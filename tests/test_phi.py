@@ -240,6 +240,16 @@ def test_phi_rejects_negative_and_nan_amplitudes(cfg, sin_f, center, r):
         psi_solution(pot, r, cfg)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_eval_phi_rejects_a_non_finite_theta(cfg, sin_f, theta):
+    # eval_phi returned nan+nanj, with numpy's "invalid value" RuntimeWarnings
+    step = PiecewiseConst((0.0, 1.0, 3.0), (1.0, -0.5, 0.25))
+    for f in (sin_f, step):
+        with pytest.raises(DomainError, match=f"eval_phi: theta must be finite, got {theta}"):
+            eval_phi(iso.pinney(), f, theta, 1.0, cfg)
+
+
 def test_phi_at_infinity_needs_the_pinney_center(cfg, sin_f):
     for pot in (iso.harmonic(1), iso.asymmetric(4.0, 4.0 / 9.0)):
         with pytest.raises(NumericsError, match="no large-amplitude limit profile"):
