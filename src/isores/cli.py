@@ -3,6 +3,8 @@
 phi-scan, resonance-run and periodic-find answer with an Evidence, and
 EXIT_CODES maps its (method, supports) to the exit code; the other commands
 exit 0, and every command 1 on a usage, configuration, IO or numerical error.
+run(argv) does all that main does but print the payload, and returns it
+with a report: the stats of the answer's record and each --out file's size.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ _TOKEN_RE = re.compile(r"[+-]?(?:[^+-]|(?<=[\d.][eE])[+-])+")    # not at an exp
 _STRAY_RE = re.compile(r"(?<![\d.][eE])[+-](?=[+-]|$)")    # a sign that starts no token
 
 
-def _json_descriptor(name, text):
-    """The descriptor that text, a JSON object, spells."""
+def _json_value(name, text):
+    """The value JSON text spells, else (bad syntax, nesting past the recursion
+    limit, an integer past the digit limit) a ConfigError naming name."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{name}: invalid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:     # JSONDecodeError is a ValueError
+        raise ConfigError(f"{name}: invalid JSON ({exc})") from None
 
 
 def parse_forcing(text: str):
@@ -48,7 +51,7 @@ def parse_forcing(text: str):
     starts no term ('sin+') is a ConfigError."""
     text = text.strip()
     if text.startswith("{"):
-        return forcing_from_descriptor(_json_descriptor("forcing", text))
+        return forcing_from_descriptor(_json_value("forcing", text))
     s = text.replace(" ", "")
     if not s:
         raise ConfigError("forcing: empty shorthand")
@@ -85,7 +88,7 @@ def parse_potential(text: str):
     """'pinney', 'harmonic:n', 'asymmetric:alpha:beta', or a JSON object."""
     text = text.strip()
     if text.startswith("{"):
-        return potential_from_descriptor(_json_descriptor("potential", text))
+        return potential_from_descriptor(_json_value("potential", text))
     kind, *values = text.split(":")
     names = {"pinney": (), "harmonic": ("n",), "asymmetric": ("alpha", "beta")}.get(kind)
     if names is None or len(values) != len(names):
@@ -123,6 +126,7 @@ class Evidence:
     method: str             # "phi-grid", "forced-run" or "periodic-orbit"
     supports: str | None    # "resonant", "not resonant", or None: neither
     detail: dict            # what the command prints and writes to JSON
+    stats: object = None    # the stats of the record it rests on
 
 
 EXIT_CODES = {      # (method, supports) -> exit code, one-to-one for each method
@@ -131,11 +135,11 @@ EXIT_CODES = {      # (method, supports) -> exit code, one-to-one for each metho
     ("periodic-orbit", "not resonant"): 0, ("periodic-orbit", None): 2}
 
 
-def _answer(evidence, out, name):
-    """(detail, exit code) of evidence, its detail written to out/name under --out."""
-    if out is not None:
-        write_json(out / name, evidence.detail)
-    return evidence.detail, EXIT_CODES[evidence.method, evidence.supports]
+def _answer(p, name, evidence):
+    """(detail, exit code, stats) of evidence, its detail written to p.out/name under --out."""
+    if p.out is not None:
+        p.files.append(write_json(p.out / name, evidence.detail))
+    return evidence.detail, EXIT_CODES[evidence.method, evidence.supports], evidence.stats
 
 
 def cmd_phi_scan(p):
@@ -144,12 +148,13 @@ def cmd_phi_scan(p):
     field = phi_mod.phi_scan(p.potential, p.forcing, p.theta_points, r_grid, IntegratorConfig())
     verdict = phi_mod.resonance_verdict(field, p.threshold)
     if p.out is not None:
-        phi_mod.write_phi_csv(field, p.out / "phi_field.csv")
+        p.files.append(phi_mod.write_phi_csv(field, p.out / "phi_field.csv"))
     theta, r = verdict.argmin
-    return _answer(Evidence("phi-grid", "resonant" if verdict.certified_resonant else None, {
+    supports = "resonant" if verdict.certified_resonant else None
+    return _answer(p, "verdict.json", Evidence("phi-grid", supports, {
         "certified_resonant": verdict.certified_resonant, "min_modulus": verdict.min_modulus,
         "argmin_theta": theta, "argmin_r": "inf" if math.isinf(r) else r,
-        "threshold": verdict.threshold, "coverage": verdict.coverage}), p.out, "verdict.json")
+        "threshold": verdict.threshold, "coverage": verdict.coverage}, field.stats))
 
 
 def cmd_resonance_run(p):
@@ -159,36 +164,37 @@ def cmd_resonance_run(p):
         print(f"partial run: {diag.stop_reason}", file=sys.stderr)
     n = len(diag.window_sup)
     if p.out is not None:
-        write_csv(p.out / "diagnostics.csv", ["window_index", "window_sup", "sqrtE", "envelope"],
-                  np.column_stack([np.arange(n), diag.window_sup, diag.energy_sqrt[1:],
-                                   diag.envelope_bound[1:]]))
+        p.files.append(write_csv(
+            p.out / "diagnostics.csv", ["window_index", "window_sup", "sqrtE", "envelope"],
+            np.column_stack([np.arange(n), diag.window_sup, diag.energy_sqrt[1:],
+                             diag.envelope_bound[1:]])))
     supports = {"growing": "resonant", "bounded": "not resonant"}.get(diag.verdict)
-    return _answer(Evidence("forced-run", supports, {
+    return _answer(p, "verdict.json", Evidence("forced-run", supports, {
         "verdict": diag.verdict, "eps": diag.eps, "n_periods": diag.n_periods,
         "partial": diag.partial, "final_x": diag.final_state.x, "final_v": diag.final_state.v,
-        "max_window_sup": float(np.max(diag.window_sup)) if n else None}), p.out, "verdict.json")
+        "max_window_sup": float(np.max(diag.window_sup)) if n else None}, diag.stats))
 
 
 def cmd_acw(p):
     s0 = acw_mod.AcwState(p.x0, p.y0)
     orbit = acw_mod.acw_orbit(p.c, s0, p.steps)
     if p.out is not None:
-        write_csv(p.out / "acw_orbit.csv", ["n", "x", "y", "xy"],
-                  [(n, s.x, s.y, acw_mod.acw_first_integral(s)) for n, s in enumerate(orbit)])
+        p.files.append(write_csv(p.out / "acw_orbit.csv", ["n", "x", "y", "xy"], [
+            (n, s.x, s.y, acw_mod.acw_first_integral(s)) for n, s in enumerate(orbit)]))
     summary = {"c": p.c, "steps": p.steps, "x_final": orbit[-1].x,
                "y_final": orbit[-1].y,
                "first_integral": acw_mod.acw_first_integral(orbit[-1])}
     if p.check:
         chk = acw_mod.acw_numeric_check(p.c, s0, p.cfg)
         summary["numeric_check_max_err"] = chk.max_err
-    return summary, 0
+    return summary, 0, None
 
 
 def cmd_period_audit(p):
     rows = [(r, autonomous.minimal_period(p.potential, r, p.cfg)) for r in p.r]
     if p.out is not None:
-        _write_table(p.out, "periods", ["r", "period"], rows, p.format)
-    return {"periods": _json_rows(["r", "period"], rows)}, 0
+        p.files.append(_write_table(p.out, "periods", ["r", "period"], rows, p.format))
+    return {"periods": _json_rows(["r", "period"], rows)}, 0, None
 
 
 def cmd_periodic_find(p):
@@ -199,10 +205,11 @@ def cmd_periodic_find(p):
     else:
         seed = State(p.x0, p.v0)
     result = dynamics.find_periodic_solution(p.potential, p.forcing, p.eps, seed, p.cfg)
-    return _answer(Evidence("periodic-orbit", "not resonant" if result.converged else None, {
+    supports = "not resonant" if result.converged else None
+    return _answer(p, "periodic.json", Evidence("periodic-orbit", supports, {
         "converged": result.converged, "x": result.state.x, "v": result.state.v,
         "residual": result.residual, "iterations": result.iterations,
-        "message": result.message}), p.out, "periodic.json")
+        "message": result.message}, result.stats))
 
 
 def cmd_limits_audit(p):
@@ -212,7 +219,7 @@ def cmd_limits_audit(p):
             for rec in records]
     payload = {"limits": _json_rows(header, rows)}
     if p.out is not None:
-        _write_table(p.out, "bouncing", header, rows, p.format)
+        p.files.append(_write_table(p.out, "bouncing", header, rows, p.format))
     if p.potential.singular_left:
         audit = appendix_audit(p.potential, p.x)
         payload["appendix"] = {
@@ -220,18 +227,18 @@ def cmd_limits_audit(p):
             "slope_defects": list(audit.slope_defects),
             "slope_limit": audit.slope_limit}
         if p.out is not None:
-            _write_table(p.out, "appendix", ["x", "iso_residual", "slope_defect"],
-                         np.column_stack([audit.x, audit.iso_residuals,
-                                          audit.slope_defects]), p.format)
-    return payload, 0
+            p.files.append(_write_table(p.out, "appendix", ["x", "iso_residual", "slope_defect"],
+                                        np.column_stack([audit.x, audit.iso_residuals,
+                                                         audit.slope_defects]), p.format))
+    return payload, 0, None
 
 
 def cmd_fourier_constants(p):
     header = ["r", "c0", "d_plus", "d_minus"]     # PinneyConstants' fields after r
     rows = [(r, *astuple(phi_mod.pinney_fourier_constants(r))) for r in p.r]
     if p.out is not None:
-        _write_table(p.out, "fourier_constants", header, rows, p.format)
-    return {"constants": _json_rows(header, rows)}, 0
+        p.files.append(_write_table(p.out, "fourier_constants", header, rows, p.format))
+    return {"constants": _json_rows(header, rows)}, 0, None
 
 
 # Every parameter of a command, declared once as (name, type, default): the
@@ -321,16 +328,18 @@ def _as_flag_text(name, kind, default, value):
     return value if isinstance(value, (str, type(None))) else json.dumps(value)
 
 
-def _resolve(args):
+def _resolve(args, files):
     """Each parameter from its flag, else from the --config key of its name,
-    else its default, passed through its type whatever its source; a config
-    key that names no parameter is a usage error, as an unknown flag is."""
+    else its default, passed through its type whatever its source, and files
+    for the paths the command writes; a config key that names no parameter
+    is a usage error, as an unknown flag is."""
     config = {}
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            text = Path(args.config).read_text()
+        except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config} ({exc})") from exc
+        config = _json_value("config", text)
         if not isinstance(config, dict):
             raise ConfigError("config: top level must be a JSON object")
         unknown = config.keys() - {name for name, _, _ in args.params}
@@ -359,20 +368,32 @@ def _resolve(args):
         values[name] = value
     if "rel_tol" in values:         # _TOLERANCES: the command's one IntegratorConfig
         values["cfg"] = IntegratorConfig(values.pop("rel_tol"), values.pop("abs_tol"))
-    return argparse.Namespace(**values)
+    return argparse.Namespace(**values, files=files)
 
 
-def main(argv=None) -> int:
+def run(argv=None):
+    """All that main does but print the payload: (exit code, the payload's JSON
+    text or None, report), the report {"stats": the answer's record's stats or
+    None, "files": {name: size in bytes} of each --out file written}."""
+    files, report = [], {"stats": None, "files": {}}
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:       # argparse: 0 after --help, 2 on a usage error
-        return 1 if exc.code else 0
+        return (1 if exc.code else 0), None, report
     try:
-        payload, code = args.run(_resolve(args))
+        payload, code, report["stats"] = args.run(_resolve(args, files))
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except (IsoresError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)     # strict JSON: a nan is a ValueError
-        return 1
+        code, text = 1, None
+    report["files"] = {path.name: path.stat().st_size for path in files}
+    return code, text, report
+
+
+def main(argv=None) -> int:
+    code, text, _ = run(argv)
+    if text is None:
+        return code
     try:
         print(text, flush=True)
     except BrokenPipeError as exc:  # stdout's reader has gone: an IO error

@@ -6,6 +6,7 @@ of the resonance functional."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -25,6 +26,21 @@ _WINDOW_SAMPLES = 512         # uniform times per window; an integrated one adds
 _TABLE_BLOCK = 8
 _NEWTON_TOL = 1e-10           # the residual norm at which Newton has converged
 _NEWTON_MAX_ITER = 50
+
+
+@record
+class SolveStats:
+    """The work of a forced run or a Newton search, 0 where it does none: its
+    solves (failed ones too), their RawSolution.stats summed, and its windows,
+    monodromy passes and step halvings."""
+    solves: int = 0
+    n_steps: int = 0
+    n_rejected: int = 0
+    n_segments: int = 0
+    nfev: int = 0
+    windows: int = 0
+    passes: int = 0
+    halvings: int = 0
 
 
 @record
@@ -50,6 +66,7 @@ class ResonanceDiagnostics:
     final_state: State
     partial: bool = False
     stop_reason: str | None = None
+    stats: SolveStats = SolveStats()
 
 
 def _window_verdict(window_sup: np.ndarray) -> str:
@@ -71,12 +88,12 @@ def _sups(x, v):
     return (ax + np.abs(v)).max(axis=-1), ax.max(axis=-1)
 
 
-def _integrated_windows(pot, f, eps, s0, cfg, records):
+def _integrated_windows(pot, f, eps, s0, cfg, records, work):
     """Fill records (resonance_run's) window by window, each window one
-    integrate_ode solve of the run's one system from the end of the window
-    before; return the number of windows run and the message of the
-    IntegrationError that stopped the chain, or None.  The chain stops
-    after a window whose end is not finite too, which the caller names."""
+    integrate_ode solve, counted in work, of the run's one system from the
+    end of the window before; return the number of windows run and the
+    message of the IntegrationError that stopped the chain, or None.  The
+    chain stops after a window whose end is not finite too (caller names it)."""
     system = forced_system(pot, f, eps, cfg, samples=_WINDOW_SAMPLES)
     y = [s0.x, s0.v]
     for k in range(records.shape[1]):
@@ -88,7 +105,9 @@ def _integrated_windows(pot, f, eps, s0, cfg, records):
         except IntegrationError as exc:
             if k == 0 and (exc.trajectory is None or exc.trajectory.stats["n_steps"] == 0):
                 raise      # no step from the start: no run to report
+            work.update(exc.trajectory.stats, solves=1)
             return k, str(exc)
+        work.update(traj.stats, solves=1)
         # the samples, then the knots: the last is the end
         xv = np.concatenate([traj.eval(traj.samples), traj.ys.T], axis=1)
         records[:2, k] = _sups(xv[0], xv[1])
@@ -131,8 +150,8 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     them (and those a kink or guard root ends) build.  One pass over the
     window ends then serves both: it reads their energies in one pot.v
     call, cuts the run at the first end that leaves the float range, checks
-    the envelope and gives the verdict.
-    Memory grows with n_periods only by these records.
+    the envelope and gives the verdict.  stats counts the windows run and the
+    solves (none on a table).  Memory grows with n_periods only by these records.
     """
     if n_periods < 10:
         raise ConfigError("periods: must be >= 10")
@@ -145,11 +164,12 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
     if not math.isfinite(eps):
         raise ConfigError("eps: must be finite")
     records = np.empty((4, n_periods))     # sup |x| + |v|, sup |x|, end x, end v
+    work = Counter()
     with np.errstate(over="ignore", invalid="ignore"):    # named below
         windows = (pot.forced_flow(f, eps, s0, np.linspace(0.0, TWO_PI, _WINDOW_SAMPLES))
                    if pot.forced_flow else None)
         if windows is None:
-            n_run, stop_reason = _integrated_windows(pot, f, eps, s0, cfg, records)
+            n_run, stop_reason = _integrated_windows(pot, f, eps, s0, cfg, records, work)
         else:
             for k0 in range(0, n_periods, _TABLE_BLOCK):
                 k1 = min(k0 + _TABLE_BLOCK, n_periods)
@@ -184,7 +204,7 @@ def resonance_run(pot: PotentialSpec, f: ForcingTerm, eps: float, s0: State,
         envelope_bound=np.append(sqrt_e0, sqrt_e0 + budget_rate * k),
         verdict=verdict, eps=eps, n_periods=n_periods,
         final_state=State(float(end_x[n_ok - 1]), float(end_v[n_ok - 1])) if n_ok else s0,
-        partial=partial, stop_reason=stop_reason)
+        partial=partial, stop_reason=stop_reason, stats=SolveStats(windows=n_run, **work))
 
 
 def stroboscopic_map(pot: PotentialSpec, f: ForcingTerm, eps: float,
@@ -202,6 +222,7 @@ class PeriodicSolution:
     converged: bool
     iterations: int
     message: str
+    stats: SolveStats = SolveStats()
 
 
 def _newton_system(pot: PotentialSpec, f: ForcingTerm, eps: float, s: State,
@@ -214,6 +235,14 @@ def _newton_system(pot: PotentialSpec, f: ForcingTerm, eps: float, s: State,
     differentiation)."""
     raw = solve_forced(pot, f, eps, [s.x, s.v], 0.0, TWO_PI, cfg, tangent=True)
     return raw.ys[-1] - [s.x, s.v], raw
+
+
+def _cond(a, b, c, d):
+    """The 2-norm condition number of [[a, b], [c, d]], inf where it is singular:
+    s_max^2 / |det|, s_max^2 the larger root of z^2 - |.|_F^2 z + det^2."""
+    det, norm2 = a * d - b * c, a * a + b * b + c * c + d * d
+    root = math.sqrt(max((norm2 - 2.0 * abs(det)) * (norm2 + 2.0 * abs(det)), 0.0))
+    return 0.5 * (norm2 + root) / abs(det) if det else math.inf
 
 
 def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
@@ -230,51 +259,60 @@ def find_periodic_solution(pot: PotentialSpec, f: ForcingTerm, eps: float,
     for any forcing that leaves the isochronous period map a translation)
     the whole plane is fixed or shifted and Newton has nothing to solve.
     It converges at a residual norm of _NEWTON_TOL or less, and gives up
-    after _NEWTON_MAX_ITER iterations.
+    after _NEWTON_MAX_ITER iterations.  stats counts the solves (the refused
+    and failed candidates too) with their steps, the passes and the halvings.
     """
+    work = Counter()
+
+    def period_map(s):
+        work["solves"] += 1
+        try:
+            g, raw = _newton_system(pot, f, eps, s, cfg)
+        except IntegrationError as exc:
+            work.update(exc.trajectory.stats)
+            raise
+        work.update(raw.stats)
+        return g, raw
+
+    def answer(s, res, converged, it, message):
+        return PeriodicSolution(s, res, converged, it, message, SolveStats(**work))
+
     s = seed
-    g, raw = _newton_system(pot, f, eps, s, cfg)
+    g, raw = period_map(s)
     res = math.hypot(*g)
     if res <= _NEWTON_TOL:
-        return PeriodicSolution(state=s, residual=res, converged=True,
-                                iterations=0, message="seed is a fixed point")
+        return answer(s, res, True, 0, "seed is a fixed point")
     for it in range(1, _NEWTON_MAX_ITER + 1):
         u, du, w, dw = raw.variations()[-1]       # M, where Newton steps from
-        jac = np.array([[u - 1.0, w], [du, dw - 1.0]])
-        cond = np.linalg.cond(jac)
+        work["passes"] += 1
+        a, b, c, d = u - 1.0, w, du, dw - 1.0     # M - I
+        cond, norm = _cond(a, b, c, d), math.hypot(a, b, c, d)
         # the isochronous period map degenerates to a translation when the
         # forcing cannot tilt it (eps = 0, a linear oscillator): M = I, and
         # the computed M - I is integration noise (norm up to 2.5e-10 for
         # Pinney at eps = 0, 1e-11 for x'' + x = eps sin t)
-        if not np.isfinite(cond) or cond > 1e12 or np.linalg.norm(jac) < 1e-6:
-            return PeriodicSolution(
-                state=s, residual=res, converged=False, iterations=it,
-                message=f"singular Jacobian (cond = {cond:.2e}, norm = "
-                        f"{np.linalg.norm(jac):.2e}); the period map is "
-                        "degenerate here, Newton cannot proceed")
-        step = np.linalg.solve(jac, -g)
+        if not math.isfinite(cond) or cond > 1e12 or norm < 1e-6:
+            return answer(s, res, False, it, f"singular Jacobian (cond = {cond:.2e}, norm = "
+                          f"{norm:.2e}); the period map is degenerate here, Newton cannot proceed")
+        step = np.linalg.solve(np.array([[a, b], [c, d]]), -g)
         lam = 1.0
         for _ in range(8):
             cand = State(s.x + lam * step[0], s.v + lam * step[1])
             try:
-                g_new, raw_new = _newton_system(pot, f, eps, cand, cfg)
+                g_new, raw_new = period_map(cand)
+                if math.hypot(*g_new) < res:
+                    break
             except (DomainError, IntegrationError, NumericsError):
-                lam *= 0.5
-                continue
-            if math.hypot(*g_new) < res:
-                break
+                pass       # a failed candidate is refused and halved too
             lam *= 0.5
+            work["halvings"] += 1
         else:
-            return PeriodicSolution(state=s, residual=res, converged=False,
-                                    iterations=it,
-                                    message="damping failed to reduce the residual")
+            return answer(s, res, False, it, "damping failed to reduce the residual")
         s, g, raw = cand, g_new, raw_new
         res = math.hypot(*g)
         if res <= _NEWTON_TOL:
-            return PeriodicSolution(state=s, residual=res, converged=True,
-                                    iterations=it, message="converged")
-    return PeriodicSolution(state=s, residual=res, converged=False,
-                            iterations=_NEWTON_MAX_ITER, message="iteration budget exhausted")
+            return answer(s, res, True, it, "converged")
+    return answer(s, res, False, _NEWTON_MAX_ITER, "iteration budget exhausted")
 
 
 def seed_from_phi_zero(pot: PotentialSpec, theta_star: float,

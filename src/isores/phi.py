@@ -89,19 +89,24 @@ def _phi_trig(f: TrigPoly, cm, theta):
     return out
 
 
-def _phi_table(pot: PotentialSpec, f: ForcingTerm, theta, amplitudes,
-               cfg: IntegratorConfig):
-    """Phi(theta, r), (theta.size, len(amplitudes)): a row per theta and a
-    column per amplitude (r = inf the Pinney limit), each distinct profile
-    (profile_amplitude, which checks r) computed once.  A trigonometric p
-    reuses each profile's cached c_m.  Any other p declares its pieces (else
-    ConfigError), v_j + m_j (u - s_j) on [s_j, s_j+1), s_n = s_0 + 2pi: Phi
-    sums int psi and int (t - a) psi between the shifted starts, reduced to
-    x_j = s_j + theta mod 2pi, which, with the pieces that wrap past 2pi, are
-    found once for all columns.  One differencing step (_differences) serves
-    both sources of Psi = int_0 psi.  With every m_j = 0 and a declared Psi,
-    one call of pot.antiderivative reads it at the starts and at 2pi, a row a
-    profile; else each profile takes one quadrature between all the starts
+def _phi_table(pot: PotentialSpec, f: ForcingTerm, theta, amplitudes, cfg: IntegratorConfig):
+    """Phi(theta, r), (theta.size, len(amplitudes)): _phi_columns' column of each amplitude."""
+    return np.take(*_phi_columns(pot, f, theta, amplitudes, cfg), axis=1)
+
+
+def _phi_columns(pot: PotentialSpec, f: ForcingTerm, theta, amplitudes,
+                 cfg: IntegratorConfig):
+    """Phi(theta, r) on a row per theta and a column per distinct profile
+    (profile_amplitude, which checks r), and the column of each amplitude (r
+    = inf the Pinney limit).  A trigonometric p reuses each profile's cached
+    c_m.  Any other p declares its pieces (else ConfigError), v_j + m_j (u -
+    s_j) on [s_j, s_j+1), s_n = s_0 + 2pi: Phi sums int psi and int (t - a)
+    psi between the shifted starts, reduced to x_j = s_j + theta mod 2pi,
+    which, with the pieces that wrap past 2pi, are found once for all
+    columns.  One differencing step (_differences) serves both sources of
+    Psi = int_0 psi.  With every m_j = 0 and a declared Psi, one call of
+    pot.antiderivative reads it at the starts and at 2pi, a row a profile;
+    else each profile takes one quadrature between all the starts
     (_phi_quadrature)."""
     theta = np.asarray(theta, dtype=float)
     keys = [profile_amplitude(pot, float(r)) for r in amplitudes]
@@ -125,7 +130,7 @@ def _phi_table(pot: PotentialSpec, f: ForcingTerm, theta, amplitudes,
             at = pot.antiderivative(np.append(x, TWO_PI), np.array(list(column)))
             df = _differences(at[:, :-1].reshape(len(column), *x.shape), at[:, -1:, None], wrap)
             table = np.einsum("...j,j->...", df, value).T / TWO_PI
-    return np.take(table, [column[k] for k in keys], axis=1)
+    return table, [column[k] for k in keys]
 
 
 def _differences(f_at, f_period, wrap):
@@ -209,6 +214,13 @@ def corollary_bound(a0: float, a1: float, b1: float) -> CorollaryBound:
                           resonant=margin > 0)
 
 
+@record
+class ScanStats:
+    """The work of a scan: Phi values computed, a column per distinct profile."""
+    values: int
+    columns: int
+
+
 @record(eq=False)
 class PhiField:
     """Sampled Phi over the cylinder grid plus the r -> inf slice of a
@@ -216,7 +228,7 @@ class PhiField:
     min_modulus is its smallest np.abs, argmin (theta, r) the first theta
     in the first r-column holding it: the r-independent asymmetric and
     harmonic fields report r = 0.  It is a field of pot, f and cfg (None
-    in a field built by hand), which winding_number reads."""
+    in a field built by hand), which winding_number reads, and of stats."""
 
     theta_grid: np.ndarray
     r_grid: np.ndarray
@@ -227,6 +239,7 @@ class PhiField:
     pot: PotentialSpec | None = None
     f: ForcingTerm | None = None
     cfg: IntegratorConfig | None = None
+    stats: ScanStats | None = None
 
 
 def default_r_grid(r_max: float = 1e3, n: int = 60):
@@ -250,7 +263,8 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     CSV prints it, gives min_modulus and the argmin: the first r-column
     holding it (r = inf last), at its first theta.  Never returns a partial
     field: any error propagates, and a node where Phi is not finite is a
-    NumericsError."""
+    NumericsError.  stats counts a column per distinct profile: 61 on a
+    Pinney scan of 60 r, r = inf included, 1 on a homogeneous one."""
     if theta_count < 1:
         raise ConfigError("theta_points: must be >= 1")
     if len(r_grid) < 1:
@@ -260,7 +274,8 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     with_inf = pot.profile is not None and not pot.homogeneous
     amplitudes = r_grid.tolist() + [math.inf] * with_inf
     with np.errstate(over="ignore", invalid="ignore"):     # named below
-        table = _phi_table(pot, f, theta, amplitudes, cfg)
+        columns, index = _phi_columns(pot, f, theta, amplitudes, cfg)
+        table = np.take(columns, index, axis=1)
     bad = ~np.isfinite(table)
     if bad.any():                   # the first r-column holding one, at its first theta
         j = int(np.argmax(bad.any(axis=0)))
@@ -273,7 +288,7 @@ def phi_scan(pot: PotentialSpec, f: ForcingTerm, theta_count: int,
     return PhiField(theta_grid=theta, r_grid=r_grid, values=table[:, :r_grid.size],
                     infinity_slice=table[:, -1] if with_inf else None,
                     min_modulus=float(mods[i, j]), argmin=(float(theta[i]), amplitudes[j]),
-                    pot=pot, f=f, cfg=cfg)
+                    pot=pot, f=f, cfg=cfg, stats=ScanStats(columns.size, columns.shape[1]))
 
 
 @record

@@ -17,6 +17,8 @@ from .forcing import TWO_PI, from_descriptor
 
 DOMAIN_GUARD = 1e-14
 _BRENT_RTOL = 4 * math.ulp(1.0)
+# the code of "lambda x: expr" for a declared text, compiled once (_declared)
+_lambda_code = functools.cache(lambda expr: compile(f"lambda x: {expr}", "<declared>", "eval"))
 
 
 def brentq(f, a, b, *, xtol, rtol, maxiter=100):
@@ -178,10 +180,10 @@ def _declared(kind, params, domain_left, n_iso, v, dv, d2v, constants, **closed)
     """A built-in family from its one declaration: V, V' and V'' as
     expression text in a float x (squares written as products, since a float
     ** raises OverflowError where a product is inf), the constants they read
-    and its closed forms.  Each text is compiled once and taken by a float or
-    by each element of an array, so both see the same float arithmetic."""
+    and its closed forms.  Each text is compiled once a process and taken by a
+    float or by each element of an array, so both see the same float arithmetic."""
     def elementwise(expr):
-        f = eval(f"lambda x: {expr}", dict(constants))
+        f = eval(_lambda_code(expr), dict(constants))
         return lambda x: (np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
                           if np.ndim(x) else f(float(x)))
     return PotentialSpec(kind, params, domain_left, n_iso, *map(elementwise, (v, dv, d2v)),

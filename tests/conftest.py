@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import isores as iso
+from isores import cli
 from isores.forcing import TWO_PI, _quad_checked, l1_norm
 from isores.integrate import IntegratorConfig, State
 
@@ -97,3 +99,29 @@ def abs_integral_oracle(f, t):
 @pytest.fixture(scope="session")
 def abs_integral():
     return abs_integral_oracle
+
+
+@pytest.fixture
+def run_is_main(capsys, monkeypatch, tmp_path):
+    """A check that cli.run(argv), its text then printed, gives what
+    cli.main(argv) gives: the exit code, stdout, stderr and the files
+    written, each side run in a directory of its own; the report names each
+    file with its size.  It returns the report."""
+    def check(argv):
+        seen = []
+        for side in ("main", "run"):
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            if side == "main":
+                code = cli.main(argv)
+            else:
+                code, text, report = cli.run(argv)
+                if text is not None:
+                    print(text)
+            files = {path.relative_to(tmp_path / side).as_posix(): path.read_bytes()
+                     for path in sorted(Path.cwd().rglob("*")) if path.is_file()}
+            seen.append((code, *capsys.readouterr(), files))
+        assert seen[0] == seen[1]
+        assert report["files"] == {Path(name).name: len(data) for name, data in files.items()}
+        return report
+    return check

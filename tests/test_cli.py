@@ -823,6 +823,31 @@ def test_unreadable_config_is_a_usage_error(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config: ")
 
 
+_DEEP = '{"kind": ' + "[" * 20000 + "]" * 20000 + "}"
+
+
+@pytest.mark.parametrize("flag, name, text, reason", [
+    ("--forcing", "forcing", _DEEP, "maximum recursion depth exceeded"),
+    ("--potential", "potential", _DEEP, "maximum recursion depth exceeded"),
+    ("--config", "config", _DEEP, "maximum recursion depth exceeded"),
+    ("--config", "config", '{"r": [' + "1" * 5000 + "]}", "Exceeds the limit (4300 digits)"),
+], ids=["deep-forcing", "deep-potential", "deep-config", "long-integer-config"])
+def test_malformed_json_is_one_error_line_naming_its_source(flag, name, text, reason,
+                                                            tmp_path, capsys):
+    # JSON nested past the recursion limit escaped main as a RecursionError,
+    # and a 5000-digit integer printed the digit limit's message alone
+    if flag == "--config":
+        (tmp_path / "run.json").write_text(text)
+        argv = ["fourier-constants", "--config", str(tmp_path / "run.json")]
+    else:
+        specs = {"--potential": "pinney", "--forcing": "sin", flag: text}
+        argv = ["phi-scan", *(x for item in specs.items() for x in item)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and reason in err
+    assert err.startswith(f"error: {name}: invalid JSON (")
+
+
 def test_config_values_pass_through_the_flag_type(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"r": ["inf"]}))
@@ -1039,6 +1064,19 @@ def _readme_block(heading, fence):
     or "```python"."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return text.split(f"## {heading}", 1)[1].split(f"{fence}\n", 1)[1].split("```", 1)[0]
+
+
+_README_LINES = _readme_block("Command line", "```bash").replace("\\\n", " ").splitlines()
+
+
+@pytest.mark.parametrize("line", _README_LINES)
+def test_run_gives_what_main_prints_for_each_readme_example(line, run_is_main):
+    report = run_is_main(shlex.split(line.partition("#")[0])[1:])
+    if line.startswith("isores phi-scan") and "--out" in line:
+        # the certificate: 256 theta on 60 r and r = inf, and the largest file
+        assert report["stats"] == isores.phi.ScanStats(values=15616, columns=61)
+        assert set(report["files"]) == {"phi_field.csv", "verdict.json"}
+        assert report["files"]["phi_field.csv"] > 10 ** 6
 
 
 def test_readme_examples_run_as_documented(monkeypatch, tmp_path):

@@ -8,7 +8,7 @@ from isores import dynamics
 from isores.errors import IntegrationError
 from isores.forcing import ForcingTerm, PiecewiseConst, Sampled, TrigPoly, TWO_PI
 from isores.integrate import IntegratorConfig, State, solve_forced
-from isores.dynamics import find_periodic_solution, resonance_run, seed_from_phi_zero
+from isores.dynamics import SolveStats, find_periodic_solution, resonance_run, seed_from_phi_zero
 
 
 # -- resonance runs -------------------------------------------------------------
@@ -28,6 +28,15 @@ def test_pinney_sin_growing(diag_pin_sin):
     assert diag_pin_sin.verdict == "growing"
     assert np.all(np.diff(diag_pin_sin.window_sup[-100:]) > 0)
     assert not diag_pin_sin.partial and diag_pin_sin.stop_reason is None
+
+
+def test_a_run_counts_its_windows_and_solves(diag_pin_sin, diag_harm_cos2):
+    # the benchmark's forced-run task 0: one solve a window; a declared
+    # flow's table (harmonic:1, a trigonometric p) solves nothing
+    expected = SolveStats(solves=200, n_steps=18942, n_rejected=6842, n_segments=200,
+                          nfev=331970, windows=200)
+    assert diag_pin_sin.stats == expected and hash(diag_pin_sin.stats) == hash(expected)
+    assert diag_harm_cos2.stats == SolveStats(windows=200)
 
 
 @pytest.mark.parametrize("start, cfg, reason", [
@@ -58,6 +67,8 @@ def test_a_later_window_with_no_step_stays_partial(pin, sin_f, cfg, monkeypatch)
     diag = resonance_run(pin, sin_f, 0.05, State(1.0, 0.0), 10, cfg)
     assert diag.partial and diag.verdict == "inconclusive"
     assert "no starting step" in diag.stop_reason and len(diag.window_sup) == 1
+    # the window that failed is a solve of no step
+    assert (diag.stats.windows, diag.stats.solves, diag.stats.n_segments) == (1, 2, 2)
 
 
 def test_a_window_past_the_float_range_ends_the_run(har, sin_f, cfg):
@@ -119,6 +130,8 @@ def test_resonance_run_steps_match_recorded_chain(pot, start, mostly_rowless, f,
     kept = sum(int((traj.rows >= 0).sum()) for traj in runs)
     steps = sum(traj.stats["n_steps"] for traj in runs)
     assert 2 * kept < steps if mostly_rowless else kept <= steps
+    totals = {key: sum(traj.stats[key] for traj in runs) for key in runs[0].stats}
+    assert diag.stats == SolveStats(solves=10, windows=10, **totals)
 
 
 class Sine(ForcingTerm):
@@ -475,7 +488,7 @@ def test_newton_g_and_monodromy_are_pinned(case, cfg):
 
 @pytest.mark.parametrize("seed, iterations, n_solves", [
     (None, 3, 4),                 # the README seed: every full step is taken
-    (State(0.3, 0.0), 5, 11),     # the line search refuses 6 candidates, 3 of them failed
+    (State(0.3, 0.0), 5, 11),     # the line search refuses 5 candidates, 3 of them failed
 ])
 def test_newton_reads_the_monodromy_only_where_it_steps_from(pin, cfg, monkeypatch, seed,
                                                              iterations, n_solves):
@@ -498,6 +511,39 @@ def test_newton_reads_the_monodromy_only_where_it_steps_from(pin, cfg, monkeypat
     assert (sol.converged, sol.iterations, len(solves)) == (True, iterations, n_solves)
     assert len(passes) == iterations and passes[0] is solves[0]
     assert solves[-1] not in passes and all(raw in solves for raw in passes)
+    # its stats count every solve made (a refused or failed one too), pass
+    # run and halving, one a refused candidate; the failures left the
+    # domain, so every step is a returned solve's
+    totals = {key: sum(raw.stats[key] for raw in solves if raw) for key in solves[0].stats}
+    assert sol.stats == SolveStats(solves=n_solves, passes=iterations,
+                                   halvings=n_solves - 1 - iterations, **totals)
+
+
+def test_the_readme_newton_search_counts_its_work(pin, cfg):
+    seed = seed_from_phi_zero(pin, math.pi, 0.337, cfg)
+    sol = find_periodic_solution(pin, TrigPoly(a0=1.0, cos_coeffs=(2.0,)), 0.01, seed, cfg)
+    assert sol.iterations == 3
+    assert sol.stats == SolveStats(solves=4, n_steps=193, n_rejected=63, n_segments=4,
+                                   nfev=3017, passes=3)
+
+
+def test_the_closed_form_condition_number_is_numpys():
+    # sigma_max^2 / |det| against the SVD's to 1e-12 where the condition is
+    # moderate; nearer the singular end both lose digits in proportion to
+    # the condition, and a zero determinant is inf
+    rng = np.random.default_rng(5)
+    for scale in 10.0 ** rng.uniform(-8, 8, 500):
+        m = rng.normal(size=(2, 2)) * scale
+        cond = np.linalg.cond(m)
+        if cond < 1e4:
+            assert dynamics._cond(*m.ravel().tolist()) == pytest.approx(cond, rel=1e-12)
+    for gap in 10.0 ** rng.uniform(-13, -3, 200):
+        m = rng.normal(size=(2, 2))
+        m[1] = m[0] * rng.normal() + gap * rng.normal(size=2)
+        cond = np.linalg.cond(m)
+        assert dynamics._cond(*m.ravel().tolist()) == pytest.approx(cond, rel=1e-14 * cond)
+    assert dynamics._cond(1.0, 2.0, 2.0, 4.0) == dynamics._cond(0.0, 0.0, 0.0, 0.0) == math.inf
+    assert dynamics._cond(3.0, 0.0, 0.0, 3.0) == 1.0
 
 
 def test_a_pass_from_numpy_scalars_runs_on_floats(pin, cfg):
@@ -544,8 +590,9 @@ def test_finder_stops_when_the_iteration_budget_is_spent(pin, cfg, monkeypatch):
 
 def test_finder_stops_when_damping_cannot_reduce_the_residual(pin, sin_f, cfg, monkeypatch):
     # G is (1, 0) everywhere: every halved step keeps the residual at 1
-    class Solve:       # M = 2 I, so the Jacobian M - I is I
+    class Solve:       # M = 2 I, so the Jacobian M - I is I, and no step counted
         variations = staticmethod(lambda: [(2.0, 0.0, 0.0, 2.0)])
+        stats = {}
     monkeypatch.setattr(dynamics, "_newton_system",
                         lambda pot, f, eps, s, cfg: (np.array([1.0, 0.0]), Solve))
     seed = State(1.0, 0.0)

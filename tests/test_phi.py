@@ -518,6 +518,15 @@ STEP_4 = PiecewiseConst((0.3, 1.9, 3.4, 5.0), (0.7, -0.4, 0.9, -0.8))
 STEP_3 = PiecewiseConst((0.0, 1.0, 3.0), (1.0, -0.5, 0.25))
 
 
+@pytest.mark.parametrize("pot, columns", [
+    (iso.pinney(), 61), (iso.harmonic(1), 1), (iso.asymmetric(4.0, 4.0 / 9.0), 1)],
+    ids=["pinney", "harmonic", "asymmetric"])
+def test_a_scan_counts_a_column_per_distinct_profile(pot, columns, cfg):
+    # Pinney: 60 r and r = inf; a homogeneous centre shares one profile
+    field = phi_scan(pot, STEP_4, 256, default_r_grid(), cfg)
+    assert field.stats == isores.phi.ScanStats(values=256 * columns, columns=columns)
+
+
 @pytest.mark.parametrize("theta_count", [1, 7, 256])
 @pytest.mark.parametrize("r_points", [5, 13, 61])
 @pytest.mark.parametrize("f", [STEP_4, STEP_3], ids=["4 pieces", "3 pieces"])

@@ -57,9 +57,10 @@ CASES = [
     # a zero-free Phi of winding 0
     ("asymmetric-0.3+cos2t", "asymmetric:4:0.4444444444444444", "0.3+cos2t", None, {},
      NOT_RESONANT, DANCER, {"phi-scan": 20}),
-    # the seed --zero-theta makes sits at -theta* = 4.1416; the orbit at 2.1423
+    # the seed --zero-theta makes sits at -theta* = 4.1416; the orbit at 2.1423;
+    # the scan's grid misses the zero (min |Phi| 0.0295) and certifies it
     ("pinney-1+2cos(t-1)", "pinney", SHIFTED, 0.01, SHIFTED_ZERO, NOT_RESONANT, COROLLARY,
-     {"periodic-find": 3}),
+     {"phi-scan": 31, "periodic-find": 3}),
 ]
 
 ROWS = [pytest.param(command, case, id=f"{case[0]}:{command}", marks=[
@@ -123,3 +124,17 @@ def test_no_answer_contradicts_the_truth(command, case, capsys):
         orbit = State(printed["x"], printed["v"])
         assert _angle_gap(iso.to_action_angle(pot, seed, cfg).theta,
                           iso.to_action_angle(pot, orbit, cfg).theta) < 0.01
+
+
+@pytest.mark.parametrize("command, case", [pytest.param(*row.values, id=row.id) for row in ROWS])
+def test_run_gives_what_main_prints(command, case, run_is_main):
+    _, centre, p, eps, start, _, _, _ = case
+    report = run_is_main(_argv(command, centre, p, eps, start))
+    stats = report["stats"]
+    assert report["files"] == {}
+    if command == "phi-scan":
+        assert stats.values == 256 * stats.columns
+    elif command == "resonance-run":
+        assert stats.windows == 200
+    else:   # the seed, then a candidate accepted per pass (but perhaps the last) or halved
+        assert stats.solves - stats.passes - stats.halvings in (0, 1)
